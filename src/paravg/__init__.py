@@ -12,6 +12,8 @@ Modules:
     cli          - batch front end (reports, CSV/JSON, SVG plots)
 """
 
+__version__ = "0.1.0"
+
 from . import arcs, coefficients, cutoff, expsums, experiments, lattice, numtheory, reports
 from .arcs import (
     ArcSystem,
@@ -53,5 +55,3 @@ from .numtheory import (
     truncated_divisor_count,
 )
 from .reports import ExperimentReport
-
-__version__ = "0.1.0"

@@ -45,16 +45,16 @@ __all__ = [
     "totatives",
     "FareyFraction",
     "MajorArc",
+    "arcs_4i_disjoint",
     "major_arcs",
     "bump_psi",
     "bump_psi_hat",
     "BumpLadder",
-    "eta",
-    "eta_hat",
     "PieceSpec",
     "dyadic_block",
     "ArcSystem",
     "arc_system",
+    "piece_system",
     "piece_multiplier",
     "write_arc_table",
 ]
@@ -131,6 +131,13 @@ def _intervals_disjoint_mod1(intervals: list[tuple[float, float]]) -> bool:
     return True
 
 
+def arcs_4i_disjoint(arcs: list[MajorArc]) -> bool:
+    """Pairwise disjointness of the arcs' 4I intervals on the torus."""
+    return _intervals_disjoint_mod1(
+        [(arc.center - arc.radius4, arc.center + arc.radius4) for arc in arcs]
+    )
+
+
 def major_arcs(N: int) -> list[MajorArc]:
     """All arcs with q <= N/10; verifies the 4I intervals are disjoint."""
     if N < 10:
@@ -140,8 +147,7 @@ def major_arcs(N: int) -> list[MajorArc]:
         for q in range(1, N // 10 + 1)
         for a in totatives(q)
     ]
-    spans = [(arc.center - arc.radius4, arc.center + arc.radius4) for arc in arcs]
-    if not _intervals_disjoint_mod1(spans):
+    if not arcs_4i_disjoint(arcs):
         raise AssertionError("4I arcs are not pairwise disjoint")
     return arcs
 
@@ -339,14 +345,6 @@ class BumpLadder:
         return (c - 2.0 * w, c + 5.0 * w)
 
 
-def eta(ladder: BumpLadder, level, xi):
-    return ladder.eta(level, xi)
-
-
-def eta_hat(ladder: BumpLadder, level, t):
-    return ladder.eta_hat(level, t)
-
-
 # -- piece specifications ---------------------------------------------------------
 
 
@@ -427,29 +425,25 @@ class ArcSystem:
                 specs.append(PieceSpec("dyadic", Q, l))
         return specs
 
-    def _block_ladders(self, Q: int) -> list[BumpLadder]:
-        qs = [q for q in dyadic_block(Q) if q <= self.q_limit]
-        return [self.ladders[(q, a)] for q in qs for a in totatives(q)]
+    def piece_ladders(self, spec: PieceSpec) -> list[BumpLadder]:
+        """Ladders of the spec's block that carry its level (all of them for core)."""
+        if spec.kind not in ("dyadic", "core"):
+            raise ValueError("piece ladders exist for dyadic or core specs")
+        qs = [q for q in dyadic_block(spec.Q) if q <= self.q_limit]
+        ladders = [self.ladders[(q, a)] for q in qs for a in totatives(q)]
+        if spec.kind == "dyadic":
+            ladders = [lad for lad in ladders if spec.level <= lad.top_level]
+            if not ladders:
+                raise ValueError(f"no ladder in block Q={spec.Q} has dyadic level {spec.level}")
+        return ladders
 
     def piece_weight(self, spec: PieceSpec, t):
         """sum over the block of eta(t) for one (Q, l) or core piece."""
         t = np.asarray(t, dtype=float)
+        level = "core" if spec.kind == "core" else spec.level
         acc = np.zeros(t.shape if t.ndim else ())
-        if spec.kind == "core":
-            for lad in self._block_ladders(spec.Q):
-                acc = acc + lad.eta("core", t)
-        elif spec.kind == "dyadic":
-            found = False
-            for lad in self._block_ladders(spec.Q):
-                if spec.level <= lad.top_level:
-                    acc = acc + lad.eta(spec.level, t)
-                    found = True
-            if not found:
-                raise ValueError(
-                    f"no ladder in block Q={spec.Q} has dyadic level {spec.level}"
-                )
-        else:
-            raise ValueError("piece_weight takes dyadic or core specs")
+        for lad in self.piece_ladders(spec):
+            acc = acc + lad.eta(level, t)
         return acc if np.ndim(acc) else float(acc)
 
     def weight_sum(self, t):
@@ -481,6 +475,16 @@ def arc_system(N: int, order: int = DEFAULT_SPLINE_ORDER, q_limit: int | None = 
     return ArcSystem(N, order, q_limit)
 
 
+def piece_system(spec: PieceSpec, params: OperatorParams, order: int = DEFAULT_SPLINE_ORDER) -> ArcSystem:
+    """The arc system a standalone dyadic/core piece is evaluated in.
+
+    Its q range reaches the spec's block even past floor(N/10) (capped at
+    N - 1): the coefficient and decay identities are integrals and do not
+    need the arcs to be disjoint.
+    """
+    return arc_system(params.N, order, min(max(spec.Q, params.N // 10), params.N - 1))
+
+
 def piece_multiplier(
     spec: PieceSpec,
     xi,
@@ -507,9 +511,7 @@ def piece_multiplier(
         system = arc_system(params.N, order)
         w = system.weight_sum(t)
         return whole * w if spec.kind == "maj" else whole - whole * w
-    if q_limit is None:
-        q_limit = min(max(spec.Q, params.N // 10), params.N - 1)
-    system = arc_system(params.N, order, q_limit)
+    system = piece_system(spec, params, order) if q_limit is None else arc_system(params.N, order, q_limit)
     return whole * system.piece_weight(spec, t)
 
 

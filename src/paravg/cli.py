@@ -1,11 +1,11 @@
 """Batch front end: seeded experiment runs, CSV/JSON reports, SVG plots.
 
 Exit status: 0 all checks passed, 1 a hard invariant (exact identity or
-oracle agreement) failed, 2 usage error.  Every run embeds its full
-configuration, seed, and library version in the JSON output; reruns with an
-equal config produce byte-identical JSON.  All randomness flows from the
-single --seed through named substreams, so parallel workers cannot change
-results (set PARAVG_WORKERS to size the pool).
+oracle agreement) failed, 2 usage error or a bad parameter (a count below 1
+or a value the library rejects, such as arcs-check --N 5).  Every run embeds
+its full configuration, seed, and library version in the JSON output; reruns
+with an equal config produce byte-identical JSON.  All randomness flows from
+the single --seed through named substreams.
 """
 
 from __future__ import annotations
@@ -14,32 +14,29 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from . import arcs as arcs_mod
 from . import coefficients as coef_mod
 from . import experiments as exp_mod
 from . import expsums, numtheory
 from .cutoff import CutoffProfile, OperatorParams
 from .lattice import delta, lp_norm, shift
-from .reports import LIBRARY_VERSION, substream_seed
+from .reports import substream_seed
 
 USAGE_ERROR = 2
 INVARIANT_FAILURE = 1
 
 
-def _pmap(fn, items):
-    workers = int(os.environ.get("PARAVG_WORKERS", "1"))
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
+    return value
 
 
 def _int_list(text: str) -> list[int]:
@@ -103,7 +100,7 @@ def _payload(args, results: dict, checks: _Check) -> dict:
     config = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     return {
         "schema_version": 1,
-        "library_version": LIBRARY_VERSION,
+        "library_version": __version__,
         "config": config,
         "results": results,
         "checks": checks.lines,
@@ -137,11 +134,10 @@ def _cmd_gauss_check(args) -> int:
             bad += 1
     checks.record("rational approximation certificate", bad == 0, f"{bad} violations")
 
-    def one(N):
-        params = OperatorParams.smooth(args.n, N, args.ramp_order)
-        return expsums.gauss_bound_report(params, args.samples, args.seed)
-
-    reports = _pmap(one, args.N)
+    reports = [
+        expsums.gauss_bound_report(OperatorParams.smooth(args.n, N, args.ramp_order), args.samples, args.seed)
+        for N in args.N
+    ]
     constants = {str(N): r.constant for N, r in zip(args.N, reports)}
     for N, r in zip(args.N, reports):
         checks.record(f"gauss bound constant finite at N={N}", math.isfinite(r.constant))
@@ -166,8 +162,7 @@ def _cmd_arcs_check(args) -> int:
     for N in args.N:
         system = arcs_mod.arc_system(N, args.order)
         rng = np.random.default_rng(substream_seed(args.seed, f"arcs-check:{N}"))
-        arcs_mod.major_arcs(N)  # raises if the 4I intervals overlap
-        checks.record(f"N={N}: 4I arcs pairwise disjoint", True)
+        checks.record(f"N={N}: 4I arcs pairwise disjoint", arcs_mod.arcs_4i_disjoint(arcs_mod.major_arcs(N)))
         checks.record(f"N={N}: support clusters pairwise disjoint", system.clusters_disjoint())
 
         worst_pu = 0.0
@@ -288,16 +283,18 @@ def _cmd_divisor_check(args) -> int:
     worst = 0.0
     numtheory.CheckParams(D=min(args.D), B=args.B, tau=args.tau)  # validates positivity
     for Q in args.Q:
-        last = None
+        counts = {}
         for D in args.D:
             count, report = numtheory.divisor_level_count(args.N, Q, D, args.B, args.tau)
             ratio = report.values["ratio"]
             worst = max(worst, ratio)
             rows.append({"N": args.N, "Q": Q, "D": D, "count": count, "ratio": repr(ratio)})
-            if last is not None and count > last:
-                checks.record(f"monotone counts at Q={Q}", False, f"D={D}")
-            last = count
-        checks.record(f"counts nonincreasing in D at Q={Q}", True)
+            counts[D] = count
+        ascending = [counts[D] for D in sorted(counts)]
+        checks.record(
+            f"counts nonincreasing in D at Q={Q}",
+            all(b <= a for a, b in zip(ascending, ascending[1:])),
+        )
         zero, _ = numtheory.divisor_level_count(args.N, Q, float(Q))
         checks.record(f"D >= Q forces zero count at Q={Q}", zero == 0)
     checks.record("level-set ratio recorded", math.isfinite(worst), f"max {worst:.4f}")
@@ -454,8 +451,7 @@ def emit_plot(csv_path, kind: str, out_path=None) -> str:
             ys = [math.log(float(r["value"])) for r in rows]
             n = int(rows[0]["n"])
             p = float(rows[0]["p"])
-            source = rows[0].get("source", "box")
-            slope = -(n - 1) / p if source == "delta" else -(n + 1) * (2.0 / p - 1.0)
+            slope = exp_mod.target_slope(n, p, rows[0].get("source", "box"))
             ref_ys = [ys[0] + slope * (x - xs[0]) for x in xs]
             label = f"reference slope {slope:.4f}"
         else:
@@ -519,14 +515,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("gauss-check", help="Gauss-sum bound constants over an N sweep")
     common(sp)
     sp.add_argument("--N", type=_int_list, default=[16, 32, 64, 128])
-    sp.add_argument("--samples", type=int, default=10000)
-    sp.add_argument("--dirichlet-samples", type=int, default=20000)
+    sp.add_argument("--samples", type=_positive_int, default=10000)
+    sp.add_argument("--dirichlet-samples", type=_positive_int, default=20000)
     sp.set_defaults(func=_cmd_gauss_check)
 
     sp = sub.add_parser("arcs-check", help="partition of unity and arc disjointness")
     common(sp)
     sp.add_argument("--N", type=_int_list, default=[16, 64])
-    sp.add_argument("--samples", type=int, default=1000)
+    sp.add_argument("--samples", type=_positive_int, default=1000)
     sp.set_defaults(func=_cmd_arcs_check)
 
     sp = sub.add_parser("coeff-check", help="closed-form coefficients against the oracle")
@@ -534,7 +530,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--N", type=int, default=8)
     sp.add_argument("--Q", type=_int_list, default=[1, 2])
     sp.add_argument("--l", type=_int_list, default=[0, 1])
-    sp.add_argument("--count", type=int, default=50)
+    sp.add_argument("--count", type=_positive_int, default=50)
     sp.add_argument("--grid", type=int, default=4096)
     sp.set_defaults(func=_cmd_coeff_check)
 
@@ -557,7 +553,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--N", type=_int_list, default=[16, 32])
     sp.add_argument("--cutoff", choices=["sharp", "smooth"], default="sharp")
-    sp.add_argument("--falsify", type=int, default=50)
+    sp.add_argument("--falsify", type=_positive_int, default=50)
     sp.set_defaults(func=_cmd_norm_scan)
 
     sp = sub.add_parser("sharpness", help="exactness of the extremizer families")
@@ -572,7 +568,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=_float_list, default=[1.8])
     sp.add_argument("--source", choices=["box", "delta", "ascent", "l2"], default="box")
     sp.add_argument("--tol", type=float, default=None)
-    sp.add_argument("--iters", type=int, default=60)
+    sp.add_argument("--iters", type=_positive_int, default=60)
     sp.add_argument("--plot", action="store_true")
     sp.set_defaults(func=_cmd_scaling_fit)
 
@@ -612,13 +608,16 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0,) else 0
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 
     try:
         status = args.func(args)
-    except (ValueError, AssertionError, RuntimeError) as exc:
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except (AssertionError, RuntimeError) as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return INVARIANT_FAILURE
     print(f"status {status}")

@@ -27,12 +27,11 @@ import numpy as np
 
 from .arcs import (
     DEFAULT_SPLINE_ORDER,
-    ArcSystem,
     PieceSpec,
     arc_system,
     bump_psi_hat,
     dyadic_block,
-    totatives,
+    piece_system,
 )
 from .cutoff import OperatorParams
 from .expsums import e1, gauss_row_max
@@ -75,24 +74,6 @@ class CoefficientQuery:
         return int(sum(c * c for c in rp) - self.r[-1])
 
 
-def _spec_system(spec: PieceSpec, params: OperatorParams, order: int) -> ArcSystem:
-    # standalone pieces accept any block with q < N; the identity being
-    # checked is an integral and does not need the arcs to be disjoint
-    q_limit = min(max(spec.Q, params.N // 10), params.N - 1)
-    return arc_system(params.N, order, q_limit)
-
-
-def _spec_ladders(spec: PieceSpec, params: OperatorParams, order: int):
-    system = _spec_system(spec, params, order)
-    qs = [q for q in dyadic_block(spec.Q) if q <= system.q_limit]
-    ladders = [system.ladders[(q, a)] for q in qs for a in totatives(q)]
-    if spec.kind == "dyadic":
-        ladders = [lad for lad in ladders if spec.level <= lad.top_level]
-        if not ladders:
-            raise ValueError(f"no ladder in block Q={spec.Q} has level {spec.level}")
-    return ladders
-
-
 def _sigma_product(params: OperatorParams, r_perp) -> float:
     out = 1.0
     for c in r_perp:
@@ -110,7 +91,7 @@ def piece_coefficient(query: CoefficientQuery, order: int = DEFAULT_SPLINE_ORDER
     t = query.residual
     level = "core" if query.spec.kind == "core" else query.spec.level
     acc = 0j
-    for lad in _spec_ladders(query.spec, query.params, order):
+    for lad in piece_system(query.spec, query.params, order).piece_ladders(query.spec):
         acc += lad.eta_hat(level, np.int64(t))
     return sig * acc
 
@@ -133,7 +114,7 @@ def piece_coefficient_oracle(
         raise ValueError("grid_size must be a power of two >= 4096")
     sig = _sigma_product(query.params, query.r[:-1])
     t = query.residual
-    system = _spec_system(query.spec, query.params, order)
+    system = piece_system(query.spec, query.params, order)
     spec = query.spec
 
     def rect(M: int) -> complex:
@@ -168,6 +149,14 @@ def coefficient_scale(spec: PieceSpec, params: OperatorParams) -> float:
     if spec.kind == "core":
         return spec.Q / (N * N)
     raise ValueError("scale applies to dyadic or core pieces")
+
+
+def _decay_bound(spec: PieceSpec, params: OperatorParams, eps: float) -> float:
+    """Decay bound (N 2^l)^-1 (QN)^eps for dyadic pieces, (N^2/Q)^-1 (QN)^eps for core."""
+    N = params.N
+    if spec.kind == "dyadic":
+        return (N * 2**spec.level) ** (-1.0) * (spec.Q * N) ** eps
+    return (N * N / spec.Q) ** (-1.0) * (spec.Q * N) ** eps
 
 
 def kernel_coefficient(params: OperatorParams, r) -> float:
@@ -224,7 +213,7 @@ def _residual_profile(
     ts = np.arange(t_lo, t_hi + 1, dtype=np.int64)
     level = "core" if spec.kind == "core" else spec.level
     acc = np.zeros(len(ts), dtype=np.complex128)
-    for lad in _spec_ladders(spec, params, order):
+    for lad in piece_system(spec, params, order).piece_ladders(spec):
         acc += lad.eta_hat(level, ts)
     return np.abs(acc), t_lo
 
@@ -286,10 +275,7 @@ def coefficient_decay_report(
                 best = val
                 best_r = tuple(int(c) for c in rp) + (int(s) - (idx_lo + i + t_lo),)
 
-    if spec.kind == "dyadic":
-        bound = (N * 2**spec.level) ** (-1.0) * (spec.Q * N) ** eps
-    else:
-        bound = (N * N / spec.Q) ** (-1.0) * (spec.Q * N) ** eps
+    bound = _decay_bound(spec, params, eps)
     residual = (
         sum(c * c for c in best_r[:-1]) - best_r[-1] if best_r is not None else None
     )
@@ -355,7 +341,7 @@ def _scan_points(params: OperatorParams, spec: PieceSpec, order: int) -> np.ndar
     clusters, 1/(4 N^2) globally (min piece and whole need the full torus)."""
     N = params.N
     if spec.kind in ("dyadic", "core"):
-        system = _spec_system(spec, params, order)
+        system = piece_system(spec, params, order)
         qs = set(q for q in dyadic_block(spec.Q) if q <= system.q_limit)
         pieces = []
         for (q, a), lad in system.ladders.items():
@@ -398,7 +384,7 @@ def piece_sup_report(
         weight = np.ones_like(ts)
         bound = float(N ** (n - 1))
     elif spec.kind in ("dyadic", "core"):
-        system = _spec_system(spec, params, order)
+        system = piece_system(spec, params, order)
         weight = np.abs(system.piece_weight(spec, ts))
         if spec.kind == "dyadic":
             bound = float((N * 2**spec.level) ** ((n - 1) / 2))
@@ -441,10 +427,7 @@ def write_decay_table(
 ) -> None:
     """CSV decay table: r, residual, |coefficient|, bound, ratio."""
     N, n = params.N, params.n
-    if spec.kind == "dyadic":
-        bound = (N * 2**spec.level) ** (-1.0) * (spec.Q * N) ** eps
-    else:
-        bound = (N * N / spec.Q) ** (-1.0) * (spec.Q * N) ** eps
+    bound = _decay_bound(spec, params, eps)
     H, t_lo = _residual_profile(spec, params, order)
     rows = []
     r1_range = range(-(2 * N - 1), 2 * N)

@@ -35,7 +35,6 @@ from .reports import ExperimentReport
 __all__ = [
     "CutoffProfile",
     "OperatorParams",
-    "cutoff_value",
     "cutoff_checks",
     "paraboloid_kernel",
     "average",
@@ -118,10 +117,6 @@ def _support_weights(profile: CutoffProfile) -> tuple[np.ndarray, np.ndarray]:
     ks.setflags(write=False)
     ws.setflags(write=False)
     return ks, ws
-
-
-def cutoff_value(profile: CutoffProfile, k: int) -> float:
-    return float(profile.value(k))
 
 
 def cutoff_checks(profile: CutoffProfile) -> ExperimentReport:

@@ -26,12 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cutoff import OperatorParams, average, paraboloid_kernel
-from .expsums import gauss_row_max
 from .lattice import LatticeFunction, lp_norm, shift
 from .reports import ExperimentReport, substream_seed
 
 __all__ = [
-    "ExponentPair",
     "ScalingFit",
     "sharp_threshold",
     "box_average_counts",
@@ -44,6 +42,7 @@ __all__ = [
     "rayleigh_quotient",
     "random_ascent_lower_bound",
     "scaling_fit",
+    "target_slope",
     "two_bump_separation_probe",
 ]
 
@@ -51,22 +50,6 @@ __all__ = [
 def sharp_threshold(n: int) -> float:
     """The crossover exponent (n+3)/(n+1) separating the two extremizers."""
     return (n + 3) / (n + 1)
-
-
-@dataclass(frozen=True)
-class ExponentPair:
-    """p with its conjugate p' (1/p + 1/p' = 1) and an optional target q."""
-
-    p: float
-    q: float | None = None
-
-    def __post_init__(self):
-        if not 1.0 < self.p <= 2.0:
-            raise ValueError("p must lie in (1, 2]")
-
-    @property
-    def p_prime(self) -> float:
-        return self.p / (self.p - 1.0)
 
 
 @dataclass
@@ -348,36 +331,17 @@ def _box_packet_quotient(params: OperatorParams, width: int = 8) -> float:
     return norm_af / norm_f
 
 
-def norm_l2_l2(params: OperatorParams, t_points: int | None = None) -> ExperimentReport:
-    """l^2 -> l^2 norm: N^(1-n) sup |m|, with a wave-packet certificate.
+def norm_l2_l2(params: OperatorParams) -> ExperimentReport:
+    """l^2 -> l^2 norm in closed form: mass(sigma)^(n-1) / N^(n-1).
 
-    The sup over the first n-1 frequency coordinates factorizes into the
-    row maximum of |G(t, .)|, so the scan is one-dimensional in t = xi_n on
-    a grid resolving the 1/N^2 scale, refined locally around the best grid
-    point.  A flat wave packet must achieve at least 0.8 of the reported
-    value as a Rayleigh quotient.  For nonnegative kernel weights the sup
-    sits at frequency zero, where the grid value is exact (sharp cutoff,
-    n = 2: exactly 1).
+    The norm is N^(1-n) sup |m|.  Both cutoffs have nonnegative weights, so
+    by the triangle inequality sup |m| = m(0) = mass(sigma)^(n-1), and the
+    value is exact (sharp cutoff: exactly 1).  The certificate checks the
+    value from the other side: the Rayleigh quotient of a flat wave packet
+    must reach at least 0.8 of it, or an AssertionError is raised.
     """
     n, N = params.n, params.N
-    if t_points is None:
-        t_points = 4 * N * N
-    ts = np.arange(t_points) / t_points
-    y_grid = max(8 * N, 64)
-    g = gauss_row_max(ts, params.cutoff, y_grid)
-    i = int(np.argmax(g))
-    best_t, best_val = float(ts[i]), float(g[i])
-
-    step = 1.0 / t_points
-    for _ in range(3):
-        cand = np.array([best_t + d * step / 8 for d in range(-8, 9)]) % 1.0
-        vals = gauss_row_max(cand, params.cutoff, 4 * y_grid)
-        j = int(np.argmax(vals))
-        if vals[j] > best_val:
-            best_val, best_t = float(vals[j]), float(cand[j])
-        step /= 8
-
-    value = best_val ** (n - 1) / N ** (n - 1)
+    value = params.cutoff.mass() ** (n - 1) / N ** (n - 1)
     quotient = _box_packet_quotient(params, width=8)
     if quotient < 0.8 * value:
         raise AssertionError(
@@ -385,9 +349,9 @@ def norm_l2_l2(params: OperatorParams, t_points: int | None = None) -> Experimen
         )
     return ExperimentReport(
         name="norm_l2_l2",
-        params={"n": n, "N": N, "cutoff": params.cutoff.kind, "t_points": t_points},
+        params={"n": n, "N": N, "cutoff": params.cutoff.kind},
         constant=value,
-        values={"rayleigh_certificate": quotient, "argmax_t": best_t},
+        values={"rayleigh_certificate": quotient},
     )
 
 
@@ -499,14 +463,26 @@ def random_ascent_lower_bound(
 # -- scaling fits -----------------------------------------------------------------------
 
 
+def target_slope(n: int, p: float, source: str) -> float:
+    """Predicted log-log slope of a ratio family against N.
+
+    -(n-1)/p for delta; 0 for l2, since the 2 -> 2 norm is p-free and
+    bounded in N; -(n+1)(2/p - 1) for the box family and its ascent bounds.
+    """
+    if source == "delta":
+        return -(n - 1) / p
+    if source == "l2":
+        return 0.0
+    return -(n + 1) * (2.0 / p - 1.0)
+
+
 def scaling_fit(
     Ns, n: int, p: float, source: str, seed: int = 0, iters: int = 60
 ) -> ScalingFit:
     """Fit the log-log slope of a ratio family against its predicted exponent.
 
     Sources: box and delta (exact ratios), ascent (certified lower bounds),
-    l2 (the 2 -> 2 norm).  Targets: -(n-1)/p for delta, -(n+1)(2/p - 1)
-    otherwise.
+    l2 (the 2 -> 2 norm).  The target is target_slope(n, p, source).
     """
     Ns = list(Ns)
     values = []
@@ -522,8 +498,7 @@ def scaling_fit(
             values.append(norm_l2_l2(params).constant)
         else:
             raise ValueError(f"unknown source {source!r}")
-    target = -(n - 1) / p if source == "delta" else -(n + 1) * (2.0 / p - 1.0)
-    return ScalingFit.fit(Ns, values, target)
+    return ScalingFit.fit(Ns, values, target_slope(n, p, source))
 
 
 # -- the q < p obstruction ----------------------------------------------------------------

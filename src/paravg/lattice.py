@@ -26,8 +26,6 @@ __all__ = [
     "convolve",
     "reflect",
     "shift",
-    "save_text",
-    "load_text",
     "dumps_text",
     "loads_text",
 ]
@@ -324,13 +322,3 @@ def loads_text(text: str) -> LatticeFunction:
         point = tuple(int(c) for c in parts[:dim])
         data[point] = complex(float(parts[dim]), float(parts[dim + 1]))
     return LatticeFunction(dim, data)
-
-
-def save_text(f: LatticeFunction, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(dumps_text(f))
-
-
-def load_text(path) -> LatticeFunction:
-    with open(path) as fh:
-        return loads_text(fh.read())

@@ -1,20 +1,14 @@
-"""Experiment reports: named scalar results with provenance, JSON/CSV output.
+"""Experiment reports: named scalar results with provenance.
 
 Every empirical sweep in this package returns an ExperimentReport so that
 recorded constants (sup norms, ratios, fitted slopes) travel together with
-the configuration and seed that produced them.  Reruns with an equal config
-must serialize to byte-identical JSON.
+the configuration and seed that produced them.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import json
 from dataclasses import dataclass, field
-
-SCHEMA_VERSION = 1
-LIBRARY_VERSION = "0.1.0"
 
 
 def substream_seed(seed: int, name: str) -> int:
@@ -40,42 +34,3 @@ class ExperimentReport:
     values: dict = field(default_factory=dict)
     passed: bool | None = None
     notes: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "library_version": LIBRARY_VERSION,
-            "name": self.name,
-            "params": self.params,
-            "samples": self.samples,
-            "constant": self.constant,
-            "seed": self.seed,
-            "values": self.values,
-            "passed": self.passed,
-            "notes": self.notes,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-
-    def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_json())
-            fh.write("\n")
-
-    def csv_rows(self) -> list[dict]:
-        """Flatten named values to rows: one row per named scalar."""
-        base = {"name": self.name, "seed": self.seed, "samples": self.samples}
-        rows = []
-        for key in sorted(self.values):
-            rows.append({**base, "key": key, "value": self.values[key]})
-        if self.constant is not None:
-            rows.append({**base, "key": "constant", "value": self.constant})
-        return rows
-
-    def write_csv(self, path) -> None:
-        rows = self.csv_rows()
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=["name", "seed", "samples", "key", "value"])
-            writer.writeheader()
-            writer.writerows(rows)

@@ -15,8 +15,6 @@ from paravg.arcs import (
     bump_psi,
     bump_psi_hat,
     dyadic_block,
-    eta,
-    eta_hat,
     major_arcs,
     piece_multiplier,
     totatives,
@@ -106,13 +104,13 @@ def test_ladder_partition_of_unity_exact():
 def test_eta_mean_zero_exact():
     lad = BumpLadder(FareyFraction(1, 2), 8)
     for level in lad.levels():
-        assert eta_hat(lad, level, np.int64(0)) == 0j
+        assert lad.eta_hat(level, np.int64(0)) == 0j
 
 
 def test_eta_vanishes_at_center_dyadic():
     lad = BumpLadder(FareyFraction(2, 3), 32)
     for level in range(lad.top_level + 1):
-        assert eta(lad, level, 2 / 3) == 0.0
+        assert lad.eta(level, 2 / 3) == 0.0
 
 
 def test_eta_support_containment():

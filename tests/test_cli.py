@@ -105,6 +105,54 @@ def test_invariant_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert "[FAIL]" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["arcs-check", "--N", "5"],
+        ["sharpness", "--n", "4"],
+        ["coeff-check", "--N", "2"],
+        ["divisor-check", "--N", "20000000"],
+        ["divisor-check", "--B", "0"],
+        ["gauss-check", "--N", "16", "--samples", "0"],
+        ["gauss-check", "--N", "16,32", "--samples", "0"],
+        ["gauss-check", "--dirichlet-samples", "0"],
+        ["arcs-check", "--samples", "0"],
+        ["coeff-check", "--count", "0"],
+        ["norm-scan", "--falsify", "0"],
+        ["scaling-fit", "--iters", "-1"],
+    ],
+    ids=" ".join,
+)
+def test_bad_parameter_exit_code(tmp_path, capsys, argv):
+    assert run(argv + ["--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "invariant failure" not in err
+
+
+def test_divisor_check_fails_on_increasing_counts(tmp_path, capsys, monkeypatch):
+    import paravg.numtheory as nt
+    from paravg.reports import ExperimentReport
+
+    def increasing(N, Q, D, B=None, tau=None):
+        count = int(D) if D < Q else 0
+        return count, ExperimentReport("divisor_level_count", values={"ratio": 0.0})
+
+    monkeypatch.setattr(nt, "divisor_level_count", increasing)
+    assert run(["divisor-check", "--N", "1000", "--Q", "16", "--D", "2,4",
+                "--out-dir", str(tmp_path / "o")]) == 1
+    assert "[FAIL] counts nonincreasing in D at Q=16" in capsys.readouterr().out
+
+
+def test_arcs_check_fails_on_overlapping_arcs(tmp_path, capsys, monkeypatch):
+    import paravg.arcs as arcs_mod
+
+    major_arcs = arcs_mod.major_arcs
+    monkeypatch.setattr(arcs_mod, "major_arcs", lambda N: major_arcs(N) * 2)
+    assert run(["arcs-check", "--N", "16", "--samples", "10",
+                "--out-dir", str(tmp_path / "o")]) == 1
+    assert "[FAIL] N=16: 4I arcs pairwise disjoint" in capsys.readouterr().out
+
+
 def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# sweep config\nN=8,12\nseed=9\n")
@@ -152,6 +200,15 @@ def test_emit_plot_rejects_empty_and_unknown(tmp_path):
         cli.emit_plot(ok, "sideways")
     cli.emit_plot(ok, "profile")
     assert (tmp_path / "ok.svg").exists()
+
+
+def test_scaling_fit_l2_target_is_zero(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run(["scaling-fit", "--source", "l2", "--N", "8,16,32,64",
+                "--out-dir", str(out)]) == 0
+    assert "[PASS] slope at p=1.8 within 0.15 of target 0.0000" in capsys.readouterr().out
+    payload = json.loads((out / "scaling-fit.json").read_text())
+    assert payload["results"]["1.8"]["target"] == 0.0
 
 
 def test_norm_scan(tmp_path, capsys):

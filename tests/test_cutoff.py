@@ -12,7 +12,6 @@ from paravg.cutoff import (
     OperatorParams,
     average,
     cutoff_checks,
-    cutoff_value,
     paraboloid_kernel,
 )
 from paravg.lattice import box_indicator, delta, lp_norm
@@ -20,10 +19,10 @@ from paravg.lattice import box_indicator, delta, lp_norm
 
 def test_smooth_values():
     p = CutoffProfile("smooth", 16)
-    assert cutoff_value(p, 0) == 1.0
-    assert cutoff_value(p, 40) == 0.0
-    assert cutoff_value(p, 24) == 0.5  # midpoint of the symmetric ramp
-    assert cutoff_value(p, -24) == 0.5
+    assert p.value(0) == 1.0
+    assert p.value(40) == 0.0
+    assert p.value(24) == 0.5  # midpoint of the symmetric ramp
+    assert p.value(-24) == 0.5
     ks = np.arange(-40, 41)
     vals = p.value(ks)
     assert np.all((vals >= 0) & (vals <= 1))
@@ -33,7 +32,7 @@ def test_smooth_values():
 
 def test_sharp_values():
     p = CutoffProfile("sharp", 5)
-    assert [cutoff_value(p, k) for k in (0, 1, 5, 6, -2)] == [0, 1, 1, 0, 0]
+    assert [p.value(k) for k in (0, 1, 5, 6, -2)] == [0, 1, 1, 0, 0]
     assert p.mass() == 5.0
 
 

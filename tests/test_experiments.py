@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from paravg import experiments
 from paravg.cutoff import OperatorParams, average
 from paravg.experiments import (
-    ExponentPair,
     ScalingFit,
     box_average_counts,
     box_core_is_one,
@@ -21,16 +21,13 @@ from paravg.experiments import (
     sharp_threshold,
     two_bump_separation_probe,
 )
+from paravg.expsums import gauss_row_max
 from paravg.lattice import box_indicator, delta, lp_norm, shift
 
 
-def test_exponent_pair():
-    assert ExponentPair(2.0).p_prime == 2.0
-    assert abs(ExponentPair(1.5).p_prime - 3.0) < 1e-15
+def test_sharp_threshold():
     assert sharp_threshold(2) == 5 / 3
     assert sharp_threshold(3) == 1.5
-    with pytest.raises(ValueError):
-        ExponentPair(1.0)
 
 
 def test_box_counts_match_direct_average():
@@ -120,6 +117,45 @@ def test_norm_l2_l2_smooth_matches_mass():
     rep = norm_l2_l2(params)
     assert abs(rep.constant - params.cutoff.mass() / 16) < 1e-9
     assert rep.values["rayleigh_certificate"] >= 0.8 * rep.constant
+
+
+def _scan_norm_l2_l2(params: OperatorParams) -> tuple[float, float]:
+    """Oracle: N^(1-n) sup |m| by a grid scan of the row maximum of |G(t, .)|.
+
+    4 N^2 points in t = xi_n, then three local refinements around the best
+    point.  Returns (norm, argmax t).
+    """
+    n, N = params.n, params.N
+    t_points = 4 * N * N
+    ts = np.arange(t_points) / t_points
+    y_grid = max(8 * N, 64)
+    g = gauss_row_max(ts, params.cutoff, y_grid)
+    i = int(np.argmax(g))
+    best_t, best_val = float(ts[i]), float(g[i])
+    step = 1.0 / t_points
+    for _ in range(3):
+        cand = np.array([best_t + d * step / 8 for d in range(-8, 9)]) % 1.0
+        vals = gauss_row_max(cand, params.cutoff, 4 * y_grid)
+        j = int(np.argmax(vals))
+        if vals[j] > best_val:
+            best_val, best_t = float(vals[j]), float(cand[j])
+        step /= 8
+    return best_val ** (n - 1) / N ** (n - 1), best_t
+
+
+@pytest.mark.parametrize("kind", ["sharp", "smooth"])
+@pytest.mark.parametrize("n, N", [(2, 8), (2, 16), (2, 32), (2, 64), (3, 4), (3, 8)])
+def test_norm_l2_l2_closed_form_matches_scan(kind, n, N):
+    params = OperatorParams.sharp(n, N) if kind == "sharp" else OperatorParams.smooth(n, N)
+    scanned, argmax_t = _scan_norm_l2_l2(params)
+    assert norm_l2_l2(params).constant == scanned
+    assert argmax_t == 0.0
+
+
+def test_norm_l2_l2_rejects_weak_certificate(monkeypatch):
+    monkeypatch.setattr(experiments, "_box_packet_quotient", lambda params, width=8: 0.79)
+    with pytest.raises(AssertionError, match="wave packet"):
+        norm_l2_l2(OperatorParams.sharp(2, 8))
 
 
 def test_rayleigh_never_exceeds_norm():
