@@ -195,17 +195,25 @@ def paraboloid_kernel(params: OperatorParams) -> LatticeFunction:
     return LatticeFunction(n, data)
 
 
+@lru_cache(maxsize=32)
+def _reflected_kernel(params: OperatorParams) -> LatticeFunction:
+    """reflect(paraboloid_kernel(params)), built once per parameter set and shared."""
+    return reflect(paraboloid_kernel(params))
+
+
 def average(f: LatticeFunction, params: OperatorParams) -> LatticeFunction:
     """A f(x) = N^{1-n} sum_k w(k) f(x + (k, |k|^2)).
 
     Implemented as convolution with the reflected kernel followed by the
     N^{1-n} normalization, which reproduces the forward-translate convention
     bit for bit: the convolution is exact on integer-valued f with the sharp
-    cutoff, and the single final division is correctly rounded.
+    cutoff, and the single final division is correctly rounded.  The
+    reflected kernel is cached per OperatorParams (LatticeFunction values are
+    immutable, so every call shares it), and points whose average cancels to
+    exactly 0 are dropped from the support.
     """
     if f.dim != params.n:
         raise ValueError(f"function dim {f.dim} != operator dim {params.n}")
-    kernel = paraboloid_kernel(params)
-    raw = convolve(reflect(kernel), f)
+    raw = convolve(_reflected_kernel(params), f)
     scale = float(params.N ** (params.n - 1))
-    return LatticeFunction(params.n, {p: v / scale for p, v in raw.items()})
+    return LatticeFunction._trusted(params.n, ((p, v / scale) for p, v in raw.items()))

@@ -16,6 +16,14 @@ range boundary.
 Count arithmetic is exact: the averaged box is evaluated by interval and
 histogram counting in integers (never by floating kernel sums), and floats
 enter only at the final root.
+
+Costs.  For n = 2 the square window of the last coordinate is constant on
+O(N) runs, so the box power sum (all x1 intervals x runs) and the wave-packet
+certificate of the 2 -> 2 norm (every x1 row x runs) are O(N^2) run-length
+sums; n = 3 streams the pair histograms.  The ascent keeps each start as
+sorted point and value arrays and its convolution on a dense window, and
+every dense array is checked against lattice.ALLOC_BUDGET_BYTES before it
+is allocated.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cutoff import OperatorParams, average, paraboloid_kernel
-from .lattice import LatticeFunction, lp_norm, shift
+from .lattice import LatticeFunction, check_alloc, lp_norm, shift
 from .reports import ExperimentReport, substream_seed
 
 __all__ = [
@@ -93,6 +101,27 @@ def _isqrt_table(limit: int) -> np.ndarray:
     ).astype(np.int64)
 
 
+def _square_runs(x_lo: int, x_hi: int, top: int):
+    """Split [x_lo, x_hi) into runs of x sharing every square-window key.
+
+    The keys are kmax = isqrt(max(top - x, 0)), the largest k with
+    x + k^2 <= top; kmin, the least k >= 1 with x + k^2 >= 1; and the signs
+    of x - 1 and top - x.  kmax steps where top - x crosses a square and
+    kmin where -x does, so there are O(sqrt(x_hi - x_lo)) runs, found
+    without touching each x.  Returns (starts, lengths, kmin, kmax) as int64
+    arrays, one entry per run.
+    """
+    js = np.arange(math.isqrt(max(top - x_lo, 0)) + 2, dtype=np.int64)
+    jm = np.arange(math.isqrt(max(1 - x_lo, 0)) + 2, dtype=np.int64)
+    cuts = np.concatenate([top + 1 - js * js, 1 - jm * jm])
+    cuts = cuts[(cuts > x_lo) & (cuts < x_hi)]
+    starts = np.unique(np.concatenate([[x_lo], cuts]))
+    lengths = np.diff(np.append(starts, x_hi))
+    kmax = np.array([math.isqrt(max(top - x, 0)) for x in starts.tolist()], dtype=np.int64)
+    kmin = np.array([1 if x >= 0 else math.isqrt(-x) + 1 for x in starts.tolist()], dtype=np.int64)
+    return starts, lengths, kmin, kmax
+
+
 def _count_rows_2d(N: int, M: int, M_n: int):
     """Yield (x1, counts over x2) rows of the raw count for the n = 2 box."""
     x2 = np.arange(1 - N * N, M_n)  # x2 support: [1 - N^2, M_n - 1]
@@ -139,26 +168,29 @@ def box_average_counts(n: int, N: int):
     """Dense integer counts N^(n-1) * A(box indicator) over the full support.
 
     Returns (counts, lo): counts[idx] is the raw count at lattice point
-    idx + lo.  Exact integers throughout.  The n = 3 array has
-    ~45 N^4 entries; keep N modest there (the slope fits go through
-    box_power_sum, which streams instead).
+    idx + lo.  Exact integers throughout.  The array has
+    (3N-1)^(n-1) ((2n-1) N^2 - 1) entries (~45 N^4 for n = 3), checked
+    against the allocation budget first; the slope fits go through
+    box_power_sum, which never builds it.
     """
+    if n not in (2, 3):
+        raise ValueError("box counting engines cover n in {2, 3}")
     M, M_n = 2 * N, n * N * N
+    shape = (3 * N - 1,) * (n - 1) + ((2 * n - 1) * N * N - 1,)
+    check_alloc(shape, np.int64, f"averaged box counts n={n} N={N}")
     if n == 2:
         rows = [c for _, c in _count_rows_2d(N, M, M_n)]
         return np.stack(rows).astype(np.int64), (1 - N, 1 - N * N)
-    if n == 3:
-        x1s, keys, pair_cums = _pair_histograms_3d(N, M)
-        x3 = np.arange(1 - 2 * N * N, M_n, dtype=np.int64)
-        counts = np.zeros((len(x1s), len(x1s), len(x3)), dtype=np.int64)
-        for i, k1 in enumerate(keys):
-            for j, k2 in enumerate(keys):
-                cum = pair_cums[(k1, k2)]
-                top = np.clip(M_n - x3 + 1, 0, len(cum) - 1)
-                bot = np.clip(1 - x3, 0, len(cum) - 1)
-                counts[i, j] = cum[top] - cum[bot]
-        return counts, (1 - N, 1 - N, 1 - 2 * N * N)
-    raise ValueError("box counting engines cover n in {2, 3}")
+    x1s, keys, pair_cums = _pair_histograms_3d(N, M)
+    x3 = np.arange(1 - 2 * N * N, M_n, dtype=np.int64)
+    counts = np.zeros(shape, dtype=np.int64)
+    for i, k1 in enumerate(keys):
+        for j, k2 in enumerate(keys):
+            cum = pair_cums[(k1, k2)]
+            top = np.clip(M_n - x3 + 1, 0, len(cum) - 1)
+            bot = np.clip(1 - x3, 0, len(cum) - 1)
+            counts[i, j] = cum[top] - cum[bot]
+    return counts, (1 - N, 1 - N, 1 - 2 * N * N)
 
 
 def box_core_is_one(n: int, N: int) -> bool:
@@ -184,16 +216,30 @@ def box_core_is_one(n: int, N: int) -> bool:
 
 
 def box_power_sum(n: int, N: int, exponent: float) -> float:
-    """sum over x of cnt(x)^exponent for the extremizer box, streamed.
+    """sum over x of cnt(x)^exponent for the extremizer box.
+
+    n = 2 is run-length counting, O(N^2) time and O(N) memory: the count at
+    (x1, x2) depends on x1 only through its k-interval [A, B] (one interval
+    serves the whole bulk x1 in [0, N]) and on x2 only through its square
+    window (kmin, kmax), which is constant on O(N) runs of x2 (_square_runs).
+    So the sum runs over distinct intervals x runs, weighted by multiplicity
+    x run length.  n = 3 streams the pair histograms, O(N^4).
 
     Partial sums are exact for integer exponents at desk scale (counts are
-    <= N^(n-1) and every partial sum stays far below 2^53).
+    <= N^(n-1) and every partial sum stays below 2^53 up to N ~ 200).
     """
     M, M_n = 2 * N, n * N * N
     total = 0.0
     if n == 2:
-        for _, row in _count_rows_2d(N, M, M_n):
-            total += float(np.sum(row.astype(float) ** exponent))
+        _, lengths, kmin, kmax = _square_runs(1 - N * N, M_n, M_n)
+        x1 = np.arange(1 - N, M, dtype=np.int64)
+        intervals, mult = np.unique(
+            np.stack([np.maximum(1, 1 - x1), np.minimum(N, M - x1)], axis=1), axis=0, return_counts=True
+        )
+        powers = np.arange(N + 1, dtype=float) ** exponent
+        for (A, B), m in zip(intervals.tolist(), mult.tolist()):
+            counts = np.clip(np.minimum(B, kmax) - np.maximum(A, kmin) + 1, 0, None)
+            total += m * float(np.sum(lengths * powers[counts]))
         return total
     if n == 3:
         x1s, keys, pair_cums = _pair_histograms_3d(N, M)
@@ -267,9 +313,12 @@ def rayleigh_quotient(f: LatticeFunction, params: OperatorParams) -> float:
 def _box_packet_quotient(params: OperatorParams, width: int = 8) -> float:
     """Rayleigh quotient of the flat wave packet 1 on {1..wN}^(n-1) x {1..wN^2}.
 
-    Row-streamed with sigma prefix sums, so it stays cheap for any cutoff:
-    the weight landing at x is a difference of prefix sums over the k range
-    compatible with both the box window and the square window.
+    The weight landing at x is a difference of sigma prefix sums over the k
+    range compatible with both the box window and the square window, so it
+    stays cheap for any cutoff.  For n = 2 the square window of x2 is
+    constant on O(N) runs (_square_runs), so each of the O(wN) rows x1 costs
+    O(N): O(w N^2) in all.  n = 3 accumulates k' pair histograms per
+    (x1, x2) row, for modest N.
     """
     n, N = params.n, params.N
     cutoff = params.cutoff
@@ -286,25 +335,22 @@ def _box_packet_quotient(params: OperatorParams, width: int = 8) -> float:
         return prefix[np.maximum(ib, ia)] - prefix[ia]
 
     k_hi = int(ks[-1])
-    x_last = np.arange(1 - (n - 1) * 4 * N * N, M_n + (n - 1) * 4 * N * N)
+    x_lo, x_hi = 1 - (n - 1) * 4 * N * N, M_n + (n - 1) * 4 * N * N
     total_sq = 0.0
-    isq = _isqrt_table(M_n + 4 * N * N * (n - 1) + 4)
 
     if n == 2:
-        lo_val = 1 - x_last
-        hi_val = np.clip(M_n - x_last, -1, len(isq) - 1)
-        rmax = isq[np.clip(hi_val, 0, None)]
-        rmin = np.where(lo_val <= 1, 1, isq[np.clip(lo_val - 1, 0, None)] + 1)
-        neg_ok = hi_val >= 0
+        starts, lengths, rmin, rmax = _square_runs(x_lo, x_hi, M_n)
+        neg_ok = starts <= M_n
+        zero_ok = (starts >= 1) & neg_ok
         for x1 in range(1 - k_hi, M - k_lo + 1):
             a, b = 1 - x1, M - x1
             pos = wsum(np.maximum(a, rmin), np.minimum(b, rmax))
             neg = wsum(np.maximum(a, -rmax), np.minimum(b, -rmin))
-            zero = wsum(np.maximum(a, 0), np.minimum(b, 0)) * (lo_val <= 0) * neg_ok
+            zero = wsum(np.maximum(a, 0), np.minimum(b, 0)) * zero_ok
             row = np.where(neg_ok, pos + neg + zero, 0.0)
-            total_sq += float(np.sum(row * row))
+            total_sq += float(np.sum(lengths * (row * row)))
     else:
-        # modest n = 3 scales: accumulate over k' pairs per (x1, x2) row
+        x_last = np.arange(x_lo, x_hi)
         for x1 in range(1 - k_hi, M - k_lo + 1):
             a1, b1 = max(k_lo, 1 - x1), min(k_hi, M - x1)
             if a1 > b1:
@@ -368,6 +414,15 @@ def random_ascent_lower_bound(
     support coordinate up or down and is kept when the ratio improves.
     Deterministic for a fixed seed, monotone within each start, and never
     reported as the norm.
+
+    Each start is a lexicographically sorted point array with its values.
+    Its convolution with the kernel lives on a dense window (the start's
+    bounding box widened by the kernel offsets) and is built by one indexed
+    add per offset: O(|start| N^(n-1)) numpy work, where the box start has
+    2^(n-1) n N^(n+1) points.  A proposal updates its N^(n-1) cells in a
+    scalar loop, and the power sums are math.fsum over Python floats.  The
+    window and the box are checked against the allocation budget before any
+    start is built.
     """
     if params.cutoff.kind != "sharp":
         raise ValueError("ascent drives the sharp average")
@@ -375,75 +430,92 @@ def random_ascent_lower_bound(
         raise ValueError("iters must be >= 1")
     n, N = params.n, params.N
     pp = p / (p - 1.0)
-    rng = np.random.default_rng(substream_seed(seed, f"ascent:{n}:{N}:{p}"))
-    kernel_offsets = [tuple(-c for c in point) for point in paraboloid_kernel(params)]
     scale = float(N ** (n - 1))
 
     window_lo = (-2 * N,) * (n - 1) + (-4 * N * N,)
     window_hi = (2 * N,) * (n - 1) + (4 * N * N,)
+    box_hi = (2 * N,) * (n - 1) + (n * N * N,)
+    # kernel offsets -(k, |k|^2) span [-N, -1]^(n-1) x [-(n-1) N^2, -(n-1)]
+    reach = (N - 1,) * (n - 1) + ((n - 1) * (N * N - 1),)
+    check_alloc((math.prod(box_hi), n), np.int64, f"ascent box start n={n} N={N}")
+    for grid in (
+        tuple(h + r for h, r in zip(box_hi, reach)),
+        tuple(h - l + r for l, h, r in zip(window_lo, window_hi, reach)),
+    ):
+        check_alloc(grid, np.float64, f"ascent convolution window n={n} N={N}")
 
-    def exact_ratio(fd: dict) -> float:
-        conv: dict[tuple, float] = {}
-        for x, v in fd.items():
-            for off in kernel_offsets:
-                y = tuple(a + b for a, b in zip(x, off))
-                conv[y] = conv.get(y, 0.0) + v
-        num = math.fsum(v**pp for v in conv.values()) ** (1.0 / pp) / scale
-        den = math.fsum(v**p for v in fd.values()) ** (1.0 / p)
-        return num / den
+    rng = np.random.default_rng(substream_seed(seed, f"ascent:{n}:{N}:{p}"))
+    offsets = -np.array(list(paraboloid_kernel(params)), dtype=np.int64)
+    off_lo, off_hi = offsets.min(0), offsets.max(0)
 
-    def ascend(start: dict) -> tuple[float, dict, list]:
-        f = dict(start)
-        conv: dict[tuple, float] = {}
-        for x, v in f.items():
-            for off in kernel_offsets:
-                y = tuple(a + b for a, b in zip(x, off))
-                conv[y] = conv.get(y, 0.0) + v
-        s_p = math.fsum(v**p for v in f.values())
-        s_pp = math.fsum(v**pp for v in conv.values())
+    def convolution(points: np.ndarray, values: np.ndarray):
+        """Dense f * kernel over the window, flattened.
+
+        Returns the grid, the flat index of each point and the flat step of
+        each offset.  A cell collects its terms in kernel order, which is
+        ascending lexicographic order of the source points.
+        """
+        lo = points.min(0) + off_lo
+        shape = (points.max(0) + off_hi - lo + 1).tolist()
+        strides = np.array([math.prod(shape[i + 1 :]) for i in range(n)], dtype=np.int64)
+        grid = np.zeros(math.prod(shape))
+        base = (points - lo) @ strides
+        steps = offsets @ strides
+        for step in steps.tolist():
+            np.add.at(grid, base + step, values)
+        return grid, base, steps
+
+    def power_sum(grid: np.ndarray) -> float:
+        return math.fsum(v**pp for v in grid[grid != 0].tolist())
+
+    def ascend(points: np.ndarray, values: list) -> tuple[float, int, list]:
+        grid, base, steps = convolution(points, np.array(values))
+        s_p = math.fsum(v**p for v in values)
+        s_pp = power_sum(grid)
         cur = (s_pp ** (1.0 / pp) / scale) / s_p ** (1.0 / p)
-        keys = sorted(f)
         history = [cur]
         for _ in range(iters):
-            x = keys[int(rng.integers(0, len(keys)))]
+            i = int(rng.integers(0, len(values)))
             factor = 1.5 if rng.random() < 0.5 else 1 / 1.5
-            old = f[x]
+            old = values[i]
             delta = old * (factor - 1.0)
             new_sp = s_p - old**p + (old * factor) ** p
             new_spp = s_pp
+            cells = base[i] + steps
             touched = []
-            for off in kernel_offsets:
-                y = tuple(a + b for a, b in zip(x, off))
-                before = conv[y]
+            for before in grid[cells].tolist():
                 after = before + delta
                 new_spp += after**pp - before**pp
-                touched.append((y, after))
+                touched.append(after)
             val = (new_spp ** (1.0 / pp) / scale) / new_sp ** (1.0 / p)
             if val > cur:
-                f[x] = old * factor
+                values[i] = old * factor
                 s_p, s_pp, cur = new_sp, new_spp, val
-                for y, after in touched:
-                    conv[y] = after
+                grid[cells] = touched
             history.append(cur)
-        return exact_ratio(f), f, history
+        final = power_sum(convolution(points, np.array(values))[0])
+        ratio = (final ** (1.0 / pp) / scale) / math.fsum(v**p for v in values) ** (1.0 / p)
+        return ratio, len(values), history
 
-    box = {
-        tuple(c + 1 for c in x): 1.0
-        for x in np.ndindex(*((2 * N,) * (n - 1) + (n * N * N,)))
-    }
-    delta0 = {(0,) * n: 1.0}
+    box = np.indices(box_hi, dtype=np.int64).reshape(n, -1).T + 1
     cloud_pts = rng.integers(low=window_lo, high=window_hi, size=(max(8, 4 * N), n))
     cloud = {
         tuple(int(c) for c in row): float(w)
         for row, w in zip(cloud_pts, 1.0 + rng.random(len(cloud_pts)))
     }
+    cloud_items = sorted(cloud.items())
+    starts = (
+        (box, [1.0] * len(box)),
+        (np.zeros((1, n), dtype=np.int64), [1.0]),
+        (np.array([x for x, _ in cloud_items], dtype=np.int64), [v for _, v in cloud_items]),
+    )
 
     best_ratio, best_size, monotone = -1.0, 0, True
-    for start in (box, delta0, cloud):
-        ratio, f, history = ascend(start)
+    for points, values in starts:
+        ratio, size, history = ascend(points, values)
         monotone &= all(b >= a - 1e-12 for a, b in zip(history, history[1:]))
         if ratio > best_ratio:
-            best_ratio, best_size = ratio, len(f)
+            best_ratio, best_size = ratio, size
     return ExperimentReport(
         name="ascent_lower_bound",
         params={

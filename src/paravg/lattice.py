@@ -19,6 +19,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 __all__ = [
+    "ALLOC_BUDGET_BYTES",
+    "check_alloc",
     "LatticeFunction",
     "delta",
     "box_indicator",
@@ -29,6 +31,22 @@ __all__ = [
     "dumps_text",
     "loads_text",
 ]
+
+# Largest single array any engine may allocate.  Sizes are checked against it
+# before allocating, so an oversized run stops with a ValueError (exit 2 in
+# the CLI) instead of growing towards an out-of-memory kill.
+ALLOC_BUDGET_BYTES = 1 << 30
+
+
+def check_alloc(shape, dtype, what: str) -> None:
+    """Raise ValueError when an array of `shape` and `dtype` would exceed the budget."""
+    shape = tuple(int(s) for s in shape)
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    if nbytes > ALLOC_BUDGET_BYTES:
+        raise ValueError(
+            f"{what}: array of shape {shape} needs {nbytes} bytes, "
+            f"over the {ALLOC_BUDGET_BYTES}-byte allocation budget"
+        )
 
 
 class LatticeFunction:
@@ -57,6 +75,19 @@ class LatticeFunction:
                     del clean[point]
         self.dim = dim
         self._data = clean
+
+    @classmethod
+    def _trusted(cls, dim: int, items) -> "LatticeFunction":
+        """Wrap (point, value) pairs that are already valid, dropping exact zeros.
+
+        Points must be distinct tuples of Python ints of length dim and values
+        Python complex numbers; nothing else is checked.  For internal results
+        built from validated inputs, where revalidation would dominate the cost.
+        """
+        f = object.__new__(cls)
+        f.dim = dim
+        f._data = {p: v for p, v in items if v != 0}
+        return f
 
     # -- basic queries ------------------------------------------------------
 
@@ -221,8 +252,7 @@ def _convolve_direct(f: LatticeFunction, g: LatticeFunction) -> LatticeFunction:
     uniq, inverse = np.unique(sums, axis=0, return_inverse=True)
     acc = np.zeros(len(uniq), dtype=np.complex128)
     np.add.at(acc, inverse, prods)
-    data = {tuple(int(c) for c in pt): complex(v) for pt, v in zip(uniq, acc) if v != 0}
-    return LatticeFunction(f.dim, data)
+    return LatticeFunction._trusted(f.dim, zip(map(tuple, uniq.tolist()), acc.tolist()))
 
 
 def _next_pow2(n: int) -> int:
@@ -242,8 +272,7 @@ def _convolve_fft(f: LatticeFunction, g: LatticeFunction) -> LatticeFunction:
         (a[1] - a[0] + 1) + (b[1] - b[0] + 1) - 1 for a, b in zip(bf, bg)
     ]
     shape = tuple(_next_pow2(e) for e in extents)
-    if math.prod(shape) > 2**28:
-        raise ValueError(f"padded FFT box {shape} exceeds the addressable budget")
+    check_alloc(shape, np.complex128, "padded FFT buffer")
     df, off_f = f.to_dense(bf)
     dg, off_g = g.to_dense(bg)
     buf_f = np.zeros(shape, dtype=np.complex128)

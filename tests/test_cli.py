@@ -1,6 +1,7 @@
 """Batch front end: subcommands, exit codes, reports, determinism, plots."""
 
 import json
+import time
 
 import pytest
 
@@ -127,6 +128,18 @@ def test_bad_parameter_exit_code(tmp_path, capsys, argv):
     assert run(argv + ["--out-dir", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "invariant failure" not in err
+
+
+def test_oversized_ascent_is_refused_before_allocating(tmp_path, capsys):
+    # the n = 3 box start at N = 128 alone would need ~77 GB
+    start = time.perf_counter()
+    status = run(["scaling-fit", "--source", "ascent", "--n", "3", "--N", "128,256,512,1024",
+                  "--out-dir", str(tmp_path / "o")])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert status == 2
+    assert err.startswith("error:") and "bytes" in err
+    assert elapsed < 1.0
 
 
 def test_divisor_check_fails_on_increasing_counts(tmp_path, capsys, monkeypatch):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from paravg import cutoff
 from paravg.cutoff import (
     RAMP_SUP_CONSTANT,
     RAMP_TV_CONSTANT,
@@ -14,7 +15,7 @@ from paravg.cutoff import (
     cutoff_checks,
     paraboloid_kernel,
 )
-from paravg.lattice import box_indicator, delta, lp_norm
+from paravg.lattice import LatticeFunction, box_indicator, convolve, delta, lp_norm, reflect
 
 
 def test_smooth_values():
@@ -133,6 +134,54 @@ def test_trivial_bound_random():
         for p in (1, 1.5, 2, 3, math.inf):
             assert lp_norm(average(f, params), p) <= lp_norm(f, p) * (1 + 1e-12)
             assert lp_norm(average(f, smooth), p) <= bound_smooth * lp_norm(f, p) * (1 + 1e-12)
+
+
+def _public_average(f, params):
+    """The average through public constructors only: a fresh kernel and one division."""
+    raw = convolve(reflect(paraboloid_kernel(params)), f)
+    scale = float(params.N ** (params.n - 1))
+    return LatticeFunction(params.n, {p: v / scale for p, v in raw.items()})
+
+
+def _dict_convolve(f, g):
+    """Pairwise sums in the direct path's order (f outer, g inner), public constructor."""
+    out = {}
+    for x, v in f.items():
+        for y, w in g.items():
+            z = tuple(a + b for a, b in zip(x, y))
+            out[z] = out.get(z, 0j) + v * w
+    return LatticeFunction(f.dim, out)
+
+
+@pytest.mark.parametrize("kind", ["sharp", "smooth"])
+@pytest.mark.parametrize("n, N", [(2, 4), (2, 8), (3, 4)])
+def test_average_matches_public_constructor_path(kind, n, N):
+    rng = np.random.default_rng(n * 100 + N)
+    params = OperatorParams.sharp(n, N) if kind == "sharp" else OperatorParams.smooth(n, N)
+    positive = {tuple(map(int, row)): float(rng.random()) for row in rng.integers(-2 * N, 2 * N, (12, n))}
+    signed = {tuple(map(int, row + 500)): float(rng.standard_normal()) for row in rng.integers(-2 * N, 2 * N, (12, n))}
+    # the average of delta_(1,1) - delta_(2,4) cancels to exactly 0 at the origin (k = 1 and 2)
+    signed.update({(1, 1) + (0,) * (n - 2): 1.0, (2, 4) + (0,) * (n - 2): -1.0})
+    kernel = reflect(paraboloid_kernel(params))
+    for f in (LatticeFunction(n, positive), LatticeFunction(n, signed)):
+        af = average(f, params)
+        assert af == _public_average(f, params)
+        assert convolve(kernel, f) == _dict_convolve(kernel, f)
+        assert all(type(c) is int for p in af for c in p)
+        assert all(type(v) is complex and v != 0 for _, v in af.items())
+    if n == 2:
+        assert af((0, 0)) == 0 and (0, 0) not in af.support()
+
+
+def test_average_shares_one_cached_kernel():
+    f = LatticeFunction(2, {(0, 0): 1.0, (3, -2): -0.5, (1, 7): 0.25})
+    first, second = OperatorParams.smooth(2, 8), OperatorParams.smooth(2, 8)
+    assert first is not second
+    kernel = cutoff._reflected_kernel(first)
+    result = average(f, first)
+    assert average(f, second) == result
+    assert cutoff._reflected_kernel(second) is kernel
+    assert kernel == reflect(paraboloid_kernel(first))
 
 
 def test_average_dimension_mismatch():

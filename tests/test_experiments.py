@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from paravg import experiments
-from paravg.cutoff import OperatorParams, average
+from paravg.cutoff import OperatorParams, average, paraboloid_kernel
 from paravg.experiments import (
     ScalingFit,
     box_average_counts,
     box_core_is_one,
     box_extremizer_ratio,
+    box_power_sum,
     delta_extremizer_ratio,
     norm_l1_linf,
     norm_l2_l2,
@@ -19,10 +20,12 @@ from paravg.experiments import (
     rayleigh_quotient,
     scaling_fit,
     sharp_threshold,
+    target_slope,
     two_bump_separation_probe,
 )
 from paravg.expsums import gauss_row_max
 from paravg.lattice import box_indicator, delta, lp_norm, shift
+from paravg.reports import substream_seed
 
 
 def test_sharp_threshold():
@@ -46,6 +49,32 @@ def test_box_core_exactness():
     for n in (2, 3):
         for N in (1, 2, 3, 5, 8, 13, 16):
             assert box_core_is_one(n, N)
+
+
+def _streamed_box_power_sum_2d(N: int, exponent: float) -> float:
+    """Oracle: the n = 2 power sum row by row over the dense count rows, O(N^3)."""
+    total = 0.0
+    for _, row in experiments._count_rows_2d(N, 2 * N, 2 * N * N):
+        total += float(np.sum(row.astype(float) ** exponent))
+    return total
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 16, 64, 200])
+@pytest.mark.parametrize("p", [1.8, 2.0])
+def test_box_power_sum_runs_match_streamed_rows(N, p):
+    exponent = p / (p - 1.0)
+    fast = box_power_sum(2, N, exponent)
+    slow = _streamed_box_power_sum_2d(N, exponent)
+    if exponent == 2.0:
+        assert fast == slow
+    else:
+        assert abs(fast - slow) <= 1e-12 * slow
+
+
+@pytest.mark.parametrize("p", [1.8, 2.0])
+def test_box_fit_reaches_thousands(p):
+    fit = scaling_fit([256, 512, 1024, 2048], 2, p, "box")
+    assert fit.residual <= 0.15
 
 
 def test_box_ratio_lower_bound():
@@ -152,6 +181,44 @@ def test_norm_l2_l2_closed_form_matches_scan(kind, n, N):
     assert argmax_t == 0.0
 
 
+def _streamed_packet_quotient_2d(params: OperatorParams, width: int = 8) -> float:
+    """Oracle: the n = 2 wave-packet quotient row by row over every x2, O(N^3)."""
+    N, cutoff = params.N, params.cutoff
+    M, M_n = width * N, width * N * N
+    ks, ws = cutoff.support(), cutoff.weights()
+    k_lo, k_hi = int(ks[0]), int(ks[-1])
+    prefix = np.concatenate([[0.0], np.cumsum(ws)])
+
+    def wsum(a, b):
+        ia = np.clip(a - k_lo, 0, len(ws))
+        ib = np.clip(b - k_lo + 1, 0, len(ws))
+        return prefix[np.maximum(ib, ia)] - prefix[ia]
+
+    x_last = np.arange(1 - 4 * N * N, M_n + 4 * N * N)
+    isq = experiments._isqrt_table(M_n + 4 * N * N + 4)
+    lo_val = 1 - x_last
+    hi_val = np.clip(M_n - x_last, -1, len(isq) - 1)
+    rmax = isq[np.clip(hi_val, 0, None)]
+    rmin = np.where(lo_val <= 1, 1, isq[np.clip(lo_val - 1, 0, None)] + 1)
+    neg_ok = hi_val >= 0
+    total_sq = 0.0
+    for x1 in range(1 - k_hi, M - k_lo + 1):
+        a, b = 1 - x1, M - x1
+        pos = wsum(np.maximum(a, rmin), np.minimum(b, rmax))
+        neg = wsum(np.maximum(a, -rmax), np.minimum(b, -rmin))
+        zero = wsum(np.maximum(a, 0), np.minimum(b, 0)) * (lo_val <= 0) * neg_ok
+        row = np.where(neg_ok, pos + neg + zero, 0.0)
+        total_sq += float(np.sum(row * row))
+    return (math.sqrt(total_sq) / N) / math.sqrt(M * M_n)
+
+
+@pytest.mark.parametrize("kind", ["sharp", "smooth"])
+@pytest.mark.parametrize("N", [8, 16, 32, 64])
+def test_packet_quotient_runs_match_streamed_rows(kind, N):
+    params = OperatorParams.sharp(2, N) if kind == "sharp" else OperatorParams.smooth(2, N)
+    assert experiments._box_packet_quotient(params) == _streamed_packet_quotient_2d(params)
+
+
 def test_norm_l2_l2_rejects_weak_certificate(monkeypatch):
     monkeypatch.setattr(experiments, "_box_packet_quotient", lambda params, width=8: 0.79)
     with pytest.raises(AssertionError, match="wave packet"):
@@ -182,6 +249,91 @@ def test_ascent_properties():
     assert rep2.constant == rep.constant
     rep3 = random_ascent_lower_bound(params, p, seed=4, iters=80)
     assert rep3.constant >= max(box_r, delta_r) - 1e-12
+
+
+def _dict_ascent(params: OperatorParams, p: float, seed: int, iters: int) -> tuple[float, int, bool]:
+    """Oracle: the ascent on dicts of tuples, every kernel offset scattered in Python.
+
+    Returns (constant, support size, monotone) as random_ascent_lower_bound reports them.
+    """
+    n, N = params.n, params.N
+    pp = p / (p - 1.0)
+    rng = np.random.default_rng(substream_seed(seed, f"ascent:{n}:{N}:{p}"))
+    kernel_offsets = [tuple(-c for c in point) for point in paraboloid_kernel(params)]
+    scale = float(N ** (n - 1))
+
+    def convolve(fd: dict) -> dict:
+        conv: dict[tuple, float] = {}
+        for x, v in fd.items():
+            for off in kernel_offsets:
+                y = tuple(a + b for a, b in zip(x, off))
+                conv[y] = conv.get(y, 0.0) + v
+        return conv
+
+    def ascend(start: dict):
+        f = dict(start)
+        conv = convolve(f)
+        s_p = math.fsum(v**p for v in f.values())
+        s_pp = math.fsum(v**pp for v in conv.values())
+        cur = (s_pp ** (1.0 / pp) / scale) / s_p ** (1.0 / p)
+        keys = sorted(f)
+        history = [cur]
+        for _ in range(iters):
+            x = keys[int(rng.integers(0, len(keys)))]
+            factor = 1.5 if rng.random() < 0.5 else 1 / 1.5
+            old = f[x]
+            delta = old * (factor - 1.0)
+            new_sp = s_p - old**p + (old * factor) ** p
+            new_spp = s_pp
+            touched = []
+            for off in kernel_offsets:
+                y = tuple(a + b for a, b in zip(x, off))
+                after = conv[y] + delta
+                new_spp += after**pp - conv[y] ** pp
+                touched.append((y, after))
+            val = (new_spp ** (1.0 / pp) / scale) / new_sp ** (1.0 / p)
+            if val > cur:
+                f[x] = old * factor
+                s_p, s_pp, cur = new_sp, new_spp, val
+                conv.update(touched)
+            history.append(cur)
+        num = math.fsum(v**pp for v in convolve(f).values()) ** (1.0 / pp) / scale
+        den = math.fsum(v**p for v in f.values()) ** (1.0 / p)
+        return num / den, len(f), history
+
+    box = {tuple(c + 1 for c in x): 1.0 for x in np.ndindex(*((2 * N,) * (n - 1) + (n * N * N,)))}
+    window_lo = (-2 * N,) * (n - 1) + (-4 * N * N,)
+    window_hi = (2 * N,) * (n - 1) + (4 * N * N,)
+    cloud_pts = rng.integers(low=window_lo, high=window_hi, size=(max(8, 4 * N), n))
+    cloud = {tuple(int(c) for c in row): float(w) for row, w in zip(cloud_pts, 1.0 + rng.random(len(cloud_pts)))}
+    best_ratio, best_size, monotone = -1.0, 0, True
+    for start in (box, {(0,) * n: 1.0}, cloud):
+        ratio, size, history = ascend(start)
+        monotone &= all(b >= a - 1e-12 for a, b in zip(history, history[1:]))
+        if ratio > best_ratio:
+            best_ratio, best_size = ratio, size
+    return best_ratio, best_size, monotone
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("n, N", [(2, 4), (2, 8), (2, 16), (2, 24), (3, 3), (3, 4), (3, 6)])
+def test_ascent_dense_window_matches_dict_ascent(n, N, seed):
+    params = OperatorParams.sharp(n, N)
+    rep = random_ascent_lower_bound(params, 1.8, seed=seed, iters=60)
+    constant, size, monotone = _dict_ascent(params, 1.8, seed, 60)
+    assert rep.constant == constant
+    assert rep.values["support_size"] == size
+    assert rep.values["monotone"] == float(monotone)
+
+
+def test_ascent_rejects_oversized_window_before_allocating():
+    with pytest.raises(ValueError, match=r"shape \(.*\) needs \d+ bytes"):
+        random_ascent_lower_bound(OperatorParams.sharp(3, 128), 1.8, iters=60)
+
+
+def test_box_average_counts_rejects_oversized_array():
+    with pytest.raises(ValueError, match="allocation budget"):
+        box_average_counts(3, 128)
 
 
 def test_scaling_fit_requires_four_scales():
