@@ -39,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cutoff import OperatorParams
-from .expsums import e1, multiplier
+from .expsums import _torus_signed, e1, multiplier
 
 __all__ = [
     "totatives",
@@ -235,12 +235,6 @@ def bump_psi_hat(u, m: int = DEFAULT_SPLINE_ORDER):
 # -- bump ladders ----------------------------------------------------------------
 
 
-def _torus_signed(x):
-    r = np.asarray(x) % 1.0
-    out = np.where(r >= 0.5, r - 1.0, r)
-    return out if out.ndim else float(out)
-
-
 class BumpLadder:
     """Per-fraction dyadic bump family with exact telescoping.
 
@@ -305,6 +299,23 @@ class BumpLadder:
         u = _torus_signed(np.asarray(xi, dtype=float) - c)
         v = _torus_signed(np.asarray(xi, dtype=float) - c - self.shift)
         return self.piece(level, u) - self.piece(level, v)
+
+    def level_etas(self, xi) -> np.ndarray:
+        """eta(level, xi) for every level, in levels() order, as the rows of one array.
+
+        Each scale's bump is evaluated once on the arc offsets and once on
+        the translated offsets (one bump_psi call each over scales x points),
+        and the rows are differenced as piece and eta difference them, so
+        row i equals eta(levels()[i], xi) bit for bit.
+        """
+        xi = np.asarray(xi, dtype=float)
+        c = self.frac.center
+        scales = np.array(self.scales, dtype=float)[:, None]
+        bu = bump_psi(scales * _torus_signed(xi - c), self.order)
+        bv = bump_psi(scales * _torus_signed(xi - c - self.shift), self.order)
+        pu = np.concatenate([bu[:-1] - bu[1:], bu[-1:]])
+        pv = np.concatenate([bv[:-1] - bv[1:], bv[-1:]])
+        return pu - pv
 
     def eta_hat(self, level, t):
         """Closed-form transform: piece_hat(t) [e((a/q)t) - e((a/q + 3/(Nq))t)].
@@ -491,8 +502,8 @@ def piece_multiplier(
     params: OperatorParams,
     order: int = DEFAULT_SPLINE_ORDER,
     q_limit: int | None = None,
-) -> complex:
-    """Evaluate one piece of the multiplier at a torus point.
+) -> complex | np.ndarray:
+    """Evaluate one piece of the multiplier at a torus point, or at each row of an (m, n) array.
 
     whole = m(xi); maj = m(xi) W(xi_n); min = whole - maj.  Dyadic and core
     pieces localize m by their block's mean-zero bumps.  Standalone
@@ -500,11 +511,18 @@ def piece_multiplier(
     decay identities do not need the arcs to be disjoint); pass
     q_limit = floor(N/10) to reproduce exactly the pieces the maj assembly
     sums (its top block is truncated there).  maj/min require N >= 10 so
-    the arc family exists.
+    the arc family exists.  For an array of rows, m is evaluated once per
+    row and the bump weight once on the array of xi_n; each entry equals
+    the single-point call on its row.
     """
-    xi = tuple(float(c) for c in xi)
-    t = xi[-1]
-    whole = multiplier(xi, params)
+    rows = np.asarray(xi, dtype=float)
+    if rows.ndim == 2:
+        t = rows[:, -1]
+        whole = np.array([multiplier(row, params) for row in rows], dtype=complex)
+    else:
+        xi = tuple(float(c) for c in xi)
+        t = xi[-1]
+        whole = multiplier(xi, params)
     if spec.kind == "whole":
         return whole
     if spec.kind in ("maj", "min"):

@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -96,6 +97,19 @@ def piece_coefficient(query: CoefficientQuery, order: int = DEFAULT_SPLINE_ORDER
     return sig * acc
 
 
+@lru_cache(maxsize=64)
+def _oracle_weights(N: int, order: int, q_limit: int, spec: PieceSpec, M: int) -> np.ndarray:
+    """piece_weight(spec, j/M) for 0 <= j < M, read-only.
+
+    The oracle's rectangle-rule weights depend on a query only through its
+    arc system, spec and grid size, so queries that share them share one
+    grid; the cache holds at most 64 grids.
+    """
+    w = arc_system(N, order, q_limit).piece_weight(spec, np.arange(M, dtype=np.int64) / M)
+    w.flags.writeable = False
+    return w
+
+
 def piece_coefficient_oracle(
     query: CoefficientQuery,
     grid_size: int = 4096,
@@ -115,11 +129,10 @@ def piece_coefficient_oracle(
     sig = _sigma_product(query.params, query.r[:-1])
     t = query.residual
     system = piece_system(query.spec, query.params, order)
-    spec = query.spec
 
     def rect(M: int) -> complex:
         j = np.arange(M, dtype=np.int64)
-        w = system.piece_weight(spec, j / M)
+        w = _oracle_weights(query.params.N, order, system.q_limit, query.spec, M)
         phases = ((t * j) % M) / M
         return complex(np.sum(w * e1(phases)) / M)
 

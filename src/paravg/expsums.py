@@ -13,6 +13,16 @@ Phases are reduced mod 1 in extended precision (80-bit long double where
 available) before exponentiation: k^2 reaches 4 N^2, and a plain double
 accumulation of y k + t k^2 loses digits that the coefficient-oracle
 comparisons downstream can see.
+
+Batched evaluation.  The sample loops (gauss_bound_report, the CLI's
+certificate checks) evaluate many t at once: dirichlet_approx_batch runs the
+continued-fraction recurrence on a whole array, and the Gauss-bound sums are
+formed in row chunks of at most _CHUNK_CELLS phases (gauss_row_max chunks its
+FFT rows the same way), which bounds the peak memory.  Both are bit-identical
+to the scalar paths, which stay public and serve as the test oracles: the
+long-double phases and np.sum(axis=1) reproduce the one-row sums exactly,
+but np.abs on a complex array can differ from Python's abs in the last ulp
+(about a third of the rows), so |G| is taken with abs on each row's sum.
 """
 
 from __future__ import annotations
@@ -31,12 +41,17 @@ __all__ = [
     "multiplier",
     "RationalApprox",
     "dirichlet_approx",
+    "dirichlet_approx_batch",
     "torus_distance",
     "gauss_bound_report",
     "gauss_row_max",
 ]
 
 _LONG = np.longdouble
+# cells per chunk of a batched Gauss-sum evaluation (4 MiB of long-double phases,
+# or 4 MiB of complex FFT input in gauss_row_max); rows are independent, so the
+# chunking changes no value, only the peak memory
+_CHUNK_CELLS = 1 << 18
 
 
 def e1(x) -> complex | np.ndarray:
@@ -88,7 +103,7 @@ def gauss_row_max(ts: np.ndarray, cutoff: CutoffProfile, y_grid: int) -> np.ndar
         raise ValueError("y grid too coarse for the coefficient support")
     out = np.empty(len(ts))
     kmod = np.mod(k, y_grid)  # k spans a contiguous range < y_grid, so no clashes
-    chunk = max(1, (1 << 22) // y_grid)
+    chunk = max(1, _CHUNK_CELLS // y_grid)
     for start in range(0, len(ts), chunk):
         tt = ts[start : start + chunk, None].astype(_LONG)
         ph = np.asarray((tt * k * k) % _LONG(1.0), dtype=float)
@@ -108,10 +123,11 @@ def torus_distance(x: float, y: float = 0.0) -> float:
     return min(d, 1.0 - d)
 
 
-def _torus_signed(x: float) -> float:
-    """Representative of x mod 1 in [-1/2, 1/2)."""
-    r = x % 1.0
-    return r - 1.0 if r >= 0.5 else r
+def _torus_signed(x):
+    """Representative of x mod 1 in [-1/2, 1/2), elementwise; 0-d input gives a float."""
+    r = np.asarray(x) % 1.0
+    out = np.where(r >= 0.5, r - 1.0, r)
+    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -156,6 +172,8 @@ def dirichlet_approx(t: float, N: int) -> RationalApprox:
         if x == 0.0:
             break
         inv = 1.0 / x
+        if inv >= N + 1:  # the next denominator would exceed N (and inv may be inf)
+            break
         a = int(inv)
         x = inv - a
         p_prev, q_prev, p_cur, q_cur = p_cur, q_cur, a * p_cur + p_prev, a * q_cur + q_prev
@@ -166,6 +184,47 @@ def dirichlet_approx(t: float, N: int) -> RationalApprox:
         best_q //= g
     err = _torus_signed(t - a_red / best_q)
     return RationalApprox(a_red, best_q, err)
+
+
+def dirichlet_approx_batch(ts, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """dirichlet_approx over a 1-D array of t, as (a, q, err) arrays.
+
+    Runs the same convergent recurrence on every t at once and agrees with
+    the scalar path element for element.  A partial quotient of N + 1 or
+    more ends a t's recurrence (the next denominator exceeds N), so
+    quotients are capped at N + 1 before the integer update, which keeps
+    every a q + q' below (N + 1)^2 + N, far inside int64.
+    """
+    ts = np.asarray(ts, dtype=float)
+    if ts.ndim != 1:
+        raise ValueError("ts must be a 1-D array")
+    if not np.all((ts >= 0.0) & (ts < 1.0)):
+        raise ValueError("t must lie in [0, 1)")
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    if N > 2**31:
+        raise ValueError("N must be <= 2**31 for int64 convergents")
+    p_prev, q_prev = np.ones(len(ts), np.int64), np.zeros(len(ts), np.int64)
+    p_cur, q_cur = np.zeros(len(ts), np.int64), np.ones(len(ts), np.int64)
+    best_p, best_q = p_cur, q_cur
+    x = ts
+    live = np.ones(len(ts), dtype=bool)
+    for _ in range(64):
+        live &= q_cur <= N
+        best_p, best_q = np.where(live, p_cur, best_p), np.where(live, q_cur, best_q)
+        live &= x != 0.0
+        if not live.any():
+            break
+        with np.errstate(all="ignore"):  # retired entries may divide by 0 or overflow
+            inv = 1.0 / x
+            quot = np.trunc(inv)
+            x = inv - quot
+        a = np.where(live, np.minimum(quot, N + 1), 0).astype(np.int64)
+        p_prev, q_prev, p_cur, q_cur = p_cur, q_cur, a * p_cur + p_prev, a * q_cur + q_prev
+    a_red = best_p % best_q
+    g = np.gcd(a_red, best_q)  # > 1 only via the wraparound reduction
+    a_red, q_red = a_red // g, best_q // g
+    return a_red, q_red, _torus_signed(ts - a_red / q_red)
 
 
 # -- empirical constant for the major-arc sum bound -----------------------------
@@ -206,17 +265,22 @@ def gauss_bound_report(
             u = 0.0  # exact-center sample: min(N, inf) = N
         ts[i] = (a / int(q) + u) % 1.0
 
-    worst = 0.0
     k = params.cutoff.support()
     w = params.cutoff.weights()
-    for i in range(n_samples):
-        t = float(ts[i])
-        approx = dirichlet_approx(t, N)
-        kl = k.astype(_LONG)
-        ph = np.asarray((_LONG(ys[i]) * kl + _LONG(t) * kl * kl) % _LONG(1.0), dtype=float)
-        g = abs(np.sum(w * np.exp(2j * np.pi * ph)))
-        cap = N if approx.err == 0.0 else min(N, 1.0 / math.sqrt(abs(approx.err)))
-        worst = max(worst, g * math.sqrt(approx.q) / cap)
+    kl = k.astype(_LONG)
+    g = np.empty(n_samples)
+    rows = max(1, _CHUNK_CELLS // len(k))
+    for start in range(0, n_samples, rows):
+        tt = ts[start : start + rows, None].astype(_LONG)
+        yy = ys[start : start + rows, None].astype(_LONG)
+        ph = np.asarray((yy * kl + tt * kl * kl) % _LONG(1.0), dtype=float)
+        sums = np.sum(w * np.exp(2j * np.pi * ph), axis=1)
+        g[start : start + len(tt)] = [abs(z) for z in sums.tolist()]
+    _, q, err = dirichlet_approx_batch(ts, N)
+    with np.errstate(divide="ignore"):  # err = 0 (exact center): cap = min(N, inf) = N
+        cap = np.minimum(N, 1.0 / np.sqrt(np.abs(err)))
+    # a NumPy scalar, as the scalar loop left it: gauss-check's CSV writes its repr
+    worst = np.max(g * np.sqrt(q) / cap, initial=0.0)
 
     return ExperimentReport(
         name="gauss_bound",

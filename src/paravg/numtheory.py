@@ -177,21 +177,34 @@ def ramanujan_sum(q: int, k: int) -> int:
     return exact
 
 
+def _ramanujan_rows(q: int, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """c_q(k) over the int64 array ks, as (direct complex sums, Moebius integers).
+
+    Both depend on k only through k mod q (the phases ((a k) mod q)/q, and
+    gcd(q, k)), so each is evaluated once per residue and gathered by ks % q.
+    """
+    tots = np.array(totatives(q), dtype=np.int64)
+    residues = np.arange(q, dtype=np.int64)
+    phases = ((tots[:, None] * residues[None, :]) % q) / q
+    by_gcd = np.zeros(q + 1, dtype=np.int64)
+    for g in range(1, q + 1):
+        if q % g == 0:
+            by_gcd[g] = _ramanujan_arith(q, g)
+    idx = ks % q
+    return np.exp(2j * np.pi * phases).sum(axis=0)[idx], by_gcd[np.gcd(q, residues)][idx]
+
+
 def ramanujan_table(q_max: int, k_values: np.ndarray) -> np.ndarray:
     """c_q(k) for all 1 <= q <= q_max and the given k array, both ways.
 
     Row q-1 holds the integer values from the Moebius formula; the direct
-    complex summation is evaluated vectorized and must round to the same
-    integers with residual <= 1e-9, else this raises.
+    complex summation must round to the same integers with residual <= 1e-9
+    at every (q, k), else this raises.
     """
     ks = np.asarray(k_values, dtype=np.int64)
     out = np.empty((q_max, len(ks)), dtype=np.int64)
     for q in range(1, q_max + 1):
-        tots = np.array(totatives(q), dtype=np.int64)
-        phases = ((tots[:, None] * ks[None, :]) % q) / q
-        direct = np.exp(2j * np.pi * phases).sum(axis=0)
-        by_gcd = {g: _ramanujan_arith(q, g) for g in range(1, q + 1) if q % g == 0}
-        arith = np.array([by_gcd[int(g)] for g in np.gcd(q, np.abs(ks))], dtype=np.int64)
+        direct, arith = _ramanujan_rows(q, ks)
         if np.max(np.abs(direct - arith)) > 1e-9:
             raise AssertionError(f"direct and arithmetic c_q disagree at q={q}")
         out[q - 1] = arith

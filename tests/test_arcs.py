@@ -275,3 +275,56 @@ def test_invalid_piece_specs():
 def test_arc_system_rejects_tiny_N():
     with pytest.raises(ValueError):
         ArcSystem(8)  # default q_limit floor(N/10) = 0
+
+
+def _scalar_weight_sum(system, t: float) -> float:
+    """The per-point weight sum (the scalar path of ArcSystem.weight_sum)."""
+    value = system.weight_sum(float(t))
+    assert type(value) is float
+    return value
+
+
+@pytest.mark.parametrize("N", [16, 64, 256])
+def test_batched_piece_multiplier_matches_rows(N):
+    rows = 200 if N < 256 else 60
+    params = OperatorParams.smooth(2, N)
+    system = arc_system(N)
+    xi = np.random.default_rng(N).random((rows, 2))
+    xi[0, 1] = 0.0  # the centre of the 0/1 arc
+    ws = system.weight_sum(xi[:, 1])
+    assert np.array_equal(ws, [_scalar_weight_sum(system, t) for t in xi[:, 1]])
+    specs = [PieceSpec("whole"), PieceSpec("maj"), PieceSpec("min"), PieceSpec("dyadic", 1, 0), PieceSpec("core", 1)]
+    for spec in specs:
+        batched = piece_multiplier(spec, xi, params)
+        assert batched.shape == (rows,) and batched.dtype == complex
+        assert np.array_equal(batched, [piece_multiplier(spec, row, params) for row in xi])
+
+
+def test_batched_piece_multiplier_n3():
+    params = OperatorParams.smooth(3, 16)
+    xi = np.random.default_rng(3).random((50, 3))
+    for kind in ("whole", "maj", "min"):
+        batched = piece_multiplier(PieceSpec(kind), xi, params)
+        assert np.array_equal(batched, [piece_multiplier(PieceSpec(kind), row, params) for row in xi])
+    with pytest.raises(ValueError):
+        piece_multiplier(PieceSpec("whole"), xi[:, :2], params)
+
+
+@pytest.mark.parametrize("N", [16, 64, 256])
+def test_level_etas_match_eta_per_level(N):
+    system = arc_system(N)
+    rng = np.random.default_rng(N + 1)
+    for (q, a), ladder in system.ladders.items():
+        u = (rng.random(200) * 2 - 1) / (N * q)
+        xi = (a / q + u) % 1.0
+        etas = ladder.level_etas(xi)
+        assert etas.shape == (len(ladder.levels()), len(xi))
+        old_total = np.zeros_like(xi)
+        new_total = np.zeros_like(xi)
+        for level, row in zip(ladder.levels(), etas):
+            expected = ladder.eta(level, xi)
+            assert np.array_equal(row, expected), (q, a, level)
+            old_total += expected
+            new_total += row
+        assert np.array_equal(new_total, old_total)
+        assert np.max(np.abs(new_total - 1.0)) <= 1e-12

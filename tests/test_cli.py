@@ -107,6 +107,24 @@ def test_invariant_failure_exit_code(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--qmax", "0"], "--qmax"),
+        (["--qmax", "1"], "--qmax"),
+        (["--kmax", "-1"], "--kmax"),
+    ],
+    ids=["qmax-0", "qmax-1", "kmax-minus-1"],
+)
+def test_ramanujan_check_rejects_empty_ranges(tmp_path, capsys, argv, flag):
+    # q <= 1 leaves the phi(q) check no q to test, and k < 0 an empty k range
+    assert run(["ramanujan-check", *argv, "--out-dir", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert "[PASS]" not in captured.out
+    assert "error:" in captured.err and flag in captured.err
+    assert not (tmp_path / "o" / "ramanujan-check.json").exists()
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["arcs-check", "--N", "5"],

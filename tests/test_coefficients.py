@@ -260,3 +260,71 @@ def test_piece_sup_factorization_vs_brute_grid():
             brute = max(brute, abs(piece_multiplier(spec, xi, params)))
         # 5% slack: the scan grid is finite, so random points may edge it out
         assert brute <= rep.values["sup"] * 1.05 + 1e-9
+
+
+def _uncached_oracle(query, grid_size=4096, order=8, tol=1e-9):
+    """piece_coefficient_oracle as it ran before its weight grids were cached."""
+    from paravg.arcs import piece_system
+    from paravg.coefficients import _sigma_product
+    from paravg.expsums import e1
+
+    sig = _sigma_product(query.params, query.r[:-1])
+    t = query.residual
+    system = piece_system(query.spec, query.params, order)
+
+    def rect(M):
+        j = np.arange(M, dtype=np.int64)
+        w = system.piece_weight(query.spec, j / M)
+        return complex(np.sum(w * e1(((t * j) % M) / M)) / M)
+
+    prev = rect(grid_size)
+    M = grid_size
+    for _ in range(4):
+        M *= 2
+        cur = rect(M)
+        if abs(cur - prev) <= tol:
+            return sig * cur
+        prev = cur
+    raise RuntimeError("oracle did not converge")
+
+
+def _c04_queries():
+    """The oracle queries of acceptance criterion 4, drawn from its seed in its order."""
+    rng = np.random.default_rng(1)
+    params2 = OperatorParams.smooth(2, 8)
+    specs2 = [PieceSpec("dyadic", Q, l) for Q in (1, 2) for l in (0, 1)]
+    specs2 += [PieceSpec("core", 1), PieceSpec("core", 2)]
+    params3 = OperatorParams.smooth(3, 4)
+    specs3 = [PieceSpec("dyadic", 1, 0), PieceSpec("dyadic", 1, 1), PieceSpec("core", 1)]
+    queries = []
+    for _ in range(50):
+        spec = specs2[int(rng.integers(0, len(specs2)))]
+        queries.append(CoefficientQuery(spec, (int(rng.integers(-15, 16)), int(rng.integers(-320, 321))), params2))
+    for _ in range(20):
+        spec = specs3[int(rng.integers(0, len(specs3)))]
+        r = (int(rng.integers(-7, 8)), int(rng.integers(-7, 8)), int(rng.integers(-80, 81)))
+        queries.append(CoefficientQuery(spec, r, params3))
+    return queries
+
+
+def test_cached_oracle_matches_uncached_on_c04_queries():
+    from paravg.coefficients import _oracle_weights
+
+    _oracle_weights.cache_clear()
+    for query in _c04_queries():
+        expected = _uncached_oracle(query)
+        assert piece_coefficient_oracle(query) == expected  # cold or warm grid
+        assert piece_coefficient_oracle(query) == expected  # warm grid
+    info = _oracle_weights.cache_info()
+    assert info.hits > info.misses > 0
+
+
+def test_cached_oracle_grid_is_read_only_and_shared():
+    from paravg.coefficients import _oracle_weights
+
+    w = _oracle_weights(8, 8, 1, PieceSpec("dyadic", 1, 0), 4096)
+    assert not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0] = 1.0
+    assert _oracle_weights(8, 8, 1, PieceSpec("dyadic", 1, 0), 4096) is w
+    assert _oracle_weights.cache_info().maxsize == 64

@@ -5,9 +5,13 @@ import math
 import numpy as np
 import pytest
 
+import paravg.expsums as expsums
+from paravg.arcs import totatives
 from paravg.cutoff import CutoffProfile, OperatorParams, paraboloid_kernel
 from paravg.expsums import (
+    _torus_signed,
     dirichlet_approx,
+    dirichlet_approx_batch,
     gauss_bound_report,
     gauss_row_max,
     gauss_sum,
@@ -168,3 +172,122 @@ def test_gauss_row_max_grid_guard():
     sm = CutoffProfile("smooth", 8)
     with pytest.raises(ValueError):
         gauss_row_max(np.array([0.1]), sm, 8)
+
+
+def test_gauss_row_max_rows_do_not_depend_on_chunking():
+    sm = CutoffProfile("smooth", 64)
+    ts = np.random.default_rng(8).random(1500)
+    rows = gauss_row_max(ts, sm, 512)  # 512 rows per chunk: three chunks, the last partial
+    singles = np.concatenate([gauss_row_max(ts[i : i + 1], sm, 512) for i in range(0, 1500, 7)])
+    assert np.array_equal(rows[::7], singles)
+
+
+def _scalar_torus_signed(x: float) -> float:
+    r = x % 1.0
+    return r - 1.0 if r >= 0.5 else r
+
+
+def test_torus_signed_matches_python_float_formula():
+    boundary = [0.5, -0.5, 1.0 - 2.0**-53, -(1.0 - 2.0**-53), 0.0, -0.0, 1.0, -1.0, 0.25, -0.75,
+                1e-300, -1e-300, 5e-324, -5e-324, 1.5, 2.5, -2.5, 1e17 + 0.5, -3.0000000000000004]
+    xs = np.concatenate([boundary, np.random.default_rng(9).normal(0.0, 3.0, 20000)])
+    arr = _torus_signed(xs)
+    expected = np.array([_scalar_torus_signed(float(x)) for x in xs])
+    assert np.array_equal(arr, expected)
+    assert np.array_equal(np.signbit(arr), np.signbit(expected))
+    for x in boundary:
+        value = _torus_signed(x)
+        assert type(value) is float and value == _scalar_torus_signed(x)
+        assert -0.5 <= value < 0.5
+
+
+def _scalar_approx_arrays(ts, N):
+    approx = [dirichlet_approx(float(t), N) for t in ts]
+    return (
+        np.array([r.a for r in approx]),
+        np.array([r.q for r in approx]),
+        np.array([r.err for r in approx]),
+    )
+
+
+def test_dirichlet_batch_matches_scalar():
+    rng = np.random.default_rng(10)
+    tiny = [0.0, 5e-324, 1e-310, 2.0**-60, 1.0 - 2.0**-53, 1.0 - 1e-9, 0.999]
+    for N in (1, 10, 128, 513):
+        exact = [a / q for q in range(1, min(N, 40) + 1) for a in range(q)]
+        ts = np.concatenate([rng.random(25_000), tiny, exact])
+        a, q, err = dirichlet_approx_batch(ts, N)
+        a_ref, q_ref, err_ref = _scalar_approx_arrays(ts, N)
+        assert np.array_equal(a, a_ref) and np.array_equal(q, q_ref)
+        assert np.array_equal(err, err_ref)
+        assert np.all(q <= N) and np.all(np.abs(err) <= 1.0 / (q * N))
+
+
+def test_dirichlet_handles_subnormal_t():
+    # 1/t overflows to inf; the recurrence must stop at 0/1, not raise
+    for t in (5e-324, 1e-310):
+        r = dirichlet_approx(t, 100)
+        assert (r.a, r.q, r.err) == (0, 1, t)
+
+
+def test_dirichlet_batch_domain_errors():
+    with pytest.raises(ValueError):
+        dirichlet_approx_batch(np.array([0.2, 1.0]), 10)
+    with pytest.raises(ValueError):
+        dirichlet_approx_batch(np.array([np.nan]), 10)
+    with pytest.raises(ValueError):
+        dirichlet_approx_batch(np.array([[0.2]]), 10)
+    with pytest.raises(ValueError):
+        dirichlet_approx_batch(np.array([0.2]), 0)
+    a, q, err = dirichlet_approx_batch(np.array([]), 10)
+    assert a.size == q.size == err.size == 0
+
+
+def _scalar_gauss_bound(params, n_samples, seed):
+    """The per-sample loop gauss_bound_report ran before it was batched."""
+    from paravg.reports import substream_seed
+
+    N = params.N
+    rng = np.random.default_rng(substream_seed(seed, f"gauss_bound:{N}"))
+    q_max = max(1, N // 10)
+    qs = rng.integers(1, q_max + 1, size=n_samples)
+    ys = rng.random(n_samples)
+    ts = np.empty(n_samples)
+    tot_cache = {q: totatives(q) for q in range(1, q_max + 1)}
+    for i, q in enumerate(qs):
+        tots = tot_cache[int(q)]
+        a = tots[rng.integers(0, len(tots))]
+        u = (2 * rng.random() - 1) * 10.0 / (int(q) * N)
+        if i == 0:
+            u = 0.0
+        ts[i] = (a / int(q) + u) % 1.0
+    worst = 0.0
+    k = params.cutoff.support()
+    w = params.cutoff.weights()
+    L = np.longdouble
+    for i in range(n_samples):
+        t = float(ts[i])
+        approx = dirichlet_approx(t, N)
+        kl = k.astype(L)
+        ph = np.asarray((L(ys[i]) * kl + L(t) * kl * kl) % L(1.0), dtype=float)
+        g = abs(np.sum(w * np.exp(2j * np.pi * ph)))
+        cap = N if approx.err == 0.0 else min(N, 1.0 / math.sqrt(abs(approx.err)))
+        worst = max(worst, g * math.sqrt(approx.q) / cap)
+    return worst
+
+
+@pytest.mark.parametrize("N", [16, 32, 64, 128])
+def test_gauss_bound_batch_matches_scalar_loop(N, monkeypatch):
+    # small chunks, so every run crosses several chunk boundaries
+    monkeypatch.setattr(expsums, "_CHUNK_CELLS", 7 * 2 * N)
+    params = OperatorParams.smooth(2, N)
+    for seed in range(4):
+        batched = gauss_bound_report(params, 400, seed).constant
+        assert batched == _scalar_gauss_bound(params, 400, seed)
+
+
+def test_gauss_bound_batch_matches_scalar_loop_10k():
+    params = OperatorParams.smooth(2, 128)
+    constant = gauss_bound_report(params, 10_000, 1).constant
+    assert constant == _scalar_gauss_bound(params, 10_000, 1)
+    assert repr(constant) == repr(np.float64(constant))  # the CLI's CSV writes this repr

@@ -6,7 +6,10 @@ from itertools import product
 import numpy as np
 import pytest
 
+from paravg.arcs import totatives
 from paravg.numtheory import (
+    _ramanujan_arith,
+    _ramanujan_rows,
     divisor_count,
     divisor_count_sieve,
     divisor_level_count,
@@ -69,6 +72,22 @@ def test_ramanujan_direct_vs_arithmetic_block():
     for q in (7, 12, 36):
         for k in (-5, 0, 3, 17):
             assert abs(ramanujan_sum_direct(q, k) - ramanujan_sum(q, k)) < 1e-9
+
+
+def test_ramanujan_rows_match_per_k_evaluation():
+    # the per-k direct sums and gcd lookups ramanujan_table used before it
+    # evaluated one residue class at a time
+    ks = np.arange(-2048, 2049, dtype=np.int64)
+    table = ramanujan_table(128, ks)
+    for q in range(1, 129):
+        tots = np.array(totatives(q), dtype=np.int64)
+        direct_old = np.exp(2j * np.pi * (((tots[:, None] * ks[None, :]) % q) / q)).sum(axis=0)
+        by_gcd = {g: _ramanujan_arith(q, g) for g in range(1, q + 1) if q % g == 0}
+        arith_old = np.array([by_gcd[int(g)] for g in np.gcd(q, np.abs(ks))], dtype=np.int64)
+        direct, arith = _ramanujan_rows(q, ks)
+        assert np.array_equal(direct, direct_old), q
+        assert np.array_equal(arith, arith_old), q
+        assert np.array_equal(table[q - 1], arith_old), q
 
 
 def test_ramanujan_multiplicativity():
