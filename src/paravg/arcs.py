@@ -31,7 +31,6 @@ closes exactly only when N/q is a power of two.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -56,7 +55,6 @@ __all__ = [
     "arc_system",
     "piece_system",
     "piece_multiplier",
-    "write_arc_table",
 ]
 
 DEFAULT_SPLINE_ORDER = 8
@@ -164,9 +162,9 @@ def _irwin_hall_coeffs(m: int) -> tuple[tuple[float, ...], float]:
 def _ipow(base, m: int):
     """base^m by square-and-multiply, LSB first.
 
-    Works identically on python floats and numpy arrays; pow routines do
-    not (vectorized SIMD pow differs from scalar libm pow by ulps), and the
-    scalar and vectorized bump evaluations below must agree bit for bit.
+    Vectorized SIMD pow differs from scalar libm pow by ulps.  The bump
+    values, and every recorded output built on them, were first computed
+    with these products, so keeping them keeps those outputs bit-identical.
     """
     acc = None
     sq = base
@@ -190,24 +188,6 @@ def _irwin_hall_cdf(x: np.ndarray, m: int) -> np.ndarray:
     return acc / fact
 
 
-def _bump_psi_scalar(t: float, m: int) -> float:
-    # scalar fast path: the vectorized route costs ~50x more on 0-d input,
-    # and the arc weight sums evaluate psi pointwise in hot loops
-    t = abs(t)
-    if t <= 1.0:
-        return 1.0
-    if t >= 2.0:
-        return 0.0
-    signs, fact = _irwin_hall_coeffs(m)
-    x = m * (t - 1.0)
-    acc = 0.0
-    for k, s in enumerate(signs):
-        if x <= k:
-            break
-        acc += s * _ipow(x - k, m)
-    return min(1.0, max(0.0, 1.0 - acc / fact))
-
-
 def bump_psi(t, m: int = DEFAULT_SPLINE_ORDER):
     """The plateau bump: 1 on [-1, 1], 0 outside [-2, 2], C^(m-1) between.
 
@@ -217,10 +197,8 @@ def bump_psi(t, m: int = DEFAULT_SPLINE_ORDER):
     """
     if m < 4:
         raise ValueError("spline order must be >= 4")
-    if np.ndim(t) == 0:
-        return _bump_psi_scalar(float(t), m)
     out = np.clip(1.0 - _irwin_hall_cdf(m * (np.abs(np.asarray(t, dtype=float)) - 1.0), m), 0.0, 1.0)
-    return out
+    return out if out.ndim else float(out)
 
 
 def bump_psi_hat(u, m: int = DEFAULT_SPLINE_ORDER):
@@ -503,7 +481,7 @@ def piece_multiplier(
     order: int = DEFAULT_SPLINE_ORDER,
     q_limit: int | None = None,
 ) -> complex | np.ndarray:
-    """Evaluate one piece of the multiplier at a torus point, or at each row of an (m, n) array.
+    """Evaluate one piece of the multiplier at each row of an (m, n) array, or at one torus point.
 
     whole = m(xi); maj = m(xi) W(xi_n); min = whole - maj.  Dyadic and core
     pieces localize m by their block's mean-zero bumps.  Standalone
@@ -511,33 +489,19 @@ def piece_multiplier(
     decay identities do not need the arcs to be disjoint); pass
     q_limit = floor(N/10) to reproduce exactly the pieces the maj assembly
     sums (its top block is truncated there).  maj/min require N >= 10 so
-    the arc family exists.  For an array of rows, m is evaluated once per
-    row and the bump weight once on the array of xi_n; each entry equals
-    the single-point call on its row.
+    the arc family exists.  A point is evaluated as one row: m comes from one
+    batched multiplier call over the rows and the bump weight from one call
+    on the array of xi_n.
     """
-    rows = np.asarray(xi, dtype=float)
-    if rows.ndim == 2:
-        t = rows[:, -1]
-        whole = np.array([multiplier(row, params) for row in rows], dtype=complex)
-    else:
-        xi = tuple(float(c) for c in xi)
-        t = xi[-1]
-        whole = multiplier(xi, params)
+    rows = np.atleast_2d(np.asarray(xi, dtype=float))
+    t = rows[:, -1]
+    whole = multiplier(rows, params)
     if spec.kind == "whole":
-        return whole
-    if spec.kind in ("maj", "min"):
-        system = arc_system(params.N, order)
-        w = system.weight_sum(t)
-        return whole * w if spec.kind == "maj" else whole - whole * w
-    system = piece_system(spec, params, order) if q_limit is None else arc_system(params.N, order, q_limit)
-    return whole * system.piece_weight(spec, t)
-
-
-def write_arc_table(N: int, path, order: int = DEFAULT_SPLINE_ORDER) -> None:
-    """CSV of the arc family: q, a, center, I-radius, ladder scales."""
-    system = arc_system(N, order)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["q", "a", "center", "radius", "scales"])
-        for (q, a), lad in sorted(system.ladders.items()):
-            writer.writerow([q, a, repr(a / q), repr(1.0 / (q * N)), " ".join(map(str, lad.scales))])
+        out = whole
+    elif spec.kind in ("maj", "min"):
+        w = arc_system(params.N, order).weight_sum(t)
+        out = whole * w if spec.kind == "maj" else whole - whole * w
+    else:
+        system = piece_system(spec, params, order) if q_limit is None else arc_system(params.N, order, q_limit)
+        out = whole * system.piece_weight(spec, t)
+    return out if np.ndim(xi) == 2 else complex(out[0])

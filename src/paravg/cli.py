@@ -39,17 +39,33 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _int_list(text: str) -> list[int]:
+def _ints(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x.strip()]
 
 
+def _nonempty(values: list) -> list:
+    if not values:
+        raise argparse.ArgumentTypeError("empty list")
+    return values
+
+
+def _int_list(text: str) -> list[int]:
+    return _nonempty(_ints(text))
+
+
 def _float_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
+    return _nonempty([float(x) for x in text.split(",") if x.strip()])
 
 
-def _load_config(path: str) -> dict:
-    """Flat key=value config; keys mirror the long flags (dashes or underscores)."""
-    out = {}
+def _bool(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise argparse.ArgumentTypeError(f"{text!r} is not true or false")
+    return text.lower() == "true"
+
+
+def _config_tokens(path: str) -> list[str]:
+    """Flat key=value config as --key=value flag tokens; keys mirror the long flags (dashes or underscores)."""
+    out = []
     with open(path) as fh:
         for line in fh:
             line = line.strip()
@@ -58,7 +74,7 @@ def _load_config(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"bad config line: {line!r}")
             key, value = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = value.strip()
+            out.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
     return out
 
 
@@ -82,6 +98,13 @@ class _Check:
         return 0 if self.ok else INVARIANT_FAILURE
 
 
+def _write_csv(path: Path, rows: list[dict], fieldnames: list[str]) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer.writeheader()
+        writer.writerows(rows)
+
+
 def _write_outputs(out_dir: str, name: str, payload: dict, rows=None, fieldnames=None):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -89,10 +112,7 @@ def _write_outputs(out_dir: str, name: str, payload: dict, rows=None, fieldnames
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
     if rows is not None:
-        with open(out / f"{name}.csv", "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fieldnames or sorted(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
+        _write_csv(out / f"{name}.csv", rows, fieldnames or sorted(rows[0]))
     return str(out / f"{name}.json")
 
 
@@ -183,7 +203,11 @@ def _cmd_arcs_check(args) -> int:
         worst_split = max(abs(d) for d in (whole - (maj + mino)).tolist())
         checks.record(f"N={N}: maj + min == whole <= 1e-12", worst_split <= 1e-12, f"max {worst_split:.2e}")
         results[str(N)] = {"partition_max_dev": worst_pu, "split_max_dev": worst_split}
-        arcs_mod.write_arc_table(N, Path(args.out_dir) / f"arc-table-N{N}.csv", args.order)
+        table = [
+            {"q": q, "a": a, "center": repr(a / q), "radius": repr(1.0 / (q * N)), "scales": " ".join(map(str, lad.scales))}
+            for (q, a), lad in sorted(system.ladders.items())
+        ]
+        _write_csv(Path(args.out_dir) / f"arc-table-N{N}.csv", table, ["q", "a", "center", "radius", "scales"])
 
     _write_outputs(args.out_dir, "arcs-check", _payload(args, results, checks))
     return checks.status
@@ -281,7 +305,6 @@ def _cmd_divisor_check(args) -> int:
     checks = _Check()
     rows = []
     worst = 0.0
-    numtheory.CheckParams(D=min(args.D), B=args.B, tau=args.tau)  # validates positivity
     for Q in args.Q:
         counts = {}
         for D in args.D:
@@ -529,7 +552,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--N", type=int, default=8)
     sp.add_argument("--Q", type=_int_list, default=[1, 2])
-    sp.add_argument("--l", type=_int_list, default=[0, 1])
+    sp.add_argument("--l", type=_ints, default=[0, 1])  # empty: core pieces only
     sp.add_argument("--count", type=_positive_int, default=50)
     sp.add_argument("--grid", type=int, default=4096)
     sp.set_defaults(func=_cmd_coeff_check)
@@ -569,7 +592,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--source", choices=["box", "delta", "ascent", "l2"], default="box")
     sp.add_argument("--tol", type=float, default=None)
     sp.add_argument("--iters", type=_positive_int, default=60)
-    sp.add_argument("--plot", action="store_true")
+    sp.add_argument("--plot", type=_bool, nargs="?", const=True, default=False)
     sp.set_defaults(func=_cmd_scaling_fit)
 
     sp = sub.add_parser("separation-probe", help="the q < p doubling obstruction")
@@ -586,7 +609,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
 
-    # first pass: pick up --config and use its values as defaults
+    # config values become flag tokens right after the subcommand, so they are
+    # parsed like flags and the explicit flags that follow still win
     config_path = None
     for i, token in enumerate(argv):
         if token == "--config" and i + 1 < len(argv):
@@ -595,20 +619,11 @@ def main(argv=None) -> int:
             config_path = token.split("=", 1)[1]
     try:
         if config_path:
-            raw = _load_config(config_path)
-            if argv and not argv[0].startswith("-"):
-                subparser = parser._subparsers._group_actions[0].choices.get(argv[0])  # type: ignore[union-attr]
-                if subparser is not None:
-                    typed = {}
-                    for action in subparser._actions:
-                        if action.dest in raw:
-                            value = raw[action.dest]
-                            typed[action.dest] = action.type(value) if action.type else value
-                    subparser.set_defaults(**typed)
+            argv[1:1] = _config_tokens(config_path)
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0,) else 0
-    except (OSError, ValueError, argparse.ArgumentTypeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -19,7 +19,6 @@ coefficient is that minus the arc-localized part.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -48,7 +47,6 @@ __all__ = [
     "coefficient_decay_report",
     "minor_coefficient_report",
     "piece_sup_report",
-    "write_decay_table",
 ]
 
 
@@ -428,34 +426,3 @@ def piece_sup_report(
         constant=float(vals[i]) / bound,
         values={"sup": float(vals[i]), "bound": bound, "argmax_t": float(ts[i])},
     )
-
-
-def write_decay_table(
-    spec: PieceSpec,
-    params: OperatorParams,
-    path,
-    eps: float = 0.2,
-    order: int = DEFAULT_SPLINE_ORDER,
-    max_rows: int = 2000,
-) -> None:
-    """CSV decay table: r, residual, |coefficient|, bound, ratio."""
-    N, n = params.N, params.n
-    bound = _decay_bound(spec, params, eps)
-    H, t_lo = _residual_profile(spec, params, order)
-    rows = []
-    r1_range = range(-(2 * N - 1), 2 * N)
-    rn_step = max(1, (10 * N * N) // max(1, max_rows // len(list(r1_range))))
-    for r1 in r1_range:
-        sig = _sigma_product(params, (r1,) * (n - 1))
-        if sig == 0.0:
-            continue
-        s = (n - 1) * r1 * r1
-        for rn in range(-5 * N * N, 5 * N * N + 1, rn_step):
-            t = s - rn
-            coef = sig * H[t - t_lo]
-            rows.append(((r1,) * (n - 1) + (rn,), t, coef, bound, coef / bound))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r", "residual", "abs_coefficient", "bound", "ratio"])
-        for r, t, coef, bnd, ratio in rows[:max_rows]:
-            writer.writerow([" ".join(map(str, r)), t, repr(float(coef)), repr(float(bnd)), repr(float(ratio))])

@@ -20,10 +20,10 @@ enter only at the final root.
 Costs.  For n = 2 the square window of the last coordinate is constant on
 O(N) runs, so the box power sum (all x1 intervals x runs) and the wave-packet
 certificate of the 2 -> 2 norm (every x1 row x runs) are O(N^2) run-length
-sums; n = 3 streams the pair histograms.  The ascent keeps each start as
-sorted point and value arrays and its convolution on a dense window, and
-every dense array is checked against lattice.ALLOC_BUDGET_BYTES before it
-is allocated.
+sums, and the dense box counts and the core check read the same runs; n = 3
+streams the pair histograms.  The ascent keeps each start as sorted point
+and value arrays and its convolution on a dense window, and every dense
+array is checked against lattice.ALLOC_BUDGET_BYTES before it is allocated.
 """
 
 from __future__ import annotations
@@ -93,14 +93,6 @@ class ScalingFit:
 # M_n = n N^2.
 
 
-def _isqrt_table(limit: int) -> np.ndarray:
-    """floor(sqrt(v)) for 0 <= v <= limit, exact."""
-    roots = np.arange(math.isqrt(limit) + 2, dtype=np.int64)
-    return (
-        np.searchsorted(roots * roots, np.arange(limit + 1), side="right") - 1
-    ).astype(np.int64)
-
-
 def _square_runs(x_lo: int, x_hi: int, top: int):
     """Split [x_lo, x_hi) into runs of x sharing every square-window key.
 
@@ -122,19 +114,43 @@ def _square_runs(x_lo: int, x_hi: int, top: int):
     return starts, lengths, kmin, kmax
 
 
-def _count_rows_2d(N: int, M: int, M_n: int):
-    """Yield (x1, counts over x2) rows of the raw count for the n = 2 box."""
-    x2 = np.arange(1 - N * N, M_n)  # x2 support: [1 - N^2, M_n - 1]
-    lo_val = 1 - x2
-    hi_val = M_n - x2
-    isq = _isqrt_table(M_n + N * N)
-    kmax_sq = isq[np.clip(hi_val, 0, None)]
-    kmin_sq = np.where(lo_val <= 1, 1, isq[np.clip(lo_val - 1, 0, None)] + 1)
-    for x1 in range(1 - N, M):
-        A = max(1, 1 - x1)
-        B = min(N, M - x1)
-        counts = np.clip(np.minimum(B, kmax_sq) - np.maximum(A, kmin_sq) + 1, 0, None)
-        yield x1, counts
+def _run_counts(A: int, B: int, kmin: np.ndarray, kmax: np.ndarray) -> np.ndarray:
+    """n = 2 raw count on each square-window run, for the k-interval [A, B]."""
+    return np.clip(np.minimum(B, kmax) - np.maximum(A, kmin) + 1, 0, None)
+
+
+def _box_intervals_2d(N: int):
+    """Distinct k-intervals [A, B] of the n = 2 box rows x1 in [1 - N, 2N).
+
+    Returns (intervals, inverse, multiplicity): row x1 = 1 - N + j has the
+    interval intervals[inverse[j]].
+    """
+    x1 = np.arange(1 - N, 2 * N, dtype=np.int64)
+    intervals, inverse, mult = np.unique(
+        np.stack([np.maximum(1, 1 - x1), np.minimum(N, 2 * N - x1)], axis=1),
+        axis=0,
+        return_inverse=True,
+        return_counts=True,
+    )
+    return intervals, inverse.reshape(-1), mult
+
+
+def _interval_squares(A: int, B: int, N: int) -> np.ndarray:
+    """hist[s] = #{k in [A, B] : k^2 = s}, of length N^2 + 1."""
+    ks = np.arange(A, B + 1, dtype=np.int64)
+    return np.bincount(ks * ks, minlength=N * N + 1)
+
+
+def _pair_cum(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
+    """cum[s] = #{(k1, k2) : k1^2 + k2^2 < s} for two square histograms."""
+    return np.concatenate([[0], np.cumsum(np.convolve(h1, h2))])
+
+
+def _pair_row(cum: np.ndarray, x3: np.ndarray, M_n: int) -> np.ndarray:
+    """n = 3 raw count over x3 for one pair of k-intervals: 1 <= x3 + k1^2 + k2^2 <= M_n."""
+    top = np.clip(M_n - x3 + 1, 0, len(cum) - 1)
+    bot = np.clip(1 - x3, 0, len(cum) - 1)
+    return cum[top] - cum[bot]
 
 
 def _pair_histograms_3d(N: int, M: int):
@@ -142,26 +158,19 @@ def _pair_histograms_3d(N: int, M: int):
 
     The k-interval depends on x_i only through (max(1, 1-x_i), min(N, M-x_i)),
     so the whole [1, N] bulk shares one key; work is done once per distinct
-    unordered key pair and fanned out by multiplicity.
+    unordered key pair and fanned out by multiplicity.  Returns the key of
+    each x_i in [1 - N, M) and the cumulative histogram of each key pair.
     """
-    x1s = list(range(1 - N, M))
-    keys = []
-    base = {}
-    for x1 in x1s:
-        key = (max(1, 1 - x1), min(N, M - x1))
-        keys.append(key)
-        if key not in base:
-            ks = np.arange(key[0], key[1] + 1, dtype=np.int64)
-            base[key] = np.bincount(ks * ks, minlength=N * N + 1)
+    keys = [(max(1, 1 - x1), min(N, M - x1)) for x1 in range(1 - N, M)]
+    base = {key: _interval_squares(*key, N) for key in set(keys)}
     pair_cums = {}
     for k1 in set(keys):
         for k2 in set(keys):
             if (k2, k1) in pair_cums:
                 pair_cums[(k1, k2)] = pair_cums[(k2, k1)]
                 continue
-            hist = np.convolve(base[k1], base[k2])
-            pair_cums[(k1, k2)] = np.concatenate([[0], np.cumsum(hist)])
-    return x1s, keys, pair_cums
+            pair_cums[(k1, k2)] = _pair_cum(base[k1], base[k2])
+    return keys, pair_cums
 
 
 def box_average_counts(n: int, N: int):
@@ -171,7 +180,9 @@ def box_average_counts(n: int, N: int):
     idx + lo.  Exact integers throughout.  The array has
     (3N-1)^(n-1) ((2n-1) N^2 - 1) entries (~45 N^4 for n = 3), checked
     against the allocation budget first; the slope fits go through
-    box_power_sum, which never builds it.
+    box_power_sum, which never builds it.  n = 2 repeats each distinct
+    k-interval's run counts over the run lengths; n = 3 evaluates every
+    pair histogram over x3.
     """
     if n not in (2, 3):
         raise ValueError("box counting engines cover n in {2, 3}")
@@ -179,17 +190,16 @@ def box_average_counts(n: int, N: int):
     shape = (3 * N - 1,) * (n - 1) + ((2 * n - 1) * N * N - 1,)
     check_alloc(shape, np.int64, f"averaged box counts n={n} N={N}")
     if n == 2:
-        rows = [c for _, c in _count_rows_2d(N, M, M_n)]
-        return np.stack(rows).astype(np.int64), (1 - N, 1 - N * N)
-    x1s, keys, pair_cums = _pair_histograms_3d(N, M)
+        _, lengths, kmin, kmax = _square_runs(1 - N * N, M_n, M_n)
+        intervals, inverse, _ = _box_intervals_2d(N)
+        rows = np.stack([np.repeat(_run_counts(A, B, kmin, kmax), lengths) for A, B in intervals.tolist()])
+        return rows[inverse], (1 - N, 1 - N * N)
+    keys, pair_cums = _pair_histograms_3d(N, M)
     x3 = np.arange(1 - 2 * N * N, M_n, dtype=np.int64)
     counts = np.zeros(shape, dtype=np.int64)
     for i, k1 in enumerate(keys):
         for j, k2 in enumerate(keys):
-            cum = pair_cums[(k1, k2)]
-            top = np.clip(M_n - x3 + 1, 0, len(cum) - 1)
-            bot = np.clip(1 - x3, 0, len(cum) - 1)
-            counts[i, j] = cum[top] - cum[bot]
+            counts[i, j] = _pair_row(pair_cums[(k1, k2)], x3, M_n)
     return counts, (1 - N, 1 - N, 1 - 2 * N * N)
 
 
@@ -197,22 +207,20 @@ def box_core_is_one(n: int, N: int) -> bool:
     """Exact check: the averaged box equals 1 on {1..N}^(n-1) x {1..N^2}.
 
     Equivalently the raw count equals N^(n-1) there, which is an integer
-    identity, tested without any division.
+    identity, tested without any division.  Every core coordinate x_i in
+    [1, N] has the k-interval [1, N], so the check reads that one interval's
+    counts over x_n in [1, N^2]: its square-window runs for n = 2, the row of
+    its pair histogram for n = 3.
     """
-    full = N ** (n - 1)
-    M, M_n = 2 * N, n * N * N
+    if n not in (2, 3):
+        raise ValueError("box counting engines cover n in {2, 3}")
+    full, M_n = N ** (n - 1), n * N * N
     if n == 2:
-        for x1, row in _count_rows_2d(N, M, M_n):
-            if 1 <= x1 <= N:
-                lo = 1 - (1 - N * N)
-                if not np.all(row[lo : lo + N * N] == full):
-                    return False
-        return True
-    counts, lo = box_average_counts(n, N)
-    idx = tuple(slice(1 - l, 1 - l + N) for l in lo[:-1]) + (
-        slice(1 - lo[-1], 1 - lo[-1] + N * N),
-    )
-    return bool(np.all(counts[idx] == full))
+        _, _, kmin, kmax = _square_runs(1, N * N + 1, M_n)
+        return bool(np.all(_run_counts(1, N, kmin, kmax) == full))
+    core = _interval_squares(1, N, N)
+    x3 = np.arange(1, N * N + 1, dtype=np.int64)
+    return bool(np.all(_pair_row(_pair_cum(core, core), x3, M_n) == full))
 
 
 def box_power_sum(n: int, N: int, exponent: float) -> float:
@@ -232,27 +240,20 @@ def box_power_sum(n: int, N: int, exponent: float) -> float:
     total = 0.0
     if n == 2:
         _, lengths, kmin, kmax = _square_runs(1 - N * N, M_n, M_n)
-        x1 = np.arange(1 - N, M, dtype=np.int64)
-        intervals, mult = np.unique(
-            np.stack([np.maximum(1, 1 - x1), np.minimum(N, M - x1)], axis=1), axis=0, return_counts=True
-        )
+        intervals, _, mult = _box_intervals_2d(N)
         powers = np.arange(N + 1, dtype=float) ** exponent
         for (A, B), m in zip(intervals.tolist(), mult.tolist()):
-            counts = np.clip(np.minimum(B, kmax) - np.maximum(A, kmin) + 1, 0, None)
-            total += m * float(np.sum(lengths * powers[counts]))
+            total += m * float(np.sum(lengths * powers[_run_counts(A, B, kmin, kmax)]))
         return total
     if n == 3:
-        x1s, keys, pair_cums = _pair_histograms_3d(N, M)
+        keys, pair_cums = _pair_histograms_3d(N, M)
         x3 = np.arange(1 - 2 * N * N, M_n, dtype=np.int64)
         mult = {}
         for key in keys:
             mult[key] = mult.get(key, 0) + 1
         for k1, m1 in mult.items():
             for k2, m2 in mult.items():
-                cum = pair_cums[(k1, k2)]
-                top = np.clip(M_n - x3 + 1, 0, len(cum) - 1)
-                bot = np.clip(1 - x3, 0, len(cum) - 1)
-                row = (cum[top] - cum[bot]).astype(float)
+                row = _pair_row(pair_cums[(k1, k2)], x3, M_n).astype(float)
                 total += m1 * m2 * float(np.sum(row**exponent))
         return total
     raise ValueError("box counting engines cover n in {2, 3}")

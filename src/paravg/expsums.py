@@ -14,15 +14,18 @@ available) before exponentiation: k^2 reaches 4 N^2, and a plain double
 accumulation of y k + t k^2 loses digits that the coefficient-oracle
 comparisons downstream can see.
 
-Batched evaluation.  The sample loops (gauss_bound_report, the CLI's
-certificate checks) evaluate many t at once: dirichlet_approx_batch runs the
-continued-fraction recurrence on a whole array, and the Gauss-bound sums are
-formed in row chunks of at most _CHUNK_CELLS phases (gauss_row_max chunks its
-FFT rows the same way), which bounds the peak memory.  Both are bit-identical
-to the scalar paths, which stay public and serve as the test oracles: the
-long-double phases and np.sum(axis=1) reproduce the one-row sums exactly,
-but np.abs on a complex array can differ from Python's abs in the last ulp
-(about a third of the rows), so |G| is taken with abs on each row's sum.
+Batched evaluation.  Every Gauss sum goes through one evaluator over paired
+arrays of (t, y), _gauss_sums: gauss_sum is a one-element call, multiplier
+one call per coordinate over its rows, gauss_bound_report one call over its
+samples.  It forms the rows in chunks of at most _CHUNK_CELLS phases
+(gauss_row_max chunks its FFT rows the same way), which bounds the peak
+memory, and np.sum(axis=1) reproduces the one-row sum exactly, so a value
+does not depend on its batch.  np.abs on a complex array can differ from
+Python's abs in the last ulp (about a third of the rows), so |G| is taken
+as np.hypot of the parts, which is what Python's abs computes (equal on
+4e6 random sums, over 600 decades).  dirichlet_approx_batch runs the
+continued-fraction recurrence on a whole array and agrees element for
+element with the scalar dirichlet_approx, its test oracle.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ __all__ = [
     "RationalApprox",
     "dirichlet_approx",
     "dirichlet_approx_batch",
-    "torus_distance",
     "gauss_bound_report",
     "gauss_row_max",
 ]
@@ -61,31 +63,41 @@ def e1(x) -> complex | np.ndarray:
     return out if out.ndim else complex(out)
 
 
-def _phases(k: np.ndarray, t: float, y: float) -> np.ndarray:
-    """frac(y k + t k^2) computed in extended precision, returned as double."""
+def _gauss_sums(ts: np.ndarray, ys: np.ndarray, cutoff: CutoffProfile) -> np.ndarray:
+    """G(ts[i], ys[i]) for paired 1-D arrays, in row chunks of at most _CHUNK_CELLS phases."""
+    k = cutoff.support()
+    w = cutoff.weights()
     kl = k.astype(_LONG)
-    arg = _LONG(y) * kl + _LONG(t) * kl * kl
-    return np.asarray(arg % _LONG(1.0), dtype=float)
+    out = np.empty(len(ts), dtype=complex)
+    rows = max(1, _CHUNK_CELLS // len(k))
+    for start in range(0, len(ts), rows):
+        tt = ts[start : start + rows, None].astype(_LONG)
+        yy = ys[start : start + rows, None].astype(_LONG)
+        ph = np.asarray((yy * kl + tt * kl * kl) % _LONG(1.0), dtype=float)
+        out[start : start + len(tt)] = np.sum(w * np.exp(2j * np.pi * ph), axis=1)
+    return out
 
 
 def gauss_sum(t: float, y: float, cutoff: CutoffProfile) -> complex:
     """G(t, y) = sum_k sigma(k) e(y k + t k^2), a finite exact sum."""
-    k = cutoff.support()
-    w = cutoff.weights()
-    ph = _phases(k, float(t), float(y))
-    return complex(np.sum(w * np.exp(2j * np.pi * ph)))
+    return complex(_gauss_sums(np.array([float(t)]), np.array([float(y)]), cutoff)[0])
 
 
-def multiplier(xi, params: OperatorParams) -> complex:
-    """m(xi) = prod_{i=1}^{n-1} G(xi_n, xi_i) for xi in the n-torus."""
-    xi = tuple(float(c) for c in xi)
-    if len(xi) != params.n:
-        raise ValueError(f"xi has length {len(xi)}, expected {params.n}")
-    t = xi[-1]
-    out = 1.0 + 0.0j
-    for y in xi[:-1]:
-        out *= gauss_sum(t, y, params.cutoff)
-    return out
+def multiplier(xi, params: OperatorParams) -> complex | np.ndarray:
+    """m(xi) = prod_{i=1}^{n-1} G(xi_n, xi_i) at a point of the n-torus, or at each row of an (m, n) array.
+
+    Each factor is one batched Gauss-sum call over the rows; the product of
+    a row's factors is taken in Python complex arithmetic, left to right
+    from 1 (np.multiply on complex arrays can differ from it in the last
+    ulp), so every entry equals the single-point call on its row.
+    """
+    rows = np.asarray(xi, dtype=float)
+    if rows.ndim not in (1, 2) or rows.shape[-1] != params.n:
+        raise ValueError(f"xi has shape {rows.shape}, expected a point or rows of length {params.n}")
+    pts = rows.reshape(-1, params.n)
+    factors = [_gauss_sums(pts[:, -1], pts[:, i], params.cutoff).tolist() for i in range(params.n - 1)]
+    out = [math.prod(row, start=1.0 + 0.0j) for row in zip(*factors)]
+    return np.array(out, dtype=complex) if rows.ndim == 2 else out[0]
 
 
 def gauss_row_max(ts: np.ndarray, cutoff: CutoffProfile, y_grid: int) -> np.ndarray:
@@ -115,12 +127,6 @@ def gauss_row_max(ts: np.ndarray, cutoff: CutoffProfile, y_grid: int) -> np.ndar
 
 
 # -- rational approximation ----------------------------------------------------
-
-
-def torus_distance(x: float, y: float = 0.0) -> float:
-    """Distance on R/Z (minimum over integer shifts)."""
-    d = (x - y) % 1.0
-    return min(d, 1.0 - d)
 
 
 def _torus_signed(x):
@@ -265,17 +271,8 @@ def gauss_bound_report(
             u = 0.0  # exact-center sample: min(N, inf) = N
         ts[i] = (a / int(q) + u) % 1.0
 
-    k = params.cutoff.support()
-    w = params.cutoff.weights()
-    kl = k.astype(_LONG)
-    g = np.empty(n_samples)
-    rows = max(1, _CHUNK_CELLS // len(k))
-    for start in range(0, n_samples, rows):
-        tt = ts[start : start + rows, None].astype(_LONG)
-        yy = ys[start : start + rows, None].astype(_LONG)
-        ph = np.asarray((yy * kl + tt * kl * kl) % _LONG(1.0), dtype=float)
-        sums = np.sum(w * np.exp(2j * np.pi * ph), axis=1)
-        g[start : start + len(tt)] = [abs(z) for z in sums.tolist()]
+    sums = _gauss_sums(ts, ys, params.cutoff)
+    g = np.hypot(sums.real, sums.imag)
     _, q, err = dirichlet_approx_batch(ts, N)
     with np.errstate(divide="ignore"):  # err = 0 (exact center): cap = min(N, inf) = N
         cap = np.minimum(N, 1.0 / np.sqrt(np.abs(err)))

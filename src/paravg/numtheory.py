@@ -18,15 +18,12 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .arcs import totatives
 from .reports import ExperimentReport
 
 __all__ = [
-    "CheckParams",
     "divisor_count",
     "truncated_divisor_count",
     "divisor_count_sieve",
@@ -42,22 +39,6 @@ __all__ = [
 ]
 
 DEFAULT_SIEVE_CAP = 10**7
-
-
-@dataclass(frozen=True)
-class CheckParams:
-    """Parameter bundle for the level-set and decay checks."""
-
-    D: float
-    B: float
-    tau: float
-    kappa: float = 1.0
-    M: float = 1.0
-    eps: float = 0.2
-
-    def __post_init__(self):
-        if min(self.D, self.B, self.tau, self.kappa, self.eps) <= 0 or self.M < 1:
-            raise ValueError("all parameters must be positive (M >= 1)")
 
 
 def divisor_count(k: int) -> int:
@@ -202,6 +183,10 @@ def ramanujan_table(q_max: int, k_values: np.ndarray) -> np.ndarray:
     at every (q, k), else this raises.
     """
     ks = np.asarray(k_values, dtype=np.int64)
+    if q_max < 1:
+        raise ValueError(f"q_max must be >= 1 (got {q_max})")
+    if ks.ndim != 1 or len(ks) == 0:
+        raise ValueError("k_values must be a nonempty 1-D array")
     out = np.empty((q_max, len(ks)), dtype=np.int64)
     for q in range(1, q_max + 1):
         direct, arith = _ramanujan_rows(q, ks)
@@ -238,11 +223,14 @@ def divisor_level_count(
 ) -> tuple[int, ExperimentReport]:
     """Exact #{1 <= k <= N : d(k, Q) > D}, with the normalized-ratio report.
 
-    The report carries count * D^B / (Q^tau N) for caller-supplied (B, tau);
-    monotonicity in D and the D >= Q vanishing are structural and tested.
+    The report carries count * D^B / (Q^tau N) for caller-supplied positive
+    (B, tau); monotonicity in D and the D >= Q vanishing are structural and
+    tested.
     """
     if N < 1 or Q < 1 or D <= 0:
         raise ValueError("need N, Q >= 1 and D > 0")
+    if (B is not None and B <= 0) or (tau is not None and tau <= 0):
+        raise ValueError(f"need B > 0 and tau > 0 (got B={B}, tau={tau})")
     counts = truncated_divisor_sieve(N, Q)
     level = int(np.count_nonzero(counts[1:] > D))
     values = {"count": float(level)}

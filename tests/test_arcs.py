@@ -56,13 +56,6 @@ def test_bump_psi_shape():
         bump_psi(0.0, m=3)
 
 
-def test_bump_psi_scalar_and_vector_paths_agree_bitwise():
-    xs = np.linspace(-2.5, 2.5, 4001)
-    arr = bump_psi(xs)
-    scalars = np.array([bump_psi(float(x)) for x in xs])
-    assert np.array_equal(arr, scalars)
-
-
 def test_bump_psi_hat_closed_form_vs_quadrature():
     assert bump_psi_hat(0.0) == 3.0
     for u in (0.3, 1.7):

@@ -206,6 +206,77 @@ def test_bad_config_is_usage_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "command, line",
+    [
+        ("norm-scan", "cutoff=shrap"),
+        ("sharpness", "bogus_key=3"),
+        ("sharpness", "N="),
+        ("scaling-fit", "plot=maybe"),
+        ("norm-scan", "falsify=0"),
+        ("divisor-check", "D=2,x"),
+    ],
+    ids=lambda v: v,
+)
+def test_bad_config_value_is_usage_error(tmp_path, capsys, command, line):
+    # config values go through the same types, choices and flag names as flags
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "o"
+    assert run([command, "--config", str(cfg), "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "[PASS]" not in captured.out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value, plot", [("false", False), ("true", True), ("FALSE", False)])
+def test_config_plot_boolean(tmp_path, capsys, value, plot):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"plot={value}\nsource=delta\nN=8,16,32,64\n")
+    out = tmp_path / "o"
+    assert run(["scaling-fit", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    assert (out / "scaling-fit.svg").exists() == plot
+    assert json.loads((out / "scaling-fit.json").read_text())["config"]["plot"] is plot
+    # the bare flag still turns the plot on, over the config
+    out2 = tmp_path / "o2"
+    assert run(["scaling-fit", "--config", str(cfg), "--plot", "--out-dir", str(out2)]) == 0
+    assert (out2 / "scaling-fit.svg").exists()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sharpness", "--N", ""],
+        ["norm-scan", "--N", ""],
+        ["arcs-check", "--N", ""],
+        ["gauss-check", "--N", ""],
+        ["gauss-check", "--N", ","],
+        ["scaling-fit", "--N", ""],
+        ["scaling-fit", "--p", ""],
+        ["divisor-check", "--Q", ""],
+        ["divisor-check", "--D", ""],
+        ["coeff-check", "--Q", ""],
+    ],
+    ids=" ".join,
+)
+def test_empty_list_is_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert run(argv + ["--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "empty list" in captured.err
+    assert "[PASS]" not in captured.out and not out.exists()
+
+
+def test_coeff_check_empty_levels_means_core_pieces(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run(["coeff-check", "--N", "8", "--l", "", "--count", "5", "--out-dir", str(out)]) == 0
+    assert json.loads((out / "coeff-check.json").read_text())["config"]["l"] == []
+    rows = (out / "coeff-check.csv").read_text().splitlines()[1:]
+    assert len(rows) == 5 and all(row.startswith("core,") for row in rows)
+    capsys.readouterr()
+
+
 def test_emit_plot_loglog_deterministic(tmp_path, capsys):
     out = tmp_path / "o"
     run(["scaling-fit", "--n", "2", "--p", "2.0", "--N", "8,16,32,64",
@@ -255,7 +326,9 @@ def test_arcs_check_small(tmp_path, capsys):
     out = tmp_path / "o"
     assert run(["arcs-check", "--N", "16", "--samples", "200",
                 "--out-dir", str(out)]) == 0
-    assert (out / "arc-table-N16.csv").exists()
+    assert (out / "arc-table-N16.csv").read_bytes() == (
+        b"q,a,center,radius,scales\r\n1,0,0.0,0.0625,16 32 64 128 256\r\n"
+    )
     capsys.readouterr()
 
 

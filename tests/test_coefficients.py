@@ -14,7 +14,6 @@ from paravg.coefficients import (
     piece_coefficient,
     piece_coefficient_oracle,
     piece_sup_report,
-    write_decay_table,
 )
 from paravg.cutoff import OperatorParams
 
@@ -199,15 +198,6 @@ def test_min_sup_sweep():
         rep = piece_sup_report(PieceSpec("min"), OperatorParams.smooth(2, N))
         consts[N] = rep.constant
     assert max(consts.values()) / min(consts.values()) < 2.0
-
-
-def test_decay_table_csv(tmp_path):
-    params = OperatorParams.smooth(2, 8)
-    path = tmp_path / "decay.csv"
-    write_decay_table(PieceSpec("dyadic", 1, 0), params, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "r,residual,abs_coefficient,bound,ratio"
-    assert len(lines) > 10
 
 
 def test_query_validation():

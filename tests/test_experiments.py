@@ -45,16 +45,87 @@ def test_box_counts_match_direct_average():
             assert af(x) * scale == int(v)
 
 
+def _isqrt_table(limit: int) -> np.ndarray:
+    """floor(sqrt(v)) for 0 <= v <= limit, exact."""
+    roots = np.arange(math.isqrt(limit) + 2, dtype=np.int64)
+    return (np.searchsorted(roots * roots, np.arange(limit + 1), side="right") - 1).astype(np.int64)
+
+
+def _count_rows_2d(N: int, M: int, M_n: int):
+    """Oracle: (x1, counts over every x2) rows of the raw n = 2 box count, by square-root tables."""
+    x2 = np.arange(1 - N * N, M_n)  # x2 support: [1 - N^2, M_n - 1]
+    lo_val = 1 - x2
+    hi_val = M_n - x2
+    isq = _isqrt_table(M_n + N * N)
+    kmax_sq = isq[np.clip(hi_val, 0, None)]
+    kmin_sq = np.where(lo_val <= 1, 1, isq[np.clip(lo_val - 1, 0, None)] + 1)
+    for x1 in range(1 - N, M):
+        A = max(1, 1 - x1)
+        B = min(N, M - x1)
+        counts = np.clip(np.minimum(B, kmax_sq) - np.maximum(A, kmin_sq) + 1, 0, None)
+        yield x1, counts
+
+
+def _dense_box_counts_3d(N: int) -> np.ndarray:
+    """Oracle: the n = 3 counts with one pair histogram per (x1, x2), none shared."""
+    M, M_n = 2 * N, 3 * N * N
+    keys = [(max(1, 1 - x), min(N, M - x)) for x in range(1 - N, M)]
+    x3 = np.arange(1 - 2 * N * N, M_n, dtype=np.int64)
+    counts = np.zeros((3 * N - 1, 3 * N - 1, 5 * N * N - 1), dtype=np.int64)
+    for i, (a1, b1) in enumerate(keys):
+        k1 = np.arange(a1, b1 + 1, dtype=np.int64)
+        for j, (a2, b2) in enumerate(keys):
+            k2 = np.arange(a2, b2 + 1, dtype=np.int64)
+            hist = np.bincount((k1[:, None] ** 2 + k2[None, :] ** 2).ravel(), minlength=2 * N * N + 1)
+            cum = np.concatenate([[0], np.cumsum(hist)])
+            top = np.clip(M_n - x3 + 1, 0, len(cum) - 1)
+            bot = np.clip(1 - x3, 0, len(cum) - 1)
+            counts[i, j] = cum[top] - cum[bot]
+    return counts
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 16, 64])
+def test_box_counts_2d_match_dense_rows(N):
+    counts, lo = box_average_counts(2, N)
+    rows = np.stack([row for _, row in _count_rows_2d(N, 2 * N, 2 * N * N)])
+    assert lo == (1 - N, 1 - N * N)
+    assert counts.dtype == np.int64 and np.array_equal(counts, rows)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 5, 8, 12])
+def test_box_counts_3d_match_unshared_histograms(N):
+    counts, lo = box_average_counts(3, N)
+    assert lo == (1 - N, 1 - N, 1 - 2 * N * N)
+    assert counts.dtype == np.int64 and np.array_equal(counts, _dense_box_counts_3d(N))
+
+
 def test_box_core_exactness():
     for n in (2, 3):
-        for N in (1, 2, 3, 5, 8, 13, 16):
+        for N in range(1, 17):
             assert box_core_is_one(n, N)
+    with pytest.raises(ValueError):
+        box_core_is_one(4, 2)
+
+
+@pytest.mark.parametrize("n, helper", [(2, "_run_counts"), (3, "_pair_row")])
+def test_box_core_check_fails_on_one_wrong_count(n, helper, monkeypatch):
+    # the core check reads the counts it is given: one count off must fail it
+    original = getattr(experiments, helper)
+
+    def one_off(*args):
+        out = original(*args).copy()
+        out[len(out) // 2] -= 1
+        return out
+
+    monkeypatch.setattr(experiments, helper, one_off)
+    for N in (1, 2, 5, 16):
+        assert not box_core_is_one(n, N)
 
 
 def _streamed_box_power_sum_2d(N: int, exponent: float) -> float:
     """Oracle: the n = 2 power sum row by row over the dense count rows, O(N^3)."""
     total = 0.0
-    for _, row in experiments._count_rows_2d(N, 2 * N, 2 * N * N):
+    for _, row in _count_rows_2d(N, 2 * N, 2 * N * N):
         total += float(np.sum(row.astype(float) ** exponent))
     return total
 
@@ -195,7 +266,7 @@ def _streamed_packet_quotient_2d(params: OperatorParams, width: int = 8) -> floa
         return prefix[np.maximum(ib, ia)] - prefix[ia]
 
     x_last = np.arange(1 - 4 * N * N, M_n + 4 * N * N)
-    isq = experiments._isqrt_table(M_n + 4 * N * N + 4)
+    isq = _isqrt_table(M_n + 4 * N * N + 4)
     lo_val = 1 - x_last
     hi_val = np.clip(M_n - x_last, -1, len(isq) - 1)
     rmax = isq[np.clip(hi_val, 0, None)]

@@ -16,7 +16,6 @@ from paravg.expsums import (
     gauss_row_max,
     gauss_sum,
     multiplier,
-    torus_distance,
 )
 
 
@@ -77,6 +76,56 @@ def test_multiplier_equals_kernel_dft():
     assert worst <= 1e-10
 
 
+def _phases_gauss_sum(t: float, y: float, cutoff) -> complex:
+    """Oracle: the one-point sum over long-double phases frac(y k + t k^2)."""
+    L = np.longdouble
+    kl = cutoff.support().astype(L)
+    ph = np.asarray((L(y) * kl + L(t) * kl * kl) % L(1.0), dtype=float)
+    return complex(np.sum(cutoff.weights() * np.exp(2j * np.pi * ph)))
+
+
+@pytest.mark.parametrize("kind", ["sharp", "smooth"])
+@pytest.mark.parametrize("N", [5, 16, 128])
+def test_gauss_sum_matches_one_point_phases(kind, N, monkeypatch):
+    cutoff = CutoffProfile(kind, N)
+    pts = np.random.default_rng(N).random((10_000, 2))
+    pts[:4] = [(0.0, 0.0), (0.5, 0.5), (1.0 - 2.0**-53, 0.25), (2.0**-40, 1.0 - 2.0**-53)]
+    expected = [_phases_gauss_sum(t, y, cutoff) for t, y in pts.tolist()]
+    assert [gauss_sum(t, y, cutoff) for t, y in pts.tolist()] == expected
+    # a batch crossing chunk boundaries gives the same values
+    monkeypatch.setattr(expsums, "_CHUNK_CELLS", 97 * len(cutoff.support()))
+    assert expsums._gauss_sums(pts[:, 0], pts[:, 1], cutoff).tolist() == expected
+
+
+def _scalar_multiplier(xi, params) -> complex:
+    """Oracle: the product of one-point Gauss sums, in Python complex arithmetic."""
+    out = 1.0 + 0.0j
+    for y in xi[:-1]:
+        out *= gauss_sum(xi[-1], y, params.cutoff)
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_batched_multiplier_matches_scalar_loop(n):
+    rng = np.random.default_rng(20 + n)
+    for params in (OperatorParams.smooth(n, 24), OperatorParams.sharp(n, 7)):
+        rows = rng.random((700, n))
+        rows[0] = 0.0
+        expected = [_scalar_multiplier(row, params) for row in rows.tolist()]
+        batched = multiplier(rows, params)
+        assert batched.dtype == complex and batched.tolist() == expected
+        points = [multiplier(tuple(row), params) for row in rows[:50].tolist()]
+        assert all(type(z) is complex for z in points) and points == expected[:50]
+    assert multiplier(np.empty((0, n)), params).shape == (0,)
+
+
+def test_multiplier_rejects_bad_shapes():
+    params = OperatorParams.smooth(3, 8)
+    for xi in ((0.1, 0.2), np.zeros((4, 2)), np.zeros((2, 2, 3)), 0.5):
+        with pytest.raises(ValueError):
+            multiplier(xi, params)
+
+
 def test_gauss_row_max_matches_brute():
     sm = CutoffProfile("smooth", 8)
     ts = np.array([0.0, 0.21, 0.5])
@@ -112,7 +161,7 @@ def test_dirichlet_certificate_bulk():
             assert r.q <= N
             assert math.gcd(r.a, r.q) == 1 or r.a == 0
             assert abs(r.err) <= 1.0 / (r.q * N)
-            assert torus_distance(float(t), r.a / r.q) <= abs(r.err) + 1e-15
+            assert abs(_torus_signed(float(t) - r.a / r.q)) <= abs(r.err) + 1e-15
 
 
 def test_dirichlet_vs_exhaustive_small():
@@ -124,7 +173,7 @@ def test_dirichlet_vs_exhaustive_small():
             # exhaustive: some fraction with q <= N satisfies the certificate,
             # and the returned one does too (it need not be the closest)
             best = min(
-                torus_distance(t, a / q)
+                abs(_torus_signed(t - a / q))
                 for q in range(1, N + 1)
                 for a in range(q)
                 if math.gcd(a, q) == 1 or (a, q) == (0, 1)

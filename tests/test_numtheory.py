@@ -181,11 +181,21 @@ def test_paraboloid_count_budget_guard():
         paraboloid_divisor_count(10**4, 10**6, 4, 1.0, 3)
 
 
-def test_check_params_validation():
-    from paravg.numtheory import CheckParams
+def test_divisor_level_count_rejects_nonpositive_parameters():
+    count, report = divisor_level_count(1000, 16, 2.0, 2.0, 0.5)
+    assert report.values["ratio"] == count * 2.0**2.0 / (16**0.5 * 1000)
+    for bad in ((0, 16, 2.0), (1000, 0, 2.0), (1000, 16, 0.0), (1000, 16, -1.0)):
+        with pytest.raises(ValueError):
+            divisor_level_count(*bad)
+    for B, tau in ((0.0, 0.5), (-2.0, 0.5), (2.0, 0.0), (2.0, -0.5)):
+        with pytest.raises(ValueError, match="B > 0 and tau > 0"):
+            divisor_level_count(1000, 16, 2.0, B, tau)
 
-    CheckParams(D=2.0, B=2.0, tau=0.5)
-    with pytest.raises(ValueError):
-        CheckParams(D=-1.0, B=2.0, tau=0.5)
-    with pytest.raises(ValueError):
-        CheckParams(D=1.0, B=2.0, tau=0.5, M=0.5)
+
+def test_ramanujan_table_rejects_empty_arguments():
+    assert ramanujan_table(1, np.array([0])).tolist() == [[1]]
+    for q_max in (0, -3):
+        with pytest.raises(ValueError, match="q_max"):
+            ramanujan_table(q_max, np.arange(-4, 5))
+    with pytest.raises(ValueError, match="k_values"):
+        ramanujan_table(8, np.array([], dtype=np.int64))
