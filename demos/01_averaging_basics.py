@@ -20,7 +20,7 @@ params = OperatorParams.sharp(n, N)
 
 print(f"kernel support for n={n}, N={N}:")
 kernel = paraboloid_kernel(params)
-for point, w in kernel.sorted_items():
+for point, w in kernel.items():
     print(f"  {point}  weight {w.real:g}")
 print(f"kernel mass = {lp_norm(kernel, 1):g} = N^(n-1)")
 
@@ -36,7 +36,7 @@ print("  exactly 1 on {1..N} x {1..N^2}:", core_ok)
 
 print("\naveraged delta (N^(n-1) values of size N^(1-n)):")
 adelta = average(delta((0, 0)), params)
-for point, v in adelta.sorted_items():
+for point, v in adelta.items():
     print(f"  {point}  {v.real:g}")
 
 print("\nnorm ratios |A f|_p' / |f|_p at p = 2:")

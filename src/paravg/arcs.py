@@ -197,7 +197,11 @@ def bump_psi(t, m: int = DEFAULT_SPLINE_ORDER):
     """
     if m < 4:
         raise ValueError("spline order must be >= 4")
-    out = np.clip(1.0 - _irwin_hall_cdf(m * (np.abs(np.asarray(t, dtype=float)) - 1.0), m), 0.0, 1.0)
+    a = np.abs(np.asarray(t, dtype=float))
+    out = np.where(a <= 1.0, 1.0, 0.0)
+    ramp = (a > 1.0) & (a < 2.0)  # elsewhere the spline sum is exactly 1 or exactly 0
+    if ramp.any():
+        out[ramp] = np.clip(1.0 - _irwin_hall_cdf(m * (a[ramp] - 1.0), m), 0.0, 1.0)
     return out if out.ndim else float(out)
 
 

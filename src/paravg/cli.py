@@ -25,7 +25,7 @@ from . import coefficients as coef_mod
 from . import experiments as exp_mod
 from . import expsums, numtheory
 from .cutoff import CutoffProfile, OperatorParams
-from .lattice import delta, lp_norm, shift
+from .lattice import LatticeFunction, delta, lp_norm, shift
 from .reports import substream_seed
 
 USAGE_ERROR = 2
@@ -350,10 +350,9 @@ def _cmd_norm_scan(args) -> int:
         rng = np.random.default_rng(substream_seed(args.seed, f"norm-falsify:{N}"))
         worst = 0.0
         for _ in range(args.falsify):
-            pts = rng.integers(-2 * N, 2 * N, size=(8, args.n))
-            f = delta(tuple(int(c) for c in pts[0]), args.n)
-            for row in pts[1:]:
-                f = f + float(rng.random()) * delta(tuple(int(c) for c in row), args.n)
+            pts = rng.integers(-2 * N, 2 * N, size=(8, args.n)).tolist()
+            weights = [1.0] + [float(rng.random()) for _ in pts[1:]]
+            f = LatticeFunction(args.n, zip(pts, weights))
             worst = max(worst, exp_mod.rayleigh_quotient(f, params))
         checks.record(
             f"N={N}: random Rayleigh quotients below the norm",
@@ -524,7 +523,7 @@ def emit_plot(csv_path, kind: str, out_path=None) -> str:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="paravg", description=__doc__)
+    parser = argparse.ArgumentParser(prog="paravg", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp, n_default=2):
@@ -535,20 +534,20 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--ramp-order", type=int, default=3)
         sp.add_argument("--order", type=int, default=8, help="bump spline order")
 
-    sp = sub.add_parser("gauss-check", help="Gauss-sum bound constants over an N sweep")
+    sp = sub.add_parser("gauss-check", allow_abbrev=False, help="Gauss-sum bound constants over an N sweep")
     common(sp)
     sp.add_argument("--N", type=_int_list, default=[16, 32, 64, 128])
     sp.add_argument("--samples", type=_positive_int, default=10000)
     sp.add_argument("--dirichlet-samples", type=_positive_int, default=20000)
     sp.set_defaults(func=_cmd_gauss_check)
 
-    sp = sub.add_parser("arcs-check", help="partition of unity and arc disjointness")
+    sp = sub.add_parser("arcs-check", allow_abbrev=False, help="partition of unity and arc disjointness")
     common(sp)
     sp.add_argument("--N", type=_int_list, default=[16, 64])
     sp.add_argument("--samples", type=_positive_int, default=1000)
     sp.set_defaults(func=_cmd_arcs_check)
 
-    sp = sub.add_parser("coeff-check", help="closed-form coefficients against the oracle")
+    sp = sub.add_parser("coeff-check", allow_abbrev=False, help="closed-form coefficients against the oracle")
     common(sp)
     sp.add_argument("--N", type=int, default=8)
     sp.add_argument("--Q", type=_int_list, default=[1, 2])
@@ -557,13 +556,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid", type=int, default=4096)
     sp.set_defaults(func=_cmd_coeff_check)
 
-    sp = sub.add_parser("ramanujan-check", help="direct vs arithmetic complete sums")
+    sp = sub.add_parser("ramanujan-check", allow_abbrev=False, help="direct vs arithmetic complete sums")
     common(sp)
     sp.add_argument("--qmax", type=int, default=128)
     sp.add_argument("--kmax", type=int, default=2048)
     sp.set_defaults(func=_cmd_ramanujan_check)
 
-    sp = sub.add_parser("divisor-check", help="divisor level-set counting bounds")
+    sp = sub.add_parser("divisor-check", allow_abbrev=False, help="divisor level-set counting bounds")
     common(sp)
     sp.add_argument("--N", type=int, default=100000)
     sp.add_argument("--Q", type=_int_list, default=[16, 64])
@@ -572,20 +571,20 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tau", type=float, default=0.5)
     sp.set_defaults(func=_cmd_divisor_check)
 
-    sp = sub.add_parser("norm-scan", help="l1->linf and l2->l2 operator norms")
+    sp = sub.add_parser("norm-scan", allow_abbrev=False, help="l1->linf and l2->l2 operator norms")
     common(sp)
     sp.add_argument("--N", type=_int_list, default=[16, 32])
     sp.add_argument("--cutoff", choices=["sharp", "smooth"], default="sharp")
     sp.add_argument("--falsify", type=_positive_int, default=50)
     sp.set_defaults(func=_cmd_norm_scan)
 
-    sp = sub.add_parser("sharpness", help="exactness of the extremizer families")
+    sp = sub.add_parser("sharpness", allow_abbrev=False, help="exactness of the extremizer families")
     common(sp)
     sp.add_argument("--N", type=_int_list, default=[8, 12, 16])
     sp.add_argument("--p", type=float, default=2.0)
     sp.set_defaults(func=_cmd_sharpness)
 
-    sp = sub.add_parser("scaling-fit", help="log-log slope of a ratio family")
+    sp = sub.add_parser("scaling-fit", allow_abbrev=False, help="log-log slope of a ratio family")
     common(sp)
     sp.add_argument("--N", type=_int_list, default=[8, 16, 32, 64, 128])
     sp.add_argument("--p", type=_float_list, default=[1.8])
@@ -595,7 +594,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--plot", type=_bool, nargs="?", const=True, default=False)
     sp.set_defaults(func=_cmd_scaling_fit)
 
-    sp = sub.add_parser("separation-probe", help="the q < p doubling obstruction")
+    sp = sub.add_parser("separation-probe", allow_abbrev=False, help="the q < p doubling obstruction")
     common(sp)
     sp.add_argument("--N", type=int, default=8)
     sp.add_argument("--p", type=float, default=2.0)

@@ -252,39 +252,24 @@ def coefficient_decay_report(
     rn_lo, rn_hi = -5 * N * N, 5 * N * N
     r_range = np.arange(-(2 * N - 1), 2 * N)
     sigma = np.asarray(cutoff.value(r_range), dtype=float)
-    if n == 2:
-        for r1, sig in zip(r_range, sigma):
-            if sig == 0.0:
-                continue
-            s = int(r1) * int(r1)
-            # residuals t = s - r_n for r_n in [rn_lo, rn_hi]
-            idx_hi = s - rn_lo - t_lo
-            idx_lo = s - rn_hi - t_lo
-            window = H[idx_lo : idx_hi + 1]
-            i = int(np.argmax(window))
-            val = sig * float(window[i])
-            if val > best:
-                best = val
-                best_r = (int(r1), s - (idx_lo + i + t_lo))
-    else:
-        grids = np.meshgrid(*([r_range] * (n - 1)), indexing="ij")
-        flat = [g.ravel() for g in grids]
-        weights = np.ones(len(flat[0]))
-        ssum = np.zeros(len(flat[0]), dtype=np.int64)
-        for g in flat:
-            weights *= np.asarray(cutoff.value(g), dtype=float)
-            ssum += g.astype(np.int64) ** 2
-        for w, s, *rp in zip(weights, ssum, *flat):
-            if w == 0.0:
-                continue
-            idx_hi = int(s) - rn_lo - t_lo
-            idx_lo = int(s) - rn_hi - t_lo
-            window = H[idx_lo : idx_hi + 1]
-            i = int(np.argmax(window))
-            val = w * float(window[i])
-            if val > best:
-                best = val
-                best_r = tuple(int(c) for c in rp) + (int(s) - (idx_lo + i + t_lo),)
+    grids = np.meshgrid(*([r_range] * (n - 1)), indexing="ij")
+    flat = [g.ravel() for g in grids]
+    weights = np.ones(len(flat[0]))
+    ssum = np.zeros(len(flat[0]), dtype=np.int64)
+    for g in flat:
+        weights *= np.asarray(cutoff.value(g), dtype=float)
+        ssum += g.astype(np.int64) ** 2
+    for w, s, *rp in zip(weights, ssum, *flat):
+        if w == 0.0:
+            continue
+        idx_hi = int(s) - rn_lo - t_lo
+        idx_lo = int(s) - rn_hi - t_lo
+        window = H[idx_lo : idx_hi + 1]
+        i = int(np.argmax(window))
+        val = w * float(window[i])
+        if val > best:
+            best = val
+            best_r = tuple(int(c) for c in rp) + (int(s) - (idx_lo + i + t_lo),)
 
     bound = _decay_bound(spec, params, eps)
     residual = (

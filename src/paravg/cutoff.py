@@ -25,11 +25,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
-from .lattice import LatticeFunction, convolve, reflect
+from .lattice import LatticeFunction, _canonical, _convolve_direct
 from .reports import ExperimentReport
 
 __all__ = [
@@ -180,40 +179,46 @@ def paraboloid_kernel(params: OperatorParams) -> LatticeFunction:
 
     The first n-1 coordinates determine the point, so the support size is
     (#supp sigma)^(n-1) and the sup norm is the largest single weight (= 1).
+    Points come out in ascending order of k = (k_1, ..., k_{n-1}).
     """
     n, cutoff = params.n, params.cutoff
     ks = cutoff.support()
     ws = cutoff.weights()
     if len(ks) ** (n - 1) > 20_000_000:
         raise ValueError("kernel support too large to enumerate")
-    data = {}
-    for combo in product(range(len(ks)), repeat=n - 1):
-        kp = tuple(int(ks[i]) for i in combo)
-        w = float(np.prod([ws[i] for i in combo])) if n > 2 else float(ws[combo[0]])
-        point = kp + (sum(c * c for c in kp),)
-        data[point] = w
-    return LatticeFunction(n, data)
+    combos = np.indices((len(ks),) * (n - 1)).reshape(n - 1, -1)
+    kp = ks[combos].astype(np.int64)
+    weights = ws[combos[0]]
+    for axis in combos[1:]:  # left to right, as a product over the coordinates
+        weights = weights * ws[axis]
+    points = np.concatenate([kp, (kp * kp).sum(axis=0, keepdims=True)]).T
+    return _canonical(n, points, weights.astype(np.complex128))
 
 
 @lru_cache(maxsize=32)
-def _reflected_kernel(params: OperatorParams) -> LatticeFunction:
-    """reflect(paraboloid_kernel(params)), built once per parameter set and shared."""
-    return reflect(paraboloid_kernel(params))
+def _kernel(params: OperatorParams) -> LatticeFunction:
+    """paraboloid_kernel(params), built once per parameter set and shared."""
+    return paraboloid_kernel(params)
 
 
 def average(f: LatticeFunction, params: OperatorParams) -> LatticeFunction:
-    """A f(x) = N^{1-n} sum_k w(k) f(x + (k, |k|^2)).
+    """A f(x) = N^{1-n} sum_k w(k) f(x + (k, |k|^2)), exact on every input.
 
-    Implemented as convolution with the reflected kernel followed by the
-    N^{1-n} normalization, which reproduces the forward-translate convention
-    bit for bit: the convolution is exact on integer-valued f with the sharp
-    cutoff, and the single final division is correctly rounded.  The
-    reflected kernel is cached per OperatorParams (LatticeFunction values are
+    The sum runs directly over every pair of a kernel point and a point of
+    f; there is no FFT fallback, so no roundoff entries appear.  Each output
+    point accumulates its terms in ascending k, and the real and imaginary
+    parts are then divided by N^(n-1) once each, so the result is correctly
+    rounded from the exact sum on integer-valued f with the sharp cutoff.
+    The kernel is cached per OperatorParams (LatticeFunction values are
     immutable, so every call shares it), and points whose average cancels to
     exactly 0 are dropped from the support.
     """
     if f.dim != params.n:
         raise ValueError(f"function dim {f.dim} != operator dim {params.n}")
-    raw = convolve(_reflected_kernel(params), f)
+    kernel = _kernel(params)
+    raw = _convolve_direct(params.n, -kernel._points, kernel._values, f._points, f._values)
     scale = float(params.N ** (params.n - 1))
-    return LatticeFunction._trusted(params.n, ((p, v / scale) for p, v in raw.items()))
+    values = np.empty_like(raw._values)
+    values.real = raw._values.real / scale  # complex / float in NumPy would multiply by 1/scale
+    values.imag = raw._values.imag / scale
+    return _canonical(params.n, raw._points, values)

@@ -1,14 +1,18 @@
 """Finitely supported complex functions on Z^n.
 
 This is the function space everything else acts on: kernels, test functions,
-and averages are all LatticeFunction values.  Functions are immutable; every
-operation returns a new value, so they are safe to share across workers.
+and averages are all LatticeFunction values.  A function is stored as two
+read-only arrays: its distinct support points in lexicographic order and
+their nonzero complex values.  Every function, whether from outside input,
+arithmetic, a symmetry or a convolution, is built by one canonicalizer that
+sorts the points stably, sums repeated points in input order and drops
+exact zeros.  Functions are immutable, so they are safe to share.
 
 Norm and convolution arithmetic is exact on integer-valued inputs: power
 sums for p in {1, 2, inf} accumulate in Python integers when every stored
-amplitude is a Gaussian integer, and the direct convolution path multiplies
-and adds integer-valued doubles without rounding (products stay below 2^53
-at desk scale).
+amplitude is a Gaussian integer, and the direct convolution multiplies and
+adds integer-valued doubles without rounding (products stay below 2^53 at
+desk scale).
 """
 
 from __future__ import annotations
@@ -28,8 +32,6 @@ __all__ = [
     "convolve",
     "reflect",
     "shift",
-    "dumps_text",
-    "loads_text",
 ]
 
 # Largest single array any engine may allocate.  Sizes are checked against it
@@ -49,96 +51,104 @@ def check_alloc(shape, dtype, what: str) -> None:
         )
 
 
+def _canonical(dim: int, points: np.ndarray, values: np.ndarray) -> "LatticeFunction":
+    """The function with amplitude sum(values[i] : points[i] = x) at each x.
+
+    Points are (m, dim) int64 and values (m,) complex.  A stable lexsort
+    keeps repeated points in input order, np.add.at sums them in that order
+    starting from +0.0, and points whose sum is exactly 0 are dropped.
+    """
+    order = np.lexsort(points.T[::-1])
+    points = points[order]
+    new = np.ones(len(points), dtype=bool)
+    new[1:] = np.any(points[1:] != points[:-1], axis=1)
+    sums = np.zeros(int(np.count_nonzero(new)), dtype=np.complex128)
+    np.add.at(sums, np.cumsum(new) - 1, values[order])
+    keep = sums != 0
+    f = object.__new__(LatticeFunction)
+    f.dim = dim
+    f._points = points[new][keep]
+    f._values = sums[keep]
+    f._points.setflags(write=False)
+    f._values.setflags(write=False)
+    return f
+
+
 class LatticeFunction:
     """A finitely supported function Z^n -> C, stored sparsely.
 
-    The internal map holds only nonzero amplitudes; evaluation anywhere else
-    returns exactly 0.  Construction drops exact zeros so the stored support
-    is the true support.
+    `data` is a dict or an iterable of (point, value) pairs; a repeated point
+    gets the sum of its values.  Only nonzero amplitudes are stored, so the
+    stored support is the true support and evaluation anywhere else returns
+    exactly 0.
     """
 
-    __slots__ = ("dim", "_data")
+    __slots__ = ("dim", "_points", "_values")
 
     def __init__(self, dim: int, data: dict | Iterable = ()):
         if dim < 1:
             raise ValueError(f"dimension must be >= 1, got {dim}")
-        items = data.items() if isinstance(data, dict) else data
-        clean: dict[tuple, complex] = {}
-        for point, value in items:
-            point = tuple(int(c) for c in point)
+        items = list(data.items() if isinstance(data, dict) else data)
+        for point, _ in items:
             if len(point) != dim:
-                raise ValueError(f"point {point} has length {len(point)}, expected {dim}")
-            value = complex(value)
-            if value != 0:
-                clean[point] = clean.get(point, 0) + value
-                if clean[point] == 0:
-                    del clean[point]
-        self.dim = dim
-        self._data = clean
-
-    @classmethod
-    def _trusted(cls, dim: int, items) -> "LatticeFunction":
-        """Wrap (point, value) pairs that are already valid, dropping exact zeros.
-
-        Points must be distinct tuples of Python ints of length dim and values
-        Python complex numbers; nothing else is checked.  For internal results
-        built from validated inputs, where revalidation would dominate the cost.
-        """
-        f = object.__new__(cls)
-        f.dim = dim
-        f._data = {p: v for p, v in items if v != 0}
-        return f
+                raise ValueError(f"point {tuple(point)} has length {len(point)}, expected {dim}")
+        points = np.array([[int(c) for c in p] for p, _ in items], dtype=np.int64).reshape(-1, dim)
+        values = np.array([complex(v) for _, v in items], dtype=np.complex128)
+        f = _canonical(dim, points, values)
+        self.dim, self._points, self._values = dim, f._points, f._values
 
     # -- basic queries ------------------------------------------------------
 
     def __call__(self, point) -> complex:
-        return self._data.get(tuple(int(c) for c in point), 0j)
+        point = [int(c) for c in point]
+        if len(point) != self.dim:
+            return 0j
+        lo, hi = 0, len(self._values)
+        for axis, c in enumerate(point):  # narrow the lexicographic range one axis at a time
+            column = self._points[lo:hi, axis]
+            lo, hi = lo + int(np.searchsorted(column, c, "left")), lo + int(np.searchsorted(column, c, "right"))
+        return complex(self._values[lo]) if lo < hi else 0j
 
     def __len__(self) -> int:
-        return len(self._data)
+        return len(self._values)
 
     def __iter__(self) -> Iterator[tuple]:
-        return iter(self._data)
+        return iter(self.support())
 
-    def items(self):
-        return self._data.items()
-
-    def sorted_items(self):
-        return sorted(self._data.items())
+    def items(self) -> list[tuple[tuple, complex]]:
+        """(point, value) pairs in lexicographic order of the points."""
+        return list(zip(self.support(), self._values.tolist()))
 
     def support(self) -> list[tuple]:
-        return list(self._data)
+        return list(map(tuple, self._points.tolist()))
 
     def support_box(self) -> tuple[tuple[int, int], ...]:
         """Per-axis inclusive ranges covering the support; errors if empty."""
-        if not self._data:
+        if not len(self):
             raise ValueError("empty function has no support box")
-        points = np.array(list(self._data), dtype=np.int64)
-        return tuple((int(lo), int(hi)) for lo, hi in zip(points.min(0), points.max(0)))
+        return tuple((int(lo), int(hi)) for lo, hi in zip(self._points.min(0), self._points.max(0)))
 
     def is_integer_valued(self) -> bool:
         """True when every amplitude is a Gaussian integer (exact check)."""
-        for v in self._data.values():
-            if v.real != int(v.real) or v.imag != int(v.imag):
-                return False
-        return True
+        parts = np.concatenate([self._values.real, self._values.imag])
+        return bool(np.all(parts == np.trunc(parts)))
 
     # -- algebra ------------------------------------------------------------
 
     def __add__(self, other: "LatticeFunction") -> "LatticeFunction":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        data = dict(self._data)
-        for p, v in other._data.items():
-            data[p] = data.get(p, 0) + v
-        return LatticeFunction(self.dim, data)
+        return _canonical(
+            self.dim,
+            np.concatenate([self._points, other._points]),
+            np.concatenate([self._values, other._values]),
+        )
 
     def __sub__(self, other: "LatticeFunction") -> "LatticeFunction":
         return self + (-1) * other
 
     def __mul__(self, scalar) -> "LatticeFunction":
-        scalar = complex(scalar)
-        return LatticeFunction(self.dim, {p: scalar * v for p, v in self._data.items()})
+        return _canonical(self.dim, self._points, self._values * complex(scalar))
 
     __rmul__ = __mul__
 
@@ -146,11 +156,12 @@ class LatticeFunction:
         return (
             isinstance(other, LatticeFunction)
             and self.dim == other.dim
-            and self._data == other._data
+            and np.array_equal(self._points, other._points)
+            and np.array_equal(self._values, other._values)
         )
 
     def __repr__(self) -> str:
-        return f"LatticeFunction(dim={self.dim}, nnz={len(self._data)})"
+        return f"LatticeFunction(dim={self.dim}, nnz={len(self)})"
 
     # -- dense interchange ---------------------------------------------------
 
@@ -164,25 +175,20 @@ class LatticeFunction:
         if box is None:
             box = self.support_box()
         lo = np.array([b[0] for b in box], dtype=np.int64)
-        hi = np.array([b[1] for b in box], dtype=np.int64)
-        shape = tuple(int(h - l + 1) for l, h in zip(lo, hi))
+        shape = tuple(int(b[1] - b[0] + 1) for b in box)
+        idx = self._points - lo
+        outside = np.any((idx < 0) | (idx >= np.array(shape, dtype=np.int64)), axis=1)
+        if outside.any():
+            raise ValueError(f"support point {tuple(self._points[np.argmax(outside)].tolist())} outside box {box}")
         out = np.zeros(shape, dtype=np.complex128)
-        for p, v in self._data.items():
-            idx = tuple(int(c - o) for c, o in zip(p, lo))
-            if all(0 <= i < s for i, s in zip(idx, shape)):
-                out[idx] = v
-            else:
-                raise ValueError(f"support point {p} outside box {box}")
+        out[tuple(idx.T)] = self._values
         return out, tuple(int(x) for x in lo)
 
     @staticmethod
     def from_dense(array: np.ndarray, offset) -> "LatticeFunction":
-        offset = tuple(int(c) for c in offset)
-        data = {}
-        for idx in np.argwhere(array != 0):
-            point = tuple(int(i + o) for i, o in zip(idx, offset))
-            data[point] = complex(array[tuple(idx)])
-        return LatticeFunction(array.ndim, data)
+        nonzero = array != 0
+        points = np.argwhere(nonzero) + np.array([int(c) for c in offset], dtype=np.int64)
+        return _canonical(array.ndim, points, array[nonzero].astype(np.complex128))
 
 
 # -- constructors -------------------------------------------------------------
@@ -191,7 +197,7 @@ class LatticeFunction:
 def delta(point, dim: int | None = None) -> LatticeFunction:
     """Unit mass at a single lattice point."""
     point = tuple(int(c) for c in point)
-    return LatticeFunction(dim or len(point), {point: 1.0})
+    return LatticeFunction(dim or len(point), [(point, 1.0)])
 
 
 def box_indicator(lo, hi) -> LatticeFunction:
@@ -203,10 +209,9 @@ def box_indicator(lo, hi) -> LatticeFunction:
     for a, b in zip(lo, hi):
         if a > b:
             raise ValueError(f"empty range: lo {a} > hi {b}")
-    dim = len(lo)
-    grids = np.meshgrid(*[np.arange(a, b + 1) for a, b in zip(lo, hi)], indexing="ij")
+    grids = np.meshgrid(*[np.arange(a, b + 1, dtype=np.int64) for a, b in zip(lo, hi)], indexing="ij")
     points = np.stack([g.ravel() for g in grids], axis=1)
-    return LatticeFunction(dim, {tuple(int(c) for c in row): 1.0 for row in points})
+    return _canonical(len(lo), points, np.ones(len(points), dtype=np.complex128))
 
 
 # -- norms --------------------------------------------------------------------
@@ -221,9 +226,9 @@ def lp_norm(f: LatticeFunction, p) -> float:
     """
     if p != math.inf and p < 1:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
-    if not f._data:
+    if not len(f):
         return 0.0
-    values = list(f._data.values())
+    values = f._values.tolist()
 
     if p == math.inf:
         return math.sqrt(max((v.real * v.real + v.imag * v.imag) for v in values))
@@ -241,18 +246,17 @@ def lp_norm(f: LatticeFunction, p) -> float:
 # -- convolution ---------------------------------------------------------------
 
 
-def _convolve_direct(f: LatticeFunction, g: LatticeFunction) -> LatticeFunction:
-    """Sparse direct summation.  Exact on integer-valued inputs."""
-    pf = np.array(list(f._data), dtype=np.int64)
-    vf = np.array(list(f._data.values()), dtype=np.complex128)
-    pg = np.array(list(g._data), dtype=np.int64)
-    vg = np.array(list(g._data.values()), dtype=np.complex128)
-    sums = (pf[:, None, :] + pg[None, :, :]).reshape(-1, f.dim)
-    prods = (vf[:, None] * vg[None, :]).ravel()
-    uniq, inverse = np.unique(sums, axis=0, return_inverse=True)
-    acc = np.zeros(len(uniq), dtype=np.complex128)
-    np.add.at(acc, inverse, prods)
-    return LatticeFunction._trusted(f.dim, zip(map(tuple, uniq.tolist()), acc.tolist()))
+def _convolve_direct(dim: int, pf, vf, pg, vg) -> LatticeFunction:
+    """Sum of vf[i] vg[j] at pf[i] + pg[j]; pairs are laid out f-major.
+
+    So each output point accumulates its products in the order of f.  Exact
+    on integer-valued inputs.
+    """
+    pairs = len(pf) * len(pg)
+    check_alloc((pairs, dim), np.int64, "direct convolution points")
+    check_alloc((pairs,), np.complex128, "direct convolution values")
+    points = (pf[:, None, :] + pg[None, :, :]).reshape(pairs, dim)
+    return _canonical(dim, points, (vf[:, None] * vg[None, :]).ravel())
 
 
 def _next_pow2(n: int) -> int:
@@ -284,25 +288,22 @@ def _convolve_fft(f: LatticeFunction, g: LatticeFunction) -> LatticeFunction:
     return LatticeFunction.from_dense(conv, tuple(lo))
 
 
-def convolve(f: LatticeFunction, g: LatticeFunction, method: str = "auto") -> LatticeFunction:
+def convolve(f: LatticeFunction, g: LatticeFunction, method: str = "direct") -> LatticeFunction:
     """(f*g)(x) = sum_y f(y) g(x-y), by direct summation or padded FFT.
 
-    `method` is one of "auto", "direct", "fft".  Auto picks direct for small
-    supports (where it is exact) and FFT when the pair count gets large.
+    `method` is "direct" (exact on integer-valued inputs; its pair arrays
+    are checked against the allocation budget first) or "fft" (rounding
+    leaves ~1e-15 entries where the exact result is 0).
     """
     if f.dim != g.dim:
         raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
-    if not f._data or not g._data:
+    if method not in ("direct", "fft"):
+        raise ValueError(f"unknown convolution method {method!r}")
+    if not len(f) or not len(g):
         return LatticeFunction(f.dim)
-    if method == "direct":
-        return _convolve_direct(f, g)
     if method == "fft":
         return _convolve_fft(f, g)
-    if method != "auto":
-        raise ValueError(f"unknown convolution method {method!r}")
-    if len(f) * len(g) <= 1 << 22:
-        return _convolve_direct(f, g)
-    return _convolve_fft(f, g)
+    return _convolve_direct(f.dim, f._points, f._values, g._points, g._values)
 
 
 # -- symmetries ----------------------------------------------------------------
@@ -310,7 +311,7 @@ def convolve(f: LatticeFunction, g: LatticeFunction, method: str = "auto") -> La
 
 def reflect(f: LatticeFunction) -> LatticeFunction:
     """Rf(x) = f(-x).  Involution; preserves every lp norm."""
-    return LatticeFunction(f.dim, {tuple(-c for c in p): v for p, v in f._data.items()})
+    return _canonical(f.dim, -f._points, f._values)
 
 
 def shift(f: LatticeFunction, h) -> LatticeFunction:
@@ -318,36 +319,4 @@ def shift(f: LatticeFunction, h) -> LatticeFunction:
     h = tuple(int(c) for c in h)
     if len(h) != f.dim:
         raise ValueError("shift vector dimension mismatch")
-    return LatticeFunction(
-        f.dim, {tuple(c - d for c, d in zip(p, h)): v for p, v in f._data.items()}
-    )
-
-
-# -- sparse text serialization --------------------------------------------------
-#
-# Format: header line "dim n", then one line per support point:
-#     x_1 ... x_n re im
-# Floats are written with repr, which round-trips exactly.
-
-
-def dumps_text(f: LatticeFunction) -> str:
-    lines = [f"dim {f.dim}"]
-    for point, value in f.sorted_items():
-        coords = " ".join(str(c) for c in point)
-        lines.append(f"{coords} {value.real!r} {value.imag!r}")
-    return "\n".join(lines) + "\n"
-
-
-def loads_text(text: str) -> LatticeFunction:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("dim "):
-        raise ValueError("missing 'dim n' header")
-    dim = int(lines[0].split()[1])
-    data = {}
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != dim + 2:
-            raise ValueError(f"bad line (expected {dim + 2} fields): {ln!r}")
-        point = tuple(int(c) for c in parts[:dim])
-        data[point] = complex(float(parts[dim]), float(parts[dim + 1]))
-    return LatticeFunction(dim, data)
+    return _canonical(f.dim, f._points - np.array(h, dtype=np.int64), f._values)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from paravg import arcs
 from paravg.arcs import (
     ArcSystem,
     BumpLadder,
@@ -54,6 +55,17 @@ def test_bump_psi_shape():
     assert np.all(bump_psi(np.linspace(2.0, 3.0, 101)) == 0.0)
     with pytest.raises(ValueError):
         bump_psi(0.0, m=3)
+
+
+@pytest.mark.parametrize("m", [4, 8, 12])
+def test_bump_psi_equals_the_full_spline(m):
+    # only 1 < |t| < 2 evaluates the spline; elsewhere the full sum is exactly 1 or 0
+    edges = np.array([1.0, 2.0])
+    t = np.concatenate([np.linspace(0.0, 3.0, 3001), edges, np.nextafter(edges, 0.0), np.nextafter(edges, 3.0)])
+    t = np.concatenate([t, -t])
+    full = np.clip(1.0 - arcs._irwin_hall_cdf(m * (np.abs(t) - 1.0), m), 0.0, 1.0)
+    assert np.array_equal(bump_psi(t, m), full)
+    assert [bump_psi(float(x), m) for x in t[-10:]] == full[-10:].tolist()
 
 
 def test_bump_psi_hat_closed_form_vs_quadrature():

@@ -138,6 +138,7 @@ def test_ramanujan_check_rejects_empty_ranges(tmp_path, capsys, argv, flag):
         ["arcs-check", "--samples", "0"],
         ["coeff-check", "--count", "0"],
         ["norm-scan", "--falsify", "0"],
+        ["norm-scan", "--fals", "3"],  # a prefix of a flag is not that flag
         ["scaling-fit", "--iters", "-1"],
     ],
     ids=" ".join,
@@ -214,6 +215,7 @@ def test_bad_config_is_usage_error(tmp_path, capsys):
         ("sharpness", "N="),
         ("scaling-fit", "plot=maybe"),
         ("norm-scan", "falsify=0"),
+        ("norm-scan", "fals=3"),
         ("divisor-check", "D=2,x"),
     ],
     ids=lambda v: v,

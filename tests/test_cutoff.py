@@ -137,8 +137,12 @@ def test_trivial_bound_random():
 
 
 def _public_average(f, params):
-    """The average through public constructors only: a fresh kernel and one division."""
-    raw = convolve(reflect(paraboloid_kernel(params)), f)
+    """The average by dict sums over a fresh kernel in ascending k, then one Python division per value."""
+    raw = {}
+    for k, w in paraboloid_kernel(params).items():
+        for y, v in f.items():
+            z = tuple(a - b for a, b in zip(y, k))
+            raw[z] = raw.get(z, 0j) + w * v
     scale = float(params.N ** (params.n - 1))
     return LatticeFunction(params.n, {p: v / scale for p, v in raw.items()})
 
@@ -173,15 +177,26 @@ def test_average_matches_public_constructor_path(kind, n, N):
         assert af((0, 0)) == 0 and (0, 0) not in af.support()
 
 
+def test_average_exact_on_a_large_input():
+    # 64 kernel points x 67,200 box points is over 2^22 pairs; an FFT at this
+    # size would keep ~1e-15 roundoff entries where the exact average is 0
+    params = OperatorParams.sharp(2, 64)
+    af = average(box_indicator((1, 1), (32, 2100)), params)
+    assert len(paraboloid_kernel(params)) * 32 * 2100 > 1 << 22
+    counts = np.array([v for _, v in af.items()]) * params.N
+    assert np.all(counts.imag == 0)
+    assert np.all(counts.real == np.round(counts.real)) and counts.real.min() >= 1
+
+
 def test_average_shares_one_cached_kernel():
     f = LatticeFunction(2, {(0, 0): 1.0, (3, -2): -0.5, (1, 7): 0.25})
     first, second = OperatorParams.smooth(2, 8), OperatorParams.smooth(2, 8)
     assert first is not second
-    kernel = cutoff._reflected_kernel(first)
+    kernel = cutoff._kernel(first)
     result = average(f, first)
     assert average(f, second) == result
-    assert cutoff._reflected_kernel(second) is kernel
-    assert kernel == reflect(paraboloid_kernel(first))
+    assert cutoff._kernel(second) is kernel
+    assert kernel == paraboloid_kernel(first)
 
 
 def test_average_dimension_mismatch():

@@ -1,4 +1,4 @@
-"""Function-space basics: norms, convolution, reflection, serialization."""
+"""Function-space basics: storage, norms, convolution, reflection."""
 
 import math
 
@@ -10,8 +10,6 @@ from paravg.lattice import (
     box_indicator,
     convolve,
     delta,
-    dumps_text,
-    loads_text,
     lp_norm,
     reflect,
     shift,
@@ -143,14 +141,6 @@ def test_shift_roundtrip():
     assert shift(f, (0, 0)) == f
 
 
-def test_text_serialization_roundtrip_exact():
-    rng = np.random.default_rng(7)
-    f = random_sparse(rng, count=50, complex_vals=True)
-    assert loads_text(dumps_text(f)) == f
-    with pytest.raises(ValueError):
-        loads_text("1 2 3\n")
-
-
 def test_empty_function_behavior():
     f = LatticeFunction(2)
     assert lp_norm(f, 2) == 0.0
@@ -166,6 +156,27 @@ def test_zero_amplitudes_dropped():
     g = f + (-1) * f
     assert len(g) == 0
     assert 0 * f == LatticeFunction(2)
+
+
+def test_repeated_points_sum_in_input_order():
+    # 1e16 + 1 rounds back to 1e16, so the order of the three terms decides the sum
+    big = [((0, 0), 1e16), ((0, 0), -1e16), ((0, 0), 1.0), ((2, 1), 5.0)]
+    assert LatticeFunction(2, big).items() == [((0, 0), 1 + 0j), ((2, 1), 5 + 0j)]
+    cancels = [((0, 0), 1e16), ((0, 0), 1.0), ((0, 0), -1e16), ((2, 1), 5.0)]
+    assert LatticeFunction(2, cancels).items() == [((2, 1), 5 + 0j)]
+
+
+def test_storage_is_sorted_and_read_only():
+    f = LatticeFunction(2, [((3, -1), 2.0), ((-4, 7), 1.0), ((3, -2), -1.0), ((-4, 7), 0.5)])
+    assert f.support() == [(-4, 7), (3, -2), (3, -1)]
+    assert f.items() == sorted(f.items())
+    assert list(f) == f.support()
+    for g in (f, f + f, 2 * f, reflect(f), shift(f, (1, 1)), convolve(f, f), box_indicator((0, 0), (2, 2))):
+        assert g.items() == sorted(g.items())
+        for array in (g._points, g._values):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
 
 
 def test_scalar_dimension_guards():
