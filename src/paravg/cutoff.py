@@ -205,13 +205,13 @@ def average(f: LatticeFunction, params: OperatorParams) -> LatticeFunction:
     """A f(x) = N^{1-n} sum_k w(k) f(x + (k, |k|^2)), exact on every input.
 
     The sum runs directly over every pair of a kernel point and a point of
-    f; there is no FFT fallback, so no roundoff entries appear.  Each output
-    point accumulates its terms in ascending k, and the real and imaginary
-    parts are then divided by N^(n-1) once each, so the result is correctly
-    rounded from the exact sum on integer-valued f with the sharp cutoff.
-    The kernel is cached per OperatorParams (LatticeFunction values are
-    immutable, so every call shares it), and points whose average cancels to
-    exactly 0 are dropped from the support.
+    f, 24 bytes per pair; there is no FFT fallback, so no roundoff entries
+    appear.  Each output point accumulates its terms in ascending k, and the
+    real and imaginary parts are then divided by N^(n-1) once each, so the
+    result is correctly rounded from the exact sum on integer-valued f with
+    the sharp cutoff.  The kernel is cached per OperatorParams
+    (LatticeFunction values are immutable, so every call shares it), and
+    points whose average cancels to exactly 0 are dropped from the support.
     """
     if f.dim != params.n:
         raise ValueError(f"function dim {f.dim} != operator dim {params.n}")

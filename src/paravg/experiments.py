@@ -135,15 +135,14 @@ def _box_intervals_2d(N: int):
     return intervals, inverse.reshape(-1), mult
 
 
-def _interval_squares(A: int, B: int, N: int) -> np.ndarray:
-    """hist[s] = #{k in [A, B] : k^2 = s}, of length N^2 + 1."""
-    ks = np.arange(A, B + 1, dtype=np.int64)
-    return np.bincount(ks * ks, minlength=N * N + 1)
+def _pair_cum(I1: tuple, I2: tuple, N: int) -> np.ndarray:
+    """cum[s] = #{(k1, k2) in I1 x I2 : k1^2 + k2^2 < s} for two k-intervals [A, B].
 
-
-def _pair_cum(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
-    """cum[s] = #{(k1, k2) : k1^2 + k2^2 < s} for two square histograms."""
-    return np.concatenate([[0], np.cumsum(np.convolve(h1, h2))])
+    One bincount of the |I1| |I2| pairwise square sums, O(N^2); length 2N^2 + 2.
+    """
+    s1, s2 = (np.arange(A, B + 1, dtype=np.int64) ** 2 for A, B in (I1, I2))
+    hist = np.bincount((s1[:, None] + s2[None, :]).ravel(), minlength=2 * N * N + 1)
+    return np.concatenate([[0], np.cumsum(hist)])
 
 
 def _pair_row(cum: np.ndarray, x3: np.ndarray, M_n: int) -> np.ndarray:
@@ -162,14 +161,13 @@ def _pair_histograms_3d(N: int, M: int):
     each x_i in [1 - N, M) and the cumulative histogram of each key pair.
     """
     keys = [(max(1, 1 - x1), min(N, M - x1)) for x1 in range(1 - N, M)]
-    base = {key: _interval_squares(*key, N) for key in set(keys)}
     pair_cums = {}
     for k1 in set(keys):
         for k2 in set(keys):
             if (k2, k1) in pair_cums:
                 pair_cums[(k1, k2)] = pair_cums[(k2, k1)]
                 continue
-            pair_cums[(k1, k2)] = _pair_cum(base[k1], base[k2])
+            pair_cums[(k1, k2)] = _pair_cum(k1, k2, N)
     return keys, pair_cums
 
 
@@ -218,9 +216,8 @@ def box_core_is_one(n: int, N: int) -> bool:
     if n == 2:
         _, _, kmin, kmax = _square_runs(1, N * N + 1, M_n)
         return bool(np.all(_run_counts(1, N, kmin, kmax) == full))
-    core = _interval_squares(1, N, N)
     x3 = np.arange(1, N * N + 1, dtype=np.int64)
-    return bool(np.all(_pair_row(_pair_cum(core, core), x3, M_n) == full))
+    return bool(np.all(_pair_row(_pair_cum((1, N), (1, N), N), x3, M_n) == full))
 
 
 def box_power_sum(n: int, N: int, exponent: float) -> float:

@@ -3,10 +3,14 @@
 This is the function space everything else acts on: kernels, test functions,
 and averages are all LatticeFunction values.  A function is stored as two
 read-only arrays: its distinct support points in lexicographic order and
-their nonzero complex values.  Every function, whether from outside input,
-arithmetic, a symmetry or a convolution, is built by one canonicalizer that
-sorts the points stably, sums repeated points in input order and drops
-exact zeros.  Functions are immutable, so they are safe to share.
+their nonzero complex values.  One canonicalizer builds every function.  It
+keys each point by its row-major index in the bounding box of its input, an
+int64 whose order is the lexicographic order, and sums the values per key:
+by np.bincount of the real and imaginary parts when the box has at most
+twice as many cells as terms, else by one stable argsort and np.add.at.
+Both add each point's terms in input order from +0.0, as a stable sort of
+the points does, so the bits do not depend on the branch; exact zeros are
+dropped.  Functions are immutable, so they are safe to share.
 
 Norm and convolution arithmetic is exact on integer-valued inputs: power
 sums for p in {1, 2, inf} accumulate in Python integers when every stored
@@ -18,6 +22,7 @@ desk scale).
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -51,24 +56,46 @@ def check_alloc(shape, dtype, what: str) -> None:
         )
 
 
-def _canonical(dim: int, points: np.ndarray, values: np.ndarray) -> "LatticeFunction":
-    """The function with amplitude sum(values[i] : points[i] = x) at each x.
+def _bounds(points: np.ndarray) -> tuple[list, list]:
+    """Per-axis min and max of (m, dim) points as Python ints; zeros when m = 0."""
+    return (points.min(0).tolist(), points.max(0).tolist()) if len(points) else ([0] * points.shape[1],) * 2
 
-    Points are (m, dim) int64 and values (m,) complex.  A stable lexsort
-    keeps repeated points in input order, np.add.at sums them in that order
-    starting from +0.0, and points whose sum is exactly 0 are dropped.
-    """
-    order = np.lexsort(points.T[::-1])
-    points = points[order]
-    new = np.ones(len(points), dtype=bool)
-    new[1:] = np.any(points[1:] != points[:-1], axis=1)
-    sums = np.zeros(int(np.count_nonzero(new)), dtype=np.complex128)
-    np.add.at(sums, np.cumsum(new) - 1, values[order])
-    keep = sums != 0
+
+def _row_major(lo: list, hi: list) -> tuple[list, list]:
+    """Extents and row-major strides of the box [lo, hi], in Python ints."""
+    extents = [b - a + 1 for a, b in zip(lo, hi)]
+    if math.prod(extents) >= 1 << 63 or min(lo) < -(1 << 63) or max(hi) >= 1 << 63:
+        raise ValueError(f"support box {list(zip(lo, hi))} has {math.prod(extents)} cells, beyond int64 keys")
+    return extents, [math.prod(extents[i + 1 :]) for i in range(len(lo))]
+
+
+def _canonical(dim: int, points: np.ndarray, values: np.ndarray) -> "LatticeFunction":
+    """The function with amplitude sum(values[i] : points[i] = x) at each x; points are (m, dim) int64."""
+    lo, hi = _bounds(points)
+    extents, strides = _row_major(lo, hi)
+    return _reduce(dim, lo, extents, (points - lo) @ strides, values)
+
+
+def _reduce(dim: int, lo: list, extents: list, keys: np.ndarray, values: np.ndarray) -> "LatticeFunction":
+    """Sum values[i] into cell keys[i] of the box at lo, in input order from +0.0; drop exact zeros."""
+    cells = math.prod(extents)
+    if cells <= 2 * len(keys):
+        check_alloc((cells,), np.float64, "canonical histogram")
+        re, im = np.bincount(keys, values.real, cells), np.bincount(keys, values.imag, cells)
+        keys = np.flatnonzero((re != 0) | (im != 0))
+        sums = re[keys].astype(np.complex128)
+        sums.imag = im[keys]
+    else:
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        new = np.ones(len(keys), dtype=bool)
+        new[1:] = keys[1:] != keys[:-1]
+        sums = np.zeros(int(np.count_nonzero(new)), dtype=np.complex128)
+        np.add.at(sums, np.cumsum(new) - 1, values[order])
+        keys, sums = keys[new][sums != 0], sums[sums != 0]
     f = object.__new__(LatticeFunction)
-    f.dim = dim
-    f._points = points[new][keep]
-    f._values = sums[keep]
+    f.dim, f._values = dim, sums
+    f._points = np.array(np.unravel_index(keys, extents)).T + np.array(lo, dtype=np.int64)
     f._points.setflags(write=False)
     f._values.setflags(write=False)
     return f
@@ -228,19 +255,21 @@ def lp_norm(f: LatticeFunction, p) -> float:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
     if not len(f):
         return 0.0
-    values = f._values.tolist()
+    re, im = f._values.real, f._values.imag
 
     if p == math.inf:
-        return math.sqrt(max((v.real * v.real + v.imag * v.imag) for v in values))
+        return math.sqrt(float(np.max(re * re + im * im)))
 
     if f.is_integer_valued():
+        values = f._values.tolist()
         if p == 2:
             total = sum(int(v.real) ** 2 + int(v.imag) ** 2 for v in values)
             return math.sqrt(total)
         if p == 1 and all(v.imag == 0 for v in values):
             return float(sum(abs(int(v.real)) for v in values))
 
-    return float(np.power(math.fsum(abs(v) ** p for v in values), 1.0 / p))
+    # np.hypot is Python's abs of a complex number and math.pow its float **
+    return float(np.power(math.fsum(map(math.pow, np.hypot(re, im).tolist(), repeat(p))), 1.0 / p))
 
 
 # -- convolution ---------------------------------------------------------------
@@ -252,11 +281,13 @@ def _convolve_direct(dim: int, pf, vf, pg, vg) -> LatticeFunction:
     So each output point accumulates its products in the order of f.  Exact
     on integer-valued inputs.
     """
-    pairs = len(pf) * len(pg)
-    check_alloc((pairs, dim), np.int64, "direct convolution points")
-    check_alloc((pairs,), np.complex128, "direct convolution values")
-    points = (pf[:, None, :] + pg[None, :, :]).reshape(pairs, dim)
-    return _canonical(dim, points, (vf[:, None] * vg[None, :]).ravel())
+    (lo_f, hi_f), (lo_g, hi_g) = _bounds(pf), _bounds(pg)
+    lo, hi = [a + b for a, b in zip(lo_f, lo_g)], [a + b for a, b in zip(hi_f, hi_g)]
+    extents, strides = _row_major(lo, hi)
+    check_alloc((len(pf) * len(pg),), np.int64, "direct convolution keys")
+    check_alloc((len(pf) * len(pg),), np.complex128, "direct convolution values")
+    keys = (((pf - lo_f) @ strides)[:, None] + ((pg - lo_g) @ strides)[None, :]).ravel()
+    return _reduce(dim, lo, extents, keys, (vf[:, None] * vg[None, :]).ravel())
 
 
 def _next_pow2(n: int) -> int:
@@ -291,9 +322,10 @@ def _convolve_fft(f: LatticeFunction, g: LatticeFunction) -> LatticeFunction:
 def convolve(f: LatticeFunction, g: LatticeFunction, method: str = "direct") -> LatticeFunction:
     """(f*g)(x) = sum_y f(y) g(x-y), by direct summation or padded FFT.
 
-    `method` is "direct" (exact on integer-valued inputs; its pair arrays
-    are checked against the allocation budget first) or "fft" (rounding
-    leaves ~1e-15 entries where the exact result is 0).
+    `method` is "direct" (exact on integer-valued inputs; 24 bytes per pair,
+    an int64 key in the Minkowski box and a complex product, checked against
+    the allocation budget first) or "fft" (rounding leaves ~1e-15 entries
+    where the exact result is 0).
     """
     if f.dim != g.dim:
         raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")

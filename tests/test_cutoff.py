@@ -1,6 +1,10 @@
 """Cutoff profiles, kernels, and the averaging operator."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,3 +206,19 @@ def test_average_shares_one_cached_kernel():
 def test_average_dimension_mismatch():
     with pytest.raises(ValueError):
         average(delta((0, 0, 0)), OperatorParams.sharp(2, 4))
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_smooth_n3_average_peak_memory():
+    # 8.2M pairs: a key and a product per pair, not a point row and a lexsort order
+    code = (
+        "import resource; from paravg import cutoff, lattice\n"
+        "f = cutoff.average(lattice.box_indicator((1, 1, 1), (12, 12, 108)), cutoff.OperatorParams.smooth(3, 6))\n"
+        "print(len(f), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    src = str(Path(cutoff.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300, check=True)
+    support, peak_kib = map(int, out.stdout.split())
+    assert support == 298_384
+    assert peak_kib <= 450 * 1024

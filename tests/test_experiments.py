@@ -97,6 +97,21 @@ def test_box_counts_3d_match_unshared_histograms(N):
     assert counts.dtype == np.int64 and np.array_equal(counts, _dense_box_counts_3d(N))
 
 
+def _convolved_pair_cum(I1, I2, N: int) -> np.ndarray:
+    """Oracle: the pair histogram as np.convolve of two (N^2 + 1)-long square histograms."""
+    h1, h2 = (np.bincount(np.arange(A, B + 1, dtype=np.int64) ** 2, minlength=N * N + 1) for A, B in (I1, I2))
+    return np.concatenate([[0], np.cumsum(np.convolve(h1, h2))])
+
+
+@pytest.mark.parametrize("N", [4, 8, 16, 24])
+def test_pair_cum_bincount_matches_convolution(N):
+    keys, pair_cums = experiments._pair_histograms_3d(N, 2 * N)
+    assert len(pair_cums) == len(set(keys)) ** 2
+    for (I1, I2), cum in pair_cums.items():
+        want = _convolved_pair_cum(I1, I2, N)
+        assert cum.dtype == want.dtype and np.array_equal(cum, want)
+
+
 def test_box_core_exactness():
     for n in (2, 3):
         for N in range(1, 17):

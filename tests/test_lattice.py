@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from paravg import cutoff, lattice
+from paravg.cutoff import OperatorParams
 from paravg.lattice import (
     LatticeFunction,
     box_indicator,
@@ -186,3 +188,120 @@ def test_scalar_dimension_guards():
         LatticeFunction(2, {(1, 2, 3): 1.0})
     with pytest.raises(ValueError):
         shift(delta((0, 0)), (1,))
+
+
+def _lexsort_canonical(dim, points, values):
+    """The previous canonicalizer: a stable lexsort, np.add.at in input order, zeros dropped."""
+    order = np.lexsort(points.T[::-1])
+    points = points[order]
+    new = np.ones(len(points), dtype=bool)
+    new[1:] = np.any(points[1:] != points[:-1], axis=1)
+    sums = np.zeros(int(np.count_nonzero(new)), dtype=np.complex128)
+    np.add.at(sums, np.cumsum(new) - 1, values[order])
+    keep = sums != 0
+    return points[new][keep], sums[keep]
+
+
+def _assert_canonical_matches(dim, points, values):
+    f = lattice._canonical(dim, points, values)
+    want_points, want_values = _lexsort_canonical(dim, points, values)
+    assert f._points.dtype == np.int64 and f._points.shape == (len(want_values), dim)
+    assert np.array_equal(f._points, want_points)
+    assert f._values.tobytes() == want_values.tobytes()  # signed zeros in a part count too
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("span", [2, 6, 10**4])
+def test_row_major_keys_match_lexsort(dim, span):
+    rng = np.random.default_rng(dim * 31 + span % 97)
+    for count in (0, 1, 7, 200, 3000):
+        points = rng.integers(-span, span + 1, size=(count, dim))
+        values = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+        # sums that cancel to exactly 0, signed zeros and terms whose order decides the sum
+        values[: count // 4] = rng.choice([1e16, -1e16, 1.0, -1.0, 0.0, -0.0], size=count // 4)
+        values[count // 4 : count // 3] = complex(-0.0, -0.0)
+        _assert_canonical_matches(dim, points, values)
+        _assert_canonical_matches(dim, points, values.real.astype(np.complex128))
+
+
+def test_both_reductions_are_used(monkeypatch):
+    calls = []
+    for name in ("bincount", "argsort"):
+        real = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda *a, _real=real, _name=name, **k: calls.append(_name) or _real(*a, **k))
+    box = box_indicator((0, 0, 0), (4, 5, 6))
+    assert set(calls) == {"bincount"} and len(box) == 210
+    calls.clear()
+    far = LatticeFunction(2, [((10**9, 3), 1.0), ((0, -1), 2.0), ((10**9, 3), 0.5)])
+    assert calls == ["argsort"] and far.items() == [((0, -1), 2 + 0j), ((10**9, 3), 1.5 + 0j)]
+    calls.clear()
+    assert convolve(far, far).items() == [((0, -2), 4 + 0j), ((10**9, 2), 6 + 0j), ((2 * 10**9, 6), 2.25 + 0j)]
+    assert calls == ["argsort"]
+
+
+def test_dense_and_sparse_convolution_match_pair_oracle():
+    rng = np.random.default_rng(7)
+    for span in (3, 10**4):
+        f, g = random_sparse(rng, 3, 60, span, True), random_sparse(rng, 3, 40, span, True)
+        points = (f._points[:, None, :] + g._points[None, :, :]).reshape(-1, 3)
+        values = (f._values[:, None] * g._values[None, :]).ravel()
+        want_points, want_values = _lexsort_canonical(3, points, values)
+        h = convolve(f, g)
+        assert np.array_equal(h._points, want_points) and h._values.tobytes() == want_values.tobytes()
+
+
+def test_boxes_beyond_int64_keys_are_refused():
+    with pytest.raises(ValueError, match="support box"):
+        LatticeFunction(3, [((0, 0, 0), 1.0), ((2**40, 2**40, 2**40), 1.0)])
+    for h in (2**62, -(2**62) - 1):  # the sum of the two boxes leaves int64
+        with pytest.raises(ValueError, match="support box"):
+            convolve(delta((h,)), delta((h,)))
+    far = LatticeFunction(1, [((2**61,), 1.0), ((-(2**61),), 2.0)])
+    assert far.items() == [((-(2**61),), 2 + 0j), ((2**61,), 1 + 0j)]
+    assert reflect(far).items() == [((-(2**61),), 1 + 0j), ((2**61,), 2 + 0j)]
+
+
+def test_histogram_is_refused_before_allocating(monkeypatch):
+    points = np.argwhere(np.ones((20, 20), dtype=bool))
+    values = np.ones(len(points), dtype=np.complex128)
+    monkeypatch.setattr(lattice, "ALLOC_BUDGET_BYTES", 8 * len(points) - 1)
+
+    def no_bincount(*args, **kwargs):
+        raise AssertionError("histogram allocated")
+
+    monkeypatch.setattr(np, "bincount", no_bincount)
+    with pytest.raises(ValueError, match="canonical histogram"):
+        lattice._canonical(2, points, values)
+
+
+def _generator_lp_norm(values, p):
+    """The previous general lp_norm path: Python abs and ** per value, then fsum."""
+    values = values.tolist()
+    if p == math.inf:
+        return math.sqrt(max((v.real * v.real + v.imag * v.imag) for v in values))
+    return float(np.power(math.fsum(abs(v) ** p for v in values), 1.0 / p))
+
+
+def _averaged_boxes():
+    for params in (OperatorParams.sharp(2, 24), OperatorParams.sharp(3, 6), OperatorParams.smooth(2, 8)):
+        box = box_indicator((1,) * params.n, (2 * params.N,) * (params.n - 1) + (params.n * params.N**2,))
+        yield cutoff.average(box, params)
+    box = box_indicator((1, 1), (32, 512))
+    yield convolve(reflect(cutoff.paraboloid_kernel(OperatorParams.sharp(2, 16))), box, method="fft")
+    rng = np.random.default_rng(5)
+    for scale in (1e-200, 1.0, 1e100):
+        values = scale * (rng.standard_normal(5000) + 1j * rng.standard_normal(5000))
+        yield LatticeFunction(1, zip(((i,) for i in range(5000)), values))
+
+
+def test_lp_norm_matches_generator_bitwise():
+    for f in _averaged_boxes():
+        for p in (1.5, 1.8, 2.25, 3, math.inf):
+            assert lp_norm(f, p) == _generator_lp_norm(f._values, p)
+    # one point each, so a modulus one ulp off is not averaged away by the sum
+    rng = np.random.default_rng(6)
+    values = (rng.standard_normal(400) + 1j * rng.standard_normal(400)) * 10.0 ** rng.uniform(-80, 80, 400)
+    for v in values.tolist():
+        f = LatticeFunction(1, [((0,), v)])
+        for p in (1.5, 1.8, 2.25, 3, math.inf):
+            assert lp_norm(f, p) == _generator_lp_norm(f._values, p)
