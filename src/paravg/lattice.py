@@ -6,11 +6,11 @@ read-only arrays: its distinct support points in lexicographic order and
 their nonzero complex values.  One canonicalizer builds every function.  It
 keys each point by its row-major index in the bounding box of its input, an
 int64 whose order is the lexicographic order, and sums the values per key:
-by np.bincount of the real and imaginary parts when the box has at most
-twice as many cells as terms, else by one stable argsort and np.add.at.
-Both add each point's terms in input order from +0.0, as a stable sort of
-the points does, so the bits do not depend on the branch; exact zeros are
-dropped.  Functions are immutable, so they are safe to share.
+by np.bincount of the real and imaginary parts when the box has at most 2
+cells per term and fits the budget, else by one stable argsort and
+np.add.at.  Both add each point's terms in input order from +0.0, as a
+stable sort of the points does, so the bits do not depend on the branch;
+exact zeros are dropped.  Functions are immutable, so safe to share.
 
 Norm and convolution arithmetic is exact on integer-valued inputs: power
 sums for p in {1, 2, inf} accumulate in Python integers when every stored
@@ -79,8 +79,8 @@ def _canonical(dim: int, points: np.ndarray, values: np.ndarray) -> "LatticeFunc
 def _reduce(dim: int, lo: list, extents: list, keys: np.ndarray, values: np.ndarray) -> "LatticeFunction":
     """Sum values[i] into cell keys[i] of the box at lo, in input order from +0.0; drop exact zeros."""
     cells = math.prod(extents)
-    if cells <= 2 * len(keys):
-        check_alloc((cells,), np.float64, "canonical histogram")
+    # <= 2 cells per term keeps the two histograms (16 B/cell) within the sort's ~40 B/term
+    if cells <= 2 * len(keys) and 8 * cells <= ALLOC_BUDGET_BYTES:
         re, im = np.bincount(keys, values.real, cells), np.bincount(keys, values.imag, cells)
         keys = np.flatnonzero((re != 0) | (im != 0))
         sums = re[keys].astype(np.complex128)
@@ -107,7 +107,8 @@ class LatticeFunction:
     `data` is a dict or an iterable of (point, value) pairs; a repeated point
     gets the sum of its values.  Only nonzero amplitudes are stored, so the
     stored support is the true support and evaluation anywhere else returns
-    exactly 0.
+    exactly 0.  Points whose bounding box has 2^63 or more cells raise a
+    ValueError: their row-major keys would not fit in int64.
     """
 
     __slots__ = ("dim", "_points", "_values")
@@ -323,9 +324,9 @@ def convolve(f: LatticeFunction, g: LatticeFunction, method: str = "direct") -> 
     """(f*g)(x) = sum_y f(y) g(x-y), by direct summation or padded FFT.
 
     `method` is "direct" (exact on integer-valued inputs; 24 bytes per pair,
-    an int64 key in the Minkowski box and a complex product, checked against
-    the allocation budget first) or "fft" (rounding leaves ~1e-15 entries
-    where the exact result is 0).
+    an int64 key in the Minkowski box, which must have < 2^63 cells, and a
+    complex product, checked against the budget first) or "fft" (rounding
+    leaves ~1e-15 entries where the exact result is 0).
     """
     if f.dim != g.dim:
         raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")

@@ -261,17 +261,17 @@ def test_boxes_beyond_int64_keys_are_refused():
     assert reflect(far).items() == [((-(2**61),), 1 + 0j), ((2**61,), 2 + 0j)]
 
 
-def test_histogram_is_refused_before_allocating(monkeypatch):
-    points = np.argwhere(np.ones((20, 20), dtype=bool))
-    values = np.ones(len(points), dtype=np.complex128)
-    monkeypatch.setattr(lattice, "ALLOC_BUDGET_BYTES", 8 * len(points) - 1)
+def test_histogram_over_budget_takes_the_sort_branch(monkeypatch):
+    rng = np.random.default_rng(8)
+    points = np.argwhere(np.ones((20, 20), dtype=bool))[rng.permutation(800) % 400]
+    values = rng.standard_normal(800) + 1j * rng.standard_normal(800)
+    monkeypatch.setattr(lattice, "ALLOC_BUDGET_BYTES", 8 * 400 - 1)
 
     def no_bincount(*args, **kwargs):
         raise AssertionError("histogram allocated")
 
     monkeypatch.setattr(np, "bincount", no_bincount)
-    with pytest.raises(ValueError, match="canonical histogram"):
-        lattice._canonical(2, points, values)
+    _assert_canonical_matches(2, points, values)
 
 
 def _generator_lp_norm(values, p):
