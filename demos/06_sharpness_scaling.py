@@ -37,7 +37,7 @@ with open(csv_path, "w") as fh:
     fh.write("n,N,p,source,value\n")
     for row in rows:
         fh.write(",".join(map(repr, row)).replace("'", "") + "\n")
-svg = emit_plot(csv_path, "loglog")
+svg = emit_plot(csv_path)
 print(f"\nwrote {csv_path} and {svg}")
 
 thr = sharp_threshold(2)

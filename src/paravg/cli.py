@@ -1,11 +1,17 @@
 """Batch front end: seeded experiment runs, CSV/JSON reports, SVG plots.
 
+A subcommand only computes: it records checks on the list main hands it and
+returns its JSON results and CSV tables.  main then writes every <stem>.csv,
+<command>.json and, under --plot, the SVG; prints "wrote <path>" and
+"status k"; and returns k.  A run that raises writes no report.
+
 Exit status: 0 all checks passed, 1 a hard invariant (exact identity or
-oracle agreement) failed, 2 usage error or a bad parameter (a count below 1
-or a value the library rejects, such as arcs-check --N 5).  Every run embeds
-its full configuration, seed, and library version in the JSON output; reruns
-with an equal config produce byte-identical JSON.  All randomness flows from
-the single --seed through named substreams.
+oracle agreement) failed, 2 usage error or a bad parameter (a count below 1,
+a value the library rejects, such as arcs-check --N 5, or an out-dir that
+cannot be written).  Every run embeds its full configuration, seed, and
+library version in the JSON output; reruns with an equal config produce
+byte-identical JSON.  All randomness flows from the single --seed through
+named substreams.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from . import arcs as arcs_mod
 from . import coefficients as coef_mod
 from . import experiments as exp_mod
 from . import expsums, numtheory
-from .cutoff import CutoffProfile, OperatorParams
+from .cutoff import CutoffProfile, OperatorParams, average
 from .lattice import LatticeFunction, delta, lp_norm, shift
 from .reports import substream_seed
 
@@ -98,41 +104,34 @@ class _Check:
         return 0 if self.ok else INVARIANT_FAILURE
 
 
-def _write_csv(path: Path, rows: list[dict], fieldnames: list[str]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        writer.writerows(rows)
-
-
-def _write_outputs(out_dir: str, name: str, payload: dict, rows=None, fieldnames=None):
-    out = Path(out_dir)
+def _write_report(args, results: dict, tables: dict, checks: _Check) -> str:
+    """Write each table as <stem>.csv (columns from its first row), then <command>.json."""
+    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / f"{name}.json", "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    if rows is not None:
-        _write_csv(out / f"{name}.csv", rows, fieldnames or sorted(rows[0]))
-    return str(out / f"{name}.json")
-
-
-def _payload(args, results: dict, checks: _Check) -> dict:
-    config = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-    return {
+    for stem, rows in tables.items():
+        with open(out / f"{stem}.csv", "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+    payload = {
         "schema_version": 1,
         "library_version": __version__,
-        "config": config,
+        "config": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
         "results": results,
         "checks": checks.lines,
         "status": checks.status,
     }
+    path = out / f"{args.command}.json"
+    with open(path, "w") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+    return str(path)
 
 
 # -- subcommands ----------------------------------------------------------------
 
 
-def _cmd_gauss_check(args) -> int:
-    checks = _Check()
+def _cmd_gauss_check(args, checks: _Check) -> tuple[dict, dict]:
     rng = np.random.default_rng(substream_seed(args.seed, "gauss-check"))
 
     # conjugate symmetry spot check at a fixed probe scale (identity check;
@@ -169,14 +168,11 @@ def _cmd_gauss_check(args) -> int:
     checks.record("seeded rerun identical", rerun.constant == reports[0].constant)
 
     rows = [{"N": N, "constant": repr(c)} for N, c in sorted((int(k), v) for k, v in constants.items())]
-    _write_outputs(args.out_dir, "gauss-check", _payload(args, {"constants": constants}, checks), rows, ["N", "constant"])
-    return checks.status
+    return {"constants": constants}, {"gauss-check": rows}
 
 
-def _cmd_arcs_check(args) -> int:
-    checks = _Check()
-    results = {}
-    Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+def _cmd_arcs_check(args, checks: _Check) -> tuple[dict, dict]:
+    results, tables = {}, {}
     for N in args.N:
         system = arcs_mod.arc_system(N, args.order)
         rng = np.random.default_rng(substream_seed(args.seed, f"arcs-check:{N}"))
@@ -203,18 +199,14 @@ def _cmd_arcs_check(args) -> int:
         worst_split = max(abs(d) for d in (whole - (maj + mino)).tolist())
         checks.record(f"N={N}: maj + min == whole <= 1e-12", worst_split <= 1e-12, f"max {worst_split:.2e}")
         results[str(N)] = {"partition_max_dev": worst_pu, "split_max_dev": worst_split}
-        table = [
+        tables[f"arc-table-N{N}"] = [
             {"q": q, "a": a, "center": repr(a / q), "radius": repr(1.0 / (q * N)), "scales": " ".join(map(str, lad.scales))}
             for (q, a), lad in sorted(system.ladders.items())
         ]
-        _write_csv(Path(args.out_dir) / f"arc-table-N{N}.csv", table, ["q", "a", "center", "radius", "scales"])
-
-    _write_outputs(args.out_dir, "arcs-check", _payload(args, results, checks))
-    return checks.status
+    return results, tables
 
 
-def _cmd_coeff_check(args) -> int:
-    checks = _Check()
+def _cmd_coeff_check(args, checks: _Check) -> tuple[dict, dict]:
     rng = np.random.default_rng(substream_seed(args.seed, "coeff-check"))
     params = OperatorParams.smooth(args.n, args.N, args.ramp_order)
     N = args.N
@@ -264,45 +256,30 @@ def _cmd_coeff_check(args) -> int:
         worst_par = max(worst_par, val)
     checks.record("paraboloid vanishing <= 1e-13", worst_par <= 1e-13, f"max {worst_par:.2e}")
 
-    _write_outputs(
-        args.out_dir,
-        "coeff-check",
-        _payload(args, {"worst_rel": worst_rel, "worst_paraboloid": worst_par}, checks),
-        rows,
-        ["kind", "Q", "l", "r", "closed", "oracle", "rel_err"],
-    )
-    return checks.status
+    return {"worst_rel": worst_rel, "worst_paraboloid": worst_par}, {"coeff-check": rows}
 
 
-def _cmd_ramanujan_check(args) -> int:
+def _cmd_ramanujan_check(args, checks: _Check) -> tuple[dict, dict]:
     if args.qmax < 2 or args.kmax < 0:
         raise ValueError(f"ramanujan-check needs --qmax >= 2 and --kmax >= 0 (got {args.qmax}, {args.kmax})")
-    checks = _Check()
     ks = np.arange(-args.kmax, args.kmax + 1)
-    table = None
-    detail = ""
     try:
-        table = numtheory.ramanujan_table(args.qmax, ks)
-        agree = True
+        table, agree, detail = numtheory.ramanujan_table(args.qmax, ks), True, ""
     except AssertionError as exc:
-        agree, detail = False, str(exc)
-    checks.record(
-        f"direct == Moebius for q <= {args.qmax}, |k| <= {args.kmax}", agree, detail
-    )
+        table, agree, detail = None, False, str(exc)
+    checks.record(f"direct == Moebius for q <= {args.qmax}, |k| <= {args.kmax}", agree, detail)
     results = {"q_max": args.qmax, "k_max": args.kmax}
-    if agree and table is not None:
+    if agree:
         phi_ok = all(
             int(table[q - 1, args.kmax]) == len(arcs_mod.totatives(q))
             for q in range(2, args.qmax + 1)
         )
         results["c_phi_check"] = bool(phi_ok)
         checks.record("c_q(0) equals phi(q)", phi_ok)
-    _write_outputs(args.out_dir, "ramanujan-check", _payload(args, results, checks))
-    return checks.status
+    return results, {}
 
 
-def _cmd_divisor_check(args) -> int:
-    checks = _Check()
+def _cmd_divisor_check(args, checks: _Check) -> tuple[dict, dict]:
     rows = []
     worst = 0.0
     for Q in args.Q:
@@ -321,18 +298,10 @@ def _cmd_divisor_check(args) -> int:
         zero, _ = numtheory.divisor_level_count(args.N, Q, float(Q))
         checks.record(f"D >= Q forces zero count at Q={Q}", zero == 0)
     checks.record("level-set ratio recorded", math.isfinite(worst), f"max {worst:.4f}")
-    _write_outputs(
-        args.out_dir,
-        "divisor-check",
-        _payload(args, {"max_ratio": worst}, checks),
-        rows,
-        ["N", "Q", "D", "count", "ratio"],
-    )
-    return checks.status
+    return {"max_ratio": worst}, {"divisor-check": rows}
 
 
-def _cmd_norm_scan(args) -> int:
-    checks = _Check()
+def _cmd_norm_scan(args, checks: _Check) -> tuple[dict, dict]:
     results = {}
     for N in args.N:
         params = (
@@ -360,12 +329,10 @@ def _cmd_norm_scan(args) -> int:
             f"max {worst:.6f} vs {value:.6f}",
         )
         results[str(N)] = {"l1_linf": l1, "l2_l2": value, "certificate": report.values["rayleigh_certificate"]}
-    _write_outputs(args.out_dir, "norm-scan", _payload(args, results, checks))
-    return checks.status
+    return results, {}
 
 
-def _cmd_sharpness(args) -> int:
-    checks = _Check()
+def _cmd_sharpness(args, checks: _Check) -> tuple[dict, dict]:
     results = {}
     for N in args.N:
         params = OperatorParams.sharp(args.n, N)
@@ -379,17 +346,11 @@ def _cmd_sharpness(args) -> int:
             f"{ratio!r}",
         )
         results[str(N)] = {"delta_ratio": ratio, "box_core_one": ok_box}
-    _write_outputs(args.out_dir, "sharpness", _payload(args, results, checks))
-    return checks.status
+    return results, {}
 
 
-def _default_tol(source: str) -> float:
-    return 0.05 if source == "delta" else 0.15
-
-
-def _cmd_scaling_fit(args) -> int:
-    checks = _Check()
-    tol = args.tol if args.tol is not None else _default_tol(args.source)
+def _cmd_scaling_fit(args, checks: _Check) -> tuple[dict, dict]:
+    tol = args.tol if args.tol is not None else (0.05 if args.source == "delta" else 0.15)
     rows = []
     results = {}
     for p in args.p:
@@ -402,27 +363,15 @@ def _cmd_scaling_fit(args) -> int:
             f"slope {fit.slope:.4f}",
         )
         results[str(p)] = {"slope": fit.slope, "target": fit.target, "values": fit.values, "Ns": fit.Ns}
-    path = _write_outputs(
-        args.out_dir, "scaling-fit", _payload(args, results, checks), rows, ["n", "N", "p", "source", "value"]
-    )
-    if args.plot:
-        svg = emit_plot(Path(args.out_dir) / "scaling-fit.csv", "loglog")
-        print(f"wrote {svg}")
-    else:
-        print(f"wrote {path}")
-    return checks.status
+    return results, {"scaling-fit": rows}
 
 
-def _cmd_separation_probe(args) -> int:
-    checks = _Check()
+def _cmd_separation_probe(args, checks: _Check) -> tuple[dict, dict]:
     params = OperatorParams.sharp(args.n, args.N)
     f = delta((0,) * args.n)
     shifts = [tuple([m * 10 * args.N**2] + [0] * (args.n - 1)) for m in (1, 2, 4)]
     report = exp_mod.two_bump_separation_probe(f, shifts, args.p, args.q, params)
-
-    from .cutoff import average as _avg
-
-    af = _avg(f, params)
+    af = average(f, params)
     base_p, base_q = lp_norm(f, args.p), lp_norm(af, args.q)
     exact = True
     for h in shifts:
@@ -439,24 +388,20 @@ def _cmd_separation_probe(args) -> int:
         worst <= 1e-12,
         f"max dev {worst:.2e}",
     )
-    _write_outputs(args.out_dir, "separation-probe", _payload(args, {"gain": expected}, checks))
-    return checks.status
+    return {"gain": expected}, {}
 
 
 # -- SVG plotting -----------------------------------------------------------------
 
 
-def emit_plot(csv_path, kind: str, out_path=None) -> str:
-    """Render a CSV produced by a run into a self-contained SVG.
+def emit_plot(csv_path, out_path=None) -> str:
+    """Render a scaling-fit CSV into a self-contained log-log SVG.
 
-    kind "loglog" plots value against N on log axes and overlays the
-    predicted slope as a dashed reference through the first data point;
-    kind "profile" is a linear polyline of (x, value) rows.  Deterministic:
-    equal CSV bytes give equal SVG bytes.
+    Plots value against N on log axes and overlays the predicted slope as a
+    dashed reference through the first data point.  Deterministic: equal CSV
+    bytes give equal SVG bytes.
     """
     csv_path = Path(csv_path)
-    if kind not in ("loglog", "profile"):
-        raise ValueError(f"unknown plot kind {kind!r}")
     with open(csv_path) as fh:
         rows = list(csv.DictReader(fh))
     if not rows:
@@ -468,24 +413,15 @@ def emit_plot(csv_path, kind: str, out_path=None) -> str:
         return " ".join(f"{x:.3f},{y:.3f}" for x, y in points)
 
     try:
-        if kind == "loglog":
-            xs = [math.log(float(r["N"])) for r in rows]
-            ys = [math.log(float(r["value"])) for r in rows]
-            n = int(rows[0]["n"])
-            p = float(rows[0]["p"])
-            slope = exp_mod.target_slope(n, p, rows[0].get("source", "box"))
-            ref_ys = [ys[0] + slope * (x - xs[0]) for x in xs]
-            label = f"reference slope {slope:.4f}"
-        else:
-            xs = [float(r["x"]) for r in rows]
-            ys = [float(r["value"]) for r in rows]
-            ref_ys = None
-            label = ""
+        xs = [math.log(float(r["N"])) for r in rows]
+        ys = [math.log(float(r["value"])) for r in rows]
+        slope = exp_mod.target_slope(int(rows[0]["n"]), float(rows[0]["p"]), rows[0].get("source", "box"))
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed CSV for {kind} plot: {exc}") from exc
+        raise ValueError(f"malformed CSV for a log-log plot: {exc}") from exc
+    ref_ys = [ys[0] + slope * (x - xs[0]) for x in xs]
 
     x_lo, x_hi = min(xs), max(xs)
-    all_y = ys + (ref_ys or [])
+    all_y = ys + ref_ys
     y_lo, y_hi = min(all_y), max(all_y)
     x_span = (x_hi - x_lo) or 1.0
     y_span = (y_hi - y_lo) or 1.0
@@ -503,14 +439,14 @@ def emit_plot(csv_path, kind: str, out_path=None) -> str:
     for x, y in zip(xs, ys):
         px, py = to_px(x, y)
         parts.append(f'<circle cx="{px:.3f}" cy="{py:.3f}" r="3" fill="black"/>')
-    if ref_ys is not None:
-        parts.append(
-            f'<polyline fill="none" stroke="gray" stroke-width="1" stroke-dasharray="6,4" '
-            f'points="{poly([to_px(x, y) for x, y in zip(xs, ref_ys)])}"/>'
-        )
-        parts.append(
-            f'<text x="{margin}" y="{margin - 12}" font-family="monospace" font-size="12">{label}</text>'
-        )
+    parts.append(
+        f'<polyline fill="none" stroke="gray" stroke-width="1" stroke-dasharray="6,4" '
+        f'points="{poly([to_px(x, y) for x, y in zip(xs, ref_ys)])}"/>'
+    )
+    parts.append(
+        f'<text x="{margin}" y="{margin - 12}" font-family="monospace" font-size="12">'
+        f"reference slope {slope:.4f}</text>"
+    )
     parts.append("</svg>")
     out_path = Path(out_path) if out_path else csv_path.with_suffix(".svg")
     with open(out_path, "w") as fh:
@@ -626,16 +562,25 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 
+    checks = _Check()
     try:
-        status = args.func(args)
+        results, tables = args.func(args, checks)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (AssertionError, RuntimeError) as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return INVARIANT_FAILURE
-    print(f"status {status}")
-    return status
+    try:
+        path = _write_report(args, results, tables, checks)
+        if getattr(args, "plot", False):
+            path = emit_plot(Path(args.out_dir) / f"{args.command}.csv")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    print(f"wrote {path}")
+    print(f"status {checks.status}")
+    return checks.status
 
 
 if __name__ == "__main__":

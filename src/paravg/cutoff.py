@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import LatticeFunction, _canonical, _convolve_direct
+from .lattice import LatticeFunction, _canonical, _convolve_direct, _from_sorted
 from .reports import ExperimentReport
 
 __all__ = [
@@ -221,4 +221,10 @@ def average(f: LatticeFunction, params: OperatorParams) -> LatticeFunction:
     values = np.empty_like(raw._values)
     values.real = raw._values.real / scale  # complex / float in NumPy would multiply by 1/scale
     values.imag = raw._values.imag / scale
-    return _canonical(params.n, raw._points, values)
+    # the points are distinct and sorted already: drop what underflowed to 0
+    # (indexing the column-major points only then), and + 0.0 turns a -0.0
+    # part into +0.0, as a sum from +0.0 would
+    points, keep = raw._points, values != 0
+    if not keep.all():
+        points, values = points[keep], values[keep]
+    return _from_sorted(params.n, points, values + 0.0)

@@ -365,9 +365,7 @@ def _box_packet_quotient(params: OperatorParams, width: int = 8) -> float:
                 wt = (w1[:, None] * w2[None, :]).ravel()
                 hist = np.bincount(sq, weights=wt)
                 cum = np.concatenate([[0.0], np.cumsum(hist)])
-                top = np.clip(M_n - x_last + 1, 0, len(cum) - 1)
-                bot = np.clip(1 - x_last, 0, len(cum) - 1)
-                row = cum[top] - cum[bot]
+                row = _pair_row(cum, x_last, M_n)
                 total_sq += float(np.sum(row * row))
 
     norm_af = math.sqrt(total_sq) / N ** (n - 1)

@@ -93,9 +93,13 @@ def _reduce(dim: int, lo: list, extents: list, keys: np.ndarray, values: np.ndar
         sums = np.zeros(int(np.count_nonzero(new)), dtype=np.complex128)
         np.add.at(sums, np.cumsum(new) - 1, values[order])
         keys, sums = keys[new][sums != 0], sums[sums != 0]
+    return _from_sorted(dim, np.array(np.unravel_index(keys, extents)).T + np.array(lo, dtype=np.int64), sums)
+
+
+def _from_sorted(dim: int, points: np.ndarray, values: np.ndarray) -> "LatticeFunction":
+    """The function on distinct, lexicographically sorted points with nonzero values, taken as is."""
     f = object.__new__(LatticeFunction)
-    f.dim, f._values = dim, sums
-    f._points = np.array(np.unravel_index(keys, extents)).T + np.array(lo, dtype=np.int64)
+    f.dim, f._points, f._values = dim, points, values
     f._points.setflags(write=False)
     f._values.setflags(write=False)
     return f

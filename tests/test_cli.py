@@ -1,5 +1,6 @@
 """Batch front end: subcommands, exit codes, reports, determinism, plots."""
 
+import hashlib
 import json
 import time
 
@@ -284,26 +285,20 @@ def test_emit_plot_loglog_deterministic(tmp_path, capsys):
     run(["scaling-fit", "--n", "2", "--p", "2.0", "--N", "8,16,32,64",
          "--source", "delta", "--out-dir", str(out)])
     capsys.readouterr()
-    svg1 = cli.emit_plot(out / "scaling-fit.csv", "loglog", out / "p1.svg")
-    svg2 = cli.emit_plot(out / "scaling-fit.csv", "loglog", out / "p2.svg")
+    svg1 = cli.emit_plot(out / "scaling-fit.csv", out / "p1.svg")
+    svg2 = cli.emit_plot(out / "scaling-fit.csv", out / "p2.svg")
     b1 = (out / "p1.svg").read_bytes()
     assert b1 == (out / "p2.svg").read_bytes()
     assert b"svg" in b1 and b"dasharray" in b1  # reference slope drawn dashed
     assert "p1.svg" in svg1 and "p2.svg" in svg2
 
 
-def test_emit_plot_rejects_empty_and_unknown(tmp_path):
+def test_emit_plot_rejects_empty_csv(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("n,N,p,source,value\n")
     with pytest.raises(ValueError):
-        cli.emit_plot(empty, "loglog")
+        cli.emit_plot(empty)
     assert not (tmp_path / "empty.svg").exists()
-    ok = tmp_path / "ok.csv"
-    ok.write_text("x,value\n0,1\n1,2\n")
-    with pytest.raises(ValueError):
-        cli.emit_plot(ok, "sideways")
-    cli.emit_plot(ok, "profile")
-    assert (tmp_path / "ok.svg").exists()
 
 
 def test_scaling_fit_l2_target_is_zero(tmp_path, capsys):
@@ -348,4 +343,96 @@ def test_emit_plot_malformed_csv(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("foo,bar\n1,2\n")
     with pytest.raises(ValueError, match="malformed"):
-        cli.emit_plot(bad, "loglog")
+        cli.emit_plot(bad)
+
+
+ARC_HEADER = "q,a,center,radius,scales"
+# each subcommand at a small size, with the header of every CSV the README lists for it
+REPORTS = [
+    (["gauss-check", "--N", "16,32", "--samples", "200", "--dirichlet-samples", "200"],
+     {"gauss-check.csv": "N,constant"}),
+    (["arcs-check", "--N", "16,64", "--samples", "10"],
+     {"arc-table-N16.csv": ARC_HEADER, "arc-table-N64.csv": ARC_HEADER}),
+    (["coeff-check", "--N", "8", "--count", "3"],
+     {"coeff-check.csv": "kind,Q,l,r,closed,oracle,rel_err"}),
+    (["ramanujan-check", "--qmax", "8", "--kmax", "8"], {}),
+    (["divisor-check", "--N", "1000", "--Q", "8", "--D", "2,4"],
+     {"divisor-check.csv": "N,Q,D,count,ratio"}),
+    (["norm-scan", "--N", "8", "--falsify", "2"], {}),
+    (["sharpness", "--N", "8"], {}),
+    (["scaling-fit", "--source", "delta", "--N", "8,16,32,64"],
+     {"scaling-fit.csv": "n,N,p,source,value"}),
+    (["separation-probe", "--N", "4"], {}),
+]
+
+
+@pytest.mark.parametrize("argv, headers", REPORTS, ids=[argv[0] for argv, _ in REPORTS])
+def test_report_contract(tmp_path, capsys, argv, headers):
+    # one report per run: <command>.json plus the CSVs the README lists, then
+    # the check lines, "wrote <json>" and "status k" on stdout
+    command, out = argv[0], tmp_path / "o"
+    assert run(argv + ["--out-dir", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted([f"{command}.json", *headers])
+    for name, header in headers.items():
+        assert (out / name).read_text().splitlines()[0] == header
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == [f"wrote {out / f'{command}.json'}", "status 0"]
+    assert lines[:-2] and all(line.startswith("[PASS] ") for line in lines[:-2])
+    assert json.loads((out / f"{command}.json").read_text())["status"] == 0
+
+
+def test_failed_run_writes_no_report(tmp_path, capsys):
+    # N=5 is refused after the N=64 table is computed; nothing may be written
+    out = tmp_path / "o"
+    assert run(["arcs-check", "--N", "64,5", "--samples", "10", "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "wrote" not in captured.out
+    assert not out.exists()
+
+
+def test_unwritable_out_dir_is_usage_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert run(["sharpness", "--N", "8", "--out-dir", str(blocker / "sub")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "invariant failure" not in captured.err
+    assert "wrote" not in captured.out and "status" not in captured.out
+
+
+# sha256 of each report file, the JSON with its out-dir string replaced; the
+# values do not depend on the platform.  The JSON embeds the library version.
+REPORT_DIGESTS = {
+    "sharpness.json": "63d85ec3b4eb9fb41670d3628faee9ae920530c274b34379577fc308b1e8f2e5",
+    "divisor-check.csv": "0c7a48fa30a7ded0d20ef9ee9c0c95ff7ebacdef50183134e030abb46a288b60",
+    "divisor-check.json": "c88f5277e033ba68ba87d3fa997919e04de725486ff0002a3a843a564eccbf8a",
+    "ramanujan-check.json": "570b9b3c2e3ebf9f1ba9a5e4c93f1dd6b7ecc9f0eb7ac655af2787002a5327c1",
+    "separation-probe.json": "43f20f9c8b85e32a6db97432e23d41b70ada8fb86262dd6edaf6d36dc9616dc5",
+    "scaling-fit.csv": "4e275960c4236e1eb97852ab99ae3067d2c4a313b6a16d66f853c2bbb89b98e2",
+    "scaling-fit.json": "5b2ac50768e7cbcce59ae22af63d50322813b0fede2e8f5b3d9cca5478b6b3f1",
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sharpness", "--N", "8,12"],
+        ["divisor-check", "--N", "20000", "--Q", "8,16", "--D", "2,4,8"],
+        ["ramanujan-check", "--qmax", "32", "--kmax", "64"],
+        ["separation-probe", "--N", "8"],
+        ["scaling-fit", "--source", "delta", "--N", "8,16,32,64"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_report_bytes_pinned(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert run(argv + ["--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    files = sorted(out.iterdir())
+    assert files and all(p.name in REPORT_DIGESTS for p in files)
+    for path in files:
+        data = path.read_bytes()
+        if path.suffix == ".json":
+            quoted = json.dumps(str(out)).encode()
+            assert data.count(quoted) == 1
+            data = data.replace(quoted, b'"<out-dir>"')
+        assert hashlib.sha256(data).hexdigest() == REPORT_DIGESTS[path.name], path.name

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from paravg import cutoff
+from paravg import cutoff, lattice
 from paravg.cutoff import (
     RAMP_SUP_CONSTANT,
     RAMP_TV_CONSTANT,
@@ -179,6 +179,40 @@ def test_average_matches_public_constructor_path(kind, n, N):
         assert all(type(v) is complex and v != 0 for _, v in af.items())
     if n == 2:
         assert af((0, 0)) == 0 and (0, 0) not in af.support()
+
+
+def _double_canonical_average(f, params):
+    """The average with its divided values canonicalized a second time, as built before the mask."""
+    kernel = cutoff._kernel(params)
+    raw = lattice._convolve_direct(params.n, -kernel._points, kernel._values, f._points, f._values)
+    scale = float(params.N ** (params.n - 1))
+    values = np.empty_like(raw._values)
+    values.real = raw._values.real / scale
+    values.imag = raw._values.imag / scale
+    return lattice._canonical(params.n, raw._points, values)
+
+
+def _assert_same_bits(f, g):
+    assert f._points.dtype == g._points.dtype and f._points.shape == g._points.shape
+    assert f._points.tobytes() == g._points.tobytes()
+    assert f._values.dtype == g._values.dtype and f._values.tobytes() == g._values.tobytes()
+
+
+@pytest.mark.parametrize("kind, n, N", [("sharp", 2, 24), ("sharp", 3, 6), ("smooth", 2, 8), ("sharp", 2, 16)])
+def test_average_bits_equal_the_double_canonical_form(kind, n, N):
+    # the dense boxes of the averaging benchmark, unshifted
+    params = OperatorParams.sharp(n, N) if kind == "sharp" else OperatorParams.smooth(n, N)
+    box = box_indicator((1,) * n, (2 * N,) * (n - 1) + (n * N * N,))
+    _assert_same_bits(average(box, params), _double_canonical_average(box, params))
+
+
+def test_average_drops_underflow_and_negative_zero():
+    # at N=2 each value is halved: 5e-324 underflows to 0 and -5e-324 to -0.0
+    f = LatticeFunction(2, {(0, 0): complex(1, -5e-324), (5, 0): 5e-324})
+    params = OperatorParams.sharp(2, 2)
+    af = average(f, params)
+    _assert_same_bits(af, _double_canonical_average(f, params))
+    assert len(af) == 2 and not np.any(np.signbit(af._values.imag))
 
 
 def test_average_exact_on_a_large_input():
