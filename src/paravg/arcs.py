@@ -27,6 +27,13 @@ and pieces p_l(u) = psi(S_l u) - psi(S_(l+1) u) plus the core psi(N^2 u).
 The pieces telescope to psi(N q u) exactly, hence sum to 1 for
 |u| <= 1/(Nq) to machine precision for every (q, N); a plain dyadic stack
 closes exactly only when N/q is a power of two.
+
+One ladder sum.  ArcSystem.terms maps a PieceSpec to the ladder level it
+reads and the ladders it sums: a core piece takes "core" on its whole
+block, a dyadic piece (Q, l) takes l on the block's ladders that carry l,
+and maj/min take the telescoped level "total", psi(N q u), on every ladder.
+piece_weight sums eta and piece_hat sums eta_hat over them, so every piece
+weight, the arc weight W(t) and every piece or maj coefficient is one sum.
 """
 
 from __future__ import annotations
@@ -221,7 +228,9 @@ class BumpLadder:
     """Per-fraction dyadic bump family with exact telescoping.
 
     Levels are the integers 0..top_level (dyadic scales S_l = 2^l N q) plus
-    "core" (scale N^2).  The mean-zero bumps subtract the translate by
+    "core" (scale N^2); levels() lists these, the partition of the arc.
+    The level "total" is their sum, the bump psi(N q u) the ladder
+    telescopes to.  The mean-zero bumps subtract the translate by
     shift = 3/(Nq).
     """
 
@@ -249,31 +258,32 @@ class BumpLadder:
     def levels(self) -> list:
         return list(range(self.top_level + 1)) + ["core"]
 
-    def _check_level(self, level):
+    def _level_scales(self, level) -> tuple[int, int | None]:
+        """(outer, inner) scales: the level's piece is psi(outer u) - psi(inner u); core and total have no inner."""
         if level == "core":
-            return
+            return self.scales[-1], None
+        if level == "total":
+            return self.scales[0], None
         if not (isinstance(level, int) and 0 <= level <= self.top_level):
             raise ValueError(f"level {level!r} not in this ladder (top {self.top_level})")
+        return self.scales[level], self.scales[level + 1]
 
     def piece(self, level, u):
-        """Ladder piece p_level(u); the pieces plus the core telescope to psi(Nq u)."""
-        self._check_level(level)
+        """Ladder piece p_level(u); the pieces plus the core telescope to psi(Nq u), the total."""
+        outer, inner = self._level_scales(level)
         u = np.asarray(u, dtype=float)
-        if level == "core":
-            return bump_psi(self.N * self.N * u, self.order)
-        return bump_psi(self.scales[level] * u, self.order) - bump_psi(
-            self.scales[level + 1] * u, self.order
-        )
+        out = bump_psi(outer * u, self.order)
+        return out if inner is None else out - bump_psi(inner * u, self.order)
 
     def piece_hat(self, level, t):
-        self._check_level(level)
+        outer, inner = self._level_scales(level)
         t = np.asarray(t, dtype=float)
-        if level == "core":
-            s = float(self.N * self.N)
-            return bump_psi_hat(t / s, self.order) / s
-        s0 = float(self.scales[level])
-        s1 = float(self.scales[level + 1])
-        return bump_psi_hat(t / s0, self.order) / s0 - bump_psi_hat(t / s1, self.order) / s1
+        s0 = float(outer)
+        out = bump_psi_hat(t / s0, self.order) / s0
+        if inner is None:
+            return out
+        s1 = float(inner)
+        return out - bump_psi_hat(t / s1, self.order) / s1
 
     def eta(self, level, xi):
         """Mean-zero bump at this fraction: piece minus its 3/(Nq) translate."""
@@ -300,31 +310,25 @@ class BumpLadder:
         return pu - pv
 
     def eta_hat(self, level, t):
-        """Closed-form transform: piece_hat(t) [e((a/q)t) - e((a/q + 3/(Nq))t)].
+        """Closed-form transform at integer t: piece_hat(t) [e((a/q)t) - e((a/q + 3/(Nq))t)].
 
-        For integer t the two phases are reduced as exact rationals before
+        The two phases are reduced as exact rationals in int64 before
         exponentiation, so the value is reliable for |t| far beyond where
-        double-precision products of a/q with t lose digits.  At t = 0 the
-        bracket vanishes identically (the mean-zero property).
+        double-precision products of a/q with t lose digits; once
+        max(a, 3) |t| >= 2^62 the reduction could wrap, and OverflowError is
+        raised instead.  At t = 0 the bracket vanishes identically (the
+        mean-zero property).
         """
         a, q, N = self.frac.a, self.frac.q, self.N
         t_arr = np.asarray(t)
-        if np.issubdtype(t_arr.dtype, np.integer):
-            ti = t_arr.astype(np.int64)
-            if ti.size and max(a, 3) * int(np.max(np.abs(ti))) >= 2**62:
-                raise OverflowError("integer frequency too large for exact phases")
-            r1 = ((a * ti) % q) / q
-            r2 = ((3 * ti) % (N * q)) / (N * q)
-            bracket = e1(r1) - e1(r1 + r2)
-        else:
-            tf = t_arr.astype(np.longdouble)
-            ph1 = np.asarray((np.longdouble(a) / q * tf) % 1.0, dtype=float)
-            ph2 = np.asarray(
-                ((np.longdouble(a) / q + np.longdouble(3.0) / (N * q)) * tf) % 1.0,
-                dtype=float,
-            )
-            bracket = e1(ph1) - e1(ph2)
-        out = self.piece_hat(level, np.asarray(t, dtype=float)) * bracket
+        if not np.issubdtype(t_arr.dtype, np.integer):
+            raise ValueError("eta_hat takes integer frequencies")
+        ti = t_arr.astype(np.int64)
+        if ti.size and max(a, 3) * int(np.max(np.abs(ti))) >= 2**62:
+            raise OverflowError("integer frequency too large for exact phases")
+        r1 = ((a * ti) % q) / q
+        r2 = ((3 * ti) % (N * q)) / (N * q)
+        out = self.piece_hat(level, ti) * (e1(r1) - e1(r1 + r2))
         return out if np.ndim(out) else complex(out)
 
     def cluster(self) -> tuple[float, float]:
@@ -418,42 +422,43 @@ class ArcSystem:
                 specs.append(PieceSpec("dyadic", Q, l))
         return specs
 
-    def piece_ladders(self, spec: PieceSpec) -> list[BumpLadder]:
-        """Ladders of the spec's block that carry its level (all of them for core)."""
-        if spec.kind not in ("dyadic", "core"):
-            raise ValueError("piece ladders exist for dyadic or core specs")
+    def terms(self, spec: PieceSpec) -> tuple[int | str, list[BumpLadder]]:
+        """The ladder level a piece reads and the ladders it sums.
+
+        core: "core" on every ladder of its block; dyadic (Q, l): l on the
+        block's ladders that carry it; maj and min: "total" on every ladder,
+        so their weight is W(t), the whole arc weight.
+        """
+        if spec.kind in ("maj", "min"):
+            return "total", list(self.ladders.values())
+        if spec.kind == "whole":
+            raise ValueError("the whole multiplier has no ladder weight")
         qs = [q for q in dyadic_block(spec.Q) if q <= self.q_limit]
         ladders = [self.ladders[(q, a)] for q in qs for a in totatives(q)]
-        if spec.kind == "dyadic":
-            ladders = [lad for lad in ladders if spec.level <= lad.top_level]
-            if not ladders:
-                raise ValueError(f"no ladder in block Q={spec.Q} has dyadic level {spec.level}")
-        return ladders
+        if spec.kind == "core":
+            return "core", ladders
+        ladders = [lad for lad in ladders if spec.level <= lad.top_level]
+        if not ladders:
+            raise ValueError(f"no ladder in block Q={spec.Q} has dyadic level {spec.level}")
+        return spec.level, ladders
 
     def piece_weight(self, spec: PieceSpec, t):
-        """sum over the block of eta(t) for one (Q, l) or core piece."""
+        """Sum of eta(level, t) over the spec's ladders; W(t) for maj and min."""
         t = np.asarray(t, dtype=float)
-        level = "core" if spec.kind == "core" else spec.level
-        acc = np.zeros(t.shape if t.ndim else ())
-        for lad in self.piece_ladders(spec):
+        level, ladders = self.terms(spec)
+        acc = np.zeros(t.shape)
+        for lad in ladders:
             acc = acc + lad.eta(level, t)
         return acc if np.ndim(acc) else float(acc)
 
-    def weight_sum(self, t):
-        """Total arc weight W(t) = sum over all fractions and levels of eta.
-
-        Uses the telescoped form psi(Nq u) - psi(Nq (u - 3/(Nq))) per
-        fraction, which the per-piece sum reproduces to ~1e-15.
-        """
-        t = np.asarray(t, dtype=float)
-        acc = np.zeros(t.shape if t.ndim else ())
-        for (q, a), lad in self.ladders.items():
-            c = a / q
-            u = _torus_signed(t - c)
-            v = _torus_signed(t - c - lad.shift)
-            s = float(self.N * q)
-            acc = acc + bump_psi(s * u, self.order) - bump_psi(s * v, self.order)
-        return acc if np.ndim(acc) else float(acc)
+    def piece_hat(self, spec: PieceSpec, t):
+        """Sum of eta_hat(level, t) over the spec's ladders, at integer t."""
+        t = np.asarray(t)
+        level, ladders = self.terms(spec)
+        acc = np.zeros(t.shape, dtype=complex)
+        for lad in ladders:
+            acc = acc + lad.eta_hat(level, t)
+        return acc if np.ndim(acc) else complex(acc)
 
     def clusters(self) -> list[tuple[float, float]]:
         return [lad.cluster() for lad in self.ladders.values()]
@@ -469,12 +474,15 @@ def arc_system(N: int, order: int = DEFAULT_SPLINE_ORDER, q_limit: int | None = 
 
 
 def piece_system(spec: PieceSpec, params: OperatorParams, order: int = DEFAULT_SPLINE_ORDER) -> ArcSystem:
-    """The arc system a standalone dyadic/core piece is evaluated in.
+    """The arc system a piece is evaluated in.
 
-    Its q range reaches the spec's block even past floor(N/10) (capped at
-    N - 1): the coefficient and decay identities are integrals and do not
-    need the arcs to be disjoint.
+    maj and min read the arc family q <= floor(N/10).  A standalone
+    dyadic/core piece's q range reaches the spec's block even past
+    floor(N/10) (capped at N - 1): the coefficient and decay identities are
+    integrals and do not need the arcs to be disjoint.
     """
+    if spec.Q is None:
+        return arc_system(params.N, order)
     return arc_system(params.N, order, min(max(spec.Q, params.N // 10), params.N - 1))
 
 
@@ -483,29 +491,21 @@ def piece_multiplier(
     xi,
     params: OperatorParams,
     order: int = DEFAULT_SPLINE_ORDER,
-    q_limit: int | None = None,
 ) -> complex | np.ndarray:
     """Evaluate one piece of the multiplier at each row of an (m, n) array, or at one torus point.
 
     whole = m(xi); maj = m(xi) W(xi_n); min = whole - maj.  Dyadic and core
-    pieces localize m by their block's mean-zero bumps.  Standalone
-    dyadic/core specs accept any block with q < N (the coefficient and
-    decay identities do not need the arcs to be disjoint); pass
-    q_limit = floor(N/10) to reproduce exactly the pieces the maj assembly
-    sums (its top block is truncated there).  maj/min require N >= 10 so
-    the arc family exists.  A point is evaluated as one row: m comes from one
-    batched multiplier call over the rows and the bump weight from one call
-    on the array of xi_n.
+    pieces localize m by their block's mean-zero bumps, in the system
+    piece_system gives them.  maj/min require N >= 10 so the arc family
+    exists.  A point is evaluated as one row: m comes from one batched
+    multiplier call over the rows and the bump weight from one call on the
+    array of xi_n.
     """
     rows = np.atleast_2d(np.asarray(xi, dtype=float))
-    t = rows[:, -1]
     whole = multiplier(rows, params)
     if spec.kind == "whole":
         out = whole
-    elif spec.kind in ("maj", "min"):
-        w = arc_system(params.N, order).weight_sum(t)
-        out = whole * w if spec.kind == "maj" else whole - whole * w
     else:
-        system = piece_system(spec, params, order) if q_limit is None else arc_system(params.N, order, q_limit)
-        out = whole * system.piece_weight(spec, t)
+        w = piece_system(spec, params, order).piece_weight(spec, rows[:, -1])
+        out = whole - whole * w if spec.kind == "min" else whole * w
     return out if np.ndim(xi) == 2 else complex(out[0])

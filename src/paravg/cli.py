@@ -34,6 +34,8 @@ from .cutoff import CutoffProfile, OperatorParams, average
 from .lattice import LatticeFunction, delta, lp_norm, shift
 from .reports import substream_seed
 
+__all__ = ["emit_plot", "main"]
+
 USAGE_ERROR = 2
 INVARIANT_FAILURE = 1
 

@@ -7,7 +7,10 @@ coordinates, to
     coef(r) = sigma(r_1) ... sigma(r_{n-1}) * sum_{q,a} eta_hat(|r'|^2 - r_n),
 
 so every piece coefficient vanishes identically on the paraboloid
-|r'|^2 = r_n (the bracket in eta_hat is zero at frequency 0).  The oracle
+|r'|^2 = r_n (the bracket in eta_hat is zero at frequency 0).  The sum is
+ArcSystem.piece_hat, the same ladder sum that gives the piece weights: a
+dyadic or core piece sums its block's ladders, and the arc-localized part
+sums every ladder at its telescoped level.  The oracle
 reproduces the remaining one-dimensional integral numerically: a periodic
 rectangle rule (equivalent to the trapezoid rule on the torus), refined by
 doubling until two successive grids agree.
@@ -25,14 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arcs import (
-    DEFAULT_SPLINE_ORDER,
-    PieceSpec,
-    arc_system,
-    bump_psi_hat,
-    dyadic_block,
-    piece_system,
-)
+from .arcs import DEFAULT_SPLINE_ORDER, PieceSpec, arc_system, piece_system
 from .cutoff import OperatorParams
 from .expsums import e1, gauss_row_max
 from .reports import ExperimentReport, substream_seed
@@ -41,6 +37,7 @@ __all__ = [
     "CoefficientQuery",
     "piece_coefficient",
     "piece_coefficient_oracle",
+    "coefficient_scale",
     "kernel_coefficient",
     "maj_coefficient",
     "minor_coefficient",
@@ -87,12 +84,8 @@ def piece_coefficient(query: CoefficientQuery, order: int = DEFAULT_SPLINE_ORDER
     sig = _sigma_product(query.params, query.r[:-1])
     if sig == 0.0:
         return 0j
-    t = query.residual
-    level = "core" if query.spec.kind == "core" else query.spec.level
-    acc = 0j
-    for lad in piece_system(query.spec, query.params, order).piece_ladders(query.spec):
-        acc += lad.eta_hat(level, np.int64(t))
-    return sig * acc
+    system = piece_system(query.spec, query.params, order)
+    return sig * system.piece_hat(query.spec, np.int64(query.residual))
 
 
 @lru_cache(maxsize=64)
@@ -145,6 +138,15 @@ def piece_coefficient_oracle(
     raise RuntimeError(f"oracle did not converge at grid {M} (query residual {t})")
 
 
+def _piece_size(spec: PieceSpec, N: int) -> int | float:
+    """Frequency scale of a piece: N 2^l (an int) dyadic, N^2/Q (a float) core."""
+    if spec.kind == "dyadic":
+        return N * 2**spec.level
+    if spec.kind == "core":
+        return N * N / spec.Q
+    raise ValueError("scale applies to dyadic or core pieces")
+
+
 def coefficient_scale(spec: PieceSpec, params: OperatorParams) -> float:
     """Natural size of a piece's coefficients: (N 2^l)^-1 dyadic, (N^2/Q)^-1 core.
 
@@ -154,20 +156,12 @@ def coefficient_scale(spec: PieceSpec, params: OperatorParams) -> float:
     spline tail (values below ~1e-10) even though the closed form is exact
     there.
     """
-    N = params.N
-    if spec.kind == "dyadic":
-        return 1.0 / (N * 2**spec.level)
-    if spec.kind == "core":
-        return spec.Q / (N * N)
-    raise ValueError("scale applies to dyadic or core pieces")
+    return 1.0 / _piece_size(spec, params.N)
 
 
 def _decay_bound(spec: PieceSpec, params: OperatorParams, eps: float) -> float:
     """Decay bound (N 2^l)^-1 (QN)^eps for dyadic pieces, (N^2/Q)^-1 (QN)^eps for core."""
-    N = params.N
-    if spec.kind == "dyadic":
-        return (N * 2**spec.level) ** (-1.0) * (spec.Q * N) ** eps
-    return (N * N / spec.Q) ** (-1.0) * (spec.Q * N) ** eps
+    return _piece_size(spec, params.N) ** (-1.0) * (spec.Q * params.N) ** eps
 
 
 def kernel_coefficient(params: OperatorParams, r) -> float:
@@ -184,20 +178,18 @@ def maj_coefficient(
     """Closed-form coefficient of the arc-localized part at r.
 
     Per fraction the ladder telescopes, so the sum over levels collapses to
-    the scale-Nq bump transform times the mean-zero bracket.
+    the scale-Nq bump transform times the mean-zero bracket: the "total"
+    level of every ladder.  The phases are reduced in int64, so a residual
+    t = |r'|^2 - r_n with max(a, 3) |t| >= 2^62 for some fraction a/q
+    (a < q <= N/10) raises OverflowError; |t| < 2^62 / max(N/10, 3) is
+    always safe.  Every residual the reports and checks use is at most
+    (n-1)(2N)^2 + 5N^2.
     """
     sig = _sigma_product(params, r[:-1])
     if sig == 0.0:
         return 0j
-    t = int(sum(c * c for c in r[:-1]) - r[-1])
-    system = arc_system(params.N, order)
-    acc = 0j
-    for (q, a), lad in system.ladders.items():
-        s = params.N * q
-        r1 = ((a * t) % q) / q
-        r2 = ((3 * t) % s) / s
-        acc += bump_psi_hat(t / s, order) / s * (e1(r1) - e1(r1 + r2))
-    return sig * acc
+    t = np.int64(sum(c * c for c in r[:-1]) - r[-1])
+    return sig * arc_system(params.N, order).piece_hat(PieceSpec("maj"), t)
 
 
 def minor_coefficient(
@@ -222,11 +214,7 @@ def _residual_profile(
     t_lo = -5 * N * N
     t_hi = s_max + 5 * N * N
     ts = np.arange(t_lo, t_hi + 1, dtype=np.int64)
-    level = "core" if spec.kind == "core" else spec.level
-    acc = np.zeros(len(ts), dtype=np.complex128)
-    for lad in piece_system(spec, params, order).piece_ladders(spec):
-        acc += lad.eta_hat(level, ts)
-    return np.abs(acc), t_lo
+    return np.abs(piece_system(spec, params, order).piece_hat(spec, ts)), t_lo
 
 
 def coefficient_decay_report(
@@ -334,26 +322,29 @@ def minor_coefficient_report(
 
 def _scan_points(params: OperatorParams, spec: PieceSpec, order: int) -> np.ndarray:
     """t-grid resolving the bump scales: 1/(8 N^2) steps inside the support
-    clusters, 1/(4 N^2) globally (min piece and whole need the full torus)."""
+    clusters of every ladder of the piece's block (or of the arc system for
+    maj and min), 1/(4 N^2) globally (maj, min and whole need the full torus)."""
     N = params.N
+    step = 1.0 / (8 * N * N)
     if spec.kind in ("dyadic", "core"):
-        system = piece_system(spec, params, order)
-        qs = set(q for q in dyadic_block(spec.Q) if q <= system.q_limit)
-        pieces = []
-        for (q, a), lad in system.ladders.items():
-            if q in qs:
-                lo, hi = lad.cluster()
-                step = 1.0 / (8 * N * N)
-                pieces.append(np.arange(lo - 4 * step, hi + 4 * step, step))
-        return np.concatenate(pieces) % 1.0
-    ts = [np.arange(0.0, 1.0, 1.0 / (4 * N * N))]
-    if spec.kind in ("maj", "min"):
-        system = arc_system(params.N, order)
-        for lad in system.ladders.values():
+        ts, block = [], PieceSpec("core", spec.Q)  # the whole block, whatever each ladder's top level
+    else:
+        ts, block = [np.arange(0.0, 1.0, 1.0 / (4 * N * N))], spec
+    if block.kind != "whole":
+        for lad in piece_system(spec, params, order).terms(block)[1]:
             lo, hi = lad.cluster()
-            step = 1.0 / (8 * N * N)
-            ts.append(np.arange(lo - 4 * step, hi + 4 * step, step) % 1.0)
-    return np.concatenate(ts)
+            ts.append(np.arange(lo - 4 * step, hi + 4 * step, step))
+    return np.concatenate(ts) % 1.0
+
+
+def _sup_bound(spec: PieceSpec, params: OperatorParams, eps: float) -> float:
+    """The size bound piece_sup_report normalizes a piece's sup by."""
+    N, n = params.N, params.n
+    if spec.kind in ("dyadic", "core"):
+        return float(_piece_size(spec, N) ** ((n - 1) / 2))
+    if spec.kind == "min":
+        return float(N ** ((n - 1) / 2 + eps))
+    return float(N ** (n - 1))
 
 
 def piece_sup_report(
@@ -368,7 +359,7 @@ def piece_sup_report(
     The sup over the first n-1 coordinates factorizes into the row maximum
     of |G(t, .)|, so the scan is one-dimensional in t = xi_n.  Bounds:
     (N 2^l)^((n-1)/2) dyadic, (N^2/Q)^((n-1)/2) core, N^((n-1)/2 + eps)
-    minor, N^(n-1) whole.
+    minor, N^(n-1) maj and whole.
     """
     N, n = params.N, params.n
     if y_grid is None:
@@ -378,21 +369,10 @@ def piece_sup_report(
 
     if spec.kind == "whole":
         weight = np.ones_like(ts)
-        bound = float(N ** (n - 1))
-    elif spec.kind in ("dyadic", "core"):
-        system = piece_system(spec, params, order)
-        weight = np.abs(system.piece_weight(spec, ts))
-        if spec.kind == "dyadic":
-            bound = float((N * 2**spec.level) ** ((n - 1) / 2))
-        else:
-            bound = float((N * N / spec.Q) ** ((n - 1) / 2))
-    elif spec.kind in ("maj", "min"):
-        system = arc_system(params.N, order)
-        w = system.weight_sum(ts)
-        weight = np.abs(w) if spec.kind == "maj" else np.abs(1.0 - w)
-        bound = float(N ** ((n - 1) / 2 + eps)) if spec.kind == "min" else float(N ** (n - 1))
-    else:  # pragma: no cover
-        raise ValueError(spec.kind)
+    else:
+        w = piece_system(spec, params, order).piece_weight(spec, ts)
+        weight = np.abs(1.0 - w) if spec.kind == "min" else np.abs(w)
+    bound = _sup_bound(spec, params, eps)
 
     vals = weight * g ** (n - 1)
     i = int(np.argmax(vals))

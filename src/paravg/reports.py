@@ -10,6 +10,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
+__all__ = ["substream_seed", "ExperimentReport"]
+
 
 def substream_seed(seed: int, name: str) -> int:
     """Derive a deterministic per-experiment RNG seed from (seed, name).

@@ -21,6 +21,7 @@ from paravg.arcs import (
     totatives,
 )
 from paravg.cutoff import OperatorParams
+from paravg.expsums import _torus_signed, multiplier
 
 
 def test_totatives():
@@ -158,6 +159,26 @@ def test_eta_hat_against_quadrature():
             assert abs(closed - numeric) <= 1e-8
 
 
+def test_eta_hat_rejects_non_integer_t():
+    lad = BumpLadder(FareyFraction(1, 3), 16)
+    for t in (0.5, np.float64(3.0), np.array([1.0, 2.0]), 2j):
+        with pytest.raises(ValueError):
+            lad.eta_hat(0, t)
+
+
+def test_total_level_is_the_telescoped_ladder():
+    # "total" is psi(Nq u): its piece and transform are the ladder's sums over levels()
+    lad = BumpLadder(FareyFraction(2, 5), 64)
+    u = np.linspace(-3, 3, 2001) / (64 * 5)
+    assert np.array_equal(lad.piece("total", u), bump_psi(64 * 5 * u))
+    assert np.max(np.abs(sum(lad.piece(lv, u) for lv in lad.levels()) - lad.piece("total", u))) <= 1e-15
+    ts = np.arange(-2000, 2001)
+    parts = sum(lad.piece_hat(lv, ts) for lv in lad.levels())
+    assert np.max(np.abs(parts - lad.piece_hat("total", ts))) <= 1e-15 / (64 * 5)
+    with pytest.raises(ValueError):
+        lad.piece("all", u)
+
+
 def test_eta_hat_bracket_bound():
     lad = BumpLadder(FareyFraction(1, 3), 16)
     ts = np.arange(-300, 301)
@@ -199,10 +220,7 @@ def test_pieces_sum_to_maj():
     rng = np.random.default_rng(3)
     for _ in range(10):
         xi = rng.random(2)
-        total = sum(
-            piece_multiplier(spec, xi, params, q_limit=system.q_limit)
-            for spec in system.piece_specs()
-        )
+        total = sum(multiplier(xi, params) * system.piece_weight(spec, xi[1]) for spec in system.piece_specs())
         maj = piece_multiplier(PieceSpec("maj"), xi, params)
         assert abs(total - maj) <= 1e-12 * max(1.0, abs(maj))
 
@@ -222,8 +240,6 @@ def test_standalone_piece_uses_full_block():
     lad = BumpLadder(FareyFraction(1, 2), 16)
     xi_t = 0.5 + 0.7 / (16 * 2)
     val = piece_multiplier(spec, (0.3, xi_t), params)
-    from paravg.expsums import multiplier
-
     assert abs(val - multiplier((0.3, xi_t), params) * lad.eta(0, xi_t)) <= 1e-12
 
 
@@ -275,6 +291,8 @@ def test_invalid_piece_specs():
     params = OperatorParams.smooth(2, 16)
     with pytest.raises(ValueError):
         piece_multiplier(PieceSpec("dyadic", 1, 99), (0.1, 0.2), params)
+    with pytest.raises(ValueError):
+        arc_system(16).piece_weight(PieceSpec("whole"), 0.2)  # m itself has no ladder weight
 
 
 def test_arc_system_rejects_tiny_N():
@@ -282,11 +300,35 @@ def test_arc_system_rejects_tiny_N():
         ArcSystem(8)  # default q_limit floor(N/10) = 0
 
 
-def _scalar_weight_sum(system, t: float) -> float:
-    """The per-point weight sum (the scalar path of ArcSystem.weight_sum)."""
-    value = system.weight_sum(float(t))
-    assert type(value) is float
-    return value
+def _telescoped_weight_sum(system, t):
+    """W(t) in telescoped form: psi(Nq u) - psi(Nq v) per fraction, added to the sum one bump at a time."""
+    t = np.asarray(t, dtype=float)
+    acc = np.zeros(t.shape if t.ndim else ())
+    for (q, a), lad in system.ladders.items():
+        c = a / q
+        u = _torus_signed(t - c)
+        v = _torus_signed(t - c - lad.shift)
+        s = float(system.N * q)
+        acc = acc + bump_psi(s * u, system.order) - bump_psi(s * v, system.order)
+    return acc if np.ndim(acc) else float(acc)
+
+
+@pytest.mark.parametrize("N", [16, 64, 256])
+def test_maj_weight_equals_telescoped_weight_sum(N):
+    # at each t at most one ladder is nonzero, so the ladder sum of "total"
+    # etas and the telescoped loop add the same terms in the same order
+    system = arc_system(N)
+    maj = PieceSpec("maj")
+    rng = np.random.default_rng(N + 7)
+    step = 1.0 / (8 * N * N)
+    near = np.concatenate([np.arange(lo - 4 * step, hi + 4 * step, step) % 1.0 for lo, hi in system.clusters()])
+    M = min(4 * N * N, 1 << 14)
+    for t in (rng.random(2000), np.arange(M) / M, near[:: max(1, N // 16)]):
+        assert np.array_equal(system.piece_weight(maj, t), _telescoped_weight_sum(system, t))
+    for t in [0.0, 0.5, 1 / 3, *rng.random(50).tolist()]:
+        value = system.piece_weight(maj, t)
+        assert type(value) is float
+        assert value == _telescoped_weight_sum(system, t)
 
 
 @pytest.mark.parametrize("N", [16, 64, 256])
@@ -296,8 +338,8 @@ def test_batched_piece_multiplier_matches_rows(N):
     system = arc_system(N)
     xi = np.random.default_rng(N).random((rows, 2))
     xi[0, 1] = 0.0  # the centre of the 0/1 arc
-    ws = system.weight_sum(xi[:, 1])
-    assert np.array_equal(ws, [_scalar_weight_sum(system, t) for t in xi[:, 1]])
+    ws = system.piece_weight(PieceSpec("maj"), xi[:, 1])
+    assert np.array_equal(ws, [system.piece_weight(PieceSpec("maj"), float(t)) for t in xi[:, 1]])
     specs = [PieceSpec("whole"), PieceSpec("maj"), PieceSpec("min"), PieceSpec("dyadic", 1, 0), PieceSpec("core", 1)]
     for spec in specs:
         batched = piece_multiplier(spec, xi, params)

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
-from paravg.arcs import PieceSpec, arc_system
+from paravg.arcs import PieceSpec, arc_system, bump_psi_hat
 from paravg.coefficients import (
     CoefficientQuery,
+    _decay_bound,
+    _sigma_product,
+    _sup_bound,
     coefficient_decay_report,
     coefficient_scale,
     kernel_coefficient,
@@ -16,6 +19,7 @@ from paravg.coefficients import (
     piece_sup_report,
 )
 from paravg.cutoff import OperatorParams
+from paravg.expsums import e1
 
 
 def _random_specs(rng, Qs=(1, 2), ls=(0, 1)):
@@ -107,9 +111,6 @@ def test_oracle_linearity_over_levels():
         for l in lad.levels()
     )
     sig = params.cutoff.value(2)
-    from paravg.arcs import bump_psi_hat
-    from paravg.expsums import e1
-
     s = 8 * 1
     telescoped = sig * bump_psi_hat(t / s) / s * (e1(0) - e1(((3 * t) % s) / s))
     assert abs(total - telescoped) <= 1e-12
@@ -140,16 +141,54 @@ def test_maj_coefficient_vs_oracle_truncation():
     params = OperatorParams.smooth(2, 16)
     system = arc_system(16)
     rng = np.random.default_rng(14)
-    from paravg.expsums import e1
-
     for _ in range(5):
         r = (int(rng.integers(-15, 16)), int(rng.integers(-200, 201)))
         t = r[0] * r[0] - r[1]
         M = 1 << 14
         j = np.arange(M)
-        w = system.weight_sum(j / M)
+        w = system.piece_weight(PieceSpec("maj"), j / M)
         numeric = params.cutoff.value(r[0]) * complex(np.sum(w * e1(((t * j) % M) / M)) / M)
         assert abs(numeric - maj_coefficient(params, r)) <= 1e-7
+
+
+def _bracket_maj_coefficient(params, r, order=8):
+    """maj_coefficient as a Python-int loop over fractions: the telescoped transform times the bracket."""
+    sig = _sigma_product(params, r[:-1])
+    if sig == 0.0:
+        return 0j
+    t = int(sum(c * c for c in r[:-1]) - r[-1])
+    acc = 0j
+    for (q, a), lad in arc_system(params.N, order).ladders.items():
+        s = params.N * q
+        r1 = ((a * t) % q) / q
+        r2 = ((3 * t) % s) / s
+        acc += bump_psi_hat(t / s, order) / s * (e1(r1) - e1(r1 + r2))
+    return sig * acc
+
+
+@pytest.mark.parametrize("N", [16, 64, 256])
+def test_maj_coefficient_equals_bracket_loop(N):
+    params = OperatorParams.smooth(2, N)
+    rng = np.random.default_rng(N + 15)
+    rs = [(k, k * k) for k in (0, 1, N - 1)] + [(0, 0), (0, 1), (1, -1)]
+    for _ in range(150):
+        r1 = int(rng.integers(-2 * N + 1, 2 * N))
+        rs.append((r1, r1 * r1 - int(rng.integers(-8 * N, 8 * N + 1))))  # near the paraboloid
+        rs.append((r1, int(rng.integers(-5 * N * N, 5 * N * N + 1))))
+    for r in rs:
+        value = maj_coefficient(params, r)
+        assert type(value) is complex
+        assert value == _bracket_maj_coefficient(params, r), r
+
+
+def test_maj_coefficient_refuses_residuals_past_the_int64_bound():
+    # at N = 16 the only fraction is 0/1, so the guard max(a, 3)|t| < 2^62 reads 3|t| < 2^62
+    params = OperatorParams.smooth(2, 16)
+    t_max = (2**62 - 1) // 3
+    assert np.isfinite(maj_coefficient(params, (0, -t_max)))
+    for t in (t_max + 1, -(t_max + 1), 2**63, 2**70):
+        with pytest.raises(OverflowError):
+            maj_coefficient(params, (0, -t))
 
 
 def test_minor_coefficient_sweep():
@@ -198,6 +237,35 @@ def test_min_sup_sweep():
         rep = piece_sup_report(PieceSpec("min"), OperatorParams.smooth(2, N))
         consts[N] = rep.constant
     assert max(consts.values()) / min(consts.values()) < 2.0
+
+
+def test_piece_sizes_match_the_written_out_scales_and_bounds():
+    # the scale, decay bound and sup bound as each was written out per kind
+    def scale(spec, N):
+        return 1.0 / (N * 2**spec.level) if spec.kind == "dyadic" else spec.Q / (N * N)
+
+    def decay(spec, N, eps):
+        if spec.kind == "dyadic":
+            return (N * 2**spec.level) ** (-1.0) * (spec.Q * N) ** eps
+        return (N * N / spec.Q) ** (-1.0) * (spec.Q * N) ** eps
+
+    def sup_bound(spec, N, n):
+        if spec.kind == "dyadic":
+            return float((N * 2**spec.level) ** ((n - 1) / 2))
+        return float((N * N / spec.Q) ** ((n - 1) / 2))
+
+    specs = [PieceSpec("core", Q) for Q in (1, 2, 4, 8, 16, 32)]
+    specs += [PieceSpec("dyadic", Q, l) for Q in (1, 2, 4, 8, 16, 32) for l in range(6)]
+    for N in range(4, 300):
+        for n in (2, 3):
+            params = OperatorParams.smooth(n, N)
+            for spec in specs:
+                assert coefficient_scale(spec, params) == scale(spec, N)
+                for eps in (0.0, 0.1, 0.2):
+                    assert _decay_bound(spec, params, eps) == decay(spec, N, eps)
+                    assert _sup_bound(spec, params, eps) == sup_bound(spec, N, n)
+    with pytest.raises(ValueError):
+        coefficient_scale(PieceSpec("maj"), OperatorParams.smooth(2, 16))
 
 
 def test_query_validation():
