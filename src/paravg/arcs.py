@@ -468,8 +468,13 @@ class ArcSystem:
         return _intervals_disjoint_mod1(self.clusters())
 
 
-@lru_cache(maxsize=32)
 def arc_system(N: int, order: int = DEFAULT_SPLINE_ORDER, q_limit: int | None = None) -> ArcSystem:
+    """The cached ArcSystem(N, order, q_limit); an omitted q_limit is floor(N/10) before the cache."""
+    return _arc_system(N, order, N // 10 if q_limit is None else q_limit)
+
+
+@lru_cache(maxsize=32)
+def _arc_system(N: int, order: int, q_limit: int) -> ArcSystem:
     return ArcSystem(N, order, q_limit)
 
 

@@ -101,6 +101,18 @@ def _oracle_weights(N: int, order: int, q_limit: int, spec: PieceSpec, M: int) -
     return w
 
 
+@lru_cache(maxsize=8)
+def _roots_of_unity(M: int) -> np.ndarray:
+    """e1(i/M) for 0 <= i < M, read-only.
+
+    The oracle's phases ((t j) mod M)/M are the floats i/M, so reading this
+    table at i = (t j) mod M gives the values e1 computes from them.
+    """
+    roots = e1(np.arange(M, dtype=np.int64) / M)
+    roots.flags.writeable = False
+    return roots
+
+
 def piece_coefficient_oracle(
     query: CoefficientQuery,
     grid_size: int = 4096,
@@ -114,6 +126,8 @@ def piece_coefficient_oracle(
     W(xi) e(t xi) over the bump supports.  That is computed by the periodic
     rectangle rule and refined by doubling until two successive grid sizes
     agree to `tol`; failure to converge within 4 refinements is an error.
+    Each grid of size M reads its weights and its M-th roots of unity from
+    two small caches, so a query evaluates no exponential of its own.
     """
     if grid_size < 4096 or (grid_size & (grid_size - 1)) != 0:
         raise ValueError("grid_size must be a power of two >= 4096")
@@ -124,8 +138,7 @@ def piece_coefficient_oracle(
     def rect(M: int) -> complex:
         j = np.arange(M, dtype=np.int64)
         w = _oracle_weights(query.params.N, order, system.q_limit, query.spec, M)
-        phases = ((t * j) % M) / M
-        return complex(np.sum(w * e1(phases)) / M)
+        return complex(np.sum(w * _roots_of_unity(M)[(t * j) % M]) / M)
 
     prev = rect(grid_size)
     M = grid_size
@@ -357,7 +370,9 @@ def piece_sup_report(
     """Grid sup of |piece|, normalized by its size bound.
 
     The sup over the first n-1 coordinates factorizes into the row maximum
-    of |G(t, .)|, so the scan is one-dimensional in t = xi_n.  Bounds:
+    of |G(t, .)|, so the scan is one-dimensional in t = xi_n.  The row
+    maximum is taken only where the piece weight is nonzero; elsewhere g
+    stays 0, and 0 * g^(n-1) is +0.0 either way.  Bounds:
     (N 2^l)^((n-1)/2) dyadic, (N^2/Q)^((n-1)/2) core, N^((n-1)/2 + eps)
     minor, N^(n-1) maj and whole.
     """
@@ -365,13 +380,15 @@ def piece_sup_report(
     if y_grid is None:
         y_grid = max(8 * N, 64)
     ts = _scan_points(params, spec, order)
-    g = gauss_row_max(ts, params.cutoff, y_grid)
 
     if spec.kind == "whole":
         weight = np.ones_like(ts)
     else:
         w = piece_system(spec, params, order).piece_weight(spec, ts)
         weight = np.abs(1.0 - w) if spec.kind == "min" else np.abs(w)
+    g = np.zeros_like(ts)
+    live = np.flatnonzero(weight)
+    g[live] = gauss_row_max(ts[live], params.cutoff, y_grid)
     bound = _sup_bound(spec, params, eps)
 
     vals = weight * g ** (n - 1)

@@ -20,12 +20,27 @@ one call per coordinate over its rows, gauss_bound_report one call over its
 samples.  It forms the rows in chunks of at most _CHUNK_CELLS phases
 (gauss_row_max chunks its FFT rows the same way), which bounds the peak
 memory, and np.sum(axis=1) reproduces the one-row sum exactly, so a value
-does not depend on its batch.  np.abs on a complex array can differ from
-Python's abs in the last ulp (about a third of the rows), so |G| is taken
-as np.hypot of the parts, which is what Python's abs computes (equal on
-4e6 random sums, over 600 decades).  dirichlet_approx_batch runs the
-continued-fraction recurrence on a whole array and agrees element for
-element with the scalar dirichlet_approx, its test oracle.
+does not depend on its batch.
+
+Workspace.  Each call allocates its chunk buffers once, sized to the first
+chunk, and each chunk runs the same ufunc sequence in their leading rows
+with out=: y k, (t k) k, the add, the remainder, the cast to complex,
+2 pi i *, exp, the weights, the row sum.  A ufunc writing into a
+C-contiguous out computes what it would write to a fresh array, so every
+value keeps the bits of the expression form (kept in the tests as the
+oracle).  gauss_row_max writes its zero-padded FFT input once and refills
+only the support columns per chunk.  It computes the phase t k^2 mod 1 and
+its exponential once per distinct |k| and gathers them to the support
+columns: negation is exact and rounding is sign-symmetric, so (t (-k)) (-k)
+has the bits of (t k) k.  It keeps that order, since t (k^2) rounds once
+instead of twice and gives other bits once |k| >= 2^11.
+
+np.abs on a complex array can differ from Python's abs in the last ulp
+(about a third of the rows), so |G| is taken as np.hypot of the parts,
+which is what Python's abs computes (equal on 4e6 random sums, over 600
+decades).  dirichlet_approx_batch runs the continued-fraction recurrence on
+a whole array and agrees element for element with the scalar
+dirichlet_approx, its test oracle.
 """
 
 from __future__ import annotations
@@ -63,6 +78,18 @@ def e1(x) -> complex | np.ndarray:
     return out if out.ndim else complex(out)
 
 
+def _exp_phases(ph: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """e(ph) for long-double phases ph in [0, 1), computed in the complex buffer out.
+
+    The cast gives float(ph) + 0j, the operand 2 pi i * float(ph) promotes
+    the float to, so the product and the exp are the ones a float
+    intermediate would give.
+    """
+    np.copyto(out, ph, casting="same_kind")
+    np.multiply(2j * np.pi, out, out=out)
+    return np.exp(out, out=out)
+
+
 def _gauss_sums(ts: np.ndarray, ys: np.ndarray, cutoff: CutoffProfile) -> np.ndarray:
     """G(ts[i], ys[i]) for paired 1-D arrays, in row chunks of at most _CHUNK_CELLS phases."""
     k = cutoff.support()
@@ -70,11 +97,19 @@ def _gauss_sums(ts: np.ndarray, ys: np.ndarray, cutoff: CutoffProfile) -> np.nda
     kl = k.astype(_LONG)
     out = np.empty(len(ts), dtype=complex)
     rows = max(1, _CHUNK_CELLS // len(k))
+    shape = (min(rows, len(ts)), len(k))
+    lin, quad, terms = np.empty(shape, _LONG), np.empty(shape, _LONG), np.empty(shape, complex)
     for start in range(0, len(ts), rows):
         tt = ts[start : start + rows, None].astype(_LONG)
         yy = ys[start : start + rows, None].astype(_LONG)
-        ph = np.asarray((yy * kl + tt * kl * kl) % _LONG(1.0), dtype=float)
-        out[start : start + len(tt)] = np.sum(w * np.exp(2j * np.pi * ph), axis=1)
+        m = len(tt)
+        ph = np.multiply(yy, kl, out=lin[:m])
+        np.multiply(tt, kl, out=quad[:m])
+        np.multiply(quad[:m], kl, out=quad[:m])  # (t k) k, as t * k * k rounds it
+        np.add(ph, quad[:m], out=ph)
+        np.remainder(ph, _LONG(1.0), out=ph)
+        e = _exp_phases(ph, terms[:m])
+        np.sum(np.multiply(w, e, out=e), axis=1, out=out[start : start + m])
     return out
 
 
@@ -115,14 +150,25 @@ def gauss_row_max(ts: np.ndarray, cutoff: CutoffProfile, y_grid: int) -> np.ndar
         raise ValueError("y grid too coarse for the coefficient support")
     out = np.empty(len(ts))
     kmod = np.mod(k, y_grid)  # k spans a contiguous range < y_grid, so no clashes
+    # (t k) k has the bits of (t |k|) |k|: one phase per distinct |k|, gathered by `back`
+    ku, back = np.unique(np.abs(k), return_inverse=True)
     chunk = max(1, _CHUNK_CELLS // y_grid)
+    rows = min(chunk, len(ts))
+    phases, unit = np.empty((rows, len(ku)), _LONG), np.empty((rows, len(ku)), complex)
+    terms = np.empty((rows, len(k)), complex)
+    buf = np.zeros((rows, y_grid), complex)  # the zero padding is written once
+    vals, mags = np.empty((rows, y_grid), complex), np.empty((rows, y_grid))
     for start in range(0, len(ts), chunk):
         tt = ts[start : start + chunk, None].astype(_LONG)
-        ph = np.asarray((tt * k * k) % _LONG(1.0), dtype=float)
-        buf = np.zeros((len(tt), y_grid), dtype=np.complex128)
-        buf[:, kmod] = w * np.exp(2j * np.pi * ph)
-        vals = np.fft.fft(buf, axis=1)
-        out[start : start + len(tt)] = np.max(np.abs(vals), axis=1)
+        m = len(tt)
+        ph = np.multiply(tt, ku, out=phases[:m])
+        np.multiply(ph, ku, out=ph)
+        np.remainder(ph, _LONG(1.0), out=ph)
+        # back is in range, and mode='clip' lets take write to out without a buffer
+        np.take(_exp_phases(ph, unit[:m]), back, axis=1, out=terms[:m], mode="clip")
+        buf[:m, kmod] = np.multiply(w, terms[:m], out=terms[:m])
+        np.fft.fft(buf[:m], axis=1, out=vals[:m])
+        np.max(np.abs(vals[:m], out=mags[:m]), axis=1, out=out[start : start + m])
     return out
 
 

@@ -295,6 +295,15 @@ def test_invalid_piece_specs():
         arc_system(16).piece_weight(PieceSpec("whole"), 0.2)  # m itself has no ladder weight
 
 
+def test_arc_system_default_q_limit_shares_one_cache_entry():
+    # maj reads arc_system(N, order), a standalone Q = 1 piece arc_system(N, order, N // 10)
+    params = OperatorParams.smooth(2, 64)
+    system = arcs.piece_system(PieceSpec("maj"), params)
+    assert arcs.piece_system(PieceSpec("dyadic", 1, 0), params) is system
+    assert arc_system(64) is arc_system(64, arcs.DEFAULT_SPLINE_ORDER, 6) is arc_system(64, q_limit=6) is system
+    assert system.q_limit == 6 and arc_system(64, q_limit=5) is not system
+
+
 def test_arc_system_rejects_tiny_N():
     with pytest.raises(ValueError):
         ArcSystem(8)  # default q_limit floor(N/10) = 0

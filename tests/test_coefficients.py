@@ -231,6 +231,61 @@ def test_piece_sup_reports():
     assert 0 < core.constant < 50
 
 
+def _full_grid_sup_report(spec, params, order=8, eps=0.2):
+    """Oracle: piece_sup_report as it ran with the row max taken at every scan point."""
+    from paravg.arcs import piece_system
+    from paravg.coefficients import _scan_points
+    from paravg.expsums import gauss_row_max
+
+    y_grid = max(8 * params.N, 64)
+    ts = _scan_points(params, spec, order)
+    g = gauss_row_max(ts, params.cutoff, y_grid)
+    if spec.kind == "whole":
+        weight = np.ones_like(ts)
+    else:
+        w = piece_system(spec, params, order).piece_weight(spec, ts)
+        weight = np.abs(1.0 - w) if spec.kind == "min" else np.abs(w)
+    vals = weight * g ** (params.n - 1)
+    i = int(np.argmax(vals))
+    bound = _sup_bound(spec, params, eps)
+    return float(vals[i]) / bound, {"sup": float(vals[i]), "bound": bound, "argmax_t": float(ts[i])}, len(ts)
+
+
+@pytest.mark.parametrize("n,N", [(2, 32), (3, 12)])
+def test_piece_sup_report_matches_full_grid(n, N, monkeypatch):
+    from paravg import coefficients
+
+    rows = []
+    row_max = coefficients.gauss_row_max
+    monkeypatch.setattr(coefficients, "gauss_row_max", lambda ts, *a: rows.append(len(ts)) or row_max(ts, *a))
+    params = OperatorParams.smooth(n, N)
+    skipped = {}
+    for spec in (PieceSpec("whole"), PieceSpec("maj"), PieceSpec("min"), PieceSpec("core", 1),
+                 PieceSpec("core", 2), PieceSpec("dyadic", 1, 0), PieceSpec("dyadic", 2, 1)):
+        rep = piece_sup_report(spec, params)
+        assert (rep.constant, rep.values, rep.params["t_points"]) == _full_grid_sup_report(spec, params)
+        skipped[spec.kind] = rep.params["t_points"] - rows[-1]
+    assert skipped["whole"] == 0 and skipped["min"] > 0 and skipped["maj"] > 0
+
+
+def test_piece_sup_report_with_every_weight_zero(monkeypatch):
+    from paravg import arcs, coefficients
+
+    calls = []
+    row_max = coefficients.gauss_row_max
+    monkeypatch.setattr(arcs.ArcSystem, "piece_weight", lambda self, spec, t: np.zeros(np.shape(t)))
+    monkeypatch.setattr(coefficients, "gauss_row_max", lambda ts, *a: calls.append(len(ts)) or row_max(ts, *a))
+    params = OperatorParams.smooth(2, 16)
+    for spec in (PieceSpec("min"), PieceSpec("dyadic", 1, 0)):
+        calls.clear()
+        rep = piece_sup_report(spec, params)
+        if spec.kind == "min":  # |1 - 0| = 1 everywhere: every point is live
+            assert calls == [rep.params["t_points"]]
+        else:
+            assert calls == [0] and rep.constant == 0.0 and rep.values["sup"] == 0.0
+        assert (rep.constant, rep.values, rep.params["t_points"]) == _full_grid_sup_report(spec, params)
+
+
 def test_min_sup_sweep():
     consts = {}
     for N in (16, 32, 64):
@@ -375,6 +430,28 @@ def test_cached_oracle_matches_uncached_on_c04_queries():
         assert piece_coefficient_oracle(query) == expected  # warm grid
     info = _oracle_weights.cache_info()
     assert info.hits > info.misses > 0
+
+
+def test_oracle_root_table_matches_e1_rectangle_rule(monkeypatch):
+    from paravg import coefficients
+
+    table = coefficients._roots_of_unity
+    grids = []
+    monkeypatch.setattr(coefficients, "_roots_of_unity", lambda M: grids.append(M) or table(M))
+    params = OperatorParams.smooth(2, 16)
+    refined = set()
+    for spec in (PieceSpec("core", 1), PieceSpec("dyadic", 2, 1)):
+        for residual in (0, 5, -300, 3000, 5000, 20000):
+            for grid_size in (4096, 8192):
+                query = CoefficientQuery(spec, (0, -residual), params)
+                grids.clear()
+                assert piece_coefficient_oracle(query, grid_size) == _uncached_oracle(query, grid_size)
+                for M in grids:  # every grid the oracle refined to
+                    i = (residual * np.arange(M, dtype=np.int64)) % M
+                    assert table(M)[i].tolist() == e1(i / M).tolist()
+                refined.add(len(grids))
+    assert refined == {2, 3}
+    assert not table(4096).flags.writeable and table(4096) is table(4096)
 
 
 def test_cached_oracle_grid_is_read_only_and_shared():

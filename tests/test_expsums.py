@@ -1,6 +1,7 @@
 """Quadratic exponential sums, the multiplier, and rational approximation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -229,6 +230,63 @@ def test_gauss_row_max_rows_do_not_depend_on_chunking():
     rows = gauss_row_max(ts, sm, 512)  # 512 rows per chunk: three chunks, the last partial
     singles = np.concatenate([gauss_row_max(ts[i : i + 1], sm, 512) for i in range(0, 1500, 7)])
     assert np.array_equal(rows[::7], singles)
+
+
+def _per_chunk_row_max(ts, cutoff, y_grid):
+    """Oracle: gauss_row_max as it ran with one phase per support column and fresh arrays per chunk."""
+    k = cutoff.support()
+    w = cutoff.weights()
+    out = np.empty(len(ts))
+    kmod = np.mod(k, y_grid)
+    chunk = max(1, expsums._CHUNK_CELLS // y_grid)
+    for start in range(0, len(ts), chunk):
+        tt = ts[start : start + chunk, None].astype(np.longdouble)
+        ph = np.asarray((tt * k * k) % np.longdouble(1.0), dtype=float)
+        buf = np.zeros((len(tt), y_grid), dtype=np.complex128)
+        buf[:, kmod] = w * np.exp(2j * np.pi * ph)
+        vals = np.fft.fft(buf, axis=1)
+        out[start : start + len(tt)] = np.max(np.abs(vals), axis=1)
+    return out
+
+
+# smooth: symmetric support -(2N-1)..2N-1, |k| >= 2^11 at N = 1100 (where a
+# precomputed k^2 changes the phase bits); sharp: support 1..N
+@pytest.mark.parametrize("kind,N,count", [("smooth", 5, 1000), ("smooth", 64, 1000), ("smooth", 1100, 100),
+                                          ("sharp", 5, 1000), ("sharp", 64, 1000)])
+def test_gauss_row_max_matches_per_chunk_form(kind, N, count, monkeypatch):
+    cutoff = CutoffProfile(kind, N)
+    y_grid = max(8 * N, 64)
+    ts = np.concatenate([[0.0, 1.0 - 2.0**-53, 0.5, 2.0**-40], np.random.default_rng(N).random(count)])
+    monkeypatch.setattr(expsums, "_CHUNK_CELLS", 37 * y_grid)  # 37 rows a chunk, the last one partial
+    assert len(ts) % 37
+    assert gauss_row_max(ts, cutoff, y_grid).tolist() == _per_chunk_row_max(ts, cutoff, y_grid).tolist()
+    assert gauss_row_max(ts[1:2], cutoff, y_grid).tolist() == _per_chunk_row_max(ts[1:2], cutoff, y_grid).tolist()
+    assert gauss_row_max(np.empty(0), cutoff, y_grid).shape == (0,)
+
+
+def _peak_beyond_result(fn) -> int:
+    """Bytes fn() holds at its tracemalloc peak, less the array it returns."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - result.nbytes
+
+
+def test_kernels_work_in_a_fixed_number_of_chunks():
+    # a chunk is _CHUNK_CELLS cells of 16 bytes (long double or complex);
+    # _gauss_sums holds two long-double and one complex chunk, gauss_row_max
+    # its FFT input, output and magnitudes (2.5 chunks) plus phases and
+    # gathered terms (~1 chunk at y_grid = 8N); per-chunk temporaries on top
+    # of that, or a buffer sized by the input, break these bounds
+    cutoff = CutoffProfile("smooth", 16)
+    rng = np.random.default_rng(11)
+    ts, ys = rng.random(100_000), rng.random(100_000)
+    chunk = 16 * expsums._CHUNK_CELLS
+    assert _peak_beyond_result(lambda: expsums._gauss_sums(ts, ys, cutoff)) <= 3.25 * chunk
+    assert _peak_beyond_result(lambda: gauss_row_max(ts, cutoff, 8 * 16)) <= 3.75 * chunk
 
 
 def _scalar_torus_signed(x: float) -> float:
