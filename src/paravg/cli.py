@@ -31,7 +31,7 @@ from . import coefficients as coef_mod
 from . import experiments as exp_mod
 from . import expsums, numtheory
 from .cutoff import CutoffProfile, OperatorParams, average
-from .lattice import LatticeFunction, delta, lp_norm, shift
+from .lattice import delta, lp_norm, shift
 from .reports import substream_seed
 
 __all__ = ["emit_plot", "main"]
@@ -319,12 +319,12 @@ def _cmd_norm_scan(args, checks: _Check) -> tuple[dict, dict]:
             if args.n == 2:
                 checks.record(f"N={N}: sharp n=2 l2 norm exactly 1", value == 1.0, f"value {value!r}")
         rng = np.random.default_rng(substream_seed(args.seed, f"norm-falsify:{N}"))
-        worst = 0.0
-        for _ in range(args.falsify):
-            pts = rng.integers(-2 * N, 2 * N, size=(8, args.n)).tolist()
-            weights = [1.0] + [float(rng.random()) for _ in pts[1:]]
-            f = LatticeFunction(args.n, zip(pts, weights))
-            worst = max(worst, exp_mod.rayleigh_quotient(f, params))
+        points = np.empty((args.falsify, 8, args.n), dtype=np.int64)
+        weights = np.ones((args.falsify, 8))
+        for i in range(args.falsify):  # one function's points, then its weights, as drawn one by one
+            points[i] = rng.integers(-2 * N, 2 * N, size=(8, args.n))
+            weights[i, 1:] = rng.random(7)
+        worst = max([0.0, *exp_mod.rayleigh_quotients(points, weights, params)])
         checks.record(
             f"N={N}: random Rayleigh quotients below the norm",
             worst <= value + 1e-9,

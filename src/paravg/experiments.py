@@ -19,11 +19,14 @@ enter only at the final root.
 
 Costs.  For n = 2 the square window of the last coordinate is constant on
 O(N) runs, so the box power sum (all x1 intervals x runs) and the wave-packet
-certificate of the 2 -> 2 norm (every x1 row x runs) are O(N^2) run-length
-sums, and the dense box counts and the core check read the same runs; n = 3
-streams the pair histograms.  The ascent keeps each start as sorted point
-and value arrays and its convolution on a dense window, and every dense
-array is checked against lattice.ALLOC_BUDGET_BYTES before it is allocated.
+certificate of the 2 -> 2 norm (every x1 row x runs, in blocks of rows) are
+O(N^2) run-length sums, and the dense box counts and the core check read the
+same runs; n = 3 streams the pair histograms.  Rayleigh quotients of a batch
+of test functions average a chunk of them as one stacked function in one
+direct sum.  Both batched paths hold at most _CHUNK_TERMS terms per chunk.
+The ascent keeps each start as sorted point and value arrays and its
+convolution on a dense window, and every dense array is checked against
+lattice.ALLOC_BUDGET_BYTES before it is allocated.
 """
 
 from __future__ import annotations
@@ -33,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cutoff import OperatorParams, average, paraboloid_kernel
-from .lattice import LatticeFunction, check_alloc, lp_norm, shift
+from .cutoff import OperatorParams, _average_points, _kernel, average, paraboloid_kernel
+from .lattice import LatticeFunction, _canonical, _from_sorted, check_alloc, lp_norm, shift
 from .reports import ExperimentReport, substream_seed
 
 __all__ = [
@@ -48,6 +51,7 @@ __all__ = [
     "norm_l1_linf",
     "norm_l2_l2",
     "rayleigh_quotient",
+    "rayleigh_quotients",
     "random_ascent_lower_bound",
     "scaling_fit",
     "target_slope",
@@ -175,8 +179,9 @@ def box_average_counts(n: int, N: int):
     """Dense integer counts N^(n-1) * A(box indicator) over the full support.
 
     Returns (counts, lo): counts[idx] is the raw count at lattice point
-    idx + lo.  Exact integers throughout.  The array has
-    (3N-1)^(n-1) ((2n-1) N^2 - 1) entries (~45 N^4 for n = 3), checked
+    idx + lo.  Exact integers throughout.  The array spans x_i in
+    [1 - N, 2N - 1] and x_n in [1 - (n-1) N^2, n N^2 - n + 1], so it has
+    (3N-1)^(n-1) ((2n-1) N^2 - n + 1) entries (~45 N^4 for n = 3), checked
     against the allocation budget first; the slope fits go through
     box_power_sum, which never builds it.  n = 2 repeats each distinct
     k-interval's run counts over the run lengths; n = 3 evaluates every
@@ -185,7 +190,7 @@ def box_average_counts(n: int, N: int):
     if n not in (2, 3):
         raise ValueError("box counting engines cover n in {2, 3}")
     M, M_n = 2 * N, n * N * N
-    shape = (3 * N - 1,) * (n - 1) + ((2 * n - 1) * N * N - 1,)
+    shape = (3 * N - 1,) * (n - 1) + ((2 * n - 1) * N * N - n + 1,)
     check_alloc(shape, np.int64, f"averaged box counts n={n} N={N}")
     if n == 2:
         _, lengths, kmin, kmax = _square_runs(1 - N * N, M_n, M_n)
@@ -193,7 +198,7 @@ def box_average_counts(n: int, N: int):
         rows = np.stack([np.repeat(_run_counts(A, B, kmin, kmax), lengths) for A, B in intervals.tolist()])
         return rows[inverse], (1 - N, 1 - N * N)
     keys, pair_cums = _pair_histograms_3d(N, M)
-    x3 = np.arange(1 - 2 * N * N, M_n, dtype=np.int64)
+    x3 = np.arange(1 - 2 * N * N, M_n - 1, dtype=np.int64)  # x3 + k1^2 + k2^2 <= M_n with k1, k2 >= 1
     counts = np.zeros(shape, dtype=np.int64)
     for i, k1 in enumerate(keys):
         for j, k2 in enumerate(keys):
@@ -303,9 +308,61 @@ def norm_l1_linf(params: OperatorParams) -> float:
     return top / params.N ** (params.n - 1)
 
 
+# Terms one chunk of the batched paths may hold: kernel-point pairs of the
+# stacked Rayleigh averages, cells (rows x runs) of a wave-packet block.
+# Sized so that neither path raises the peak RSS of the unbatched loops.
+_CHUNK_TERMS = 1 << 15
+
+
 def rayleigh_quotient(f: LatticeFunction, params: OperatorParams) -> float:
-    """|A f|_2 / |f|_2 for a concrete test function."""
-    return lp_norm(average(f, params), 2) / lp_norm(f, 2)
+    """|A f|_2 / |f|_2 for a concrete test function: rayleigh_quotients of one.
+
+    Raises ValueError for the zero function, whose quotient is undefined.
+    """
+    return rayleigh_quotients(f._points[None], f._values[None], params)[0]
+
+
+def rayleigh_quotients(points, values, params: OperatorParams) -> list[float]:
+    """|A f_b|_2 / |f_b|_2 for a batch of B test functions, bit for bit as one at a time.
+
+    points has shape (B, m, n) and values shape (B, m); f_b sums values[b, i]
+    over repeated points, as LatticeFunction(n, zip(points[b], values[b]))
+    does.  The functions of a chunk are stacked into one function on
+    Z^(n+1) with the batch index as the leading coordinate, so one
+    canonicalization and one direct sum against the kernel lifted by a zero
+    batch coordinate serve the whole chunk; each output point still adds its
+    terms in ascending k.  The result is split at the batch boundaries and
+    each piece goes through lp_norm.  A chunk holds at most _CHUNK_TERMS
+    kernel pairs (but always one function).  Raises ValueError naming a
+    member that is zero after its repeated points are summed.
+    """
+    points, values = np.asarray(points, dtype=np.int64), np.asarray(values, dtype=np.complex128)
+    B, m, n = points.shape
+    if n != params.n:
+        raise ValueError(f"function dim {n} != operator dim {params.n}")
+    chunk = max(1, _CHUNK_TERMS // max(1, m * len(_kernel(params))))
+    quotients = []
+    for lo in range(0, B, chunk):
+        c = min(chunk, B - lo)
+        check_alloc((c * m, n + 1), np.int64, "stacked Rayleigh test functions")
+        stacked = np.empty((c * m, n + 1), dtype=np.int64)
+        stacked[:, 0] = np.repeat(np.arange(c, dtype=np.int64), m)
+        stacked[:, 1:] = points[lo : lo + c].reshape(-1, n)
+        f = _canonical(n + 1, stacked, values[lo : lo + c].reshape(-1))
+        f_cuts = np.searchsorted(f._points[:, 0], np.arange(c + 1))
+        empty = np.flatnonzero(f_cuts[1:] == f_cuts[:-1])
+        if len(empty):
+            raise ValueError(f"test function {lo + int(empty[0])} of the batch is zero: no Rayleigh quotient")
+        af = _average_points(f._points, f._values, params)
+        af_cuts = np.searchsorted(af._points[:, 0], np.arange(c + 1))
+        for b in range(c):
+            quotients.append(lp_norm(_member(af, af_cuts, b), 2) / lp_norm(_member(f, f_cuts, b), 2))
+    return quotients
+
+
+def _member(g: LatticeFunction, cuts: np.ndarray, b: int) -> LatticeFunction:
+    """Member b of a stacked function, rows cuts[b]:cuts[b + 1], without its batch coordinate."""
+    return _from_sorted(g.dim - 1, g._points[cuts[b] : cuts[b + 1], 1:], g._values[cuts[b] : cuts[b + 1]])
 
 
 def _box_packet_quotient(params: OperatorParams, width: int = 8) -> float:
@@ -315,8 +372,9 @@ def _box_packet_quotient(params: OperatorParams, width: int = 8) -> float:
     range compatible with both the box window and the square window, so it
     stays cheap for any cutoff.  For n = 2 the square window of x2 is
     constant on O(N) runs (_square_runs), so each of the O(wN) rows x1 costs
-    O(N): O(w N^2) in all.  n = 3 accumulates k' pair histograms per
-    (x1, x2) row, for modest N.
+    O(N): O(w N^2) in all, evaluated as (rows x runs) blocks of at most
+    _CHUNK_TERMS cells whose row sums are added in x1 order.  n = 3
+    accumulates k' pair histograms per (x1, x2) row, for modest N.
     """
     n, N = params.n, params.N
     cutoff = params.cutoff
@@ -340,13 +398,18 @@ def _box_packet_quotient(params: OperatorParams, width: int = 8) -> float:
         starts, lengths, rmin, rmax = _square_runs(x_lo, x_hi, M_n)
         neg_ok = starts <= M_n
         zero_ok = (starts >= 1) & neg_ok
-        for x1 in range(1 - k_hi, M - k_lo + 1):
+        x1s = np.arange(1 - k_hi, M - k_lo + 1, dtype=np.int64)
+        block = max(1, _CHUNK_TERMS // len(starts))
+        check_alloc((min(block, len(x1s)), len(starts)), np.float64, f"wave-packet rows n=2 N={N}")
+        for i in range(0, len(x1s), block):
+            x1 = x1s[i : i + block, None]
             a, b = 1 - x1, M - x1
             pos = wsum(np.maximum(a, rmin), np.minimum(b, rmax))
             neg = wsum(np.maximum(a, -rmax), np.minimum(b, -rmin))
             zero = wsum(np.maximum(a, 0), np.minimum(b, 0)) * zero_ok
             row = np.where(neg_ok, pos + neg + zero, 0.0)
-            total_sq += float(np.sum(lengths * (row * row)))
+            for row_sq in np.sum(lengths * (row * row), axis=1).tolist():  # in x1 order, as row by row
+                total_sq += row_sq
     else:
         x_last = np.arange(x_lo, x_hi)
         for x1 in range(1 - k_hi, M - k_lo + 1):

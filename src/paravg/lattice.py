@@ -152,7 +152,7 @@ class LatticeFunction:
         return list(zip(self.support(), self._values.tolist()))
 
     def support(self) -> list[tuple]:
-        return list(map(tuple, self._points.tolist()))
+        return list(zip(*self._points.T.tolist()))  # column by column: one list per axis, not per point
 
     def support_box(self) -> tuple[tuple[int, int], ...]:
         """Per-axis inclusive ranges covering the support; errors if empty."""

@@ -1,6 +1,7 @@
 """Extremizer ratios, operator norms, scaling fits, and the q < p probe."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,13 +19,14 @@ from paravg.experiments import (
     norm_l2_l2,
     random_ascent_lower_bound,
     rayleigh_quotient,
+    rayleigh_quotients,
     scaling_fit,
     sharp_threshold,
     target_slope,
     two_bump_separation_probe,
 )
 from paravg.expsums import gauss_row_max
-from paravg.lattice import box_indicator, delta, lp_norm, shift
+from paravg.lattice import LatticeFunction, box_indicator, delta, lp_norm, shift
 from paravg.reports import substream_seed
 
 
@@ -68,8 +70,8 @@ def _dense_box_counts_3d(N: int) -> np.ndarray:
     """Oracle: the n = 3 counts with one pair histogram per (x1, x2), none shared."""
     M, M_n = 2 * N, 3 * N * N
     keys = [(max(1, 1 - x), min(N, M - x)) for x in range(1 - N, M)]
-    x3 = np.arange(1 - 2 * N * N, M_n, dtype=np.int64)
-    counts = np.zeros((3 * N - 1, 3 * N - 1, 5 * N * N - 1), dtype=np.int64)
+    x3 = np.arange(1 - 2 * N * N, M_n - 1, dtype=np.int64)
+    counts = np.zeros((3 * N - 1, 3 * N - 1, 5 * N * N - 2), dtype=np.int64)
     for i, (a1, b1) in enumerate(keys):
         k1 = np.arange(a1, b1 + 1, dtype=np.int64)
         for j, (a2, b2) in enumerate(keys):
@@ -95,6 +97,16 @@ def test_box_counts_3d_match_unshared_histograms(N):
     counts, lo = box_average_counts(3, N)
     assert lo == (1 - N, 1 - N, 1 - 2 * N * N)
     assert counts.dtype == np.int64 and np.array_equal(counts, _dense_box_counts_3d(N))
+
+
+@pytest.mark.parametrize("n, N", [(2, 1), (2, 2), (2, 7), (3, 1), (3, 2), (3, 5)])
+def test_box_counts_array_is_the_support_box(n, N):
+    # no slice of the dense array is all zero at either end of any axis
+    counts, _ = box_average_counts(n, N)
+    assert counts.shape == (3 * N - 1,) * (n - 1) + ((2 * n - 1) * N * N - n + 1,)
+    for axis in range(n):
+        for end in (0, -1):
+            assert np.count_nonzero(np.take(counts, end, axis=axis)), (axis, end)
 
 
 def _convolved_pair_cum(I1, I2, N: int) -> np.ndarray:
@@ -307,6 +319,103 @@ def test_norm_l2_l2_rejects_weak_certificate(monkeypatch):
     monkeypatch.setattr(experiments, "_box_packet_quotient", lambda params, width=8: 0.79)
     with pytest.raises(AssertionError, match="wave packet"):
         norm_l2_l2(OperatorParams.sharp(2, 8))
+
+
+@pytest.mark.parametrize("kind", ["sharp", "smooth"])
+@pytest.mark.parametrize("N", [8, 32])
+def test_packet_quotient_blocks_match_streamed_rows(kind, N, monkeypatch):
+    # blocks of 6 rows: several blocks and a partial last one
+    params = OperatorParams.sharp(2, N) if kind == "sharp" else OperatorParams.smooth(2, N)
+    ks = params.cutoff.support()
+    rows = 8 * N - int(ks[0]) + int(ks[-1])
+    runs = len(experiments._square_runs(1 - 4 * N * N, 12 * N * N, 8 * N * N)[0])
+    assert rows > 12 and rows % 6
+    monkeypatch.setattr(experiments, "_CHUNK_TERMS", 6 * runs)
+    assert experiments._box_packet_quotient(params) == _streamed_packet_quotient_2d(params)
+
+
+def _rayleigh_oracle(f, params: OperatorParams) -> float:
+    """Oracle: the quotient of one function through average and lp_norm."""
+    return lp_norm(average(f, params), 2) / lp_norm(f, 2)
+
+
+def _falsification_batch(params: OperatorParams, B: int, m: int, seed: int):
+    """Seeded points and values with repeated points, a cancelling pair and a Gaussian-integer member."""
+    rng = np.random.default_rng(seed)
+    N, n = params.N, params.n
+    points = rng.integers(-2 * N, 2 * N, size=(B, m, n))
+    values = (rng.random((B, m)) + 1j * rng.standard_normal((B, m))) * (rng.random((B, m)) < 0.8)
+    values[:, 0] = 1.0
+    points[::3, 2] = points[::3, 1]  # repeated points sum in input order
+    points[1, 4], values[1, 3:5] = points[1, 3], (0.25 - 0.5j, -0.25 + 0.5j)  # a point that cancels
+    values[2] = rng.integers(-3, 4, m) + 1j * rng.integers(-3, 4, m)  # the exact branch of lp_norm
+    values[2, 0] = 2 - 1j
+    return points, values
+
+
+def _batch_oracle(points, values, params: OperatorParams) -> list:
+    n = params.n
+    return [_rayleigh_oracle(LatticeFunction(n, zip(p.tolist(), v.tolist())), params) for p, v in zip(points, values)]
+
+
+@pytest.mark.parametrize(
+    "params",
+    [OperatorParams.sharp(2, 8), OperatorParams.sharp(2, 32), OperatorParams.smooth(2, 8), OperatorParams.sharp(3, 4),
+     OperatorParams.smooth(3, 4)],
+    ids=lambda p: f"{p.cutoff.kind}-n{p.n}-N{p.N}",
+)
+def test_rayleigh_quotients_match_one_at_a_time(params):
+    points, values = _falsification_batch(params, 40, 7, seed=params.n * 1000 + params.N)
+    quotients = rayleigh_quotients(points, values, params)
+    assert all(type(q) is float for q in quotients)
+    assert quotients == _batch_oracle(points, values, params)
+    assert LatticeFunction(params.n, zip(points[2].tolist(), values[2].tolist())).is_integer_valued()
+    f = LatticeFunction(params.n, zip(points[1].tolist(), values[1].tolist()))
+    assert rayleigh_quotient(f, params) == _rayleigh_oracle(f, params)
+
+
+@pytest.mark.parametrize("B", [4, 5, 6, 11])
+def test_rayleigh_quotients_chunk_boundaries(B, monkeypatch):
+    # chunks of 5 functions: one short chunk, one full, one full and one function, two full and one
+    params, m = OperatorParams.sharp(2, 8), 6
+    points, values = _falsification_batch(params, B, m, seed=B)
+    monkeypatch.setattr(experiments, "_CHUNK_TERMS", 5 * m * len(paraboloid_kernel(params)))
+    calls = []
+    stacked_average = experiments._average_points
+    monkeypatch.setattr(experiments, "_average_points", lambda *a: calls.append(1) or stacked_average(*a))
+    assert rayleigh_quotients(points, values, params) == _batch_oracle(points, values, params)
+    assert len(calls) == -(-B // 5)
+
+
+def test_rayleigh_quotient_of_zero_is_an_error():
+    params = OperatorParams.sharp(2, 8)
+    with pytest.raises(ValueError, match="test function 0 of the batch is zero"):
+        rayleigh_quotient(LatticeFunction(2), params)
+    points, values = _falsification_batch(params, 12, 5, seed=1)
+    points[9] = points[9, 0]
+    values[9] = (1.0, -0.5, -0.25, -0.125, -0.125)  # sums to exactly 0 at its one point
+    with pytest.raises(ValueError, match="test function 9 of the batch is zero"):
+        rayleigh_quotients(points, values, params)
+    with pytest.raises(ValueError, match="dim"):
+        rayleigh_quotients(points[:, :, :1], values, params)
+
+
+def test_rayleigh_quotients_memory_is_bounded():
+    # the norm-scan sweep at N=64: unchunked, the stacked average of 600
+    # functions (307,200 pairs) peaks at ~33 MB; chunked it measured ~5 MB
+    params = OperatorParams.sharp(2, 64)
+    rng = np.random.default_rng(0)
+    points = rng.integers(-128, 128, size=(600, 8, 2))
+    values = np.ones((600, 8))
+    values[:, 1:] = rng.random((600, 7))
+    rayleigh_quotients(points[:1], values[:1], params)  # the cached kernel is not part of the peak
+    tracemalloc.start()
+    try:
+        rayleigh_quotients(points, values, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 << 20, peak
 
 
 def test_rayleigh_never_exceeds_norm():

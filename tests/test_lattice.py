@@ -168,6 +168,15 @@ def test_repeated_points_sum_in_input_order():
     assert LatticeFunction(2, cancels).items() == [((2, 1), 5 + 0j)]
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_support_and_items_match_row_wise_tuples(dim):
+    rng = np.random.default_rng(dim)
+    for f in (LatticeFunction(dim), random_sparse(rng, dim, 60), random_sparse(rng, dim, 1, complex_vals=True)):
+        rows = [tuple(row) for row in f._points.tolist()]
+        assert f.support() == rows and all(type(c) is int for p in f.support() for c in p)
+        assert f.items() == list(zip(rows, f._values.tolist()))
+
+
 def test_storage_is_sorted_and_read_only():
     f = LatticeFunction(2, [((3, -1), 2.0), ((-4, 7), 1.0), ((3, -2), -1.0), ((-4, 7), 0.5)])
     assert f.support() == [(-4, 7), (3, -2), (3, -1)]
