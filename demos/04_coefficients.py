@@ -8,7 +8,9 @@ bump transform at the residual |r'|^2 - r_n.  Consequences on display:
 * the closed form agrees with a blind quadrature oracle to ~1e-12;
 * every piece coefficient vanishes exactly on the paraboloid r_n = |r'|^2;
 * coefficient size decays like the inverse of the piece's frequency scale,
-  uniformly in N once normalized.
+  uniformly in N once normalized;
+* the minor-arc coefficient reaches 1 on the paraboloid, even for the sharp
+  cutoff at n = 3, where sigma(0) = 0 keeps the sup off the axes.
 """
 
 import numpy as np
@@ -17,6 +19,7 @@ from paravg import CoefficientQuery, OperatorParams, PieceSpec
 from paravg.coefficients import (
     coefficient_decay_report,
     coefficient_scale,
+    minor_coefficient_report,
     piece_coefficient,
     piece_coefficient_oracle,
 )
@@ -49,3 +52,8 @@ for N in (8, 16, 32):
         f"  (sup at residual {rep.values['argmax_residual']:g})"
     )
 print("piece scale for reference:", coefficient_scale(spec, params))
+
+print("\nexact minor-coefficient sup over the scan box, sharp cutoff, n = 3:")
+for N in (16, 32):
+    rep = minor_coefficient_report(OperatorParams.sharp(3, N), eps=0.2)
+    print(f"  N = {N:<3d} sup = {rep.values['sup']:.6f}  normalized = {rep.constant:.4f}  ({rep.notes})")

@@ -18,6 +18,13 @@ doubling until two successive grids agree.
 The whole-kernel coefficient is exact: coefficients of m recover the kernel
 itself, sigma(r_1)...sigma(r_{n-1}) 1{r_n = |r'|^2}.  The minor-arc
 coefficient is that minus the arc-localized part.
+
+So every coefficient is a sigma product times H(|r'|^2 - r_n), with H the
+piece_hat sum (and H(t) = [t = 0] - H_maj(t) for min), and a sup over a box
+of r is a max over s = |r'|^2 of two factors: the sigma product of r', and
+the max of |H| over the residual window s - r_n that the r_n range selects.
+Both coefficient reports take that sup exactly, with one sliding-window max
+of |H| serving every s.
 """
 
 from __future__ import annotations
@@ -31,7 +38,8 @@ import numpy as np
 from .arcs import DEFAULT_SPLINE_ORDER, PieceSpec, arc_system, piece_system
 from .cutoff import OperatorParams
 from .expsums import e1, gauss_row_max
-from .reports import ExperimentReport, substream_seed
+from .lattice import check_alloc
+from .reports import ExperimentReport
 
 __all__ = [
     "CoefficientQuery",
@@ -208,26 +216,55 @@ def maj_coefficient(
 def minor_coefficient(
     params: OperatorParams, r, order: int = DEFAULT_SPLINE_ORDER
 ) -> complex:
+    """Coefficient of the minor-arc part at r: the kernel value minus the arc-localized part."""
     return kernel_coefficient(params, r) - maj_coefficient(params, r, order)
 
 
 # -- reports ---------------------------------------------------------------------
 
 
-def _residual_profile(
+def _coefficient_sup(
     spec: PieceSpec, params: OperatorParams, order: int
-) -> tuple[np.ndarray, int]:
-    """|sum eta_hat| on the integer residual range of the scan box.
+) -> tuple[float, tuple | None]:
+    """Sup of |coefficient| over the scan box |r_i| < 2N, |r_n| <= 5 N^2, and the first r attaining it.
 
-    Returns (H, t_lo) with H[i] = |sum_{q,a} eta_hat(t_lo + i)| for residuals
-    t = |r'|^2 - r_n covering |r_i| <= 2N, |r_n| <= 5 N^2.
+    dyadic, core and maj read H = |piece_hat|, min reads H = |[t = 0] - maj hat|,
+    on the residuals t = s - r_n with s = |r'|^2.  The r_n range gives every s
+    the window t in [s - 5N^2, s + 5N^2], so the sup at s is the sigma product
+    times one sliding-window max, taken for every s at once from blockwise
+    prefix and suffix maxima.  Ties go to the first r' in ij order, then to
+    the largest r_n.  r is None when every coefficient in the box is zero.
     """
     N, n = params.N, params.n
+    R = 5 * N * N
+    width = 2 * R + 1
+    r_range = np.arange(1 - 2 * N, 2 * N, dtype=np.int64)
+    shape = (len(r_range),) * (n - 1)
     s_max = (n - 1) * (2 * N - 1) ** 2
-    t_lo = -5 * N * N
-    t_hi = s_max + 5 * N * N
-    ts = np.arange(t_lo, t_hi + 1, dtype=np.int64)
-    return np.abs(piece_system(spec, params, order).piece_hat(spec, ts)), t_lo
+    check_alloc(shape, np.float64, f"coefficient sup r' grid n={n} N={N}")
+    check_alloc((s_max + 2 * width,), np.complex128, f"coefficient sup residual profile n={n} N={N}")
+    sigma = np.asarray(params.cutoff.value(r_range), dtype=float)
+    weights, ssum = np.ones(shape), np.zeros(shape, dtype=np.int64)
+    for axis in range(n - 1):  # the product is taken in axis order, as the scalar path takes it
+        along = (-1,) + (1,) * (n - 2 - axis)
+        weights = weights * sigma.reshape(along)
+        ssum = ssum + (r_range * r_range).reshape(along)
+
+    ts = np.arange(-R, s_max + R + 1, dtype=np.int64)
+    hat = piece_system(spec, params, order).piece_hat(spec, ts)
+    H = np.abs((ts == 0) - hat) if spec.kind == "min" else np.abs(hat)
+    blocks = np.pad(H, (0, -len(H) % width)).reshape(-1, width)
+    prefix = np.maximum.accumulate(blocks, axis=1).ravel()
+    suffix = np.maximum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
+
+    vals = weights * np.maximum(suffix[ssum], prefix[ssum + width - 1])
+    k = int(np.argmax(vals))
+    best = float(vals.flat[k])
+    if best == 0.0:
+        return best, None
+    rp = tuple(int(r_range[i]) for i in np.unravel_index(k, shape))
+    s = int(ssum.flat[k])
+    return best, rp + (R - int(np.argmax(H[s : s + width])),)
 
 
 def coefficient_decay_report(
@@ -239,39 +276,13 @@ def coefficient_decay_report(
     """Sup of |coefficient| over the scan box, normalized by the decay bound.
 
     Dyadic pieces are normalized by (N 2^l)^{-1} (QN)^eps, core pieces by
-    (N^2/Q)^{-1} (QN)^eps.  The scan box |r_i| <= 2N, |r_n| <= 5 N^2
+    (N^2/Q)^{-1} (QN)^eps.  The scan box |r_i| < 2N, |r_n| <= 5 N^2
     truncates the lattice; beyond it the spline decay (order m+1 >= 9 in the
     residual) contributes below 1e-10 of the sup.  Also records where the
     sup is attained.
     """
     N, n = params.N, params.n
-    H, t_lo = _residual_profile(spec, params, order)
-    cutoff = params.cutoff
-
-    best = 0.0
-    best_r = None
-    rn_lo, rn_hi = -5 * N * N, 5 * N * N
-    r_range = np.arange(-(2 * N - 1), 2 * N)
-    sigma = np.asarray(cutoff.value(r_range), dtype=float)
-    grids = np.meshgrid(*([r_range] * (n - 1)), indexing="ij")
-    flat = [g.ravel() for g in grids]
-    weights = np.ones(len(flat[0]))
-    ssum = np.zeros(len(flat[0]), dtype=np.int64)
-    for g in flat:
-        weights *= np.asarray(cutoff.value(g), dtype=float)
-        ssum += g.astype(np.int64) ** 2
-    for w, s, *rp in zip(weights, ssum, *flat):
-        if w == 0.0:
-            continue
-        idx_hi = int(s) - rn_lo - t_lo
-        idx_lo = int(s) - rn_hi - t_lo
-        window = H[idx_lo : idx_hi + 1]
-        i = int(np.argmax(window))
-        val = w * float(window[i])
-        if val > best:
-            best = val
-            best_r = tuple(int(c) for c in rp) + (int(s) - (idx_lo + i + t_lo),)
-
+    best, best_r = _coefficient_sup(spec, params, order)
     bound = _decay_bound(spec, params, eps)
     residual = (
         sum(c * c for c in best_r[:-1]) - best_r[-1] if best_r is not None else None
@@ -292,41 +303,24 @@ def coefficient_decay_report(
 def minor_coefficient_report(
     params: OperatorParams,
     eps: float = 0.2,
-    n_samples: int = 400,
-    seed: int = 0,
     order: int = DEFAULT_SPLINE_ORDER,
 ) -> ExperimentReport:
-    """Sup of |minor coefficient| over sampled r, normalized by N^eps.
+    """Exact sup of |minor coefficient| over the scan box, normalized by N^eps.
 
-    The sup sits on the paraboloid itself: there the whole-kernel coefficient
-    is the sigma product while the arc part vanishes (mean zero), so the
-    minor coefficient is ~1 uniformly in N.  Paraboloid points are included
-    deterministically; random samples cover nearby residuals and background.
+    The box is the decay report's, |r_i| < 2N, |r_n| <= 5 N^2, and every r in
+    it counts; notes record the first r attaining the sup.  The sup sits on
+    the paraboloid itself: there the whole-kernel coefficient is the sigma
+    product while the arc part vanishes (its bumps have mean zero), so the
+    minor coefficient is 1 wherever sigma(r_1)...sigma(r_{n-1}) = 1, uniformly
+    in N.
     """
-    N, n = params.N, params.n
-    rng = np.random.default_rng(substream_seed(seed, f"minor_coef:{N}"))
-    sup = 0.0
-    probes = [(0,) * n] + [
-        (k,) + (0,) * (n - 2) + (k * k,) for k in (1, N // 2, N - 1)
-    ]
-    for r in probes:
-        sup = max(sup, abs(minor_coefficient(params, r, order)))
-    for _ in range(n_samples):
-        rp = tuple(int(c) for c in rng.integers(-2 * N + 1, 2 * N, size=n - 1))
-        s = sum(c * c for c in rp)
-        if rng.random() < 0.5:
-            rn = int(s - rng.integers(-8 * N, 8 * N + 1))  # near-paraboloid residuals
-        else:
-            rn = int(rng.integers(-5 * N * N, 5 * N * N + 1))
-        val = abs(minor_coefficient(params, rp + (rn,), order))
-        sup = max(sup, val)
+    sup, r = _coefficient_sup(PieceSpec("min"), params, order)
     return ExperimentReport(
         name="minor_coefficient_sup",
-        params={"n": n, "N": N, "eps": eps},
-        constant=sup / N**eps,
-        samples=n_samples,
-        seed=seed,
+        params={"n": params.n, "N": params.N, "eps": eps},
+        constant=sup / params.N**eps,
         values={"sup": sup},
+        notes=f"argmax at r={r}",
     )
 
 

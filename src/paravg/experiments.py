@@ -249,7 +249,7 @@ def box_power_sum(n: int, N: int, exponent: float) -> float:
         return total
     if n == 3:
         keys, pair_cums = _pair_histograms_3d(N, M)
-        x3 = np.arange(1 - 2 * N * N, M_n, dtype=np.int64)
+        x3 = np.arange(1 - 2 * N * N, M_n - 1, dtype=np.int64)  # x3 + k1^2 + k2^2 <= M_n with k1, k2 >= 1
         mult = {}
         for key in keys:
             mult[key] = mult.get(key, 0) + 1

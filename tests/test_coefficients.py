@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from paravg.arcs import PieceSpec, arc_system, bump_psi_hat
+from paravg.arcs import ArcSystem, PieceSpec, arc_system, bump_psi_hat, piece_system
 from paravg.coefficients import (
     CoefficientQuery,
+    _coefficient_sup,
     _decay_bound,
     _sigma_product,
     _sup_bound,
@@ -13,6 +14,7 @@ from paravg.coefficients import (
     coefficient_scale,
     kernel_coefficient,
     maj_coefficient,
+    minor_coefficient,
     minor_coefficient_report,
     piece_coefficient,
     piece_coefficient_oracle,
@@ -194,7 +196,7 @@ def test_maj_coefficient_refuses_residuals_past_the_int64_bound():
 def test_minor_coefficient_sweep():
     consts = {}
     for N in (16, 32):
-        rep = minor_coefficient_report(OperatorParams.smooth(2, N), n_samples=150, seed=2)
+        rep = minor_coefficient_report(OperatorParams.smooth(2, N))
         consts[N] = rep.constant
         assert np.isfinite(rep.constant)
     assert max(consts.values()) / min(consts.values()) < 4.0
@@ -219,6 +221,123 @@ def test_decay_report_core():
         rep = coefficient_decay_report(PieceSpec("core", 1), OperatorParams.smooth(2, N))
         consts.append(rep.constant)
     assert max(consts) / min(consts) < 3.0
+
+
+def _residuals(params):
+    """The residuals t = |r'|^2 - r_n of the scan box |r_i| < 2N, |r_n| <= 5 N^2, ascending."""
+    N, n = params.N, params.n
+    return np.arange(-5 * N * N, (n - 1) * (2 * N - 1) ** 2 + 5 * N * N + 1, dtype=np.int64)
+
+
+def _loop_sup(H, params):
+    """Oracle: the decay report's scan as a loop over r', one window argmax each.
+
+    H[i] is |coefficient / sigma product| at residual _residuals(params)[i].
+    Returns (sup, first r attaining it), with r None when the sup is 0.
+    """
+    N, n = params.N, params.n
+    t_lo = rn_lo = -5 * N * N
+    rn_hi = 5 * N * N
+    r_range = np.arange(-(2 * N - 1), 2 * N)
+    flat = [g.ravel() for g in np.meshgrid(*([r_range] * (n - 1)), indexing="ij")]
+    weights = np.ones(len(flat[0]))
+    ssum = np.zeros(len(flat[0]), dtype=np.int64)
+    for g in flat:
+        weights *= np.asarray(params.cutoff.value(g), dtype=float)
+        ssum += g.astype(np.int64) ** 2
+    best, best_r = 0.0, None
+    for w, s, *rp in zip(weights, ssum, *flat):
+        if w == 0.0:
+            continue
+        idx_lo = int(s) - rn_hi - t_lo
+        window = H[idx_lo : int(s) - rn_lo - t_lo + 1]
+        i = int(np.argmax(window))
+        val = w * float(window[i])
+        if val > best:
+            best = val
+            best_r = tuple(int(c) for c in rp) + (int(s) - (idx_lo + i + t_lo),)
+    return best, best_r
+
+
+def _profile(spec, params, order=8):
+    """|coefficient / sigma product| on the scan residuals, from piece_hat."""
+    ts = _residuals(params)
+    hat = piece_system(spec, params, order).piece_hat(spec, ts)
+    return np.abs(np.where(ts == 0, 1.0, 0.0) - hat) if spec.kind == "min" else np.abs(hat)
+
+
+_SUP_SPECS = [PieceSpec("core", 1), PieceSpec("core", 2), PieceSpec("dyadic", 1, 0),
+              PieceSpec("dyadic", 2, 1), PieceSpec("dyadic", 1, 1)]
+
+
+@pytest.mark.parametrize("kind", ["smooth", "sharp"])
+@pytest.mark.parametrize("n,N", [(2, 8), (2, 16), (2, 32), (2, 64), (3, 8), (3, 16)])
+def test_decay_report_matches_loop_oracle(kind, n, N):
+    params = getattr(OperatorParams, kind)(n, N)
+    for spec in _SUP_SPECS:
+        sup, r = _loop_sup(_profile(spec, params), params)
+        rep = coefficient_decay_report(spec, params)
+        assert type(rep.values["sup"]) is float and type(rep.constant) is float
+        assert rep.values["sup"] == sup and rep.constant == sup / _decay_bound(spec, params, 0.2)
+        assert rep.values["argmax_residual"] == float(sum(c * c for c in r[:-1]) - r[-1])
+        assert rep.notes == f"argmax at r={r}; decay exponent in the residual is order+1=9"
+
+
+@pytest.mark.parametrize("kind", ["smooth", "sharp"])
+@pytest.mark.parametrize("N", [16, 32])
+def test_maj_and_min_sup_match_loop_oracle(kind, N):
+    params = getattr(OperatorParams, kind)(2, N)
+    for spec in (PieceSpec("maj"), PieceSpec("min")):
+        assert _coefficient_sup(spec, params, 8) == _loop_sup(_profile(spec, params), params)
+
+
+_PROFILES = {
+    "rising": lambda t: (t + 10**6) / 3.0 + 0j,
+    "falling": lambda t: (10**6 - t) * (1 - 1j),
+    "flat": lambda t: np.full(t.shape, 0.5 + 0.5j),
+    "scattered": lambda t: (np.sin(12.9898 * t) * 43758.5453) % 1.0 + 0j,
+    "spike": lambda t: np.where(t == 7, 2.0, 0.25) + 0j,
+    "steep": lambda t: np.exp(t / 20.0) + 0j,  # the last residuals outweigh the sigma ramp
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_PROFILES))
+def test_coefficient_sup_matches_loop_on_synthetic_profiles(shape, monkeypatch):
+    # monotone profiles put every window max on a window edge, a flat one ties
+    # every window and every r', a steep one moves the sup to the largest
+    # |r'|^2 and residual; the loop oracle settles each case
+    profile = _PROFILES[shape]
+    monkeypatch.setattr(ArcSystem, "piece_hat", lambda self, spec, t: profile(np.asarray(t)))
+    for params in (OperatorParams.smooth(2, 12), OperatorParams.sharp(2, 12), OperatorParams.sharp(3, 10)):
+        ts = _residuals(params)
+        for spec, H in ((PieceSpec("dyadic", 1, 0), np.abs(profile(ts))),
+                        (PieceSpec("min"), np.abs(np.where(ts == 0, 1.0, 0.0) - profile(ts)))):
+            assert _coefficient_sup(spec, params, 8) == _loop_sup(H, params), (shape, params, spec)
+
+
+@pytest.mark.parametrize("N", [16, 32])
+def test_minor_sup_sharp_n3_sits_on_the_paraboloid(N):
+    # sigma(0) = 0 for the sharp cutoff, so the sup needs r' with nonzero entries
+    params = OperatorParams.sharp(3, N)
+    rep = minor_coefficient_report(params)
+    assert rep.values["sup"] == 1.0 == abs(minor_coefficient(params, (1, 1, 2)))
+    assert rep.notes == "argmax at r=(1, 1, 2)"
+    assert rep.constant == 1.0 / N**0.2
+
+
+def test_minor_sup_equals_scalar_max_over_the_box():
+    params = OperatorParams.sharp(2, 10)
+    brute = max(
+        abs(minor_coefficient(params, (r1, rn))) for r1 in range(-19, 20) for rn in range(-500, 501)
+    )
+    assert minor_coefficient_report(params).values["sup"] == brute
+
+
+def test_coefficient_sup_refuses_boxes_over_the_budget():
+    with pytest.raises(ValueError, match="r' grid n=5 N=64.*allocation budget"):
+        coefficient_decay_report(PieceSpec("dyadic", 1, 0), OperatorParams.smooth(5, 64))
+    with pytest.raises(ValueError, match="residual profile n=2 N=6000.*allocation budget"):
+        minor_coefficient_report(OperatorParams.sharp(2, 6000))
 
 
 def test_piece_sup_reports():

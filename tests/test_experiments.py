@@ -167,6 +167,27 @@ def test_box_power_sum_runs_match_streamed_rows(N, p):
         assert abs(fast - slow) <= 1e-12 * slow
 
 
+def _box_power_sum_3d_full_axis(N: int, exponent: float) -> float:
+    """Oracle: the n = 3 power sum over x3 in [1 - 2N^2, 3N^2], with the all-zero last slice."""
+    keys, pair_cums = experiments._pair_histograms_3d(N, 2 * N)
+    x3 = np.arange(1 - 2 * N * N, 3 * N * N, dtype=np.int64)
+    mult = {}
+    for key in keys:
+        mult[key] = mult.get(key, 0) + 1
+    total = 0.0
+    for k1, m1 in mult.items():
+        for k2, m2 in mult.items():
+            row = experiments._pair_row(pair_cums[(k1, k2)], x3, 3 * N * N).astype(float)
+            total += m1 * m2 * float(np.sum(row**exponent))
+    return total
+
+
+@pytest.mark.parametrize("N", [2, 4, 8, 12, 16])
+def test_box_power_sum_n3_keeps_its_bits_without_the_zero_slice(N):
+    for exponent in (2.25, 2.0, 3.0, 8 / 3):
+        assert box_power_sum(3, N, exponent) == _box_power_sum_3d_full_axis(N, exponent), exponent
+
+
 @pytest.mark.parametrize("p", [1.8, 2.0])
 def test_box_fit_reaches_thousands(p):
     fit = scaling_fit([256, 512, 1024, 2048], 2, p, "box")
