@@ -17,13 +17,15 @@ Count arithmetic is exact: the averaged box is evaluated by interval and
 histogram counting in integers (never by floating kernel sums), and floats
 enter only at the final root.
 
-Costs.  For n = 2 the square window of the last coordinate is constant on
-O(N) runs, so the box power sum (all x1 intervals x runs) and the wave-packet
-certificate of the 2 -> 2 norm (every x1 row x runs, in blocks of rows) are
-O(N^2) run-length sums, and the dense box counts and the core check read the
-same runs; n = 3 streams the pair histograms.  Rayleigh quotients of a batch
-of test functions average a chunk of them as one stacked function in one
-direct sum.  Both batched paths hold at most _CHUNK_TERMS terms per chunk.
+Costs.  The box and the wave-packet certificate of the 2 -> 2 norm share one
+interval engine: x_i enters only through its clipped k-interval, O(N) of
+them per side.  For n = 2 the last coordinate's square window is constant on
+O(N) runs, so every box and packet sum is O(N^2) over intervals x runs (the
+packet in blocks of intervals).  n = 3 streams the unordered interval pairs,
+one pair histogram alive at a time: O(N^4) time, O(N^2) memory.  Rayleigh
+quotients of a batch of test functions average a chunk of them as one
+stacked function in one direct sum.  Both batched paths hold at most
+_CHUNK_TERMS terms per chunk.
 The ascent keeps each start as sorted point and value arrays and its
 convolution on a dense window, and every dense array is checked against
 lattice.ALLOC_BUDGET_BYTES before it is allocated.
@@ -87,14 +89,16 @@ class ScalingFit:
         return ScalingFit(list(map(int, Ns)), list(map(float, values)), slope, target)
 
 
-# -- exact evaluation of the averaged box -------------------------------------------
+# -- the interval engine: the averaged box and the wave packet -----------------------
 #
-# For f = 1 on {1..M}^(n-1) x {1..M_n} the raw count at x is
-#     cnt(x) = #{k in prod K_i(x_i) : x_n + |k|^2 in [1, M_n]},
-#     K_i(x_i) = [max(1, 1 - x_i), min(N, M - x_i)],
-# an interval intersection resolvable by exact integer square roots (n = 2)
-# or per-pair square histograms (n = 3).  The extremizer box has M = 2N,
-# M_n = n N^2.
+# For f = 1 on {1..M}^(n-1) x {1..M_n} and weights sigma on [k_lo, k_hi] the
+# count at x sums sigma(k_1)...sigma(k_(n-1)) over k in prod K(x_i) with
+# 1 <= x_n + |k|^2 <= M_n, K(x_i) = [max(k_lo, 1 - x_i), min(k_hi, M - x_i)]:
+# x_i enters only through its clipped k-interval (_intervals).  The extremizer
+# box has sigma = 1 on [1, N], M = 2N, M_n = n N^2 (integer counts); the wave
+# packet has the cutoff's sigma, M = wN, M_n = wN^2.  n = 2 resolves the square
+# window by exact integer square roots (_square_runs); n = 3 reads one pass
+# over the unordered pairs of distinct intervals (_pair_rows).
 
 
 def _square_runs(x_lo: int, x_hi: int, top: int):
@@ -123,15 +127,18 @@ def _run_counts(A: int, B: int, kmin: np.ndarray, kmax: np.ndarray) -> np.ndarra
     return np.clip(np.minimum(B, kmax) - np.maximum(A, kmin) + 1, 0, None)
 
 
-def _box_intervals_2d(N: int):
-    """Distinct k-intervals [A, B] of the n = 2 box rows x1 in [1 - N, 2N).
+def _intervals(k_lo: int, k_hi: int, M: int):
+    """Distinct clipped k-intervals [max(k_lo, 1 - x), min(k_hi, M - x)] of one box side.
 
-    Returns (intervals, inverse, multiplicity): row x1 = 1 - N + j has the
-    interval intervals[inverse[j]].
+    x runs over [1 - k_hi, M - k_lo], where no interval is empty.  Returns
+    (intervals, inverse, mult), the intervals in sorted order: coordinate
+    x = 1 - k_hi + j has the interval intervals[inverse[j]], and mult counts
+    the coordinates of each.  Both ends fall as x rises, so x ascending meets
+    the intervals in reverse sorted order.
     """
-    x1 = np.arange(1 - N, 2 * N, dtype=np.int64)
+    x = np.arange(1 - k_hi, M - k_lo + 1, dtype=np.int64)
     intervals, inverse, mult = np.unique(
-        np.stack([np.maximum(1, 1 - x1), np.minimum(N, 2 * N - x1)], axis=1),
+        np.stack([np.maximum(k_lo, 1 - x), np.minimum(k_hi, M - x)], axis=1),
         axis=0,
         return_inverse=True,
         return_counts=True,
@@ -139,14 +146,18 @@ def _box_intervals_2d(N: int):
     return intervals, inverse.reshape(-1), mult
 
 
-def _pair_cum(I1: tuple, I2: tuple, N: int) -> np.ndarray:
-    """cum[s] = #{(k1, k2) in I1 x I2 : k1^2 + k2^2 < s} for two k-intervals [A, B].
+def _pair_cum(I1, I2, sigma: np.ndarray | None = None, k_lo: int = 1) -> np.ndarray:
+    """cum[s] = sum of sigma(k1) sigma(k2) over (k1, k2) in I1 x I2 with k1^2 + k2^2 < s.
 
-    One bincount of the |I1| |I2| pairwise square sums, O(N^2); length 2N^2 + 2.
+    I1 and I2 are k-intervals [A, B].  sigma holds the weights of k_lo,
+    k_lo + 1, ...; None means unit weights, and cum is an exact int64 count.
+    One bincount of the |I1| |I2| pairwise square sums, O(N^2); cum stops one
+    past the largest square sum, beyond which it is constant.
     """
+    (A1, B1), (A2, B2) = I1, I2
     s1, s2 = (np.arange(A, B + 1, dtype=np.int64) ** 2 for A, B in (I1, I2))
-    hist = np.bincount((s1[:, None] + s2[None, :]).ravel(), minlength=2 * N * N + 1)
-    return np.concatenate([[0], np.cumsum(hist)])
+    w = None if sigma is None else (sigma[A1 - k_lo : B1 - k_lo + 1, None] * sigma[A2 - k_lo : B2 - k_lo + 1]).ravel()
+    return np.concatenate([[0], np.cumsum(np.bincount((s1[:, None] + s2[None, :]).ravel(), weights=w))])
 
 
 def _pair_row(cum: np.ndarray, x3: np.ndarray, M_n: int) -> np.ndarray:
@@ -156,23 +167,29 @@ def _pair_row(cum: np.ndarray, x3: np.ndarray, M_n: int) -> np.ndarray:
     return cum[top] - cum[bot]
 
 
-def _pair_histograms_3d(N: int, M: int):
-    """Square-sum histograms per distinct pair of k-intervals of the n = 3 box.
+def _pair_rows(intervals: np.ndarray, x3: np.ndarray, M_n: int, sigma: np.ndarray | None = None, k_lo: int = 1):
+    """Yield (i, j, row) once per unordered pair i <= j of distinct intervals.
 
-    The k-interval depends on x_i only through (max(1, 1-x_i), min(N, M-x_i)),
-    so the whole [1, N] bulk shares one key; work is done once per distinct
-    unordered key pair and fanned out by multiplicity.  Returns the key of
-    each x_i in [1 - N, M) and the cumulative histogram of each key pair.
+    row is the n = 3 count over x3 for the k-intervals (intervals[i],
+    intervals[j]), sigma-weighted as in _pair_cum, and serves (j, i) too
+    (with float sigma that order would add each bin's terms differently; the
+    wave-packet loop oracle pins the bits).  Each pair builds its histogram
+    when it is reached, so one is alive at a time.
     """
-    keys = [(max(1, 1 - x1), min(N, M - x1)) for x1 in range(1 - N, M)]
-    pair_cums = {}
-    for k1 in set(keys):
-        for k2 in set(keys):
-            if (k2, k1) in pair_cums:
-                pair_cums[(k1, k2)] = pair_cums[(k2, k1)]
-                continue
-            pair_cums[(k1, k2)] = _pair_cum(k1, k2, N)
-    return keys, pair_cums
+    keys = intervals.tolist()
+    for i, I1 in enumerate(keys):
+        for j in range(i, len(keys)):
+            yield i, j, _pair_row(_pair_cum(I1, keys[j], sigma, k_lo), x3, M_n)
+
+
+def _box_pairs(N: int):
+    """The n = 3 box on the interval engine: (inverse, mult, the _pair_rows pass).
+
+    x3 spans [1 - 2N^2, 3N^2 - 2]: x3 + k1^2 + k2^2 <= 3N^2 with k1, k2 >= 1.
+    """
+    intervals, inverse, mult = _intervals(1, N, 2 * N)
+    x3 = np.arange(1 - 2 * N * N, 3 * N * N - 1, dtype=np.int64)
+    return inverse, mult, _pair_rows(intervals, x3, 3 * N * N)
 
 
 def box_average_counts(n: int, N: int):
@@ -184,25 +201,26 @@ def box_average_counts(n: int, N: int):
     (3N-1)^(n-1) ((2n-1) N^2 - n + 1) entries (~45 N^4 for n = 3), checked
     against the allocation budget first; the slope fits go through
     box_power_sum, which never builds it.  n = 2 repeats each distinct
-    k-interval's run counts over the run lengths; n = 3 evaluates every
-    pair histogram over x3.
+    k-interval's run counts over the run lengths; n = 3 scatters the row of
+    each interval pair of the one streamed pass into the cells of both
+    orders.
     """
     if n not in (2, 3):
         raise ValueError("box counting engines cover n in {2, 3}")
-    M, M_n = 2 * N, n * N * N
+    M_n = n * N * N
     shape = (3 * N - 1,) * (n - 1) + ((2 * n - 1) * N * N - n + 1,)
     check_alloc(shape, np.int64, f"averaged box counts n={n} N={N}")
     if n == 2:
         _, lengths, kmin, kmax = _square_runs(1 - N * N, M_n, M_n)
-        intervals, inverse, _ = _box_intervals_2d(N)
+        intervals, inverse, _ = _intervals(1, N, 2 * N)
         rows = np.stack([np.repeat(_run_counts(A, B, kmin, kmax), lengths) for A, B in intervals.tolist()])
         return rows[inverse], (1 - N, 1 - N * N)
-    keys, pair_cums = _pair_histograms_3d(N, M)
-    x3 = np.arange(1 - 2 * N * N, M_n - 1, dtype=np.int64)  # x3 + k1^2 + k2^2 <= M_n with k1, k2 >= 1
+    inverse, mult, pairs = _box_pairs(N)
+    xs = [np.flatnonzero(inverse == i) for i in range(len(mult))]
     counts = np.zeros(shape, dtype=np.int64)
-    for i, k1 in enumerate(keys):
-        for j, k2 in enumerate(keys):
-            counts[i, j] = _pair_row(pair_cums[(k1, k2)], x3, M_n)
+    for i, j, row in pairs:
+        counts[np.ix_(xs[i], xs[j])] = row
+        counts[np.ix_(xs[j], xs[i])] = row
     return counts, (1 - N, 1 - N, 1 - 2 * N * N)
 
 
@@ -222,7 +240,7 @@ def box_core_is_one(n: int, N: int) -> bool:
         _, _, kmin, kmax = _square_runs(1, N * N + 1, M_n)
         return bool(np.all(_run_counts(1, N, kmin, kmax) == full))
     x3 = np.arange(1, N * N + 1, dtype=np.int64)
-    return bool(np.all(_pair_row(_pair_cum((1, N), (1, N), N), x3, M_n) == full))
+    return bool(np.all(_pair_row(_pair_cum((1, N), (1, N)), x3, M_n) == full))
 
 
 def box_power_sum(n: int, N: int, exponent: float) -> float:
@@ -233,30 +251,31 @@ def box_power_sum(n: int, N: int, exponent: float) -> float:
     serves the whole bulk x1 in [0, N]) and on x2 only through its square
     window (kmin, kmax), which is constant on O(N) runs of x2 (_square_runs).
     So the sum runs over distinct intervals x runs, weighted by multiplicity
-    x run length.  n = 3 streams the pair histograms, O(N^4).
+    x run length, in sorted interval order.  n = 3 streams the interval
+    pairs, O(N^4) time and O(N^2) memory: one float per pair, added with
+    weight m_i m_j in first-appearance order of the intervals.
 
     Partial sums are exact for integer exponents at desk scale (counts are
     <= N^(n-1) and every partial sum stays below 2^53 up to N ~ 200).
     """
-    M, M_n = 2 * N, n * N * N
+    M_n = n * N * N
     total = 0.0
     if n == 2:
         _, lengths, kmin, kmax = _square_runs(1 - N * N, M_n, M_n)
-        intervals, _, mult = _box_intervals_2d(N)
+        intervals, _, mult = _intervals(1, N, 2 * N)
         powers = np.arange(N + 1, dtype=float) ** exponent
         for (A, B), m in zip(intervals.tolist(), mult.tolist()):
             total += m * float(np.sum(lengths * powers[_run_counts(A, B, kmin, kmax)]))
         return total
     if n == 3:
-        keys, pair_cums = _pair_histograms_3d(N, M)
-        x3 = np.arange(1 - 2 * N * N, M_n - 1, dtype=np.int64)  # x3 + k1^2 + k2^2 <= M_n with k1, k2 >= 1
-        mult = {}
-        for key in keys:
-            mult[key] = mult.get(key, 0) + 1
-        for k1, m1 in mult.items():
-            for k2, m2 in mult.items():
-                row = _pair_row(pair_cums[(k1, k2)], x3, M_n).astype(float)
-                total += m1 * m2 * float(np.sum(row**exponent))
+        _, mult, pairs = _box_pairs(N)
+        sums = np.empty((len(mult), len(mult)))
+        for i, j, row in pairs:
+            sums[i, j] = sums[j, i] = np.sum(row.astype(float) ** exponent)
+        m, first_seen = mult.tolist(), range(len(mult) - 1, -1, -1)  # reverse sorted order (_intervals)
+        for i in first_seen:
+            for j in first_seen:
+                total += m[i] * m[j] * float(sums[i, j])
         return total
     raise ValueError("box counting engines cover n in {2, 3}")
 
@@ -368,72 +387,54 @@ def _member(g: LatticeFunction, cuts: np.ndarray, b: int) -> LatticeFunction:
 def _box_packet_quotient(params: OperatorParams, width: int = 8) -> float:
     """Rayleigh quotient of the flat wave packet 1 on {1..wN}^(n-1) x {1..wN^2}.
 
-    The weight landing at x is a difference of sigma prefix sums over the k
-    range compatible with both the box window and the square window, so it
-    stays cheap for any cutoff.  For n = 2 the square window of x2 is
-    constant on O(N) runs (_square_runs), so each of the O(wN) rows x1 costs
-    O(N): O(w N^2) in all, evaluated as (rows x runs) blocks of at most
-    _CHUNK_TERMS cells whose row sums are added in x1 order.  n = 3
-    accumulates k' pair histograms per (x1, x2) row, for modest N.
+    Its average is the sigma-weighted count of the box M = wN, M_n = wN^2
+    (_intervals: ~2N intervals per side for the sharp cutoff, ~8N for the
+    smooth one).  One squared row sum is taken per interval (n = 2) or per
+    unordered interval pair (n = 3, the streamed _pair_rows pass), and the
+    sums are added in x order, as row by row.  For n = 2 a row is a
+    difference of sigma prefix sums on each of the O(N) square-window runs
+    of x2 (_square_runs), evaluated in (intervals x runs) blocks of at most
+    _CHUNK_TERMS cells: O(w N^2) in all.
     """
     n, N = params.n, params.N
-    cutoff = params.cutoff
     M, M_n = width * N, width * N * N
-    ks = cutoff.support()
-    ws = cutoff.weights()
-    k_lo = int(ks[0])
-    prefix = np.concatenate([[0.0], np.cumsum(ws)])
-
-    def wsum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """sum of sigma over [a, b] intersect supp sigma (vectorized)."""
-        ia = np.clip(a - k_lo, 0, len(ws))
-        ib = np.clip(b - k_lo + 1, 0, len(ws))
-        return prefix[np.maximum(ib, ia)] - prefix[ia]
-
-    k_hi = int(ks[-1])
+    ks, ws = params.cutoff.support(), params.cutoff.weights()
+    k_lo, k_hi = int(ks[0]), int(ks[-1])
+    intervals, inverse, _ = _intervals(k_lo, k_hi, M)
     x_lo, x_hi = 1 - (n - 1) * 4 * N * N, M_n + (n - 1) * 4 * N * N
-    total_sq = 0.0
 
     if n == 2:
+        prefix = np.concatenate([[0.0], np.cumsum(ws)])
+
+        def wsum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+            """sum of sigma over [a, b] intersect supp sigma (vectorized)."""
+            ia = np.clip(a - k_lo, 0, len(ws))
+            ib = np.clip(b - k_lo + 1, 0, len(ws))
+            return prefix[np.maximum(ib, ia)] - prefix[ia]
+
         starts, lengths, rmin, rmax = _square_runs(x_lo, x_hi, M_n)
         neg_ok = starts <= M_n
         zero_ok = (starts >= 1) & neg_ok
-        x1s = np.arange(1 - k_hi, M - k_lo + 1, dtype=np.int64)
         block = max(1, _CHUNK_TERMS // len(starts))
-        check_alloc((min(block, len(x1s)), len(starts)), np.float64, f"wave-packet rows n=2 N={N}")
-        for i in range(0, len(x1s), block):
-            x1 = x1s[i : i + block, None]
-            a, b = 1 - x1, M - x1
+        check_alloc((min(block, len(intervals)), len(starts)), np.float64, f"wave-packet rows n=2 N={N}")
+        blocks = []
+        for i in range(0, len(intervals), block):
+            a, b = intervals[i : i + block, :1], intervals[i : i + block, 1:]
             pos = wsum(np.maximum(a, rmin), np.minimum(b, rmax))
             neg = wsum(np.maximum(a, -rmax), np.minimum(b, -rmin))
             zero = wsum(np.maximum(a, 0), np.minimum(b, 0)) * zero_ok
             row = np.where(neg_ok, pos + neg + zero, 0.0)
-            for row_sq in np.sum(lengths * (row * row), axis=1).tolist():  # in x1 order, as row by row
-                total_sq += row_sq
+            blocks.append(np.sum(lengths * (row * row), axis=1))
+        sums = np.concatenate(blocks)
     else:
-        x_last = np.arange(x_lo, x_hi)
-        for x1 in range(1 - k_hi, M - k_lo + 1):
-            a1, b1 = max(k_lo, 1 - x1), min(k_hi, M - x1)
-            if a1 > b1:
-                continue
-            k1 = np.arange(a1, b1 + 1)
-            w1 = np.asarray(cutoff.value(k1), dtype=float)
-            for x2 in range(1 - k_hi, M - k_lo + 1):
-                a2, b2 = max(k_lo, 1 - x2), min(k_hi, M - x2)
-                if a2 > b2:
-                    continue
-                k2 = np.arange(a2, b2 + 1)
-                w2 = np.asarray(cutoff.value(k2), dtype=float)
-                sq = (k1[:, None] ** 2 + k2[None, :] ** 2).ravel()
-                wt = (w1[:, None] * w2[None, :]).ravel()
-                hist = np.bincount(sq, weights=wt)
-                cum = np.concatenate([[0.0], np.cumsum(hist)])
-                row = _pair_row(cum, x_last, M_n)
-                total_sq += float(np.sum(row * row))
+        sums = np.empty((len(intervals), len(intervals)))
+        for i, j, row in _pair_rows(intervals, np.arange(x_lo, x_hi), M_n, ws, k_lo):
+            sums[i, j] = sums[j, i] = np.sum(row * row)
 
-    norm_af = math.sqrt(total_sq) / N ** (n - 1)
-    norm_f = math.sqrt(M ** (n - 1) * M_n)
-    return norm_af / norm_f
+    total_sq = 0.0
+    for row_sq in sums[np.ix_(*(inverse,) * (n - 1))].ravel().tolist():  # in x order, as row by row
+        total_sq += row_sq
+    return math.sqrt(total_sq) / N ** (n - 1) / math.sqrt(M ** (n - 1) * M_n)  # |A f|_2 / |f|_2
 
 
 def norm_l2_l2(params: OperatorParams) -> ExperimentReport:

@@ -109,19 +109,54 @@ def test_box_counts_array_is_the_support_box(n, N):
             assert np.count_nonzero(np.take(counts, end, axis=axis)), (axis, end)
 
 
-def _convolved_pair_cum(I1, I2, N: int) -> np.ndarray:
-    """Oracle: the pair histogram as np.convolve of two (N^2 + 1)-long square histograms."""
-    h1, h2 = (np.bincount(np.arange(A, B + 1, dtype=np.int64) ** 2, minlength=N * N + 1) for A, B in (I1, I2))
-    return np.concatenate([[0], np.cumsum(np.convolve(h1, h2))])
+@pytest.mark.parametrize(
+    "k_lo, k_hi, M", [(1, 1, 2), (1, 4, 8), (1, 16, 32), (1, 8, 64), (-7, 7, 32), (-15, 15, 64), (3, 5, 1)]
+)
+def test_intervals_match_clipped_coordinates(k_lo, k_hi, M):
+    intervals, inverse, mult = experiments._intervals(k_lo, k_hi, M)
+    xs = range(1 - k_hi, M - k_lo + 1)
+    clipped = [(max(k_lo, 1 - x), min(k_hi, M - x)) for x in xs]
+    assert all(a <= b for a, b in clipped)  # no coordinate has an empty interval
+    keys = [tuple(key) for key in intervals.tolist()]
+    assert keys == sorted(set(clipped))
+    assert [keys[i] for i in inverse] == clipped
+    assert mult.tolist() == [clipped.count(key) for key in keys]
+    # x ascending meets the intervals in reverse sorted order
+    assert list(dict.fromkeys(inverse.tolist())) == list(range(len(intervals) - 1, -1, -1))
+
+
+def _convolved_pair_cum(I1, I2, weights=None, k_lo: int = 1) -> np.ndarray:
+    """Oracle: the pair histogram as np.convolve of two (weighted) square histograms."""
+    hists = []
+    for A, B in (I1, I2):
+        k = np.arange(A, B + 1, dtype=np.int64)
+        w = None if weights is None else weights[A - k_lo : B - k_lo + 1]
+        hists.append(np.bincount(k * k, weights=w))
+    return np.concatenate([[0], np.cumsum(np.convolve(*hists))])
 
 
 @pytest.mark.parametrize("N", [4, 8, 16, 24])
 def test_pair_cum_bincount_matches_convolution(N):
-    keys, pair_cums = experiments._pair_histograms_3d(N, 2 * N)
-    assert len(pair_cums) == len(set(keys)) ** 2
-    for (I1, I2), cum in pair_cums.items():
-        want = _convolved_pair_cum(I1, I2, N)
-        assert cum.dtype == want.dtype and np.array_equal(cum, want)
+    # every interval pair of the box, with unit weights: exact integers
+    intervals = experiments._intervals(1, N, 2 * N)[0].tolist()
+    assert len(intervals) == 2 * N - 1
+    for I1 in intervals:
+        for I2 in intervals:
+            cum, want = experiments._pair_cum(I1, I2), _convolved_pair_cum(I1, I2)
+            assert cum.dtype == want.dtype == np.int64 and np.array_equal(cum, want[: len(cum)])
+            assert np.all(want[len(cum) :] == cum[-1])  # constant past the largest square sum
+    # the smooth cutoff's sigma-weighted intervals of the wave packet, a stride of them
+    cutoff = OperatorParams.smooth(3, N).cutoff
+    ks, ws = cutoff.support(), cutoff.weights()
+    k_lo = int(ks[0])
+    intervals = experiments._intervals(k_lo, int(ks[-1]), 8 * N)[0].tolist()
+    assert len(intervals) == 8 * N - 3
+    for I1 in intervals[:: N // 2]:
+        for I2 in intervals[:: N // 2]:
+            cum, want = experiments._pair_cum(I1, I2, ws, k_lo), _convolved_pair_cum(I1, I2, ws, k_lo)
+            assert cum.dtype == np.float64 and cum[0] == 0.0
+            assert np.allclose(cum, want[: len(cum)], rtol=1e-12, atol=1e-12)
+            assert np.allclose(want[len(cum) :], cum[-1], rtol=1e-12, atol=1e-12)
 
 
 def test_box_core_exactness():
@@ -168,16 +203,20 @@ def test_box_power_sum_runs_match_streamed_rows(N, p):
 
 
 def _box_power_sum_3d_full_axis(N: int, exponent: float) -> float:
-    """Oracle: the n = 3 power sum over x3 in [1 - 2N^2, 3N^2], with the all-zero last slice."""
-    keys, pair_cums = experiments._pair_histograms_3d(N, 2 * N)
-    x3 = np.arange(1 - 2 * N * N, 3 * N * N, dtype=np.int64)
+    """Oracle: the n = 3 power sum over x3 in [1 - 2N^2, 3N^2], with the all-zero last slice.
+
+    One histogram per ordered pair of k-intervals, in first-appearance order of x1 and x2.
+    """
     mult = {}
-    for key in keys:
+    for x in range(1 - N, 2 * N):
+        key = (max(1, 1 - x), min(N, 2 * N - x))
         mult[key] = mult.get(key, 0) + 1
+    x3 = np.arange(1 - 2 * N * N, 3 * N * N, dtype=np.int64)
     total = 0.0
     for k1, m1 in mult.items():
         for k2, m2 in mult.items():
-            row = experiments._pair_row(pair_cums[(k1, k2)], x3, 3 * N * N).astype(float)
+            cum = _convolved_pair_cum(k1, k2)
+            row = experiments._pair_row(cum, x3, 3 * N * N).astype(float)
             total += m1 * m2 * float(np.sum(row**exponent))
     return total
 
@@ -186,6 +225,19 @@ def _box_power_sum_3d_full_axis(N: int, exponent: float) -> float:
 def test_box_power_sum_n3_keeps_its_bits_without_the_zero_slice(N):
     for exponent in (2.25, 2.0, 3.0, 8 / 3):
         assert box_power_sum(3, N, exponent) == _box_power_sum_3d_full_axis(N, exponent), exponent
+
+
+def test_box_power_sum_n3_streams_the_pairs():
+    # one pair histogram alive at a time: holding all of them at once peaks at
+    # 34.0 MB under tracemalloc at N=32, streaming them at 0.34 MB
+    box_power_sum(3, 2, 2.25)
+    tracemalloc.start()
+    try:
+        box_power_sum(3, 32, 2.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
 
 
 @pytest.mark.parametrize("p", [1.8, 2.0])
@@ -336,6 +388,38 @@ def test_packet_quotient_runs_match_streamed_rows(kind, N):
     assert experiments._box_packet_quotient(params) == _streamed_packet_quotient_2d(params)
 
 
+def _run_rows_packet_quotient_2d(params: OperatorParams, width: int = 8) -> float:
+    """Oracle: the n = 2 wave-packet quotient over the square-window runs, every x1 row in x1 order."""
+    N, cutoff = params.N, params.cutoff
+    M, M_n = width * N, width * N * N
+    ks, ws = cutoff.support(), cutoff.weights()
+    k_lo, k_hi = int(ks[0]), int(ks[-1])
+    prefix = np.concatenate([[0.0], np.cumsum(ws)])
+
+    def wsum(a, b):
+        ia = np.clip(a - k_lo, 0, len(ws))
+        return prefix[np.maximum(np.clip(b - k_lo + 1, 0, len(ws)), ia)] - prefix[ia]
+
+    starts, lengths, rmin, rmax = experiments._square_runs(1 - 4 * N * N, M_n + 4 * N * N, M_n)
+    neg_ok = starts <= M_n
+    total_sq = 0.0
+    for x1 in range(1 - k_hi, M - k_lo + 1):
+        a, b = 1 - x1, M - x1
+        pos = wsum(np.maximum(a, rmin), np.minimum(b, rmax))
+        neg = wsum(np.maximum(a, -rmax), np.minimum(b, -rmin))
+        zero = wsum(np.maximum(a, 0), np.minimum(b, 0)) * ((starts >= 1) & neg_ok)
+        row = np.where(neg_ok, pos + neg + zero, 0.0)
+        total_sq += float(np.sum(lengths * (row * row)))
+    return (math.sqrt(total_sq) / N) / math.sqrt(M * M_n)
+
+
+@pytest.mark.parametrize("kind", ["sharp", "smooth"])
+@pytest.mark.parametrize("N", [8, 20, 42, 48])  # smooth N = 20, 42, 48: another order of the sums changes the bits
+def test_packet_quotient_intervals_match_every_row(kind, N):
+    params = OperatorParams.sharp(2, N) if kind == "sharp" else OperatorParams.smooth(2, N)
+    assert experiments._box_packet_quotient(params) == _run_rows_packet_quotient_2d(params)
+
+
 def test_norm_l2_l2_rejects_weak_certificate(monkeypatch):
     monkeypatch.setattr(experiments, "_box_packet_quotient", lambda params, width=8: 0.79)
     with pytest.raises(AssertionError, match="wave packet"):
@@ -348,11 +432,42 @@ def test_packet_quotient_blocks_match_streamed_rows(kind, N, monkeypatch):
     # blocks of 6 rows: several blocks and a partial last one
     params = OperatorParams.sharp(2, N) if kind == "sharp" else OperatorParams.smooth(2, N)
     ks = params.cutoff.support()
-    rows = 8 * N - int(ks[0]) + int(ks[-1])
+    intervals = len(experiments._intervals(int(ks[0]), int(ks[-1]), 8 * N)[0])
     runs = len(experiments._square_runs(1 - 4 * N * N, 12 * N * N, 8 * N * N)[0])
-    assert rows > 12 and rows % 6
+    assert intervals > 12 and intervals % 6
     monkeypatch.setattr(experiments, "_CHUNK_TERMS", 6 * runs)
     assert experiments._box_packet_quotient(params) == _streamed_packet_quotient_2d(params)
+
+
+def _looped_packet_quotient_3d(params: OperatorParams, width: int = 8) -> float:
+    """Oracle: the n = 3 wave-packet quotient with one weighted pair histogram per (x1, x2)."""
+    N, cutoff = params.N, params.cutoff
+    M, M_n = width * N, width * N * N
+    ks = cutoff.support()
+    k_lo, k_hi = int(ks[0]), int(ks[-1])
+    x_last = np.arange(1 - 8 * N * N, M_n + 8 * N * N)
+    total_sq = 0.0
+    for x1 in range(1 - k_hi, M - k_lo + 1):
+        k1 = np.arange(max(k_lo, 1 - x1), min(k_hi, M - x1) + 1)
+        w1 = np.asarray(cutoff.value(k1), dtype=float)
+        for x2 in range(1 - k_hi, M - k_lo + 1):
+            k2 = np.arange(max(k_lo, 1 - x2), min(k_hi, M - x2) + 1)
+            w2 = np.asarray(cutoff.value(k2), dtype=float)
+            sq = (k1[:, None] ** 2 + k2[None, :] ** 2).ravel()
+            hist = np.bincount(sq, weights=(w1[:, None] * w2[None, :]).ravel())
+            cum = np.concatenate([[0.0], np.cumsum(hist)])
+            top = np.clip(M_n - x_last + 1, 0, len(cum) - 1)
+            bot = np.clip(1 - x_last, 0, len(cum) - 1)
+            row = cum[top] - cum[bot]
+            total_sq += float(np.sum(row * row))
+    return (math.sqrt(total_sq) / N**2) / math.sqrt(M**2 * M_n)
+
+
+@pytest.mark.parametrize("kind", ["sharp", "smooth"])
+@pytest.mark.parametrize("N", [4, 6, 8])
+def test_packet_quotient_n3_pairs_match_looped_rows(kind, N):
+    params = OperatorParams.sharp(3, N) if kind == "sharp" else OperatorParams.smooth(3, N)
+    assert experiments._box_packet_quotient(params) == _looped_packet_quotient_3d(params)
 
 
 def _rayleigh_oracle(f, params: OperatorParams) -> float:
