@@ -37,7 +37,7 @@ import numpy as np
 
 from .arcs import DEFAULT_SPLINE_ORDER, PieceSpec, arc_system, piece_system
 from .cutoff import OperatorParams
-from .expsums import e1, gauss_row_max
+from .expsums import e1, gauss_row_max, screen_row_max, sup_candidates
 from .lattice import check_alloc
 from .reports import ExperimentReport
 
@@ -366,7 +366,12 @@ def piece_sup_report(
     The sup over the first n-1 coordinates factorizes into the row maximum
     of |G(t, .)|, so the scan is one-dimensional in t = xi_n.  The row
     maximum is taken only where the piece weight is nonzero; elsewhere g
-    stays 0, and 0 * g^(n-1) is +0.0 either way.  Bounds:
+    stays 0, and 0 * g^(n-1) is +0.0 either way.  screen_row_max screens
+    those rows, and gauss_row_max re-evaluates only the candidates
+    (sup_candidates, with beta carried through weight * g^(n-1)); every
+    other row keeps g = 0 and lies strictly below the max, so the sup and
+    its first argmax have the bits of the scan with every row through
+    gauss_row_max.  Bounds:
     (N 2^l)^((n-1)/2) dyadic, (N^2/Q)^((n-1)/2) core, N^((n-1)/2 + eps)
     minor, N^(n-1) maj and whole.
     """
@@ -382,7 +387,10 @@ def piece_sup_report(
         weight = np.abs(1.0 - w) if spec.kind == "min" else np.abs(w)
     g = np.zeros_like(ts)
     live = np.flatnonzero(weight)
-    g[live] = gauss_row_max(ts[live], params.cutoff, y_grid)
+    screen, beta = screen_row_max(ts[live], params.cutoff, y_grid)
+    w_live = weight[live]
+    rows = live[sup_candidates(w_live * np.maximum(screen - beta, 0.0) ** (n - 1), w_live * (screen + beta) ** (n - 1))]
+    g[rows] = gauss_row_max(ts[rows], params.cutoff, y_grid)
     bound = _sup_bound(spec, params, eps)
 
     vals = weight * g ** (n - 1)

@@ -35,6 +35,26 @@ columns: negation is exact and rounding is sign-symmetric, so (t (-k)) (-k)
 has the bits of (t k) k.  It keeps that order, since t (k^2) rounds once
 instead of twice and gives other bits once |k| >= 2^11.
 
+Screening.  gauss_bound_report and piece_sup_report report one max over
+10^4 samples or more, and only the argmax sample's bits reach the report.
+So they screen every sample with a cheaper float64 evaluator and re-run
+the long-double kernels above, unchanged, on the candidates only.
+_quadratic_exps fills e(t j^2 + y j), j = 0..m, by the recurrence
+z_{j+1} = z_j r_j, r_{j+1} = r_j e(2t), r_0 = e(t + y): two complex
+products per column and no exponential past the first column.
+screen_gauss_abs sums it over both sides of the support (y for k >= 0, -y
+for k < 0); screen_row_max takes it at y = 0 for the distinct |k|, puts
+it in the same FFT rows as gauss_row_max and takes the row max of
+re^2 + im^2 before one sqrt.  Each returns beta with |screen - kernel| <=
+beta for every sample, derived in _screen_error.  A sample is a candidate
+when its screened value + beta, carried through the report's arithmetic,
+reaches the largest screened value - beta (sup_candidates).  Any other
+sample lies strictly below the max, so the max, the first argmax and every
+tie are among the candidates, and the report takes them from the
+long-double kernels in original order with the bits it had when every
+sample ran through them.  A loose beta only sends more samples to the
+exact path; a wrong one can change a report, which the tests show.
+
 np.abs on a complex array can differ from Python's abs in the last ulp
 (about a third of the rows), so |G| is taken as np.hypot of the parts,
 which is what Python's abs computes (equal on 4e6 random sums, over 600
@@ -62,13 +82,21 @@ __all__ = [
     "dirichlet_approx_batch",
     "gauss_bound_report",
     "gauss_row_max",
+    "screen_gauss_abs",
+    "screen_row_max",
+    "sup_candidates",
 ]
 
 _LONG = np.longdouble
 # cells per chunk of a batched Gauss-sum evaluation (4 MiB of long-double phases,
-# or 4 MiB of complex FFT input in gauss_row_max); rows are independent, so the
-# chunking changes no value, only the peak memory
+# or 4 MiB of complex FFT input in gauss_row_max and the screens); the kernels'
+# rows are independent, so the chunking changes no kernel value, only the peak
+# memory (a screen's bits may move with it, within its beta)
 _CHUNK_CELLS = 1 << 18
+_U = 2.0**-53  # unit roundoff of float64
+# relative room for the few roundings of the float expressions that carry beta
+# into a report's units (a power n - 1 of a row max takes n + 2 of them)
+_SLACK = 1e-12
 
 
 def e1(x) -> complex | np.ndarray:
@@ -170,6 +198,148 @@ def gauss_row_max(ts: np.ndarray, cutoff: CutoffProfile, y_grid: int) -> np.ndar
         np.fft.fft(buf[:m], axis=1, out=vals[:m])
         np.max(np.abs(vals[:m], out=mags[:m]), axis=1, out=out[start : start + m])
     return out
+
+
+# -- screening: exp-free sums that pick the samples the kernels re-evaluate -----
+
+
+def _quadratic_exps(t: np.ndarray, y, out: np.ndarray) -> np.ndarray:
+    """e(t j^2 + y j) for j = 0..m in the columns of out, shape (len(t), m + 1).
+
+    Column j + 1 is column j times r_j = e(t (2j + 1) + y), and
+    r_{j+1} = r_j e(2t).  out may be a transposed view, so that each column
+    is contiguous.
+    """
+    out[:, 0] = 1.0
+    ratio, step = e1(t + y), e1(2.0 * t)
+    for j in range(out.shape[1] - 1):
+        np.multiply(out[:, j], ratio, out=out[:, j + 1])
+        np.multiply(ratio, step, out=ratio)
+    return out
+
+
+def _fft_roundoff(M: int) -> float:
+    """eta(M) of _screen_error: 8 u p^(3/2) summed over the prime factors p of M, with multiplicity."""
+    total, p = 0.0, 2
+    while p * p <= M:
+        while M % p == 0:
+            total, M = total + p**1.5, M // p
+        p += 1
+    return 8 * _U * (total + (M**1.5 if M > 1 else 0.0))
+
+
+def _screen_error(cutoff: CutoffProfile, y_grid: int | None = None) -> float:
+    """beta >= |screen - kernel| at every sample: the Gauss sums, or the row maxima on y_grid.
+
+    With u = 2^-53, m = max |k|, S0 = sum |sigma(k)| and
+    S2 = sum |sigma(k)| (1 + k^2), to first order in u:
+
+    - e1 of an argument |x| < 2 errs by eps0 <= 8 pi u + sqrt(2) u < 27 u:
+      2u in x mod 1, 2 pi u each from the rounded 2 pi and the product,
+      u each from cos and sin.  A complex product rounds by <= sqrt(5) u.
+      So r_j errs by <= (j + 1)(eps0 + sqrt(5) u), and column j of
+      _quadratic_exps by <= (eps0 + sqrt(5) u) j (j + 1) / 2 <= 22 u (1 + j^2),
+      as j (j + 1) / 2 <= (3/4)(1 + j^2).  c = 24 covers the higher orders.
+    - The kernel's phase y k + (t k) k, reduced mod 1 in long double and
+      rounded to float64, errs by <= 5 eps_L (1 + k^2) + u/2, with
+      eps_L = finfo(longdouble).eps (2u where long double is float64), so
+      each of its terms errs by <= 10 pi eps_L (1 + k^2) + 18 u.
+    - A sum of l unit-modulus terms errs by <= 1.5 l u S0: np.sum over the
+      support in the kernel, one matmul of length m + 1 per side in the
+      screen.  The weights, the sum of the two sides, hypot and the
+      magnitudes of the FFT outputs add <= 6 u S0.
+
+    So beta = (24 u + 10 pi eps_L) S2 + (2m + 2 len(k) + 24) u S0 for the
+    sums.  The row maxima have FFTs in place of the sums: one FFT of length
+    M errs in each entry by at most its normwise error
+    eta(M) sqrt(M) ||sigma||_2, where a radix-p pass adds
+    ((p + 3) sqrt(p) + 4) u <= 8 p^(3/2) u (Higham's radix-2 bound for
+    p = 2); pocketfft turns to Bluestein's algorithm only for prime factors
+    near 100 and up, where 8 p^(3/2) u is far above its error.  Both row
+    maxima take an FFT, and two maxima differ by at most the largest
+    entrywise gap.
+    """
+    k, w = cutoff.support(), np.abs(cutoff.weights())
+    s0 = float(np.sum(w))
+    m = int(np.max(np.abs(k)))
+    beta = (24 * _U + 10 * np.pi * float(np.finfo(_LONG).eps)) * float(np.sum(w * (1.0 + k * k)))
+    beta += (2 * m + 2 * len(k) + 24) * _U * s0
+    if y_grid is not None:
+        beta += 2 * _fft_roundoff(y_grid) * math.sqrt(y_grid * float(np.sum(w * w)))
+    return beta
+
+
+def screen_gauss_abs(ts: np.ndarray, ys: np.ndarray, cutoff: CutoffProfile) -> tuple[np.ndarray, float]:
+    """|G(ts[i], ys[i])| screened, and beta >= its distance to the hypot of _gauss_sums at every i.
+
+    beta holds for ts and ys in [0, 1).  _quadratic_exps fills one table
+    of at most _CHUNK_CELLS cells per chunk, once at y for k >= 0 and once
+    at -y for k < 0, and one matmul with each side's weights sums it.
+    """
+    k, w = cutoff.support(), cutoff.weights()
+    m = int(np.max(np.abs(k)))
+    pos, neg = np.zeros(m + 1), np.zeros(m + 1)
+    pos[k[k >= 0]] = w[k >= 0]
+    neg[-k[k < 0]] = w[k < 0]
+    out = np.empty(len(ts))
+    rows = max(1, _CHUNK_CELLS // (m + 1))
+    cells = np.empty((m + 1) * min(rows, len(ts)), complex)
+    for start in range(0, len(ts), rows):
+        tt, yy = ts[start : start + rows], ys[start : start + rows]
+        table = cells[: (m + 1) * len(tt)].reshape(m + 1, len(tt))  # contiguous, for the matmul
+        g = pos @ _quadratic_exps(tt, yy, table.T).T
+        if k[0] < 0:
+            g += neg @ _quadratic_exps(tt, -yy, table.T).T
+        np.hypot(g.real, g.imag, out=out[start : start + len(tt)])
+    return out, _screen_error(cutoff)
+
+
+def screen_row_max(ts: np.ndarray, cutoff: CutoffProfile, y_grid: int) -> tuple[np.ndarray, float]:
+    """gauss_row_max screened, and beta >= its distance to gauss_row_max at every t.
+
+    beta holds for ts in [0, 1).  _quadratic_exps at y = 0 writes e(t j^2),
+    j = 0..max |k|, straight into the head columns of the FFT rows; column
+    y_grid + k of each k < 0 is then read from column -k, and the head is
+    weighted in place.  The row max is taken of re^2 + im^2, squared in
+    place in the FFT output, before one sqrt.  The support is a contiguous
+    range, so the head and the columns of k < 0 fit side by side once
+    y_grid > max |k| + max(-k_min, 0).
+    """
+    k, w = cutoff.support(), cutoff.weights()
+    m, lo = int(np.max(np.abs(k))), int(k[0])
+    if y_grid <= m - min(lo, 0):
+        raise ValueError("y grid too coarse for the coefficient support")
+    ts = np.asarray(ts, dtype=float)
+    head = np.zeros(m + 1)
+    head[k[k >= 0]] = w[k >= 0]
+    out = np.empty(len(ts))
+    chunk = max(1, _CHUNK_CELLS // y_grid)
+    rows = min(chunk, len(ts))
+    buf = np.zeros((rows, y_grid), complex)  # columns between the head and the k < 0 block stay zero
+    vals, mags = np.empty((rows, y_grid), complex), np.empty((rows, y_grid))
+    for start in range(0, len(ts), chunk):
+        tt = ts[start : start + chunk]
+        n = len(tt)
+        z = _quadratic_exps(tt, 0.0, buf[:n, : m + 1])
+        if lo < 0:
+            np.multiply(w[k < 0], z[:, -lo:0:-1], out=buf[:n, y_grid + lo :])
+        np.multiply(head, z, out=z)
+        parts = np.fft.fft(buf[:n], axis=1, out=vals[:n]).view(float)
+        np.square(parts, out=parts)
+        np.add(parts[:, ::2], parts[:, 1::2], out=mags[:n])
+        np.max(mags[:n], axis=1, out=out[start : start + n])
+    return np.sqrt(out, out=out), _screen_error(cutoff, y_grid)
+
+
+def sup_candidates(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Indices i whose hi[i] reaches max(lo): every sample that can hold a max.
+
+    lo >= 0 and hi are a report's value at screen - beta and screen + beta,
+    computed by float expressions; _SLACK widens both for their roundings.
+    An index left out lies strictly below the max, so it is neither the
+    first argmax nor tied with it.
+    """
+    return np.flatnonzero(hi * (1.0 + _SLACK) >= np.max(lo, initial=0.0) * (1.0 - _SLACK))
 
 
 # -- rational approximation ----------------------------------------------------
@@ -296,7 +466,10 @@ def gauss_bound_report(
     contains other rationals a'/q' (necessarily q' > N/10), and near those
     the sum is governed by (a', q'), not (a, q).  The reported constant is
     the max ratio over all samples; it must stay uniformly bounded over an
-    N sweep.
+    N sweep.  screen_gauss_abs screens every sample, and _gauss_sums
+    re-evaluates only the candidates (sup_candidates, with beta carried
+    through g sqrt(q) / cap), so the constant has the bits of the max over
+    every sample through _gauss_sums.
     """
     if params.cutoff.kind != "smooth":
         raise ValueError("the bound is stated for the smooth cutoff")
@@ -317,13 +490,16 @@ def gauss_bound_report(
             u = 0.0  # exact-center sample: min(N, inf) = N
         ts[i] = (a / int(q) + u) % 1.0
 
-    sums = _gauss_sums(ts, ys, params.cutoff)
-    g = np.hypot(sums.real, sums.imag)
+    screen, beta = screen_gauss_abs(ts, ys, params.cutoff)
     _, q, err = dirichlet_approx_batch(ts, N)
     with np.errstate(divide="ignore"):  # err = 0 (exact center): cap = min(N, inf) = N
         cap = np.minimum(N, 1.0 / np.sqrt(np.abs(err)))
+    scale = np.sqrt(q) / cap
+    rows = sup_candidates(np.maximum(screen - beta, 0.0) * scale, (screen + beta) * scale)
+    sums = _gauss_sums(ts[rows], ys[rows], params.cutoff)
+    g = np.hypot(sums.real, sums.imag)
     # a NumPy scalar, as the scalar loop left it: gauss-check's CSV writes its repr
-    worst = np.max(g * np.sqrt(q) / cap, initial=0.0)
+    worst = np.max(g * np.sqrt(q[rows]) / cap[rows], initial=0.0)
 
     return ExperimentReport(
         name="gauss_bound",

@@ -370,17 +370,19 @@ def _full_grid_sup_report(spec, params, order=8, eps=0.2):
     return float(vals[i]) / bound, {"sup": float(vals[i]), "bound": bound, "argmax_t": float(ts[i])}, len(ts)
 
 
-@pytest.mark.parametrize("n,N", [(2, 32), (3, 12)])
+# (3, 20) and (4, 10) have pieces whose argmax of weight * g^(n-1) is not that of weight * g
+@pytest.mark.parametrize("n,N", [(2, 32), (3, 12), (3, 20), (4, 10)])
 def test_piece_sup_report_matches_full_grid(n, N, monkeypatch):
     from paravg import coefficients
+    from paravg.arcs import arc_system
 
     rows = []
-    row_max = coefficients.gauss_row_max
-    monkeypatch.setattr(coefficients, "gauss_row_max", lambda ts, *a: rows.append(len(ts)) or row_max(ts, *a))
+    screen = coefficients.screen_row_max
+    monkeypatch.setattr(coefficients, "screen_row_max", lambda ts, *a: rows.append(len(ts)) or screen(ts, *a))
     params = OperatorParams.smooth(n, N)
     skipped = {}
-    for spec in (PieceSpec("whole"), PieceSpec("maj"), PieceSpec("min"), PieceSpec("core", 1),
-                 PieceSpec("core", 2), PieceSpec("dyadic", 1, 0), PieceSpec("dyadic", 2, 1)):
+    # every piece of the arc system, and the three sums of pieces
+    for spec in [PieceSpec("whole"), PieceSpec("maj"), PieceSpec("min")] + arc_system(N, 8).piece_specs():
         rep = piece_sup_report(spec, params)
         assert (rep.constant, rep.values, rep.params["t_points"]) == _full_grid_sup_report(spec, params)
         skipped[spec.kind] = rep.params["t_points"] - rows[-1]
@@ -391,9 +393,9 @@ def test_piece_sup_report_with_every_weight_zero(monkeypatch):
     from paravg import arcs, coefficients
 
     calls = []
-    row_max = coefficients.gauss_row_max
+    screen = coefficients.screen_row_max
     monkeypatch.setattr(arcs.ArcSystem, "piece_weight", lambda self, spec, t: np.zeros(np.shape(t)))
-    monkeypatch.setattr(coefficients, "gauss_row_max", lambda ts, *a: calls.append(len(ts)) or row_max(ts, *a))
+    monkeypatch.setattr(coefficients, "screen_row_max", lambda ts, *a: calls.append(len(ts)) or screen(ts, *a))
     params = OperatorParams.smooth(2, 16)
     for spec in (PieceSpec("min"), PieceSpec("dyadic", 1, 0)):
         calls.clear()
@@ -403,6 +405,39 @@ def test_piece_sup_report_with_every_weight_zero(monkeypatch):
         else:
             assert calls == [0] and rep.constant == 0.0 and rep.values["sup"] == 0.0
         assert (rep.constant, rep.values, rep.params["t_points"]) == _full_grid_sup_report(spec, params)
+
+
+def test_piece_sup_report_refines_a_few_rows(monkeypatch):
+    from paravg import coefficients
+
+    rows = []
+    row_max = coefficients.gauss_row_max
+    monkeypatch.setattr(coefficients, "gauss_row_max", lambda ts, *a: rows.append(len(ts)) or row_max(ts, *a))
+    rep = piece_sup_report(PieceSpec("min"), OperatorParams.smooth(2, 64))
+    assert len(rows) == 1 and 1 <= rows[0] <= 64 < rep.params["t_points"]
+
+
+@pytest.mark.parametrize("shift, changed", [(0.9, False), (2.0, True)])
+def test_piece_sup_report_needs_its_screen_within_beta(shift, changed, monkeypatch):
+    # lower the screened rows at the reported argmax by shift * beta and raise
+    # every other row by as much: within beta the report keeps its bits; at
+    # 2 beta the row at t = 3/8, whose value ties with the one at 1/8 up to
+    # roundoff, hides the argmax, so the report changes
+    from paravg import coefficients
+
+    params = OperatorParams.smooth(2, 32)
+    honest = piece_sup_report(PieceSpec("min"), params)
+    screen = coefficients.screen_row_max
+
+    def shifted(ts, *args):
+        values, beta = screen(ts, *args)
+        return np.where(ts == honest.values["argmax_t"], values - shift * beta, values + shift * beta), beta
+
+    monkeypatch.setattr(coefficients, "screen_row_max", shifted)
+    rep = piece_sup_report(PieceSpec("min"), params)
+    assert ((rep.constant, rep.values) != (honest.constant, honest.values)) == changed
+    if changed:
+        assert (honest.values["argmax_t"], rep.values["argmax_t"]) == (0.125, 0.375)
 
 
 def test_min_sup_sweep():

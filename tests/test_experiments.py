@@ -381,11 +381,16 @@ def _streamed_packet_quotient_2d(params: OperatorParams, width: int = 8) -> floa
     return (math.sqrt(total_sq) / N) / math.sqrt(M * M_n)
 
 
+def _assert_within_ulps(value: float, oracle: float, ulps: int = 4) -> None:
+    """The streamed oracle sums every x2 of a row, not lengths times runs, so the two agree to a few ulps, not bits."""
+    assert abs(value - oracle) <= ulps * math.ulp(oracle)
+
+
 @pytest.mark.parametrize("kind", ["sharp", "smooth"])
-@pytest.mark.parametrize("N", [8, 16, 32, 64])
+@pytest.mark.parametrize("N", [8, 16, 20, 32, 64])  # smooth N = 20: the two sums differ in the last bit
 def test_packet_quotient_runs_match_streamed_rows(kind, N):
     params = OperatorParams.sharp(2, N) if kind == "sharp" else OperatorParams.smooth(2, N)
-    assert experiments._box_packet_quotient(params) == _streamed_packet_quotient_2d(params)
+    _assert_within_ulps(experiments._box_packet_quotient(params), _streamed_packet_quotient_2d(params))
 
 
 def _run_rows_packet_quotient_2d(params: OperatorParams, width: int = 8) -> float:
@@ -427,7 +432,7 @@ def test_norm_l2_l2_rejects_weak_certificate(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["sharp", "smooth"])
-@pytest.mark.parametrize("N", [8, 32])
+@pytest.mark.parametrize("N", [8, 20, 32])
 def test_packet_quotient_blocks_match_streamed_rows(kind, N, monkeypatch):
     # blocks of 6 rows: several blocks and a partial last one
     params = OperatorParams.sharp(2, N) if kind == "sharp" else OperatorParams.smooth(2, N)
@@ -436,7 +441,7 @@ def test_packet_quotient_blocks_match_streamed_rows(kind, N, monkeypatch):
     runs = len(experiments._square_runs(1 - 4 * N * N, 12 * N * N, 8 * N * N)[0])
     assert intervals > 12 and intervals % 6
     monkeypatch.setattr(experiments, "_CHUNK_TERMS", 6 * runs)
-    assert experiments._box_packet_quotient(params) == _streamed_packet_quotient_2d(params)
+    _assert_within_ulps(experiments._box_packet_quotient(params), _streamed_packet_quotient_2d(params))
 
 
 def _looped_packet_quotient_3d(params: OperatorParams, width: int = 8) -> float:

@@ -287,6 +287,10 @@ def test_kernels_work_in_a_fixed_number_of_chunks():
     chunk = 16 * expsums._CHUNK_CELLS
     assert _peak_beyond_result(lambda: expsums._gauss_sums(ts, ys, cutoff)) <= 3.25 * chunk
     assert _peak_beyond_result(lambda: gauss_row_max(ts, cutoff, 8 * 16)) <= 3.75 * chunk
+    # the screens hold one table (sums) or the FFT input, output and squares
+    # (2.5 chunks, row maxima), and row-sized temporaries per chunk
+    assert _peak_beyond_result(lambda: expsums.screen_gauss_abs(ts, ys, cutoff)[0]) <= 1.25 * chunk
+    assert _peak_beyond_result(lambda: expsums.screen_row_max(ts, cutoff, 8 * 16)[0]) <= 2.75 * chunk
 
 
 def _scalar_torus_signed(x: float) -> float:
@@ -383,12 +387,12 @@ def _scalar_gauss_bound(params, n_samples, seed):
     return worst
 
 
-@pytest.mark.parametrize("N", [16, 32, 64, 128])
+@pytest.mark.parametrize("N", [16, 32, 64, 128, 256])
 def test_gauss_bound_batch_matches_scalar_loop(N, monkeypatch):
     # small chunks, so every run crosses several chunk boundaries
     monkeypatch.setattr(expsums, "_CHUNK_CELLS", 7 * 2 * N)
     params = OperatorParams.smooth(2, N)
-    for seed in range(4):
+    for seed in range(10):
         batched = gauss_bound_report(params, 400, seed).constant
         assert batched == _scalar_gauss_bound(params, 400, seed)
 
@@ -398,3 +402,55 @@ def test_gauss_bound_batch_matches_scalar_loop_10k():
     constant = gauss_bound_report(params, 10_000, 1).constant
     assert constant == _scalar_gauss_bound(params, 10_000, 1)
     assert repr(constant) == repr(np.float64(constant))  # the CLI's CSV writes this repr
+
+
+@pytest.mark.parametrize("kind", ["sharp", "smooth"])
+@pytest.mark.parametrize("N", [16, 128, 512])
+def test_screens_stay_within_beta(kind, N):
+    cutoff = CutoffProfile(kind, N)
+    pts = np.random.default_rng(N + 1).random((2000, 2))
+    pts[:4] = [(0.0, 0.0), (0.5, 0.5), (1.0 - 2.0**-53, 1.0 - 2.0**-53), (2.0**-40, 0.25)]
+    ts, ys = pts[:, 0], pts[:, 1]
+    screen, beta = expsums.screen_gauss_abs(ts, ys, cutoff)
+    exact = expsums._gauss_sums(ts, ys, cutoff)
+    assert np.max(np.abs(screen - np.hypot(exact.real, exact.imag))) <= beta
+    y_grid = max(8 * N, 64)
+    rows, row_beta = expsums.screen_row_max(ts[:300], cutoff, y_grid)
+    assert np.max(np.abs(rows - gauss_row_max(ts[:300], cutoff, y_grid))) <= row_beta
+    # the bounds are far below the sums themselves, so the screens select
+    mass = float(np.sum(cutoff.weights()))
+    assert beta <= row_beta <= 1e-6 * mass
+
+
+def test_screens_cross_chunk_boundaries(monkeypatch):
+    cutoff = CutoffProfile("smooth", 24)
+    ts, ys = np.random.default_rng(12).random((2, 1000))
+    monkeypatch.setattr(expsums, "_CHUNK_CELLS", 37 * 192)  # 37 rows a chunk, the last one partial
+    # a screen's bits may depend on the chunk's shape (the SIMD loops and the
+    # matmul), its distance to the kernel may not
+    sums, beta = expsums.screen_gauss_abs(ts, ys, cutoff)
+    exact = expsums._gauss_sums(ts, ys, cutoff)
+    assert np.max(np.abs(sums - np.hypot(exact.real, exact.imag))) <= beta
+    rows, row_beta = expsums.screen_row_max(ts, cutoff, 192)
+    assert np.max(np.abs(rows - gauss_row_max(ts, cutoff, 192))) <= row_beta
+    assert expsums.screen_gauss_abs(ts[:0], ys[:0], cutoff)[0].shape == (0,)
+    assert expsums.screen_row_max(ts[:0], cutoff, 192)[0].shape == (0,)
+
+
+def test_screen_row_max_grid_guard():
+    # the head columns 0..N of the sharp cutoff need y_grid > N
+    with pytest.raises(ValueError):
+        expsums.screen_row_max(np.array([0.1]), CutoffProfile("sharp", 8), 8)
+    with pytest.raises(ValueError):
+        expsums.screen_row_max(np.array([0.1]), CutoffProfile("smooth", 8), 30)
+    assert expsums.screen_row_max(np.array([0.1]), CutoffProfile("smooth", 8), 31)[0].shape == (1,)
+
+
+def test_gauss_bound_refines_a_few_samples(monkeypatch):
+    refined = []
+    gauss_sums = expsums._gauss_sums
+    monkeypatch.setattr(expsums, "_gauss_sums", lambda ts, *a: refined.append(len(ts)) or gauss_sums(ts, *a))
+    for N in (16, 32, 64, 128):
+        for seed in range(4):
+            gauss_bound_report(OperatorParams.smooth(2, N), 10_000, seed)
+    assert len(refined) == 16 and 1 <= max(refined) <= 8
