@@ -62,6 +62,7 @@ __all__ = [
     "arc_system",
     "piece_system",
     "piece_multiplier",
+    "piece_multipliers",
 ]
 
 DEFAULT_SPLINE_ORDER = 8
@@ -121,18 +122,27 @@ class MajorArc:
 
 
 def _intervals_disjoint_mod1(intervals: list[tuple[float, float]]) -> bool:
-    """Pairwise disjointness of [lo, hi] intervals on the torus.
+    """Pairwise disjointness of closed [lo, hi] intervals (lo <= hi) on the torus.
 
-    Each interval is short (length < 1/2); compare every pair through the
-    representative shifts -1, 0, +1.
+    Each pair i < j is compared through the representative shifts -1, 0, +1
+    of j: [lo_i, hi_i] against [lo_j + s, hi_j + s], touching ends counting
+    as overlap.  A sorted sweep makes exactly these comparisons.  Sorted by
+    lo, the unshifted intervals are disjoint iff each lo exceeds the hi
+    before it, and then their hi ascend too, so the ones a shifted interval
+    meets are one contiguous run, found by two binary searches; only a run
+    that is not empty is scanned for an index i < j.
     """
-    for i in range(len(intervals)):
-        lo1, hi1 = intervals[i]
-        for j in range(i + 1, len(intervals)):
-            lo2, hi2 = intervals[j]
-            for s in (-1.0, 0.0, 1.0):
-                if lo1 <= hi2 + s and lo2 + s <= hi1:
-                    return False
+    lo, hi = np.array(intervals, dtype=float).reshape(-1, 2).T
+    order = np.argsort(lo, kind="stable")
+    lo_s, hi_s = lo[order], hi[order]
+    if np.any(lo_s[1:] <= hi_s[:-1]):
+        return False
+    for s in (-1.0, 1.0):
+        first = np.searchsorted(hi_s, lo + s, side="left")  # first i with lo_j + s <= hi_i
+        last = np.searchsorted(lo_s, hi + s, side="right")  # past the last i with lo_i <= hi_j + s
+        for j in np.flatnonzero(first < last).tolist():
+            if order[first[j] : last[j]].min() < j:
+                return False
     return True
 
 
@@ -224,6 +234,26 @@ def bump_psi_hat(u, m: int = DEFAULT_SPLINE_ORDER):
 # -- bump ladders ----------------------------------------------------------------
 
 
+def _level_etas(scales: list[int], shift: float, centers, xi, order: int) -> np.ndarray:
+    """Every level's mean-zero bump at the centers, as an array (levels, *xi.shape).
+
+    The ladders of one denominator q share their scales and shift, so the
+    partition check evaluates all of them at once: centers holds a/q per
+    row of xi (a float for one ladder).  Each scale's bump is evaluated
+    once on the arc offsets and once on the translated offsets (one
+    bump_psi call each over scales x points), and the rows are differenced
+    as piece and eta difference them, so entry [i, ...] equals
+    eta(levels()[i], xi) at its center bit for bit.
+    """
+    xi = np.asarray(xi, dtype=float)
+    s = np.array(scales, dtype=float).reshape(-1, *(1,) * xi.ndim)
+    bu = bump_psi(s * _torus_signed(xi - centers), order)
+    bv = bump_psi(s * _torus_signed(xi - centers - shift), order)
+    pu = np.concatenate([bu[:-1] - bu[1:], bu[-1:]])
+    pv = np.concatenate([bv[:-1] - bv[1:], bv[-1:]])
+    return pu - pv
+
+
 class BumpLadder:
     """Per-fraction dyadic bump family with exact telescoping.
 
@@ -293,21 +323,8 @@ class BumpLadder:
         return self.piece(level, u) - self.piece(level, v)
 
     def level_etas(self, xi) -> np.ndarray:
-        """eta(level, xi) for every level, in levels() order, as the rows of one array.
-
-        Each scale's bump is evaluated once on the arc offsets and once on
-        the translated offsets (one bump_psi call each over scales x points),
-        and the rows are differenced as piece and eta difference them, so
-        row i equals eta(levels()[i], xi) bit for bit.
-        """
-        xi = np.asarray(xi, dtype=float)
-        c = self.frac.center
-        scales = np.array(self.scales, dtype=float)[:, None]
-        bu = bump_psi(scales * _torus_signed(xi - c), self.order)
-        bv = bump_psi(scales * _torus_signed(xi - c - self.shift), self.order)
-        pu = np.concatenate([bu[:-1] - bu[1:], bu[-1:]])
-        pv = np.concatenate([bv[:-1] - bv[1:], bv[-1:]])
-        return pu - pv
+        """eta(level, xi) for every level, in levels() order, as the rows of one array: the one-ladder _level_etas."""
+        return _level_etas(self.scales, self.shift, self.frac.center, xi, self.order)
 
     def eta_hat(self, level, t):
         """Closed-form transform at integer t: piece_hat(t) [e((a/q)t) - e((a/q + 3/(Nq))t)].
@@ -460,6 +477,17 @@ class ArcSystem:
             acc = acc + lad.eta_hat(level, t)
         return acc if np.ndim(acc) else complex(acc)
 
+    def denominator_etas(self, q: int, xi) -> np.ndarray:
+        """level_etas of every ladder with denominator q, from one bump_psi pair.
+
+        xi is a (phi(q), m) array whose row j is read by the ladder of the
+        j-th numerator in totatives(q); entry [i, j] equals that ladder's
+        level_etas(xi[j])[i] bit for bit.
+        """
+        ladders = [self.ladders[(q, a)] for a in totatives(q)]
+        centers = np.array([lad.frac.center for lad in ladders])[:, None]
+        return _level_etas(ladders[0].scales, ladders[0].shift, centers, xi, self.order)
+
     def clusters(self) -> list[tuple[float, float]]:
         return [lad.cluster() for lad in self.ladders.values()]
 
@@ -491,26 +519,45 @@ def piece_system(spec: PieceSpec, params: OperatorParams, order: int = DEFAULT_S
     return arc_system(params.N, order, min(max(spec.Q, params.N // 10), params.N - 1))
 
 
+def piece_multipliers(
+    specs: list[PieceSpec],
+    xi,
+    params: OperatorParams,
+    order: int = DEFAULT_SPLINE_ORDER,
+) -> list:
+    """Evaluate pieces of the multiplier at each row of an (m, n) array, or at one torus point.
+
+    whole = m(xi); maj = m(xi) W(xi_n); min = whole - maj.  Dyadic and core
+    pieces localize m by their block's mean-zero bumps, in the system
+    piece_system gives them.  maj/min require N >= 10 so the arc family
+    exists.  m comes from one batched multiplier call over the rows, and
+    each distinct ArcSystem.terms weight from one piece_weight call on the
+    array of xi_n, so maj and min share W.  Returns one array per spec (one
+    complex per spec for a point); each equals the spec's own evaluation.
+    """
+    rows = np.atleast_2d(np.asarray(xi, dtype=float))
+    whole = multiplier(rows, params)
+    weights = {}
+    out = []
+    for spec in specs:
+        if spec.kind == "whole":
+            out.append(whole)
+            continue
+        system = piece_system(spec, params, order)
+        level, ladders = system.terms(spec)
+        key = (level, tuple(ladders))
+        if key not in weights:
+            weights[key] = system.piece_weight(spec, rows[:, -1])
+        w = weights[key]
+        out.append(whole - whole * w if spec.kind == "min" else whole * w)
+    return out if np.ndim(xi) == 2 else [complex(v[0]) for v in out]
+
+
 def piece_multiplier(
     spec: PieceSpec,
     xi,
     params: OperatorParams,
     order: int = DEFAULT_SPLINE_ORDER,
 ) -> complex | np.ndarray:
-    """Evaluate one piece of the multiplier at each row of an (m, n) array, or at one torus point.
-
-    whole = m(xi); maj = m(xi) W(xi_n); min = whole - maj.  Dyadic and core
-    pieces localize m by their block's mean-zero bumps, in the system
-    piece_system gives them.  maj/min require N >= 10 so the arc family
-    exists.  A point is evaluated as one row: m comes from one batched
-    multiplier call over the rows and the bump weight from one call on the
-    array of xi_n.
-    """
-    rows = np.atleast_2d(np.asarray(xi, dtype=float))
-    whole = multiplier(rows, params)
-    if spec.kind == "whole":
-        out = whole
-    else:
-        w = piece_system(spec, params, order).piece_weight(spec, rows[:, -1])
-        out = whole - whole * w if spec.kind == "min" else whole * w
-    return out if np.ndim(xi) == 2 else complex(out[0])
+    """One piece of the multiplier at each row of an (m, n) array, or at one point: the one-spec piece_multipliers."""
+    return piece_multipliers([spec], xi, params, order)[0]

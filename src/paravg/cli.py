@@ -179,22 +179,22 @@ def _cmd_arcs_check(args, checks: _Check) -> tuple[dict, dict]:
         checks.record(f"N={N}: 4I arcs pairwise disjoint", arcs_mod.arcs_4i_disjoint(arcs_mod.major_arcs(N)))
         checks.record(f"N={N}: support clusters pairwise disjoint", system.clusters_disjoint())
 
+        # one (phi(q), samples) block per denominator: the draws of the ladders in order
         worst_pu = 0.0
-        for (q, a), ladder in system.ladders.items():
-            u = (rng.random(args.samples) * 2 - 1) / (N * q)  # inside the arc
-            xi = (a / q + u) % 1.0
+        for q in range(1, system.q_limit + 1):
+            a = np.array(arcs_mod.totatives(q))
+            u = (rng.random((len(a), args.samples)) * 2 - 1) / (N * q)  # inside the arc
+            xi = (a[:, None] / q + u) % 1.0
             total = np.zeros_like(xi)
-            for eta in ladder.level_etas(xi):
+            for eta in system.denominator_etas(q, xi):
                 total += eta
             worst_pu = max(worst_pu, float(np.max(np.abs(total - 1.0))))
         checks.record(f"N={N}: partition of unity <= 1e-12 on arcs", worst_pu <= 1e-12, f"max {worst_pu:.2e}")
 
         params = OperatorParams.smooth(args.n, N, args.ramp_order)
         xi_rand = rng.random((200, args.n))
-        whole, maj, mino = (
-            arcs_mod.piece_multiplier(arcs_mod.PieceSpec(kind), xi_rand, params, args.order)
-            for kind in ("whole", "maj", "min")
-        )
+        specs = [arcs_mod.PieceSpec(kind) for kind in ("whole", "maj", "min")]
+        whole, maj, mino = arcs_mod.piece_multipliers(specs, xi_rand, params, args.order)
         # Python abs per row: np.abs on complex arrays can differ in the last ulp
         worst_split = max(abs(d) for d in (whole - (maj + mino)).tolist())
         checks.record(f"N={N}: maj + min == whole <= 1e-12", worst_split <= 1e-12, f"max {worst_split:.2e}")
@@ -283,9 +283,10 @@ def _cmd_divisor_check(args, checks: _Check) -> tuple[dict, dict]:
     rows = []
     worst = 0.0
     for Q in args.Q:
+        # one sieve per Q serves every D and the D = Q vanishing check
+        *levels, (zero, _) = numtheory.divisor_level_counts(args.N, Q, [*args.D, float(Q)], args.B, args.tau)
         counts = {}
-        for D in args.D:
-            count, report = numtheory.divisor_level_count(args.N, Q, D, args.B, args.tau)
+        for D, (count, report) in zip(args.D, levels):
             ratio = report.values["ratio"]
             worst = max(worst, ratio)
             rows.append({"N": args.N, "Q": Q, "D": D, "count": count, "ratio": repr(ratio)})
@@ -295,7 +296,6 @@ def _cmd_divisor_check(args, checks: _Check) -> tuple[dict, dict]:
             f"counts nonincreasing in D at Q={Q}",
             all(b <= a for a, b in zip(ascending, ascending[1:])),
         )
-        zero, _ = numtheory.divisor_level_count(args.N, Q, float(Q))
         checks.record(f"D >= Q forces zero count at Q={Q}", zero == 0)
     checks.record("level-set ratio recorded", math.isfinite(worst), f"max {worst:.4f}")
     return {"max_ratio": worst}, {"divisor-check": rows}

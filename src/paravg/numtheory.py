@@ -13,6 +13,12 @@ Conventions
   deliberately excluded from every level-set statistic because the
   mean-zero bumps kill the corresponding frequency.
 * A_1 = {0}, so c_1(k) = 1 for every k.
+
+Costs.  A level count #{k <= N : d(k, Q) > D} reads one truncated sieve
+(min(Q, N) strided passes over N + 1 int64 cells) through one histogram of
+its values, which are at most Q, so every further D costs one lookup in the
+histogram's suffix sums: divisor_level_counts serves a whole D sweep from
+one sieve.  The Ramanujan table evaluates each q once per residue k mod q.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ __all__ = [
     "ramanujan_table",
     "ramanujan_block_report",
     "divisor_level_count",
+    "divisor_level_counts",
     "paraboloid_divisor_count",
     "square_histogram",
 ]
@@ -218,30 +225,46 @@ def ramanujan_block_report(Q: int, k: int, eps: float) -> ExperimentReport:
     )
 
 
-def divisor_level_count(
-    N: int, Q: int, D: float, B: float | None = None, tau: float | None = None
-) -> tuple[int, ExperimentReport]:
-    """Exact #{1 <= k <= N : d(k, Q) > D}, with the normalized-ratio report.
+def divisor_level_counts(
+    N: int, Q: int, Ds, B: float | None = None, tau: float | None = None
+) -> list[tuple[int, ExperimentReport]]:
+    """Exact #{1 <= k <= N : d(k, Q) > D} for every D in Ds, each with its normalized-ratio report.
 
-    The report carries count * D^B / (Q^tau N) for caller-supplied positive
-    (B, tau); monotonicity in D and the D >= Q vanishing are structural and
-    tested.
+    One truncated sieve and one np.bincount histogram of its values serve
+    every D: the level is the suffix sum of the histogram from the first
+    value v > D, found by searchsorted over the values 0..max, so a D past
+    every value (D >= Q, inf) or a nan D reads the empty suffix 0, as the
+    comparison sieve > D does.  Each report carries count * D^B / (Q^tau N)
+    for caller-supplied positive (B, tau); monotonicity in D and the D >= Q
+    vanishing are structural and tested.
     """
-    if N < 1 or Q < 1 or D <= 0:
+    if N < 1 or Q < 1 or any(D <= 0 for D in Ds):
         raise ValueError("need N, Q >= 1 and D > 0")
     if (B is not None and B <= 0) or (tau is not None and tau <= 0):
         raise ValueError(f"need B > 0 and tau > 0 (got B={B}, tau={tau})")
-    counts = truncated_divisor_sieve(N, Q)
-    level = int(np.count_nonzero(counts[1:] > D))
-    values = {"count": float(level)}
-    if B is not None and tau is not None:
-        values["ratio"] = level * D**B / (Q**tau * N)
-    report = ExperimentReport(
-        name="divisor_level_count",
-        params={"N": N, "Q": Q, "D": D, "B": B, "tau": tau},
-        values=values,
-    )
-    return level, report
+    hist = np.bincount(truncated_divisor_sieve(N, Q)[1:])
+    above = np.append(np.cumsum(hist[::-1])[::-1], 0)  # above[v] = #{k : d(k, Q) >= v}
+    firsts = np.searchsorted(np.arange(len(hist)), np.asarray(Ds, dtype=float), side="right")
+    out = []
+    for D, first in zip(Ds, firsts.tolist()):
+        level = int(above[first])
+        values = {"count": float(level)}
+        if B is not None and tau is not None:
+            values["ratio"] = level * D**B / (Q**tau * N)
+        report = ExperimentReport(
+            name="divisor_level_count",
+            params={"N": N, "Q": Q, "D": D, "B": B, "tau": tau},
+            values=values,
+        )
+        out.append((level, report))
+    return out
+
+
+def divisor_level_count(
+    N: int, Q: int, D: float, B: float | None = None, tau: float | None = None
+) -> tuple[int, ExperimentReport]:
+    """Exact #{1 <= k <= N : d(k, Q) > D} with its report: the one-D call of divisor_level_counts."""
+    return divisor_level_counts(N, Q, [D], B, tau)[0]
 
 
 def square_histogram(N: int, folds: int) -> np.ndarray:

@@ -18,6 +18,7 @@ from paravg.arcs import (
     dyadic_block,
     major_arcs,
     piece_multiplier,
+    piece_multipliers,
     totatives,
 )
 from paravg.cutoff import OperatorParams
@@ -202,6 +203,69 @@ def test_cluster_disjointness():
         assert arc_system(N).clusters_disjoint()
 
 
+def _intervals_disjoint_loop(intervals):
+    """The pairwise loop the sorted sweep replaced: unshifted i against j shifted by -1, 0, +1."""
+    for i in range(len(intervals)):
+        lo1, hi1 = intervals[i]
+        for j in range(i + 1, len(intervals)):
+            lo2, hi2 = intervals[j]
+            for s in (-1.0, 0.0, 1.0):
+                if lo1 <= hi2 + s and lo2 + s <= hi1:
+                    return False
+    return True
+
+
+def test_disjointness_sweep_matches_the_loop_on_arc_families():
+    for N in (10, 16, 64, 100, 256):
+        system = arc_system(N)
+        families = [system.clusters(), [(a.center - a.radius4, a.center + a.radius4) for a in major_arcs(N)]]
+        for intervals in families:
+            assert arcs._intervals_disjoint_mod1(intervals) is _intervals_disjoint_loop(intervals) is True
+            doubled = intervals + intervals[:1]
+            assert arcs._intervals_disjoint_mod1(doubled) is _intervals_disjoint_loop(doubled) is False
+
+
+def test_disjointness_sweep_matches_the_loop_on_random_sets():
+    rng = np.random.default_rng(11)
+    ulp = np.spacing(1.0)
+    seen = {True: 0, False: 0}
+    for _ in range(3000):
+        count = int(rng.integers(0, 9))
+        # coarse grid ends, some nudged by an ulp, so touching and one-ulp gaps occur; some wrap past 0 or 1
+        lo = rng.integers(-8, 72, count) / 64 + rng.integers(-1, 2, count) * ulp * (rng.random(count) < 0.3)
+        width = rng.integers(0, 6, count) / 64 + rng.integers(-1, 2, count) * ulp * (rng.random(count) < 0.3)
+        intervals = [(float(a), float(a + max(w, 0.0))) for a, w in zip(lo, width)]
+        expected = _intervals_disjoint_loop(intervals)
+        assert arcs._intervals_disjoint_mod1(intervals) is expected, intervals
+        seen[expected] += 1
+    assert min(seen.values()) > 300
+
+
+def test_disjointness_sweep_edge_cases():
+    sweep = arcs._intervals_disjoint_mod1
+    up, down = np.nextafter(0.2, 1.0), np.nextafter(0.2, 0.0)
+    cases = [
+        ([], True),
+        ([(0.1, 0.2)], True),
+        ([(0.1, 0.2), (0.2, 0.3)], False),  # closed: touching ends overlap
+        ([(0.1, 0.2), (up, 0.3)], True),  # a one-ulp gap
+        ([(0.1, 0.2), (0.15, 0.15)], False),  # a point inside
+        ([(0.1, 0.2), (0.1, 0.2)], False),
+        ([(-0.05, 0.05), (0.94, 0.95)], True),  # wraps past 0, clear of the other
+        ([(-0.05, 0.05), (0.95, 0.97)], False),  # wraps past 0 onto the other's end
+        ([(0.9, 1.05), (0.05, 0.1)], False),  # wraps past 1 onto the other's start
+        ([(0.9, 1.05), (np.nextafter(1.05, 2.0) - 1.0, 0.1)], True),  # one ulp past the end, once shifted
+        ([(down, 0.3), (0.1, 0.2)], False),
+        # the loop shifts only the later interval: 2^-60 + 1 rounds to 1.0 and meets the first
+        # interval's end, while 1.0 - 1 = 0.0 stays below 2^-60 the other way round
+        ([(0.5, 1.0), (2.0**-60, 0.1)], False),
+        ([(2.0**-60, 0.1), (0.5, 1.0)], True),
+    ]
+    for intervals, expected in cases:
+        assert _intervals_disjoint_loop(intervals) is expected, intervals
+        assert sweep(intervals) is expected, intervals
+
+
 def test_piece_decomposition_identity():
     params = OperatorParams.smooth(2, 16)
     rng = np.random.default_rng(2)
@@ -364,6 +428,61 @@ def test_batched_piece_multiplier_n3():
         assert np.array_equal(batched, [piece_multiplier(PieceSpec(kind), row, params) for row in xi])
     with pytest.raises(ValueError):
         piece_multiplier(PieceSpec("whole"), xi[:, :2], params)
+
+
+def _piece_multiplier_oracle(spec, rows, params):
+    """One spec at a time: its own multiplier call and its own weight call."""
+    whole = multiplier(rows, params)
+    if spec.kind == "whole":
+        return whole
+    w = arcs.piece_system(spec, params).piece_weight(spec, rows[:, -1])
+    return whole - whole * w if spec.kind == "min" else whole * w
+
+
+@pytest.mark.parametrize("n, N", [(2, 16), (2, 64), (3, 16)])
+def test_piece_multipliers_match_one_spec_at_a_time(n, N):
+    params = OperatorParams.smooth(n, N)
+    xi = np.random.default_rng(N + n).random((120, n))
+    xi[0, -1] = 0.0
+    specs = [PieceSpec("whole"), PieceSpec("maj"), PieceSpec("min"), PieceSpec("core", 1),
+             PieceSpec("dyadic", 1, 0), PieceSpec("core", 2), PieceSpec("dyadic", 2, 1)]
+    batched = piece_multipliers(specs, xi, params)
+    for spec, values in zip(specs, batched):
+        assert values.shape == (len(xi),) and values.dtype == complex
+        assert np.array_equal(values, _piece_multiplier_oracle(spec, xi, params)), spec
+        assert np.array_equal(values, piece_multiplier(spec, xi, params)), spec
+    points = piece_multipliers(specs, xi[5], params)
+    assert [type(v) for v in points] == [complex] * len(specs)
+    assert points == [complex(v[5]) for v in batched]
+
+
+def test_piece_multipliers_share_the_multiplier_and_the_arc_weight(monkeypatch):
+    params = OperatorParams.smooth(2, 64)
+    xi = np.random.default_rng(1).random((50, 2))
+    calls = []
+    for owner, name in ((arcs, "multiplier"), (ArcSystem, "piece_weight")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, name=name, real=real: calls.append(name) or real(*a))
+    piece_multipliers([PieceSpec(kind) for kind in ("whole", "maj", "min")], xi, params)
+    assert sorted(calls) == ["multiplier", "piece_weight"]  # maj and min read the same W
+    calls.clear()
+    specs = [PieceSpec("maj"), PieceSpec("core", 1), PieceSpec("dyadic", 1, 0), PieceSpec("min")]
+    piece_multipliers(specs, xi, params)
+    assert sorted(calls) == ["multiplier"] + ["piece_weight"] * 3
+
+
+@pytest.mark.parametrize("N", [16, 64, 256])
+def test_denominator_etas_match_level_etas_per_ladder(N):
+    system = arc_system(N)
+    rng = np.random.default_rng(N + 2)
+    for q in range(1, system.q_limit + 1):
+        a = np.array(totatives(q))
+        u = (rng.random((len(a), 50)) * 2 - 1) / (N * q)
+        xi = (a[:, None] / q + u) % 1.0
+        grouped = system.denominator_etas(q, xi)
+        assert grouped.shape == (len(system.ladders[(q, a[0])].levels()), len(a), 50)
+        for j, numerator in enumerate(a.tolist()):
+            assert np.array_equal(grouped[:, j], system.ladders[(q, numerator)].level_etas(xi[j])), (q, numerator)
 
 
 @pytest.mark.parametrize("N", [16, 64, 256])

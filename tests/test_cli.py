@@ -166,14 +166,86 @@ def test_divisor_check_fails_on_increasing_counts(tmp_path, capsys, monkeypatch)
     import paravg.numtheory as nt
     from paravg.reports import ExperimentReport
 
-    def increasing(N, Q, D, B=None, tau=None):
-        count = int(D) if D < Q else 0
-        return count, ExperimentReport("divisor_level_count", values={"ratio": 0.0})
+    def increasing(N, Q, Ds, B=None, tau=None):
+        return [(int(D) if D < Q else 0, ExperimentReport("divisor_level_count", values={"ratio": 0.0})) for D in Ds]
 
-    monkeypatch.setattr(nt, "divisor_level_count", increasing)
+    monkeypatch.setattr(nt, "divisor_level_counts", increasing)
     assert run(["divisor-check", "--N", "1000", "--Q", "16", "--D", "2,4",
                 "--out-dir", str(tmp_path / "o")]) == 1
     assert "[FAIL] counts nonincreasing in D at Q=16" in capsys.readouterr().out
+
+
+def _counting(monkeypatch, module, name, counter):
+    real = getattr(module, name)
+
+    def wrapper(*a, **kw):
+        counter.append(name)
+        return real(*a, **kw)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def test_divisor_check_builds_one_sieve_per_Q(tmp_path, capsys, monkeypatch):
+    import paravg.numtheory as nt
+
+    sieves = []
+    _counting(monkeypatch, nt, "truncated_divisor_sieve", sieves)
+    assert run(["divisor-check", "--N", "20000", "--Q", "8,16,32", "--D", "2,4,8",
+                "--out-dir", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    assert len(sieves) == 3
+
+
+def test_arcs_check_evaluates_the_multiplier_and_arc_weight_once_per_N(tmp_path, capsys, monkeypatch):
+    import paravg.arcs as arcs_mod
+    import paravg.expsums as expsums
+
+    calls = []
+    _counting(monkeypatch, expsums, "_gauss_sums", calls)
+    _counting(monkeypatch, arcs_mod.ArcSystem, "piece_weight", calls)
+    assert run(["arcs-check", "--N", "16,64,100", "--samples", "10", "--out-dir", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    assert sorted(calls) == ["_gauss_sums"] * 3 + ["piece_weight"] * 3
+
+
+def test_arcs_check_partition_takes_one_bump_pair_per_denominator(tmp_path, capsys, monkeypatch):
+    import numpy as np
+
+    import paravg.arcs as arcs_mod
+
+    # the split check's own bump calls are kept out: its pieces read as zero
+    monkeypatch.setattr(arcs_mod, "piece_multipliers", lambda specs, xi, *a: [np.zeros(len(xi), complex)] * 3)
+    bumps = []
+    _counting(monkeypatch, arcs_mod, "bump_psi", bumps)
+    assert run(["arcs-check", "--N", "16,64,256", "--samples", "10", "--out-dir", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    assert len(bumps) == 2 * (1 + 6 + 25)  # q <= floor(N/10)
+
+
+def test_arcs_check_fails_on_a_shifted_translate(tmp_path, capsys, monkeypatch):
+    import paravg.arcs as arcs_mod
+
+    level_etas = arcs_mod._level_etas
+    monkeypatch.setattr(arcs_mod, "_level_etas", lambda scales, shift, *a: level_etas(scales, shift / 2, *a))
+    assert run(["arcs-check", "--N", "16", "--samples", "10", "--out-dir", str(tmp_path / "o")]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] N=16: partition of unity <= 1e-12 on arcs" in out
+    assert "[PASS] N=16: maj + min == whole <= 1e-12" in out
+
+
+def test_arcs_check_fails_on_a_perturbed_minor_piece(tmp_path, capsys, monkeypatch):
+    import paravg.arcs as arcs_mod
+
+    pieces = arcs_mod.piece_multipliers
+
+    def perturbed(specs, *a):
+        return [v * (1 + 1e-9) + 1e-9 if spec.kind == "min" else v for spec, v in zip(specs, pieces(specs, *a))]
+
+    monkeypatch.setattr(arcs_mod, "piece_multipliers", perturbed)
+    assert run(["arcs-check", "--N", "16", "--samples", "10", "--out-dir", str(tmp_path / "o")]) == 1
+    out = capsys.readouterr().out
+    assert "[PASS] N=16: partition of unity <= 1e-12 on arcs" in out
+    assert "[FAIL] N=16: maj + min == whole <= 1e-12" in out
 
 
 def test_arcs_check_fails_on_overlapping_arcs(tmp_path, capsys, monkeypatch):

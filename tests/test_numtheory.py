@@ -13,6 +13,7 @@ from paravg.numtheory import (
     divisor_count,
     divisor_count_sieve,
     divisor_level_count,
+    divisor_level_counts,
     mobius,
     paraboloid_divisor_count,
     ramanujan_block_report,
@@ -126,6 +127,40 @@ def test_divisor_level_counts():
         if prev is not None:
             assert c <= prev
         prev = c
+
+
+def _edge_ds(Q):
+    return [1.0, 2.5] + [D for D in (Q - 1.0, float(Q), Q + 0.5) if D > 0] + [1e300, math.inf, math.nan]
+
+
+@pytest.mark.parametrize("N, Q", [(1, 1), (10, 1), (5000, 8), (20000, 16), (30, 64)])
+def test_divisor_level_counts_match_the_sieve_comparison(N, Q):
+    sieve = truncated_divisor_sieve(N, Q)
+    Ds = _edge_ds(Q)
+    results = divisor_level_counts(N, Q, Ds)
+    assert len(results) == len(Ds)
+    for D, (count, report) in zip(Ds, results):
+        assert type(count) is int
+        assert count == int(np.count_nonzero(sieve[1:] > D)), D
+        assert report.values == {"count": float(count)}
+        assert report.params == {"N": N, "Q": Q, "D": D, "B": None, "tau": None}
+        assert divisor_level_count(N, Q, D) == (count, report) or math.isnan(D)
+    assert [c for c, _ in results][-3:] == [0, 0, 0]  # 1e300, inf, nan
+
+
+def test_divisor_level_counts_keep_every_ratio_bit():
+    N, Q, B, tau = 20000, 16, 2.0, 0.5
+    sieve = truncated_divisor_sieve(N, Q)
+    Ds = _edge_ds(Q)
+    finite = [D for D in Ds if D != 1e300]  # 1e300 ** 2.0 overflows a float, in the formula as before
+    for D, (count, report) in zip(finite, divisor_level_counts(N, Q, finite, B, tau)):
+        expected = int(np.count_nonzero(sieve[1:] > D)) * D**B / (Q**tau * N)
+        assert repr(report.values["ratio"]) == repr(expected), D
+    with pytest.raises(OverflowError):
+        divisor_level_counts(N, Q, [2.0, 1e300], B, tau)
+    for bad in ([2.0, 0.0], [-1.0], [4.0, -math.inf]):
+        with pytest.raises(ValueError, match="D > 0"):
+            divisor_level_counts(N, Q, bad, B, tau)
 
 
 def test_divisor_growth_sweep():
