@@ -157,9 +157,10 @@ def _cmd_gauss_check(args, checks: _Check) -> tuple[dict, dict]:
     ]
     constants = {str(N): r.constant for N, r in zip(args.N, reports)}
     for N, r in zip(args.N, reports):
-        checks.record(f"gauss bound constant finite at N={N}", math.isfinite(r.constant))
+        checks.record(f"gauss bound constant in (0, inf) at N={N}", 0.0 < r.constant < math.inf)
     if len(args.N) >= 2:
-        spread = max(constants.values()) / min(constants.values())
+        lo = min(constants.values())
+        spread = max(constants.values()) / lo if lo > 0.0 else math.inf
         checks.record("gauss bound constant varies < 2x across N", spread < 2.0, f"spread {spread:.3f}")
 
     rerun = expsums.gauss_bound_report(

@@ -55,6 +55,15 @@ long-double kernels in original order with the bits it had when every
 sample ran through them.  A loose beta only sends more samples to the
 exact path; a wrong one can change a report, which the tests show.
 
+Draws.  gauss_bound_report draws each sample's numerator index and offset
+as the pair rng.integers(0, phi(q)), rng.random().  _index_then_double
+draws all the pairs in one batch with the bits of those scalar calls and
+leaves the generator where they leave it: it lays out the 64-bit PCG64
+words the calls would consume, applies numpy's Lemire step, and hands a
+rejected draw back to numpy's own calls.  The stream matters because
+perfbench/reference.json pins the seed-0 constants of gauss-check.  The
+scalar loop lives on in the tests as the oracle.
+
 np.abs on a complex array can differ from Python's abs in the last ulp
 (about a third of the rows), so |G| is taken as np.hypot of the parts,
 which is what Python's abs computes (equal on 4e6 random sums, over 600
@@ -452,6 +461,62 @@ def dirichlet_approx_batch(ts, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
 # -- empirical constant for the major-arc sum bound -----------------------------
 
 
+def _index_then_double(rng: np.random.Generator, sizes) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs [(rng.integers(0, s), rng.random()) for s in sizes], drawn in one batch.
+
+    Returns the indices (int64) and the doubles with the bits the scalar
+    calls give, and leaves rng where they leave it.  It reproduces numpy's
+    PCG64 stream: integers(0, s) draws nothing for s = 1 and otherwise one
+    uint32, the low half of a fresh 64-bit word with the high half buffered
+    for the next uint32 (the state's has_uint32 and uinteger), mapped by
+    Lemire's multiply-shift (u32 s) >> 32; random() is (word >> 11) 2^-53
+    and leaves the buffer alone.  One random_raw call on a clone takes the
+    words the calls would consume.  Lemire rejects a uint32 whose low
+    product (u32 s) mod 2^32 is below 2^32 mod s and draws again; at the
+    first rejection the generator is set to the state just before that
+    sample, numpy's own calls draw it, and the batch resumes after it.
+    """
+    bitgen = rng.bit_generator
+    if type(bitgen) is not np.random.PCG64:
+        raise TypeError(f"the batched draw reproduces PCG64 only, not {type(bitgen).__name__}")
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if sizes.size and not (sizes.min() >= 1 and sizes.max() <= 2**32):
+        raise ValueError("need 1 <= s <= 2**32 for every size")
+    sizes = sizes.astype(np.uint64)
+    idx, dbl = np.empty(len(sizes), dtype=np.int64), np.empty(len(sizes))
+    start = 0
+    while start < len(sizes):
+        state = bitgen.state
+        s = sizes[start:]
+        draws = s > 1
+        earlier = np.cumsum(draws) - draws  # uint32 draws before each sample
+        fresh = draws & ((state["has_uint32"] + earlier) % 2 == 0)  # else the buffered high half
+        ends = np.cumsum(fresh + 1)  # words consumed through each sample
+        firsts = ends - 1 - fresh  # words consumed before each sample
+        clone = np.random.PCG64()
+        clone.state = state
+        raw = clone.random_raw(int(ends[-1]))
+        last = np.maximum.accumulate(np.where(fresh, firsts, -1))  # latest fresh word
+        high = np.where(last >= 0, raw[last] >> 32, state["uinteger"])
+        m = np.where(fresh, raw[firsts] & 0xFFFFFFFF, high) * s
+        reject = draws & ((m & 0xFFFFFFFF) < (2**32 - s) % s)
+        j = int(np.argmax(reject)) if reject.any() else len(s)
+        idx[start : start + j] = m[:j] >> 32
+        dbl[start : start + j] = (raw[ends[:j] - 1] >> 11) * 2.0**-53
+        # the state before sample j (after the last one when j = len(s))
+        buffered = int(last[j - 1]) if j else -1
+        clone.state = state
+        clone.advance(int(firsts[j]) if j < len(s) else int(ends[-1]))
+        before = clone.state
+        before["has_uint32"] = (state["has_uint32"] + int(np.count_nonzero(draws[:j]))) % 2
+        before["uinteger"] = int(raw[buffered] >> 32) if buffered >= 0 else state["uinteger"]
+        bitgen.state = before
+        if j < len(s):
+            idx[start + j], dbl[start + j] = rng.integers(0, int(s[j])), rng.random()
+        start += j + 1
+    return idx, dbl
+
+
 def gauss_bound_report(
     params: OperatorParams, n_samples: int, seed: int
 ) -> ExperimentReport:
@@ -470,6 +535,12 @@ def gauss_bound_report(
     re-evaluates only the candidates (sup_candidates, with beta carried
     through g sqrt(q) / cap), so the constant has the bits of the max over
     every sample through _gauss_sums.
+
+    Draws: the numerators and offsets come from one _index_then_double
+    batch, which reproduces the per-sample rng.integers(0, phi(q)),
+    rng.random() calls bit for bit, so the seeded constants that
+    perfbench/reference.json pins keep their bits; that scalar loop is the
+    tests' oracle.
     """
     if params.cutoff.kind != "smooth":
         raise ValueError("the bound is stated for the smooth cutoff")
@@ -480,15 +551,15 @@ def gauss_bound_report(
     q_max = max(1, N // 10)
     qs = rng.integers(1, q_max + 1, size=n_samples)
     ys = rng.random(n_samples)
-    ts = np.empty(n_samples)
-    tot_cache = {q: totatives(q) for q in range(1, q_max + 1)}
-    for i, q in enumerate(qs):
-        tots = tot_cache[int(q)]
-        a = tots[rng.integers(0, len(tots))]
-        u = (2 * rng.random() - 1) * 10.0 / (int(q) * N)
-        if i == 0:
-            u = 0.0  # exact-center sample: min(N, inf) = N
-        ts[i] = (a / int(q) + u) % 1.0
+    rows_by_q = [[0], *(totatives(q) for q in range(1, q_max + 1))]  # row 0 pads, qs >= 1
+    phi = np.array([len(row) for row in rows_by_q])
+    numerators = np.zeros((q_max + 1, phi.max()), dtype=np.int64)
+    for q, row in enumerate(rows_by_q):
+        numerators[q, : len(row)] = row
+    idx, r = _index_then_double(rng, phi[qs])
+    u = (2 * r - 1) * 10.0 / (qs * N)
+    u[:1] = 0.0  # exact-center sample: min(N, inf) = N
+    ts = (numerators[qs, idx] / qs + u) % 1.0
 
     screen, beta = screen_gauss_abs(ts, ys, params.cutoff)
     _, q, err = dirichlet_approx_batch(ts, N)

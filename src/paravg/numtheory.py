@@ -236,12 +236,17 @@ def divisor_level_counts(
     every value (D >= Q, inf) or a nan D reads the empty suffix 0, as the
     comparison sieve > D does.  Each report carries count * D^B / (Q^tau N)
     for caller-supplied positive (B, tau); monotonicity in D and the D >= Q
-    vanishing are structural and tested.
+    vanishing are structural and tested.  A ratio needs a finite D (an inf
+    D would read 0 inf = nan) and float-sized D^B and Q^tau: anything else
+    raises ValueError, the CLI's bad-parameter status.
     """
     if N < 1 or Q < 1 or any(D <= 0 for D in Ds):
         raise ValueError("need N, Q >= 1 and D > 0")
     if (B is not None and B <= 0) or (tau is not None and tau <= 0):
         raise ValueError(f"need B > 0 and tau > 0 (got B={B}, tau={tau})")
+    ratios = B is not None and tau is not None
+    if ratios and not all(math.isfinite(D) for D in Ds):
+        raise ValueError(f"need a finite D for the ratio (got {[D for D in Ds if not math.isfinite(D)]})")
     hist = np.bincount(truncated_divisor_sieve(N, Q)[1:])
     above = np.append(np.cumsum(hist[::-1])[::-1], 0)  # above[v] = #{k : d(k, Q) >= v}
     firsts = np.searchsorted(np.arange(len(hist)), np.asarray(Ds, dtype=float), side="right")
@@ -249,8 +254,11 @@ def divisor_level_counts(
     for D, first in zip(Ds, firsts.tolist()):
         level = int(above[first])
         values = {"count": float(level)}
-        if B is not None and tau is not None:
-            values["ratio"] = level * D**B / (Q**tau * N)
+        if ratios:
+            try:
+                values["ratio"] = level * D**B / (Q**tau * N)
+            except OverflowError:
+                raise ValueError(f"the ratio overflows a float at D={D}, B={B}, Q={Q}, tau={tau}") from None
         report = ExperimentReport(
             name="divisor_level_count",
             params={"N": N, "Q": Q, "D": D, "B": B, "tau": tau},

@@ -1,7 +1,9 @@
 """Batch front end: subcommands, exit codes, reports, determinism, plots."""
 
+import dataclasses
 import hashlib
 import json
+import math
 import time
 
 import pytest
@@ -173,6 +175,34 @@ def test_divisor_check_fails_on_increasing_counts(tmp_path, capsys, monkeypatch)
     assert run(["divisor-check", "--N", "1000", "--Q", "16", "--D", "2,4",
                 "--out-dir", str(tmp_path / "o")]) == 1
     assert "[FAIL] counts nonincreasing in D at Q=16" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("D", ["1e300", "inf", "nan"])
+def test_divisor_check_refuses_a_non_finite_ratio(tmp_path, capsys, D):
+    # 1e300 ** B overflows a float; inf and nan would read a nan ratio
+    out = tmp_path / "o"
+    assert run(["divisor-check", "--N", "1000", "--Q", "8", "--D", f"2,{D}", "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "invariant failure" not in captured.err
+    assert "[PASS]" not in captured.out and not out.exists()
+
+
+@pytest.mark.parametrize("bad", [0.0, math.nan])
+def test_gauss_check_fails_on_a_constant_outside_zero_inf(tmp_path, capsys, monkeypatch, bad):
+    import paravg.expsums as expsums
+
+    real = expsums.gauss_bound_report
+
+    def forced(params, n_samples, seed):
+        report = real(params, n_samples, seed)
+        return dataclasses.replace(report, constant=bad) if params.N == 32 else report
+
+    monkeypatch.setattr(expsums, "gauss_bound_report", forced)
+    assert run(["gauss-check", "--N", "16,32", "--samples", "200", "--dirichlet-samples", "200",
+                "--out-dir", str(tmp_path / "o")]) == 1
+    out = capsys.readouterr().out
+    assert "[PASS] gauss bound constant in (0, inf) at N=16" in out
+    assert "[FAIL] gauss bound constant in (0, inf) at N=32" in out
 
 
 def _counting(monkeypatch, module, name, counter):

@@ -404,6 +404,90 @@ def test_gauss_bound_batch_matches_scalar_loop_10k():
     assert repr(constant) == repr(np.float64(constant))  # the CLI's CSV writes this repr
 
 
+def _scalar_pairs(rng, sizes):
+    """numpy's own calls: the oracle of _index_then_double."""
+    pairs = [(rng.integers(0, int(s)), rng.random()) for s in sizes]
+    return np.array([i for i, _ in pairs], dtype=np.int64), np.array([r for _, r in pairs])
+
+
+# sizes near 2^31..2^32 make Lemire reject up to a quarter of the draws
+_HEAVY = [1, 2, 3, 2**31 + 1, 3 * 2**30 + 7, 4_000_000_000, 2**32 - 1, 2**32]
+
+
+@pytest.mark.parametrize("earlier_uint32", [0, 1, 2, 3])
+@pytest.mark.parametrize("seed", range(12))
+def test_index_then_double_matches_numpy_calls(seed, earlier_uint32):
+    # an odd number of earlier uint32 draws leaves a high half buffered
+    sizes = np.random.default_rng(seed).choice(_HEAVY, size=150)
+    ours, theirs = np.random.default_rng(seed + 50), np.random.default_rng(seed + 50)
+    for _ in range(earlier_uint32):
+        ours.integers(0, 10)
+        theirs.integers(0, 10)
+    assert ours.bit_generator.state["has_uint32"] == earlier_uint32 % 2
+    idx, dbl = expsums._index_then_double(ours, sizes)
+    want_idx, want_dbl = _scalar_pairs(theirs, sizes)
+    assert idx.dtype == np.int64 and np.array_equal(idx, want_idx)
+    assert dbl.tobytes() == want_dbl.tobytes()
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    assert ours.random() == theirs.random()
+    assert ours.integers(0, 5) == theirs.integers(0, 5)
+
+
+def test_index_then_double_rejects_where_numpy_does():
+    # 3 * 2^30 + 7 rejects a quarter of the uint32 draws
+    sizes = np.full(400, 3 * 2**30 + 7)
+    ours, theirs = np.random.default_rng(9), np.random.default_rng(9)
+    idx, dbl = expsums._index_then_double(ours, sizes)
+    assert [idx.tolist(), dbl.tolist()] == [a.tolist() for a in _scalar_pairs(theirs, sizes)]
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    # without a rejection the draws take 400 doubles and 200 words of uint32 halves
+    unrejected = np.random.PCG64(9).advance(600)
+    assert ours.bit_generator.state["state"] != unrejected.state["state"]
+
+
+def _pcg64_before(word: int) -> np.random.Generator:
+    """A PCG64 generator whose next 64-bit output is word: its state one LCG step before (0, word)."""
+    mult = (2549297995355413924 << 64) + 4865540595714422341  # PCG64's 128-bit multiplier
+    inc = np.random.PCG64(0).state["state"]["inc"]
+    state = (word - inc) * pow(mult, -1, 2**128) % 2**128
+    bitgen = np.random.PCG64()
+    bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(bitgen)
+
+
+@pytest.mark.parametrize("offset", [-1, 0])
+def test_index_then_double_rejects_exactly_below_the_threshold(offset):
+    # the first uint32 lands one below (rejected) or at (kept) Lemire's threshold 2^32 mod s;
+    # a rejected one is redrawn from the buffered high half
+    s, high = 3 * 2**30 + 7, 12345
+    low = (2**32 % s + offset) * pow(s, -1, 2**32) % 2**32
+    assert _pcg64_before((high << 32) | low).bit_generator.random_raw() == (high << 32) | low
+    ours, theirs = _pcg64_before((high << 32) | low), _pcg64_before((high << 32) | low)
+    idx, dbl = expsums._index_then_double(ours, [s, 5])
+    assert [idx.tolist(), dbl.tolist()] == [a.tolist() for a in _scalar_pairs(theirs, [s, 5])]
+    assert idx[0] == ((high if offset < 0 else low) * s) >> 32
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def test_index_then_double_edge_sizes():
+    for sizes in ([], [1], [1, 1, 1], [2], [5, 1, 7]):
+        ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
+        idx, dbl = expsums._index_then_double(ours, sizes)
+        assert [idx.tolist(), dbl.tolist()] == [a.tolist() for a in _scalar_pairs(theirs, sizes)]
+        assert ours.bit_generator.state == theirs.bit_generator.state
+    for bad in ([0], [3, -1], [2**32 + 1]):
+        with pytest.raises(ValueError):
+            expsums._index_then_double(np.random.default_rng(0), bad)
+
+
+@pytest.mark.parametrize("bitgen", [np.random.MT19937, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64])
+def test_index_then_double_refuses_other_bit_generators(bitgen):
+    rng = np.random.Generator(bitgen(0))
+    with pytest.raises(TypeError, match="PCG64"):
+        expsums._index_then_double(rng, [3, 4])
+    assert rng.random() == np.random.Generator(bitgen(0)).random()  # nothing drawn
+
+
 @pytest.mark.parametrize("kind", ["sharp", "smooth"])
 @pytest.mark.parametrize("N", [16, 128, 512])
 def test_screens_stay_within_beta(kind, N):

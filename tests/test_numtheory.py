@@ -152,12 +152,20 @@ def test_divisor_level_counts_keep_every_ratio_bit():
     N, Q, B, tau = 20000, 16, 2.0, 0.5
     sieve = truncated_divisor_sieve(N, Q)
     Ds = _edge_ds(Q)
-    finite = [D for D in Ds if D != 1e300]  # 1e300 ** 2.0 overflows a float, in the formula as before
+    # 1e300 ** 2.0 overflows a float, and an inf or nan D has no ratio: both raise below
+    finite = [D for D in Ds if math.isfinite(D) and D != 1e300]
     for D, (count, report) in zip(finite, divisor_level_counts(N, Q, finite, B, tau)):
         expected = int(np.count_nonzero(sieve[1:] > D)) * D**B / (Q**tau * N)
         assert repr(report.values["ratio"]) == repr(expected), D
-    with pytest.raises(OverflowError):
+    with pytest.raises(ValueError, match="overflows"):
         divisor_level_counts(N, Q, [2.0, 1e300], B, tau)
+    with pytest.raises(ValueError, match="overflows"):
+        divisor_level_counts(N, Q, [2.0], 2000.0, tau)
+    for bad in ([2.0, math.inf], [math.nan], [math.nan, 4.0]):
+        with pytest.raises(ValueError, match="finite D"):
+            divisor_level_counts(N, Q, bad, B, tau)
+        counts = [c for c, _ in divisor_level_counts(N, Q, bad)]  # a count alone needs no ratio
+        assert all(c == 0 for D, c in zip(bad, counts) if not math.isfinite(D))
     for bad in ([2.0, 0.0], [-1.0], [4.0, -math.inf]):
         with pytest.raises(ValueError, match="D > 0"):
             divisor_level_counts(N, Q, bad, B, tau)
