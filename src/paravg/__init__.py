@@ -24,7 +24,6 @@ from .arcs import (
     bump_psi,
     bump_psi_hat,
     major_arcs,
-    piece_multiplier,
     totatives,
 )
 from .coefficients import (

@@ -16,7 +16,10 @@ Bump construction.  psi is the convolution of the indicator of
     psi_hat(u) = (sin(3 pi u) / (pi u)) * (sin(pi u / m) / (pi u / m))^m
 
 with decay (1+|u|)^(-(m+1)).  A spline (rather than a C-infinity mollifier)
-keeps psi_hat in closed form, which the coefficient identities need.
+keeps psi_hat in closed form, which the coefficient identities need.  The
+order is fixed at m = SPLINE_ORDER = 8: any fixed smoothness serves the
+estimate, and the coefficient reports' truncation argument is recorded for
+decay order m+1 = 9.
 
 Ladder scales.  For a fraction a/q at scale N the ladder uses
 
@@ -48,6 +51,7 @@ from .cutoff import OperatorParams
 from .expsums import _torus_signed, e1, multiplier
 
 __all__ = [
+    "SPLINE_ORDER",
     "totatives",
     "FareyFraction",
     "MajorArc",
@@ -61,11 +65,10 @@ __all__ = [
     "ArcSystem",
     "arc_system",
     "piece_system",
-    "piece_multiplier",
     "piece_multipliers",
 ]
 
-DEFAULT_SPLINE_ORDER = 8
+SPLINE_ORDER = 8  # psi in C^7, psi_hat decaying like (1+|u|)^-9
 
 
 def totatives(q: int) -> list[int]:
@@ -205,15 +208,14 @@ def _irwin_hall_cdf(x: np.ndarray, m: int) -> np.ndarray:
     return acc / fact
 
 
-def bump_psi(t, m: int = DEFAULT_SPLINE_ORDER):
-    """The plateau bump: 1 on [-1, 1], 0 outside [-2, 2], C^(m-1) between.
+def bump_psi(t):
+    """The plateau bump: 1 on [-1, 1], 0 outside [-2, 2], C^(m-1) between (m = SPLINE_ORDER).
 
     The alternating spline sum can stray ~1e-14 outside [0, 1]; clipping
     restores the sandwich exactly and cannot hurt the telescoping identities
     (equal arguments still give equal values).
     """
-    if m < 4:
-        raise ValueError("spline order must be >= 4")
+    m = SPLINE_ORDER
     a = np.abs(np.asarray(t, dtype=float))
     out = np.where(a <= 1.0, 1.0, 0.0)
     ramp = (a > 1.0) & (a < 2.0)  # elsewhere the spline sum is exactly 1 or exactly 0
@@ -222,10 +224,9 @@ def bump_psi(t, m: int = DEFAULT_SPLINE_ORDER):
     return out if out.ndim else float(out)
 
 
-def bump_psi_hat(u, m: int = DEFAULT_SPLINE_ORDER):
-    """psi_hat(u) = 3 sinc(3u) sinc(u/m)^m under g_hat(u) = int g(x) e(ux) dx."""
-    if m < 4:
-        raise ValueError("spline order must be >= 4")
+def bump_psi_hat(u):
+    """psi_hat(u) = 3 sinc(3u) sinc(u/m)^m (m = SPLINE_ORDER) under g_hat(u) = int g(x) e(ux) dx."""
+    m = SPLINE_ORDER
     u = np.asarray(u, dtype=float)
     out = 3.0 * np.sinc(3.0 * u) * np.sinc(u / m) ** m
     return out if out.ndim else float(out)
@@ -234,7 +235,7 @@ def bump_psi_hat(u, m: int = DEFAULT_SPLINE_ORDER):
 # -- bump ladders ----------------------------------------------------------------
 
 
-def _level_etas(scales: list[int], shift: float, centers, xi, order: int) -> np.ndarray:
+def _level_etas(scales: list[int], shift: float, centers, xi) -> np.ndarray:
     """Every level's mean-zero bump at the centers, as an array (levels, *xi.shape).
 
     The ladders of one denominator q share their scales and shift, so the
@@ -247,8 +248,8 @@ def _level_etas(scales: list[int], shift: float, centers, xi, order: int) -> np.
     """
     xi = np.asarray(xi, dtype=float)
     s = np.array(scales, dtype=float).reshape(-1, *(1,) * xi.ndim)
-    bu = bump_psi(s * _torus_signed(xi - centers), order)
-    bv = bump_psi(s * _torus_signed(xi - centers - shift), order)
+    bu = bump_psi(s * _torus_signed(xi - centers))
+    bv = bump_psi(s * _torus_signed(xi - centers - shift))
     pu = np.concatenate([bu[:-1] - bu[1:], bu[-1:]])
     pv = np.concatenate([bv[:-1] - bv[1:], bv[-1:]])
     return pu - pv
@@ -264,14 +265,11 @@ class BumpLadder:
     shift = 3/(Nq).
     """
 
-    def __init__(self, frac: FareyFraction, N: int, order: int = DEFAULT_SPLINE_ORDER):
+    def __init__(self, frac: FareyFraction, N: int):
         if frac.q >= N:
             raise ValueError("ladder needs q < N")
-        if order < 4:
-            raise ValueError("spline order must be >= 4")
         self.frac = frac
         self.N = N
-        self.order = order
         self.shift = 3.0 / (N * frac.q)
         scales = []
         l = 0
@@ -302,18 +300,18 @@ class BumpLadder:
         """Ladder piece p_level(u); the pieces plus the core telescope to psi(Nq u), the total."""
         outer, inner = self._level_scales(level)
         u = np.asarray(u, dtype=float)
-        out = bump_psi(outer * u, self.order)
-        return out if inner is None else out - bump_psi(inner * u, self.order)
+        out = bump_psi(outer * u)
+        return out if inner is None else out - bump_psi(inner * u)
 
     def piece_hat(self, level, t):
         outer, inner = self._level_scales(level)
         t = np.asarray(t, dtype=float)
         s0 = float(outer)
-        out = bump_psi_hat(t / s0, self.order) / s0
+        out = bump_psi_hat(t / s0) / s0
         if inner is None:
             return out
         s1 = float(inner)
-        return out - bump_psi_hat(t / s1, self.order) / s1
+        return out - bump_psi_hat(t / s1) / s1
 
     def eta(self, level, xi):
         """Mean-zero bump at this fraction: piece minus its 3/(Nq) translate."""
@@ -321,10 +319,6 @@ class BumpLadder:
         u = _torus_signed(np.asarray(xi, dtype=float) - c)
         v = _torus_signed(np.asarray(xi, dtype=float) - c - self.shift)
         return self.piece(level, u) - self.piece(level, v)
-
-    def level_etas(self, xi) -> np.ndarray:
-        """eta(level, xi) for every level, in levels() order, as the rows of one array: the one-ladder _level_etas."""
-        return _level_etas(self.scales, self.shift, self.frac.center, xi, self.order)
 
     def eta_hat(self, level, t):
         """Closed-form transform at integer t: piece_hat(t) [e((a/q)t) - e((a/q + 3/(Nq))t)].
@@ -403,7 +397,7 @@ class ArcSystem:
     being truncated at q_limit so no arc is left uncovered.
     """
 
-    def __init__(self, N: int, order: int = DEFAULT_SPLINE_ORDER, q_limit: int | None = None):
+    def __init__(self, N: int, q_limit: int | None = None):
         if q_limit is None:
             q_limit = N // 10
         if q_limit < 1:
@@ -411,12 +405,11 @@ class ArcSystem:
         if q_limit >= N:
             raise ValueError("q_limit must be < N")
         self.N = N
-        self.order = order
         self.q_limit = q_limit
         self.ladders: dict[tuple[int, int], BumpLadder] = {}
         for q in range(1, q_limit + 1):
             for a in totatives(q):
-                self.ladders[(q, a)] = BumpLadder(FareyFraction(a, q), N, order)
+                self.ladders[(q, a)] = BumpLadder(FareyFraction(a, q), N)
 
     def blocks(self) -> list[tuple[int, list[int]]]:
         """Dyadic blocks (Q, [q...]) partitioning 1..q_limit."""
@@ -478,15 +471,15 @@ class ArcSystem:
         return acc if np.ndim(acc) else complex(acc)
 
     def denominator_etas(self, q: int, xi) -> np.ndarray:
-        """level_etas of every ladder with denominator q, from one bump_psi pair.
+        """eta(level, xi) of every ladder with denominator q at every level, from one bump_psi pair.
 
         xi is a (phi(q), m) array whose row j is read by the ladder of the
         j-th numerator in totatives(q); entry [i, j] equals that ladder's
-        level_etas(xi[j])[i] bit for bit.
+        eta(levels()[i], xi[j]) bit for bit.
         """
         ladders = [self.ladders[(q, a)] for a in totatives(q)]
         centers = np.array([lad.frac.center for lad in ladders])[:, None]
-        return _level_etas(ladders[0].scales, ladders[0].shift, centers, xi, self.order)
+        return _level_etas(ladders[0].scales, ladders[0].shift, centers, xi)
 
     def clusters(self) -> list[tuple[float, float]]:
         return [lad.cluster() for lad in self.ladders.values()]
@@ -496,17 +489,17 @@ class ArcSystem:
         return _intervals_disjoint_mod1(self.clusters())
 
 
-def arc_system(N: int, order: int = DEFAULT_SPLINE_ORDER, q_limit: int | None = None) -> ArcSystem:
-    """The cached ArcSystem(N, order, q_limit); an omitted q_limit is floor(N/10) before the cache."""
-    return _arc_system(N, order, N // 10 if q_limit is None else q_limit)
+def arc_system(N: int, q_limit: int | None = None) -> ArcSystem:
+    """The cached ArcSystem(N, q_limit); an omitted q_limit is floor(N/10) before the cache."""
+    return _arc_system(N, N // 10 if q_limit is None else q_limit)
 
 
 @lru_cache(maxsize=32)
-def _arc_system(N: int, order: int, q_limit: int) -> ArcSystem:
-    return ArcSystem(N, order, q_limit)
+def _arc_system(N: int, q_limit: int) -> ArcSystem:
+    return ArcSystem(N, q_limit)
 
 
-def piece_system(spec: PieceSpec, params: OperatorParams, order: int = DEFAULT_SPLINE_ORDER) -> ArcSystem:
+def piece_system(spec: PieceSpec, params: OperatorParams) -> ArcSystem:
     """The arc system a piece is evaluated in.
 
     maj and min read the arc family q <= floor(N/10).  A standalone
@@ -515,16 +508,11 @@ def piece_system(spec: PieceSpec, params: OperatorParams, order: int = DEFAULT_S
     integrals and do not need the arcs to be disjoint.
     """
     if spec.Q is None:
-        return arc_system(params.N, order)
-    return arc_system(params.N, order, min(max(spec.Q, params.N // 10), params.N - 1))
+        return arc_system(params.N)
+    return arc_system(params.N, min(max(spec.Q, params.N // 10), params.N - 1))
 
 
-def piece_multipliers(
-    specs: list[PieceSpec],
-    xi,
-    params: OperatorParams,
-    order: int = DEFAULT_SPLINE_ORDER,
-) -> list:
+def piece_multipliers(specs: list[PieceSpec], xi, params: OperatorParams) -> list:
     """Evaluate pieces of the multiplier at each row of an (m, n) array, or at one torus point.
 
     whole = m(xi); maj = m(xi) W(xi_n); min = whole - maj.  Dyadic and core
@@ -543,7 +531,7 @@ def piece_multipliers(
         if spec.kind == "whole":
             out.append(whole)
             continue
-        system = piece_system(spec, params, order)
+        system = piece_system(spec, params)
         level, ladders = system.terms(spec)
         key = (level, tuple(ladders))
         if key not in weights:
@@ -551,13 +539,3 @@ def piece_multipliers(
         w = weights[key]
         out.append(whole - whole * w if spec.kind == "min" else whole * w)
     return out if np.ndim(xi) == 2 else [complex(v[0]) for v in out]
-
-
-def piece_multiplier(
-    spec: PieceSpec,
-    xi,
-    params: OperatorParams,
-    order: int = DEFAULT_SPLINE_ORDER,
-) -> complex | np.ndarray:
-    """One piece of the multiplier at each row of an (m, n) array, or at one point: the one-spec piece_multipliers."""
-    return piece_multipliers([spec], xi, params, order)[0]

@@ -30,7 +30,7 @@ from . import arcs as arcs_mod
 from . import coefficients as coef_mod
 from . import experiments as exp_mod
 from . import expsums, numtheory
-from .cutoff import CutoffProfile, OperatorParams, average
+from .cutoff import CutoffProfile, OperatorParams, average, paraboloid_kernel
 from .lattice import delta, lp_norm, shift
 from .reports import substream_seed
 
@@ -138,7 +138,7 @@ def _cmd_gauss_check(args, checks: _Check) -> tuple[dict, dict]:
 
     # conjugate symmetry spot check at a fixed probe scale (identity check;
     # the sweep constants below carry the N dependence)
-    cutoff = CutoffProfile("smooth", min(max(args.N), 32), args.ramp_order)
+    cutoff = CutoffProfile("smooth", min(max(args.N), 32))
     t, y = rng.random((200, 2)).T  # the stream of 200 scalar (t, y) draws
     g = expsums._gauss_sums(np.concatenate([(-t) % 1.0, t]), np.concatenate([(-y) % 1.0, y]), cutoff)
     diff = g[:200] - g[200:].conj()
@@ -152,7 +152,7 @@ def _cmd_gauss_check(args, checks: _Check) -> tuple[dict, dict]:
     checks.record("rational approximation certificate", bad == 0, f"{bad} violations")
 
     reports = [
-        expsums.gauss_bound_report(OperatorParams.smooth(args.n, N, args.ramp_order), args.samples, args.seed)
+        expsums.gauss_bound_report(OperatorParams.smooth(args.n, N), args.samples, args.seed)
         for N in args.N
     ]
     constants = {str(N): r.constant for N, r in zip(args.N, reports)}
@@ -163,9 +163,7 @@ def _cmd_gauss_check(args, checks: _Check) -> tuple[dict, dict]:
         spread = max(constants.values()) / lo if lo > 0.0 else math.inf
         checks.record("gauss bound constant varies < 2x across N", spread < 2.0, f"spread {spread:.3f}")
 
-    rerun = expsums.gauss_bound_report(
-        OperatorParams.smooth(args.n, args.N[0], args.ramp_order), args.samples, args.seed
-    )
+    rerun = expsums.gauss_bound_report(OperatorParams.smooth(args.n, args.N[0]), args.samples, args.seed)
     checks.record("seeded rerun identical", rerun.constant == reports[0].constant)
 
     rows = [{"N": N, "constant": repr(c)} for N, c in sorted((int(k), v) for k, v in constants.items())]
@@ -175,7 +173,7 @@ def _cmd_gauss_check(args, checks: _Check) -> tuple[dict, dict]:
 def _cmd_arcs_check(args, checks: _Check) -> tuple[dict, dict]:
     results, tables = {}, {}
     for N in args.N:
-        system = arcs_mod.arc_system(N, args.order)
+        system = arcs_mod.arc_system(N)
         rng = np.random.default_rng(substream_seed(args.seed, f"arcs-check:{N}"))
         checks.record(f"N={N}: 4I arcs pairwise disjoint", arcs_mod.arcs_4i_disjoint(arcs_mod.major_arcs(N)))
         checks.record(f"N={N}: support clusters pairwise disjoint", system.clusters_disjoint())
@@ -192,10 +190,10 @@ def _cmd_arcs_check(args, checks: _Check) -> tuple[dict, dict]:
             worst_pu = max(worst_pu, float(np.max(np.abs(total - 1.0))))
         checks.record(f"N={N}: partition of unity <= 1e-12 on arcs", worst_pu <= 1e-12, f"max {worst_pu:.2e}")
 
-        params = OperatorParams.smooth(args.n, N, args.ramp_order)
+        params = OperatorParams.smooth(args.n, N)
         xi_rand = rng.random((200, args.n))
         specs = [arcs_mod.PieceSpec(kind) for kind in ("whole", "maj", "min")]
-        whole, maj, mino = arcs_mod.piece_multipliers(specs, xi_rand, params, args.order)
+        whole, maj, mino = arcs_mod.piece_multipliers(specs, xi_rand, params)
         # Python abs per row: np.abs on complex arrays can differ in the last ulp
         worst_split = max(abs(d) for d in (whole - (maj + mino)).tolist())
         checks.record(f"N={N}: maj + min == whole <= 1e-12", worst_split <= 1e-12, f"max {worst_split:.2e}")
@@ -209,7 +207,7 @@ def _cmd_arcs_check(args, checks: _Check) -> tuple[dict, dict]:
 
 def _cmd_coeff_check(args, checks: _Check) -> tuple[dict, dict]:
     rng = np.random.default_rng(substream_seed(args.seed, "coeff-check"))
-    params = OperatorParams.smooth(args.n, args.N, args.ramp_order)
+    params = OperatorParams.smooth(args.n, args.N)
     N = args.N
 
     specs = []
@@ -226,8 +224,8 @@ def _cmd_coeff_check(args, checks: _Check) -> tuple[dict, dict]:
             int(rng.integers(-5 * N * N, 5 * N * N + 1)),
         )
         query = coef_mod.CoefficientQuery(spec, r, params)
-        closed = coef_mod.piece_coefficient(query, args.order)
-        oracle = coef_mod.piece_coefficient_oracle(query, args.grid, args.order)
+        closed = coef_mod.piece_coefficient(query)
+        oracle = coef_mod.piece_coefficient_oracle(query, args.grid)
         scale = max(abs(oracle), coef_mod.coefficient_scale(spec, params))
         rel = abs(closed - oracle) / scale
         worst_rel = max(worst_rel, rel)
@@ -253,7 +251,7 @@ def _cmd_coeff_check(args, checks: _Check) -> tuple[dict, dict]:
         spec = specs[int(rng.integers(0, len(specs)))]
         rp = tuple(int(c) for c in rng.integers(-(N - 1), N, size=args.n - 1))
         r = rp + (sum(c * c for c in rp),)
-        val = abs(coef_mod.piece_coefficient(coef_mod.CoefficientQuery(spec, r, params), args.order))
+        val = abs(coef_mod.piece_coefficient(coef_mod.CoefficientQuery(spec, r, params)))
         worst_par = max(worst_par, val)
     checks.record("paraboloid vanishing <= 1e-13", worst_par <= 1e-13, f"max {worst_par:.2e}")
 
@@ -305,11 +303,7 @@ def _cmd_divisor_check(args, checks: _Check) -> tuple[dict, dict]:
 def _cmd_norm_scan(args, checks: _Check) -> tuple[dict, dict]:
     results = {}
     for N in args.N:
-        params = (
-            OperatorParams.sharp(args.n, N)
-            if args.cutoff == "sharp"
-            else OperatorParams.smooth(args.n, N, args.ramp_order)
-        )
+        params = OperatorParams.sharp(args.n, N) if args.cutoff == "sharp" else OperatorParams.smooth(args.n, N)
         l1 = exp_mod.norm_l1_linf(params)
         report = exp_mod.norm_l2_l2(params)
         value = report.constant
@@ -339,6 +333,12 @@ def _cmd_sharpness(args, checks: _Check) -> tuple[dict, dict]:
         params = OperatorParams.sharp(args.n, N)
         ok_box = exp_mod.box_core_is_one(args.n, N)
         checks.record(f"n={args.n} N={N}: averaged box equals 1 on the core block", ok_box)
+        # A delta_0 lies on the negated kernel points, which sort in reverse kernel order
+        af = average(delta((0,) * args.n), params)
+        nodes = -paraboloid_kernel(params)._points[::-1]
+        exact = len(af) == N ** (args.n - 1) and np.array_equal(af._points, nodes)
+        exact = exact and bool(np.all(af._values == 1.0 / float(N ** (args.n - 1))))
+        checks.record(f"n={args.n} N={N}: averaged delta equals N^(1-n) at every reflected node", exact)
         ratio = exp_mod.delta_extremizer_ratio(params, args.p)
         expected = N ** (-(args.n - 1) / args.p)
         checks.record(
@@ -468,8 +468,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out-dir", default="paravg-out")
         sp.add_argument("--config", default=None)
-        sp.add_argument("--ramp-order", type=int, default=3)
-        sp.add_argument("--order", type=int, default=8, help="bump spline order")
 
     sp = sub.add_parser("gauss-check", allow_abbrev=False, help="Gauss-sum bound constants over an N sweep")
     common(sp)

@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arcs import DEFAULT_SPLINE_ORDER, PieceSpec, arc_system, piece_system
+from .arcs import SPLINE_ORDER, PieceSpec, arc_system, piece_system
 from .cutoff import OperatorParams
 from .expsums import e1, gauss_row_max, screen_row_max, sup_candidates
 from .lattice import check_alloc
@@ -87,24 +87,24 @@ def _sigma_product(params: OperatorParams, r_perp) -> float:
     return out
 
 
-def piece_coefficient(query: CoefficientQuery, order: int = DEFAULT_SPLINE_ORDER) -> complex:
+def piece_coefficient(query: CoefficientQuery) -> complex:
     """Closed-form coefficient of one dyadic/core piece at r."""
     sig = _sigma_product(query.params, query.r[:-1])
     if sig == 0.0:
         return 0j
-    system = piece_system(query.spec, query.params, order)
+    system = piece_system(query.spec, query.params)
     return sig * system.piece_hat(query.spec, np.int64(query.residual))
 
 
 @lru_cache(maxsize=64)
-def _oracle_weights(N: int, order: int, q_limit: int, spec: PieceSpec, M: int) -> np.ndarray:
+def _oracle_weights(N: int, q_limit: int, spec: PieceSpec, M: int) -> np.ndarray:
     """piece_weight(spec, j/M) for 0 <= j < M, read-only.
 
     The oracle's rectangle-rule weights depend on a query only through its
     arc system, spec and grid size, so queries that share them share one
     grid; the cache holds at most 64 grids.
     """
-    w = arc_system(N, order, q_limit).piece_weight(spec, np.arange(M, dtype=np.int64) / M)
+    w = arc_system(N, q_limit).piece_weight(spec, np.arange(M, dtype=np.int64) / M)
     w.flags.writeable = False
     return w
 
@@ -124,7 +124,6 @@ def _roots_of_unity(M: int) -> np.ndarray:
 def piece_coefficient_oracle(
     query: CoefficientQuery,
     grid_size: int = 4096,
-    order: int = DEFAULT_SPLINE_ORDER,
     tol: float = 1e-9,
 ) -> complex:
     """Quadrature oracle for the same coefficient.
@@ -141,11 +140,11 @@ def piece_coefficient_oracle(
         raise ValueError("grid_size must be a power of two >= 4096")
     sig = _sigma_product(query.params, query.r[:-1])
     t = query.residual
-    system = piece_system(query.spec, query.params, order)
+    system = piece_system(query.spec, query.params)
 
     def rect(M: int) -> complex:
         j = np.arange(M, dtype=np.int64)
-        w = _oracle_weights(query.params.N, order, system.q_limit, query.spec, M)
+        w = _oracle_weights(query.params.N, system.q_limit, query.spec, M)
         return complex(np.sum(w * _roots_of_unity(M)[(t * j) % M]) / M)
 
     prev = rect(grid_size)
@@ -193,9 +192,7 @@ def kernel_coefficient(params: OperatorParams, r) -> float:
     return _sigma_product(params, rp)
 
 
-def maj_coefficient(
-    params: OperatorParams, r, order: int = DEFAULT_SPLINE_ORDER
-) -> complex:
+def maj_coefficient(params: OperatorParams, r) -> complex:
     """Closed-form coefficient of the arc-localized part at r.
 
     Per fraction the ladder telescopes, so the sum over levels collapses to
@@ -210,22 +207,18 @@ def maj_coefficient(
     if sig == 0.0:
         return 0j
     t = np.int64(sum(c * c for c in r[:-1]) - r[-1])
-    return sig * arc_system(params.N, order).piece_hat(PieceSpec("maj"), t)
+    return sig * arc_system(params.N).piece_hat(PieceSpec("maj"), t)
 
 
-def minor_coefficient(
-    params: OperatorParams, r, order: int = DEFAULT_SPLINE_ORDER
-) -> complex:
+def minor_coefficient(params: OperatorParams, r) -> complex:
     """Coefficient of the minor-arc part at r: the kernel value minus the arc-localized part."""
-    return kernel_coefficient(params, r) - maj_coefficient(params, r, order)
+    return kernel_coefficient(params, r) - maj_coefficient(params, r)
 
 
 # -- reports ---------------------------------------------------------------------
 
 
-def _coefficient_sup(
-    spec: PieceSpec, params: OperatorParams, order: int
-) -> tuple[float, tuple | None]:
+def _coefficient_sup(spec: PieceSpec, params: OperatorParams) -> tuple[float, tuple | None]:
     """Sup of |coefficient| over the scan box |r_i| < 2N, |r_n| <= 5 N^2, and the first r attaining it.
 
     dyadic, core and maj read H = |piece_hat|, min reads H = |[t = 0] - maj hat|,
@@ -251,7 +244,7 @@ def _coefficient_sup(
         ssum = ssum + (r_range * r_range).reshape(along)
 
     ts = np.arange(-R, s_max + R + 1, dtype=np.int64)
-    hat = piece_system(spec, params, order).piece_hat(spec, ts)
+    hat = piece_system(spec, params).piece_hat(spec, ts)
     H = np.abs((ts == 0) - hat) if spec.kind == "min" else np.abs(hat)
     blocks = np.pad(H, (0, -len(H) % width)).reshape(-1, width)
     prefix = np.maximum.accumulate(blocks, axis=1).ravel()
@@ -271,18 +264,17 @@ def coefficient_decay_report(
     spec: PieceSpec,
     params: OperatorParams,
     eps: float = 0.2,
-    order: int = DEFAULT_SPLINE_ORDER,
 ) -> ExperimentReport:
     """Sup of |coefficient| over the scan box, normalized by the decay bound.
 
     Dyadic pieces are normalized by (N 2^l)^{-1} (QN)^eps, core pieces by
     (N^2/Q)^{-1} (QN)^eps.  The scan box |r_i| < 2N, |r_n| <= 5 N^2
-    truncates the lattice; beyond it the spline decay (order m+1 >= 9 in the
-    residual) contributes below 1e-10 of the sup.  Also records where the
-    sup is attained.
+    truncates the lattice; beyond it the spline decay (order
+    SPLINE_ORDER + 1 = 9 in the residual) contributes below 1e-10 of the
+    sup.  Also records where the sup is attained.
     """
     N, n = params.N, params.n
-    best, best_r = _coefficient_sup(spec, params, order)
+    best, best_r = _coefficient_sup(spec, params)
     bound = _decay_bound(spec, params, eps)
     residual = (
         sum(c * c for c in best_r[:-1]) - best_r[-1] if best_r is not None else None
@@ -296,15 +288,11 @@ def coefficient_decay_report(
             "bound": bound,
             "argmax_residual": float(residual) if residual is not None else math.nan,
         },
-        notes=f"argmax at r={best_r}; decay exponent in the residual is order+1={order + 1}",
+        notes=f"argmax at r={best_r}; decay exponent in the residual is order+1={SPLINE_ORDER + 1}",
     )
 
 
-def minor_coefficient_report(
-    params: OperatorParams,
-    eps: float = 0.2,
-    order: int = DEFAULT_SPLINE_ORDER,
-) -> ExperimentReport:
+def minor_coefficient_report(params: OperatorParams, eps: float = 0.2) -> ExperimentReport:
     """Exact sup of |minor coefficient| over the scan box, normalized by N^eps.
 
     The box is the decay report's, |r_i| < 2N, |r_n| <= 5 N^2, and every r in
@@ -314,7 +302,7 @@ def minor_coefficient_report(
     minor coefficient is 1 wherever sigma(r_1)...sigma(r_{n-1}) = 1, uniformly
     in N.
     """
-    sup, r = _coefficient_sup(PieceSpec("min"), params, order)
+    sup, r = _coefficient_sup(PieceSpec("min"), params)
     return ExperimentReport(
         name="minor_coefficient_sup",
         params={"n": params.n, "N": params.N, "eps": eps},
@@ -327,7 +315,7 @@ def minor_coefficient_report(
 # -- sup-norm reports over the torus ----------------------------------------------
 
 
-def _scan_points(params: OperatorParams, spec: PieceSpec, order: int) -> np.ndarray:
+def _scan_points(params: OperatorParams, spec: PieceSpec) -> np.ndarray:
     """t-grid resolving the bump scales: 1/(8 N^2) steps inside the support
     clusters of every ladder of the piece's block (or of the arc system for
     maj and min), 1/(4 N^2) globally (maj, min and whole need the full torus)."""
@@ -338,7 +326,7 @@ def _scan_points(params: OperatorParams, spec: PieceSpec, order: int) -> np.ndar
     else:
         ts, block = [np.arange(0.0, 1.0, 1.0 / (4 * N * N))], spec
     if block.kind != "whole":
-        for lad in piece_system(spec, params, order).terms(block)[1]:
+        for lad in piece_system(spec, params).terms(block)[1]:
             lo, hi = lad.cluster()
             ts.append(np.arange(lo - 4 * step, hi + 4 * step, step))
     return np.concatenate(ts) % 1.0
@@ -359,7 +347,6 @@ def piece_sup_report(
     params: OperatorParams,
     y_grid: int | None = None,
     eps: float = 0.2,
-    order: int = DEFAULT_SPLINE_ORDER,
 ) -> ExperimentReport:
     """Grid sup of |piece|, normalized by its size bound.
 
@@ -378,12 +365,12 @@ def piece_sup_report(
     N, n = params.N, params.n
     if y_grid is None:
         y_grid = max(8 * N, 64)
-    ts = _scan_points(params, spec, order)
+    ts = _scan_points(params, spec)
 
     if spec.kind == "whole":
         weight = np.ones_like(ts)
     else:
-        w = piece_system(spec, params, order).piece_weight(spec, ts)
+        w = piece_system(spec, params).piece_weight(spec, ts)
         weight = np.abs(1.0 - w) if spec.kind == "min" else np.abs(w)
     g = np.zeros_like(ts)
     live = np.flatnonzero(weight)

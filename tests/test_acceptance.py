@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from paravg.arcs import PieceSpec, arc_system, piece_multiplier
+from paravg.arcs import PieceSpec, arc_system, piece_multipliers
 from paravg.coefficients import (
     CoefficientQuery,
     coefficient_decay_report,
@@ -139,7 +139,7 @@ def test_c05_partition_of_unity():
             assert np.max(np.abs(total - 1.0)) <= 1e-12, (N, q, a)
         params = OperatorParams.smooth(2, N)
         xi = rng.random((10_000, 2))  # the same draws as 10 000 calls of rng.random(2)
-        whole, maj, mino = (piece_multiplier(PieceSpec(kind), xi, params) for kind in ("whole", "maj", "min"))
+        whole, maj, mino = (piece_multipliers([PieceSpec(kind)], xi, params)[0] for kind in ("whole", "maj", "min"))
         worst = max(abs(d) for d in (whole - (maj + mino)).tolist())
         assert worst <= 1e-12
     _stamp(5, "ladder partition of unity and maj+min split at 1e-12", t0, 60.0)

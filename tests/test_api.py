@@ -31,3 +31,29 @@ def test_public_names_resolve_and_are_listed():
         module = importlib.import_module(f"paravg.{module_name}")
         assert name in module.__all__, (module_name, name)
         assert getattr(paravg, name) is getattr(module, name), (module_name, name)
+
+
+def _signatures(obj):
+    """(qualified name, signature) of a public function, or of a class's constructor and public methods."""
+    if inspect.isfunction(obj):
+        yield obj.__qualname__, inspect.signature(obj)
+    elif inspect.isclass(obj):
+        yield f"{obj.__qualname__}.__init__", inspect.signature(obj.__init__)
+        for name, member in vars(obj).items():
+            func = member.__func__ if isinstance(member, (staticmethod, classmethod)) else member
+            if not name.startswith("_") and inspect.isfunction(func):
+                yield func.__qualname__, inspect.signature(func)
+
+
+def test_no_public_signature_selects_the_spline_order_or_the_ramp():
+    # the bump spline order and the cutoff ramp are module constants, not knobs
+    seen = set()
+    for info in pkgutil.iter_modules(paravg.__path__):
+        module = importlib.import_module(f"paravg.{info.name}")
+        for name in module.__all__:
+            for qualname, signature in _signatures(getattr(module, name)):
+                seen.add(qualname)
+                assert not {"order", "ramp_order"} & set(signature.parameters), qualname
+    assert {"bump_psi", "ArcSystem.__init__", "OperatorParams.smooth", "CutoffProfile.__init__"} <= seen
+    assert list(inspect.signature(paravg.bump_psi).parameters) == ["t"]
+    assert list(inspect.signature(paravg.bump_psi_hat).parameters) == ["u"]

@@ -17,7 +17,6 @@ from paravg.arcs import (
     bump_psi_hat,
     dyadic_block,
     major_arcs,
-    piece_multiplier,
     piece_multipliers,
     totatives,
 )
@@ -55,19 +54,17 @@ def test_bump_psi_shape():
     assert np.all((v >= 0.0) & (v <= 1.0))
     assert np.all(bump_psi(np.linspace(-1, 1, 201)) == 1.0)
     assert np.all(bump_psi(np.linspace(2.0, 3.0, 101)) == 0.0)
-    with pytest.raises(ValueError):
-        bump_psi(0.0, m=3)
 
 
-@pytest.mark.parametrize("m", [4, 8, 12])
+@pytest.mark.parametrize("m", [arcs.SPLINE_ORDER])
 def test_bump_psi_equals_the_full_spline(m):
     # only 1 < |t| < 2 evaluates the spline; elsewhere the full sum is exactly 1 or 0
     edges = np.array([1.0, 2.0])
     t = np.concatenate([np.linspace(0.0, 3.0, 3001), edges, np.nextafter(edges, 0.0), np.nextafter(edges, 3.0)])
     t = np.concatenate([t, -t])
     full = np.clip(1.0 - arcs._irwin_hall_cdf(m * (np.abs(t) - 1.0), m), 0.0, 1.0)
-    assert np.array_equal(bump_psi(t, m), full)
-    assert [bump_psi(float(x), m) for x in t[-10:]] == full[-10:].tolist()
+    assert np.array_equal(bump_psi(t), full)
+    assert [bump_psi(float(x)) for x in t[-10:]] == full[-10:].tolist()
 
 
 def test_bump_psi_hat_closed_form_vs_quadrature():
@@ -79,9 +76,9 @@ def test_bump_psi_hat_closed_form_vs_quadrature():
 
 def test_bump_psi_hat_decay_order():
     # |psi_hat(u)| <= C (1+|u|)^{-(m+1)}: probe the envelope far out
-    m = 8
+    m = arcs.SPLINE_ORDER
     us = np.array([5.0, 10.0, 20.0, 40.0])
-    vals = np.abs(bump_psi_hat(us, m))
+    vals = np.abs(bump_psi_hat(us))
     cap = 3.0 * (3 * m / math.pi / math.pi) ** m
     assert np.all(vals <= cap * (1 + us) ** (-(m + 1)))
 
@@ -271,9 +268,9 @@ def test_piece_decomposition_identity():
     rng = np.random.default_rng(2)
     for _ in range(50):
         xi = rng.random(2)
-        whole = piece_multiplier(PieceSpec("whole"), xi, params)
-        maj = piece_multiplier(PieceSpec("maj"), xi, params)
-        mino = piece_multiplier(PieceSpec("min"), xi, params)
+        whole = piece_multipliers([PieceSpec("whole")], xi, params)[0]
+        maj = piece_multipliers([PieceSpec("maj")], xi, params)[0]
+        mino = piece_multipliers([PieceSpec("min")], xi, params)[0]
         assert abs(whole - maj - mino) <= 1e-12
 
 
@@ -285,7 +282,7 @@ def test_pieces_sum_to_maj():
     for _ in range(10):
         xi = rng.random(2)
         total = sum(multiplier(xi, params) * system.piece_weight(spec, xi[1]) for spec in system.piece_specs())
-        maj = piece_multiplier(PieceSpec("maj"), xi, params)
+        maj = piece_multipliers([PieceSpec("maj")], xi, params)[0]
         assert abs(total - maj) <= 1e-12 * max(1.0, abs(maj))
 
 
@@ -294,7 +291,7 @@ def test_dyadic_piece_vanishes_outside_supports():
     params = OperatorParams.smooth(2, 16)
     spec = PieceSpec("dyadic", 1, 0)
     for t in (0.35, 0.5, 0.73):
-        assert piece_multiplier(spec, (0.2, t), params) == 0j
+        assert piece_multipliers([spec], (0.2, t), params)[0] == 0j
 
 
 def test_standalone_piece_uses_full_block():
@@ -303,7 +300,7 @@ def test_standalone_piece_uses_full_block():
     spec = PieceSpec("dyadic", 2, 0)
     lad = BumpLadder(FareyFraction(1, 2), 16)
     xi_t = 0.5 + 0.7 / (16 * 2)
-    val = piece_multiplier(spec, (0.3, xi_t), params)
+    val = piece_multipliers([spec], (0.3, xi_t), params)[0]
     assert abs(val - multiplier((0.3, xi_t), params) * lad.eta(0, xi_t)) <= 1e-12
 
 
@@ -317,8 +314,8 @@ def test_min_vanishes_on_arcs():
         u = (rng.random(50) * 2 - 1) * 0.999 / (32 * q)
         for du in u:
             xi = (rng.random(), (a / q + du) % 1.0)
-            mino = piece_multiplier(PieceSpec("min"), xi, params)
-            whole = piece_multiplier(PieceSpec("whole"), xi, params)
+            mino = piece_multipliers([PieceSpec("min")], xi, params)[0]
+            whole = piece_multipliers([PieceSpec("whole")], xi, params)[0]
             assert abs(mino) <= 1e-11 * max(1.0, abs(whole))
 
 
@@ -341,7 +338,7 @@ def test_maj_vanishes_far_from_arcs():
         if in_cluster(t):
             continue
         xi = (rng.random(), t)
-        assert piece_multiplier(PieceSpec("maj"), xi, params) == 0j
+        assert piece_multipliers([PieceSpec("maj")], xi, params)[0] == 0j
         count += 1
 
 
@@ -354,17 +351,17 @@ def test_invalid_piece_specs():
         PieceSpec("frobnicate")
     params = OperatorParams.smooth(2, 16)
     with pytest.raises(ValueError):
-        piece_multiplier(PieceSpec("dyadic", 1, 99), (0.1, 0.2), params)
+        piece_multipliers([PieceSpec("dyadic", 1, 99)], (0.1, 0.2), params)
     with pytest.raises(ValueError):
         arc_system(16).piece_weight(PieceSpec("whole"), 0.2)  # m itself has no ladder weight
 
 
 def test_arc_system_default_q_limit_shares_one_cache_entry():
-    # maj reads arc_system(N, order), a standalone Q = 1 piece arc_system(N, order, N // 10)
+    # maj reads arc_system(N), a standalone Q = 1 piece arc_system(N, N // 10)
     params = OperatorParams.smooth(2, 64)
     system = arcs.piece_system(PieceSpec("maj"), params)
     assert arcs.piece_system(PieceSpec("dyadic", 1, 0), params) is system
-    assert arc_system(64) is arc_system(64, arcs.DEFAULT_SPLINE_ORDER, 6) is arc_system(64, q_limit=6) is system
+    assert arc_system(64) is arc_system(64, 6) is arc_system(64, q_limit=6) is system
     assert system.q_limit == 6 and arc_system(64, q_limit=5) is not system
 
 
@@ -382,7 +379,7 @@ def _telescoped_weight_sum(system, t):
         u = _torus_signed(t - c)
         v = _torus_signed(t - c - lad.shift)
         s = float(system.N * q)
-        acc = acc + bump_psi(s * u, system.order) - bump_psi(s * v, system.order)
+        acc = acc + bump_psi(s * u) - bump_psi(s * v)
     return acc if np.ndim(acc) else float(acc)
 
 
@@ -415,19 +412,19 @@ def test_batched_piece_multiplier_matches_rows(N):
     assert np.array_equal(ws, [system.piece_weight(PieceSpec("maj"), float(t)) for t in xi[:, 1]])
     specs = [PieceSpec("whole"), PieceSpec("maj"), PieceSpec("min"), PieceSpec("dyadic", 1, 0), PieceSpec("core", 1)]
     for spec in specs:
-        batched = piece_multiplier(spec, xi, params)
+        batched = piece_multipliers([spec], xi, params)[0]
         assert batched.shape == (rows,) and batched.dtype == complex
-        assert np.array_equal(batched, [piece_multiplier(spec, row, params) for row in xi])
+        assert np.array_equal(batched, [piece_multipliers([spec], row, params)[0] for row in xi])
 
 
 def test_batched_piece_multiplier_n3():
     params = OperatorParams.smooth(3, 16)
     xi = np.random.default_rng(3).random((50, 3))
     for kind in ("whole", "maj", "min"):
-        batched = piece_multiplier(PieceSpec(kind), xi, params)
-        assert np.array_equal(batched, [piece_multiplier(PieceSpec(kind), row, params) for row in xi])
+        batched = piece_multipliers([PieceSpec(kind)], xi, params)[0]
+        assert np.array_equal(batched, [piece_multipliers([PieceSpec(kind)], row, params)[0] for row in xi])
     with pytest.raises(ValueError):
-        piece_multiplier(PieceSpec("whole"), xi[:, :2], params)
+        piece_multipliers([PieceSpec("whole")], xi[:, :2], params)
 
 
 def _piece_multiplier_oracle(spec, rows, params):
@@ -450,7 +447,7 @@ def test_piece_multipliers_match_one_spec_at_a_time(n, N):
     for spec, values in zip(specs, batched):
         assert values.shape == (len(xi),) and values.dtype == complex
         assert np.array_equal(values, _piece_multiplier_oracle(spec, xi, params)), spec
-        assert np.array_equal(values, piece_multiplier(spec, xi, params)), spec
+        assert np.array_equal(values, piece_multipliers([spec], xi, params)[0]), spec
     points = piece_multipliers(specs, xi[5], params)
     assert [type(v) for v in points] == [complex] * len(specs)
     assert points == [complex(v[5]) for v in batched]
@@ -471,6 +468,11 @@ def test_piece_multipliers_share_the_multiplier_and_the_arc_weight(monkeypatch):
     assert sorted(calls) == ["multiplier"] + ["piece_weight"] * 3
 
 
+def _ladder_etas(ladder, xi):
+    """eta(level, xi) for every level of one ladder, in levels() order, as the rows of one array."""
+    return arcs._level_etas(ladder.scales, ladder.shift, ladder.frac.center, xi)
+
+
 @pytest.mark.parametrize("N", [16, 64, 256])
 def test_denominator_etas_match_level_etas_per_ladder(N):
     system = arc_system(N)
@@ -482,7 +484,7 @@ def test_denominator_etas_match_level_etas_per_ladder(N):
         grouped = system.denominator_etas(q, xi)
         assert grouped.shape == (len(system.ladders[(q, a[0])].levels()), len(a), 50)
         for j, numerator in enumerate(a.tolist()):
-            assert np.array_equal(grouped[:, j], system.ladders[(q, numerator)].level_etas(xi[j])), (q, numerator)
+            assert np.array_equal(grouped[:, j], _ladder_etas(system.ladders[(q, numerator)], xi[j])), (q, numerator)
 
 
 @pytest.mark.parametrize("N", [16, 64, 256])
@@ -492,7 +494,7 @@ def test_level_etas_match_eta_per_level(N):
     for (q, a), ladder in system.ladders.items():
         u = (rng.random(200) * 2 - 1) / (N * q)
         xi = (a / q + u) % 1.0
-        etas = ladder.level_etas(xi)
+        etas = _ladder_etas(ladder, xi)
         assert etas.shape == (len(ladder.levels()), len(xi))
         old_total = np.zeros_like(xi)
         new_total = np.zeros_like(xi)

@@ -303,6 +303,40 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     capsys.readouterr()
 
 
+COMMANDS = ["gauss-check", "arcs-check", "coeff-check", "ramanujan-check", "divisor-check",
+            "norm-scan", "sharpness", "scaling-fit", "separation-probe"]
+
+
+@pytest.mark.parametrize("flag", ["--order 8", "--ramp-order 3", "order=8", "ramp_order=3"])
+def test_spline_order_and_ramp_are_not_options(tmp_path, capsys, flag):
+    # both are fixed in the library; a flag or config line naming them is unknown
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(flag + "\n")
+    extra = flag.split() if flag.startswith("--") else ["--config", str(cfg)]
+    for command in COMMANDS:
+        out = tmp_path / command
+        assert run([command, *extra, "--out-dir", str(out)]) == 2, command
+        captured = capsys.readouterr()
+        assert "[PASS]" not in captured.out and not out.exists(), command
+
+
+def test_sharpness_fails_on_a_perturbed_averaged_delta(tmp_path, capsys, monkeypatch):
+    from paravg.lattice import delta
+
+    real = cli.average
+
+    def perturbed(f, params):
+        af = real(f, params)
+        return af + delta(tuple(int(c) for c in af._points[-1])) * 1e-9 if params.N == 12 else af
+
+    monkeypatch.setattr(cli, "average", perturbed)
+    assert run(["sharpness", "--N", "8,12", "--out-dir", str(tmp_path / "o")]) == 1
+    out = capsys.readouterr().out
+    assert "[PASS] n=2 N=8: averaged delta equals N^(1-n) at every reflected node" in out
+    assert "[FAIL] n=2 N=12: averaged delta equals N^(1-n) at every reflected node" in out
+    assert "[PASS] n=2 N=12: delta ratio equals N^(-(n-1)/p)" in out
+
+
 def test_bad_config_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("this is not key value\n")
@@ -504,13 +538,13 @@ def test_unwritable_out_dir_is_usage_error(tmp_path, capsys):
 # sha256 of each report file, the JSON with its out-dir string replaced; the
 # values do not depend on the platform.  The JSON embeds the library version.
 REPORT_DIGESTS = {
-    "sharpness.json": "63d85ec3b4eb9fb41670d3628faee9ae920530c274b34379577fc308b1e8f2e5",
+    "sharpness.json": "7fd9ec4bdb54fb8de116ff460955366bd0eddbed8997679b799c7374c001a960",
     "divisor-check.csv": "0c7a48fa30a7ded0d20ef9ee9c0c95ff7ebacdef50183134e030abb46a288b60",
-    "divisor-check.json": "c88f5277e033ba68ba87d3fa997919e04de725486ff0002a3a843a564eccbf8a",
-    "ramanujan-check.json": "570b9b3c2e3ebf9f1ba9a5e4c93f1dd6b7ecc9f0eb7ac655af2787002a5327c1",
-    "separation-probe.json": "43f20f9c8b85e32a6db97432e23d41b70ada8fb86262dd6edaf6d36dc9616dc5",
+    "divisor-check.json": "9b9d911910449fdaf18fc19d54103e85313632e6bdc43a70a1d14b119c3a9f33",
+    "ramanujan-check.json": "6aeb8bd5d69369966f1095bacee958ccc2f41dbea5727f4c846b453d655ca99f",
+    "separation-probe.json": "8cfc76fd591d410a2bc7a2c65fda3d41d036e4936f7f1b9b1965f6b898889abe",
     "scaling-fit.csv": "4e275960c4236e1eb97852ab99ae3067d2c4a313b6a16d66f853c2bbb89b98e2",
-    "scaling-fit.json": "5b2ac50768e7cbcce59ae22af63d50322813b0fede2e8f5b3d9cca5478b6b3f1",
+    "scaling-fit.json": "49ed50aff1c1e55828d3e6330c0650209b4b68948ac6ec097a191e403cac70ef",
 }
 
 

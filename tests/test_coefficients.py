@@ -153,18 +153,18 @@ def test_maj_coefficient_vs_oracle_truncation():
         assert abs(numeric - maj_coefficient(params, r)) <= 1e-7
 
 
-def _bracket_maj_coefficient(params, r, order=8):
+def _bracket_maj_coefficient(params, r):
     """maj_coefficient as a Python-int loop over fractions: the telescoped transform times the bracket."""
     sig = _sigma_product(params, r[:-1])
     if sig == 0.0:
         return 0j
     t = int(sum(c * c for c in r[:-1]) - r[-1])
     acc = 0j
-    for (q, a), lad in arc_system(params.N, order).ladders.items():
+    for (q, a), lad in arc_system(params.N).ladders.items():
         s = params.N * q
         r1 = ((a * t) % q) / q
         r2 = ((3 * t) % s) / s
-        acc += bump_psi_hat(t / s, order) / s * (e1(r1) - e1(r1 + r2))
+        acc += bump_psi_hat(t / s) / s * (e1(r1) - e1(r1 + r2))
     return sig * acc
 
 
@@ -259,10 +259,10 @@ def _loop_sup(H, params):
     return best, best_r
 
 
-def _profile(spec, params, order=8):
+def _profile(spec, params):
     """|coefficient / sigma product| on the scan residuals, from piece_hat."""
     ts = _residuals(params)
-    hat = piece_system(spec, params, order).piece_hat(spec, ts)
+    hat = piece_system(spec, params).piece_hat(spec, ts)
     return np.abs(np.where(ts == 0, 1.0, 0.0) - hat) if spec.kind == "min" else np.abs(hat)
 
 
@@ -288,7 +288,7 @@ def test_decay_report_matches_loop_oracle(kind, n, N):
 def test_maj_and_min_sup_match_loop_oracle(kind, N):
     params = getattr(OperatorParams, kind)(2, N)
     for spec in (PieceSpec("maj"), PieceSpec("min")):
-        assert _coefficient_sup(spec, params, 8) == _loop_sup(_profile(spec, params), params)
+        assert _coefficient_sup(spec, params) == _loop_sup(_profile(spec, params), params)
 
 
 _PROFILES = {
@@ -312,7 +312,7 @@ def test_coefficient_sup_matches_loop_on_synthetic_profiles(shape, monkeypatch):
         ts = _residuals(params)
         for spec, H in ((PieceSpec("dyadic", 1, 0), np.abs(profile(ts))),
                         (PieceSpec("min"), np.abs(np.where(ts == 0, 1.0, 0.0) - profile(ts)))):
-            assert _coefficient_sup(spec, params, 8) == _loop_sup(H, params), (shape, params, spec)
+            assert _coefficient_sup(spec, params) == _loop_sup(H, params), (shape, params, spec)
 
 
 @pytest.mark.parametrize("N", [16, 32])
@@ -350,19 +350,19 @@ def test_piece_sup_reports():
     assert 0 < core.constant < 50
 
 
-def _full_grid_sup_report(spec, params, order=8, eps=0.2):
+def _full_grid_sup_report(spec, params, eps=0.2):
     """Oracle: piece_sup_report as it ran with the row max taken at every scan point."""
     from paravg.arcs import piece_system
     from paravg.coefficients import _scan_points
     from paravg.expsums import gauss_row_max
 
     y_grid = max(8 * params.N, 64)
-    ts = _scan_points(params, spec, order)
+    ts = _scan_points(params, spec)
     g = gauss_row_max(ts, params.cutoff, y_grid)
     if spec.kind == "whole":
         weight = np.ones_like(ts)
     else:
-        w = piece_system(spec, params, order).piece_weight(spec, ts)
+        w = piece_system(spec, params).piece_weight(spec, ts)
         weight = np.abs(1.0 - w) if spec.kind == "min" else np.abs(w)
     vals = weight * g ** (params.n - 1)
     i = int(np.argmax(vals))
@@ -382,7 +382,7 @@ def test_piece_sup_report_matches_full_grid(n, N, monkeypatch):
     params = OperatorParams.smooth(n, N)
     skipped = {}
     # every piece of the arc system, and the three sums of pieces
-    for spec in [PieceSpec("whole"), PieceSpec("maj"), PieceSpec("min")] + arc_system(N, 8).piece_specs():
+    for spec in [PieceSpec("whole"), PieceSpec("maj"), PieceSpec("min")] + arc_system(N).piece_specs():
         rep = piece_sup_report(spec, params)
         assert (rep.constant, rep.values, rep.params["t_points"]) == _full_grid_sup_report(spec, params)
         skipped[spec.kind] = rep.params["t_points"] - rows[-1]
@@ -516,7 +516,7 @@ def test_piece_sup_factorization_vs_brute_grid():
     # the scan factorizes the sup over the first coordinates into a row max;
     # a brute 2-D grid must never beat the reported sup
     params = OperatorParams.smooth(2, 16)
-    from paravg.arcs import piece_multiplier
+    from paravg.arcs import piece_multipliers
 
     for spec in (PieceSpec("dyadic", 1, 0), PieceSpec("min")):
         rep = piece_sup_report(spec, params)
@@ -524,12 +524,12 @@ def test_piece_sup_factorization_vs_brute_grid():
         brute = 0.0
         for _ in range(300):
             xi = (rng.random(), rng.random())
-            brute = max(brute, abs(piece_multiplier(spec, xi, params)))
+            brute = max(brute, abs(piece_multipliers([spec], xi, params)[0]))
         # 5% slack: the scan grid is finite, so random points may edge it out
         assert brute <= rep.values["sup"] * 1.05 + 1e-9
 
 
-def _uncached_oracle(query, grid_size=4096, order=8, tol=1e-9):
+def _uncached_oracle(query, grid_size=4096, tol=1e-9):
     """piece_coefficient_oracle as it ran before its weight grids were cached."""
     from paravg.arcs import piece_system
     from paravg.coefficients import _sigma_product
@@ -537,7 +537,7 @@ def _uncached_oracle(query, grid_size=4096, order=8, tol=1e-9):
 
     sig = _sigma_product(query.params, query.r[:-1])
     t = query.residual
-    system = piece_system(query.spec, query.params, order)
+    system = piece_system(query.spec, query.params)
 
     def rect(M):
         j = np.arange(M, dtype=np.int64)
@@ -611,9 +611,9 @@ def test_oracle_root_table_matches_e1_rectangle_rule(monkeypatch):
 def test_cached_oracle_grid_is_read_only_and_shared():
     from paravg.coefficients import _oracle_weights
 
-    w = _oracle_weights(8, 8, 1, PieceSpec("dyadic", 1, 0), 4096)
+    w = _oracle_weights(8, 1, PieceSpec("dyadic", 1, 0), 4096)
     assert not w.flags.writeable
     with pytest.raises(ValueError):
         w[0] = 1.0
-    assert _oracle_weights(8, 8, 1, PieceSpec("dyadic", 1, 0), 4096) is w
+    assert _oracle_weights(8, 1, PieceSpec("dyadic", 1, 0), 4096) is w
     assert _oracle_weights.cache_info().maxsize == 64
