@@ -9,7 +9,7 @@ threshold.
 """
 
 from paravg.numtheory import (
-    divisor_level_count,
+    divisor_level_counts,
     paraboloid_divisor_count,
     ramanujan_block_report,
     ramanujan_sum,
@@ -30,9 +30,9 @@ for Q in (1, 4, 16, 64):
     print(f"  Q = {Q:<3d} ratio = {rep.constant:.4f}")
 
 print("\ndivisor level sets |{k <= 1e5 : d(k, Q) > D}| and the D^-2 Q^0.5 bound:")
+Ds = [2.0, 8.0, 32.0]
 for Q in (16, 64):
-    for D in (2.0, 8.0, 32.0):
-        count, rep = divisor_level_count(10**5, Q, D, B=2.0, tau=0.5)
+    for D, (count, rep) in zip(Ds, divisor_level_counts(10**5, Q, Ds, B=2.0, tau=0.5)):
         print(f"  Q = {Q:<3d} D = {D:<5g} count = {count:<6d} ratio = {rep.values['ratio']:.4f}")
 
 print("\nlattice points near the paraboloid with divisor-rich residuals:")

@@ -48,7 +48,6 @@ from .experiments import (
 from .lattice import LatticeFunction, box_indicator, convolve, delta, lp_norm, reflect, shift
 from .numtheory import (
     divisor_count,
-    divisor_level_count,
     paraboloid_divisor_count,
     ramanujan_sum,
     truncated_divisor_count,

@@ -52,7 +52,6 @@ __all__ = [
     "delta_extremizer_ratio",
     "norm_l1_linf",
     "norm_l2_l2",
-    "rayleigh_quotient",
     "rayleigh_quotients",
     "random_ascent_lower_bound",
     "scaling_fit",
@@ -331,14 +330,6 @@ def norm_l1_linf(params: OperatorParams) -> float:
 # stacked Rayleigh averages, cells (rows x runs) of a wave-packet block.
 # Sized so that neither path raises the peak RSS of the unbatched loops.
 _CHUNK_TERMS = 1 << 15
-
-
-def rayleigh_quotient(f: LatticeFunction, params: OperatorParams) -> float:
-    """|A f|_2 / |f|_2 for a concrete test function: rayleigh_quotients of one.
-
-    Raises ValueError for the zero function, whose quotient is undefined.
-    """
-    return rayleigh_quotients(f._points[None], f._values[None], params)[0]
 
 
 def rayleigh_quotients(points, values, params: OperatorParams) -> list[float]:

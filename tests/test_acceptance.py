@@ -1,39 +1,89 @@
 """Acceptance gate: every criterion at its stated tolerance and runtime budget.
 
+A criterion that the CLI checks is an argv list per run, the names of the
+checks it asserts, and a budget: its test runs `paravg <argv>` in process
+into a temporary directory and asserts exit 0 and a `[PASS] <name>: ...`
+line for each name.  The CLI records every check as a value against its
+bound, so the tolerances live in one place, `paravg.cli`.  Three
+assertions stay on the library: c05's maj + min split on 10,000 points
+(arcs-check draws 200), and c09 and c10, which no subcommand runs.
+For each CLI-backed criterion, test_criterion_fails_on_a_perturbed_computation
+moves one library result past the bound of a check the criterion asserts
+and expects that check, and only that one, to fail.
+
 Run with `pytest tests/test_acceptance.py -v` for one pass/fail line per
 criterion; each test also prints an `ACCEPTANCE k: PASS` line with its
 elapsed time (visible with -s or -rA).
 """
 
+import dataclasses
+import json
 import math
 import time
 
 import numpy as np
+import pytest
 
-from paravg.arcs import PieceSpec, arc_system, piece_multipliers
-from paravg.coefficients import (
-    CoefficientQuery,
-    coefficient_decay_report,
-    coefficient_scale,
-    piece_coefficient,
-    piece_coefficient_oracle,
-    piece_sup_report,
-)
-from paravg.cutoff import OperatorParams, average, paraboloid_kernel
-from paravg.expsums import gauss_bound_report
-from paravg.experiments import (
-    box_core_is_one,
-    norm_l2_l2,
-    rayleigh_quotient,
-    scaling_fit,
-    two_bump_separation_probe,
-)
-from paravg.lattice import delta, lp_norm, shift
-from paravg.numtheory import divisor_level_count, ramanujan_table
+from paravg import arcs as arcs_mod
+from paravg import cli, expsums
+from paravg import coefficients as coef_mod
+from paravg import experiments as exp_mod
+from paravg import numtheory as nt
+from paravg.arcs import PieceSpec, piece_multipliers
+from paravg.coefficients import coefficient_decay_report, piece_sup_report
+from paravg.cutoff import OperatorParams
 
-# recorded constant for the divisor level-set ratio sweep (criterion 8);
-# the measured maximum is 1.089, deterministic
-DIVISOR_LEVEL_CONSTANT = 1.2
+UP_TO_32 = ",".join(map(str, range(1, 33)))
+
+
+def _sharpness(check: str) -> list:
+    return [(["sharpness", "--n", str(n), "--N", UP_TO_32], [f"n={n} N={N}: {check}" for N in range(1, 33)])
+            for n in (2, 3)]
+
+
+# criterion -> (what it shows, budget in seconds, [(argv, names of the checks it asserts)])
+CRITERIA = {
+    1: ("averaged box equals 1 on the core block, n in {2,3}, N <= 32", 10.0,
+        _sharpness("averaged box differs from 1 on the core block")),
+    2: ("averaged delta equals N^(1-n) at every reflected node, N <= 32", 5.0,
+        _sharpness("averaged delta departures from N^(1-n) on the reflected nodes")),
+    3: ("log-log slopes match the predicted exponents", 120.0, [
+        (["scaling-fit", "--p", "1.8,2"],
+         ["p=1.8: slope deviation from target -0.3333", "p=2.0: slope deviation from target -0.0000"]),
+        (["scaling-fit", "--source", "delta", "--p", f"{5 / 3!r},2"],
+         [f"p={5 / 3}: slope deviation from target -0.6000", "p=2.0: slope deviation from target -0.5000"]),
+        (["scaling-fit", "--n", "3", "--source", "delta", "--p", "2"], ["p=2.0: slope deviation from target -1.0000"]),
+    ]),
+    4: ("50+20 oracle comparisons at 1e-8 and paraboloid vanishing", 60.0, [
+        (["coeff-check", "--N", "8", "--count", "50"],
+         ["closed form vs oracle relative error over 50 queries", "paraboloid vanishing |coefficient|"]),
+        (["coeff-check", "--n", "3", "--N", "4", "--Q", "1", "--count", "20"],
+         ["closed form vs oracle relative error over 20 queries", "paraboloid vanishing |coefficient|"]),
+    ]),
+    5: ("ladder partition of unity and maj+min split at 1e-12", 60.0, [
+        (["arcs-check", "--N", "16,64"],
+         [f"N={N}: {check}" for N in (16, 64) for check in ("partition of unity deviation on arcs",
+                                                            "maj + min deviation from whole")]),
+    ]),
+    6: ("direct sums equal the arithmetic formula, q <= 128, |k| <= 2048", 30.0, [
+        (["ramanujan-check"], ["direct vs Moebius residual for q <= 128, |k| <= 2048", "q with c_q(0) != phi(q)"]),
+    ]),
+    7: ("bound constant spread < 2 across N", 60.0, [
+        (["gauss-check", "--seed", "1"], ["gauss bound constant spread across N"]),
+    ]),
+    8: ("level-set ratios below 1.2, counts monotone", 30.0, [
+        (["divisor-check"], ["max level-set ratio", "Q=16: count increases in D", "Q=64: count increases in D"]),
+    ]),
+    11: ("sharp n=2 norm exactly 1; Rayleigh quotients never exceed it", 30.0, [
+        (["norm-scan", "--N", "32", "--falsify", "50"],
+         ["N=32: sharp n=2 l2 norm deviation from 1", "N=32: max random Rayleigh quotient"]),
+    ]),
+    12: ("doubling norms exactly; ratio gain 2^(1/q - 1/p)", 5.0, [
+        (["separation-probe", "--N", "8"],
+         ["shifted sums whose support does not double", "|f + f_h|_p deviation from 2^(1/p) |f|_p",
+          "|Af + Af_h|_q deviation from 2^(1/q) |Af|_q", "ratio gain deviation from 2^(1/q - 1/p) = 1.414214"]),
+    ]),
+}
 
 
 def _stamp(number: int, detail: str, t0: float, budget: float):
@@ -42,138 +92,63 @@ def _stamp(number: int, detail: str, t0: float, budget: float):
     print(f"ACCEPTANCE {number}: PASS - {detail} ({elapsed:.2f}s)")
 
 
-def test_c01_box_extremizer_exactness():
+def _run(number: int, tmp_path, capsys):
+    """Run every argv of a criterion; each must exit 0 with a [PASS] line per named check."""
+    for i, (argv, names) in enumerate(CRITERIA[number][2]):
+        assert cli.main([*argv, "--out-dir", str(tmp_path / str(i))]) == 0, argv
+        lines = capsys.readouterr().out.splitlines()
+        for name in names:
+            assert any(line.startswith(f"[PASS] {name}: ") for line in lines), (argv, name)
+
+
+def _gate(number: int, tmp_path, capsys):
+    detail, budget, _ = CRITERIA[number]
     t0 = time.time()
-    for n in (2, 3):
-        for N in range(1, 17):
-            assert box_core_is_one(n, N), (n, N)
-    _stamp(1, "averaged box equals 1 on the core block, n in {2,3}, N <= 16", t0, 10.0)
+    _run(number, tmp_path, capsys)
+    _stamp(number, detail, t0, budget)
 
 
-def test_c02_delta_extremizer_exactness():
+def test_c01_box_extremizer_exactness(tmp_path, capsys):
+    _gate(1, tmp_path, capsys)
+
+
+def test_c02_delta_extremizer_exactness(tmp_path, capsys):
+    _gate(2, tmp_path, capsys)
+
+
+def test_c03_scaling_exponents(tmp_path, capsys):
+    _gate(3, tmp_path, capsys)
+
+
+def test_c04_coefficient_closed_form_vs_oracle(tmp_path, capsys):
+    _gate(4, tmp_path, capsys)
+
+
+def test_c05_partition_of_unity(tmp_path, capsys):
+    detail, budget, _ = CRITERIA[5]
     t0 = time.time()
-    for n in (2, 3):
-        for N in range(1, 33):
-            params = OperatorParams.sharp(n, N)
-            af = average(delta((0,) * n), params)
-            expected = 1.0 / float(N ** (n - 1))
-            assert len(af) == N ** (n - 1)
-            kernel = paraboloid_kernel(params)
-            for point in kernel.support():
-                assert af(tuple(-c for c in point)) == expected
-    _stamp(2, "averaged delta equals N^(1-n) at every reflected node, N <= 32", t0, 5.0)
-
-
-def test_c03_scaling_exponents():
-    t0 = time.time()
-    Ns = [8, 16, 32, 64, 128]
-    fit = scaling_fit(Ns, 2, 1.8, "box")
-    assert abs(fit.slope - (-1 / 3)) <= 0.15, fit.slope
-    fit = scaling_fit(Ns, 2, 2.0, "box")
-    assert abs(fit.slope - 0.0) <= 0.15, fit.slope
-    fit = scaling_fit(Ns, 2, 5 / 3, "delta")
-    assert abs(fit.slope - (-3 / 5)) <= 0.05, fit.slope
-    fit = scaling_fit(Ns, 2, 2.0, "delta")
-    assert abs(fit.slope - (-1 / 2)) <= 0.05, fit.slope
-    fit = scaling_fit(Ns, 3, 2.0, "delta")
-    assert abs(fit.slope - (-1.0)) <= 0.05, fit.slope
-    _stamp(3, "log-log slopes match the predicted exponents", t0, 120.0)
-
-
-def test_c04_coefficient_closed_form_vs_oracle():
-    t0 = time.time()
-    rng = np.random.default_rng(1)
-
-    def check(params, specs, count, r_draw):
-        for _ in range(count):
-            spec = specs[int(rng.integers(0, len(specs)))]
-            query = CoefficientQuery(spec, r_draw(), params)
-            closed = piece_coefficient(query)
-            oracle = piece_coefficient_oracle(query)
-            scale = max(abs(oracle), coefficient_scale(spec, params))
-            assert abs(closed - oracle) <= 1e-8 * scale
-
-    params2 = OperatorParams.smooth(2, 8)
-    specs2 = [PieceSpec("dyadic", Q, l) for Q in (1, 2) for l in (0, 1)]
-    specs2 += [PieceSpec("core", 1), PieceSpec("core", 2)]
-    check(
-        params2,
-        specs2,
-        50,
-        lambda: (int(rng.integers(-15, 16)), int(rng.integers(-320, 321))),
-    )
-
-    params3 = OperatorParams.smooth(3, 4)
-    specs3 = [PieceSpec("dyadic", 1, 0), PieceSpec("dyadic", 1, 1), PieceSpec("core", 1)]
-    check(
-        params3,
-        specs3,
-        20,
-        lambda: (
-            int(rng.integers(-7, 8)),
-            int(rng.integers(-7, 8)),
-            int(rng.integers(-80, 81)),
-        ),
-    )
-
-    # exact vanishing on the paraboloid
-    for _ in range(20):
-        spec = specs2[int(rng.integers(0, len(specs2)))]
-        r1 = int(rng.integers(-15, 16))
-        val = abs(piece_coefficient(CoefficientQuery(spec, (r1, r1 * r1), params2)))
-        assert val <= 1e-13
-    _stamp(4, "50+20 oracle comparisons at 1e-8 and paraboloid vanishing", t0, 60.0)
-
-
-def test_c05_partition_of_unity():
-    t0 = time.time()
+    _run(5, tmp_path, capsys)
+    # the split on 10,000 points per N, beyond arcs-check's 200
     rng = np.random.default_rng(2)
     for N in (16, 64):
-        system = arc_system(N)
-        for (q, a), ladder in system.ladders.items():
-            u = (rng.random(1000) * 2 - 1) / (N * q)
-            xi = (a / q + u) % 1.0
-            total = np.zeros_like(xi)
-            for level in ladder.levels():
-                total += ladder.eta(level, xi)
-            assert np.max(np.abs(total - 1.0)) <= 1e-12, (N, q, a)
-        params = OperatorParams.smooth(2, N)
         xi = rng.random((10_000, 2))  # the same draws as 10 000 calls of rng.random(2)
-        whole, maj, mino = (piece_multipliers([PieceSpec(kind)], xi, params)[0] for kind in ("whole", "maj", "min"))
+        specs = [PieceSpec(kind) for kind in ("whole", "maj", "min")]
+        whole, maj, mino = piece_multipliers(specs, xi, OperatorParams.smooth(2, N))
         worst = max(abs(d) for d in (whole - (maj + mino)).tolist())
         assert worst <= 1e-12
-    _stamp(5, "ladder partition of unity and maj+min split at 1e-12", t0, 60.0)
+    _stamp(5, detail, t0, budget)
 
 
-def test_c06_ramanujan_sums():
-    t0 = time.time()
-    ramanujan_table(128, np.arange(-2048, 2049))  # raises on any disagreement
-    _stamp(6, "direct sums equal the arithmetic formula, q <= 128, |k| <= 2048", t0, 30.0)
+def test_c06_ramanujan_sums(tmp_path, capsys):
+    _gate(6, tmp_path, capsys)
 
 
-def test_c07_gauss_bound_uniformity():
-    t0 = time.time()
-    constants = {}
-    for N in (16, 32, 64, 128):
-        rep = gauss_bound_report(OperatorParams.smooth(2, N), 10_000, seed=1)
-        assert math.isfinite(rep.constant) and rep.constant > 0
-        constants[N] = rep.constant
-    spread = max(constants.values()) / min(constants.values())
-    assert spread < 2.0, constants
-    _stamp(7, f"bound constant spread {spread:.3f} < 2 across N", t0, 60.0)
+def test_c07_gauss_bound_uniformity(tmp_path, capsys):
+    _gate(7, tmp_path, capsys)
 
 
-def test_c08_divisor_level_bound():
-    t0 = time.time()
-    for Q in (16, 64):
-        last = None
-        for D in (2.0, 4.0, 8.0, 16.0, 32.0):
-            count, rep = divisor_level_count(10**5, Q, D, B=2.0, tau=0.5)
-            assert rep.values["ratio"] <= DIVISOR_LEVEL_CONSTANT, (Q, D)
-            if last is not None:
-                assert count <= last
-            last = count
-    _stamp(8, f"level-set ratios below {DIVISOR_LEVEL_CONSTANT}, counts monotone", t0, 30.0)
+def test_c08_divisor_level_bound(tmp_path, capsys):
+    _gate(8, tmp_path, capsys)
 
 
 def test_c09_coefficient_decay():
@@ -203,36 +178,57 @@ def test_c10_minor_arc_sup():
     _stamp(10, f"minor-arc sup constant spread {spread:.3f} < 2", t0, 120.0)
 
 
-def test_c11_l2_endpoint():
-    t0 = time.time()
-    params = OperatorParams.sharp(2, 32)
-    rep = norm_l2_l2(params)
-    assert rep.constant == 1.0
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        pts = rng.integers(-64, 64, size=(6, 2))
-        f = delta(tuple(map(int, pts[0])))
-        for row in pts[1:]:
-            f = f + float(rng.random()) * delta(tuple(map(int, row)))
-        assert rayleigh_quotient(f, params) <= rep.constant + 1e-9
-    _stamp(11, "sharp n=2 norm exactly 1; Rayleigh quotients never exceed it", t0, 30.0)
+def test_c11_l2_endpoint(tmp_path, capsys):
+    _gate(11, tmp_path, capsys)
 
 
-def test_c12_separation_probe():
-    t0 = time.time()
-    params = OperatorParams.sharp(2, 8)
-    f = delta((0, 0))
-    af = average(f, params)
-    p, q = 2.0, 1.0
-    base_p, base_q = lp_norm(f, p), lp_norm(af, q)
-    shifts = [(10 * 64, 0), (20 * 64, 0)]
-    for h in shifts:
-        fh = f + shift(f, h)
-        afh = af + shift(af, h)
-        assert len(fh) == 2 * len(f) and len(afh) == 2 * len(af)
-        assert lp_norm(fh, p) == 2 ** (1 / p) * base_p
-        assert abs(lp_norm(afh, q) - 2 ** (1 / q) * base_q) <= 4e-16 * base_q
-    rep = two_bump_separation_probe(f, shifts, p, q, params)
-    for gain in rep.values.values():
-        assert abs(gain - 2 ** (1 / q - 1 / p)) <= 1e-12
-    _stamp(12, "doubling norms exactly; ratio gain 2^(1/q - 1/p)", t0, 5.0)
+def test_c12_separation_probe(tmp_path, capsys):
+    _gate(12, tmp_path, capsys)
+
+
+# criterion -> (a check its first argv asserts, and a library result moved past that check's
+# bound: owner, name, change(result, *args) -> the moved result).  Each move sits where the
+# CLI reads the library, so the gate's check has to see the computation move.
+PERTURBED = {
+    1: ("n=2 N=32: averaged box differs from 1 on the core block",  # one more count per run
+        exp_mod, "_run_counts", lambda counts, A, B, *_: counts + (B == 32)),
+    2: ("n=2 N=32: averaged delta departures from N^(1-n) on the reflected nodes",  # one ulp per node
+        cli, "average", lambda af, f, params: af * (1 + 2**-52) if params.N == 32 else af),
+    3: ("p=1.8: slope deviation from target -0.3333",  # the slope moves by 2x its tolerance 0.15
+        exp_mod, "box_extremizer_ratio", lambda v, params, p: v * params.N**0.3 if p == 1.8 else v),
+    4: ("closed form vs oracle relative error over 50 queries",  # the oracle moves by 2e-8 of the scale
+        coef_mod, "piece_coefficient_oracle",
+        lambda o, query, grid: o + 2e-8 * coef_mod.coefficient_scale(query.spec, query.params)),
+    5: ("N=16: partition of unity deviation on arcs",  # every eta at N=16 moves by 2e-12
+        arcs_mod.ArcSystem, "denominator_etas", lambda etas, system, q, xi: etas + 2e-12 if system.N == 16 else etas),
+    6: ("direct vs Moebius residual for q <= 128, |k| <= 2048",  # the direct sums at q=64 move by 2e-9
+        nt, "_ramanujan_rows", lambda rows, q, ks: (rows[0] + 2e-9, rows[1]) if q == 64 else rows),
+    7: ("gauss bound constant spread across N",  # the N=128 constant grows tenfold
+        expsums, "gauss_bound_report",
+        lambda r, params, *_: dataclasses.replace(r, constant=10 * r.constant) if params.N == 128 else r),
+    8: ("max level-set ratio",  # every ratio doubles
+        nt, "divisor_level_counts",
+        lambda levels, *_: [(c, dataclasses.replace(r, values={**r.values, "ratio": 2 * r.values["ratio"]}))
+                            for c, r in levels]),
+    11: ("N=32: sharp n=2 l2 norm deviation from 1",  # one ulp
+         exp_mod, "norm_l2_l2", lambda r, params: dataclasses.replace(r, constant=math.nextafter(r.constant, 2.0))),
+    12: ("ratio gain deviation from 2^(1/q - 1/p) = 1.414214",  # every gain moves by 2e-12
+         exp_mod, "two_bump_separation_probe",
+         lambda r, *_: dataclasses.replace(r, values={k: v + 2e-12 for k, v in r.values.items()})),
+}
+
+
+@pytest.mark.parametrize("number", sorted(PERTURBED), ids=lambda k: f"c{k:02d}")
+def test_criterion_fails_on_a_perturbed_computation(number, tmp_path, capsys, monkeypatch):
+    # the moved result must fail the one check it feeds, and the gate must assert that check
+    target, owner, name, change = PERTURBED[number]
+    argv, names = CRITERIA[number][2][0]
+    assert target in names
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a: change(real(*a), *a))
+    out = tmp_path / "o"
+    assert cli.main([*argv, "--out-dir", str(out)]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[FAIL] ")]
+    assert len(failed) == 1 and failed[0].startswith(f"[FAIL] {target}: "), failed
+    (entry,) = [c for c in json.loads((out / f"{argv[0]}.json").read_text())["checks"] if c["name"] == target]
+    assert entry["passed"] is False and entry["value"] > entry["bound"]

@@ -6,6 +6,7 @@ import json
 import math
 import time
 
+import numpy as np
 import pytest
 
 from paravg import cli
@@ -99,14 +100,129 @@ def test_ramanujan_check_small(tmp_path, capsys):
 def test_invariant_failure_exit_code(tmp_path, capsys, monkeypatch):
     import paravg.numtheory as nt
 
+    table = nt.ramanujan_table
+
     def broken(q_max, ks):
-        raise AssertionError("forced disagreement")
+        return table(q_max, ks)[0], 1e-6  # the direct sums off by 1e-6 somewhere
 
     monkeypatch.setattr(nt, "ramanujan_table", broken)
     status = run(["ramanujan-check", "--qmax", "8", "--kmax", "8",
                   "--out-dir", str(tmp_path / "o")])
     assert status == 1
-    assert "[FAIL]" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "[FAIL] direct vs Moebius residual for q <= 8, |k| <= 8: 1e-06 vs bound 1e-09" in out
+    assert "[PASS] q with c_q(0) != phi(q): 0 vs bound 0" in out
+
+
+@pytest.mark.parametrize("bound", [0, 1e-12, 1.2, 5.0])
+def test_check_passes_at_its_bound_and_fails_past_it(capsys, bound):
+    checks = cli._Check()
+    checks.record("at", bound, bound)
+    assert checks.ok and checks.status == 0
+    for value in (math.nextafter(bound, math.inf), math.nan, math.inf):
+        past = cli._Check()
+        past.record("past", value, bound)
+        assert not past.ok and past.status == 1
+        assert past.lines[0]["passed"] is False and past.lines[0]["bound"] == bound
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"[PASS] at: {bound:.6g} vs bound {bound:.6g}"
+    assert [line[:12] for line in lines[1:]] == ["[FAIL] past:"] * 3
+    assert lines[2] == f"[FAIL] past: nan vs bound {bound:.6g}"
+
+
+def _nan_coefficient(k):
+    import paravg.coefficients as coef_mod
+
+    real, calls = coef_mod.piece_coefficient, []
+
+    def patched(query):
+        calls.append(query)
+        return math.nan if len(calls) == k else real(query)
+
+    return coef_mod, "piece_coefficient", patched
+
+
+def _nan_partition():
+    import paravg.arcs as arcs_mod
+
+    real = arcs_mod.ArcSystem.denominator_etas
+
+    def patched(self, q, xi):
+        etas = np.array(real(self, q, xi))
+        if q == 2:  # a denominator after the first
+            etas[0, 0, 0] = math.nan
+        return etas
+
+    return arcs_mod.ArcSystem, "denominator_etas", patched
+
+
+def _nan_split():
+    import paravg.arcs as arcs_mod
+
+    real = arcs_mod.piece_multipliers
+
+    def patched(specs, *a):
+        whole, maj, mino = (np.array(v) for v in real(specs, *a))
+        maj[5] = math.nan
+        return whole, maj, mino
+
+    return arcs_mod, "piece_multipliers", patched
+
+
+def _nan_divisor_ratio():
+    import paravg.numtheory as nt
+    from paravg.reports import ExperimentReport
+
+    def patched(N, Q, Ds, B=None, tau=None):
+        return [(0, ExperimentReport("divisor_level_count", values={"ratio": math.nan if D == 4 else 0.5}))
+                for D in Ds]
+
+    return nt, "divisor_level_counts", patched
+
+
+def _nan_rayleigh():
+    import paravg.experiments as exp_mod
+
+    real = exp_mod.rayleigh_quotients
+    return exp_mod, "rayleigh_quotients", lambda *a: [math.nan if i == 1 else v for i, v in enumerate(real(*a))]
+
+
+def _nan_gain():
+    import paravg.experiments as exp_mod
+
+    real = exp_mod.two_bump_separation_probe
+
+    def patched(*a):
+        report = real(*a)
+        second = list(report.values)[1]
+        return dataclasses.replace(report, values={**report.values, second: math.nan})
+
+    return exp_mod, "two_bump_separation_probe", patched
+
+
+@pytest.mark.parametrize(
+    "argv, patch, failed",
+    [
+        (["coeff-check", "--N", "8", "--count", "5"],
+         lambda: _nan_coefficient(3),  # the third of five oracle queries
+         "closed form vs oracle relative error over 5 queries"),
+        (["coeff-check", "--N", "8", "--count", "5"],
+         lambda: _nan_coefficient(8),  # the third paraboloid draw
+         "paraboloid vanishing |coefficient|"),
+        (["arcs-check", "--N", "32", "--samples", "10"], _nan_partition, "N=32: partition of unity deviation on arcs"),
+        (["arcs-check", "--N", "16", "--samples", "10"], _nan_split, "N=16: maj + min deviation from whole"),
+        (["divisor-check", "--N", "1000", "--Q", "16", "--D", "2,4,8"], _nan_divisor_ratio, "max level-set ratio"),
+        (["norm-scan", "--N", "16", "--falsify", "10"], _nan_rayleigh, "N=16: max random Rayleigh quotient"),
+        (["separation-probe", "--N", "8"], _nan_gain, "ratio gain deviation from 2^(1/q - 1/p) = 1.414214"),
+    ],
+    ids=["closed-form", "paraboloid", "partition", "split", "divisor-ratio", "rayleigh", "gain"],
+)
+def test_a_nan_after_the_first_draw_fails_its_check(tmp_path, capsys, monkeypatch, argv, patch, failed):
+    # each maximum over draws must carry a nan through: Python's max(0.0, nan) is 0.0
+    monkeypatch.setattr(*patch())
+    assert run([*argv, "--out-dir", str(tmp_path / "o")]) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[FAIL] ")]
+    assert len(fails) == 1 and fails[0].startswith(f"[FAIL] {failed}: nan vs bound "), fails
 
 
 @pytest.mark.parametrize(
@@ -174,7 +290,22 @@ def test_divisor_check_fails_on_increasing_counts(tmp_path, capsys, monkeypatch)
     monkeypatch.setattr(nt, "divisor_level_counts", increasing)
     assert run(["divisor-check", "--N", "1000", "--Q", "16", "--D", "2,4",
                 "--out-dir", str(tmp_path / "o")]) == 1
-    assert "[FAIL] counts nonincreasing in D at Q=16" in capsys.readouterr().out
+    assert "[FAIL] Q=16: count increases in D: 1 vs bound 0" in capsys.readouterr().out
+
+
+def test_divisor_check_fails_on_a_ratio_past_its_bound(tmp_path, capsys, monkeypatch):
+    import paravg.numtheory as nt
+    from paravg.reports import ExperimentReport
+
+    def high(N, Q, Ds, B=None, tau=None):
+        return [(0, ExperimentReport("divisor_level_count", values={"ratio": 1.25 if D == 4 else 0.0})) for D in Ds]
+
+    monkeypatch.setattr(nt, "divisor_level_counts", high)
+    assert run(["divisor-check", "--N", "1000", "--Q", "16", "--D", "2,4",
+                "--out-dir", str(tmp_path / "o")]) == 1
+    out = capsys.readouterr().out
+    assert f"[FAIL] max level-set ratio: 1.25 vs bound {cli.DIVISOR_RATIO_BOUND}" in out
+    assert "[PASS] Q=16: count increases in D: 0 vs bound 0" in out
 
 
 @pytest.mark.parametrize("D", ["1e300", "inf", "nan"])
@@ -201,8 +332,8 @@ def test_gauss_check_fails_on_a_constant_outside_zero_inf(tmp_path, capsys, monk
     assert run(["gauss-check", "--N", "16,32", "--samples", "200", "--dirichlet-samples", "200",
                 "--out-dir", str(tmp_path / "o")]) == 1
     out = capsys.readouterr().out
-    assert "[PASS] gauss bound constant in (0, inf) at N=16" in out
-    assert "[FAIL] gauss bound constant in (0, inf) at N=32" in out
+    assert "[FAIL] gauss bound constant spread across N: inf vs bound 2" in out
+    assert "[PASS] seeded rerun deviation: 0 vs bound 0" in out
 
 
 def _counting(monkeypatch, module, name, counter):
@@ -239,8 +370,6 @@ def test_arcs_check_evaluates_the_multiplier_and_arc_weight_once_per_N(tmp_path,
 
 
 def test_arcs_check_partition_takes_one_bump_pair_per_denominator(tmp_path, capsys, monkeypatch):
-    import numpy as np
-
     import paravg.arcs as arcs_mod
 
     # the split check's own bump calls are kept out: its pieces read as zero
@@ -259,8 +388,8 @@ def test_arcs_check_fails_on_a_shifted_translate(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(arcs_mod, "_level_etas", lambda scales, shift, *a: level_etas(scales, shift / 2, *a))
     assert run(["arcs-check", "--N", "16", "--samples", "10", "--out-dir", str(tmp_path / "o")]) == 1
     out = capsys.readouterr().out
-    assert "[FAIL] N=16: partition of unity <= 1e-12 on arcs" in out
-    assert "[PASS] N=16: maj + min == whole <= 1e-12" in out
+    assert "[FAIL] N=16: partition of unity deviation on arcs: " in out
+    assert "[PASS] N=16: maj + min deviation from whole: " in out
 
 
 def test_arcs_check_fails_on_a_perturbed_minor_piece(tmp_path, capsys, monkeypatch):
@@ -274,8 +403,8 @@ def test_arcs_check_fails_on_a_perturbed_minor_piece(tmp_path, capsys, monkeypat
     monkeypatch.setattr(arcs_mod, "piece_multipliers", perturbed)
     assert run(["arcs-check", "--N", "16", "--samples", "10", "--out-dir", str(tmp_path / "o")]) == 1
     out = capsys.readouterr().out
-    assert "[PASS] N=16: partition of unity <= 1e-12 on arcs" in out
-    assert "[FAIL] N=16: maj + min == whole <= 1e-12" in out
+    assert "[PASS] N=16: partition of unity deviation on arcs: " in out
+    assert "[FAIL] N=16: maj + min deviation from whole: " in out
 
 
 def test_arcs_check_fails_on_overlapping_arcs(tmp_path, capsys, monkeypatch):
@@ -285,7 +414,7 @@ def test_arcs_check_fails_on_overlapping_arcs(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(arcs_mod, "major_arcs", lambda N: major_arcs(N) * 2)
     assert run(["arcs-check", "--N", "16", "--samples", "10",
                 "--out-dir", str(tmp_path / "o")]) == 1
-    assert "[FAIL] N=16: 4I arcs pairwise disjoint" in capsys.readouterr().out
+    assert "[FAIL] N=16: 4I arcs not pairwise disjoint: 1 vs bound 0" in capsys.readouterr().out
 
 
 def test_config_file_defaults_and_flag_override(tmp_path, capsys):
@@ -332,9 +461,9 @@ def test_sharpness_fails_on_a_perturbed_averaged_delta(tmp_path, capsys, monkeyp
     monkeypatch.setattr(cli, "average", perturbed)
     assert run(["sharpness", "--N", "8,12", "--out-dir", str(tmp_path / "o")]) == 1
     out = capsys.readouterr().out
-    assert "[PASS] n=2 N=8: averaged delta equals N^(1-n) at every reflected node" in out
-    assert "[FAIL] n=2 N=12: averaged delta equals N^(1-n) at every reflected node" in out
-    assert "[PASS] n=2 N=12: delta ratio equals N^(-(n-1)/p)" in out
+    assert "[PASS] n=2 N=8: averaged delta departures from N^(1-n) on the reflected nodes: 0 vs bound 0" in out
+    assert "[FAIL] n=2 N=12: averaged delta departures from N^(1-n) on the reflected nodes: 1 vs bound 0" in out
+    assert "[PASS] n=2 N=12: delta ratio relative deviation from N^(-(n-1)/p): " in out
 
 
 def test_bad_config_is_usage_error(tmp_path, capsys):
@@ -441,7 +570,7 @@ def test_scaling_fit_l2_target_is_zero(tmp_path, capsys):
     out = tmp_path / "o"
     assert run(["scaling-fit", "--source", "l2", "--N", "8,16,32,64",
                 "--out-dir", str(out)]) == 0
-    assert "[PASS] slope at p=1.8 within 0.15 of target 0.0000" in capsys.readouterr().out
+    assert "[PASS] p=1.8: slope deviation from target 0.0000: " in capsys.readouterr().out
     payload = json.loads((out / "scaling-fit.json").read_text())
     assert payload["results"]["1.8"]["target"] == 0.0
 
@@ -538,13 +667,13 @@ def test_unwritable_out_dir_is_usage_error(tmp_path, capsys):
 # sha256 of each report file, the JSON with its out-dir string replaced; the
 # values do not depend on the platform.  The JSON embeds the library version.
 REPORT_DIGESTS = {
-    "sharpness.json": "7fd9ec4bdb54fb8de116ff460955366bd0eddbed8997679b799c7374c001a960",
+    "sharpness.json": "695750d9e44a658073853b20c4c13b553f397785fb813d9b0b273a43ff4795ad",
     "divisor-check.csv": "0c7a48fa30a7ded0d20ef9ee9c0c95ff7ebacdef50183134e030abb46a288b60",
-    "divisor-check.json": "9b9d911910449fdaf18fc19d54103e85313632e6bdc43a70a1d14b119c3a9f33",
-    "ramanujan-check.json": "6aeb8bd5d69369966f1095bacee958ccc2f41dbea5727f4c846b453d655ca99f",
-    "separation-probe.json": "8cfc76fd591d410a2bc7a2c65fda3d41d036e4936f7f1b9b1965f6b898889abe",
+    "divisor-check.json": "8a576c9a81b9f5fe68fdef6213d2adf6f1c6b2c07647c3ac3e4885ba4bf9da8d",
+    "ramanujan-check.json": "0a8f03868cf0efdd17e227bbddfa53729e80b73eb6b7efe91c9de1b353b76ffb",
+    "separation-probe.json": "2c72ec7f01d6104e8c4d8deb76e618c20469f2dfd8c9663cf054f00bbdc6c62f",
     "scaling-fit.csv": "4e275960c4236e1eb97852ab99ae3067d2c4a313b6a16d66f853c2bbb89b98e2",
-    "scaling-fit.json": "49ed50aff1c1e55828d3e6330c0650209b4b68948ac6ec097a191e403cac70ef",
+    "scaling-fit.json": "ee276d7850d708118f99ef25ce7bc751d1191213aabd129ef08096a68d5f5440",
 }
 
 

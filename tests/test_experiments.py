@@ -19,7 +19,6 @@ from paravg.experiments import (
     norm_l1_linf,
     norm_l2_l2,
     random_ascent_lower_bound,
-    rayleigh_quotient,
     rayleigh_quotients,
     scaling_fit,
     sharp_threshold,
@@ -481,6 +480,11 @@ def _rayleigh_oracle(f, params: OperatorParams) -> float:
     return lp_norm(average(f, params), 2) / lp_norm(f, 2)
 
 
+def _rayleigh_quotient(f, params: OperatorParams) -> float:
+    """The batched path on a batch of one function."""
+    return rayleigh_quotients(f._points[None], f._values[None], params)[0]
+
+
 def _falsification_batch(params: OperatorParams, B: int, m: int, seed: int):
     """Seeded points and values with repeated points, a cancelling pair and a Gaussian-integer member."""
     rng = np.random.default_rng(seed)
@@ -513,7 +517,7 @@ def test_rayleigh_quotients_match_one_at_a_time(params):
     assert quotients == _batch_oracle(points, values, params)
     assert LatticeFunction(params.n, zip(points[2].tolist(), values[2].tolist())).is_integer_valued()
     f = LatticeFunction(params.n, zip(points[1].tolist(), values[1].tolist()))
-    assert rayleigh_quotient(f, params) == _rayleigh_oracle(f, params)
+    assert _rayleigh_quotient(f, params) == _rayleigh_oracle(f, params)
 
 
 @pytest.mark.parametrize("B", [4, 5, 6, 11])
@@ -532,7 +536,7 @@ def test_rayleigh_quotients_chunk_boundaries(B, monkeypatch):
 def test_rayleigh_quotient_of_zero_is_an_error():
     params = OperatorParams.sharp(2, 8)
     with pytest.raises(ValueError, match="test function 0 of the batch is zero"):
-        rayleigh_quotient(LatticeFunction(2), params)
+        _rayleigh_quotient(LatticeFunction(2), params)
     points, values = _falsification_batch(params, 12, 5, seed=1)
     points[9] = points[9, 0]
     values[9] = (1.0, -0.5, -0.25, -0.125, -0.125)  # sums to exactly 0 at its one point
@@ -569,7 +573,7 @@ def test_rayleigh_never_exceeds_norm():
         f = delta(tuple(map(int, pts[0])))
         for row in pts[1:]:
             f = f + float(rng.random()) * delta(tuple(map(int, row)))
-        assert rayleigh_quotient(f, params) <= value + 1e-9
+        assert _rayleigh_quotient(f, params) <= value + 1e-9
 
 
 def test_ascent_properties():

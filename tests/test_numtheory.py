@@ -12,7 +12,6 @@ from paravg.numtheory import (
     _ramanujan_rows,
     divisor_count,
     divisor_count_sieve,
-    divisor_level_count,
     divisor_level_counts,
     mobius,
     paraboloid_divisor_count,
@@ -68,7 +67,7 @@ def test_ramanujan_values():
 
 def test_ramanujan_direct_vs_arithmetic_block():
     ks = np.arange(-256, 257)
-    ramanujan_table(64, ks)  # raises if the two computations disagree
+    assert ramanujan_table(64, ks)[1] <= 1e-9  # the two computations agree
     # spot-check against the slow direct sum
     for q in (7, 12, 36):
         for k in (-5, 0, 3, 17):
@@ -79,7 +78,7 @@ def test_ramanujan_rows_match_per_k_evaluation():
     # the per-k direct sums and gcd lookups ramanujan_table used before it
     # evaluated one residue class at a time
     ks = np.arange(-2048, 2049, dtype=np.int64)
-    table = ramanujan_table(128, ks)
+    table, _ = ramanujan_table(128, ks)
     for q in range(1, 129):
         tots = np.array(totatives(q), dtype=np.int64)
         direct_old = np.exp(2j * np.pi * (((tots[:, None] * ks[None, :]) % q) / q)).sum(axis=0)
@@ -115,15 +114,20 @@ def test_ramanujan_block_report():
     assert rep.values["numerator"] == numerator
 
 
+def _level_count(N, Q, D, B=None, tau=None):
+    """The count and report of one D."""
+    return divisor_level_counts(N, Q, [D], B, tau)[0]
+
+
 def test_divisor_level_counts():
-    count, rep = divisor_level_count(10**4, 16, 1.0, B=2.0, tau=0.5)
+    count, rep = _level_count(10**4, 16, 1.0, B=2.0, tau=0.5)
     manual = sum(1 for k in range(1, 10**4 + 1) if truncated_divisor_count(k, 16) > 1)
     assert count == manual
     assert rep.values["ratio"] == count * 1.0 / (16**0.5 * 10**4)
-    assert divisor_level_count(10**4, 16, 16.0)[0] == 0  # D >= Q kills everything
+    assert _level_count(10**4, 16, 16.0)[0] == 0  # D >= Q kills everything
     prev = None
     for D in (1, 2, 4, 8):
-        c, _ = divisor_level_count(5000, 8, float(D))
+        c, _ = _level_count(5000, 8, float(D))
         if prev is not None:
             assert c <= prev
         prev = c
@@ -144,7 +148,7 @@ def test_divisor_level_counts_match_the_sieve_comparison(N, Q):
         assert count == int(np.count_nonzero(sieve[1:] > D)), D
         assert report.values == {"count": float(count)}
         assert report.params == {"N": N, "Q": Q, "D": D, "B": None, "tau": None}
-        assert divisor_level_count(N, Q, D) == (count, report) or math.isnan(D)
+        assert _level_count(N, Q, D) == (count, report) or math.isnan(D)
     assert [c for c, _ in results][-3:] == [0, 0, 0]  # 1e300, inf, nan
 
 
@@ -225,20 +229,44 @@ def test_paraboloid_count_budget_guard():
 
 
 def test_divisor_level_count_rejects_nonpositive_parameters():
-    count, report = divisor_level_count(1000, 16, 2.0, 2.0, 0.5)
+    count, report = _level_count(1000, 16, 2.0, 2.0, 0.5)
     assert report.values["ratio"] == count * 2.0**2.0 / (16**0.5 * 1000)
     for bad in ((0, 16, 2.0), (1000, 0, 2.0), (1000, 16, 0.0), (1000, 16, -1.0)):
         with pytest.raises(ValueError):
-            divisor_level_count(*bad)
+            _level_count(*bad)
     for B, tau in ((0.0, 0.5), (-2.0, 0.5), (2.0, 0.0), (2.0, -0.5)):
         with pytest.raises(ValueError, match="B > 0 and tau > 0"):
-            divisor_level_count(1000, 16, 2.0, B, tau)
+            _level_count(1000, 16, 2.0, B, tau)
 
 
 def test_ramanujan_table_rejects_empty_arguments():
-    assert ramanujan_table(1, np.array([0])).tolist() == [[1]]
+    table, residual = ramanujan_table(1, np.array([0]))
+    assert table.tolist() == [[1]] and residual == 0.0
     for q_max in (0, -3):
         with pytest.raises(ValueError, match="q_max"):
             ramanujan_table(q_max, np.arange(-4, 5))
     with pytest.raises(ValueError, match="k_values"):
         ramanujan_table(8, np.array([], dtype=np.int64))
+
+
+
+@pytest.mark.parametrize("bad_q", [1, 5])
+def test_ramanujan_table_residual_carries_a_nan(monkeypatch, bad_q):
+    # a nan direct sum in any row, first or later, leaves the residual nan, not 0.0
+    import paravg.numtheory as nt
+
+    ks = np.arange(-8, 9)
+    clean, _ = ramanujan_table(8, ks)
+    real = nt._ramanujan_rows
+
+    def patched(q, k_values):
+        direct, arith = real(q, k_values)
+        if q == bad_q:
+            direct = direct.copy()
+            direct[2] = math.nan
+        return direct, arith
+
+    monkeypatch.setattr(nt, "_ramanujan_rows", patched)
+    table, residual = ramanujan_table(8, ks)
+    assert math.isnan(residual)
+    assert np.array_equal(table, clean)
