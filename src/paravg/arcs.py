@@ -453,12 +453,41 @@ class ArcSystem:
         return spec.level, ladders
 
     def piece_weight(self, spec: PieceSpec, t):
-        """Sum of eta(level, t) over the spec's ladders; W(t) for maj and min."""
+        """Sum of eta(level, t) over the spec's ladders; W(t) for maj and min.
+
+        Each ladder is evaluated only at the points of its cluster() widened
+        by w = 1/(Nq) on each side (mod 1), found by one batched searchsorted
+        of the sorted t mod 1, and its values are added in ladder order, as
+        a sum over every ladder adds them.  The result keeps that sum's bits:
+        for |t| < 2 the arguments of eta carry a few ulps of 1 of rounding,
+        far below w (>= 1/N^2), so eta is exactly +0.0 outside the widened
+        cluster, and the sum, started at +0.0, is never -0.0, so adding +0.0
+        leaves it as it is.  Points with |t| >= 2 or not finite go through
+        every ladder, so they keep those bits too.
+        """
         t = np.asarray(t, dtype=float)
         level, ladders = self.terms(spec)
-        acc = np.zeros(t.shape)
-        for lad in ladders:
-            acc = acc + lad.eta(level, t)
+        flat = t.ravel()
+        acc = np.zeros(flat.shape)
+        screened = np.abs(flat) < 2.0
+        near, rest = np.flatnonzero(screened), np.flatnonzero(~screened)
+        r = flat[near] % 1.0
+        order = np.argsort(r, kind="stable")
+        r, near = r[order], near[order]
+        w = 1.0 / (self.N * np.array([lad.frac.q for lad in ladders]))
+        lo, hi = (np.array([lad.cluster() for lad in ladders]) + np.stack([-w, w], axis=1)).T
+        shifts = np.array([-1.0, 0.0, 1.0])  # a cluster may wrap past 0 or 1
+        first = np.searchsorted(r, lo[:, None] + shifts, side="left")
+        last = np.searchsorted(r, hi[:, None] + shifts, side="right")
+        for i, lad in enumerate(ladders):
+            if hi[i] - lo[i] >= 1.0:
+                idx = near  # the widened cluster covers the torus
+            else:
+                idx = np.concatenate([near[a:b] for a, b in zip(first[i].tolist(), last[i].tolist())])
+            idx = np.concatenate([idx, rest])
+            if len(idx):
+                acc[idx] = acc[idx] + lad.eta(level, flat[idx])
+        acc = acc.reshape(t.shape)
         return acc if np.ndim(acc) else float(acc)
 
     def piece_hat(self, spec: PieceSpec, t):

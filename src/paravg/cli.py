@@ -309,7 +309,7 @@ def _cmd_norm_scan(args, checks: _Check) -> tuple[dict, dict]:
         for i in range(args.falsify):  # one function's points, then its weights, as drawn one by one
             points[i] = rng.integers(-2 * N, 2 * N, size=(8, args.n))
             weights[i, 1:] = rng.random(7)
-        worst = float(np.max([0.0, *exp_mod.rayleigh_quotients(points, weights, params)]))
+        worst = exp_mod.max_rayleigh_quotient(points, weights, params)
         checks.record(f"N={N}: max random Rayleigh quotient", worst, value + 1e-9)
         results[str(N)] = {"l1_linf": l1, "l2_l2": value, "certificate": report.values["rayleigh_certificate"]}
     return results, {}

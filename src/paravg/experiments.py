@@ -22,10 +22,12 @@ interval engine: x_i enters only through its clipped k-interval, O(N) of
 them per side.  For n = 2 the last coordinate's square window is constant on
 O(N) runs, so every box and packet sum is O(N^2) over intervals x runs (the
 packet in blocks of intervals).  n = 3 streams the unordered interval pairs,
-one pair histogram alive at a time: O(N^4) time, O(N^2) memory.  Rayleigh
-quotients of a batch of test functions average a chunk of them as one
-stacked function in one direct sum.  Both batched paths hold at most
-_CHUNK_TERMS terms per chunk.
+one pair histogram alive at a time: O(N^4) time, O(N^2) memory.  The max
+Rayleigh quotient of a batch of test functions averages a chunk of them as
+one stacked function in one direct sum, screens every member with square
+sums of proven relative error, and takes exact norms only of the members
+that can reach the max.  Both batched paths hold at most _CHUNK_TERMS terms
+per chunk.
 The ascent keeps each start as sorted point and value arrays and its
 convolution on a dense window, and every dense array is checked against
 lattice.ALLOC_BUDGET_BYTES before it is allocated.
@@ -52,7 +54,7 @@ __all__ = [
     "delta_extremizer_ratio",
     "norm_l1_linf",
     "norm_l2_l2",
-    "rayleigh_quotients",
+    "max_rayleigh_quotient",
     "random_ascent_lower_bound",
     "scaling_fit",
     "target_slope",
@@ -332,26 +334,78 @@ def norm_l1_linf(params: OperatorParams) -> float:
 _CHUNK_TERMS = 1 << 15
 
 
-def rayleigh_quotients(points, values, params: OperatorParams) -> list[float]:
-    """|A f_b|_2 / |f_b|_2 for a batch of B test functions, bit for bit as one at a time.
+# Square sums outside [2^-960, 2^960] (and quotients of them) are not screened:
+# inside it no term's underflow or overflow matters at the precision of beta.
+_SCREEN_RANGE = (2.0**-960, 2.0**960)
+
+
+def max_rayleigh_quotient(points, values, params: OperatorParams) -> float:
+    """max_b |A f_b|_2 / |f_b|_2 over a batch of B >= 1 test functions, bit for bit.
 
     points has shape (B, m, n) and values shape (B, m); f_b sums values[b, i]
     over repeated points, as LatticeFunction(n, zip(points[b], values[b]))
-    does.  The functions of a chunk are stacked into one function on
-    Z^(n+1) with the batch index as the leading coordinate, so one
-    canonicalization and one direct sum against the kernel lifted by a zero
-    batch coordinate serve the whole chunk; each output point still adds its
-    terms in ascending k.  The result is split at the batch boundaries and
-    each piece goes through lp_norm.  A chunk holds at most _CHUNK_TERMS
-    kernel pairs (but always one function).  Raises ValueError naming a
-    member that is zero after its repeated points are summed.
+    does.  The result equals the max of lp_norm(average(f_b), 2) /
+    lp_norm(f_b, 2) over b, and is nan when one of them is.
+
+    The functions of a chunk are stacked into one function on Z^(n+1) with
+    the batch index as the leading coordinate, so one canonicalization and
+    one direct sum against the kernel lifted by a zero batch coordinate
+    serve the whole chunk; each output point still adds its terms in
+    ascending k.  A chunk holds at most _CHUNK_TERMS kernel pairs (but
+    always one function).
+
+    Screen.  One np.add.reduceat of re*re + im*im over each stacked function,
+    at the batch cuts, gives every member's square sums s_A and s_f and the
+    screened quotient q = sqrt(s_A / s_f).  With u = 2^-53 and a, m_b the
+    supports of A f_b and f_b, the exact quotient e (two lp_norm calls and a
+    division) lies in [q (1 - beta), q (1 + beta)] for
+
+        beta = (a + m_b + 20) u.
+
+    To first order in u: a term re*re + im*im takes <= 2u (two products,
+    one add) and a sum of k nonnegative terms in any order <= (k - 1) u, so
+    s_A and s_f are within (a + 1) u and (m_b + 1) u of the exact square
+    sums of the stored values; the division and the root add u each and the
+    root halves the rest, so q is within ((a + m_b)/2 + 2.5) u of the true
+    quotient.  An lp_norm is within 5u (hypot <= 1 ulp, so 5u on its square
+    with the rounding of the square; fsum u; halved by the root; the final
+    power <= 1 ulp), or u on its exact integer branch, and the division adds
+    u, so e is within 11u.  The total ((a + m_b)/2 + 13.5) u, plus 2u for
+    rounding each product q (1 -+ beta), leaves (a + m_b)/2 + 4.5 units of
+    slack in beta, which covers the second-order terms and taking the bound
+    relative to q instead of the true quotient.  Inside _SCREEN_RANGE no
+    underflow reaches that precision; a member whose sums or quotient fall
+    outside it (extreme magnitudes, a zero average, a nan or inf value)
+    gets q = nan.
+
+    Candidates.  A running floor is the max of q (1 - beta) over the members
+    screened so far; a member with q (1 + beta) >= floor, or a nan q, goes
+    through the exact lp_norm quotient, and every other member lies below
+    a screened one.  The result is the max of the exact candidates.  Raises
+    ValueError for an empty batch and naming a member that is zero after its
+    repeated points are summed.
+    """
+    floor, exact = -math.inf, []
+    for af, af_cuts, f, f_cuts in _stacked_chunks(points, values, params):
+        q, beta = _screen(af, af_cuts, f, f_cuts)
+        floor = float(np.fmax.reduce(q * (1.0 - beta), initial=floor))  # fmax skips the nan q
+        for b in np.flatnonzero(~(q * (1.0 + beta) < floor)).tolist():
+            exact.append(lp_norm(_member(af, af_cuts, b), 2) / lp_norm(_member(f, f_cuts, b), 2))
+    if not exact:  # a batch of B >= 1 has a candidate: the member whose q (1 - beta) is the floor
+        raise ValueError("an empty batch has no max Rayleigh quotient")
+    return float(np.max(exact))
+
+
+def _stacked_chunks(points, values, params: OperatorParams):
+    """Yield (A f, its cuts, f, its cuts) per chunk: f stacks the chunk's functions on Z^(n+1).
+
+    Member b of a chunk is rows cuts[b]:cuts[b + 1] of each stacked function.
     """
     points, values = np.asarray(points, dtype=np.int64), np.asarray(values, dtype=np.complex128)
     B, m, n = points.shape
     if n != params.n:
         raise ValueError(f"function dim {n} != operator dim {params.n}")
     chunk = max(1, _CHUNK_TERMS // max(1, m * len(_kernel(params))))
-    quotients = []
     for lo in range(0, B, chunk):
         c = min(chunk, B - lo)
         check_alloc((c * m, n + 1), np.int64, "stacked Rayleigh test functions")
@@ -364,10 +418,33 @@ def rayleigh_quotients(points, values, params: OperatorParams) -> list[float]:
         if len(empty):
             raise ValueError(f"test function {lo + int(empty[0])} of the batch is zero: no Rayleigh quotient")
         af = _average_points(f._points, f._values, params)
-        af_cuts = np.searchsorted(af._points[:, 0], np.arange(c + 1))
-        for b in range(c):
-            quotients.append(lp_norm(_member(af, af_cuts, b), 2) / lp_norm(_member(f, f_cuts, b), 2))
-    return quotients
+        yield af, np.searchsorted(af._points[:, 0], np.arange(c + 1)), f, f_cuts
+
+
+def _screen(af: LatticeFunction, af_cuts: np.ndarray, f: LatticeFunction, f_cuts: np.ndarray):
+    """Screened quotients q of the members of a stacked chunk and their relative bounds beta.
+
+    q is nan where the square sums or their quotient leave _SCREEN_RANGE;
+    max_rayleigh_quotient derives beta.
+    """
+    with np.errstate(all="ignore"):
+        s_a, s_f = _square_sums(af, af_cuts), _square_sums(f, f_cuts)
+        ratio = s_a / s_f
+        q = np.sqrt(ratio)
+    sums = np.stack([s_a, s_f, ratio])  # min and max carry a nan, which then fails both tests
+    q[~((sums.min(0) >= _SCREEN_RANGE[0]) & (sums.max(0) <= _SCREEN_RANGE[1]))] = math.nan
+    beta = (np.diff(af_cuts) + np.diff(f_cuts) + 20) * 2.0**-53
+    return q, beta
+
+
+def _square_sums(g: LatticeFunction, cuts: np.ndarray) -> np.ndarray:
+    """sum of re*re + im*im over each member of a stacked function, 0.0 for an empty one."""
+    re, im = g._values.real, g._values.imag
+    sums = np.zeros(len(cuts) - 1)
+    full = cuts[1:] > cuts[:-1]
+    if full.any():  # reduceat runs from each start to the next, so the empty members drop out
+        sums[full] = np.add.reduceat(re * re + im * im, cuts[:-1][full])
+    return sums
 
 
 def _member(g: LatticeFunction, cuts: np.ndarray, b: int) -> LatticeFunction:

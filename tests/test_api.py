@@ -33,6 +33,15 @@ def test_public_names_resolve_and_are_listed():
         assert getattr(paravg, name) is getattr(module, name), (module_name, name)
 
 
+def test_the_rayleigh_sweep_is_one_max():
+    # norm-scan needs only the max quotient; the per-member list is not public
+    from paravg import experiments
+
+    assert "max_rayleigh_quotient" in experiments.__all__
+    assert not hasattr(experiments, "rayleigh_quotients")
+    assert list(inspect.signature(experiments.max_rayleigh_quotient).parameters) == ["points", "values", "params"]
+
+
 def _signatures(obj):
     """(qualified name, signature) of a public function, or of a class's constructor and public methods."""
     if inspect.isfunction(obj):

@@ -401,6 +401,82 @@ def test_maj_weight_equals_telescoped_weight_sum(N):
         assert value == _telescoped_weight_sum(system, t)
 
 
+def _dense_piece_weight(system, spec, t):
+    """Oracle: every ladder's eta at every point, added in ladder order."""
+    t = np.asarray(t, dtype=float)
+    level, ladders = system.terms(spec)
+    acc = np.zeros(t.shape)
+    for lad in ladders:
+        acc = acc + lad.eta(level, t)
+    return acc if np.ndim(acc) else float(acc)
+
+
+def _assert_weights_match_dense(system, specs, t):
+    for spec in specs:
+        fast, dense = system.piece_weight(spec, t), _dense_piece_weight(system, spec, t)
+        assert fast.shape == dense.shape and fast.tobytes() == dense.tobytes(), spec  # bits, nan and -0.0 too
+
+
+def _edge_points(system, rng):
+    """Random t, t outside [0, 1), t at and near 0 and 1, and t at and around every cluster end."""
+    ends = np.array(system.clusters()).ravel()
+    w = 1.0 / (system.N * np.array([lad.frac.q for lad in system.ladders.values()]))
+    around = np.concatenate([ends, ends + 1, ends - 1, *(ends + d * np.repeat(w, 2) for d in (-1.01, -0.99, 0.99, 1.01))])
+    return np.concatenate([
+        rng.random(1000), rng.uniform(-1.9, -0.1, 200), rng.uniform(1.0, 1.9, 200), around,
+        [0.0, -0.0, 1.0, -1.0, 0.5, np.nextafter(1.0, 0.0), np.nextafter(0.0, 1.0), -np.nextafter(0.0, 1.0),
+         -1e-17, 1 - 1e-17, 1 + 1e-16, np.nextafter(2.0, 0.0), 2.0, -2.0, 3.25, -7.5, 1e15],
+        np.arange(-50, 51) * 1e-13, 1 + np.arange(-50, 51) * 1e-13,
+        2.0**40 + rng.random(100), -(2.0**44) - rng.random(100),  # t - a/q rounds by up to 2^-9
+    ])
+
+
+def test_piece_weight_matches_every_ladder_on_the_sup_scan_grid():
+    # the 30,102-point scan of piece_sup_report at smooth n=2 N=64, every piece
+    from paravg.coefficients import _scan_points
+
+    params = OperatorParams.smooth(2, 64)
+    ts = _scan_points(params, PieceSpec("maj"))
+    assert len(ts) == 30102
+    system = arc_system(64)
+    _assert_weights_match_dense(system, [PieceSpec("maj"), *system.piece_specs()], ts)
+
+
+@pytest.mark.parametrize("N", [16, 17, 32, 64, 100, 128, 256])
+def test_piece_weight_matches_every_ladder_on_both_arc_families(N):
+    rng = np.random.default_rng(N)
+    params = OperatorParams.smooth(2, N)
+    system = arc_system(N)
+    specs = [PieceSpec("maj"), *system.piece_specs()]
+    _assert_weights_match_dense(system, specs, _edge_points(system, rng))
+    # the standalone family: a block's system reaches past floor(N/10)
+    Q = 1 << (N // 10).bit_length()  # the first block past floor(N/10)
+    block = arcs.piece_system(PieceSpec("core", Q), params)
+    _assert_weights_match_dense(block, [PieceSpec("core", Q), PieceSpec("dyadic", Q, 0)], _edge_points(block, rng))
+
+
+@pytest.mark.parametrize("N, q_limit", [(12, 11), (16, 5), (16, 15), (20, 9), (32, 12), (64, 31), (2, 1), (5, 4)])
+def test_piece_weight_matches_every_ladder_where_clusters_overlap(N, q_limit):
+    # q_limit > N/10: clusters overlap, and for N q <= 9 a widened cluster covers the torus
+    system = ArcSystem(N, q_limit)
+    assert not system.clusters_disjoint() or len(system.ladders) == 1
+    rng = np.random.default_rng(N * 100 + q_limit)
+    _assert_weights_match_dense(system, [PieceSpec("maj"), *system.piece_specs()], _edge_points(system, rng))
+
+
+def test_piece_weight_sends_nan_and_inf_through_every_ladder():
+    system = arc_system(64)
+    t = np.array([0.25, np.nan, 0.0, np.inf, -np.inf, 1e300, 1 / 3])
+    with np.errstate(invalid="ignore"):  # inf % 1.0
+        _assert_weights_match_dense(system, [PieceSpec("maj"), PieceSpec("core", 1), PieceSpec("dyadic", 4, 1)], t)
+    for t in (0.0, 0.3, -0.7, 1.5, 2.5, math.nan):
+        value = system.piece_weight(PieceSpec("maj"), t)
+        assert type(value) is float
+        assert np.array(value).tobytes() == np.array(_dense_piece_weight(system, PieceSpec("maj"), t)).tobytes()
+    grid = np.random.default_rng(2).random((7, 9))  # any shape keeps its shape
+    _assert_weights_match_dense(system, [PieceSpec("maj")], grid)
+
+
 @pytest.mark.parametrize("N", [16, 64, 256])
 def test_batched_piece_multiplier_matches_rows(N):
     rows = 200 if N < 256 else 60

@@ -183,8 +183,14 @@ def _nan_divisor_ratio():
 def _nan_rayleigh():
     import paravg.experiments as exp_mod
 
-    real = exp_mod.rayleigh_quotients
-    return exp_mod, "rayleigh_quotients", lambda *a: [math.nan if i == 1 else v for i, v in enumerate(real(*a))]
+    real = exp_mod.max_rayleigh_quotient
+
+    def patched(points, values, params):
+        values = np.array(values, dtype=complex)
+        values[1, 3] = math.nan  # the second draw: the screen must not drop it
+        return real(points, values, params)
+
+    return exp_mod, "max_rayleigh_quotient", patched
 
 
 def _nan_gain():

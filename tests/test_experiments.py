@@ -16,10 +16,10 @@ from paravg.experiments import (
     box_extremizer_ratio,
     box_power_sum,
     delta_extremizer_ratio,
+    max_rayleigh_quotient,
     norm_l1_linf,
     norm_l2_l2,
     random_ascent_lower_bound,
-    rayleigh_quotients,
     scaling_fit,
     sharp_threshold,
     target_slope,
@@ -482,11 +482,14 @@ def _rayleigh_oracle(f, params: OperatorParams) -> float:
 
 def _rayleigh_quotient(f, params: OperatorParams) -> float:
     """The batched path on a batch of one function."""
-    return rayleigh_quotients(f._points[None], f._values[None], params)[0]
+    return max_rayleigh_quotient(f._points[None], f._values[None], params)
 
 
-def _falsification_batch(params: OperatorParams, B: int, m: int, seed: int):
-    """Seeded points and values with repeated points, a cancelling pair and a Gaussian-integer member."""
+def _falsification_batch(params: OperatorParams, B: int, m: int, seed: int, twins: bool = False):
+    """Seeded points and values with repeated points, a cancelling pair and a Gaussian-integer member.
+
+    twins copies the first half of the batch onto the second, so every quotient, the max included, is tied.
+    """
     rng = np.random.default_rng(seed)
     N, n = params.N, params.n
     points = rng.integers(-2 * N, 2 * N, size=(B, m, n))
@@ -496,6 +499,8 @@ def _falsification_batch(params: OperatorParams, B: int, m: int, seed: int):
     points[1, 4], values[1, 3:5] = points[1, 3], (0.25 - 0.5j, -0.25 + 0.5j)  # a point that cancels
     values[2] = rng.integers(-3, 4, m) + 1j * rng.integers(-3, 4, m)  # the exact branch of lp_norm
     values[2, 0] = 2 - 1j
+    if twins:
+        points[B - B // 2 :], values[B - B // 2 :] = points[: B // 2], values[: B // 2]
     return points, values
 
 
@@ -504,20 +509,39 @@ def _batch_oracle(points, values, params: OperatorParams) -> list:
     return [_rayleigh_oracle(LatticeFunction(n, zip(p.tolist(), v.tolist())), params) for p, v in zip(points, values)]
 
 
-@pytest.mark.parametrize(
-    "params",
-    [OperatorParams.sharp(2, 8), OperatorParams.sharp(2, 32), OperatorParams.smooth(2, 8), OperatorParams.sharp(3, 4),
-     OperatorParams.smooth(3, 4)],
-    ids=lambda p: f"{p.cutoff.kind}-n{p.n}-N{p.N}",
-)
+_BATCH_SHAPES = [OperatorParams.sharp(2, 8), OperatorParams.sharp(2, 32), OperatorParams.smooth(2, 8),
+                 OperatorParams.sharp(3, 4), OperatorParams.smooth(3, 4)]
+
+
+def _screened(points, values, params: OperatorParams):
+    """Every member's screened quotient and bound, chunk after chunk."""
+    pairs = [experiments._screen(*chunk) for chunk in experiments._stacked_chunks(points, values, params)]
+    return np.concatenate([q for q, _ in pairs]), np.concatenate([beta for _, beta in pairs])
+
+
+@pytest.mark.parametrize("params", _BATCH_SHAPES, ids=lambda p: f"{p.cutoff.kind}-n{p.n}-N{p.N}")
 def test_rayleigh_quotients_match_one_at_a_time(params):
     points, values = _falsification_batch(params, 40, 7, seed=params.n * 1000 + params.N)
-    quotients = rayleigh_quotients(points, values, params)
-    assert all(type(q) is float for q in quotients)
-    assert quotients == _batch_oracle(points, values, params)
+    oracle = _batch_oracle(points, values, params)
+    worst = max_rayleigh_quotient(points, values, params)
+    assert type(worst) is float and worst == max(oracle)
     assert LatticeFunction(params.n, zip(points[2].tolist(), values[2].tolist())).is_integer_valued()
-    f = LatticeFunction(params.n, zip(points[1].tolist(), values[1].tolist()))
-    assert _rayleigh_quotient(f, params) == _rayleigh_oracle(f, params)
+    for b in (1, 2):  # the cancelling member and the Gaussian-integer one, alone
+        f = LatticeFunction(params.n, zip(points[b].tolist(), values[b].tolist()))
+        assert _rayleigh_quotient(f, params) == _rayleigh_oracle(f, params) == oracle[b]
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("params", _BATCH_SHAPES, ids=lambda p: f"{p.cutoff.kind}-n{p.n}-N{p.N}")
+def test_max_rayleigh_quotient_is_the_oracle_max_and_the_screen_holds(params, seed):
+    # 50 batches; the odd seeds tie every member with a twin
+    points, values = _falsification_batch(params, 40, 7, seed=seed * 7919 + params.N, twins=seed % 2 == 1)
+    oracle = np.array(_batch_oracle(points, values, params))
+    assert max_rayleigh_quotient(points, values, params) == np.max(oracle)
+    q, beta = _screened(points, values, params)
+    assert np.all(np.abs(q - oracle) <= beta * oracle)
+    assert np.all((q * (1.0 - beta) <= oracle) & (oracle <= q * (1.0 + beta)))
+    assert np.max(beta) <= (1e-13 if params.n == 2 else 2e-13)  # smooth n=3 N=4 averages onto ~1,500 points
 
 
 @pytest.mark.parametrize("B", [4, 5, 6, 11])
@@ -529,8 +553,67 @@ def test_rayleigh_quotients_chunk_boundaries(B, monkeypatch):
     calls = []
     stacked_average = experiments._average_points
     monkeypatch.setattr(experiments, "_average_points", lambda *a: calls.append(1) or stacked_average(*a))
-    assert rayleigh_quotients(points, values, params) == _batch_oracle(points, values, params)
+    oracle = _batch_oracle(points, values, params)
+    assert max_rayleigh_quotient(points, values, params) == max(oracle)
     assert len(calls) == -(-B // 5)
+    top = int(np.argmax(oracle))
+    for b in range(B):  # the max in every position, across every chunk boundary
+        moved = np.roll(points, b - top, axis=0), np.roll(values, b - top, axis=0)
+        assert max_rayleigh_quotient(*moved, params) == max(oracle)
+
+
+def test_rayleigh_screen_leaves_few_exact_norms(monkeypatch):
+    # the norm-scan sweep at N=64: 600 functions in 10 chunks of 64; every
+    # function through lp_norm would be 1,200 calls
+    params = OperatorParams.sharp(2, 64)
+    rng = np.random.default_rng(substream_seed(0, "norm-falsify:64"))
+    points, values = np.empty((600, 8, 2), dtype=np.int64), np.ones((600, 8))
+    for i in range(600):
+        points[i] = rng.integers(-128, 128, size=(8, 2))
+        values[i, 1:] = rng.random(7)
+    calls = []
+    real = experiments.lp_norm
+    monkeypatch.setattr(experiments, "lp_norm", lambda *a: calls.append(1) or real(*a))
+    worst = max_rayleigh_quotient(points, values, params)
+    assert 2 <= len(calls) <= 2 * 2 * 10, len(calls)  # at most two candidates a chunk; it measured 2 in all
+    monkeypatch.setattr(experiments, "lp_norm", real)
+    assert worst == max(_batch_oracle(points, values, params))
+
+
+def test_a_nan_member_makes_the_max_nan(monkeypatch):
+    params = OperatorParams.sharp(2, 8)
+    points, values = _falsification_batch(params, 11, 6, seed=3)
+    monkeypatch.setattr(experiments, "_CHUNK_TERMS", 5 * 6 * len(paraboloid_kernel(params)))
+    low = int(np.argmin(_batch_oracle(points, values, params)[5:])) + 5  # past the first chunk, never the max
+    for bad in (math.nan, math.inf, complex(0.0, math.nan)):
+        values_bad = values.copy()
+        values_bad[low, 3] = bad
+        with np.errstate(invalid="ignore"):  # inf times the kernel's zero imaginary parts
+            q, _ = _screened(points, values_bad, params)
+            assert np.isnan(q[low]) and np.isfinite(np.delete(q, low)).all()
+            assert math.isnan(max_rayleigh_quotient(points, values_bad, params))
+
+
+def test_screen_sends_extreme_magnitudes_to_the_exact_norms():
+    # square sums outside [2^-960, 2^960] are not screened; the max keeps its bits
+    params = OperatorParams.sharp(2, 8)
+    points, values = _falsification_batch(params, 12, 6, seed=4)
+    values[3] *= 1e-150  # its square sums fall below 2^-960
+    values[4] *= 1e150  # its square sums pass 2^960
+    q, _ = _screened(points, values, params)
+    assert np.isnan(q[[3, 4]]).all() and np.isfinite(np.delete(q, [3, 4])).all()
+    oracle = _batch_oracle(points, values, params)
+    assert max_rayleigh_quotient(points, values, params) == max(oracle)
+    values[4] *= 1e3  # now member 4 holds the max
+    assert max_rayleigh_quotient(points, values, params) == max(_batch_oracle(points, values, params))
+
+
+def test_square_sums_of_empty_members_are_zero():
+    # reduceat alone would give an empty member the next member's first term
+    g = LatticeFunction(3, [((0, 0, 0), 3.0), ((0, 1, 0), 4j), ((2, 0, 0), 1 - 1j), ((2, 5, 5), 2.0)])
+    cuts = np.searchsorted(g._points[:, 0], np.arange(5))  # members 1 and 3 are empty
+    assert experiments._square_sums(g, cuts).tolist() == [25.0, 0.0, 6.0, 0.0]
+    assert experiments._square_sums(g, np.array([0, 0, 0, 4])).tolist() == [0.0, 0.0, 31.0]
 
 
 def test_rayleigh_quotient_of_zero_is_an_error():
@@ -541,9 +624,11 @@ def test_rayleigh_quotient_of_zero_is_an_error():
     points[9] = points[9, 0]
     values[9] = (1.0, -0.5, -0.25, -0.125, -0.125)  # sums to exactly 0 at its one point
     with pytest.raises(ValueError, match="test function 9 of the batch is zero"):
-        rayleigh_quotients(points, values, params)
+        max_rayleigh_quotient(points, values, params)
     with pytest.raises(ValueError, match="dim"):
-        rayleigh_quotients(points[:, :, :1], values, params)
+        max_rayleigh_quotient(points[:, :, :1], values, params)
+    with pytest.raises(ValueError, match="empty batch"):
+        max_rayleigh_quotient(points[:0], values[:0], params)
 
 
 def test_rayleigh_quotients_memory_is_bounded():
@@ -554,10 +639,10 @@ def test_rayleigh_quotients_memory_is_bounded():
     points = rng.integers(-128, 128, size=(600, 8, 2))
     values = np.ones((600, 8))
     values[:, 1:] = rng.random((600, 7))
-    rayleigh_quotients(points[:1], values[:1], params)  # the cached kernel is not part of the peak
+    max_rayleigh_quotient(points[:1], values[:1], params)  # the cached kernel is not part of the peak
     tracemalloc.start()
     try:
-        rayleigh_quotients(points, values, params)
+        max_rayleigh_quotient(points, values, params)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
