@@ -34,7 +34,7 @@ from .coefficients import (
     piece_sup_report,
 )
 from .cutoff import CutoffProfile, OperatorParams, average, cutoff_checks, paraboloid_kernel
-from .expsums import dirichlet_approx, gauss_bound_report, gauss_sum, multiplier
+from .expsums import gauss_bound_report, gauss_sum, multiplier
 from .experiments import (
     box_extremizer_ratio,
     delta_extremizer_ratio,

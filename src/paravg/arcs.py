@@ -213,11 +213,12 @@ def bump_psi(t):
 
     The alternating spline sum can stray ~1e-14 outside [0, 1]; clipping
     restores the sandwich exactly and cannot hurt the telescoping identities
-    (equal arguments still give equal values).
+    (equal arguments still give equal values).  nan gives nan, so a piece
+    weight at nan is nan; +-inf gives 0.
     """
     m = SPLINE_ORDER
     a = np.abs(np.asarray(t, dtype=float))
-    out = np.where(a <= 1.0, 1.0, 0.0)
+    out = np.where(a <= 1.0, 1.0, np.where(np.isnan(a), np.nan, 0.0))
     ramp = (a > 1.0) & (a < 2.0)  # elsewhere the spline sum is exactly 1 or exactly 0
     if ramp.any():
         out[ramp] = np.clip(1.0 - _irwin_hall_cdf(m * (a[ramp] - 1.0), m), 0.0, 1.0)

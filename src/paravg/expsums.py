@@ -45,8 +45,15 @@ products per column and no exponential past the first column.
 screen_gauss_abs sums it over both sides of the support (y for k >= 0, -y
 for k < 0); screen_row_max takes it at y = 0 for the distinct |k|, puts
 it in the same FFT rows as gauss_row_max and takes the row max of
-re^2 + im^2 before one sqrt.  Each returns beta with |screen - kernel| <=
-beta for every sample, derived in _screen_error.  A sample is a candidate
+re^2 + im^2 before one sqrt.  screen_row_max also folds the torus: for
+real weights G(1 - t, y) = conj G(t, -y) and the y grid is closed under
+negation, so the row max at 1 - t is the row max at t.  Each t is folded
+to f = 1 - t when t > 1/2 (exact on [1/2, 1), by Sterbenz), and each
+distinct f is screened once; the ~4 N^2 scan grid of piece_sup_report is
+mirrored exactly at N a power of two, so about half its rows reach the
+FFT.  Each screen returns beta with |screen - kernel| <= beta for every
+sample, derived in _screen_error; the fold leaves it as it is, since a
+row's kernel value is that of its f.  A sample is a candidate
 when its screened value + beta, carried through the report's arithmetic,
 reaches the largest screened value - beta (sup_candidates).  Any other
 sample lies strictly below the max, so the max, the first argmax and every
@@ -68,14 +75,13 @@ np.abs on a complex array can differ from Python's abs in the last ulp
 (about a third of the rows), so |G| is taken as np.hypot of the parts,
 which is what Python's abs computes (equal on 4e6 random sums, over 600
 decades).  dirichlet_approx_batch runs the continued-fraction recurrence on
-a whole array and agrees element for element with the scalar
-dirichlet_approx, its test oracle.
+a whole array and agrees element for element with a scalar loop over the
+convergents, its test oracle.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,8 +92,6 @@ __all__ = [
     "e1",
     "gauss_sum",
     "multiplier",
-    "RationalApprox",
-    "dirichlet_approx",
     "dirichlet_approx_batch",
     "gauss_bound_report",
     "gauss_row_max",
@@ -303,41 +307,75 @@ def screen_gauss_abs(ts: np.ndarray, ys: np.ndarray, cutoff: CutoffProfile) -> t
     return out, _screen_error(cutoff)
 
 
+def _fold_runs(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """ts folded to f = t, or 1 - t where t > 1/2, and sorted: (order, f[order], starts).
+
+    1 - t is exact for t in [1/2, 2] (Sterbenz).  starts marks the first of
+    each run of equal f; a nan is a run of its own.
+    """
+    f = np.where(ts > 0.5, 1.0 - ts, ts)
+    order = np.argsort(f)
+    f = f[order]
+    starts = np.ones(len(f), dtype=bool)
+    np.not_equal(f[1:], f[:-1], out=starts[1:])
+    return order, f, starts
+
+
 def screen_row_max(ts: np.ndarray, cutoff: CutoffProfile, y_grid: int) -> tuple[np.ndarray, float]:
     """gauss_row_max screened, and beta >= its distance to gauss_row_max at every t.
 
-    beta holds for ts in [0, 1).  _quadratic_exps at y = 0 writes e(t j^2),
-    j = 0..max |k|, straight into the head columns of the FFT rows; column
-    y_grid + k of each k < 0 is then read from column -k, and the head is
-    weighted in place.  The row max is taken of re^2 + im^2, squared in
-    place in the FFT output, before one sqrt.  The support is a contiguous
-    range, so the head and the columns of k < 0 fit side by side once
-    y_grid > max |k| + max(-k_min, 0).
+    beta holds for ts in [0, 1).  For real weights G(1 - t, y) = conj G(t, -y)
+    and the y grid j / y_grid is closed under negation, so the row max at
+    1 - t is the row max at t.  The rows are folded (_fold_runs), each
+    distinct f is screened once, and every row gets the value of its f.  The
+    distinct f are screened in sorted order in the prefix of the result, and
+    the rows are mapped to them again once the FFT buffers are freed, so
+    that no array the size of ts lives beside them.
+    """
+    ts = np.asarray(ts, dtype=float)
+    out = np.empty(len(ts))
+    f, starts = _fold_runs(ts)[1:]
+    reps = out[: np.count_nonzero(starts)]
+    reps[:] = f[starts]
+    del f, starts
+    _square_row_max(reps, cutoff, y_grid)
+    np.sqrt(reps, out=reps)
+    order, _, starts = _fold_runs(ts)
+    out[order] = reps[np.cumsum(starts) - 1]
+    return out, _screen_error(cutoff, y_grid)
+
+
+def _square_row_max(rs: np.ndarray, cutoff: CutoffProfile, y_grid: int) -> None:
+    """Overwrite each r of rs with the max over the y grid of |G(r, y)|^2, screened.
+
+    _quadratic_exps at y = 0 writes e(r j^2), j = 0..max |k|, straight into
+    the head columns of the FFT rows; column y_grid + k of each k < 0 is
+    then read from column -k, and the head is weighted in place.  The row
+    max is taken of re^2 + im^2, squared in place in the FFT output.  The
+    support is a contiguous range, so the head and the columns of k < 0 fit
+    side by side once y_grid > max |k| + max(-k_min, 0).
     """
     k, w = cutoff.support(), cutoff.weights()
     m, lo = int(np.max(np.abs(k))), int(k[0])
     if y_grid <= m - min(lo, 0):
         raise ValueError("y grid too coarse for the coefficient support")
-    ts = np.asarray(ts, dtype=float)
     head = np.zeros(m + 1)
     head[k[k >= 0]] = w[k >= 0]
-    out = np.empty(len(ts))
     chunk = max(1, _CHUNK_CELLS // y_grid)
-    rows = min(chunk, len(ts))
+    rows = min(chunk, len(rs))
     buf = np.zeros((rows, y_grid), complex)  # columns between the head and the k < 0 block stay zero
     vals, mags = np.empty((rows, y_grid), complex), np.empty((rows, y_grid))
-    for start in range(0, len(ts), chunk):
-        tt = ts[start : start + chunk]
-        n = len(tt)
-        z = _quadratic_exps(tt, 0.0, buf[:n, : m + 1])
+    for start in range(0, len(rs), chunk):
+        rr = rs[start : start + chunk]  # read before the chunk's maxima overwrite it
+        n = len(rr)
+        z = _quadratic_exps(rr, 0.0, buf[:n, : m + 1])
         if lo < 0:
             np.multiply(w[k < 0], z[:, -lo:0:-1], out=buf[:n, y_grid + lo :])
         np.multiply(head, z, out=z)
         parts = np.fft.fft(buf[:n], axis=1, out=vals[:n]).view(float)
         np.square(parts, out=parts)
         np.add(parts[:, ::2], parts[:, 1::2], out=mags[:n])
-        np.max(mags[:n], axis=1, out=out[start : start + n])
-    return np.sqrt(out, out=out), _screen_error(cutoff, y_grid)
+        np.max(mags[:n], axis=1, out=rr)
 
 
 def sup_candidates(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -361,70 +399,17 @@ def _torus_signed(x):
     return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class RationalApprox:
-    """Reduced fraction a/q with q <= N and |t - a/q| <= 1/(qN) on the torus.
-
-    q = 1 is represented by the fraction 0/1; err is the torus-signed
-    difference t - a/q.
-    """
-
-    a: int
-    q: int
-    err: float
-
-    def __post_init__(self):
-        if self.q < 1 or not (0 <= self.a < self.q or (self.a, self.q) == (0, 1)):
-            raise ValueError(f"bad fraction {self.a}/{self.q}")
-        if math.gcd(self.a, self.q) != 1 and self.a != 0:
-            raise ValueError(f"{self.a}/{self.q} not in lowest terms")
-
-
-def dirichlet_approx(t: float, N: int) -> RationalApprox:
-    """Best-certificate rational a/q, q <= N, with |t - a/q| <= 1/(qN).
-
-    Computed from the continued-fraction convergents of t; the last
-    convergent with denominator <= N carries the classical certificate
-    |t - p/q| <= 1/(q (N+1)).  Fractions are reduced mod 1 so the torus
-    wraparound identifies 1/1 with 0/1.
-    """
-    if not 0.0 <= t < 1.0:
-        raise ValueError("t must lie in [0, 1)")
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    # convergents of t via the Euclidean recurrence
-    p_prev, q_prev, p_cur, q_cur = 1, 0, 0, 1  # p_cur/q_cur = 0/1
-    x = t
-    best_p, best_q = 0, 1
-    for _ in range(64):
-        if q_cur > N:
-            break
-        best_p, best_q = p_cur, q_cur
-        if x == 0.0:
-            break
-        inv = 1.0 / x
-        if inv >= N + 1:  # the next denominator would exceed N (and inv may be inf)
-            break
-        a = int(inv)
-        x = inv - a
-        p_prev, q_prev, p_cur, q_cur = p_cur, q_cur, a * p_cur + p_prev, a * q_cur + q_prev
-    a_red = best_p % best_q
-    g = math.gcd(a_red, best_q)
-    if g > 1:  # only possible via the wraparound reduction
-        a_red //= g
-        best_q //= g
-    err = _torus_signed(t - a_red / best_q)
-    return RationalApprox(a_red, best_q, err)
-
-
 def dirichlet_approx_batch(ts, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """dirichlet_approx over a 1-D array of t, as (a, q, err) arrays.
+    """Reduced a/q with q <= N and |t - a/q| <= 1/(qN) for each t of a 1-D array in [0, 1), as (a, q, err) arrays.
 
-    Runs the same convergent recurrence on every t at once and agrees with
-    the scalar path element for element.  A partial quotient of N + 1 or
-    more ends a t's recurrence (the next denominator exceeds N), so
-    quotients are capped at N + 1 before the integer update, which keeps
-    every a q + q' below (N + 1)^2 + N, far inside int64.
+    a/q is the last continued-fraction convergent of t with denominator
+    <= N, which carries the classical certificate |t - a/q| <= 1/(q (N+1)),
+    reduced mod 1 so that the torus wraparound gives 1/1 as 0/1; err is the
+    torus-signed t - a/q.  The recurrence runs on every t at once, and a
+    scalar loop over the convergents is its test oracle.  A partial
+    quotient of N + 1 or more ends a t's recurrence (the next denominator
+    exceeds N), so quotients are capped at N + 1 before the integer update,
+    which keeps every a q + q' below (N + 1)^2 + N, far inside int64.
     """
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1:

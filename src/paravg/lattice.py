@@ -249,23 +249,51 @@ def box_indicator(lo, hi) -> LatticeFunction:
 # -- norms --------------------------------------------------------------------
 
 
+def _norm_exponent(re: np.ndarray, im: np.ndarray, power: float) -> int:
+    """0 when sum |v|^power can be summed as stored, else e with max(|re|, |im|) in [2^(e-1), 2^e).
+
+    Inside, the largest term lies in [2^-1000, 2^1023 / len(re)] (|v| < 2^(e + 1/2)),
+    so the sum cannot overflow, and a term rounded below 2^-1022 errs by at
+    most 2^-1075, so n terms lose less than n 2^-75 of the sum.  An inf
+    amplitude gives 0; a nan one makes the norm nan either way.
+    """
+    amax = max(abs(float(x)) for part in (re, im) for x in (part.min(), part.max()))
+    e = math.frexp(amax)[1]
+    if power * (e - 1) >= -1000 and power * (e + 0.5) + len(re).bit_length() <= 1023:
+        return 0
+    return e
+
+
+def _times_pow2(x: float, e: int) -> float:
+    """x 2^e, inf where that overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(x, e))
+
+
 def lp_norm(f: LatticeFunction, p) -> float:
     """(sum |f|^p)^(1/p), or sup |f| for p = inf.
 
     Exact integer accumulation is used for p in {1, 2, inf} whenever all
     amplitudes are Gaussian integers (real amplitudes for p = 1), so counting
-    arguments in the tests are free of rounding.
+    arguments in the tests are free of rounding.  Amplitudes so small that
+    |v|^p underflows, or so large that the sum overflows (_norm_exponent;
+    |v|^2 for p = inf), are scaled by a power of two 2^-e first and the norm
+    by 2^e after (inf where that overflows); inside that range the values
+    are summed as they are.
     """
     if p != math.inf and p < 1:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
     if not len(f):
         return 0.0
     re, im = f._values.real, f._values.imag
+    e = _norm_exponent(re, im, 2.0 if p == math.inf else p)
+    if e:
+        re, im = np.ldexp(re, -e), np.ldexp(im, -e)
 
     if p == math.inf:
-        return math.sqrt(float(np.max(re * re + im * im)))
+        return _times_pow2(math.sqrt(float(np.max(re * re + im * im))), e)
 
-    if f.is_integer_valued():
+    if not e and f.is_integer_valued():
         values = f._values.tolist()
         if p == 2:
             total = sum(int(v.real) ** 2 + int(v.imag) ** 2 for v in values)
@@ -274,7 +302,7 @@ def lp_norm(f: LatticeFunction, p) -> float:
             return float(sum(abs(int(v.real)) for v in values))
 
     # np.hypot is Python's abs of a complex number and math.pow its float **
-    return float(np.power(math.fsum(map(math.pow, np.hypot(re, im).tolist(), repeat(p))), 1.0 / p))
+    return _times_pow2(float(np.power(math.fsum(map(math.pow, np.hypot(re, im).tolist(), repeat(p))), 1.0 / p)), e)
 
 
 # -- convolution ---------------------------------------------------------------

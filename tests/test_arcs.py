@@ -469,9 +469,13 @@ def test_piece_weight_sends_nan_and_inf_through_every_ladder():
     t = np.array([0.25, np.nan, 0.0, np.inf, -np.inf, 1e300, 1 / 3])
     with np.errstate(invalid="ignore"):  # inf % 1.0
         _assert_weights_match_dense(system, [PieceSpec("maj"), PieceSpec("core", 1), PieceSpec("dyadic", 4, 1)], t)
+        # a nan frequency has a nan weight, not a minor-arc one, and so has +-inf (inf mod 1 is nan)
+        w = system.piece_weight(PieceSpec("maj"), t)
+        assert np.array_equal(np.isnan(w), ~np.isfinite(t))
+    assert math.isnan(bump_psi(math.nan)) and bump_psi(math.inf) == bump_psi(-math.inf) == 0.0
     for t in (0.0, 0.3, -0.7, 1.5, 2.5, math.nan):
         value = system.piece_weight(PieceSpec("maj"), t)
-        assert type(value) is float
+        assert type(value) is float and math.isnan(value) == math.isnan(t)
         assert np.array(value).tobytes() == np.array(_dense_piece_weight(system, PieceSpec("maj"), t)).tobytes()
     grid = np.random.default_rng(2).random((7, 9))  # any shape keeps its shape
     _assert_weights_match_dense(system, [PieceSpec("maj")], grid)

@@ -417,6 +417,25 @@ def test_piece_sup_report_refines_a_few_rows(monkeypatch):
     assert len(rows) == 1 and 1 <= rows[0] <= 64 < rep.params["t_points"]
 
 
+@pytest.mark.parametrize("N", [24, 48])
+@pytest.mark.parametrize("kind", ["min", "maj"])
+def test_piece_sup_report_keeps_its_bits_at_n_not_a_power_of_two(kind, N):
+    # the scan grid is not mirrored exactly here, so the screen folds only some rows;
+    # the oracle takes the row max at every row, the live ones among them
+    spec, params = PieceSpec(kind), OperatorParams.smooth(2, N)
+    rep = piece_sup_report(spec, params)
+    assert (rep.constant, rep.values, rep.params["t_points"]) == _full_grid_sup_report(spec, params)
+
+
+def test_piece_sup_report_sends_about_half_its_live_rows_to_the_fft(monkeypatch):
+    # 24,236 live rows at smooth N = 64; the fold screens 13,027 of them, and gauss_row_max
+    # re-evaluates a few candidates
+    rows, fft = [], np.fft.fft
+    monkeypatch.setattr(np.fft, "fft", lambda a, *args, **kw: rows.append(a.shape[0]) or fft(a, *args, **kw))
+    piece_sup_report(PieceSpec("min"), OperatorParams.smooth(2, 64))
+    assert 13_027 < sum(rows) <= 13_100
+
+
 @pytest.mark.parametrize("shift, changed", [(0.9, False), (2.0, True)])
 def test_piece_sup_report_needs_its_screen_within_beta(shift, changed, monkeypatch):
     # lower the screened rows at the reported argmax by shift * beta and raise

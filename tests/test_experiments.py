@@ -608,6 +608,17 @@ def test_screen_sends_extreme_magnitudes_to_the_exact_norms():
     assert max_rayleigh_quotient(points, values, params) == max(_batch_oracle(points, values, params))
 
 
+def test_rayleigh_max_with_a_member_scaled_below_the_square_range():
+    # its squares underflow to 0; the exact norms scale it and keep the quotient
+    params = OperatorParams.sharp(2, 8)
+    points, values = _falsification_batch(params, 12, 6, seed=4)
+    unscaled = _batch_oracle(points, values, params)[5]
+    values[5] *= 1e-170
+    oracle = _batch_oracle(points, values, params)
+    assert oracle[5] == pytest.approx(unscaled, rel=1e-13)
+    assert max_rayleigh_quotient(points, values, params) == max(oracle)
+
+
 def test_square_sums_of_empty_members_are_zero():
     # reduceat alone would give an empty member the next member's first term
     g = LatticeFunction(3, [((0, 0, 0), 3.0), ((0, 1, 0), 4j), ((2, 0, 0), 1 - 1j), ((2, 5, 5), 2.0)])

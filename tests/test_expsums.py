@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -11,13 +12,67 @@ from paravg.arcs import totatives
 from paravg.cutoff import CutoffProfile, OperatorParams, paraboloid_kernel
 from paravg.expsums import (
     _torus_signed,
-    dirichlet_approx,
     dirichlet_approx_batch,
     gauss_bound_report,
     gauss_row_max,
     gauss_sum,
     multiplier,
 )
+
+
+@dataclass(frozen=True)
+class RationalApprox:
+    """Reduced fraction a/q with q <= N and |t - a/q| <= 1/(qN) on the torus.
+
+    q = 1 is represented by the fraction 0/1; err is the torus-signed
+    difference t - a/q.
+    """
+
+    a: int
+    q: int
+    err: float
+
+    def __post_init__(self):
+        if self.q < 1 or not (0 <= self.a < self.q or (self.a, self.q) == (0, 1)):
+            raise ValueError(f"bad fraction {self.a}/{self.q}")
+        if math.gcd(self.a, self.q) != 1 and self.a != 0:
+            raise ValueError(f"{self.a}/{self.q} not in lowest terms")
+
+
+def dirichlet_approx(t: float, N: int) -> RationalApprox:
+    """Oracle of dirichlet_approx_batch: the convergent loop on one t.
+
+    The last continued-fraction convergent of t with denominator <= N
+    carries the classical certificate |t - p/q| <= 1/(q (N+1)); fractions
+    are reduced mod 1 so the torus wraparound identifies 1/1 with 0/1.
+    """
+    if not 0.0 <= t < 1.0:
+        raise ValueError("t must lie in [0, 1)")
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    # convergents of t via the Euclidean recurrence
+    p_prev, q_prev, p_cur, q_cur = 1, 0, 0, 1  # p_cur/q_cur = 0/1
+    x = t
+    best_p, best_q = 0, 1
+    for _ in range(64):
+        if q_cur > N:
+            break
+        best_p, best_q = p_cur, q_cur
+        if x == 0.0:
+            break
+        inv = 1.0 / x
+        if inv >= N + 1:  # the next denominator would exceed N (and inv may be inf)
+            break
+        a = int(inv)
+        x = inv - a
+        p_prev, q_prev, p_cur, q_cur = p_cur, q_cur, a * p_cur + p_prev, a * q_cur + q_prev
+    a_red = best_p % best_q
+    g = math.gcd(a_red, best_q)
+    if g > 1:  # only possible via the wraparound reduction
+        a_red //= g
+        best_q //= g
+    err = _torus_signed(t - a_red / best_q)
+    return RationalApprox(a_red, best_q, err)
 
 
 def test_gauss_sum_zero_frequency_is_mass():
@@ -528,6 +583,40 @@ def test_screen_row_max_grid_guard():
     with pytest.raises(ValueError):
         expsums.screen_row_max(np.array([0.1]), CutoffProfile("smooth", 8), 30)
     assert expsums.screen_row_max(np.array([0.1]), CutoffProfile("smooth", 8), 31)[0].shape == (1,)
+
+
+def _folded_rows(ts):
+    """Oracle of the fold: the distinct folded values and each row's index among them, by a loop."""
+    folded = [1.0 - t if t > 0.5 else t for t in ts.tolist()]
+    distinct = sorted(set(folded))
+    index = {f: i for i, f in enumerate(distinct)}
+    return np.array(distinct), np.array([index[f] for f in folded])
+
+
+@pytest.mark.parametrize("kind", ["sharp", "smooth"])
+@pytest.mark.parametrize("N", [16, 24, 48, 64, 100])
+def test_folded_screen_is_the_screen_of_each_rows_folded_value(kind, N):
+    from paravg.arcs import PieceSpec
+    from paravg.coefficients import _scan_points
+
+    params = OperatorParams.sharp(2, N) if kind == "sharp" else OperatorParams.smooth(2, N)
+    y_grid = max(8 * N, 64)
+    grids = {}  # min and maj scan the same points, and so do core and dyadic
+    for spec in [PieceSpec("min"), PieceSpec("maj"), PieceSpec("whole"), PieceSpec("core", 1), PieceSpec("dyadic", 1, 0)]:
+        ts = _scan_points(params, spec)
+        grids.setdefault(ts.tobytes(), (ts, []))[1].append(spec.kind)
+    union = np.unique(np.concatenate([ts for ts, _ in grids.values()]))
+    exact = gauss_row_max(union, params.cutoff, y_grid)
+    for ts, kinds in grids.values():
+        screen, beta = expsums.screen_row_max(ts, params.cutoff, y_grid)
+        distinct, row = _folded_rows(ts)
+        squares = distinct.copy()
+        expsums._square_row_max(squares, params.cutoff, y_grid)
+        assert np.array_equal(screen, np.sqrt(squares)[row])
+        assert np.max(np.abs(screen - exact[np.searchsorted(union, ts)])) <= beta
+        assert beta == expsums._screen_error(params.cutoff, y_grid)  # the fold leaves beta as it is
+        if N == 64 and "core" not in kinds:  # its two halves j / (4 N^2) fold onto each other
+            assert len(distinct) < 0.6 * len(ts)
 
 
 def test_gauss_bound_refines_a_few_samples(monkeypatch):

@@ -291,26 +291,53 @@ def _generator_lp_norm(values, p):
     return float(np.power(math.fsum(abs(v) ** p for v in values), 1.0 / p))
 
 
+_NORM_PS = (1.5, 1.8, 2.25, 3, math.inf)
+
+
 def _averaged_boxes():
+    """(f, the p in _NORM_PS at which the generator's |v|^p neither underflow nor overflow)."""
     for params in (OperatorParams.sharp(2, 24), OperatorParams.sharp(3, 6), OperatorParams.smooth(2, 8)):
         box = box_indicator((1,) * params.n, (2 * params.N,) * (params.n - 1) + (params.n * params.N**2,))
-        yield cutoff.average(box, params)
+        yield cutoff.average(box, params), _NORM_PS
     box = box_indicator((1, 1), (32, 512))
-    yield convolve(reflect(cutoff.paraboloid_kernel(OperatorParams.sharp(2, 16))), box, method="fft")
+    yield convolve(reflect(cutoff.paraboloid_kernel(OperatorParams.sharp(2, 16))), box, method="fft"), _NORM_PS
     rng = np.random.default_rng(5)
-    for scale in (1e-200, 1.0, 1e100):
+    # at 1e-200 only |v|^1.5 stays normal; the other p are test_lp_norm_scales_extreme_magnitudes'
+    for scale, ps in ((1e-200, (1.5,)), (1.0, _NORM_PS), (1e100, _NORM_PS)):
         values = scale * (rng.standard_normal(5000) + 1j * rng.standard_normal(5000))
-        yield LatticeFunction(1, zip(((i,) for i in range(5000)), values))
+        yield LatticeFunction(1, zip(((i,) for i in range(5000)), values)), ps
 
 
 def test_lp_norm_matches_generator_bitwise():
-    for f in _averaged_boxes():
-        for p in (1.5, 1.8, 2.25, 3, math.inf):
+    for f, ps in _averaged_boxes():
+        for p in ps:
             assert lp_norm(f, p) == _generator_lp_norm(f._values, p)
     # one point each, so a modulus one ulp off is not averaged away by the sum
     rng = np.random.default_rng(6)
     values = (rng.standard_normal(400) + 1j * rng.standard_normal(400)) * 10.0 ** rng.uniform(-80, 80, 400)
     for v in values.tolist():
         f = LatticeFunction(1, [((0,), v)])
-        for p in (1.5, 1.8, 2.25, 3, math.inf):
+        for p in _NORM_PS:
             assert lp_norm(f, p) == _generator_lp_norm(f._values, p)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-170, 1e160])
+def test_lp_norm_scales_extreme_magnitudes(scale):
+    # unscaled, |v|^2 underflows to 0 below ~1.5e-162 and the square sums overflow
+    # above ~1.3e154 (the exact integer branch too: 1e160 times an integer is one)
+    rng = np.random.default_rng(7)
+    points = [(i, -i) for i in range(300)]
+    gaussian = rng.standard_normal(300) + 1j * rng.standard_normal(300)
+    integers = rng.integers(-3, 4, 300) + 1j * rng.integers(-3, 4, 300)
+    for values in (gaussian, gaussian.real, integers, integers.real):
+        f, g = LatticeFunction(2, zip(points, values)), LatticeFunction(2, zip(points, scale * values))
+        for p in (1, 1.8, 2, math.inf):
+            assert lp_norm(g, p) == pytest.approx(scale * lp_norm(f, p), rel=1e-13, abs=0.0), p
+
+
+def test_lp_norm_is_inf_where_the_scaled_norm_overflows():
+    # each amplitude is finite, but the norm lies above the largest double
+    f = LatticeFunction(2, [((0, 0), 1.5e308 + 1.5e308j), ((1, 0), 1e308)])
+    for p in (1, 1.8, 2, math.inf):
+        assert lp_norm(f, p) == math.inf, p
+    assert lp_norm(LatticeFunction(2, [((0, 0), 1.5e308)]), math.inf) == 1.5e308
