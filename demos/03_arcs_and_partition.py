@@ -2,25 +2,27 @@
 """Farey dissection: arcs, bump ladders, and the major/minor split.
 
 Each reduced fraction a/q with q <= N/10 carries an interval of radius
-1/(qN) and a ladder of mean-zero bumps partitioning unity on it.  The
+1/(qN) and a ladder of mean-zero bumps partitioning unity on it; the arc
+system's ladders are the arc set, and its 4I arcs a/q -+ 4/(qN) are
+pairwise disjoint.  The
 multiplier decomposes as m = m_maj + m_min with m_maj supported near the
 fractions; on every arc the minor part vanishes identically.
 """
 
 import numpy as np
 
-from paravg import OperatorParams, PieceSpec, major_arcs
+from paravg import OperatorParams, PieceSpec
 from paravg.arcs import arc_system, piece_multipliers
 
 N = 64
-print(f"major arcs at N = {N} (q <= {N // 10}):")
-for arc in major_arcs(N):
-    print(
-        f"  {arc.frac.a}/{arc.frac.q:<3d} center {arc.center:.4f} "
-        f"radius {arc.radius:.5f}"
-    )
-
 system = arc_system(N)
+print(f"major arcs at N = {N} (q <= {N // 10}):")
+for lad in system.ladders.values():
+    print(
+        f"  {lad.frac.a}/{lad.frac.q:<3d} center {lad.frac.center:.4f} "
+        f"radius {1.0 / (lad.frac.q * N):.5f}"
+    )
+print(f"4I arcs pairwise disjoint: {system.arcs_4i_disjoint()}")
 print("\nladder scales per denominator (dyadic up to Nq < N^2, then the core):")
 for (q, a), lad in sorted(system.ladders.items()):
     if a == (1 if q > 1 else 0):

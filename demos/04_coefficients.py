@@ -46,7 +46,7 @@ for r1 in (-5, 2, 7):
 
 print("\nnormalized decay constants across the scale sweep (fixed piece family):")
 for N in (8, 16, 32):
-    rep = coefficient_decay_report(spec, OperatorParams.smooth(2, N), eps=0.2)
+    rep = coefficient_decay_report(spec, OperatorParams.smooth(2, N))
     print(
         f"  N = {N:<3d} sup = {rep.values['sup']:.3e}  normalized = {rep.constant:.4f}"
         f"  (sup at residual {rep.values['argmax_residual']:g})"
@@ -55,5 +55,5 @@ print("piece scale for reference:", coefficient_scale(spec, params))
 
 print("\nexact minor-coefficient sup over the scan box, sharp cutoff, n = 3:")
 for N in (16, 32):
-    rep = minor_coefficient_report(OperatorParams.sharp(3, N), eps=0.2)
+    rep = minor_coefficient_report(OperatorParams.sharp(3, N))
     print(f"  N = {N:<3d} sup = {rep.values['sup']:.6f}  normalized = {rep.constant:.4f}  ({rep.notes})")

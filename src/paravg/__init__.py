@@ -19,11 +19,9 @@ from .arcs import (
     ArcSystem,
     BumpLadder,
     FareyFraction,
-    MajorArc,
     PieceSpec,
     bump_psi,
     bump_psi_hat,
-    major_arcs,
     totatives,
 )
 from .coefficients import (

@@ -8,6 +8,12 @@ multiplier m(xi) localized by these ladder levels; summing every piece over
 all fractions with q <= N/10 gives the arc-localized part of m, and the
 remainder is the minor-arc part.
 
+Major arcs.  The arc of a/q at scale N has radius 1/(qN); ArcSystem holds
+one ladder per fraction with q <= q_limit (N/10 by default), and is the
+only arc set.  Its arcs_4i_disjoint and clusters_disjoint sweep the 4I
+arcs a/q -+ 4/(qN) and the ladders' support clusters for pairwise
+disjointness on the torus.
+
 Bump construction.  psi is the convolution of the indicator of
 [-3/2, 3/2] with the m-fold autoconvolution of m * 1_{[-1/(2m), 1/(2m)]}
 (a centered unit-mass B-spline), so
@@ -54,9 +60,6 @@ __all__ = [
     "SPLINE_ORDER",
     "totatives",
     "FareyFraction",
-    "MajorArc",
-    "arcs_4i_disjoint",
-    "major_arcs",
     "bump_psi",
     "bump_psi_hat",
     "BumpLadder",
@@ -104,26 +107,6 @@ class FareyFraction:
         return self.a / self.q
 
 
-@dataclass(frozen=True)
-class MajorArc:
-    """The interval of radius 1/(qN) around a/q, with its 4x enlargement."""
-
-    frac: FareyFraction
-    N: int
-
-    @property
-    def center(self) -> float:
-        return self.frac.center
-
-    @property
-    def radius(self) -> float:
-        return 1.0 / (self.frac.q * self.N)
-
-    @property
-    def radius4(self) -> float:
-        return 4.0 / (self.frac.q * self.N)
-
-
 def _intervals_disjoint_mod1(intervals: list[tuple[float, float]]) -> bool:
     """Pairwise disjointness of closed [lo, hi] intervals (lo <= hi) on the torus.
 
@@ -147,27 +130,6 @@ def _intervals_disjoint_mod1(intervals: list[tuple[float, float]]) -> bool:
             if order[first[j] : last[j]].min() < j:
                 return False
     return True
-
-
-def arcs_4i_disjoint(arcs: list[MajorArc]) -> bool:
-    """Pairwise disjointness of the arcs' 4I intervals on the torus."""
-    return _intervals_disjoint_mod1(
-        [(arc.center - arc.radius4, arc.center + arc.radius4) for arc in arcs]
-    )
-
-
-def major_arcs(N: int) -> list[MajorArc]:
-    """All arcs with q <= N/10; verifies the 4I intervals are disjoint."""
-    if N < 10:
-        raise ValueError("major arcs need N >= 10")
-    arcs = [
-        MajorArc(FareyFraction(a, q), N)
-        for q in range(1, N // 10 + 1)
-        for a in totatives(q)
-    ]
-    if not arcs_4i_disjoint(arcs):
-        raise AssertionError("4I arcs are not pairwise disjoint")
-    return arcs
 
 
 # -- the mother bump ------------------------------------------------------------
@@ -517,6 +479,11 @@ class ArcSystem:
     def clusters_disjoint(self) -> bool:
         """Interval-arithmetic check that per-fraction support clusters are disjoint."""
         return _intervals_disjoint_mod1(self.clusters())
+
+    def arcs_4i_disjoint(self) -> bool:
+        """Pairwise disjointness on the torus of the 4I arcs a/q -+ 4/(qN), in ladder order."""
+        arcs = [(lad.frac.center, 4.0 / (lad.frac.q * self.N)) for lad in self.ladders.values()]
+        return _intervals_disjoint_mod1([(c - r, c + r) for c, r in arcs])
 
 
 def arc_system(N: int, q_limit: int | None = None) -> ArcSystem:

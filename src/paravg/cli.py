@@ -38,7 +38,7 @@ from . import arcs as arcs_mod
 from . import coefficients as coef_mod
 from . import experiments as exp_mod
 from . import expsums, numtheory
-from .cutoff import CutoffProfile, OperatorParams, average, paraboloid_kernel
+from .cutoff import CutoffProfile, OperatorParams, average, cutoff_checks, paraboloid_kernel
 from .lattice import LatticeFunction, delta, lp_norm, shift
 from .reports import substream_seed
 
@@ -173,6 +173,12 @@ def _cmd_gauss_check(args, checks: _Check) -> tuple[dict, dict]:
     rerun = expsums.gauss_bound_report(OperatorParams.smooth(args.n, args.N[0]), args.samples, args.seed)
     checks.record("seeded rerun deviation", abs(rerun.constant - reports[0].constant), 0)
 
+    # the smooth cutoff's discrete derivative bounds at every N of the sweep
+    for N in args.N:
+        ramp = cutoff_checks(CutoffProfile("smooth", N)).values
+        checks.record(f"N={N}: ramp N sup|s_k|", ramp["sup_ratio"], ramp["sup_constant"])
+        checks.record(f"N={N}: ramp N TV(s)", ramp["tv_ratio"], ramp["tv_constant"])
+
     rows = [{"N": N, "constant": repr(c)} for N, c in sorted((int(k), v) for k, v in constants.items())]
     return {"constants": constants}, {"gauss-check": rows}
 
@@ -183,8 +189,7 @@ def _cmd_arcs_check(args, checks: _Check) -> tuple[dict, dict]:
         system = arcs_mod.arc_system(N)
         rng = np.random.default_rng(substream_seed(args.seed, f"arcs-check:{N}"))
         # each sweep answers for its whole family: 1 if any two intervals meet, else 0
-        overlap = int(not arcs_mod.arcs_4i_disjoint(arcs_mod.major_arcs(N)))
-        checks.record(f"N={N}: 4I arcs not pairwise disjoint", overlap, 0)
+        checks.record(f"N={N}: 4I arcs not pairwise disjoint", int(not system.arcs_4i_disjoint()), 0)
         checks.record(f"N={N}: support clusters not pairwise disjoint", int(not system.clusters_disjoint()), 0)
 
         # one (phi(q), samples) block per denominator: the draws of the ladders in order

@@ -24,7 +24,8 @@ piece_hat sum (and H(t) = [t = 0] - H_maj(t) for min), and a sup over a box
 of r is a max over s = |r'|^2 of two factors: the sigma product of r', and
 the max of |H| over the residual window s - r_n that the r_n range selects.
 Both coefficient reports take that sup exactly, with one sliding-window max
-of |H| serving every s.
+of |H| serving every s.  The reports normalize by losses (QN)^EPS and
+N^EPS with the fixed EPS = 0.2.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .lattice import check_alloc
 from .reports import ExperimentReport
 
 __all__ = [
+    "EPS",
     "CoefficientQuery",
     "piece_coefficient",
     "piece_coefficient_oracle",
@@ -53,6 +55,12 @@ __all__ = [
     "minor_coefficient_report",
     "piece_sup_report",
 ]
+
+# The epsilon of the (QN)^eps and N^eps losses the coefficient and sup
+# reports normalize by; each report records it in its params.
+EPS = 0.2
+# Two successive oracle grids must agree to this absolute tolerance.
+_ORACLE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -121,18 +129,15 @@ def _roots_of_unity(M: int) -> np.ndarray:
     return roots
 
 
-def piece_coefficient_oracle(
-    query: CoefficientQuery,
-    grid_size: int = 4096,
-    tol: float = 1e-9,
-) -> complex:
+def piece_coefficient_oracle(query: CoefficientQuery, grid_size: int = 4096) -> complex:
     """Quadrature oracle for the same coefficient.
 
     The first n-1 torus integrals are exact by orthogonality (they reduce to
     the sigma factors), leaving the one-dimensional integral of
     W(xi) e(t xi) over the bump supports.  That is computed by the periodic
     rectangle rule and refined by doubling until two successive grid sizes
-    agree to `tol`; failure to converge within 4 refinements is an error.
+    agree to _ORACLE_TOL (1e-9); failure to converge within 4 refinements
+    is an error.
     Each grid of size M reads its weights and its M-th roots of unity from
     two small caches, so a query evaluates no exponential of its own.
     """
@@ -152,7 +157,7 @@ def piece_coefficient_oracle(
     for _ in range(4):
         M *= 2
         cur = rect(M)
-        if abs(cur - prev) <= tol:
+        if abs(cur - prev) <= _ORACLE_TOL:
             return sig * cur
         prev = cur
     raise RuntimeError(f"oracle did not converge at grid {M} (query residual {t})")
@@ -179,9 +184,9 @@ def coefficient_scale(spec: PieceSpec, params: OperatorParams) -> float:
     return 1.0 / _piece_size(spec, params.N)
 
 
-def _decay_bound(spec: PieceSpec, params: OperatorParams, eps: float) -> float:
-    """Decay bound (N 2^l)^-1 (QN)^eps for dyadic pieces, (N^2/Q)^-1 (QN)^eps for core."""
-    return _piece_size(spec, params.N) ** (-1.0) * (spec.Q * params.N) ** eps
+def _decay_bound(spec: PieceSpec, params: OperatorParams) -> float:
+    """Decay bound (N 2^l)^-1 (QN)^EPS for dyadic pieces, (N^2/Q)^-1 (QN)^EPS for core."""
+    return _piece_size(spec, params.N) ** (-1.0) * (spec.Q * params.N) ** EPS
 
 
 def kernel_coefficient(params: OperatorParams, r) -> float:
@@ -260,28 +265,24 @@ def _coefficient_sup(spec: PieceSpec, params: OperatorParams) -> tuple[float, tu
     return best, rp + (R - int(np.argmax(H[s : s + width])),)
 
 
-def coefficient_decay_report(
-    spec: PieceSpec,
-    params: OperatorParams,
-    eps: float = 0.2,
-) -> ExperimentReport:
+def coefficient_decay_report(spec: PieceSpec, params: OperatorParams) -> ExperimentReport:
     """Sup of |coefficient| over the scan box, normalized by the decay bound.
 
-    Dyadic pieces are normalized by (N 2^l)^{-1} (QN)^eps, core pieces by
-    (N^2/Q)^{-1} (QN)^eps.  The scan box |r_i| < 2N, |r_n| <= 5 N^2
+    Dyadic pieces are normalized by (N 2^l)^{-1} (QN)^EPS, core pieces by
+    (N^2/Q)^{-1} (QN)^EPS.  The scan box |r_i| < 2N, |r_n| <= 5 N^2
     truncates the lattice; beyond it the spline decay (order
     SPLINE_ORDER + 1 = 9 in the residual) contributes below 1e-10 of the
     sup.  Also records where the sup is attained.
     """
     N, n = params.N, params.n
     best, best_r = _coefficient_sup(spec, params)
-    bound = _decay_bound(spec, params, eps)
+    bound = _decay_bound(spec, params)
     residual = (
         sum(c * c for c in best_r[:-1]) - best_r[-1] if best_r is not None else None
     )
     return ExperimentReport(
         name="coefficient_decay",
-        params={"n": n, "N": N, "kind": spec.kind, "Q": spec.Q, "l": spec.level, "eps": eps},
+        params={"n": n, "N": N, "kind": spec.kind, "Q": spec.Q, "l": spec.level, "eps": EPS},
         constant=best / bound,
         values={
             "sup": best,
@@ -292,8 +293,8 @@ def coefficient_decay_report(
     )
 
 
-def minor_coefficient_report(params: OperatorParams, eps: float = 0.2) -> ExperimentReport:
-    """Exact sup of |minor coefficient| over the scan box, normalized by N^eps.
+def minor_coefficient_report(params: OperatorParams) -> ExperimentReport:
+    """Exact sup of |minor coefficient| over the scan box, normalized by N^EPS.
 
     The box is the decay report's, |r_i| < 2N, |r_n| <= 5 N^2, and every r in
     it counts; notes record the first r attaining the sup.  The sup sits on
@@ -305,8 +306,8 @@ def minor_coefficient_report(params: OperatorParams, eps: float = 0.2) -> Experi
     sup, r = _coefficient_sup(PieceSpec("min"), params)
     return ExperimentReport(
         name="minor_coefficient_sup",
-        params={"n": params.n, "N": params.N, "eps": eps},
-        constant=sup / params.N**eps,
+        params={"n": params.n, "N": params.N, "eps": EPS},
+        constant=sup / params.N**EPS,
         values={"sup": sup},
         notes=f"argmax at r={r}",
     )
@@ -332,22 +333,17 @@ def _scan_points(params: OperatorParams, spec: PieceSpec) -> np.ndarray:
     return np.concatenate(ts) % 1.0
 
 
-def _sup_bound(spec: PieceSpec, params: OperatorParams, eps: float) -> float:
+def _sup_bound(spec: PieceSpec, params: OperatorParams) -> float:
     """The size bound piece_sup_report normalizes a piece's sup by."""
     N, n = params.N, params.n
     if spec.kind in ("dyadic", "core"):
         return float(_piece_size(spec, N) ** ((n - 1) / 2))
     if spec.kind == "min":
-        return float(N ** ((n - 1) / 2 + eps))
+        return float(N ** ((n - 1) / 2 + EPS))
     return float(N ** (n - 1))
 
 
-def piece_sup_report(
-    spec: PieceSpec,
-    params: OperatorParams,
-    y_grid: int | None = None,
-    eps: float = 0.2,
-) -> ExperimentReport:
+def piece_sup_report(spec: PieceSpec, params: OperatorParams) -> ExperimentReport:
     """Grid sup of |piece|, normalized by its size bound.
 
     The sup over the first n-1 coordinates factorizes into the row maximum
@@ -358,13 +354,12 @@ def piece_sup_report(
     (sup_candidates, with beta carried through weight * g^(n-1)); every
     other row keeps g = 0 and lies strictly below the max, so the sup and
     its first argmax have the bits of the scan with every row through
-    gauss_row_max.  Bounds:
-    (N 2^l)^((n-1)/2) dyadic, (N^2/Q)^((n-1)/2) core, N^((n-1)/2 + eps)
-    minor, N^(n-1) maj and whole.
+    gauss_row_max.  The row maxima are taken on the y grid j / max(8N, 64).
+    Bounds: (N 2^l)^((n-1)/2) dyadic, (N^2/Q)^((n-1)/2) core,
+    N^((n-1)/2 + EPS) minor, N^(n-1) maj and whole.
     """
     N, n = params.N, params.n
-    if y_grid is None:
-        y_grid = max(8 * N, 64)
+    y_grid = max(8 * N, 64)
     ts = _scan_points(params, spec)
 
     if spec.kind == "whole":
@@ -378,7 +373,7 @@ def piece_sup_report(
     w_live = weight[live]
     rows = live[sup_candidates(w_live * np.maximum(screen - beta, 0.0) ** (n - 1), w_live * (screen + beta) ** (n - 1))]
     g[rows] = gauss_row_max(ts[rows], params.cutoff, y_grid)
-    bound = _sup_bound(spec, params, eps)
+    bound = _sup_bound(spec, params)
 
     vals = weight * g ** (n - 1)
     i = int(np.argmax(vals))
@@ -390,7 +385,7 @@ def piece_sup_report(
             "kind": spec.kind,
             "Q": spec.Q,
             "l": spec.level,
-            "eps": eps,
+            "eps": EPS,
             "y_grid": y_grid,
             "t_points": len(ts),
         },

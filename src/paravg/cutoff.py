@@ -8,12 +8,13 @@ Two cutoffs are supported on Z:
   outside (-2N, 2N), whose discrete derivative s_k has sup <= C1/N and
   total variation <= C2/N with recorded constants C1 = 2, C2 = 16.
 
-The smooth ramp is the fixed quintic smoothstep 6u^5 - 15u^4 + 10u^3
-(RAMP_ORDER = 3: two vanishing derivatives at both ends, so the profile is
-C^2).  Over N = 16..256 cutoff_checks measures N sup|s_k| <= 1.875 <= 2
-and N TV(s) <= 7.50 <= 16.  The constants belong to this ramp: N TV(s)
-stays bounded at every ramp order (4.0, 6.0 and 7.5 at orders 1, 2 and 3),
-but N sup|s_k| grows with the order, to 2.15-2.19 at order 4, past C1.
+The smooth ramp is the fixed quintic smoothstep 6u^5 - 15u^4 + 10u^3,
+evaluated as u^3 (10 - 15u + 6u^2): two vanishing derivatives at both
+ends, so the profile is C^2.  Over N = 16..256 cutoff_checks measures
+N sup|s_k| <= 1.875 <= 2 and N TV(s) <= 7.50 <= 16, and gauss-check
+records both for every N of its sweep.  The constants belong to this ramp:
+N TV(s) is 4.0, 6.0 and 7.5 for the smoothsteps of degree 1, 3 and 5, but
+N sup|s_k| grows with the degree, to 2.15-2.19 at degree 7, past C1.
 
 The kernel places weight sigma(k_1)...sigma(k_{n-1}) at the lattice point
 (k_1, ..., k_{n-1}, k_1^2 + ... + k_{n-1}^2); averaging divides the
@@ -23,7 +24,6 @@ forward-translate convention A f(x) = N^{1-n} sum_k w(k) f(x + (k, |k|^2)).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -38,31 +38,24 @@ __all__ = [
     "cutoff_checks",
     "paraboloid_kernel",
     "average",
-    "RAMP_ORDER",
     "RAMP_SUP_CONSTANT",
     "RAMP_TV_CONSTANT",
 ]
 
 # Recorded absolute constants for the quintic ramp:
 #   N * sup_k |s_k| <= 2  and  N * sum_k |s_{k+1} - s_k| <= 16.
-RAMP_ORDER = 3
 RAMP_SUP_CONSTANT = 2.0
 RAMP_TV_CONSTANT = 16.0
 
 
-def _smoothstep(u: np.ndarray, order: int) -> np.ndarray:
-    """Polynomial step of degree 2*order - 1: 0 -> 1 on [0, 1], C^(order-1).
+def _smoothstep(u: np.ndarray) -> np.ndarray:
+    """The quintic step 6u^5 - 15u^4 + 10u^3 on u clipped to [0, 1]: 0 -> 1, C^2.
 
-    S(u) = u^order * sum_{k=0}^{order-1} C(order-1+k, k) C(2*order-1, order-1-k) (-u)^k
-    order 2 is the cubic 3u^2 - 2u^3; order 3 the quintic 6u^5 - 15u^4 + 10u^3.
+    Written u^3 (10 - 15u + 6u^2), it has the bits of the general
+    smoothstep formula at order 3, which the tests keep as its oracle.
     """
-    m = order - 1
     u = np.clip(u, 0.0, 1.0)
-    acc = np.zeros_like(u)
-    for k in range(m + 1):
-        coeff = math.comb(m + k, k) * math.comb(2 * m + 1, m - k)
-        acc += coeff * (-u) ** k
-    return u ** (m + 1) * acc
+    return u**3 * (10.0 - 15.0 * u + 6.0 * (u * u))
 
 
 @dataclass(frozen=True)
@@ -86,7 +79,7 @@ class CutoffProfile:
             out = ((k >= 1) & (k <= self.N)).astype(float)
         else:
             u = (np.abs(k) - self.N) / self.N
-            out = 1.0 - _smoothstep(u, RAMP_ORDER)
+            out = 1.0 - _smoothstep(u)
             out = np.where(np.abs(k) >= 2 * self.N, 0.0, out)
             out = np.where(np.abs(k) < self.N, 1.0, out)
         return out if out.ndim else float(out)
@@ -121,9 +114,10 @@ def _support_weights(profile: CutoffProfile) -> tuple[np.ndarray, np.ndarray]:
 def cutoff_checks(profile: CutoffProfile) -> ExperimentReport:
     """Measure the discrete-derivative bounds of a smooth profile.
 
-    Reports N*sup|s_k| and N*TV(s) for s_k = sigma(k+1) - sigma(k); both must
-    stay below the recorded constants for every N.  The sharp profile is
-    rejected: its derivative has O(1) jumps, not O(1/N).
+    Reports N*sup|s_k| and N*TV(s) for s_k = sigma(k+1) - sigma(k) with the
+    recorded constants they must stay below for every N; gauss-check records
+    each ratio against its constant.  The sharp profile is rejected: its
+    derivative has O(1) jumps, not O(1/N).
     """
     if profile.kind != "smooth":
         raise ValueError("cutoff_checks requires a smooth profile")
@@ -133,7 +127,6 @@ def cutoff_checks(profile: CutoffProfile) -> ExperimentReport:
     s = sigma[1:] - sigma[:-1]
     sup_ratio = N * float(np.max(np.abs(s)))
     tv_ratio = N * float(np.sum(np.abs(s[1:] - s[:-1])))
-    ok = sup_ratio <= RAMP_SUP_CONSTANT and tv_ratio <= RAMP_TV_CONSTANT
     return ExperimentReport(
         name="cutoff_checks",
         params={"N": N},
@@ -143,7 +136,6 @@ def cutoff_checks(profile: CutoffProfile) -> ExperimentReport:
             "sup_constant": RAMP_SUP_CONSTANT,
             "tv_constant": RAMP_TV_CONSTANT,
         },
-        passed=ok,
     )
 
 

@@ -82,8 +82,9 @@ class ScalingFit:
 
     @staticmethod
     def fit(Ns, values, target: float) -> "ScalingFit":
-        if len(Ns) < 4:
-            raise ValueError("need at least 4 scales for a slope fit")
+        """Fit over at least 4 distinct N; repeated N leave the slope underdetermined."""
+        if len(set(Ns)) < 4:
+            raise ValueError(f"need at least 4 distinct scales for a slope fit (got {sorted(set(Ns))})")
         slope = float(
             np.polyfit(np.log(np.asarray(Ns, float)), np.log(np.asarray(values, float)), 1)[0]
         )
@@ -302,8 +303,8 @@ def delta_extremizer_ratio(params: OperatorParams, p: float) -> float:
     """
     if params.cutoff.kind != "sharp":
         raise ValueError("the delta extremizer ratio is defined for the sharp average")
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
+    if not p >= 1.0:  # nan too
+        raise ValueError(f"p must be >= 1 (got {p})")
     n, N = params.n, params.N
     count = len(paraboloid_kernel(params))
     if count != N ** (n - 1):
@@ -311,6 +312,8 @@ def delta_extremizer_ratio(params: OperatorParams, p: float) -> float:
     value = 1.0 / N ** (n - 1)
     if p == 1.0:
         return value  # p' = inf: the sup of the averaged delta
+    if p == math.inf:
+        return count / N ** (n - 1)  # p' = 1: the l^1 norm of the averaged delta, exactly 1
     pp = p / (p - 1.0)
     return float(count ** (1.0 / pp) * value)
 
@@ -452,8 +455,12 @@ def _member(g: LatticeFunction, cuts: np.ndarray, b: int) -> LatticeFunction:
     return _from_sorted(g.dim - 1, g._points[cuts[b] : cuts[b + 1], 1:], g._values[cuts[b] : cuts[b + 1]])
 
 
-def _box_packet_quotient(params: OperatorParams, width: int = 8) -> float:
-    """Rayleigh quotient of the flat wave packet 1 on {1..wN}^(n-1) x {1..wN^2}.
+# The wave packet of the 2 -> 2 certificate spans w = _PACKET_WIDTH times the box.
+_PACKET_WIDTH = 8
+
+
+def _box_packet_quotient(params: OperatorParams) -> float:
+    """Rayleigh quotient of the flat wave packet 1 on {1..wN}^(n-1) x {1..wN^2}, w = _PACKET_WIDTH.
 
     Its average is the sigma-weighted count of the box M = wN, M_n = wN^2
     (_intervals: ~2N intervals per side for the sharp cutoff, ~8N for the
@@ -465,7 +472,7 @@ def _box_packet_quotient(params: OperatorParams, width: int = 8) -> float:
     _CHUNK_TERMS cells: O(w N^2) in all.
     """
     n, N = params.n, params.N
-    M, M_n = width * N, width * N * N
+    M, M_n = _PACKET_WIDTH * N, _PACKET_WIDTH * N * N
     ks, ws = params.cutoff.support(), params.cutoff.weights()
     k_lo, k_hi = int(ks[0]), int(ks[-1])
     intervals, inverse, _ = _intervals(k_lo, k_hi, M)
@@ -516,7 +523,7 @@ def norm_l2_l2(params: OperatorParams) -> ExperimentReport:
     """
     n, N = params.n, params.N
     value = params.cutoff.mass() ** (n - 1) / N ** (n - 1)
-    quotient = _box_packet_quotient(params, width=8)
+    quotient = _box_packet_quotient(params)
     if quotient < 0.8 * value:
         raise AssertionError(
             f"wave packet reaches only {quotient:.6f} of reported norm {value:.6f}"
@@ -535,7 +542,7 @@ def norm_l2_l2(params: OperatorParams) -> ExperimentReport:
 def random_ascent_lower_bound(
     params: OperatorParams, p: float, seed: int = 0, iters: int = 200
 ) -> ExperimentReport:
-    """Certified lower bound on the p -> p' ratio by multiplicative ascent.
+    """Certified lower bound on the p -> p' ratio by multiplicative ascent, p in (1, 2].
 
     Starts from the box and delta extremizers plus a seeded random cloud in
     the window [-2N, 2N)^(n-1) x [-4N^2, 4N^2); each proposal scales one
@@ -554,6 +561,8 @@ def random_ascent_lower_bound(
     """
     if params.cutoff.kind != "sharp":
         raise ValueError("ascent drives the sharp average")
+    if not 1.0 < p <= 2.0:
+        raise ValueError(f"p must lie in (1, 2] (got {p})")
     if iters < 1:
         raise ValueError("iters must be >= 1")
     n, N = params.n, params.N

@@ -18,7 +18,9 @@ Costs.  A level count #{k <= N : d(k, Q) > D} reads one truncated sieve
 (min(Q, N) strided passes over N + 1 int64 cells) through one histogram of
 its values, which are at most Q, so every further D costs one lookup in the
 histogram's suffix sums: divisor_level_counts serves a whole D sweep from
-one sieve.  The Ramanujan table evaluates each q once per residue k mod q.
+one sieve.  The Ramanujan table evaluates each q once per residue k mod q
+(_ramanujan_rows), and ramanujan_sum reads the one residue k mod q of that
+evaluation.  divisor_count is the truncated count at Q = |k|.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ __all__ = [
     "truncated_divisor_sieve",
     "mobius",
     "ramanujan_sum",
-    "ramanujan_sum_direct",
     "ramanujan_table",
     "ramanujan_block_report",
     "divisor_level_counts",
@@ -48,17 +49,8 @@ DEFAULT_SIEVE_CAP = 10**7
 
 
 def divisor_count(k: int) -> int:
-    """Number of positive divisors of |k|, by trial division up to sqrt."""
-    if k == 0:
-        raise ValueError("divisor count of 0 is undefined here")
-    k = abs(int(k))
-    count = 0
-    d = 1
-    while d * d <= k:
-        if k % d == 0:
-            count += 1 if d * d == k else 2
-        d += 1
-    return count
+    """Number of positive divisors of |k|: the truncated count with Q = |k|."""
+    return truncated_divisor_count(k, abs(k))
 
 
 def truncated_divisor_count(k: int, Q: int) -> int:
@@ -124,15 +116,6 @@ def mobius(q: int) -> int:
     return mu
 
 
-def ramanujan_sum_direct(q: int, k: int) -> complex:
-    """sum_{a in A_q} e(a k / q) by direct complex summation."""
-    acc = 0j
-    for a in totatives(q):
-        acc += complex(math.cos(2 * math.pi * ((a * k) % q) / q),
-                       math.sin(2 * math.pi * ((a * k) % q) / q))
-    return acc
-
-
 def _ramanujan_arith(q: int, k: int) -> int:
     """Moebius form: sum over d | gcd(q, k) of mu(q/d) d; gcd(q, 0) = q."""
     g = math.gcd(q, abs(k))
@@ -146,22 +129,6 @@ def _ramanujan_arith(q: int, k: int) -> int:
                 total += mobius(q // e) * e
         d += 1
     return total
-
-
-def ramanujan_sum(q: int, k: int) -> int:
-    """c_q(k), computed by the Moebius formula and checked against the
-    direct summation (rounding residual must be <= 1e-9)."""
-    if q < 1:
-        raise ValueError("q must be positive")
-    if q == 1:
-        return 1
-    exact = _ramanujan_arith(q, k)
-    direct = ramanujan_sum_direct(q, k)
-    if abs(direct - exact) > 1e-9:
-        raise AssertionError(
-            f"c_{q}({k}): direct {direct} vs arithmetic {exact} disagree"
-        )
-    return exact
 
 
 def _ramanujan_rows(q: int, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -179,6 +146,20 @@ def _ramanujan_rows(q: int, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             by_gcd[g] = _ramanujan_arith(q, g)
     idx = ks % q
     return np.exp(2j * np.pi * phases).sum(axis=0)[idx], by_gcd[np.gcd(q, residues)][idx]
+
+
+def ramanujan_sum(q: int, k: int) -> int:
+    """c_q(k) for any int k: the one residue k mod q of _ramanujan_rows.
+
+    The Moebius value is returned once the direct sum agrees with it to
+    1e-9, or AssertionError is raised.
+    """
+    if q < 1:
+        raise ValueError("q must be positive")
+    direct, exact = _ramanujan_rows(q, np.array([k % q], dtype=np.int64))
+    if abs(direct[0] - exact[0]) > 1e-9:
+        raise AssertionError(f"c_{q}({k}): direct {direct[0]} vs arithmetic {exact[0]} disagree")
+    return int(exact[0])
 
 
 def ramanujan_table(q_max: int, k_values: np.ndarray) -> tuple[np.ndarray, float]:

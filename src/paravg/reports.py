@@ -34,5 +34,4 @@ class ExperimentReport:
     samples: int | None = None
     seed: int | None = None
     values: dict = field(default_factory=dict)
-    passed: bool | None = None
     notes: str = ""

@@ -158,9 +158,9 @@ def test_c09_coefficient_decay():
         params = OperatorParams.smooth(2, N)
         for Q in (1, 2):
             for l in (0, 1):
-                rep = coefficient_decay_report(PieceSpec("dyadic", Q, l), params, eps=0.2)
+                rep = coefficient_decay_report(PieceSpec("dyadic", Q, l), params)
                 families.setdefault(("dyadic", Q, l), []).append(rep.constant)
-            rep = coefficient_decay_report(PieceSpec("core", Q), params, eps=0.2)
+            rep = coefficient_decay_report(PieceSpec("core", Q), params)
             families.setdefault(("core", Q), []).append(rep.constant)
     for family, consts in families.items():
         assert max(consts) / min(consts) < 3.0, (family, consts)
@@ -171,7 +171,7 @@ def test_c10_minor_arc_sup():
     t0 = time.time()
     constants = {}
     for N in (16, 32, 64):
-        rep = piece_sup_report(PieceSpec("min"), OperatorParams.smooth(2, N), eps=0.2)
+        rep = piece_sup_report(PieceSpec("min"), OperatorParams.smooth(2, N))
         constants[N] = rep.constant
     spread = max(constants.values()) / min(constants.values())
     assert spread < 2.0, constants

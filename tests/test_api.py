@@ -66,3 +66,21 @@ def test_no_public_signature_selects_the_spline_order_or_the_ramp():
     assert {"bump_psi", "ArcSystem.__init__", "OperatorParams.smooth", "CutoffProfile.__init__"} <= seen
     assert list(inspect.signature(paravg.bump_psi).parameters) == ["t"]
     assert list(inspect.signature(paravg.bump_psi_hat).parameters) == ["u"]
+
+
+def test_the_retired_paths_are_gone():
+    # one arc set (ArcSystem), one Ramanujan evaluator, and a fixed quintic ramp
+    modules = [paravg, *(importlib.import_module(f"paravg.{info.name}") for info in pkgutil.iter_modules(paravg.__path__))]
+    for name in ("MajorArc", "major_arcs", "arcs_4i_disjoint", "ramanujan_sum_direct", "RAMP_ORDER"):
+        assert [m.__name__ for m in modules if hasattr(m, name)] == [], name
+    assert hasattr(paravg.arcs.ArcSystem, "arcs_4i_disjoint")
+
+
+def test_no_report_or_oracle_signature_takes_a_one_value_knob():
+    # eps, the y grid and the oracle tolerance are module constants, recorded in the report params
+    from paravg import coefficients
+
+    for func in (coefficients.piece_sup_report, coefficients.coefficient_decay_report,
+                 coefficients.minor_coefficient_report, coefficients.piece_coefficient_oracle):
+        assert not {"eps", "y_grid", "tol"} & set(inspect.signature(func).parameters), func.__name__
+    assert coefficients.EPS == 0.2

@@ -16,7 +16,6 @@ from paravg.arcs import (
     bump_psi,
     bump_psi_hat,
     dyadic_block,
-    major_arcs,
     piece_multipliers,
     totatives,
 )
@@ -33,17 +32,17 @@ def test_totatives():
 
 
 def test_major_arcs_enumeration():
-    assert len(major_arcs(20)) == 2  # 0/1 and 1/2
-    arcs = major_arcs(40)  # q <= 4: 0/1, 1/2, 1/3, 2/3, 1/4, 3/4
-    assert len(arcs) == 6
-    assert {(a.frac.a, a.frac.q) for a in arcs} == {(0, 1), (1, 2), (1, 3), (2, 3), (1, 4), (3, 4)}
+    # the arc set is the arc system's ladders, one per fraction a/q with q <= N/10
+    assert len(arc_system(20).ladders) == 2  # 0/1 and 1/2
+    ladders = arc_system(40).ladders  # q <= 4: 0/1, 1/2, 1/3, 2/3, 1/4, 3/4
+    assert [(lad.frac.a, lad.frac.q) for lad in ladders.values()] == [(0, 1), (1, 2), (1, 3), (2, 3), (1, 4), (3, 4)]
     with pytest.raises(ValueError):
-        major_arcs(9)
+        arc_system(9)
 
 
 def test_major_arcs_disjoint_all_scales():
     for N in (10, 16, 50, 64, 100, 128):
-        major_arcs(N)  # raises on overlap
+        assert arc_system(N).arcs_4i_disjoint() is True
 
 
 def test_bump_psi_shape():
@@ -212,10 +211,26 @@ def _intervals_disjoint_loop(intervals):
     return True
 
 
+def _major_arc_4i_intervals(N, q_limit):
+    """The 4I intervals centre -+ radius4 = a/q -+ 4/(qN) of the retired MajorArc list, q <= q_limit."""
+    return [(a / q - 4.0 / (q * N), a / q + 4.0 / (q * N)) for q in range(1, q_limit + 1) for a in totatives(q)]
+
+
+@pytest.mark.parametrize("N", [10, 16, 40, 64, 100, 256])
+def test_arcs_4i_sweep_matches_the_major_arc_intervals(N):
+    # q_limit past N/10 brings 4I intervals that touch or overlap, so both answers occur
+    answers = set()
+    for q_limit in range(1, min(N // 2, 40) + 1):
+        expected = _intervals_disjoint_loop(_major_arc_4i_intervals(N, q_limit))
+        assert ArcSystem(N, q_limit).arcs_4i_disjoint() is expected, q_limit
+        answers.add(expected)
+    assert answers == {True, False}
+
+
 def test_disjointness_sweep_matches_the_loop_on_arc_families():
     for N in (10, 16, 64, 100, 256):
         system = arc_system(N)
-        families = [system.clusters(), [(a.center - a.radius4, a.center + a.radius4) for a in major_arcs(N)]]
+        families = [system.clusters(), _major_arc_4i_intervals(N, N // 10)]
         for intervals in families:
             assert arcs._intervals_disjoint_mod1(intervals) is _intervals_disjoint_loop(intervals) is True
             doubled = intervals + intervals[:1]

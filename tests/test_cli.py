@@ -82,6 +82,12 @@ def test_sharpness(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_sharpness_at_p_inf(tmp_path, capsys):
+    # p' = 1, so the delta ratio is N^0 = 1
+    assert run(["sharpness", "--p", "inf", "--N", "4", "--out-dir", str(tmp_path / "o")]) == 0
+    assert "[PASS] n=2 N=4: delta ratio relative deviation from N^(-(n-1)/p): 0 vs bound 1e-12" in capsys.readouterr().out
+
+
 def test_divisor_check(tmp_path, capsys):
     out = tmp_path / "o"
     assert run(["divisor-check", "--N", "20000", "--Q", "8,16",
@@ -265,6 +271,9 @@ def test_ramanujan_check_rejects_empty_ranges(tmp_path, capsys, argv, flag):
         ["norm-scan", "--falsify", "0"],
         ["norm-scan", "--fals", "3"],  # a prefix of a flag is not that flag
         ["scaling-fit", "--iters", "-1"],
+        ["scaling-fit", "--N", "8,8,8,8"],  # one distinct N: no slope
+        ["scaling-fit", "--source", "ascent", "--p", "1", "--N", "4,8,16,24"],
+        ["scaling-fit", "--source", "ascent", "--p", "0.5", "--N", "4,8,16,24"],
     ],
     ids=" ".join,
 )
@@ -414,13 +423,30 @@ def test_arcs_check_fails_on_a_perturbed_minor_piece(tmp_path, capsys, monkeypat
 
 
 def test_arcs_check_fails_on_overlapping_arcs(tmp_path, capsys, monkeypatch):
-    import paravg.arcs as arcs_mod
+    from paravg.arcs import ArcSystem
 
-    major_arcs = arcs_mod.major_arcs
-    monkeypatch.setattr(arcs_mod, "major_arcs", lambda N: major_arcs(N) * 2)
+    # the real 4I sweep, run on the arcs q <= N/2, whose 4I intervals meet
+    sweep = ArcSystem.arcs_4i_disjoint
+    monkeypatch.setattr(ArcSystem, "arcs_4i_disjoint", lambda self: sweep(ArcSystem(self.N, self.N // 2)))
     assert run(["arcs-check", "--N", "16", "--samples", "10",
                 "--out-dir", str(tmp_path / "o")]) == 1
-    assert "[FAIL] N=16: 4I arcs not pairwise disjoint: 1 vs bound 0" in capsys.readouterr().out
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[FAIL]")]
+    assert failed == ["[FAIL] N=16: 4I arcs not pairwise disjoint: 1 vs bound 0"]
+
+
+def test_gauss_check_records_the_ramp_constants(tmp_path, capsys, monkeypatch):
+    from paravg import cutoff
+
+    argv = ["gauss-check", "--N", "16,32", "--samples", "100", "--dirichlet-samples", "100"]
+    assert run(argv + ["--out-dir", str(tmp_path / "o1")]) == 0
+    out = capsys.readouterr().out
+    for N in (16, 32):
+        assert f"[PASS] N={N}: ramp N sup|s_k|: " in out and f"[PASS] N={N}: ramp N TV(s): " in out
+    # N TV(s) is 7.42 at N=16 and 7.48 at N=32: a bound of 7.45 fails N=32 only
+    monkeypatch.setattr(cutoff, "RAMP_TV_CONSTANT", 7.45)
+    assert run(argv + ["--out-dir", str(tmp_path / "o2")]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[FAIL]")]
+    assert failed == ["[FAIL] N=32: ramp N TV(s): 7.48049 vs bound 7.45"]
 
 
 def test_config_file_defaults_and_flag_override(tmp_path, capsys):

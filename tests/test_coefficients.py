@@ -278,7 +278,7 @@ def test_decay_report_matches_loop_oracle(kind, n, N):
         sup, r = _loop_sup(_profile(spec, params), params)
         rep = coefficient_decay_report(spec, params)
         assert type(rep.values["sup"]) is float and type(rep.constant) is float
-        assert rep.values["sup"] == sup and rep.constant == sup / _decay_bound(spec, params, 0.2)
+        assert rep.values["sup"] == sup and rep.constant == sup / _decay_bound(spec, params)
         assert rep.values["argmax_residual"] == float(sum(c * c for c in r[:-1]) - r[-1])
         assert rep.notes == f"argmax at r={r}; decay exponent in the residual is order+1=9"
 
@@ -350,7 +350,7 @@ def test_piece_sup_reports():
     assert 0 < core.constant < 50
 
 
-def _full_grid_sup_report(spec, params, eps=0.2):
+def _full_grid_sup_report(spec, params):
     """Oracle: piece_sup_report as it ran with the row max taken at every scan point."""
     from paravg.arcs import piece_system
     from paravg.coefficients import _scan_points
@@ -366,7 +366,7 @@ def _full_grid_sup_report(spec, params, eps=0.2):
         weight = np.abs(1.0 - w) if spec.kind == "min" else np.abs(w)
     vals = weight * g ** (params.n - 1)
     i = int(np.argmax(vals))
-    bound = _sup_bound(spec, params, eps)
+    bound = _sup_bound(spec, params)
     return float(vals[i]) / bound, {"sup": float(vals[i]), "bound": bound, "argmax_t": float(ts[i])}, len(ts)
 
 
@@ -472,10 +472,10 @@ def test_piece_sizes_match_the_written_out_scales_and_bounds():
     def scale(spec, N):
         return 1.0 / (N * 2**spec.level) if spec.kind == "dyadic" else spec.Q / (N * N)
 
-    def decay(spec, N, eps):
+    def decay(spec, N):
         if spec.kind == "dyadic":
-            return (N * 2**spec.level) ** (-1.0) * (spec.Q * N) ** eps
-        return (N * N / spec.Q) ** (-1.0) * (spec.Q * N) ** eps
+            return (N * 2**spec.level) ** (-1.0) * (spec.Q * N) ** 0.2
+        return (N * N / spec.Q) ** (-1.0) * (spec.Q * N) ** 0.2
 
     def sup_bound(spec, N, n):
         if spec.kind == "dyadic":
@@ -489,9 +489,8 @@ def test_piece_sizes_match_the_written_out_scales_and_bounds():
             params = OperatorParams.smooth(n, N)
             for spec in specs:
                 assert coefficient_scale(spec, params) == scale(spec, N)
-                for eps in (0.0, 0.1, 0.2):
-                    assert _decay_bound(spec, params, eps) == decay(spec, N, eps)
-                    assert _sup_bound(spec, params, eps) == sup_bound(spec, N, n)
+                assert _decay_bound(spec, params) == decay(spec, N)
+                assert _sup_bound(spec, params) == sup_bound(spec, N, n)
     with pytest.raises(ValueError):
         coefficient_scale(PieceSpec("maj"), OperatorParams.smooth(2, 16))
 
@@ -548,7 +547,7 @@ def test_piece_sup_factorization_vs_brute_grid():
         assert brute <= rep.values["sup"] * 1.05 + 1e-9
 
 
-def _uncached_oracle(query, grid_size=4096, tol=1e-9):
+def _uncached_oracle(query, grid_size=4096):
     """piece_coefficient_oracle as it ran before its weight grids were cached."""
     from paravg.arcs import piece_system
     from paravg.coefficients import _sigma_product
@@ -568,7 +567,7 @@ def _uncached_oracle(query, grid_size=4096, tol=1e-9):
     for _ in range(4):
         M *= 2
         cur = rect(M)
-        if abs(cur - prev) <= tol:
+        if abs(cur - prev) <= 1e-9:
             return sig * cur
         prev = cur
     raise RuntimeError("oracle did not converge")

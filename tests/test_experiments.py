@@ -263,6 +263,12 @@ def test_delta_ratio_values():
     )
     r = delta_extremizer_ratio(OperatorParams.sharp(3, 4), 2.0)
     assert abs(r - 4 ** (-1.0)) < 1e-15
+    # p = inf: p' = 1, the l^1 norm of the averaged delta, N^(n-1) values of N^(1-n)
+    for n, N in ((2, 4), (2, 49), (3, 7)):
+        assert delta_extremizer_ratio(OperatorParams.sharp(n, N), math.inf) == 1.0
+    for p in (0.5, math.nan):
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            delta_extremizer_ratio(OperatorParams.sharp(2, 4), p)
 
 
 def test_crossover_inequality():
@@ -426,7 +432,7 @@ def test_packet_quotient_intervals_match_every_row(kind, N):
 
 
 def test_norm_l2_l2_rejects_weak_certificate(monkeypatch):
-    monkeypatch.setattr(experiments, "_box_packet_quotient", lambda params, width=8: 0.79)
+    monkeypatch.setattr(experiments, "_box_packet_quotient", lambda params: 0.79)
     with pytest.raises(AssertionError, match="wave packet"):
         norm_l2_l2(OperatorParams.sharp(2, 8))
 
@@ -789,8 +795,16 @@ def test_box_average_counts_rejects_oversized_array():
 
 
 def test_scaling_fit_requires_four_scales():
-    with pytest.raises(ValueError):
-        ScalingFit.fit([8, 16, 32], [1, 2, 3], 0.0)
+    for Ns in ([8, 16, 32], [8, 8, 8, 8], [8, 16, 16, 8, 32]):  # repeated N leave np.polyfit rank-deficient
+        with pytest.raises(ValueError, match="4 distinct scales"):
+            ScalingFit.fit(Ns, [1.0 + i for i in range(len(Ns))], 0.0)
+    assert ScalingFit.fit([8, 8, 16, 32, 64], [1.0, 1.0, 2.0, 4.0, 8.0], 1.0).slope == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 2.5, math.inf, math.nan])
+def test_ascent_takes_p_in_one_to_two(p):
+    with pytest.raises(ValueError, match=r"p must lie in \(1, 2\]"):
+        random_ascent_lower_bound(OperatorParams.sharp(2, 4), p, iters=1)
 
 
 def test_scaling_fit_box_and_delta():

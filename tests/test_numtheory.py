@@ -17,7 +17,6 @@ from paravg.numtheory import (
     paraboloid_divisor_count,
     ramanujan_block_report,
     ramanujan_sum,
-    ramanujan_sum_direct,
     ramanujan_table,
     square_histogram,
     truncated_divisor_count,
@@ -32,6 +31,24 @@ def test_divisor_count_basics():
     assert divisor_count(-12) == 6
     with pytest.raises(ValueError):
         divisor_count(0)
+
+
+def _divisor_count_trial(k):
+    """d(|k|) by trial division up to sqrt, as divisor_count computed it before."""
+    k = abs(int(k))
+    count = 0
+    d = 1
+    while d * d <= k:
+        if k % d == 0:
+            count += 1 if d * d == k else 2
+        d += 1
+    return count
+
+
+def test_divisor_count_matches_trial_division():
+    ks = list(range(-300, 0)) + list(range(1, 3001)) + [2**31 - 1, 720720, 10**9 + 7, -(6**10)]
+    for k in ks:
+        assert divisor_count(k) == _divisor_count_trial(k), k
 
 
 def test_divisor_count_matches_sieve():
@@ -71,7 +88,37 @@ def test_ramanujan_direct_vs_arithmetic_block():
     # spot-check against the slow direct sum
     for q in (7, 12, 36):
         for k in (-5, 0, 3, 17):
-            assert abs(ramanujan_sum_direct(q, k) - ramanujan_sum(q, k)) < 1e-9
+            assert abs(_ramanujan_sum_direct(q, k) - ramanujan_sum(q, k)) < 1e-9
+
+
+def _ramanujan_sum_direct(q, k):
+    """sum_{a in A_q} e(a k / q) by the scalar cos/sin loop."""
+    acc = 0j
+    for a in totatives(q):
+        acc += complex(math.cos(2 * math.pi * ((a * k) % q) / q), math.sin(2 * math.pi * ((a * k) % q) / q))
+    return acc
+
+
+def test_ramanujan_sum_matches_the_scalar_loop():
+    # any int k, beyond int64 too: ramanujan_sum reduces k mod q in Python first
+    big = [2**63 + 5, -(2**70) - 3, 10**30 + 7]
+    for q in range(1, 61):
+        for k in list(range(-2 * q - 3, 2 * q + 4)) + big:
+            value = ramanujan_sum(q, k)
+            assert type(value) is int
+            assert abs(_ramanujan_sum_direct(q, k) - value) < 1e-9, (q, k)
+            assert value == _ramanujan_arith(q, k), (q, k)
+
+
+def test_ramanujan_sum_raises_when_the_two_ways_disagree(monkeypatch):
+    import paravg.numtheory as nt
+
+    rows = nt._ramanujan_rows
+    monkeypatch.setattr(nt, "_ramanujan_rows", lambda q, ks: (rows(q, ks)[0] + 2e-9, rows(q, ks)[1]))
+    with pytest.raises(AssertionError, match="disagree"):
+        ramanujan_sum(6, 1)
+    with pytest.raises(ValueError):
+        ramanujan_sum(0, 1)
 
 
 def test_ramanujan_rows_match_per_k_evaluation():
