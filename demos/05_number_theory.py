@@ -32,7 +32,7 @@ for Q in (1, 4, 16, 64):
 print("\ndivisor level sets |{k <= 1e5 : d(k, Q) > D}| and the D^-2 Q^0.5 bound:")
 Ds = [2.0, 8.0, 32.0]
 for Q in (16, 64):
-    for D, (count, rep) in zip(Ds, divisor_level_counts(10**5, Q, Ds, B=2.0, tau=0.5)):
+    for D, (count, rep) in zip(Ds, divisor_level_counts(10**5, Q, Ds)):
         print(f"  Q = {Q:<3d} D = {D:<5g} count = {count:<6d} ratio = {rep.values['ratio']:.4f}")
 
 print("\nlattice points near the paraboloid with divisor-rich residuals:")

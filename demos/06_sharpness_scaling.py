@@ -50,7 +50,7 @@ for p in (1.4, thr, 1.9):
 
 print("\nthe q < p doubling obstruction (f = delta, p = 2, q = 1):")
 params = OperatorParams.sharp(2, 8)
-rep = two_bump_separation_probe(delta((0, 0)), [(640, 0), (1280, 0)], 2.0, 1.0, params)
+rep, _ = two_bump_separation_probe(delta((0, 0)), [(640, 0), (1280, 0)], 2.0, 1.0, params)
 for key, gain in rep.values.items():
     print(f"  {key}: measured ratio gain {gain:.12f} (predicted {rep.constant:.12f})")
 print("each doubling multiplies the ratio by 2^(1/q - 1/p); no bound survives")

@@ -44,10 +44,5 @@ from .experiments import (
     two_bump_separation_probe,
 )
 from .lattice import LatticeFunction, box_indicator, convolve, delta, lp_norm, reflect, shift
-from .numtheory import (
-    divisor_count,
-    paraboloid_divisor_count,
-    ramanujan_sum,
-    truncated_divisor_count,
-)
+from .numtheory import paraboloid_divisor_count, ramanujan_sum, truncated_divisor_count
 from .reports import ExperimentReport

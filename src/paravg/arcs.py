@@ -295,11 +295,13 @@ class BumpLadder:
         """
         a, q, N = self.frac.a, self.frac.q, self.N
         t_arr = np.asarray(t)
-        if not np.issubdtype(t_arr.dtype, np.integer):
+        python_ints = t_arr.dtype == object and all(isinstance(v, (int, np.integer)) for v in t_arr.flat)
+        if not (python_ints or np.issubdtype(t_arr.dtype, np.integer)):
             raise ValueError("eta_hat takes integer frequencies")
-        ti = t_arr.astype(np.int64)
-        if ti.size and max(a, 3) * int(np.max(np.abs(ti))) >= 2**62:
+        # bound the exact extremes before the int64 cast, which would wrap a uint64 or Python int
+        if t_arr.size and max(a, 3) * max(abs(int(t_arr.min())), abs(int(t_arr.max()))) >= 2**62:
             raise OverflowError("integer frequency too large for exact phases")
+        ti = t_arr.astype(np.int64)
         r1 = ((a * ti) % q) / q
         r2 = ((3 * ti) % (N * q)) / (N * q)
         out = self.piece_hat(level, ti) * (e1(r1) - e1(r1 + r2))
@@ -373,27 +375,6 @@ class ArcSystem:
         for q in range(1, q_limit + 1):
             for a in totatives(q):
                 self.ladders[(q, a)] = BumpLadder(FareyFraction(a, q), N)
-
-    def blocks(self) -> list[tuple[int, list[int]]]:
-        """Dyadic blocks (Q, [q...]) partitioning 1..q_limit."""
-        out = []
-        Q = 1
-        while Q // 2 < self.q_limit:
-            qs = [q for q in dyadic_block(Q) if q <= self.q_limit]
-            if qs:
-                out.append((Q, qs))
-            Q *= 2
-        return out
-
-    def piece_specs(self) -> list[PieceSpec]:
-        """Every (core + dyadic) piece of the arc-localized decomposition."""
-        specs = []
-        for Q, qs in self.blocks():
-            specs.append(PieceSpec("core", Q))
-            top = max(self.ladders[(q, totatives(q)[0])].top_level for q in qs)
-            for l in range(top + 1):
-                specs.append(PieceSpec("dyadic", Q, l))
-        return specs
 
     def terms(self, spec: PieceSpec) -> tuple[int | str, list[BumpLadder]]:
         """The ladder level a piece reads and the ladders it sums.

@@ -13,13 +13,20 @@ prints "wrote <path>" and "status k"; and returns k.  A run that raises
 writes no report.  The acceptance gate (tests/test_acceptance.py) runs
 these subcommands and reads their check lines.
 
+Flags set only what some caller varies: --n, --N, --seed, --out-dir, the
+exponents --p and --q, coeff-check --Q --count, norm-scan --cutoff
+--falsify and scaling-fit --source --plot.  Every other size is a constant
+of this module (GAUSS_SAMPLES, DIRICHLET_SAMPLES, ARC_SAMPLES, COEFF_LEVELS,
+RAMANUJAN_Q_MAX, RAMANUJAN_K_MAX, DIVISOR_Q, DIVISOR_D) or of the library
+it calls, and every check bound is fixed here.
+
 Exit status: 0 all checks passed, 1 a hard invariant (exact identity or
-oracle agreement) failed, 2 usage error or a bad parameter (a count below 1,
-a value the library rejects, such as arcs-check --N 5, or an out-dir that
-cannot be written).  Every run embeds its full configuration, seed, and
-library version in the JSON output; reruns with an equal config produce
-byte-identical JSON.  All randomness flows from the single --seed through
-named substreams.
+oracle agreement) failed, 2 usage error or a bad parameter (an unknown flag,
+a count below 1, a value the library rejects, such as arcs-check --N 5, or
+an out-dir that cannot be written).  Every run embeds its full
+configuration, seed, and library version in the JSON output; reruns with an
+equal config produce byte-identical JSON.  All randomness flows from the
+single --seed through named substreams.
 """
 
 from __future__ import annotations
@@ -39,14 +46,22 @@ from . import coefficients as coef_mod
 from . import experiments as exp_mod
 from . import expsums, numtheory
 from .cutoff import CutoffProfile, OperatorParams, average, cutoff_checks, paraboloid_kernel
-from .lattice import LatticeFunction, delta, lp_norm, shift
+from .lattice import LatticeFunction, delta, lp_norm  # noqa: F401  perfbench/test_harness.py reads cli.lp_norm
 from .reports import substream_seed
 
 __all__ = ["emit_plot", "main"]
 
 USAGE_ERROR = 2
 INVARIANT_FAILURE = 1
-# divisor-check: bound on count * D^B / (Q^tau N) over the level sets (max 1.0882 at the defaults)
+
+GAUSS_SAMPLES = 10000  # gauss-check: draws per Gauss-bound constant
+DIRICHLET_SAMPLES = 20000  # gauss-check: rational approximation certificates
+ARC_SAMPLES = 1000  # arcs-check: draws per fraction for the partition of unity
+COEFF_LEVELS = [0, 1]  # coeff-check: the dyadic levels l next to each core piece
+RAMANUJAN_Q_MAX, RAMANUJAN_K_MAX = 128, 2048  # ramanujan-check: q <= 128, |k| <= 2048
+DIVISOR_Q = [16, 64]  # divisor-check: one sieve per Q
+DIVISOR_D = [2, 4, 8, 16, 32]  # divisor-check: the levels D of every sieve
+# divisor-check: bound on count * D^B / (Q^tau N) over the level sets (max 1.0882 at N = 100000)
 DIVISOR_RATIO_BOUND = 1.2
 
 
@@ -57,10 +72,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _ints(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
-
-
 def _nonempty(values: list) -> list:
     if not values:
         raise argparse.ArgumentTypeError("empty list")
@@ -68,32 +79,11 @@ def _nonempty(values: list) -> list:
 
 
 def _int_list(text: str) -> list[int]:
-    return _nonempty(_ints(text))
+    return _nonempty([int(x) for x in text.split(",") if x.strip()])
 
 
 def _float_list(text: str) -> list[float]:
     return _nonempty([float(x) for x in text.split(",") if x.strip()])
-
-
-def _bool(text: str) -> bool:
-    if text.lower() not in ("true", "false"):
-        raise argparse.ArgumentTypeError(f"{text!r} is not true or false")
-    return text.lower() == "true"
-
-
-def _config_tokens(path: str) -> list[str]:
-    """Flat key=value config as --key=value flag tokens; keys mirror the long flags (dashes or underscores)."""
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"bad config line: {line!r}")
-            key, value = line.split("=", 1)
-            out.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
-    return out
 
 
 class _Check:
@@ -157,12 +147,12 @@ def _cmd_gauss_check(args, checks: _Check) -> tuple[dict, dict]:
 
     # rational approximation certificates
     N_max = max(args.N)
-    _, q, err = expsums.dirichlet_approx_batch(rng.random(args.dirichlet_samples), N_max)
+    _, q, err = expsums.dirichlet_approx_batch(rng.random(DIRICHLET_SAMPLES), N_max)
     bad = int(np.count_nonzero(~((q <= N_max) & (np.abs(err) <= 1.0 / (q * N_max)))))
     checks.record("rational approximation certificate violations", bad, 0)
 
     reports = [
-        expsums.gauss_bound_report(OperatorParams.smooth(args.n, N), args.samples, args.seed)
+        expsums.gauss_bound_report(OperatorParams.smooth(args.n, N), GAUSS_SAMPLES, args.seed)
         for N in args.N
     ]
     constants = {str(N): r.constant for N, r in zip(args.N, reports)}
@@ -170,7 +160,7 @@ def _cmd_gauss_check(args, checks: _Check) -> tuple[dict, dict]:
     cs = np.array([r.constant for r in reports])
     checks.record("gauss bound constant spread across N", np.max(cs) / np.min(cs) if np.min(cs) > 0 else math.inf, 2.0)
 
-    rerun = expsums.gauss_bound_report(OperatorParams.smooth(args.n, args.N[0]), args.samples, args.seed)
+    rerun = expsums.gauss_bound_report(OperatorParams.smooth(args.n, args.N[0]), GAUSS_SAMPLES, args.seed)
     checks.record("seeded rerun deviation", abs(rerun.constant - reports[0].constant), 0)
 
     # the smooth cutoff's discrete derivative bounds at every N of the sweep
@@ -192,11 +182,11 @@ def _cmd_arcs_check(args, checks: _Check) -> tuple[dict, dict]:
         checks.record(f"N={N}: 4I arcs not pairwise disjoint", int(not system.arcs_4i_disjoint()), 0)
         checks.record(f"N={N}: support clusters not pairwise disjoint", int(not system.clusters_disjoint()), 0)
 
-        # one (phi(q), samples) block per denominator: the draws of the ladders in order
+        # one (phi(q), ARC_SAMPLES) block per denominator: the draws of the ladders in order
         worst_pu = 0.0
         for q in range(1, system.q_limit + 1):
             a = np.array(arcs_mod.totatives(q))
-            u = (rng.random((len(a), args.samples)) * 2 - 1) / (N * q)  # inside the arc
+            u = (rng.random((len(a), ARC_SAMPLES)) * 2 - 1) / (N * q)  # inside the arc
             xi = (a[:, None] / q + u) % 1.0
             total = np.zeros_like(xi)
             for eta in system.denominator_etas(q, xi):
@@ -227,7 +217,7 @@ def _cmd_coeff_check(args, checks: _Check) -> tuple[dict, dict]:
     specs = []
     for Q in args.Q:
         specs.append(arcs_mod.PieceSpec("core", Q))
-        for l in args.l:
+        for l in COEFF_LEVELS:
             specs.append(arcs_mod.PieceSpec("dyadic", Q, l))
 
     rows = []
@@ -239,7 +229,7 @@ def _cmd_coeff_check(args, checks: _Check) -> tuple[dict, dict]:
         )
         query = coef_mod.CoefficientQuery(spec, r, params)
         closed = coef_mod.piece_coefficient(query)
-        oracle = coef_mod.piece_coefficient_oracle(query, args.grid)
+        oracle = coef_mod.piece_coefficient_oracle(query)
         scale = max(abs(oracle), coef_mod.coefficient_scale(spec, params))
         rel = abs(closed - oracle) / scale
         worst_rel = float(np.maximum(worst_rel, rel))
@@ -269,23 +259,22 @@ def _cmd_coeff_check(args, checks: _Check) -> tuple[dict, dict]:
 
 
 def _cmd_ramanujan_check(args, checks: _Check) -> tuple[dict, dict]:
-    if args.qmax < 2 or args.kmax < 0:
-        raise ValueError(f"ramanujan-check needs --qmax >= 2 and --kmax >= 0 (got {args.qmax}, {args.kmax})")
-    table, residual = numtheory.ramanujan_table(args.qmax, np.arange(-args.kmax, args.kmax + 1))
-    checks.record(f"direct vs Moebius residual for q <= {args.qmax}, |k| <= {args.kmax}", residual, 1e-9)
-    misses = sum(int(table[q - 1, args.kmax]) != len(arcs_mod.totatives(q)) for q in range(2, args.qmax + 1))
+    q_max, k_max = RAMANUJAN_Q_MAX, RAMANUJAN_K_MAX
+    table, residual = numtheory.ramanujan_table(q_max, np.arange(-k_max, k_max + 1))
+    checks.record(f"direct vs Moebius residual for q <= {q_max}, |k| <= {k_max}", residual, 1e-9)
+    misses = sum(int(table[q - 1, k_max]) != len(arcs_mod.totatives(q)) for q in range(2, q_max + 1))
     checks.record("q with c_q(0) != phi(q)", misses, 0)
-    return {"q_max": args.qmax, "k_max": args.kmax, "c_phi_check": misses == 0}, {}
+    return {"q_max": q_max, "k_max": k_max, "c_phi_check": misses == 0}, {}
 
 
 def _cmd_divisor_check(args, checks: _Check) -> tuple[dict, dict]:
     rows = []
     worst = 0.0
-    for Q in args.Q:
+    for Q in DIVISOR_Q:
         # one sieve per Q serves every D and the D = Q vanishing check
-        *levels, (zero, _) = numtheory.divisor_level_counts(args.N, Q, [*args.D, float(Q)], args.B, args.tau)
+        *levels, (zero, _) = numtheory.divisor_level_counts(args.N, Q, [*DIVISOR_D, float(Q)])
         counts = {}
-        for D, (count, report) in zip(args.D, levels):
+        for D, (count, report) in zip(DIVISOR_D, levels):
             ratio = report.values["ratio"]
             worst = float(np.maximum(worst, ratio))
             rows.append({"N": args.N, "Q": Q, "D": D, "count": count, "ratio": repr(ratio)})
@@ -342,11 +331,11 @@ def _cmd_sharpness(args, checks: _Check) -> tuple[dict, dict]:
 
 
 def _cmd_scaling_fit(args, checks: _Check) -> tuple[dict, dict]:
-    tol = args.tol if args.tol is not None else (0.05 if args.source == "delta" else 0.15)
+    tol = 0.05 if args.source == "delta" else 0.15
     rows = []
     results = {}
     for p in args.p:
-        fit = exp_mod.scaling_fit(args.N, args.n, p, args.source, seed=args.seed, iters=args.iters)
+        fit = exp_mod.scaling_fit(args.N, args.n, p, args.source, seed=args.seed)
         for N, v in zip(fit.Ns, fit.values):
             rows.append({"n": args.n, "N": N, "p": p, "source": args.source, "value": repr(v)})
         checks.record(f"p={p}: slope deviation from target {fit.target:.4f}", fit.residual, tol)
@@ -356,23 +345,15 @@ def _cmd_scaling_fit(args, checks: _Check) -> tuple[dict, dict]:
 
 def _cmd_separation_probe(args, checks: _Check) -> tuple[dict, dict]:
     params = OperatorParams.sharp(args.n, args.N)
-    f = delta((0,) * args.n)
     shifts = [tuple([m * 10 * args.N**2] + [0] * (args.n - 1)) for m in (1, 2, 4)]
-    report = exp_mod.two_bump_separation_probe(f, shifts, args.p, args.q, params)
-    af = average(f, params)
-    base_p, base_q = lp_norm(f, args.p), lp_norm(af, args.q)
-    doubled = [(f + shift(f, h), af + shift(af, h)) for h in shifts]
+    report, doubling = exp_mod.two_bump_separation_probe(delta((0,) * args.n), shifts, args.p, args.q, params)
+    checks.record("shifted sums whose support does not double", doubling["undoubled_supports"], 0)
     # a delta's p-norm doubles exactly: both sides are one rounding of 2^(1/p)
-    checks.record("shifted sums whose support does not double",
-                  sum((len(fh) != 2 * len(f)) + (len(afh) != 2 * len(af)) for fh, afh in doubled), 0)
-    checks.record("|f + f_h|_p deviation from 2^(1/p) |f|_p",
-                  np.max([abs(lp_norm(fh, args.p) - 2 ** (1.0 / args.p) * base_p) for fh, _ in doubled]), 0)
-    checks.record("|Af + Af_h|_q deviation from 2^(1/q) |Af|_q",
-                  np.max([abs(lp_norm(afh, args.q) - 2 ** (1.0 / args.q) * base_q) for _, afh in doubled]), 4e-16 * base_q)
-    expected = 2 ** (1.0 / args.q - 1.0 / args.p)
-    worst = np.max([abs(v - expected) for v in report.values.values()])
-    checks.record(f"ratio gain deviation from 2^(1/q - 1/p) = {expected:.6f}", worst, 1e-12)
-    return {"gain": expected}, {}
+    checks.record("|f + f_h|_p deviation from 2^(1/p) |f|_p", doubling["p_deviation"], 0)
+    checks.record("|Af + Af_h|_q deviation from 2^(1/q) |Af|_q", doubling["q_deviation"], 4e-16 * doubling["Af_q"])
+    worst = np.max([abs(v - report.constant) for v in report.values.values()])
+    checks.record(f"ratio gain deviation from 2^(1/q - 1/p) = {report.constant:.6f}", worst, 1e-12)
+    return {"gain": report.constant}, {}
 
 
 # -- SVG plotting -----------------------------------------------------------------
@@ -446,103 +427,59 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="paravg", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, n_default=2):
-        sp.add_argument("--n", type=int, default=n_default)
+    def command(name, func, help, n=True):
+        sp = sub.add_parser(name, allow_abbrev=False, help=help)
+        if n:
+            sp.add_argument("--n", type=int, default=2)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out-dir", default="paravg-out")
-        sp.add_argument("--config", default=None)
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("gauss-check", allow_abbrev=False, help="Gauss-sum bound constants over an N sweep")
-    common(sp)
+    sp = command("gauss-check", _cmd_gauss_check, "Gauss-sum bound constants over an N sweep")
     sp.add_argument("--N", type=_int_list, default=[16, 32, 64, 128])
-    sp.add_argument("--samples", type=_positive_int, default=10000)
-    sp.add_argument("--dirichlet-samples", type=_positive_int, default=20000)
-    sp.set_defaults(func=_cmd_gauss_check)
 
-    sp = sub.add_parser("arcs-check", allow_abbrev=False, help="partition of unity and arc disjointness")
-    common(sp)
+    sp = command("arcs-check", _cmd_arcs_check, "partition of unity and arc disjointness")
     sp.add_argument("--N", type=_int_list, default=[16, 64])
-    sp.add_argument("--samples", type=_positive_int, default=1000)
-    sp.set_defaults(func=_cmd_arcs_check)
 
-    sp = sub.add_parser("coeff-check", allow_abbrev=False, help="closed-form coefficients against the oracle")
-    common(sp)
+    sp = command("coeff-check", _cmd_coeff_check, "closed-form coefficients against the oracle")
     sp.add_argument("--N", type=int, default=8)
     sp.add_argument("--Q", type=_int_list, default=[1, 2])
-    sp.add_argument("--l", type=_ints, default=[0, 1])  # empty: core pieces only
     sp.add_argument("--count", type=_positive_int, default=50)
-    sp.add_argument("--grid", type=int, default=4096)
-    sp.set_defaults(func=_cmd_coeff_check)
 
-    sp = sub.add_parser("ramanujan-check", allow_abbrev=False, help="direct vs arithmetic complete sums")
-    common(sp)
-    sp.add_argument("--qmax", type=int, default=128)
-    sp.add_argument("--kmax", type=int, default=2048)
-    sp.set_defaults(func=_cmd_ramanujan_check)
+    command("ramanujan-check", _cmd_ramanujan_check, "direct vs arithmetic complete sums", n=False)
 
-    sp = sub.add_parser("divisor-check", allow_abbrev=False, help="divisor level-set counting bounds")
-    common(sp)
+    sp = command("divisor-check", _cmd_divisor_check, "divisor level-set counting bounds", n=False)
     sp.add_argument("--N", type=int, default=100000)
-    sp.add_argument("--Q", type=_int_list, default=[16, 64])
-    sp.add_argument("--D", type=_float_list, default=[2, 4, 8, 16, 32])
-    sp.add_argument("--B", type=float, default=2.0)
-    sp.add_argument("--tau", type=float, default=0.5)
-    sp.set_defaults(func=_cmd_divisor_check)
 
-    sp = sub.add_parser("norm-scan", allow_abbrev=False, help="l1->linf and l2->l2 operator norms")
-    common(sp)
+    sp = command("norm-scan", _cmd_norm_scan, "l1->linf and l2->l2 operator norms")
     sp.add_argument("--N", type=_int_list, default=[16, 32])
     sp.add_argument("--cutoff", choices=["sharp", "smooth"], default="sharp")
     sp.add_argument("--falsify", type=_positive_int, default=50)
-    sp.set_defaults(func=_cmd_norm_scan)
 
-    sp = sub.add_parser("sharpness", allow_abbrev=False, help="exactness of the extremizer families")
-    common(sp)
+    sp = command("sharpness", _cmd_sharpness, "exactness of the extremizer families")
     sp.add_argument("--N", type=_int_list, default=[8, 12, 16])
     sp.add_argument("--p", type=float, default=2.0)
-    sp.set_defaults(func=_cmd_sharpness)
 
-    sp = sub.add_parser("scaling-fit", allow_abbrev=False, help="log-log slope of a ratio family")
-    common(sp)
+    sp = command("scaling-fit", _cmd_scaling_fit, "log-log slope of a ratio family")
     sp.add_argument("--N", type=_int_list, default=[8, 16, 32, 64, 128])
     sp.add_argument("--p", type=_float_list, default=[1.8])
     sp.add_argument("--source", choices=["box", "delta", "ascent", "l2"], default="box")
-    sp.add_argument("--tol", type=float, default=None)
-    sp.add_argument("--iters", type=_positive_int, default=60)
-    sp.add_argument("--plot", type=_bool, nargs="?", const=True, default=False)
-    sp.set_defaults(func=_cmd_scaling_fit)
+    sp.add_argument("--plot", action="store_true")
 
-    sp = sub.add_parser("separation-probe", allow_abbrev=False, help="the q < p doubling obstruction")
-    common(sp)
+    sp = command("separation-probe", _cmd_separation_probe, "the q < p doubling obstruction")
     sp.add_argument("--N", type=int, default=8)
     sp.add_argument("--p", type=float, default=2.0)
     sp.add_argument("--q", type=float, default=1.0)
-    sp.set_defaults(func=_cmd_separation_probe)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    argv = list(sys.argv[1:] if argv is None else argv)
-
-    # config values become flag tokens right after the subcommand, so they are
-    # parsed like flags and the explicit flags that follow still win
-    config_path = None
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            config_path = argv[i + 1]
-        elif token.startswith("--config="):
-            config_path = token.split("=", 1)[1]
     try:
-        if config_path:
-            argv[1:1] = _config_tokens(config_path)
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
-        return USAGE_ERROR if exc.code not in (0,) else 0
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return 0 if exc.code == 0 else USAGE_ERROR
 
     checks = _Check()
     try:

@@ -48,9 +48,6 @@ __all__ = [
     "piece_coefficient",
     "piece_coefficient_oracle",
     "coefficient_scale",
-    "kernel_coefficient",
-    "maj_coefficient",
-    "minor_coefficient",
     "coefficient_decay_report",
     "minor_coefficient_report",
     "piece_sup_report",
@@ -59,6 +56,8 @@ __all__ = [
 # The epsilon of the (QN)^eps and N^eps losses the coefficient and sup
 # reports normalize by; each report records it in its params.
 EPS = 0.2
+# The oracle's first grid size; each refinement doubles it.
+_ORACLE_GRID = 4096
 # Two successive oracle grids must agree to this absolute tolerance.
 _ORACLE_TOL = 1e-9
 
@@ -129,20 +128,18 @@ def _roots_of_unity(M: int) -> np.ndarray:
     return roots
 
 
-def piece_coefficient_oracle(query: CoefficientQuery, grid_size: int = 4096) -> complex:
+def piece_coefficient_oracle(query: CoefficientQuery) -> complex:
     """Quadrature oracle for the same coefficient.
 
     The first n-1 torus integrals are exact by orthogonality (they reduce to
     the sigma factors), leaving the one-dimensional integral of
     W(xi) e(t xi) over the bump supports.  That is computed by the periodic
-    rectangle rule and refined by doubling until two successive grid sizes
-    agree to _ORACLE_TOL (1e-9); failure to converge within 4 refinements
-    is an error.
+    rectangle rule on _ORACLE_GRID (4096) points and refined by doubling
+    until two successive grid sizes agree to _ORACLE_TOL (1e-9); failure to
+    converge within 4 refinements is an error.
     Each grid of size M reads its weights and its M-th roots of unity from
     two small caches, so a query evaluates no exponential of its own.
     """
-    if grid_size < 4096 or (grid_size & (grid_size - 1)) != 0:
-        raise ValueError("grid_size must be a power of two >= 4096")
     sig = _sigma_product(query.params, query.r[:-1])
     t = query.residual
     system = piece_system(query.spec, query.params)
@@ -152,8 +149,8 @@ def piece_coefficient_oracle(query: CoefficientQuery, grid_size: int = 4096) -> 
         w = _oracle_weights(query.params.N, system.q_limit, query.spec, M)
         return complex(np.sum(w * _roots_of_unity(M)[(t * j) % M]) / M)
 
-    prev = rect(grid_size)
-    M = grid_size
+    M = _ORACLE_GRID
+    prev = rect(M)
     for _ in range(4):
         M *= 2
         cur = rect(M)
@@ -187,37 +184,6 @@ def coefficient_scale(spec: PieceSpec, params: OperatorParams) -> float:
 def _decay_bound(spec: PieceSpec, params: OperatorParams) -> float:
     """Decay bound (N 2^l)^-1 (QN)^EPS for dyadic pieces, (N^2/Q)^-1 (QN)^EPS for core."""
     return _piece_size(spec, params.N) ** (-1.0) * (spec.Q * params.N) ** EPS
-
-
-def kernel_coefficient(params: OperatorParams, r) -> float:
-    """Coefficient of the whole multiplier at r: the kernel value itself."""
-    rp, rn = tuple(r[:-1]), int(r[-1])
-    if sum(c * c for c in rp) != rn:
-        return 0.0
-    return _sigma_product(params, rp)
-
-
-def maj_coefficient(params: OperatorParams, r) -> complex:
-    """Closed-form coefficient of the arc-localized part at r.
-
-    Per fraction the ladder telescopes, so the sum over levels collapses to
-    the scale-Nq bump transform times the mean-zero bracket: the "total"
-    level of every ladder.  The phases are reduced in int64, so a residual
-    t = |r'|^2 - r_n with max(a, 3) |t| >= 2^62 for some fraction a/q
-    (a < q <= N/10) raises OverflowError; |t| < 2^62 / max(N/10, 3) is
-    always safe.  Every residual the reports and checks use is at most
-    (n-1)(2N)^2 + 5N^2.
-    """
-    sig = _sigma_product(params, r[:-1])
-    if sig == 0.0:
-        return 0j
-    t = np.int64(sum(c * c for c in r[:-1]) - r[-1])
-    return sig * arc_system(params.N).piece_hat(PieceSpec("maj"), t)
-
-
-def minor_coefficient(params: OperatorParams, r) -> complex:
-    """Coefficient of the minor-arc part at r: the kernel value minus the arc-localized part."""
-    return kernel_coefficient(params, r) - maj_coefficient(params, r)
 
 
 # -- reports ---------------------------------------------------------------------

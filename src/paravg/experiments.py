@@ -67,6 +67,11 @@ def sharp_threshold(n: int) -> float:
     return (n + 3) / (n + 1)
 
 
+def _require_four_scales(Ns) -> None:
+    if len(set(Ns)) < 4:
+        raise ValueError(f"need at least 4 distinct scales for a slope fit (got {sorted(set(Ns))})")
+
+
 @dataclass
 class ScalingFit:
     """Least-squares slope of log(value) against log(N)."""
@@ -83,8 +88,7 @@ class ScalingFit:
     @staticmethod
     def fit(Ns, values, target: float) -> "ScalingFit":
         """Fit over at least 4 distinct N; repeated N leave the slope underdetermined."""
-        if len(set(Ns)) < 4:
-            raise ValueError(f"need at least 4 distinct scales for a slope fit (got {sorted(set(Ns))})")
+        _require_four_scales(Ns)
         slope = float(
             np.polyfit(np.log(np.asarray(Ns, float)), np.log(np.asarray(values, float)), 1)[0]
         )
@@ -685,15 +689,20 @@ def target_slope(n: int, p: float, source: str) -> float:
     return -(n + 1) * (2.0 / p - 1.0)
 
 
-def scaling_fit(
-    Ns, n: int, p: float, source: str, seed: int = 0, iters: int = 60
-) -> ScalingFit:
+# Proposals per ascent start in a scaling fit over the ascent lower bounds.
+_ASCENT_ITERS = 60
+
+
+def scaling_fit(Ns, n: int, p: float, source: str, seed: int = 0) -> ScalingFit:
     """Fit the log-log slope of a ratio family against its predicted exponent.
 
-    Sources: box and delta (exact ratios), ascent (certified lower bounds),
-    l2 (the 2 -> 2 norm).  The target is target_slope(n, p, source).
+    Sources: box and delta (exact ratios), ascent (certified lower bounds,
+    _ASCENT_ITERS proposals per start), l2 (the 2 -> 2 norm).  The target is
+    target_slope(n, p, source).  A sweep with fewer than 4 distinct N is
+    refused before any ratio is computed.
     """
     Ns = list(Ns)
+    _require_four_scales(Ns)
     values = []
     for N in Ns:
         params = OperatorParams.sharp(n, N)
@@ -702,7 +711,7 @@ def scaling_fit(
         elif source == "delta":
             values.append(delta_extremizer_ratio(params, p))
         elif source == "ascent":
-            values.append(random_ascent_lower_bound(params, p, seed, iters).constant)
+            values.append(random_ascent_lower_bound(params, p, seed, _ASCENT_ITERS).constant)
         elif source == "l2":
             values.append(norm_l2_l2(params).constant)
         else:
@@ -715,38 +724,54 @@ def scaling_fit(
 
 def two_bump_separation_probe(
     f: LatticeFunction, shifts, p: float, q: float, params: OperatorParams
-) -> ExperimentReport:
+) -> tuple[ExperimentReport, dict]:
     """Measure the norm growth of f_h = f + f(. + h) under separation.
 
     For h separating both f and A f into disjoint copies, the p-th power sum
     of f_h is exactly twice that of f (likewise for A f_h at exponent q), so
     one doubling multiplies the ratio |A f_h|_q / |f_h|_p by 2^(1/q - 1/p).
     For q < p the gain repeats without bound across further doublings: no
-    p -> q estimate with q < p can hold.  Shifts whose translates overlap
-    are flagged in the report, not fatal.
+    p -> q estimate with q < p can hold.
+
+    Returns the report, whose values hold the gain at each shift (nan at a
+    shift whose translates overlap, flagged in its notes), and the doubling
+    measured over every shift: "undoubled_supports" counts the sums f_h and
+    A f_h whose support is not twice that of f and A f, "p_deviation" is the
+    largest | |f_h|_p - 2^(1/p) |f|_p | and "q_deviation" the largest
+    | |A f_h|_q - 2^(1/q) |A f|_q |, and "Af_q" is |A f|_q.
     """
     if len(f) == 0:
         raise ValueError("f must be nonzero")
+    shifts = [tuple(int(c) for c in h) for h in shifts]
+    if not shifts:
+        raise ValueError("shifts must be nonempty")
     af = average(f, params)
     base_p = lp_norm(f, p)
     base_q = lp_norm(af, q)
     gains = {}
     overlaps = []
+    undoubled, p_devs, q_devs = 0, [], []
     for h in shifts:
-        h = tuple(int(c) for c in h)
         fh = f + shift(f, h)
         afh = af + shift(af, h)
-        disjoint = len(fh) == 2 * len(f) and len(afh) == 2 * len(af)
-        if not disjoint:
+        misses = (len(fh) != 2 * len(f)) + (len(afh) != 2 * len(af))
+        undoubled += misses
+        norm_p, norm_q = lp_norm(fh, p), lp_norm(afh, q)
+        p_devs.append(abs(norm_p - 2 ** (1.0 / p) * base_p))
+        q_devs.append(abs(norm_q - 2 ** (1.0 / q) * base_q))
+        if misses:
             overlaps.append(h)
             gains[f"gain@{h}"] = math.nan
             continue
-        ratio_h = lp_norm(afh, q) / lp_norm(fh, p)
-        gains[f"gain@{h}"] = ratio_h / (base_q / base_p)
-    return ExperimentReport(
+        gains[f"gain@{h}"] = norm_q / norm_p / (base_q / base_p)
+    report = ExperimentReport(
         name="separation_probe",
         params={"n": params.n, "N": params.N, "p": p, "q": q},
         constant=2 ** (1.0 / q - 1.0 / p),
         values=gains,
         notes=f"overlapping shifts: {overlaps}" if overlaps else "",
     )
+    # np.max carries a nan through
+    doubling = {"undoubled_supports": undoubled, "p_deviation": np.max(p_devs),
+                "q_deviation": np.max(q_devs), "Af_q": base_q}
+    return report, doubling

@@ -19,8 +19,8 @@ Costs.  A level count #{k <= N : d(k, Q) > D} reads one truncated sieve
 its values, which are at most Q, so every further D costs one lookup in the
 histogram's suffix sums: divisor_level_counts serves a whole D sweep from
 one sieve.  The Ramanujan table evaluates each q once per residue k mod q
-(_ramanujan_rows), and ramanujan_sum reads the one residue k mod q of that
-evaluation.  divisor_count is the truncated count at Q = |k|.
+that its k values reach (_ramanujan_rows), so ramanujan_sum evaluates the
+one residue k mod q.
 """
 
 from __future__ import annotations
@@ -32,9 +32,7 @@ from .arcs import totatives
 from .reports import ExperimentReport
 
 __all__ = [
-    "divisor_count",
     "truncated_divisor_count",
-    "divisor_count_sieve",
     "truncated_divisor_sieve",
     "mobius",
     "ramanujan_sum",
@@ -46,11 +44,8 @@ __all__ = [
 ]
 
 DEFAULT_SIEVE_CAP = 10**7
-
-
-def divisor_count(k: int) -> int:
-    """Number of positive divisors of |k|: the truncated count with Q = |k|."""
-    return truncated_divisor_count(k, abs(k))
+# The level-set ratio count * D^B / (Q^tau N) that divisor_level_counts reports.
+_LEVEL_B, _LEVEL_TAU = 2.0, 0.5
 
 
 def truncated_divisor_count(k: int, Q: int) -> int:
@@ -71,23 +66,6 @@ def truncated_divisor_count(k: int, Q: int) -> int:
                 count += 1
         d += 1
     return count
-
-
-def divisor_count_sieve(limit: int) -> np.ndarray:
-    """d(k) for 0 <= k <= limit (d[0] = 0), via the hyperbola split.
-
-    d(k) = 2 #{q <= sqrt(k) : q | k} - 1_{k square}, so only sqrt(limit)
-    sieve passes are needed.
-    """
-    if limit > DEFAULT_SIEVE_CAP:
-        raise ValueError(f"sieve limit {limit} exceeds the cap {DEFAULT_SIEVE_CAP}")
-    d = np.zeros(limit + 1, dtype=np.int64)
-    root = math.isqrt(limit)
-    for q in range(1, root + 1):
-        d[q * q :: q] += 2
-    squares = np.arange(1, root + 1) ** 2
-    d[squares] -= 1
-    return d
 
 
 def truncated_divisor_sieve(limit: int, Q: int) -> np.ndarray:
@@ -135,17 +113,19 @@ def _ramanujan_rows(q: int, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """c_q(k) over the int64 array ks, as (direct complex sums, Moebius integers).
 
     Both depend on k only through k mod q (the phases ((a k) mod q)/q, and
-    gcd(q, k)), so each is evaluated once per residue and gathered by ks % q.
+    gcd(q, k)), so each is evaluated once per residue that ks reaches and
+    gathered by ks % q.  The direct sums add the phases in totative order
+    (the last row of a cumulative sum), so a residue's sum has the same bits
+    whichever other residues ks reaches.
     """
     tots = np.array(totatives(q), dtype=np.int64)
-    residues = np.arange(q, dtype=np.int64)
+    residues, idx = np.unique(ks % q, return_inverse=True)
     phases = ((tots[:, None] * residues[None, :]) % q) / q
     by_gcd = np.zeros(q + 1, dtype=np.int64)
     for g in range(1, q + 1):
         if q % g == 0:
             by_gcd[g] = _ramanujan_arith(q, g)
-    idx = ks % q
-    return np.exp(2j * np.pi * phases).sum(axis=0)[idx], by_gcd[np.gcd(q, residues)][idx]
+    return np.cumsum(np.exp(2j * np.pi * phases), axis=0)[-1][idx], by_gcd[np.gcd(q, residues)][idx]
 
 
 def ramanujan_sum(q: int, k: int) -> int:
@@ -207,44 +187,38 @@ def ramanujan_block_report(Q: int, k: int, eps: float) -> ExperimentReport:
     )
 
 
-def divisor_level_counts(
-    N: int, Q: int, Ds, B: float | None = None, tau: float | None = None
-) -> list[tuple[int, ExperimentReport]]:
+def divisor_level_counts(N: int, Q: int, Ds) -> list[tuple[int, ExperimentReport]]:
     """Exact #{1 <= k <= N : d(k, Q) > D} for every D in Ds, each with its normalized-ratio report.
 
     One truncated sieve and one np.bincount histogram of its values serve
     every D: the level is the suffix sum of the histogram from the first
     value v > D, found by searchsorted over the values 0..max, so a D past
-    every value (D >= Q, inf) or a nan D reads the empty suffix 0, as the
-    comparison sieve > D does.  Each report carries count * D^B / (Q^tau N)
-    for caller-supplied positive (B, tau); monotonicity in D and the D >= Q
-    vanishing are structural and tested.  A ratio needs a finite D (an inf
-    D would read 0 inf = nan) and float-sized D^B and Q^tau: anything else
+    every value (D >= Q) reads the empty suffix 0, as the comparison
+    sieve > D does.  Each report carries the ratio count * D^B / (Q^tau N)
+    with B = _LEVEL_B = 2 and tau = _LEVEL_TAU = 0.5; monotonicity in D and
+    the D >= Q vanishing are structural and tested.  A ratio needs a finite D
+    (an inf D would read 0 inf = nan) and a float-sized D^B: anything else
     raises ValueError, the CLI's bad-parameter status.
     """
     if N < 1 or Q < 1 or any(D <= 0 for D in Ds):
         raise ValueError("need N, Q >= 1 and D > 0")
-    if (B is not None and B <= 0) or (tau is not None and tau <= 0):
-        raise ValueError(f"need B > 0 and tau > 0 (got B={B}, tau={tau})")
-    ratios = B is not None and tau is not None
-    if ratios and not all(math.isfinite(D) for D in Ds):
+    if not all(math.isfinite(D) for D in Ds):
         raise ValueError(f"need a finite D for the ratio (got {[D for D in Ds if not math.isfinite(D)]})")
+    B, tau = _LEVEL_B, _LEVEL_TAU
     hist = np.bincount(truncated_divisor_sieve(N, Q)[1:])
     above = np.append(np.cumsum(hist[::-1])[::-1], 0)  # above[v] = #{k : d(k, Q) >= v}
     firsts = np.searchsorted(np.arange(len(hist)), np.asarray(Ds, dtype=float), side="right")
     out = []
     for D, first in zip(Ds, firsts.tolist()):
         level = int(above[first])
-        values = {"count": float(level)}
-        if ratios:
-            try:
-                values["ratio"] = level * D**B / (Q**tau * N)
-            except OverflowError:
-                raise ValueError(f"the ratio overflows a float at D={D}, B={B}, Q={Q}, tau={tau}") from None
+        try:
+            ratio = level * D**B / (Q**tau * N)
+        except OverflowError:
+            raise ValueError(f"the ratio overflows a float at D={D}, B={B}, Q={Q}, tau={tau}") from None
         report = ExperimentReport(
             name="divisor_level_count",
             params={"N": N, "Q": Q, "D": D, "B": B, "tau": tau},
-            values=values,
+            values={"count": float(level), "ratio": ratio},
         )
         out.append((level, report))
     return out

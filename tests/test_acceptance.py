@@ -198,7 +198,7 @@ PERTURBED = {
         exp_mod, "box_extremizer_ratio", lambda v, params, p: v * params.N**0.3 if p == 1.8 else v),
     4: ("closed form vs oracle relative error over 50 queries",  # the oracle moves by 2e-8 of the scale
         coef_mod, "piece_coefficient_oracle",
-        lambda o, query, grid: o + 2e-8 * coef_mod.coefficient_scale(query.spec, query.params)),
+        lambda o, query: o + 2e-8 * coef_mod.coefficient_scale(query.spec, query.params)),
     5: ("N=16: partition of unity deviation on arcs",  # every eta at N=16 moves by 2e-12
         arcs_mod.ArcSystem, "denominator_etas", lambda etas, system, q, xi: etas + 2e-12 if system.N == 16 else etas),
     6: ("direct vs Moebius residual for q <= 128, |k| <= 2048",  # the direct sums at q=64 move by 2e-9
@@ -214,7 +214,7 @@ PERTURBED = {
          exp_mod, "norm_l2_l2", lambda r, params: dataclasses.replace(r, constant=math.nextafter(r.constant, 2.0))),
     12: ("ratio gain deviation from 2^(1/q - 1/p) = 1.414214",  # every gain moves by 2e-12
          exp_mod, "two_bump_separation_probe",
-         lambda r, *_: dataclasses.replace(r, values={k: v + 2e-12 for k, v in r.values.items()})),
+         lambda r, *_: (dataclasses.replace(r[0], values={k: v + 2e-12 for k, v in r[0].values.items()}), r[1])),
 }
 
 

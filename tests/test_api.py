@@ -76,6 +76,16 @@ def test_the_retired_paths_are_gone():
     assert hasattr(paravg.arcs.ArcSystem, "arcs_4i_disjoint")
 
 
+def test_the_test_only_functions_left_the_package():
+    # each lives on as an oracle in the test file that uses it
+    modules = [paravg, *(importlib.import_module(f"paravg.{info.name}") for info in pkgutil.iter_modules(paravg.__path__))]
+    for name in ("kernel_coefficient", "maj_coefficient", "minor_coefficient", "divisor_count", "divisor_count_sieve"):
+        assert [m.__name__ for m in modules if hasattr(m, name)] == [], name
+    assert not {"blocks", "piece_specs"} & set(vars(paravg.arcs.ArcSystem))
+    assert sum(len(m.__all__) for m in modules[1:]) == 72
+    assert len([n for n, v in vars(paravg).items() if not n.startswith("_") and not inspect.ismodule(v)]) == 39
+
+
 def test_no_report_or_oracle_signature_takes_a_one_value_knob():
     # eps, the y grid and the oracle tolerance are module constants, recorded in the report params
     from paravg import coefficients
@@ -84,3 +94,9 @@ def test_no_report_or_oracle_signature_takes_a_one_value_knob():
                  coefficients.minor_coefficient_report, coefficients.piece_coefficient_oracle):
         assert not {"eps", "y_grid", "tol"} & set(inspect.signature(func).parameters), func.__name__
     assert coefficients.EPS == 0.2
+    # the oracle's grid, the level-set exponents and the fit's ascent length have one value each
+    from paravg import experiments, numtheory
+
+    assert list(inspect.signature(coefficients.piece_coefficient_oracle).parameters) == ["query"]
+    assert list(inspect.signature(numtheory.divisor_level_counts).parameters) == ["N", "Q", "Ds"]
+    assert list(inspect.signature(experiments.scaling_fit).parameters) == ["Ns", "n", "p", "source", "seed"]

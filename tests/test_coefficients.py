@@ -12,9 +12,6 @@ from paravg.coefficients import (
     _sup_bound,
     coefficient_decay_report,
     coefficient_scale,
-    kernel_coefficient,
-    maj_coefficient,
-    minor_coefficient,
     minor_coefficient_report,
     piece_coefficient,
     piece_coefficient_oracle,
@@ -22,6 +19,29 @@ from paravg.coefficients import (
 )
 from paravg.cutoff import OperatorParams
 from paravg.expsums import e1
+from test_arcs import piece_specs
+
+
+def kernel_coefficient(params: OperatorParams, r) -> float:
+    """Coefficient of the whole multiplier at r: the kernel value itself."""
+    rp, rn = tuple(r[:-1]), int(r[-1])
+    if sum(c * c for c in rp) != rn:
+        return 0.0
+    return _sigma_product(params, rp)
+
+
+def maj_coefficient(params: OperatorParams, r) -> complex:
+    """Closed-form coefficient of the arc-localized part at r: sigma product times the maj piece_hat."""
+    sig = _sigma_product(params, r[:-1])
+    if sig == 0.0:
+        return 0j
+    t = np.int64(sum(c * c for c in r[:-1]) - r[-1])
+    return sig * arc_system(params.N).piece_hat(PieceSpec("maj"), t)
+
+
+def minor_coefficient(params: OperatorParams, r) -> complex:
+    """Coefficient of the minor-arc part at r: the kernel value minus the arc-localized part."""
+    return kernel_coefficient(params, r) - maj_coefficient(params, r)
 
 
 def _random_specs(rng, Qs=(1, 2), ls=(0, 1)):
@@ -81,11 +101,9 @@ def test_closed_form_vs_oracle_n3():
 def test_oracle_convergence_certificate():
     params = OperatorParams.smooth(2, 8)
     query = CoefficientQuery(PieceSpec("dyadic", 2, 0), (3, -100), params)
-    a = piece_coefficient_oracle(query, grid_size=4096)
-    b = piece_coefficient_oracle(query, grid_size=8192)
+    a = piece_coefficient_oracle(query)
+    b = _uncached_oracle(query, grid_size=8192)
     assert abs(a - b) < 1e-9
-    with pytest.raises(ValueError):
-        piece_coefficient_oracle(query, grid_size=1000)
 
 
 def test_oracle_vanishes_on_paraboloid():
@@ -133,7 +151,7 @@ def test_maj_coefficient_equals_piece_sum():
         r = (int(rng.integers(-15, 16)), int(rng.integers(-300, 301)))
         total = sum(
             piece_coefficient(CoefficientQuery(spec, r, params))
-            for spec in system.piece_specs()
+            for spec in piece_specs(system)
         )
         assert abs(total - maj_coefficient(params, r)) <= 1e-12
 
@@ -183,14 +201,16 @@ def test_maj_coefficient_equals_bracket_loop(N):
         assert value == _bracket_maj_coefficient(params, r), r
 
 
-def test_maj_coefficient_refuses_residuals_past_the_int64_bound():
+def test_maj_piece_hat_refuses_residuals_past_the_int64_bound():
     # at N = 16 the only fraction is 0/1, so the guard max(a, 3)|t| < 2^62 reads 3|t| < 2^62
-    params = OperatorParams.smooth(2, 16)
+    system = arc_system(16)
     t_max = (2**62 - 1) // 3
-    assert np.isfinite(maj_coefficient(params, (0, -t_max)))
-    for t in (t_max + 1, -(t_max + 1), 2**63, 2**70):
+    assert np.isfinite(system.piece_hat(PieceSpec("maj"), t_max))
+    # 2^63 arrives as uint64 and 2^70 as a Python-int object array: neither may wrap in the int64 cast
+    for t in (t_max + 1, -(t_max + 1), 2**63, 2**70, np.int64(-(2**63)), np.array([0, t_max + 1]),
+              np.array([2**63], dtype=np.uint64)):
         with pytest.raises(OverflowError):
-            maj_coefficient(params, (0, -t))
+            system.piece_hat(PieceSpec("maj"), t)
 
 
 def test_minor_coefficient_sweep():
@@ -382,7 +402,7 @@ def test_piece_sup_report_matches_full_grid(n, N, monkeypatch):
     params = OperatorParams.smooth(n, N)
     skipped = {}
     # every piece of the arc system, and the three sums of pieces
-    for spec in [PieceSpec("whole"), PieceSpec("maj"), PieceSpec("min")] + arc_system(N).piece_specs():
+    for spec in [PieceSpec("whole"), PieceSpec("maj"), PieceSpec("min")] + piece_specs(arc_system(N)):
         rep = piece_sup_report(spec, params)
         assert (rep.constant, rep.values, rep.params["t_points"]) == _full_grid_sup_report(spec, params)
         skipped[spec.kind] = rep.params["t_points"] - rows[-1]
@@ -614,14 +634,13 @@ def test_oracle_root_table_matches_e1_rectangle_rule(monkeypatch):
     refined = set()
     for spec in (PieceSpec("core", 1), PieceSpec("dyadic", 2, 1)):
         for residual in (0, 5, -300, 3000, 5000, 20000):
-            for grid_size in (4096, 8192):
-                query = CoefficientQuery(spec, (0, -residual), params)
-                grids.clear()
-                assert piece_coefficient_oracle(query, grid_size) == _uncached_oracle(query, grid_size)
-                for M in grids:  # every grid the oracle refined to
-                    i = (residual * np.arange(M, dtype=np.int64)) % M
-                    assert table(M)[i].tolist() == e1(i / M).tolist()
-                refined.add(len(grids))
+            query = CoefficientQuery(spec, (0, -residual), params)
+            grids.clear()
+            assert piece_coefficient_oracle(query) == _uncached_oracle(query)
+            for M in grids:  # every grid the oracle refined to
+                i = (residual * np.arange(M, dtype=np.int64)) % M
+                assert table(M)[i].tolist() == e1(i / M).tolist()
+            refined.add(len(grids))
     assert refined == {2, 3}
     assert not table(4096).flags.writeable and table(4096) is table(4096)
 

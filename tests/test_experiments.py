@@ -801,6 +801,17 @@ def test_scaling_fit_requires_four_scales():
     assert ScalingFit.fit([8, 8, 16, 32, 64], [1.0, 1.0, 2.0, 4.0, 8.0], 1.0).slope == pytest.approx(1.0)
 
 
+def test_scaling_fit_refuses_repeated_scales_before_any_ratio(monkeypatch):
+    def refuse(*a):
+        raise AssertionError("an engine ran")
+
+    for engine in ("box_extremizer_ratio", "delta_extremizer_ratio", "random_ascent_lower_bound", "norm_l2_l2"):
+        monkeypatch.setattr(experiments, engine, refuse)
+    for source in ("box", "delta", "ascent", "l2"):
+        with pytest.raises(ValueError, match="4 distinct scales"):
+            scaling_fit([24, 24, 24, 24], 2, 1.8, source)
+
+
 @pytest.mark.parametrize("p", [0.5, 1.0, 2.5, math.inf, math.nan])
 def test_ascent_takes_p_in_one_to_two(p):
     with pytest.raises(ValueError, match=r"p must lie in \(1, 2\]"):
@@ -835,12 +846,15 @@ def test_separation_probe_exact_gains():
     params = OperatorParams.sharp(2, 8)
     f = delta((0, 0))
     shifts = [(10 * 64, 0), (20 * 64, 0), (40 * 64, 0)]
-    rep = two_bump_separation_probe(f, shifts, 2.0, 1.0, params)
+    rep, doubling = two_bump_separation_probe(f, shifts, 2.0, 1.0, params)
     expected = 2 ** (1.0 - 0.5)
     for key, gain in rep.values.items():
         assert abs(gain - expected) <= 1e-12, key
+    # every shift doubles both supports; a delta's 2-norm doubles exactly
+    assert doubling["undoubled_supports"] == 0 and doubling["p_deviation"] == 0.0
+    assert doubling["Af_q"] == 1.0 and doubling["q_deviation"] <= 4e-16
     # q = p: no gain
-    rep_eq = two_bump_separation_probe(f, shifts[:1], 2.0, 2.0, params)
+    rep_eq, _ = two_bump_separation_probe(f, shifts[:1], 2.0, 2.0, params)
     assert abs(list(rep_eq.values.values())[0] - 1.0) <= 1e-12
 
 
@@ -861,9 +875,12 @@ def test_separation_probe_overlap_flagged():
     # h = (1, 3) maps the averaged-delta point at k = 2 onto the one at k = 1
     params = OperatorParams.sharp(2, 4)
     f = delta((0, 0))
-    rep = two_bump_separation_probe(f, [(1, 3)], 2.0, 1.0, params)
+    rep, doubling = two_bump_separation_probe(f, [(1, 3)], 2.0, 1.0, params)
     assert math.isnan(list(rep.values.values())[0])
     assert "overlap" in rep.notes
+    assert doubling["undoubled_supports"] == 1  # f + f_h doubles, A f + A f_h does not
+    with pytest.raises(ValueError, match="shifts"):
+        two_bump_separation_probe(f, [], 2.0, 1.0, params)
 
 
 def test_iterated_doubling_multiplies_gain():

@@ -10,8 +10,6 @@ from paravg.arcs import totatives
 from paravg.numtheory import (
     _ramanujan_arith,
     _ramanujan_rows,
-    divisor_count,
-    divisor_count_sieve,
     divisor_level_counts,
     mobius,
     paraboloid_divisor_count,
@@ -22,6 +20,25 @@ from paravg.numtheory import (
     truncated_divisor_count,
     truncated_divisor_sieve,
 )
+
+
+def divisor_count(k):
+    """Number of positive divisors of |k|: the truncated count with Q = |k|."""
+    return truncated_divisor_count(k, abs(k))
+
+
+def divisor_count_sieve(limit):
+    """d(k) for 0 <= k <= limit (d[0] = 0), via the hyperbola split.
+
+    d(k) = 2 #{q <= sqrt(k) : q | k} - 1_{k square}, so only sqrt(limit)
+    sieve passes are needed.
+    """
+    d = np.zeros(limit + 1, dtype=np.int64)
+    root = math.isqrt(limit)
+    for q in range(1, root + 1):
+        d[q * q :: q] += 2
+    d[np.arange(1, root + 1) ** 2] -= 1
+    return d
 
 
 def test_divisor_count_basics():
@@ -137,6 +154,30 @@ def test_ramanujan_rows_match_per_k_evaluation():
         assert np.array_equal(table[q - 1], arith_old), q
 
 
+def _ramanujan_rows_full(q):
+    """_ramanujan_rows as it was before, at every residue 0..q-1: each one evaluated."""
+    tots = np.array(totatives(q), dtype=np.int64)
+    residues = np.arange(q, dtype=np.int64)
+    phases = ((tots[:, None] * residues[None, :]) % q) / q
+    by_gcd = np.zeros(q + 1, dtype=np.int64)
+    for g in range(1, q + 1):
+        if q % g == 0:
+            by_gcd[g] = _ramanujan_arith(q, g)
+    return np.exp(2j * np.pi * phases).sum(axis=0), by_gcd[np.gcd(q, residues)]
+
+
+def test_ramanujan_rows_keep_the_bits_of_the_full_residue_table():
+    # only the residues ks reaches are evaluated, one of them for ramanujan_sum
+    rng = np.random.default_rng(5)
+    for q in [*range(1, 200), 997, 1000, 3000]:
+        direct_full, arith_full = _ramanujan_rows_full(q)
+        for ks in ([0], [q - 1], [7, 7, -7], rng.integers(-10**9, 10**9, 5), np.arange(-q - 3, q + 4)):
+            ks = np.asarray(ks, dtype=np.int64)
+            direct, arith = _ramanujan_rows(q, ks)
+            assert direct.tobytes() == direct_full[ks % q].tobytes(), (q, ks)
+            assert np.array_equal(arith, arith_full[ks % q]), (q, ks)
+
+
 def test_ramanujan_multiplicativity():
     rng = np.random.default_rng(0)
     checked = 0
@@ -161,13 +202,13 @@ def test_ramanujan_block_report():
     assert rep.values["numerator"] == numerator
 
 
-def _level_count(N, Q, D, B=None, tau=None):
+def _level_count(N, Q, D):
     """The count and report of one D."""
-    return divisor_level_counts(N, Q, [D], B, tau)[0]
+    return divisor_level_counts(N, Q, [D])[0]
 
 
 def test_divisor_level_counts():
-    count, rep = _level_count(10**4, 16, 1.0, B=2.0, tau=0.5)
+    count, rep = _level_count(10**4, 16, 1.0)
     manual = sum(1 for k in range(1, 10**4 + 1) if truncated_divisor_count(k, 16) > 1)
     assert count == manual
     assert rep.values["ratio"] == count * 1.0 / (16**0.5 * 10**4)
@@ -181,7 +222,7 @@ def test_divisor_level_counts():
 
 
 def _edge_ds(Q):
-    return [1.0, 2.5] + [D for D in (Q - 1.0, float(Q), Q + 0.5) if D > 0] + [1e300, math.inf, math.nan]
+    return [1.0, 2.5] + [D for D in (Q - 1.0, float(Q), Q + 0.5) if D > 0] + [1e150]
 
 
 @pytest.mark.parametrize("N, Q", [(1, 1), (10, 1), (5000, 8), (20000, 16), (30, 64)])
@@ -193,33 +234,28 @@ def test_divisor_level_counts_match_the_sieve_comparison(N, Q):
     for D, (count, report) in zip(Ds, results):
         assert type(count) is int
         assert count == int(np.count_nonzero(sieve[1:] > D)), D
-        assert report.values == {"count": float(count)}
-        assert report.params == {"N": N, "Q": Q, "D": D, "B": None, "tau": None}
-        assert _level_count(N, Q, D) == (count, report) or math.isnan(D)
-    assert [c for c, _ in results][-3:] == [0, 0, 0]  # 1e300, inf, nan
+        assert report.values["count"] == float(count)
+        assert report.params == {"N": N, "Q": Q, "D": D, "B": 2.0, "tau": 0.5}
+        assert _level_count(N, Q, D) == (count, report)
+    assert all(c == 0 for D, (c, _) in zip(Ds, results) if D >= Q)  # d(k, Q) <= Q
 
 
 def test_divisor_level_counts_keep_every_ratio_bit():
     N, Q, B, tau = 20000, 16, 2.0, 0.5
     sieve = truncated_divisor_sieve(N, Q)
     Ds = _edge_ds(Q)
-    # 1e300 ** 2.0 overflows a float, and an inf or nan D has no ratio: both raise below
-    finite = [D for D in Ds if math.isfinite(D) and D != 1e300]
-    for D, (count, report) in zip(finite, divisor_level_counts(N, Q, finite, B, tau)):
+    for D, (count, report) in zip(Ds, divisor_level_counts(N, Q, Ds)):
         expected = int(np.count_nonzero(sieve[1:] > D)) * D**B / (Q**tau * N)
         assert repr(report.values["ratio"]) == repr(expected), D
+    # 1e300 ** 2.0 overflows a float, and an inf or nan D has no ratio
     with pytest.raises(ValueError, match="overflows"):
-        divisor_level_counts(N, Q, [2.0, 1e300], B, tau)
-    with pytest.raises(ValueError, match="overflows"):
-        divisor_level_counts(N, Q, [2.0], 2000.0, tau)
+        divisor_level_counts(N, Q, [2.0, 1e300])
     for bad in ([2.0, math.inf], [math.nan], [math.nan, 4.0]):
         with pytest.raises(ValueError, match="finite D"):
-            divisor_level_counts(N, Q, bad, B, tau)
-        counts = [c for c, _ in divisor_level_counts(N, Q, bad)]  # a count alone needs no ratio
-        assert all(c == 0 for D, c in zip(bad, counts) if not math.isfinite(D))
+            divisor_level_counts(N, Q, bad)
     for bad in ([2.0, 0.0], [-1.0], [4.0, -math.inf]):
         with pytest.raises(ValueError, match="D > 0"):
-            divisor_level_counts(N, Q, bad, B, tau)
+            divisor_level_counts(N, Q, bad)
 
 
 def test_divisor_growth_sweep():
@@ -276,14 +312,11 @@ def test_paraboloid_count_budget_guard():
 
 
 def test_divisor_level_count_rejects_nonpositive_parameters():
-    count, report = _level_count(1000, 16, 2.0, 2.0, 0.5)
+    count, report = _level_count(1000, 16, 2.0)
     assert report.values["ratio"] == count * 2.0**2.0 / (16**0.5 * 1000)
     for bad in ((0, 16, 2.0), (1000, 0, 2.0), (1000, 16, 0.0), (1000, 16, -1.0)):
         with pytest.raises(ValueError):
             _level_count(*bad)
-    for B, tau in ((0.0, 0.5), (-2.0, 0.5), (2.0, 0.0), (2.0, -0.5)):
-        with pytest.raises(ValueError, match="B > 0 and tau > 0"):
-            _level_count(1000, 16, 2.0, B, tau)
 
 
 def test_ramanujan_table_rejects_empty_arguments():
