@@ -381,7 +381,9 @@ class ArcSystem:
 
         core: "core" on every ladder of its block; dyadic (Q, l): l on the
         block's ladders that carry it; maj and min: "total" on every ladder,
-        so their weight is W(t), the whole arc weight.
+        so their weight is W(t), the whole arc weight.  A block with no
+        denominator q <= q_limit, or no ladder at the dyadic level, is a
+        ValueError.
         """
         if spec.kind in ("maj", "min"):
             return "total", list(self.ladders.values())
@@ -389,6 +391,8 @@ class ArcSystem:
             raise ValueError("the whole multiplier has no ladder weight")
         qs = [q for q in dyadic_block(spec.Q) if q <= self.q_limit]
         ladders = [self.ladders[(q, a)] for q in qs for a in totatives(q)]
+        if not ladders:
+            raise ValueError(f"block Q={spec.Q} has no denominator q <= q_limit = {self.q_limit} at N={self.N}")
         if spec.kind == "core":
             return "core", ladders
         ladders = [lad for lad in ladders if spec.level <= lad.top_level]

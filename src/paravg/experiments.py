@@ -17,17 +17,19 @@ Count arithmetic is exact: the averaged box is evaluated by interval and
 histogram counting in integers (never by floating kernel sums), and floats
 enter only at the final root.
 
-Costs.  The box and the wave-packet certificate of the 2 -> 2 norm share one
-interval engine: x_i enters only through its clipped k-interval, O(N) of
-them per side.  For n = 2 the last coordinate's square window is constant on
-O(N) runs, so every box and packet sum is O(N^2) over intervals x runs (the
-packet in blocks of intervals).  n = 3 streams the unordered interval pairs,
-one pair histogram alive at a time: O(N^4) time, O(N^2) memory.  The max
+Costs.  Every engine covers every n >= 2.  The box counts read one interval
+engine: x_i enters only through its clipped k-interval, 2N - 1 of them per
+side, and the count is symmetric in the intervals, so one row over x_n
+serves each multiset of n - 1 intervals: O(N^(2n-2)) time, one histogram of
+O(N^(n-1)) square sums alive at a time.  n = 2 power sums also use the
+square window of x_2, constant on O(N) runs: O(N^2).  The wave-packet
+certificate of the 2 -> 2 norm is the packet's Gram sum, which factors over
+the coordinates into one histogram of O(N^2) pairs, n - 2 convolutions in
+a fixed elementwise order and one weighted sum, for both cutoffs.  The max
 Rayleigh quotient of a batch of test functions averages a chunk of them as
 one stacked function in one direct sum, screens every member with square
 sums of proven relative error, and takes exact norms only of the members
-that can reach the max.  Both batched paths hold at most _CHUNK_TERMS terms
-per chunk.
+that can reach the max; a chunk holds at most _CHUNK_TERMS terms.
 The ascent keeps each start as sorted point and value arrays and its
 convolution on a dense window, and every dense array is checked against
 lattice.ALLOC_BUDGET_BYTES before it is allocated.
@@ -35,6 +37,7 @@ lattice.ALLOC_BUDGET_BYTES before it is allocated.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -95,16 +98,14 @@ class ScalingFit:
         return ScalingFit(list(map(int, Ns)), list(map(float, values)), slope, target)
 
 
-# -- the interval engine: the averaged box and the wave packet -----------------------
+# -- the interval engine: the averaged box ---------------------------------------------
 #
-# For f = 1 on {1..M}^(n-1) x {1..M_n} and weights sigma on [k_lo, k_hi] the
-# count at x sums sigma(k_1)...sigma(k_(n-1)) over k in prod K(x_i) with
-# 1 <= x_n + |k|^2 <= M_n, K(x_i) = [max(k_lo, 1 - x_i), min(k_hi, M - x_i)]:
-# x_i enters only through its clipped k-interval (_intervals).  The extremizer
-# box has sigma = 1 on [1, N], M = 2N, M_n = n N^2 (integer counts); the wave
-# packet has the cutoff's sigma, M = wN, M_n = wN^2.  n = 2 resolves the square
-# window by exact integer square roots (_square_runs); n = 3 reads one pass
-# over the unordered pairs of distinct intervals (_pair_rows).
+# For f = 1 on {1..2N}^(n-1) x {1..nN^2} the raw count at x counts the k in
+# prod K(x_i) with 1 <= x_n + |k|^2 <= nN^2, K(x_i) = [max(1, 1 - x_i), min(N, 2N - x_i)]:
+# x_i enters only through its clipped k-interval (_intervals), and the count is
+# symmetric in the intervals, so one row over x_n serves every order of a multiset
+# of them (_multiset_row).  n = 2 box power sums also resolve the square window by
+# exact integer square roots (_square_runs).
 
 
 def _square_runs(x_lo: int, x_hi: int, top: int):
@@ -128,23 +129,18 @@ def _square_runs(x_lo: int, x_hi: int, top: int):
     return starts, lengths, kmin, kmax
 
 
-def _run_counts(A: int, B: int, kmin: np.ndarray, kmax: np.ndarray) -> np.ndarray:
-    """n = 2 raw count on each square-window run, for the k-interval [A, B]."""
-    return np.clip(np.minimum(B, kmax) - np.maximum(A, kmin) + 1, 0, None)
+def _intervals(N: int):
+    """Distinct clipped k-intervals [max(1, 1 - x), min(N, 2N - x)] of one box side.
 
-
-def _intervals(k_lo: int, k_hi: int, M: int):
-    """Distinct clipped k-intervals [max(k_lo, 1 - x), min(k_hi, M - x)] of one box side.
-
-    x runs over [1 - k_hi, M - k_lo], where no interval is empty.  Returns
+    x runs over [1 - N, 2N - 1], where no interval is empty.  Returns
     (intervals, inverse, mult), the intervals in sorted order: coordinate
-    x = 1 - k_hi + j has the interval intervals[inverse[j]], and mult counts
+    x = 1 - N + j has the interval intervals[inverse[j]], and mult counts
     the coordinates of each.  Both ends fall as x rises, so x ascending meets
     the intervals in reverse sorted order.
     """
-    x = np.arange(1 - k_hi, M - k_lo + 1, dtype=np.int64)
+    x = np.arange(1 - N, 2 * N, dtype=np.int64)
     intervals, inverse, mult = np.unique(
-        np.stack([np.maximum(k_lo, 1 - x), np.minimum(k_hi, M - x)], axis=1),
+        np.stack([np.maximum(1, 1 - x), np.minimum(N, 2 * N - x)], axis=1),
         axis=0,
         return_inverse=True,
         return_counts=True,
@@ -152,50 +148,39 @@ def _intervals(k_lo: int, k_hi: int, M: int):
     return intervals, inverse.reshape(-1), mult
 
 
-def _pair_cum(I1, I2, sigma: np.ndarray | None = None, k_lo: int = 1) -> np.ndarray:
-    """cum[s] = sum of sigma(k1) sigma(k2) over (k1, k2) in I1 x I2 with k1^2 + k2^2 < s.
+def _multiset_row(multiset, x_n: np.ndarray, M_n: int) -> np.ndarray:
+    """Raw count over x_n for one multiset of k-intervals [A, B]: 1 <= x_n + |k|^2 <= M_n.
 
-    I1 and I2 are k-intervals [A, B].  sigma holds the weights of k_lo,
-    k_lo + 1, ...; None means unit weights, and cum is an exact int64 count.
-    One bincount of the |I1| |I2| pairwise square sums, O(N^2); cum stops one
-    past the largest square sum, beyond which it is constant.
+    One bincount of the square sums over the product of the intervals, in
+    exact int64, and its cumulative sum read at both ends of the window;
+    the square sums are checked against the allocation budget first.
     """
-    (A1, B1), (A2, B2) = I1, I2
-    s1, s2 = (np.arange(A, B + 1, dtype=np.int64) ** 2 for A, B in (I1, I2))
-    w = None if sigma is None else (sigma[A1 - k_lo : B1 - k_lo + 1, None] * sigma[A2 - k_lo : B2 - k_lo + 1]).ravel()
-    return np.concatenate([[0], np.cumsum(np.bincount((s1[:, None] + s2[None, :]).ravel(), weights=w))])
-
-
-def _pair_row(cum: np.ndarray, x3: np.ndarray, M_n: int) -> np.ndarray:
-    """n = 3 raw count over x3 for one pair of k-intervals: 1 <= x3 + k1^2 + k2^2 <= M_n."""
-    top = np.clip(M_n - x3 + 1, 0, len(cum) - 1)
-    bot = np.clip(1 - x3, 0, len(cum) - 1)
+    check_alloc((math.prod(B - A + 1 for A, B in multiset),), np.int64, "square sums of an interval multiset")
+    sums = np.zeros(1, dtype=np.int64)
+    for A, B in multiset:
+        sums = (sums[:, None] + np.arange(A, B + 1, dtype=np.int64) ** 2).ravel()
+    cum = np.concatenate([[0], np.cumsum(np.bincount(sums))])
+    top = np.clip(M_n - x_n + 1, 0, len(cum) - 1)
+    bot = np.clip(1 - x_n, 0, len(cum) - 1)
     return cum[top] - cum[bot]
 
 
-def _pair_rows(intervals: np.ndarray, x3: np.ndarray, M_n: int, sigma: np.ndarray | None = None, k_lo: int = 1):
-    """Yield (i, j, row) once per unordered pair i <= j of distinct intervals.
+def _multiset_rows(n: int, N: int):
+    """The box on the interval engine: (inverse, mult, a pass over the multisets).
 
-    row is the n = 3 count over x3 for the k-intervals (intervals[i],
-    intervals[j]), sigma-weighted as in _pair_cum, and serves (j, i) too
-    (with float sigma that order would add each bin's terms differently; the
-    wave-packet loop oracle pins the bits).  Each pair builds its histogram
-    when it is reached, so one is alive at a time.
+    The pass yields (idx, row) once per multiset idx of n - 1 interval
+    indices (ascending, itertools.combinations_with_replacement), row being
+    its count over x_n in [1 - (n-1) N^2, n N^2 - n + 1]; each row is built
+    when it is reached, so one histogram is alive at a time.
     """
+    intervals, inverse, mult = _intervals(N)
     keys = intervals.tolist()
-    for i, I1 in enumerate(keys):
-        for j in range(i, len(keys)):
-            yield i, j, _pair_row(_pair_cum(I1, keys[j], sigma, k_lo), x3, M_n)
-
-
-def _box_pairs(N: int):
-    """The n = 3 box on the interval engine: (inverse, mult, the _pair_rows pass).
-
-    x3 spans [1 - 2N^2, 3N^2 - 2]: x3 + k1^2 + k2^2 <= 3N^2 with k1, k2 >= 1.
-    """
-    intervals, inverse, mult = _intervals(1, N, 2 * N)
-    x3 = np.arange(1 - 2 * N * N, 3 * N * N - 1, dtype=np.int64)
-    return inverse, mult, _pair_rows(intervals, x3, 3 * N * N)
+    x_n = np.arange(1 - (n - 1) * N * N, n * N * N - n + 2, dtype=np.int64)
+    rows = (
+        (idx, _multiset_row([keys[i] for i in idx], x_n, n * N * N))
+        for idx in itertools.combinations_with_replacement(range(len(keys)), n - 1)
+    )
+    return inverse, mult, rows
 
 
 def box_average_counts(n: int, N: int):
@@ -206,28 +191,18 @@ def box_average_counts(n: int, N: int):
     [1 - N, 2N - 1] and x_n in [1 - (n-1) N^2, n N^2 - n + 1], so it has
     (3N-1)^(n-1) ((2n-1) N^2 - n + 1) entries (~45 N^4 for n = 3), checked
     against the allocation budget first; the slope fits go through
-    box_power_sum, which never builds it.  n = 2 repeats each distinct
-    k-interval's run counts over the run lengths; n = 3 scatters the row of
-    each interval pair of the one streamed pass into the cells of both
-    orders.
+    box_power_sum, which never builds it.  The row of each interval
+    multiset is scattered into the cells of each of its distinct orders.
     """
-    if n not in (2, 3):
-        raise ValueError("box counting engines cover n in {2, 3}")
-    M_n = n * N * N
     shape = (3 * N - 1,) * (n - 1) + ((2 * n - 1) * N * N - n + 1,)
     check_alloc(shape, np.int64, f"averaged box counts n={n} N={N}")
-    if n == 2:
-        _, lengths, kmin, kmax = _square_runs(1 - N * N, M_n, M_n)
-        intervals, inverse, _ = _intervals(1, N, 2 * N)
-        rows = np.stack([np.repeat(_run_counts(A, B, kmin, kmax), lengths) for A, B in intervals.tolist()])
-        return rows[inverse], (1 - N, 1 - N * N)
-    inverse, mult, pairs = _box_pairs(N)
+    inverse, mult, rows = _multiset_rows(n, N)
     xs = [np.flatnonzero(inverse == i) for i in range(len(mult))]
     counts = np.zeros(shape, dtype=np.int64)
-    for i, j, row in pairs:
-        counts[np.ix_(xs[i], xs[j])] = row
-        counts[np.ix_(xs[j], xs[i])] = row
-    return counts, (1 - N, 1 - N, 1 - 2 * N * N)
+    for idx, row in rows:
+        for order in set(itertools.permutations(idx)):
+            counts[np.ix_(*(xs[i] for i in order))] = row
+    return counts, (1 - N,) * (n - 1) + (1 - (n - 1) * N * N,)
 
 
 def box_core_is_one(n: int, N: int) -> bool:
@@ -235,18 +210,11 @@ def box_core_is_one(n: int, N: int) -> bool:
 
     Equivalently the raw count equals N^(n-1) there, which is an integer
     identity, tested without any division.  Every core coordinate x_i in
-    [1, N] has the k-interval [1, N], so the check reads that one interval's
-    counts over x_n in [1, N^2]: its square-window runs for n = 2, the row of
-    its pair histogram for n = 3.
+    [1, N] has the k-interval [1, N], so the check reads the row of that
+    interval taken n - 1 times over x_n in [1, N^2].
     """
-    if n not in (2, 3):
-        raise ValueError("box counting engines cover n in {2, 3}")
-    full, M_n = N ** (n - 1), n * N * N
-    if n == 2:
-        _, _, kmin, kmax = _square_runs(1, N * N + 1, M_n)
-        return bool(np.all(_run_counts(1, N, kmin, kmax) == full))
-    x3 = np.arange(1, N * N + 1, dtype=np.int64)
-    return bool(np.all(_pair_row(_pair_cum((1, N), (1, N)), x3, M_n) == full))
+    x_n = np.arange(1, N * N + 1, dtype=np.int64)
+    return bool(np.all(_multiset_row([(1, N)] * (n - 1), x_n, n * N * N) == N ** (n - 1)))
 
 
 def box_power_sum(n: int, N: int, exponent: float) -> float:
@@ -257,9 +225,10 @@ def box_power_sum(n: int, N: int, exponent: float) -> float:
     serves the whole bulk x1 in [0, N]) and on x2 only through its square
     window (kmin, kmax), which is constant on O(N) runs of x2 (_square_runs).
     So the sum runs over distinct intervals x runs, weighted by multiplicity
-    x run length, in sorted interval order.  n = 3 streams the interval
-    pairs, O(N^4) time and O(N^2) memory: one float per pair, added with
-    weight m_i m_j in first-appearance order of the intervals.
+    x run length, in sorted interval order.  n >= 3 streams the interval
+    multisets, O(N^(2n-2)) time and O(N^(n-1)) memory: one float per
+    multiset, added with weight m_i1 ... m_i(n-1) for each tuple of intervals
+    in first-appearance order (itertools.product).
 
     Partial sums are exact for integer exponents at desk scale (counts are
     <= N^(n-1) and every partial sum stays below 2^53 up to N ~ 200).
@@ -268,22 +237,18 @@ def box_power_sum(n: int, N: int, exponent: float) -> float:
     total = 0.0
     if n == 2:
         _, lengths, kmin, kmax = _square_runs(1 - N * N, M_n, M_n)
-        intervals, _, mult = _intervals(1, N, 2 * N)
+        intervals, _, mult = _intervals(N)
         powers = np.arange(N + 1, dtype=float) ** exponent
         for (A, B), m in zip(intervals.tolist(), mult.tolist()):
-            total += m * float(np.sum(lengths * powers[_run_counts(A, B, kmin, kmax)]))
+            counts = np.clip(np.minimum(B, kmax) - np.maximum(A, kmin) + 1, 0, None)
+            total += m * float(np.sum(lengths * powers[counts]))
         return total
-    if n == 3:
-        _, mult, pairs = _box_pairs(N)
-        sums = np.empty((len(mult), len(mult)))
-        for i, j, row in pairs:
-            sums[i, j] = sums[j, i] = np.sum(row.astype(float) ** exponent)
-        m, first_seen = mult.tolist(), range(len(mult) - 1, -1, -1)  # reverse sorted order (_intervals)
-        for i in first_seen:
-            for j in first_seen:
-                total += m[i] * m[j] * float(sums[i, j])
-        return total
-    raise ValueError("box counting engines cover n in {2, 3}")
+    _, mult, rows = _multiset_rows(n, N)
+    sums = {idx: float(np.sum(row.astype(float) ** exponent)) for idx, row in rows}
+    m, first_seen = mult.tolist(), range(len(mult) - 1, -1, -1)  # reverse sorted order (_intervals)
+    for idx in itertools.product(first_seen, repeat=n - 1):
+        total += math.prod(m[i] for i in idx) * sums[tuple(sorted(idx))]
+    return total
 
 
 def box_extremizer_ratio(params: OperatorParams, p: float) -> float:
@@ -335,9 +300,8 @@ def norm_l1_linf(params: OperatorParams) -> float:
     return top / params.N ** (params.n - 1)
 
 
-# Terms one chunk of the batched paths may hold: kernel-point pairs of the
-# stacked Rayleigh averages, cells (rows x runs) of a wave-packet block.
-# Sized so that neither path raises the peak RSS of the unbatched loops.
+# Kernel-point pairs one chunk of the stacked Rayleigh averages may hold.
+# Sized so that the batched path does not raise the peak RSS of the unbatched loop.
 _CHUNK_TERMS = 1 << 15
 
 
@@ -464,55 +428,33 @@ _PACKET_WIDTH = 8
 
 
 def _box_packet_quotient(params: OperatorParams) -> float:
-    """Rayleigh quotient of the flat wave packet 1 on {1..wN}^(n-1) x {1..wN^2}, w = _PACKET_WIDTH.
+    """Rayleigh quotient of the flat wave packet 1_P on P = {1..M}^(n-1) x {1..M_n}, M = wN, M_n = wN^2.
 
-    Its average is the sigma-weighted count of the box M = wN, M_n = wN^2
-    (_intervals: ~2N intervals per side for the sharp cutoff, ~8N for the
-    smooth one).  One squared row sum is taken per interval (n = 2) or per
-    unordered interval pair (n = 3, the streamed _pair_rows pass), and the
-    sums are added in x order, as row by row.  For n = 2 a row is a
-    difference of sigma prefix sums on each of the O(N) square-window runs
-    of x2 (_square_runs), evaluated in (intervals x runs) blocks of at most
-    _CHUNK_TERMS cells: O(w N^2) in all.
+    w = _PACKET_WIDTH.  In Gram form, with v_k = (k, |k|^2) and the kernel
+    weight sigma(k_1)...sigma(k_(n-1)),
+
+        N^(2(n-1)) |A 1_P|^2 = sum over k, k' of the weights of k and k' times |P cap (P + v_k - v_k')|,
+
+    and |P cap (P + d)| = prod_(i<n) (M - |d_i|)_+ (M_n - |d_n|)_+.  Every
+    |k_i - k'_i| < 4N < M, so the sum factors over the coordinates: H1[d]
+    sums sigma(k) sigma(k') (M - |k - k'|) over the pairs with
+    k^2 - k'^2 = d, H is H1 convolved with itself n - 2 times, and the sum
+    is that of H[D] (M_n - |D|)_+, taken by math.fsum.  For the sharp cutoff
+    every term is an integer, exact below 2^53.
     """
     n, N = params.n, params.N
     M, M_n = _PACKET_WIDTH * N, _PACKET_WIDTH * N * N
-    ks, ws = params.cutoff.support(), params.cutoff.weights()
-    k_lo, k_hi = int(ks[0]), int(ks[-1])
-    intervals, inverse, _ = _intervals(k_lo, k_hi, M)
-    x_lo, x_hi = 1 - (n - 1) * 4 * N * N, M_n + (n - 1) * 4 * N * N
-
-    if n == 2:
-        prefix = np.concatenate([[0.0], np.cumsum(ws)])
-
-        def wsum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-            """sum of sigma over [a, b] intersect supp sigma (vectorized)."""
-            ia = np.clip(a - k_lo, 0, len(ws))
-            ib = np.clip(b - k_lo + 1, 0, len(ws))
-            return prefix[np.maximum(ib, ia)] - prefix[ia]
-
-        starts, lengths, rmin, rmax = _square_runs(x_lo, x_hi, M_n)
-        neg_ok = starts <= M_n
-        zero_ok = (starts >= 1) & neg_ok
-        block = max(1, _CHUNK_TERMS // len(starts))
-        check_alloc((min(block, len(intervals)), len(starts)), np.float64, f"wave-packet rows n=2 N={N}")
-        blocks = []
-        for i in range(0, len(intervals), block):
-            a, b = intervals[i : i + block, :1], intervals[i : i + block, 1:]
-            pos = wsum(np.maximum(a, rmin), np.minimum(b, rmax))
-            neg = wsum(np.maximum(a, -rmax), np.minimum(b, -rmin))
-            zero = wsum(np.maximum(a, 0), np.minimum(b, 0)) * zero_ok
-            row = np.where(neg_ok, pos + neg + zero, 0.0)
-            blocks.append(np.sum(lengths * (row * row), axis=1))
-        sums = np.concatenate(blocks)
-    else:
-        sums = np.empty((len(intervals), len(intervals)))
-        for i, j, row in _pair_rows(intervals, np.arange(x_lo, x_hi), M_n, ws, k_lo):
-            sums[i, j] = sums[j, i] = np.sum(row * row)
-
-    total_sq = 0.0
-    for row_sq in sums[np.ix_(*(inverse,) * (n - 1))].ravel().tolist():  # in x order, as row by row
-        total_sq += row_sq
+    ks, ws = params.cutoff.support().astype(np.int64), params.cutoff.weights()
+    check_alloc((len(ks), len(ks)), np.float64, f"wave-packet pairs n={n} N={N}")
+    k, kp = ks[:, None], ks[None, :]
+    d = k * k - kp * kp
+    h = h1 = np.bincount((d - d.min()).ravel(), weights=(ws[:, None] * ws[None, :] * (M - np.abs(k - kp))).ravel())
+    for _ in range(n - 2):  # elementwise in ascending j, not np.convolve (a BLAS dot), so no kernel picks the bits
+        h, prev = np.zeros(len(h) + len(h1) - 1), h
+        for j in np.flatnonzero(h1).tolist():
+            h[j : j + len(prev)] += h1[j] * prev
+    D = np.arange(len(h)) + (n - 1) * int(d.min())
+    total_sq = math.fsum((h * np.clip(M_n - np.abs(D), 0, None)).tolist())
     return math.sqrt(total_sq) / N ** (n - 1) / math.sqrt(M ** (n - 1) * M_n)  # |A f|_2 / |f|_2
 
 
@@ -523,7 +465,9 @@ def norm_l2_l2(params: OperatorParams) -> ExperimentReport:
     by the triangle inequality sup |m| = m(0) = mass(sigma)^(n-1), and the
     value is exact (sharp cutoff: exactly 1).  The certificate checks the
     value from the other side: the Rayleigh quotient of a flat wave packet
-    must reach at least 0.8 of it, or an AssertionError is raised.
+    must reach at least 0.8 of it, or an AssertionError is raised.  For the
+    smooth cutoff the width-8 packet reaches 0.81 of it at n = 3 and 0.74 at
+    n = 4, so from n = 4 on the smooth check fails although the value is exact.
     """
     n, N = params.n, params.N
     value = params.cutoff.mass() ** (n - 1) / N ** (n - 1)

@@ -281,7 +281,7 @@ def lp_norm(f: LatticeFunction, p) -> float:
     by 2^e after (inf where that overflows); inside that range the values
     are summed as they are.
     """
-    if p != math.inf and p < 1:
+    if not p >= 1:  # nan too; inf passes
         raise ValueError(f"p must be >= 1 or inf, got {p}")
     if not len(f):
         return 0.0

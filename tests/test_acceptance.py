@@ -190,8 +190,8 @@ def test_c12_separation_probe(tmp_path, capsys):
 # bound: owner, name, change(result, *args) -> the moved result).  Each move sits where the
 # CLI reads the library, so the gate's check has to see the computation move.
 PERTURBED = {
-    1: ("n=2 N=32: averaged box differs from 1 on the core block",  # one more count per run
-        exp_mod, "_run_counts", lambda counts, A, B, *_: counts + (B == 32)),
+    1: ("n=2 N=32: averaged box differs from 1 on the core block",  # one more count per x_n
+        exp_mod, "_multiset_row", lambda row, multiset, *_: row + (multiset[0][1] == 32)),
     2: ("n=2 N=32: averaged delta departures from N^(1-n) on the reflected nodes",  # one ulp per node
         cli, "average", lambda af, f, params: af * (1 + 2**-52) if params.N == 32 else af),
     3: ("p=1.8: slope deviation from target -0.3333",  # the slope moves by 2x its tolerance 0.15

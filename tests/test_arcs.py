@@ -393,6 +393,18 @@ def test_invalid_piece_specs():
         arc_system(16).piece_weight(PieceSpec("whole"), 0.2)  # m itself has no ladder weight
 
 
+def test_a_block_past_q_limit_is_refused():
+    # N = 8 caps the q range of a standalone piece at N - 1 = 7, below every q of block 64
+    params = OperatorParams.smooth(2, 8)
+    message = "block Q=64 has no denominator q <= q_limit = 7 at N=8"
+    for spec in (PieceSpec("core", 64), PieceSpec("dyadic", 64, 0)):
+        system = arcs.piece_system(spec, params)
+        with pytest.raises(ValueError, match=message):
+            system.terms(spec)
+        with pytest.raises(ValueError, match=message):
+            piece_multipliers([spec], (0.1, 0.2), params)
+
+
 def test_arc_system_default_q_limit_shares_one_cache_entry():
     # maj reads arc_system(N), a standalone Q = 1 piece arc_system(N, N // 10)
     params = OperatorParams.smooth(2, 64)

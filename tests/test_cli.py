@@ -83,6 +83,35 @@ def test_sharpness(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_sharpness_n4(tmp_path, capsys):
+    assert run(["sharpness", "--n", "4", "--N", "2,3,4", "--out-dir", str(tmp_path / "o")]) == 0
+    out = capsys.readouterr().out
+    assert out.count("[PASS] ") == 9 and "[FAIL]" not in out
+    assert "[PASS] n=4 N=4: averaged box differs from 1 on the core block: 0 vs bound 0" in out
+
+
+def test_norm_scan_n4(tmp_path, capsys):
+    assert run(["norm-scan", "--n", "4", "--N", "4", "--falsify", "5", "--out-dir", str(tmp_path / "o")]) == 0
+    out = capsys.readouterr().out
+    assert "[PASS] N=4: sharp l1->linf deviation from N^(1-n): 0 vs bound 0" in out
+    assert "[PASS] N=4: max random Rayleigh quotient: " in out and "[FAIL]" not in out
+    results = json.loads((tmp_path / "o" / "norm-scan.json").read_text())["results"]["4"]
+    assert results["l2_l2"] == 1.0 and 0.8 <= results["certificate"] <= 1.0
+
+
+def test_scaling_fit_n4_box_ends_by_its_check(tmp_path, capsys):
+    # the slope is recorded as measured: the run may pass or fail its check, never refuse it
+    status = run(["scaling-fit", "--n", "4", "--source", "box", "--N", "4,6,8,10", "--out-dir", str(tmp_path / "o")])
+    out = capsys.readouterr().out
+    assert status in (0, 1)
+    assert f"{'[PASS]' if status == 0 else '[FAIL]'} p=1.8: slope deviation from target -0.5556: " in out
+
+
+def test_coeff_check_refuses_a_block_past_q_limit(tmp_path, capsys):
+    assert run(["coeff-check", "--N", "8", "--Q", "64", "--out-dir", str(tmp_path / "o")]) == 2
+    assert "error: block Q=64 has no denominator q <= q_limit = 7 at N=8" in capsys.readouterr().err
+
+
 def test_sharpness_at_p_inf(tmp_path, capsys):
     # p' = 1, so the delta ratio is N^0 = 1
     assert run(["sharpness", "--p", "inf", "--N", "4", "--out-dir", str(tmp_path / "o")]) == 0
@@ -234,7 +263,7 @@ def test_a_nan_after_the_first_draw_fails_its_check(tmp_path, capsys, monkeypatc
     "argv",
     [
         ["arcs-check", "--N", "5"],
-        ["sharpness", "--n", "4"],
+        ["sharpness", "--n", "1"],
         ["coeff-check", "--N", "2"],
         ["divisor-check", "--N", "20000000"],
         ["coeff-check", "--count", "0"],
@@ -244,6 +273,8 @@ def test_a_nan_after_the_first_draw_fails_its_check(tmp_path, capsys, monkeypatc
         ["scaling-fit", "--N", "8,8,8,8"],  # one distinct N: no slope
         ["scaling-fit", "--source", "ascent", "--p", "1", "--N", "4,8,16,24"],
         ["scaling-fit", "--source", "ascent", "--p", "0.5", "--N", "4,8,16,24"],
+        ["separation-probe", "--p", "nan"],
+        ["separation-probe", "--q", "nan"],
     ],
     ids=" ".join,
 )

@@ -1,8 +1,11 @@
 """Extremizer ratios, operator norms, scaling fits, and the q < p probe."""
 
+import collections
 import functools
+import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -36,7 +39,7 @@ def test_sharp_threshold():
 
 
 def test_box_counts_match_direct_average():
-    for n, N in ((2, 3), (2, 5), (2, 8), (2, 24), (3, 2), (3, 3), (3, 4), (3, 6), (3, 8)):
+    for n, N in ((2, 3), (2, 5), (2, 8), (2, 24), (3, 2), (3, 3), (3, 4), (3, 6), (3, 8), (4, 1), (4, 2), (4, 3), (4, 4)):
         f = box_indicator((1,) * n, (2 * N,) * (n - 1) + (n * N * N,))
         af = average(f, OperatorParams.sharp(n, N))
         counts, lo = box_average_counts(n, N)
@@ -99,7 +102,7 @@ def test_box_counts_3d_match_unshared_histograms(N):
     assert counts.dtype == np.int64 and np.array_equal(counts, _dense_box_counts_3d(N))
 
 
-@pytest.mark.parametrize("n, N", [(2, 1), (2, 2), (2, 7), (3, 1), (3, 2), (3, 5)])
+@pytest.mark.parametrize("n, N", [(2, 1), (2, 2), (2, 7), (3, 1), (3, 2), (3, 5), (4, 1), (4, 2), (4, 3)])
 def test_box_counts_array_is_the_support_box(n, N):
     # no slice of the dense array is all zero at either end of any axis
     counts, _ = box_average_counts(n, N)
@@ -109,76 +112,77 @@ def test_box_counts_array_is_the_support_box(n, N):
             assert np.count_nonzero(np.take(counts, end, axis=axis)), (axis, end)
 
 
-@pytest.mark.parametrize(
-    "k_lo, k_hi, M", [(1, 1, 2), (1, 4, 8), (1, 16, 32), (1, 8, 64), (-7, 7, 32), (-15, 15, 64), (3, 5, 1)]
-)
-def test_intervals_match_clipped_coordinates(k_lo, k_hi, M):
-    intervals, inverse, mult = experiments._intervals(k_lo, k_hi, M)
-    xs = range(1 - k_hi, M - k_lo + 1)
-    clipped = [(max(k_lo, 1 - x), min(k_hi, M - x)) for x in xs]
+@pytest.mark.parametrize("n, N", [(2, 1), (2, 5), (2, 16), (3, 1), (3, 4), (3, 9), (4, 1), (4, 3), (4, 5)])
+def test_box_mass_identity(n, N):
+    # every k moves the whole box: sum of counts = N^(n-1) |box| = 2^(n-1) n N^(2n)
+    mass = 2 ** (n - 1) * n * N ** (2 * n)
+    assert int(box_average_counts(n, N)[0].sum()) == mass
+    assert box_power_sum(n, N, 1.0) == mass
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 8, 16, 33])
+def test_intervals_match_clipped_coordinates(N):
+    intervals, inverse, mult = experiments._intervals(N)
+    xs = range(1 - N, 2 * N)
+    clipped = [(max(1, 1 - x), min(N, 2 * N - x)) for x in xs]
     assert all(a <= b for a, b in clipped)  # no coordinate has an empty interval
     keys = [tuple(key) for key in intervals.tolist()]
-    assert keys == sorted(set(clipped))
+    assert keys == sorted(set(clipped)) and len(keys) == 2 * N - 1
     assert [keys[i] for i in inverse] == clipped
     assert mult.tolist() == [clipped.count(key) for key in keys]
     # x ascending meets the intervals in reverse sorted order
     assert list(dict.fromkeys(inverse.tolist())) == list(range(len(intervals) - 1, -1, -1))
 
 
-def _convolved_pair_cum(I1, I2, weights=None, k_lo: int = 1) -> np.ndarray:
-    """Oracle: the pair histogram as np.convolve of two (weighted) square histograms."""
-    hists = []
-    for A, B in (I1, I2):
-        k = np.arange(A, B + 1, dtype=np.int64)
-        w = None if weights is None else weights[A - k_lo : B - k_lo + 1]
-        hists.append(np.bincount(k * k, weights=w))
-    return np.concatenate([[0], np.cumsum(np.convolve(*hists))])
+def _convolved_cum(multiset) -> np.ndarray:
+    """Oracle: the multiset's cumulative square-sum histogram as np.convolve of one square histogram per interval."""
+    hist = np.ones(1, dtype=np.int64)
+    for A, B in multiset:
+        hist = np.convolve(hist, np.bincount(np.arange(A, B + 1, dtype=np.int64) ** 2))
+    return np.concatenate([[0], np.cumsum(hist)])
 
 
-@pytest.mark.parametrize("N", [4, 8, 16, 24])
-def test_pair_cum_bincount_matches_convolution(N):
-    # every interval pair of the box, with unit weights: exact integers
-    intervals = experiments._intervals(1, N, 2 * N)[0].tolist()
-    assert len(intervals) == 2 * N - 1
-    for I1 in intervals:
-        for I2 in intervals:
-            cum, want = experiments._pair_cum(I1, I2), _convolved_pair_cum(I1, I2)
-            assert cum.dtype == want.dtype == np.int64 and np.array_equal(cum, want[: len(cum)])
-            assert np.all(want[len(cum) :] == cum[-1])  # constant past the largest square sum
-    # the smooth cutoff's sigma-weighted intervals of the wave packet, a stride of them
-    cutoff = OperatorParams.smooth(3, N).cutoff
-    ks, ws = cutoff.support(), cutoff.weights()
-    k_lo = int(ks[0])
-    intervals = experiments._intervals(k_lo, int(ks[-1]), 8 * N)[0].tolist()
-    assert len(intervals) == 8 * N - 3
-    for I1 in intervals[:: N // 2]:
-        for I2 in intervals[:: N // 2]:
-            cum, want = experiments._pair_cum(I1, I2, ws, k_lo), _convolved_pair_cum(I1, I2, ws, k_lo)
-            assert cum.dtype == np.float64 and cum[0] == 0.0
-            assert np.allclose(cum, want[: len(cum)], rtol=1e-12, atol=1e-12)
-            assert np.allclose(want[len(cum) :], cum[-1], rtol=1e-12, atol=1e-12)
+def _cum_row(cum: np.ndarray, x_n: np.ndarray, M_n: int) -> np.ndarray:
+    """Oracle: the count over x_n read off a cumulative histogram, 1 <= x_n + |k|^2 <= M_n."""
+    top = np.clip(M_n - x_n + 1, 0, len(cum) - 1)
+    bot = np.clip(1 - x_n, 0, len(cum) - 1)
+    return cum[top] - cum[bot]
+
+
+@pytest.mark.parametrize("n, N", [(2, 8), (3, 4), (3, 8), (3, 16), (3, 24), (4, 3), (4, 5)])
+def test_multiset_rows_match_convolved_histograms(n, N):
+    # every multiset of the box's intervals, exact integers, and the rows come in
+    # combinations_with_replacement order
+    inverse, mult, rows = experiments._multiset_rows(n, N)
+    intervals = experiments._intervals(N)[0].tolist()
+    x_n = np.arange(1 - (n - 1) * N * N, n * N * N - n + 2, dtype=np.int64)
+    seen = []
+    for idx, row in rows:
+        want = _cum_row(_convolved_cum([intervals[i] for i in idx]), x_n, n * N * N)
+        assert row.dtype == np.int64 and np.array_equal(row, want), idx
+        seen.append(idx)
+    assert seen == list(itertools.combinations_with_replacement(range(2 * N - 1), n - 1))
+    assert mult.sum() == len(inverse) == 3 * N - 1
 
 
 def test_box_core_exactness():
-    for n in (2, 3):
-        for N in range(1, 17):
+    for n, top in ((2, 16), (3, 16), (4, 8)):
+        for N in range(1, top + 1):
             assert box_core_is_one(n, N)
-    with pytest.raises(ValueError):
-        box_core_is_one(4, 2)
 
 
-@pytest.mark.parametrize("n, helper", [(2, "_run_counts"), (3, "_pair_row")])
-def test_box_core_check_fails_on_one_wrong_count(n, helper, monkeypatch):
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_box_core_check_fails_on_one_wrong_count(n, monkeypatch):
     # the core check reads the counts it is given: one count off must fail it
-    original = getattr(experiments, helper)
+    original = experiments._multiset_row
 
     def one_off(*args):
         out = original(*args).copy()
         out[len(out) // 2] -= 1
         return out
 
-    monkeypatch.setattr(experiments, helper, one_off)
-    for N in (1, 2, 5, 16):
+    monkeypatch.setattr(experiments, "_multiset_row", one_off)
+    for N in (1, 2, 5, 8, 16):
         assert not box_core_is_one(n, N)
 
 
@@ -215,8 +219,7 @@ def _box_power_sum_3d_full_axis(N: int, exponent: float) -> float:
     total = 0.0
     for k1, m1 in mult.items():
         for k2, m2 in mult.items():
-            cum = _convolved_pair_cum(k1, k2)
-            row = experiments._pair_row(cum, x3, 3 * N * N).astype(float)
+            row = _cum_row(_convolved_cum([k1, k2]), x3, 3 * N * N).astype(float)
             total += m1 * m2 * float(np.sum(row**exponent))
     return total
 
@@ -227,8 +230,17 @@ def test_box_power_sum_n3_keeps_its_bits_without_the_zero_slice(N):
         assert box_power_sum(3, N, exponent) == _box_power_sum_3d_full_axis(N, exponent), exponent
 
 
+@pytest.mark.parametrize("n, N", [(3, 1), (3, 5), (4, 1), (4, 2), (4, 4)])
+def test_box_power_sum_matches_dense_counts(n, N):
+    counts = box_average_counts(n, N)[0].astype(float)
+    for exponent in (2.0, 3.0):  # integer powers: every sum is exact
+        assert box_power_sum(n, N, exponent) == np.sum(counts**exponent)
+    want = np.sum(counts**2.25)
+    assert abs(box_power_sum(n, N, 2.25) - want) <= 1e-13 * want
+
+
 def test_box_power_sum_n3_streams_the_pairs():
-    # one pair histogram alive at a time: holding all of them at once peaks at
+    # one multiset histogram alive at a time: holding all of them at once peaks at
     # 34.0 MB under tracemalloc at N=32, streaming them at 0.34 MB
     box_power_sum(3, 2, 2.25)
     tracemalloc.start()
@@ -387,16 +399,26 @@ def _streamed_packet_quotient_2d(params: OperatorParams, width: int = 8) -> floa
     return (math.sqrt(total_sq) / N) / math.sqrt(M * M_n)
 
 
-def _assert_within_ulps(value: float, oracle: float, ulps: int = 4) -> None:
-    """The streamed oracle sums every x2 of a row, not lengths times runs, so the two agree to a few ulps, not bits."""
-    assert abs(value - oracle) <= ulps * math.ulp(oracle)
+# The float oracles add the rounded squares of their rows one after another; at these N
+# (n <= 3, N <= 64) they stay within 4.8e-15 relative of the Gram form, which equals the
+# exact value where test_packet_quotient_is_the_exact_gram_sum checks it.  Sharp rows and
+# squares are integers, so there the oracles are exact.
+_SMOOTH_ORACLE_RTOL = 1e-14
+
+
+def _assert_matches_oracle(params: OperatorParams, oracle: float) -> None:
+    value = experiments._box_packet_quotient(params)
+    if params.cutoff.kind == "sharp":
+        assert value == oracle
+    else:
+        assert abs(value - oracle) <= _SMOOTH_ORACLE_RTOL * oracle
 
 
 @pytest.mark.parametrize("kind", ["sharp", "smooth"])
-@pytest.mark.parametrize("N", [8, 16, 20, 32, 64])  # smooth N = 20: the two sums differ in the last bit
+@pytest.mark.parametrize("N", [8, 16, 20, 32, 64])
 def test_packet_quotient_runs_match_streamed_rows(kind, N):
     params = OperatorParams.sharp(2, N) if kind == "sharp" else OperatorParams.smooth(2, N)
-    _assert_within_ulps(experiments._box_packet_quotient(params), _streamed_packet_quotient_2d(params))
+    _assert_matches_oracle(params, _streamed_packet_quotient_2d(params))
 
 
 def _run_rows_packet_quotient_2d(params: OperatorParams, width: int = 8) -> float:
@@ -425,29 +447,16 @@ def _run_rows_packet_quotient_2d(params: OperatorParams, width: int = 8) -> floa
 
 
 @pytest.mark.parametrize("kind", ["sharp", "smooth"])
-@pytest.mark.parametrize("N", [8, 20, 42, 48])  # smooth N = 20, 42, 48: another order of the sums changes the bits
+@pytest.mark.parametrize("N", [8, 20, 42, 48])
 def test_packet_quotient_intervals_match_every_row(kind, N):
     params = OperatorParams.sharp(2, N) if kind == "sharp" else OperatorParams.smooth(2, N)
-    assert experiments._box_packet_quotient(params) == _run_rows_packet_quotient_2d(params)
+    _assert_matches_oracle(params, _run_rows_packet_quotient_2d(params))
 
 
 def test_norm_l2_l2_rejects_weak_certificate(monkeypatch):
     monkeypatch.setattr(experiments, "_box_packet_quotient", lambda params: 0.79)
     with pytest.raises(AssertionError, match="wave packet"):
         norm_l2_l2(OperatorParams.sharp(2, 8))
-
-
-@pytest.mark.parametrize("kind", ["sharp", "smooth"])
-@pytest.mark.parametrize("N", [8, 20, 32])
-def test_packet_quotient_blocks_match_streamed_rows(kind, N, monkeypatch):
-    # blocks of 6 rows: several blocks and a partial last one
-    params = OperatorParams.sharp(2, N) if kind == "sharp" else OperatorParams.smooth(2, N)
-    ks = params.cutoff.support()
-    intervals = len(experiments._intervals(int(ks[0]), int(ks[-1]), 8 * N)[0])
-    runs = len(experiments._square_runs(1 - 4 * N * N, 12 * N * N, 8 * N * N)[0])
-    assert intervals > 12 and intervals % 6
-    monkeypatch.setattr(experiments, "_CHUNK_TERMS", 6 * runs)
-    _assert_within_ulps(experiments._box_packet_quotient(params), _streamed_packet_quotient_2d(params))
 
 
 def _looped_packet_quotient_3d(params: OperatorParams, width: int = 8) -> float:
@@ -478,7 +487,49 @@ def _looped_packet_quotient_3d(params: OperatorParams, width: int = 8) -> float:
 @pytest.mark.parametrize("N", [4, 6, 8])
 def test_packet_quotient_n3_pairs_match_looped_rows(kind, N):
     params = OperatorParams.sharp(3, N) if kind == "sharp" else OperatorParams.smooth(3, N)
-    assert experiments._box_packet_quotient(params) == _looped_packet_quotient_3d(params)
+    _assert_matches_oracle(params, _looped_packet_quotient_3d(params))
+
+
+def _exact_packet_quotient(params: OperatorParams, width: int = 8) -> float:
+    """Oracle: the Gram sum in exact rationals, each float weight read exactly, rounded once at the end.
+
+    The final root and divisions are the engine's own float steps.
+    """
+    n, N = params.n, params.N
+    M, M_n = width * N, width * N * N
+    pairs = [(k, Fraction(w)) for k, w in zip(params.cutoff.support().tolist(), params.cutoff.weights().tolist())]
+    h1 = collections.Counter()
+    for k, a in pairs:
+        for kp, b in pairs:
+            h1[k * k - kp * kp] += a * b * (M - abs(k - kp))
+    h = h1
+    for _ in range(n - 2):
+        h, prev = collections.Counter(), h
+        for d, v in prev.items():
+            for d1, v1 in h1.items():
+                h[d + d1] += v * v1
+    total = sum(v * max(M_n - abs(D), 0) for D, v in h.items())
+    return math.sqrt(float(total)) / N ** (n - 1) / math.sqrt(M ** (n - 1) * M_n)
+
+
+@pytest.mark.parametrize(
+    "kind, n, N",
+    [("smooth", 2, 8), ("smooth", 2, 16), ("smooth", 2, 32), ("smooth", 3, 4), ("smooth", 3, 8), ("smooth", 4, 4),
+     ("sharp", 2, 1), ("sharp", 2, 2), ("sharp", 2, 128), ("sharp", 3, 1), ("sharp", 3, 16), ("sharp", 4, 1),
+     ("sharp", 4, 4)],
+)
+def test_packet_quotient_is_the_exact_gram_sum(kind, n, N):
+    params = OperatorParams.sharp(n, N) if kind == "sharp" else OperatorParams.smooth(n, N)
+    assert experiments._box_packet_quotient(params) == _exact_packet_quotient(params)
+
+
+@pytest.mark.parametrize("kind, n, N", [("sharp", 2, 4), ("smooth", 2, 4), ("sharp", 3, 4), ("smooth", 3, 4), ("sharp", 4, 2)])
+def test_packet_quotient_matches_the_averaged_packet(kind, n, N):
+    # the definition itself: |A 1_P|_2 / |1_P|_2 through average and lp_norm (smooth needs N >= 4)
+    params = OperatorParams.sharp(n, N) if kind == "sharp" else OperatorParams.smooth(n, N)
+    packet = box_indicator((1,) * n, (8 * N,) * (n - 1) + (8 * N * N,))
+    want = lp_norm(average(packet, params), 2) / lp_norm(packet, 2)
+    assert abs(experiments._box_packet_quotient(params) - want) <= 1e-14 * want
 
 
 def _rayleigh_oracle(f, params: OperatorParams) -> float:
@@ -792,6 +843,15 @@ def test_ascent_rejects_oversized_window_before_allocating():
 def test_box_average_counts_rejects_oversized_array():
     with pytest.raises(ValueError, match="allocation budget"):
         box_average_counts(3, 128)
+
+
+def test_box_engines_refuse_an_oversized_multiset_before_allocating():
+    # the core multiset at n = 7, N = 64 has 64^6 square sums, 549 GB of int64; every
+    # row of the multiset pass goes through the same _multiset_row
+    x_n = np.arange(1, 64 * 64 + 1, dtype=np.int64)
+    for engine in (lambda: box_core_is_one(7, 64), lambda: experiments._multiset_row([(1, 64)] * 6, x_n, 7 * 64 * 64)):
+        with pytest.raises(ValueError, match="square sums of an interval multiset.*allocation budget"):
+            engine()
 
 
 def test_scaling_fit_requires_four_scales():

@@ -54,8 +54,9 @@ def test_lp_norm_examples_and_errors():
     assert lp_norm(b, math.inf) == 1.0
     two = 2 * delta((0, 0)) + 2 * delta((5, 5))
     assert lp_norm(two, 2) == 2 * math.sqrt(2)
-    with pytest.raises(ValueError):
-        lp_norm(b, 0.5)
+    for p in (0.5, math.nan, -math.inf):
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            lp_norm(b, p)
 
 
 def test_convolve_delta_shifts():
