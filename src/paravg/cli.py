@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -423,7 +424,13 @@ def emit_plot(csv_path, out_path=None) -> str:
 # -- parser ------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The paravg parser, built on the first call and shared by every later main() in the process.
+
+    Parsing leaves the parser as it was; the list defaults are shared by
+    every parse, and no command mutates its arguments.
+    """
     parser = argparse.ArgumentParser(prog="paravg", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -20,19 +20,19 @@ enter only at the final root.
 Costs.  Every engine covers every n >= 2.  The box counts read one interval
 engine: x_i enters only through its clipped k-interval, 2N - 1 of them per
 side, and the count is symmetric in the intervals, so one row over x_n
-serves each multiset of n - 1 intervals: O(N^(2n-2)) time, one histogram of
-O(N^(n-1)) square sums alive at a time.  n = 2 power sums also use the
-square window of x_2, constant on O(N) runs: O(N^2).  The wave-packet
-certificate of the 2 -> 2 norm is the packet's Gram sum, which factors over
-the coordinates into one histogram of O(N^2) pairs, n - 2 convolutions in
-a fixed elementwise order and one weighted sum, for both cutoffs.  The max
-Rayleigh quotient of a batch of test functions averages a chunk of them as
-one stacked function in one direct sum, screens every member with square
-sums of proven relative error, and takes exact norms only of the members
-that can reach the max; a chunk holds at most _CHUNK_TERMS terms.
-The ascent keeps each start as sorted point and value arrays and its
-convolution on a dense window, and every dense array is checked against
-lattice.ALLOC_BUDGET_BYTES before it is allocated.
+serves each multiset of n - 1 intervals: O(N^(2n-2)) time, the rows built
+in blocks of at most _BLOCK_CELLS cells, one block alive at a time.  n = 2
+power sums also use the square window of x_2, constant on O(N) runs:
+O(N^2).  The wave-packet certificate of the 2 -> 2 norm is the packet's Gram
+sum, which factors over the coordinates into one histogram of O(N^2) pairs,
+n - 2 convolutions in a fixed elementwise order and one weighted sum, for
+both cutoffs.  The max Rayleigh quotient of a batch of test functions
+averages a chunk of them as one stacked function in one direct sum, screens
+every member with square sums of proven relative error, and takes exact
+norms only of the members that can reach the max; a chunk holds at most
+_CHUNK_TERMS terms.  The ascent keeps each start as sorted point and value
+arrays and its convolution on a dense window, and every dense array is
+checked against lattice.ALLOC_BUDGET_BYTES before it is allocated.
 """
 
 from __future__ import annotations
@@ -104,8 +104,9 @@ class ScalingFit:
 # prod K(x_i) with 1 <= x_n + |k|^2 <= nN^2, K(x_i) = [max(1, 1 - x_i), min(N, 2N - x_i)]:
 # x_i enters only through its clipped k-interval (_intervals), and the count is
 # symmetric in the intervals, so one row over x_n serves every order of a multiset
-# of them (_multiset_row).  n = 2 box power sums also resolve the square window by
-# exact integer square roots (_square_runs).
+# of them (_count_blocks builds the box's rows a block at a time, _multiset_row one
+# row at any x_n).  n = 2 box power sums also resolve the square window by exact
+# integer square roots (_square_runs).
 
 
 def _square_runs(x_lo: int, x_hi: int, top: int):
@@ -160,25 +161,69 @@ def _multiset_row(multiset, x_n: np.ndarray, M_n: int) -> np.ndarray:
     for A, B in multiset:
         sums = (sums[:, None] + np.arange(A, B + 1, dtype=np.int64) ** 2).ravel()
     cum = np.concatenate([[0], np.cumsum(np.bincount(sums))])
-    top = np.clip(M_n - x_n + 1, 0, len(cum) - 1)
-    bot = np.clip(1 - x_n, 0, len(cum) - 1)
+    top = np.minimum(np.maximum(M_n - x_n + 1, 0), len(cum) - 1)
+    bot = np.minimum(np.maximum(1 - x_n, 0), len(cum) - 1)
     return cum[top] - cum[bot]
+
+
+# A block of box rows holds at most _BLOCK_CELLS cells of counts and of square sums, or one row.
+_BLOCK_CELLS = 1 << 15
+
+
+def _count_blocks(n: int, N: int, intervals: np.ndarray):
+    """The multiset rows of the box in blocks: yields (idx, counts) per block.
+
+    idx is an (r, n-1) array of interval multisets in
+    itertools.combinations_with_replacement order, counts the (r, W) int64
+    rows over x_n in [1 - S, n N^2 - n + 1], S = (n-1) N^2 the largest square
+    sum.  The square sums of the whole block go into one bincount, each
+    multiset's keys offset by its row, whose cumulative sum along the row
+    holds c[s], the number of square sums <= s, padded with their total T up
+    to s = S.  A row is then T - c[-x_n] for x_n <= 0, T for x_n in
+    [1, N^2] and c[M_n - x_n] after, two reversed slices and no clipping.
+    r is fixed by _BLOCK_CELLS against the larger of W and the N^(n-1) square
+    sums of the biggest multiset, and every block's square sums are checked
+    against the allocation budget before they are built.
+    """
+    S = (n - 1) * N * N
+    W = (2 * n - 1) * N * N - n + 1
+    sizes = intervals[:, 1] - intervals[:, 0] + 1
+    multisets = itertools.combinations_with_replacement(range(len(intervals)), n - 1)
+    rows = max(1, _BLOCK_CELLS // max(W, N ** (n - 1)))
+    while block := list(itertools.islice(multisets, rows)):
+        idx = np.array(block, dtype=np.int64)
+        r = len(idx)
+        check_alloc((int(np.prod(sizes[idx], axis=1).sum()),), np.int64, "square sums of an interval multiset")
+        sums, owner = np.arange(r, dtype=np.int64) * (S + 1), np.arange(r)
+        for c in range(n - 1):  # sums of the first c + 1 squares, grouped by multiset, each k ascending
+            reps = sizes[idx[owner, c]]
+            ends = np.cumsum(reps)
+            k = np.arange(ends[-1]) + np.repeat(intervals[idx[owner, c], 0] - (ends - reps), reps)
+            sums, owner = np.repeat(sums, reps) + k * k, np.repeat(owner, reps)
+        cum = np.cumsum(np.bincount(sums, minlength=r * (S + 1)).reshape(r, S + 1), axis=1)
+        counts = np.empty((r, W), dtype=np.int64)
+        total = cum[:, S:]
+        np.subtract(total, cum[:, S - 1 :: -1], out=counts[:, :S])
+        counts[:, S : S + N * N] = total
+        counts[:, S + N * N :] = cum[:, S - 1 : n - 2 : -1]
+        yield idx, counts
 
 
 def _multiset_rows(n: int, N: int):
     """The box on the interval engine: (inverse, mult, a pass over the multisets).
 
     The pass yields (idx, row) once per multiset idx of n - 1 interval
-    indices (ascending, itertools.combinations_with_replacement), row being
-    its count over x_n in [1 - (n-1) N^2, n N^2 - n + 1]; each row is built
-    when it is reached, so one histogram is alive at a time.
+    indices (a tuple, ascending, itertools.combinations_with_replacement),
+    row being its int64 count over x_n in [1 - (n-1) N^2, n N^2 - n + 1].
+    The rows are views into the blocks of _count_blocks, built when their
+    block is reached, so one block (at most _BLOCK_CELLS cells) is alive at
+    a time.
     """
     intervals, inverse, mult = _intervals(N)
-    keys = intervals.tolist()
-    x_n = np.arange(1 - (n - 1) * N * N, n * N * N - n + 2, dtype=np.int64)
     rows = (
-        (idx, _multiset_row([keys[i] for i in idx], x_n, n * N * N))
-        for idx in itertools.combinations_with_replacement(range(len(keys)), n - 1)
+        (tuple(idx), row)
+        for block, counts in _count_blocks(n, N, intervals)
+        for idx, row in zip(block.tolist(), counts)
     )
     return inverse, mult, rows
 
@@ -225,26 +270,37 @@ def box_power_sum(n: int, N: int, exponent: float) -> float:
     serves the whole bulk x1 in [0, N]) and on x2 only through its square
     window (kmin, kmax), which is constant on O(N) runs of x2 (_square_runs).
     So the sum runs over distinct intervals x runs, weighted by multiplicity
-    x run length, in sorted interval order.  n >= 3 streams the interval
-    multisets, O(N^(2n-2)) time and O(N^(n-1)) memory: one float per
-    multiset, added with weight m_i1 ... m_i(n-1) for each tuple of intervals
-    in first-appearance order (itertools.product).
+    x run length, in sorted interval order; the intervals go in chunks, one
+    broadcast (intervals x runs) count block each, at most _BLOCK_CELLS cells.
+    n >= 3 streams the interval multisets in the row blocks of _count_blocks,
+    O(N^(2n-2)) time and O(N^(n-1) + _BLOCK_CELLS) memory: each block is
+    powered by one gather from a table of c^exponent, c <= N^(n-1), and each
+    row summed alone to one float per multiset, added with weight
+    m_i1 ... m_i(n-1) for each tuple of intervals in first-appearance order
+    (itertools.product).  Every row is summed by its own 1-D np.sum, as in
+    the row-at-a-time engine, so no reduction order depends on the block.
 
     Partial sums are exact for integer exponents at desk scale (counts are
     <= N^(n-1) and every partial sum stays below 2^53 up to N ~ 200).
     """
     M_n = n * N * N
     total = 0.0
+    intervals, _, mult = _intervals(N)
+    check_alloc((N ** (n - 1) + 1,), np.float64, f"count powers n={n} N={N}")
+    powers = np.arange(N ** (n - 1) + 1, dtype=float) ** exponent
     if n == 2:
         _, lengths, kmin, kmax = _square_runs(1 - N * N, M_n, M_n)
-        intervals, _, mult = _intervals(N)
-        powers = np.arange(N + 1, dtype=float) ** exponent
-        for (A, B), m in zip(intervals.tolist(), mult.tolist()):
-            counts = np.clip(np.minimum(B, kmax) - np.maximum(A, kmin) + 1, 0, None)
-            total += m * float(np.sum(lengths * powers[counts]))
+        step = max(1, _BLOCK_CELLS // len(lengths))
+        for start in range(0, len(intervals), step):
+            A, B = intervals[start : start + step].T[:, :, None]
+            counts = np.maximum(np.minimum(B, kmax) - np.maximum(A, kmin) + 1, 0)
+            for m, row in zip(mult[start : start + step].tolist(), lengths * powers[counts]):
+                total += m * float(np.sum(row))
         return total
-    _, mult, rows = _multiset_rows(n, N)
-    sums = {idx: float(np.sum(row.astype(float) ** exponent)) for idx, row in rows}
+    sums = {}
+    for idx, counts in _count_blocks(n, N, intervals):
+        for key, row in zip(idx.tolist(), powers[counts]):
+            sums[tuple(key)] = float(np.sum(row))
     m, first_seen = mult.tolist(), range(len(mult) - 1, -1, -1)  # reverse sorted order (_intervals)
     for idx in itertools.product(first_seen, repeat=n - 1):
         total += math.prod(m[i] for i in idx) * sums[tuple(sorted(idx))]
@@ -423,14 +479,12 @@ def _member(g: LatticeFunction, cuts: np.ndarray, b: int) -> LatticeFunction:
     return _from_sorted(g.dim - 1, g._points[cuts[b] : cuts[b + 1], 1:], g._values[cuts[b] : cuts[b + 1]])
 
 
-# The wave packet of the 2 -> 2 certificate spans w = _PACKET_WIDTH times the box.
-_PACKET_WIDTH = 8
-
-
 def _box_packet_quotient(params: OperatorParams) -> float:
     """Rayleigh quotient of the flat wave packet 1_P on P = {1..M}^(n-1) x {1..M_n}, M = wN, M_n = wN^2.
 
-    w = _PACKET_WIDTH.  In Gram form, with v_k = (k, |k|^2) and the kernel
+    w = max(8, 4(n-1)): each of the n - 1 kernel coordinates costs the
+    quotient a factor, so the width grows with them (norm_l2_l2 gives the
+    quotients).  In Gram form, with v_k = (k, |k|^2) and the kernel
     weight sigma(k_1)...sigma(k_(n-1)),
 
         N^(2(n-1)) |A 1_P|^2 = sum over k, k' of the weights of k and k' times |P cap (P + v_k - v_k')|,
@@ -443,7 +497,8 @@ def _box_packet_quotient(params: OperatorParams) -> float:
     every term is an integer, exact below 2^53.
     """
     n, N = params.n, params.N
-    M, M_n = _PACKET_WIDTH * N, _PACKET_WIDTH * N * N
+    w = max(8, 4 * (n - 1))
+    M, M_n = w * N, w * N * N
     ks, ws = params.cutoff.support().astype(np.int64), params.cutoff.weights()
     check_alloc((len(ks), len(ks)), np.float64, f"wave-packet pairs n={n} N={N}")
     k, kp = ks[:, None], ks[None, :]
@@ -466,8 +521,9 @@ def norm_l2_l2(params: OperatorParams) -> ExperimentReport:
     value is exact (sharp cutoff: exactly 1).  The certificate checks the
     value from the other side: the Rayleigh quotient of a flat wave packet
     must reach at least 0.8 of it, or an AssertionError is raised.  For the
-    smooth cutoff the width-8 packet reaches 0.81 of it at n = 3 and 0.74 at
-    n = 4, so from n = 4 on the smooth check fails although the value is exact.
+    smooth cutoff a packet of width 8 reaches 0.807 of it at n = 3 but only
+    0.739 at n = 4, so the width is max(8, 4(n-1)): at N = 4, 8, 16 it reaches
+    0.821 at n = 4 (width 12), 0.830 at n = 5 (16) and 0.835 at n = 6 (20).
     """
     n, N = params.n, params.N
     value = params.cutoff.mass() ** (n - 1) / N ** (n - 1)

@@ -466,6 +466,24 @@ def test_each_subcommand_takes_exactly_its_options():
     assert sum(map(len, OPTIONS.values())) == 43 == 67 - len(REMOVED)
 
 
+def test_main_runs_share_one_parser_and_nothing_else(tmp_path, capsys):
+    # the parser is built once per process; each main() call still parses its own argv
+    parser = cli._build_parser()
+    first, second, third = tmp_path / "a", tmp_path / "b", tmp_path / "c"
+    assert run(["sharpness", "--n", "3", "--N", "2,3", "--p", "1.8", "--out-dir", str(first)]) == 0
+    assert run(["norm-scan", "--N", "4", "--falsify", "2", "--seed", "7", "--out-dir", str(second)]) == 0
+    assert run(["sharpness", "--out-dir", str(third)]) == 0
+    assert cli._build_parser() is parser
+    capsys.readouterr()
+    a, b, c = (json.loads((d / f"{cmd}.json").read_text())
+               for d, cmd in ((first, "sharpness"), (second, "norm-scan"), (third, "sharpness")))
+    assert a["config"]["n"] == 3 and a["config"]["N"] == [2, 3] and a["config"]["p"] == 1.8
+    assert b["config"]["seed"] == 7 and b["config"]["N"] == [4] and b["config"]["falsify"] == 2
+    assert c["config"]["n"] == 2 and c["config"]["N"] == [8, 12, 16] and c["config"]["p"] == 2.0 and c["config"]["seed"] == 0
+    assert set(a["results"]) == {"2", "3"} and set(c["results"]) == {"8", "12", "16"}
+    assert parser.parse_args(["sharpness"]).N == [8, 12, 16]  # no run changed a default
+
+
 # the flags that became constants, each with a value it used to accept
 REMOVED = [
     *((command, "--config", "run.cfg") for command in COMMANDS),
@@ -597,6 +615,19 @@ def test_norm_scan_smooth_cutoff(tmp_path, capsys, n, N):
     result = json.loads((out / "norm-scan.json").read_text())["results"][str(N)]
     assert result["l2_l2"] == OperatorParams.smooth(n, N).cutoff.mass() ** (n - 1) / N ** (n - 1)
     assert 0.8 * result["l2_l2"] <= result["certificate"] <= result["l2_l2"]
+
+
+# n = 5 stops at N = 4: its falsification sweep at N = 8 peaks at 1.2 GB (the certificate
+# alone is tested there in test_experiments.py)
+@pytest.mark.parametrize("n, Ns", [(4, "4,8"), (5, "4")])
+def test_norm_scan_smooth_cutoff_certifies_from_n4(tmp_path, capsys, n, Ns):
+    # a wave packet of fixed width 8 reached only 0.739 of the smooth norm at n = 4
+    out = tmp_path / "o"
+    assert run(["norm-scan", "--cutoff", "smooth", "--n", str(n), "--N", Ns, "--falsify", "1",
+                "--out-dir", str(out)]) == 0
+    assert "[FAIL]" not in capsys.readouterr().out
+    for N, result in json.loads((out / "norm-scan.json").read_text())["results"].items():
+        assert 0.8 * result["l2_l2"] <= result["certificate"] <= result["l2_l2"], N
 
 
 @pytest.mark.parametrize("source, engine", [("box", "box_extremizer_ratio"), ("delta", "delta_extremizer_ratio"),

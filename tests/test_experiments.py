@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from paravg import experiments
+from paravg import experiments, lattice
 from paravg.cutoff import OperatorParams, average, paraboloid_kernel
 from paravg.experiments import (
     ScalingFit,
@@ -252,6 +252,106 @@ def test_box_power_sum_n3_streams_the_pairs():
     assert peak < 4 << 20, peak
 
 
+def _box_power_sum_rowwise(n: int, N: int, exponent: float) -> float:
+    """Oracle: box_power_sum one row at a time, the engine before the row blocks.
+
+    n = 2 makes one count row per interval over the square-window runs; n >= 3
+    builds one histogram per multiset through _multiset_row and powers the row
+    itself, then weights the multisets in first-appearance order.
+    """
+    M_n = n * N * N
+    total = 0.0
+    intervals, _, mult = experiments._intervals(N)
+    if n == 2:
+        _, lengths, kmin, kmax = experiments._square_runs(1 - N * N, M_n, M_n)
+        powers = np.arange(N + 1, dtype=float) ** exponent
+        for (A, B), m in zip(intervals.tolist(), mult.tolist()):
+            counts = np.clip(np.minimum(B, kmax) - np.maximum(A, kmin) + 1, 0, None)
+            total += m * float(np.sum(lengths * powers[counts]))
+        return total
+    keys = intervals.tolist()
+    x_n = np.arange(1 - (n - 1) * N * N, M_n - n + 2, dtype=np.int64)
+    sums = {
+        idx: float(np.sum(experiments._multiset_row([keys[i] for i in idx], x_n, M_n).astype(float) ** exponent))
+        for idx in itertools.combinations_with_replacement(range(len(keys)), n - 1)
+    }
+    m, first_seen = mult.tolist(), range(len(mult) - 1, -1, -1)
+    for idx in itertools.product(first_seen, repeat=n - 1):
+        total += math.prod(m[i] for i in idx) * sums[tuple(sorted(idx))]
+    return total
+
+
+_ROWWISE_EXPONENTS = (2.25, 2.0, 3.0, 8 / 3, 1.0, 5)
+
+
+@pytest.mark.parametrize(
+    "n, N",
+    [(2, N) for N in (1, 2, 3, 5, 64, 320, 2048)]
+    + [(3, N) for N in (1, 2, 4, 5, 8, 16, 24)]
+    + [(4, N) for N in (1, 2, 3, 5)],
+)
+def test_box_power_sum_blocks_keep_the_rowwise_bits(n, N):
+    for exponent in _ROWWISE_EXPONENTS:
+        assert box_power_sum(n, N, exponent) == _box_power_sum_rowwise(n, N, exponent), exponent
+
+
+def _block_cells(n: int, N: int, rows: int) -> int:
+    """The _BLOCK_CELLS that makes box_power_sum take `rows` intervals (n = 2) or multisets per block."""
+    if n == 2:
+        width = len(experiments._square_runs(1 - N * N, 2 * N * N, 2 * N * N)[1])
+    else:
+        width = max((2 * n - 1) * N * N - n + 1, N ** (n - 1))
+    return rows * width
+
+
+# (n, N, rows of a block that does not divide the sweep, so a block ends mid-sweep)
+_SPLIT_BLOCKS = [(2, 5, 4), (2, 64, 5), (3, 2, 4), (3, 5, 7), (3, 8, 7), (4, 3, 4)]
+
+
+@pytest.mark.parametrize("n, N, rows", _SPLIT_BLOCKS)
+@pytest.mark.parametrize("one_row", [True, False])
+def test_box_power_sum_keeps_its_bits_across_block_edges(n, N, rows, one_row, monkeypatch):
+    sweep = 2 * N - 1 if n == 2 else math.comb(2 * N - 2 + n - 1, n - 1)  # intervals or multisets
+    assert sweep % rows and sweep > rows
+    monkeypatch.setattr(experiments, "_BLOCK_CELLS", 1 if one_row else _block_cells(n, N, rows))
+    for exponent in _ROWWISE_EXPONENTS:
+        assert box_power_sum(n, N, exponent) == _box_power_sum_rowwise(n, N, exponent), exponent
+
+
+@pytest.mark.parametrize("n, N, rows", [case for case in _SPLIT_BLOCKS if case[0] > 2])
+@pytest.mark.parametrize("one_row", [True, False])
+def test_multiset_rows_are_the_same_across_block_edges(n, N, rows, one_row, monkeypatch):
+    want = list(experiments._multiset_rows(n, N)[2])
+    monkeypatch.setattr(experiments, "_BLOCK_CELLS", 1 if one_row else _block_cells(n, N, rows))
+    got = list(experiments._multiset_rows(n, N)[2])
+    assert [idx for idx, _ in got] == [idx for idx, _ in want]
+    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(got, want))
+
+
+def test_count_blocks_check_the_square_sums_before_building_them(monkeypatch):
+    # one multiset per block: the full multiset [1, 8]^2 has 64 square sums, one more
+    # than the budget allows, and is refused when its block is reached
+    monkeypatch.setattr(experiments, "_BLOCK_CELLS", 1)
+    monkeypatch.setattr(lattice, "ALLOC_BUDGET_BYTES", 63 * 8)
+    rows = experiments._multiset_rows(3, 8)[2]
+    assert next(rows)[0] == (0, 0)
+    with pytest.raises(ValueError, match="square sums of an interval multiset.*allocation budget"):
+        list(rows)
+
+
+def test_box_power_sum_n2_streams_the_intervals():
+    # 4095 intervals x 5594 runs at N=2048: every count row at once is 183 MB of
+    # int64; blocks of _BLOCK_CELLS cells peak at 1.4 MB under tracemalloc
+    box_power_sum(2, 2, 2.25)
+    tracemalloc.start()
+    try:
+        box_power_sum(2, 2048, 2.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
+
+
 @pytest.mark.parametrize("p", [1.8, 2.0])
 def test_box_fit_reaches_thousands(p):
     fit = scaling_fit([256, 512, 1024, 2048], 2, p, "box")
@@ -333,6 +433,14 @@ def test_norm_l2_l2_smooth_matches_mass():
     rep = norm_l2_l2(params)
     assert abs(rep.constant - params.cutoff.mass() / 16) < 1e-9
     assert rep.values["rayleigh_certificate"] >= 0.8 * rep.constant
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("N", [4, 8])
+def test_norm_l2_l2_smooth_certificate_holds_from_n4(n, N):
+    # the packet widens with n; at the fixed width 8 it fell to 0.74 (n = 4), 0.68, 0.62
+    rep = norm_l2_l2(OperatorParams.smooth(n, N))
+    assert 0.82 * rep.constant <= rep.values["rayleigh_certificate"] <= rep.constant
 
 
 def _scan_norm_l2_l2(params: OperatorParams) -> tuple[float, float]:
@@ -490,6 +598,11 @@ def test_packet_quotient_n3_pairs_match_looped_rows(kind, N):
     _assert_matches_oracle(params, _looped_packet_quotient_3d(params))
 
 
+def _packet_width(n: int) -> int:
+    """The packet spans 8 boxes up to n = 3 and 4 per kernel coordinate after."""
+    return max(8, 4 * (n - 1))
+
+
 def _exact_packet_quotient(params: OperatorParams, width: int = 8) -> float:
     """Oracle: the Gram sum in exact rationals, each float weight read exactly, rounded once at the end.
 
@@ -520,14 +633,15 @@ def _exact_packet_quotient(params: OperatorParams, width: int = 8) -> float:
 )
 def test_packet_quotient_is_the_exact_gram_sum(kind, n, N):
     params = OperatorParams.sharp(n, N) if kind == "sharp" else OperatorParams.smooth(n, N)
-    assert experiments._box_packet_quotient(params) == _exact_packet_quotient(params)
+    assert experiments._box_packet_quotient(params) == _exact_packet_quotient(params, _packet_width(n))
 
 
 @pytest.mark.parametrize("kind, n, N", [("sharp", 2, 4), ("smooth", 2, 4), ("sharp", 3, 4), ("smooth", 3, 4), ("sharp", 4, 2)])
 def test_packet_quotient_matches_the_averaged_packet(kind, n, N):
     # the definition itself: |A 1_P|_2 / |1_P|_2 through average and lp_norm (smooth needs N >= 4)
     params = OperatorParams.sharp(n, N) if kind == "sharp" else OperatorParams.smooth(n, N)
-    packet = box_indicator((1,) * n, (8 * N,) * (n - 1) + (8 * N * N,))
+    w = _packet_width(n)
+    packet = box_indicator((1,) * n, (w * N,) * (n - 1) + (w * N * N,))
     want = lp_norm(average(packet, params), 2) / lp_norm(packet, 2)
     assert abs(experiments._box_packet_quotient(params) - want) <= 1e-14 * want
 
