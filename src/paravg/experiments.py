@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cutoff import OperatorParams, _average_points, _kernel, average, paraboloid_kernel
-from .lattice import LatticeFunction, _canonical, _from_sorted, check_alloc, lp_norm, shift
+from .lattice import LatticeFunction, _canonical, _from_sorted, _power_sum, check_alloc, lp_norm, shift
 from .reports import ExperimentReport, substream_seed
 
 __all__ = [
@@ -274,11 +274,13 @@ def box_power_sum(n: int, N: int, exponent: float) -> float:
     broadcast (intervals x runs) count block each, at most _BLOCK_CELLS cells.
     n >= 3 streams the interval multisets in the row blocks of _count_blocks,
     O(N^(2n-2)) time and O(N^(n-1) + _BLOCK_CELLS) memory: each block is
-    powered by one gather from a table of c^exponent, c <= N^(n-1), and each
-    row summed alone to one float per multiset, added with weight
+    powered by one gather from a table of c^exponent, c <= N^(n-1), and its
+    rows summed to one float per multiset, added with weight
     m_i1 ... m_i(n-1) for each tuple of intervals in first-appearance order
-    (itertools.product).  Every row is summed by its own 1-D np.sum, as in
-    the row-at-a-time engine, so no reduction order depends on the block.
+    (itertools.product).  Each block is C-contiguous and reduced by one
+    np.sum along its rows, which runs the pairwise sum of a 1-D np.sum on
+    each whole row, so the row sums are those of the row-at-a-time engine
+    and no reduction order depends on the block.
 
     Partial sums are exact for integer exponents at desk scale (counts are
     <= N^(n-1) and every partial sum stays below 2^53 up to N ~ 200).
@@ -294,13 +296,13 @@ def box_power_sum(n: int, N: int, exponent: float) -> float:
         for start in range(0, len(intervals), step):
             A, B = intervals[start : start + step].T[:, :, None]
             counts = np.maximum(np.minimum(B, kmax) - np.maximum(A, kmin) + 1, 0)
-            for m, row in zip(mult[start : start + step].tolist(), lengths * powers[counts]):
-                total += m * float(np.sum(row))
+            row_sums = np.sum(lengths * powers[counts], axis=1)
+            for m, row_sum in zip(mult[start : start + step].tolist(), row_sums.tolist()):
+                total += m * row_sum
         return total
     sums = {}
     for idx, counts in _count_blocks(n, N, intervals):
-        for key, row in zip(idx.tolist(), powers[counts]):
-            sums[tuple(key)] = float(np.sum(row))
+        sums.update(zip(map(tuple, idx.tolist()), np.sum(powers[counts], axis=1).tolist()))
     m, first_seen = mult.tolist(), range(len(mult) - 1, -1, -1)  # reverse sorted order (_intervals)
     for idx in itertools.product(first_seen, repeat=n - 1):
         total += math.prod(m[i] for i in idx) * sums[tuple(sorted(idx))]
@@ -556,12 +558,15 @@ def random_ascent_lower_bound(
 
     Each start is a lexicographically sorted point array with its values.
     Its convolution with the kernel lives on a dense window (the start's
-    bounding box widened by the kernel offsets) and is built by one indexed
-    add per offset: O(|start| N^(n-1)) numpy work, where the box start has
-    2^(n-1) n N^(n+1) points.  A proposal updates its N^(n-1) cells in a
-    scalar loop, and the power sums are math.fsum over Python floats.  The
-    window and the box are checked against the allocation budget before any
-    start is built.
+    bounding box widened by the kernel offsets) and is built by one fancy-index
+    add per offset, grid[cells] += values, whose cells are distinct, so each
+    cell takes one add per offset in kernel order: O(|start| N^(n-1)) numpy
+    work, where the box start has 2^(n-1) n N^(n+1) points.  A proposal
+    updates its N^(n-1) cells in a scalar loop.  The full power sums go
+    through lattice._power_sum, math.fsum of math.pow with one pow per
+    distinct value (the float ** of finite positive operands is the same
+    libm pow).  The window and the box are checked against the allocation
+    budget before any start is built.
     """
     if params.cutoff.kind != "sharp":
         raise ValueError("ascent drives the sharp average")
@@ -586,7 +591,7 @@ def random_ascent_lower_bound(
         check_alloc(grid, np.float64, f"ascent convolution window n={n} N={N}")
 
     rng = np.random.default_rng(substream_seed(seed, f"ascent:{n}:{N}:{p}"))
-    offsets = -np.array(list(paraboloid_kernel(params)), dtype=np.int64)
+    offsets = -_kernel(params)._points
     off_lo, off_hi = offsets.min(0), offsets.max(0)
 
     def convolution(points: np.ndarray, values: np.ndarray):
@@ -602,16 +607,16 @@ def random_ascent_lower_bound(
         grid = np.zeros(math.prod(shape))
         base = (points - lo) @ strides
         steps = offsets @ strides
-        for step in steps.tolist():
-            np.add.at(grid, base + step, values)
+        for step in steps.tolist():  # base holds distinct cells, so one add per cell and offset
+            grid[base + step] += values
         return grid, base, steps
 
     def power_sum(grid: np.ndarray) -> float:
-        return math.fsum(v**pp for v in grid[grid != 0].tolist())
+        return _power_sum(grid[grid != 0], pp)
 
     def ascend(points: np.ndarray, values: list) -> tuple[float, int, list]:
         grid, base, steps = convolution(points, np.array(values))
-        s_p = math.fsum(v**p for v in values)
+        s_p = _power_sum(np.array(values), p)
         s_pp = power_sum(grid)
         cur = (s_pp ** (1.0 / pp) / scale) / s_p ** (1.0 / p)
         history = [cur]
@@ -635,7 +640,7 @@ def random_ascent_lower_bound(
                 grid[cells] = touched
             history.append(cur)
         final = power_sum(convolution(points, np.array(values))[0])
-        ratio = (final ** (1.0 / pp) / scale) / math.fsum(v**p for v in values) ** (1.0 / p)
+        ratio = (final ** (1.0 / pp) / scale) / _power_sum(np.array(values), p) ** (1.0 / p)
         return ratio, len(values), history
 
     box = np.indices(box_hi, dtype=np.int64).reshape(n, -1).T + 1

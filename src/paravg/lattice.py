@@ -16,13 +16,14 @@ Norm and convolution arithmetic is exact on integer-valued inputs: power
 sums for p in {1, 2, inf} accumulate in Python integers when every stored
 amplitude is a Gaussian integer, and the direct convolution multiplies and
 adds integer-valued doubles without rounding (products stay below 2^53 at
-desk scale).
+desk scale).  Any other power sum is math.fsum of math.pow(|v|, p), rounded
+once from the exact sum, with one math.pow per distinct modulus.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -270,6 +271,54 @@ def _times_pow2(x: float, e: int) -> float:
         return float(np.ldexp(x, e))
 
 
+# Sorted values are grouped into runs, and their terms handed to math.fsum, this many at a time.
+_POWER_CHUNK = 1 << 16
+
+
+def _power_terms(values: np.ndarray, mult: np.ndarray, p: float):
+    """Iterables of exact floats that sum to sum_i mult[i] math.pow(values[i], p); mult[i] >= 1.
+
+    math.pow runs once per value.  A value with mult[i] = 1 gives its power;
+    any other gives ldexp(power, b) for each set bit b of mult[i], exact
+    unless it overflows, where math.ldexp raises OverflowError as math.fsum
+    over the expanded terms would.
+    """
+    once = mult == 1
+    yield map(math.pow, values[once].tolist(), repeat(p))
+    if once.all():
+        return
+    values, mult = values[~once], mult[~once]
+    powers = np.fromiter(map(math.pow, values.tolist(), repeat(p)), dtype=float, count=len(values))
+    for b in range(int(mult.max()).bit_length()):
+        yield map(math.ldexp, powers[(mult >> b) & 1 == 1].tolist(), repeat(b))
+
+
+def _power_sum(x: np.ndarray, p: float) -> float:
+    """math.fsum(map(math.pow, x.tolist(), repeat(p))), bit for bit; sorts x in place.
+
+    math.fsum rounds the exact sum of its terms once, so any exact split of
+    the terms gives the same float.  x is sorted and cut into chunks of
+    _POWER_CHUNK values, and each run of equal values in a chunk is one
+    value with its length as multiplicity (_power_terms): math.pow runs once
+    per run, and a chunk's temporaries, not a list of every value, are all
+    that is alive next to x.  The one exception is an inf among finite
+    powers whose sum overflows: math.fsum then returns inf or raises
+    OverflowError depending on where the inf stands among its terms, and
+    the terms here do not come in the order of x.
+    """
+    x.sort()
+
+    def chunk_terms():
+        for lo in range(0, len(x), _POWER_CHUNK):
+            chunk = x[lo : lo + _POWER_CHUNK]
+            new = np.ones(len(chunk), dtype=bool)
+            new[1:] = chunk[1:] != chunk[:-1]  # nan != nan, so each nan is its own run
+            starts = np.flatnonzero(new)
+            yield from _power_terms(chunk[starts], np.diff(starts, append=len(chunk)), p)
+
+    return math.fsum(chain.from_iterable(chunk_terms()))
+
+
 def lp_norm(f: LatticeFunction, p) -> float:
     """(sum |f|^p)^(1/p), or sup |f| for p = inf.
 
@@ -279,7 +328,8 @@ def lp_norm(f: LatticeFunction, p) -> float:
     |v|^p underflows, or so large that the sum overflows (_norm_exponent;
     |v|^2 for p = inf), are scaled by a power of two 2^-e first and the norm
     by 2^e after (inf where that overflows); inside that range the values
-    are summed as they are.
+    are summed as they are.  Off the integer branch the sum is _power_sum of
+    the moduli: math.fsum of math.pow(|v|, p), one pow per distinct modulus.
     """
     if not p >= 1:  # nan too; inf passes
         raise ValueError(f"p must be >= 1 or inf, got {p}")
@@ -302,7 +352,7 @@ def lp_norm(f: LatticeFunction, p) -> float:
             return float(sum(abs(int(v.real)) for v in values))
 
     # np.hypot is Python's abs of a complex number and math.pow its float **
-    return _times_pow2(float(np.power(math.fsum(map(math.pow, np.hypot(re, im).tolist(), repeat(p))), 1.0 / p)), e)
+    return _times_pow2(float(np.power(_power_sum(np.hypot(re, im), p), 1.0 / p)), e)
 
 
 # -- convolution ---------------------------------------------------------------

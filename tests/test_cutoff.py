@@ -260,13 +260,18 @@ def test_average_dimension_mismatch():
         average(delta((0, 0, 0)), OperatorParams.sharp(2, 4))
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+@pytest.mark.skipif(sys.platform != "linux", reason="VmHWM and ru_maxrss are in KiB on Linux only")
 def test_smooth_n3_average_peak_memory():
-    # 8.2M pairs: a key and a product per pair, not a point row and a lexsort order
+    # 8.2M pairs: a key and a product per pair, not a point row and a lexsort order.
+    # The child's own VmHWM starts afresh at exec; its ru_maxrss starts at the peak of
+    # the forking test process, so it is only the fallback where /proc is absent.
     code = (
-        "import resource; from paravg import cutoff, lattice\n"
+        "import resource; from pathlib import Path; from paravg import cutoff, lattice\n"
         "f = cutoff.average(lattice.box_indicator((1, 1, 1), (12, 12, 108)), cutoff.OperatorParams.smooth(3, 6))\n"
-        "print(len(f), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "status = Path('/proc/self/status')\n"
+        "hwm = [line.split()[1] for line in status.read_text().splitlines() if line.startswith('VmHWM:')]"
+        " if status.exists() else []\n"
+        "print(len(f), hwm[0] if hwm else resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
     )
     src = str(Path(cutoff.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

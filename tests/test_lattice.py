@@ -1,6 +1,9 @@
 """Function-space basics: storage, norms, convolution, reflection."""
 
 import math
+import tracemalloc
+from fractions import Fraction
+from itertools import chain, repeat
 
 import numpy as np
 import pytest
@@ -334,6 +337,84 @@ def test_lp_norm_scales_extreme_magnitudes(scale):
         f, g = LatticeFunction(2, zip(points, values)), LatticeFunction(2, zip(points, scale * values))
         for p in (1, 1.8, 2, math.inf):
             assert lp_norm(g, p) == pytest.approx(scale * lp_norm(f, p), rel=1e-13, abs=0.0), p
+
+
+def _expanded_power_sum(x, p):
+    """The power sum term by term: math.pow of every value, then one math.fsum."""
+    return math.fsum(map(math.pow, x.tolist(), repeat(p)))
+
+
+def _outcome(fn, *args):
+    """fn's float, "nan" for a nan, or the type of the error it raised."""
+    try:
+        value = fn(*args)
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+    return "nan" if value != value else value
+
+
+def _repeated_values(rng):
+    """Shuffled arrays of few distinct values each, with the edge values the sum must keep."""
+    pools = [
+        rng.random(24),
+        np.array([0.0, 0.0, 1.0, 3.0]),
+        np.array([5e-324, 1e-320, 2.2250738585072014e-308, 1e-310, 0.5]),
+        np.array([math.inf, 2.0, 7.5]),
+        np.array([math.nan, math.inf, 1.25]),
+        np.array([2.0**1000 * 1.5, 1.0]),
+        10.0 ** rng.uniform(-300, 300, 40),
+    ]
+    for pool in pools:
+        for size in (1, 2, 7, 1000, 70_000):
+            yield rng.permutation(np.resize(pool, size))
+    yield np.array([2.0**1000 * 1.5] * 2)  # taken twice: 2^1001.6, still finite at p = 1
+    yield np.array([1.5e308] * 2)  # the doubled term overflows, as the expanded sum does
+
+
+@pytest.mark.parametrize("chunk", [None, 64])
+def test_power_sum_matches_the_expanded_fsum(monkeypatch, chunk):
+    if chunk:  # runs that span chunks are cut in two, which must not move a bit
+        monkeypatch.setattr(lattice, "_POWER_CHUNK", chunk)
+    rng = np.random.default_rng(11)
+    for x in _repeated_values(rng):
+        for p in (1.0, 1.5, 1.8, 2.0, 2.25, 3.0):
+            expected = _outcome(_expanded_power_sum, x, p)
+            assert _outcome(lattice._power_sum, x.copy(), p) == expected, (x[:5], len(x), p)
+
+
+def test_power_terms_sum_weighted_values_correctly_rounded():
+    rng = np.random.default_rng(12)
+    for trial in range(200):
+        k = int(rng.integers(1, 40))
+        values = rng.random(k) * 10.0 ** rng.uniform(-30, 30, k)
+        mult = rng.integers(1, 2 ** int(rng.integers(1, 41)), k, endpoint=True)
+        mult[rng.random(k) < 0.3] = 1
+        for p in (1.0, 1.8, 2.25):
+            exact = sum(Fraction(int(m)) * Fraction(math.pow(v, p)) for v, m in zip(values.tolist(), mult))
+            total = math.fsum(chain.from_iterable(lattice._power_terms(values, mult, p)))
+            assert total == float(exact), (trial, p)
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_lp_norm_on_distinct_amplitudes_peaks_below_the_expanded_path():
+    # 10^6 distinct moduli: the expanded path holds them as an array and as one list of
+    # Python floats (40 MB); the grouped sum holds one chunk's temporaries next to the array
+    values = 1.0 + np.random.default_rng(13).random(10**6)
+    assert len(np.unique(values)) == len(values)
+    f = LatticeFunction.from_dense(values.astype(np.complex128), (0,))
+    re, im = f._values.real, f._values.imag
+    expanded = _traced_peak(lambda: _expanded_power_sum(np.hypot(re, im), 1.8))
+    assert _traced_peak(lambda: lp_norm(f, 1.8)) <= expanded
+    moduli = np.hypot(re, im)
+    assert _traced_peak(lambda: lattice._power_sum(moduli, 1.8)) <= expanded / 4
 
 
 def test_lp_norm_is_inf_where_the_scaled_norm_overflows():

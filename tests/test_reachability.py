@@ -67,6 +67,8 @@ ALLOWED = {
 ENTRY_RUNS = {
     "paravg.coefficients.piece_sup_report":  # gauss_row_max, screen_row_max
         lambda: paravg.piece_sup_report(paravg.PieceSpec("min"), paravg.OperatorParams.smooth(2, 16)),
+    "paravg.lattice.LatticeFunction.items":  # support
+        lambda: paravg.delta((0, 0)).items(),
     "paravg.lattice.convolve":  # the FFT path: support_box, to_dense, from_dense
         lambda: paravg.convolve(paravg.delta((0, 0)), paravg.box_indicator((0, 0), (2, 2)), method="fft"),
     "paravg.numtheory.paraboloid_divisor_count":  # square_histogram
