@@ -207,21 +207,8 @@ def average(f: LatticeFunction, params: OperatorParams) -> LatticeFunction:
     """
     if f.dim != params.n:
         raise ValueError(f"function dim {f.dim} != operator dim {params.n}")
-    return _average_points(f._points, f._values, params)
-
-
-def _average_points(points: np.ndarray, values: np.ndarray, params: OperatorParams) -> LatticeFunction:
-    """average() of the function on distinct sorted (m, d) points, d >= n.
-
-    The leading d - n coordinates are batch coordinates: the kernel is
-    lifted by zeros there, so a stack of functions, one per batch index,
-    averages in one direct sum with each output point adding its terms in
-    ascending k, exactly as average() of each function alone.
-    """
     kernel = _kernel(params)
-    lifted = np.zeros((len(kernel), points.shape[1]), dtype=np.int64)
-    lifted[:, points.shape[1] - params.n :] = -kernel._points
-    raw = _convolve_direct(points.shape[1], lifted, kernel._values, points, values)
+    raw = _convolve_direct(params.n, -kernel._points, kernel._values, f._points, f._values)
     scale = float(params.N ** (params.n - 1))
     values = np.empty_like(raw._values)
     values.real = raw._values.real / scale  # complex / float in NumPy would multiply by 1/scale

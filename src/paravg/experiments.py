@@ -26,13 +26,14 @@ power sums also use the square window of x_2, constant on O(N) runs:
 O(N^2).  The wave-packet certificate of the 2 -> 2 norm is the packet's Gram
 sum, which factors over the coordinates into one histogram of O(N^2) pairs,
 n - 2 convolutions in a fixed elementwise order and one weighted sum, for
-both cutoffs.  The max Rayleigh quotient of a batch of test functions
-averages a chunk of them as one stacked function in one direct sum, screens
-every member with square sums of proven relative error, and takes exact
-norms only of the members that can reach the max; a chunk holds at most
-_CHUNK_TERMS terms.  The ascent keeps each start as sorted point and value
-arrays and its convolution on a dense window, and every dense array is
-checked against lattice.ALLOC_BUDGET_BYTES before it is allocated.
+both cutoffs.  The max Rayleigh quotient of a batch of B test functions of
+m points screens every member in Gram form, m^2 lookups of the kernel's
+autocorrelation (O(S^(n-2)) each, S = |supp sigma|, closed form at n = 2),
+into an interval of proven width around its exact quotient, and averages
+only the members that can reach the max.  The ascent keeps each start as
+sorted point and value arrays and its convolution on a dense window, and
+every dense array is checked against lattice.ALLOC_BUDGET_BYTES before it
+is allocated.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cutoff import OperatorParams, _average_points, _kernel, average, paraboloid_kernel
+from .cutoff import OperatorParams, _kernel, average, paraboloid_kernel
 from .lattice import LatticeFunction, _canonical, _from_sorted, _power_sum, check_alloc, lp_norm, shift
 from .reports import ExperimentReport, substream_seed
 
@@ -117,13 +118,16 @@ def _square_runs(x_lo: int, x_hi: int, top: int):
     of x - 1 and top - x.  kmax steps where top - x crosses a square and
     kmin where -x does, so there are O(sqrt(x_hi - x_lo)) runs, found
     without touching each x.  Returns (starts, lengths, kmin, kmax) as int64
-    arrays, one entry per run.
+    arrays, one entry per run.  The starts are deduplicated by a sort and one
+    comparison of neighbours, not np.unique, whose first plain call imports
+    numpy.ma.
     """
     js = np.arange(math.isqrt(max(top - x_lo, 0)) + 2, dtype=np.int64)
     jm = np.arange(math.isqrt(max(1 - x_lo, 0)) + 2, dtype=np.int64)
     cuts = np.concatenate([top + 1 - js * js, 1 - jm * jm])
     cuts = cuts[(cuts > x_lo) & (cuts < x_hi)]
-    starts = np.unique(np.concatenate([[x_lo], cuts]))
+    starts = np.sort(np.concatenate([[x_lo], cuts]))
+    starts = starts[np.concatenate([[True], starts[1:] != starts[:-1]])]
     lengths = np.diff(np.append(starts, x_hi))
     kmax = np.array([math.isqrt(max(top - x, 0)) for x in starts.tolist()], dtype=np.int64)
     kmin = np.array([1 if x >= 0 else math.isqrt(-x) + 1 for x in starts.tolist()], dtype=np.int64)
@@ -358,13 +362,12 @@ def norm_l1_linf(params: OperatorParams) -> float:
     return top / params.N ** (params.n - 1)
 
 
-# Kernel-point pairs one chunk of the stacked Rayleigh averages may hold.
-# Sized so that the batched path does not raise the peak RSS of the unbatched loop.
-_CHUNK_TERMS = 1 << 15
+# Terms one block of the Rayleigh screen may hold: pairs of points times the free tuples of each pair.
+_PAIR_CELLS = 1 << 16
 
 
-# Square sums outside [2^-960, 2^960] (and quotients of them) are not screened:
-# inside it no term's underflow or overflow matters at the precision of beta.
+# Square sums outside [2^-960, 2^960] are not screened: inside it no term
+# overflows, and an underflow costs far less than the precision of gamma.
 _SCREEN_RANGE = (2.0**-960, 2.0**960)
 
 
@@ -376,104 +379,197 @@ def max_rayleigh_quotient(points, values, params: OperatorParams) -> float:
     does.  The result equals the max of lp_norm(average(f_b), 2) /
     lp_norm(f_b, 2) over b, and is nan when one of them is.
 
-    The functions of a chunk are stacked into one function on Z^(n+1) with
-    the batch index as the leading coordinate, so one canonicalization and
-    one direct sum against the kernel lifted by a zero batch coordinate
-    serve the whole chunk; each output point still adds its terms in
-    ascending k.  A chunk holds at most _CHUNK_TERMS kernel pairs (but
-    always one function).
+    Gram form.  For f = sum_i f_i delta_(y_i) on distinct points,
 
-    Screen.  One np.add.reduceat of re*re + im*im over each stacked function,
-    at the batch cuts, gives every member's square sums s_A and s_f and the
-    screened quotient q = sqrt(s_A / s_f).  With u = 2^-53 and a, m_b the
-    supports of A f_b and f_b, the exact quotient e (two lp_norm calls and a
-    division) lies in [q (1 - beta), q (1 + beta)] for
+        N^(2(n-1)) |A f|_2^2 = G = sum over i, j of Re(f_i conj(f_j)) K(y_i - y_j),
 
-        beta = (a + m_b + 20) u.
+    K(d) = N^(2(n-1)) <A delta_0, A delta_d> the kernel's autocorrelation
+    (_autocorrelation).  So a member costs m^2 lookups of K and no average.
 
-    To first order in u: a term re*re + im*im takes <= 2u (two products,
-    one add) and a sum of k nonnegative terms in any order <= (k - 1) u, so
-    s_A and s_f are within (a + 1) u and (m_b + 1) u of the exact square
-    sums of the stored values; the division and the root add u each and the
-    root halves the rest, so q is within ((a + m_b)/2 + 2.5) u of the true
-    quotient.  An lp_norm is within 5u (hypot <= 1 ulp, so 5u on its square
-    with the rounding of the square; fsum u; halved by the root; the final
-    power <= 1 ulp), or u on its exact integer branch, and the division adds
-    u, so e is within 11u.  The total ((a + m_b)/2 + 13.5) u, plus 2u for
-    rounding each product q (1 -+ beta), leaves (a + m_b)/2 + 4.5 units of
-    slack in beta, which covers the second-order terms and taking the bound
-    relative to q instead of the true quotient.  Inside _SCREEN_RANGE no
-    underflow reaches that precision; a member whose sums or quotient fall
-    outside it (extreme magnitudes, a zero average, a nan or inf value)
-    gets q = nan.
+    Error.  Let u = 2^-53, m the points per function of the batch, s =
+    sum |f_i|^2, T = sum over i, j of |f_i| |f_j| K(y_i - y_j) >= |G|, r =
+    sqrt(G / s) / N^(n-1) the quotient of the stored values and R =
+    sqrt(T / s) / N^(n-1) >= r.  kappa bounds the relative error of one
+    computed K: 0 for the sharp cutoff, whose K are integer counts, and
+    (S^(n-2) + 5n) u for the smooth one (_autocorrelation).  To first order
+    in u:
 
-    Candidates.  A running floor is the max of q (1 - beta) over the members
-    screened so far; a member with q (1 + beta) >= floor, or a nan q, goes
-    through the exact lp_norm quotient, and every other member lies below
-    a screened one.  The result is the max of the exact candidates.  Raises
-    ValueError for an empty batch and naming a member that is zero after its
-    repeated points are summed.
+    * The computed G~ is within (m^2 + 2) u T + kappa T of G: Re(f_i conj(f_j))
+      is two products and an add, within 2u |f_i| |f_j|, the product with K
+      adds u + kappa, and a sum of m^2 terms in any order (m^2 - 1) u of the
+      sum of their moduli.  The computed T~ (hypot, two products, K, a sum of
+      nonnegative terms) is within (m^2 + 5) u + kappa of T, and s~ (two
+      squares and an add per point, a sum of m terms) within (m + 1) u of s,
+      both relative.
+    * The exact quotient e = lp_norm(average(f), 2) / lp_norm(f, 2) is within
+      (m + 14) u R of r.  A point of the average adds at most m products of
+      a weight and a value and divides once by N^(n-1), so its real part is
+      within (m + 1) u A|Re f| of the exact one, its imaginary part within
+      (m + 1) u A|Im f|, the point within (m + 1) u A|f| (Minkowski), and
+      the average within (m + 1) u |A |f||_2 = (m + 1) u R |f|_2 of A f in
+      l^2.  An lp_norm is within 6u (hypot and pow, <= 1 ulp each, on each
+      square; fsum u; halved by the root; the final power <= 1 ulp), or
+      1.5u on its exact integer branch, and the division adds u: 13u of
+      r <= R.
+    * As G <= T, sqrt(G + g T) >= sqrt(G) + (g / 2)(1 - g / 2) sqrt(T) and,
+      where G >= g T, sqrt(G - g T) <= sqrt(G) - (g / 2) sqrt(T): g T under
+      the root moves the quotient by at least (g / 2) R.
+
+    So the interval
+
+        q_lo = sqrt(max(G~ - gamma T~, 0) / s~ / N^(2(n-1))),  q_hi = sqrt((G~ + gamma T~) / s~ / N^(2(n-1)))
+
+    holds e when gamma = (m^2 + 2) u + kappa + g and g / 2 covers e's
+    (m + 14) u R, s~'s (m + 1) u R / 2 and 3u R for evaluating the bounds
+    (an add, two divisions, the root): g = (3m + 35) u.  The code takes
+    gamma = 1.01 ((m^2 + 3m + 40) u + kappa).  The allocation budget on the
+    pair arrays keeps m^2 below 2^27, and the kernel's size limit S^(n-1)
+    below 2 10^7, so gamma < 10^-7, and its extra 1% covers every
+    second-order term.  Inside _SCREEN_RANGE (s~ and T~ in [2^-960,
+    2^960]; T >= K(0) s >= s, and T <= m K(0) s) no term overflows, and an
+    underflow costs at most 2^-1075 per operation, far below u T.  A member
+    outside it (extreme magnitudes, a nan or inf value) gets q_lo = q_hi =
+    nan.
+
+    Candidates.  Every member whose q_hi reaches the largest q_lo, and every
+    nan one, goes through the exact quotient e; every other member lies
+    below the member with the largest q_lo.  The result is the max of the
+    exact candidates.  Raises ValueError for an empty batch and naming a
+    member that is zero after its repeated points are summed.
     """
-    floor, exact = -math.inf, []
-    for af, af_cuts, f, f_cuts in _stacked_chunks(points, values, params):
-        q, beta = _screen(af, af_cuts, f, f_cuts)
-        floor = float(np.fmax.reduce(q * (1.0 - beta), initial=floor))  # fmax skips the nan q
-        for b in np.flatnonzero(~(q * (1.0 + beta) < floor)).tolist():
-            exact.append(lp_norm(_member(af, af_cuts, b), 2) / lp_norm(_member(f, f_cuts, b), 2))
-    if not exact:  # a batch of B >= 1 has a candidate: the member whose q (1 - beta) is the floor
+    f, cuts, q_lo, q_hi = _rayleigh_intervals(points, values, params)
+    floor = float(np.fmax.reduce(q_lo, initial=-math.inf))  # fmax skips the nan bounds
+    exact = []
+    for b in np.flatnonzero(~(q_hi < floor)).tolist():
+        member = _member(f, cuts, b)
+        exact.append(lp_norm(average(member, params), 2) / lp_norm(member, 2))
+    if not exact:  # a batch of B >= 1 has a candidate: the member whose q_lo is the floor
         raise ValueError("an empty batch has no max Rayleigh quotient")
     return float(np.max(exact))
 
 
-def _stacked_chunks(points, values, params: OperatorParams):
-    """Yield (A f, its cuts, f, its cuts) per chunk: f stacks the chunk's functions on Z^(n+1).
+def _rayleigh_intervals(points, values, params: OperatorParams):
+    """The members of a batch and an interval [q_lo, q_hi] around each exact quotient.
 
-    Member b of a chunk is rows cuts[b]:cuts[b + 1] of each stacked function.
+    The batch is canonicalized as one function on Z^(n+1) whose leading
+    coordinate is the member; member b is rows cuts[b]:cuts[b + 1] of f.  Its
+    points are laid out on m slots, the unused slots repeating its first
+    point with value 0, and its m^2 pairs enter G~ and T~ in blocks of at
+    most _PAIR_CELLS pairs.  max_rayleigh_quotient derives the bounds.
     """
     points, values = np.asarray(points, dtype=np.int64), np.asarray(values, dtype=np.complex128)
     B, m, n = points.shape
     if n != params.n:
         raise ValueError(f"function dim {n} != operator dim {params.n}")
-    chunk = max(1, _CHUNK_TERMS // max(1, m * len(_kernel(params))))
-    for lo in range(0, B, chunk):
-        c = min(chunk, B - lo)
-        check_alloc((c * m, n + 1), np.int64, "stacked Rayleigh test functions")
-        stacked = np.empty((c * m, n + 1), dtype=np.int64)
-        stacked[:, 0] = np.repeat(np.arange(c, dtype=np.int64), m)
-        stacked[:, 1:] = points[lo : lo + c].reshape(-1, n)
-        f = _canonical(n + 1, stacked, values[lo : lo + c].reshape(-1))
-        f_cuts = np.searchsorted(f._points[:, 0], np.arange(c + 1))
-        empty = np.flatnonzero(f_cuts[1:] == f_cuts[:-1])
-        if len(empty):
-            raise ValueError(f"test function {lo + int(empty[0])} of the batch is zero: no Rayleigh quotient")
-        af = _average_points(f._points, f._values, params)
-        yield af, np.searchsorted(af._points[:, 0], np.arange(c + 1)), f, f_cuts
+    check_alloc((B * m, n + 1), np.int64, "stacked Rayleigh test functions")
+    stacked = np.empty((B * m, n + 1), dtype=np.int64)
+    stacked[:, 0] = np.repeat(np.arange(B, dtype=np.int64), m)
+    stacked[:, 1:] = points.reshape(-1, n)
+    f = _canonical(n + 1, stacked, values.reshape(-1))
+    cuts = np.searchsorted(f._points[:, 0], np.arange(B + 1))
+    empty = np.flatnonzero(cuts[1:] == cuts[:-1])
+    if len(empty):
+        raise ValueError(f"test function {int(empty[0])} of the batch is zero: no Rayleigh quotient")
+    owner = f._points[:, 0]
+    slot = np.arange(len(f)) - cuts[owner]
+    y = np.repeat(f._points[cuts[:-1], 1:].T[:, :, None], m, axis=2)  # (n, B, m)
+    y[:, owner, slot] = f._points[:, 1:].T
+    v = np.zeros((B, m), dtype=np.complex128)
+    v[owner, slot] = f._values
+
+    gram, total = np.empty(B), np.empty(B)
+    step = max(1, _PAIR_CELLS // max(1, m * m))
+    with np.errstate(all="ignore"):  # a nan or inf value leaves the screen range below
+        for lo in range(0, B, step):
+            c = min(step, B - lo)
+            check_alloc((n, c * m * m), np.int64, "Rayleigh screen pairs")
+            pairs = (y[:, lo : lo + c, :, None] - y[:, lo : lo + c, None, :]).reshape(n, -1)
+            K = _autocorrelation(params, pairs).reshape(c, m, m)
+            re, im, mod = v[lo : lo + c].real, v[lo : lo + c].imag, np.abs(v[lo : lo + c])
+            products = re[:, :, None] * re[:, None, :] + im[:, :, None] * im[:, None, :]
+            gram[lo : lo + c] = np.sum(products * K, axis=(1, 2))
+            total[lo : lo + c] = np.sum(mod[:, :, None] * mod[:, None, :] * K, axis=(1, 2))
+        s_f = np.sum(v.real * v.real + v.imag * v.imag, axis=1)
+        gamma = 1.01 * ((m * m + 3 * m + 40) * 2.0**-53 + _kappa(params))
+        scale = float(params.N ** (2 * (n - 1)))
+        q_lo = np.sqrt(np.maximum(gram - gamma * total, 0.0) / s_f / scale)
+        q_hi = np.sqrt((gram + gamma * total) / s_f / scale)
+    sums = np.stack([s_f, total])  # min and max carry a nan, which then fails both tests
+    outside = ~((sums.min(0) >= _SCREEN_RANGE[0]) & (sums.max(0) <= _SCREEN_RANGE[1]))
+    q_lo[outside] = q_hi[outside] = math.nan
+    return f, cuts, q_lo, q_hi
 
 
-def _screen(af: LatticeFunction, af_cuts: np.ndarray, f: LatticeFunction, f_cuts: np.ndarray):
-    """Screened quotients q of the members of a stacked chunk and their relative bounds beta.
+def _kappa(params: OperatorParams) -> float:
+    """Relative error bound of one _autocorrelation value: 0 sharp, (S^(n-2) + 5n) u smooth."""
+    if params.cutoff.kind == "sharp":
+        return 0.0
+    return (len(params.cutoff.support()) ** (params.n - 2) + 5 * params.n) * 2.0**-53
 
-    q is nan where the square sums or their quotient leave _SCREEN_RANGE;
-    max_rayleigh_quotient derives beta.
+
+def _autocorrelation(params: OperatorParams, d: np.ndarray) -> np.ndarray:
+    """K(d) = N^(2(n-1)) <A delta_0, A delta_d> at each column d of an (n, P) int64 array.
+
+    K(d) sums w(k) w(k') over the kernel points with v_k - v_k' = d, v_k =
+    (k, |k|^2): k' = k - d' and 2 k.d' = d_n + |d'|^2, d' the first n - 1
+    coordinates.  The weights factor over the coordinates, so a coordinate
+    with d_i = 0 drops out of the constraint and contributes Q = sum
+    sigma(k)^2 (math.fsum), and the constraint fixes k_j at the first j with
+    d_j != 0: with r coordinates d_i != 0 a column sums S^(r-1) terms over
+    the other r - 1, S = |supp sigma|, and at n = 2 it is one closed-form k.
+    k_j is the rounded float quotient, kept where it times 2 d_j gives the
+    integer back (both below 2^53, so an integer quotient is exact).  A
+    column with some |d_i| >= S, or |d_n| > (n - 1) max k^2, is 0.  Columns
+    go in blocks of at most _PAIR_CELLS terms, each checked against the
+    allocation budget.
+
+    The sharp cutoff counts in integers, exactly.  For the smooth one a term
+    multiplies 2r weights, (2r - 1) u, the sum adds (S^(r-1) - 1) u, Q^z with
+    z = n - 1 - r carries (3z - 1) u and its product u, and the kernel's own
+    weights are products of n - 1 factors, (n - 2) u each: (S^(n-2) + 5n) u
+    relative (_kappa).
     """
-    with np.errstate(all="ignore"):
-        s_a, s_f = _square_sums(af, af_cuts), _square_sums(f, f_cuts)
-        ratio = s_a / s_f
-        q = np.sqrt(ratio)
-    sums = np.stack([s_a, s_f, ratio])  # min and max carry a nan, which then fails both tests
-    q[~((sums.min(0) >= _SCREEN_RANGE[0]) & (sums.max(0) <= _SCREEN_RANGE[1]))] = math.nan
-    beta = (np.diff(af_cuts) + np.diff(f_cuts) + 20) * 2.0**-53
-    return q, beta
+    n = params.n
+    ks, ws = params.cutoff.support().astype(np.int64), params.cutoff.weights()
+    S, off = len(ks), int(ks[0]) - 1
+    table = np.concatenate([[0.0], ws, [0.0]])  # sigma(k) = table[k - off], clipped onto the zero ends
+    q, q_pows = math.fsum((ws * ws).tolist()), [1.0]
+    for _ in range(n - 1):
+        q_pows.append(q_pows[-1] * q)
 
-
-def _square_sums(g: LatticeFunction, cuts: np.ndarray) -> np.ndarray:
-    """sum of re*re + im*im over each member of a stacked function, 0.0 for an empty one."""
-    re, im = g._values.real, g._values.imag
-    sums = np.zeros(len(cuts) - 1)
-    full = cuts[1:] > cuts[:-1]
-    if full.any():  # reduceat runs from each start to the next, so the empty members drop out
-        sums[full] = np.add.reduceat(re * re + im * im, cuts[:-1][full])
-    return sums
+    out = np.zeros(d.shape[1])
+    live = np.abs(d[-1]) <= (n - 1) * int(np.max(ks * ks))  # |d_n| = ||k|^2 - |k'|^2|
+    for row in d[:-1]:
+        live &= np.abs(row) < S
+    live = np.flatnonzero(live)
+    dp = d[:-1, live]
+    c = d[-1, live] + np.sum(dp * dp, axis=0)
+    pattern = np.zeros(len(live), dtype=np.int64)
+    for i, row in enumerate(dp):
+        pattern += (row != 0) * (1 << i)
+    for mask in range(1 << (n - 1)):
+        cols = np.flatnonzero(pattern == mask)
+        if not len(cols):
+            continue
+        nonzero = [i for i in range(n - 1) if mask >> i & 1]
+        if not nonzero:  # d' = 0: the constraint reads d_n = 0
+            out[live[cols]] = np.where(c[cols] == 0, q_pows[n - 1], 0.0)
+            continue
+        j, free = nonzero[0], nonzero[1:]
+        grid = ks[np.indices((S,) * len(free)).reshape(len(free), S ** len(free))]  # (r - 1, S^(r-1))
+        step = max(1, _PAIR_CELLS // grid.shape[1])
+        for lo in range(0, len(cols), step):
+            cb = cols[lo : lo + step]
+            check_alloc((grid.shape[1], len(cb)), np.float64, "autocorrelation terms")
+            den = 2 * dp[j, cb]
+            num = c[cb] - 2 * (grid.T @ dp[free][:, cb])
+            kj = np.rint(num / den).astype(np.int64)
+            pair = table.take(kj - off, mode="clip") * table.take(kj - dp[j, cb] - off, mode="clip")
+            w = np.where(kj * den == num, pair, 0.0)
+            for i, k in zip(free, grid):
+                w *= ws[k - off - 1, None] * table.take(k[:, None] - dp[i, cb] - off, mode="clip")
+            out[live[cb]] = np.sum(w, axis=0) * q_pows[n - 1 - len(nonzero)]
+    return out
 
 
 def _member(g: LatticeFunction, cuts: np.ndarray, b: int) -> LatticeFunction:
@@ -556,16 +652,17 @@ def random_ascent_lower_bound(
     Deterministic for a fixed seed, monotone within each start, and never
     reported as the norm.
 
-    Each start is a lexicographically sorted point array with its values.
-    Its convolution with the kernel lives on a dense window (the start's
+    Each start is a lexicographically sorted point array with one float64
+    value array, which the accepted proposals update in place.  Its
+    convolution with the kernel lives on a dense window (the start's
     bounding box widened by the kernel offsets) and is built by one fancy-index
     add per offset, grid[cells] += values, whose cells are distinct, so each
     cell takes one add per offset in kernel order: O(|start| N^(n-1)) numpy
     work, where the box start has 2^(n-1) n N^(n+1) points.  A proposal
-    updates its N^(n-1) cells in a scalar loop.  The full power sums go
-    through lattice._power_sum, math.fsum of math.pow with one pow per
-    distinct value (the float ** of finite positive operands is the same
-    libm pow).  The window and the box are checked against the allocation
+    updates its N^(n-1) cells in a scalar loop, on Python floats.  The full
+    power sums go through lattice._power_sum, math.fsum of math.pow with one
+    pow per distinct value (the float ** of finite positive operands is the
+    same libm pow).  The window and the box are checked against the allocation
     budget before any start is built.
     """
     if params.cutoff.kind != "sharp":
@@ -614,16 +711,16 @@ def random_ascent_lower_bound(
     def power_sum(grid: np.ndarray) -> float:
         return _power_sum(grid[grid != 0], pp)
 
-    def ascend(points: np.ndarray, values: list) -> tuple[float, int, list]:
-        grid, base, steps = convolution(points, np.array(values))
-        s_p = _power_sum(np.array(values), p)
+    def ascend(points: np.ndarray, values: np.ndarray) -> tuple[float, int, list]:
+        grid, base, steps = convolution(points, values)
+        s_p = _power_sum(values.copy(), p)
         s_pp = power_sum(grid)
         cur = (s_pp ** (1.0 / pp) / scale) / s_p ** (1.0 / p)
         history = [cur]
         for _ in range(iters):
             i = int(rng.integers(0, len(values)))
             factor = 1.5 if rng.random() < 0.5 else 1 / 1.5
-            old = values[i]
+            old = float(values[i])  # a Python float, so ** below is libm pow
             delta = old * (factor - 1.0)
             new_sp = s_p - old**p + (old * factor) ** p
             new_spp = s_pp
@@ -639,8 +736,8 @@ def random_ascent_lower_bound(
                 s_p, s_pp, cur = new_sp, new_spp, val
                 grid[cells] = touched
             history.append(cur)
-        final = power_sum(convolution(points, np.array(values))[0])
-        ratio = (final ** (1.0 / pp) / scale) / _power_sum(np.array(values), p) ** (1.0 / p)
+        final = power_sum(convolution(points, values)[0])
+        ratio = (final ** (1.0 / pp) / scale) / _power_sum(values.copy(), p) ** (1.0 / p)
         return ratio, len(values), history
 
     box = np.indices(box_hi, dtype=np.int64).reshape(n, -1).T + 1
@@ -651,9 +748,9 @@ def random_ascent_lower_bound(
     }
     cloud_items = sorted(cloud.items())
     starts = (
-        (box, [1.0] * len(box)),
-        (np.zeros((1, n), dtype=np.int64), [1.0]),
-        (np.array([x for x, _ in cloud_items], dtype=np.int64), [v for _, v in cloud_items]),
+        (box, np.ones(len(box))),
+        (np.zeros((1, n), dtype=np.int64), np.ones(1)),
+        (np.array([x for x, _ in cloud_items], dtype=np.int64), np.array([v for _, v in cloud_items])),
     )
 
     best_ratio, best_size, monotone = -1.0, 0, True

@@ -324,12 +324,14 @@ def lp_norm(f: LatticeFunction, p) -> float:
 
     Exact integer accumulation is used for p in {1, 2, inf} whenever all
     amplitudes are Gaussian integers (real amplitudes for p = 1), so counting
-    arguments in the tests are free of rounding.  Amplitudes so small that
-    |v|^p underflows, or so large that the sum overflows (_norm_exponent;
-    |v|^2 for p = inf), are scaled by a power of two 2^-e first and the norm
-    by 2^e after (inf where that overflows); inside that range the values
-    are summed as they are.  Off the integer branch the sum is _power_sum of
-    the moduli: math.fsum of math.pow(|v|, p), one pow per distinct modulus.
+    arguments in the tests are free of rounding; the Gaussian-integer check
+    runs only for p = 1 and p = 2, the two exponents whose sums use it.
+    Amplitudes so small that |v|^p underflows, or so large that the sum
+    overflows (_norm_exponent; |v|^2 for p = inf), are scaled by a power of
+    two 2^-e first and the norm by 2^e after (inf where that overflows);
+    inside that range the values are summed as they are.  Off the integer
+    branch the sum is _power_sum of the moduli: math.fsum of math.pow(|v|,
+    p), one pow per distinct modulus.
     """
     if not p >= 1:  # nan too; inf passes
         raise ValueError(f"p must be >= 1 or inf, got {p}")
@@ -343,7 +345,7 @@ def lp_norm(f: LatticeFunction, p) -> float:
     if p == math.inf:
         return _times_pow2(math.sqrt(float(np.max(re * re + im * im))), e)
 
-    if not e and f.is_integer_valued():
+    if not e and p in (1, 2) and f.is_integer_valued():
         values = f._values.tolist()
         if p == 2:
             total = sum(int(v.real) ** 2 + int(v.imag) ** 2 for v in values)

@@ -5,7 +5,11 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -759,3 +763,18 @@ def test_report_bytes_pinned(tmp_path, capsys, argv):
             assert data.count(quoted) == 1
             data = data.replace(quoted, b'"<out-dir>"')
         assert hashlib.sha256(data).hexdigest() == REPORT_DIGESTS[path.name], path.name
+
+
+def test_box_fit_and_norm_scan_leave_numpy_ma_unimported(tmp_path):
+    # a plain np.unique imports numpy.ma on its first call: ~10 ms and ~1.3 MB of RSS in a fresh process
+    code = (
+        "import sys\nfrom paravg import cli\n"
+        f"out = {str(tmp_path)!r}\n"
+        "assert cli.main(['scaling-fit', '--source', 'box', '--N', '8,16,24,32', '--out-dir', out]) == 0\n"
+        "assert cli.main(['norm-scan', '--N', '16', '--falsify', '5', '--out-dir', out]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300, check=True)
+    assert out.stdout.splitlines()[-1] == "False"

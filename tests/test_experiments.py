@@ -685,9 +685,47 @@ _BATCH_SHAPES = [OperatorParams.sharp(2, 8), OperatorParams.sharp(2, 32), Operat
 
 
 def _screened(points, values, params: OperatorParams):
-    """Every member's screened quotient and bound, chunk after chunk."""
-    pairs = [experiments._screen(*chunk) for chunk in experiments._stacked_chunks(points, values, params)]
-    return np.concatenate([q for q, _ in pairs]), np.concatenate([beta for _, beta in pairs])
+    """Every member's screen interval (q_lo, q_hi)."""
+    _, _, q_lo, q_hi = experiments._rayleigh_intervals(points, values, params)
+    return q_lo, q_hi
+
+
+def _autocorrelation_oracle(params: OperatorParams, d) -> Fraction:
+    """N^(2(n-1)) <A delta_0, A delta_d>, exactly, from the two averages (N a power of two: exact values)."""
+    n = params.n
+    a0, ad = average(delta((0,) * n), params), average(delta(tuple(d)), params)
+    at_d = dict(zip(ad.support(), ad._values.tolist()))
+    pairs = ((v, at_d[x]) for x, v in zip(a0.support(), a0._values.tolist()) if x in at_d)
+    inner = sum((Fraction(v.real) * Fraction(w.real) for v, w in pairs), Fraction(0))
+    return inner * params.N ** (2 * (n - 1))
+
+
+@pytest.mark.parametrize("kind", ["sharp", "smooth"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_autocorrelation_matches_the_averaged_deltas(kind, n):
+    params = OperatorParams.sharp(n, 4) if kind == "sharp" else OperatorParams.smooth(n, 4)
+    ks = params.cutoff.support()
+    S, rng = len(ks), np.random.default_rng(n)
+    top, low = int(ks[-1]), int(ks[0])
+    ds = [(0,) * n, (top - low,) + (0,) * (n - 2) + (top * top - low * low,),  # |d_1| = S - 1 still meets
+          (S,) + (0,) * (n - 1), (0,) * (n - 2) + (-S, 5),  # |d_i| >= S
+          (1,) + (0,) * (n - 1),  # 2k = 1: no integer k
+          (2,) * (n - 1) + (1,),  # 4 (k_1 + ... + k_(n-1)) = 1 + 4 (n - 1): no integer k
+          (1,) + (0,) * (n - 2) + (10**12,), (0,) * (n - 1) + (1,)]
+    for _ in range(25):  # differences v_k - v_k' of kernel points, so that K > 0
+        k, kp = rng.choice(ks, n - 1), rng.choice(ks, n - 1)
+        ds.append(tuple((k - kp).tolist()) + (int(k @ k - kp @ kp),))
+    ds += [tuple(rng.integers(-2 * S, 2 * S, n).tolist()) for _ in range(10)]
+    K = experiments._autocorrelation(params, np.array(ds, dtype=np.int64).T.copy())
+    exact = [_autocorrelation_oracle(params, d) for d in ds]
+    assert K[0] == max(K) > K[1] > 0 and not K[2:8].any()
+    assert sum(e > 0 for e in exact) >= 25
+    kappa = experiments._kappa(params)
+    for d, k, e in zip(ds, K.tolist(), exact):
+        if kind == "sharp":
+            assert kappa == 0 and Fraction(k) == e, d
+        else:
+            assert abs(Fraction(k) - e) <= Fraction(kappa) * e, d
 
 
 @pytest.mark.parametrize("params", _BATCH_SHAPES, ids=lambda p: f"{p.cutoff.kind}-n{p.n}-N{p.N}")
@@ -709,33 +747,62 @@ def test_max_rayleigh_quotient_is_the_oracle_max_and_the_screen_holds(params, se
     points, values = _falsification_batch(params, 40, 7, seed=seed * 7919 + params.N, twins=seed % 2 == 1)
     oracle = np.array(_batch_oracle(points, values, params))
     assert max_rayleigh_quotient(points, values, params) == np.max(oracle)
-    q, beta = _screened(points, values, params)
-    assert np.all(np.abs(q - oracle) <= beta * oracle)
-    assert np.all((q * (1.0 - beta) <= oracle) & (oracle <= q * (1.0 + beta)))
-    assert np.max(beta) <= (1e-13 if params.n == 2 else 2e-13)  # smooth n=3 N=4 averages onto ~1,500 points
+    q_lo, q_hi = _screened(points, values, params)
+    assert np.all((q_lo <= oracle) & (oracle <= q_hi))
+
+
+@pytest.mark.parametrize("params", _BATCH_SHAPES, ids=lambda p: f"{p.cutoff.kind}-n{p.n}-N{p.N}")
+def test_rayleigh_screen_is_tight_on_positive_values(params):
+    points, _ = _falsification_batch(params, 40, 7, seed=params.N)
+    values = 0.5 + np.random.default_rng(params.N).random((40, 7))
+    oracle = np.array(_batch_oracle(points, values, params))
+    q_lo, q_hi = _screened(points, values, params)
+    assert np.all((q_lo <= oracle) & (oracle <= q_hi))
+    assert np.max((q_hi - q_lo) / oracle) <= 1e-13
+
+
+def test_a_cancelling_member_widens_its_interval_and_the_exact_path_decides():
+    # f = delta_a - delta_b with a - b = v_k - v_k': its Gram sum cancels K(a - b) against K(0)
+    params = OperatorParams.sharp(2, 8)
+    a, b = (3, 40), (3 - (5 - 2), 40 - (25 - 4))  # k = 5, k' = 2
+    points = np.array([[a, b], [a, b], [(a[0] + 7, a[1] - 3), (b[0] + 7, b[1] - 3)]], dtype=np.int64)
+    values = np.array([[1.0, 1.0], [1.0, -1.0], [1j, -1j]])  # a positive pair, then two cancelling ones
+    assert experiments._autocorrelation(params, np.subtract(a, b)[:, None])[0] == 1
+    oracle = _batch_oracle(points, values, params)
+    q_lo, q_hi = _screened(points, values, params)
+    assert np.all((q_lo <= oracle) & (oracle <= q_hi))
+    width = (q_hi - q_lo) / oracle
+    assert width[1] > width[0] and width[2] > width[0]
+    calls = []
+    real = experiments.lp_norm
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "lp_norm", lambda *a: calls.append(1) or real(*a))
+        assert max_rayleigh_quotient(points[1:], values[1:], params) == max(oracle[1:]) == oracle[1]
+    assert len(calls) == 4  # the two translates tie: both go through the exact quotient
 
 
 @pytest.mark.parametrize("B", [4, 5, 6, 11])
 def test_rayleigh_quotients_chunk_boundaries(B, monkeypatch):
-    # chunks of 5 functions: one short chunk, one full, one full and one function, two full and one
+    # screen blocks of 5 functions: one short block, one full, one full and one function, two full and one
     params, m = OperatorParams.sharp(2, 8), 6
     points, values = _falsification_batch(params, B, m, seed=B)
-    monkeypatch.setattr(experiments, "_CHUNK_TERMS", 5 * m * len(paraboloid_kernel(params)))
+    monkeypatch.setattr(experiments, "_PAIR_CELLS", 5 * m * m)
     calls = []
-    stacked_average = experiments._average_points
-    monkeypatch.setattr(experiments, "_average_points", lambda *a: calls.append(1) or stacked_average(*a))
+    lookup = experiments._autocorrelation
+    monkeypatch.setattr(experiments, "_autocorrelation", lambda *a: calls.append(1) or lookup(*a))
     oracle = _batch_oracle(points, values, params)
     assert max_rayleigh_quotient(points, values, params) == max(oracle)
     assert len(calls) == -(-B // 5)
     top = int(np.argmax(oracle))
-    for b in range(B):  # the max in every position, across every chunk boundary
+    for b in range(B):  # the max in every position, across every block boundary
         moved = np.roll(points, b - top, axis=0), np.roll(values, b - top, axis=0)
         assert max_rayleigh_quotient(*moved, params) == max(oracle)
+        q_lo, q_hi = _screened(*moved, params)
+        assert np.all((q_lo <= np.roll(oracle, b - top)) & (np.roll(oracle, b - top) <= q_hi))
 
 
 def test_rayleigh_screen_leaves_few_exact_norms(monkeypatch):
-    # the norm-scan sweep at N=64: 600 functions in 10 chunks of 64; every
-    # function through lp_norm would be 1,200 calls
+    # the norm-scan sweep at N=64, seed 0: every function through lp_norm would be 1,200 calls
     params = OperatorParams.sharp(2, 64)
     rng = np.random.default_rng(substream_seed(0, "norm-falsify:64"))
     points, values = np.empty((600, 8, 2), dtype=np.int64), np.ones((600, 8))
@@ -746,7 +813,7 @@ def test_rayleigh_screen_leaves_few_exact_norms(monkeypatch):
     real = experiments.lp_norm
     monkeypatch.setattr(experiments, "lp_norm", lambda *a: calls.append(1) or real(*a))
     worst = max_rayleigh_quotient(points, values, params)
-    assert 2 <= len(calls) <= 2 * 2 * 10, len(calls)  # at most two candidates a chunk; it measured 2 in all
+    assert 2 <= len(calls) <= 4, len(calls)  # it measured 2: one candidate
     monkeypatch.setattr(experiments, "lp_norm", real)
     assert worst == max(_batch_oracle(points, values, params))
 
@@ -754,14 +821,15 @@ def test_rayleigh_screen_leaves_few_exact_norms(monkeypatch):
 def test_a_nan_member_makes_the_max_nan(monkeypatch):
     params = OperatorParams.sharp(2, 8)
     points, values = _falsification_batch(params, 11, 6, seed=3)
-    monkeypatch.setattr(experiments, "_CHUNK_TERMS", 5 * 6 * len(paraboloid_kernel(params)))
-    low = int(np.argmin(_batch_oracle(points, values, params)[5:])) + 5  # past the first chunk, never the max
+    monkeypatch.setattr(experiments, "_PAIR_CELLS", 5 * 6 * 6)
+    low = int(np.argmin(_batch_oracle(points, values, params)[5:])) + 5  # past the first block, never the max
     for bad in (math.nan, math.inf, complex(0.0, math.nan)):
         values_bad = values.copy()
         values_bad[low, 3] = bad
         with np.errstate(invalid="ignore"):  # inf times the kernel's zero imaginary parts
-            q, _ = _screened(points, values_bad, params)
-            assert np.isnan(q[low]) and np.isfinite(np.delete(q, low)).all()
+            q_lo, q_hi = _screened(points, values_bad, params)
+            assert np.isnan(q_lo[low]) and np.isnan(q_hi[low])
+            assert np.isfinite(np.delete(q_lo, low)).all() and np.isfinite(np.delete(q_hi, low)).all()
             assert math.isnan(max_rayleigh_quotient(points, values_bad, params))
 
 
@@ -771,8 +839,9 @@ def test_screen_sends_extreme_magnitudes_to_the_exact_norms():
     points, values = _falsification_batch(params, 12, 6, seed=4)
     values[3] *= 1e-150  # its square sums fall below 2^-960
     values[4] *= 1e150  # its square sums pass 2^960
-    q, _ = _screened(points, values, params)
-    assert np.isnan(q[[3, 4]]).all() and np.isfinite(np.delete(q, [3, 4])).all()
+    q_lo, q_hi = _screened(points, values, params)
+    assert np.isnan(q_lo[[3, 4]]).all() and np.isnan(q_hi[[3, 4]]).all()
+    assert np.isfinite(np.delete(q_lo, [3, 4])).all() and np.isfinite(np.delete(q_hi, [3, 4])).all()
     oracle = _batch_oracle(points, values, params)
     assert max_rayleigh_quotient(points, values, params) == max(oracle)
     values[4] *= 1e3  # now member 4 holds the max
@@ -788,14 +857,6 @@ def test_rayleigh_max_with_a_member_scaled_below_the_square_range():
     oracle = _batch_oracle(points, values, params)
     assert oracle[5] == pytest.approx(unscaled, rel=1e-13)
     assert max_rayleigh_quotient(points, values, params) == max(oracle)
-
-
-def test_square_sums_of_empty_members_are_zero():
-    # reduceat alone would give an empty member the next member's first term
-    g = LatticeFunction(3, [((0, 0, 0), 3.0), ((0, 1, 0), 4j), ((2, 0, 0), 1 - 1j), ((2, 5, 5), 2.0)])
-    cuts = np.searchsorted(g._points[:, 0], np.arange(5))  # members 1 and 3 are empty
-    assert experiments._square_sums(g, cuts).tolist() == [25.0, 0.0, 6.0, 0.0]
-    assert experiments._square_sums(g, np.array([0, 0, 0, 4])).tolist() == [0.0, 0.0, 31.0]
 
 
 def test_rayleigh_quotient_of_zero_is_an_error():
@@ -814,8 +875,8 @@ def test_rayleigh_quotient_of_zero_is_an_error():
 
 
 def test_rayleigh_quotients_memory_is_bounded():
-    # the norm-scan sweep at N=64: unchunked, the stacked average of 600
-    # functions (307,200 pairs) peaks at ~33 MB; chunked it measured ~5 MB
+    # the norm-scan sweep at N=64: the stacked average of 600 functions (307,200
+    # pairs) peaked at ~33 MB unchunked; the Gram screen's 38,400 pairs measured 2.9 MB
     params = OperatorParams.sharp(2, 64)
     rng = np.random.default_rng(0)
     points = rng.integers(-128, 128, size=(600, 8, 2))

@@ -62,6 +62,24 @@ def test_lp_norm_examples_and_errors():
             lp_norm(b, p)
 
 
+def test_lp_norm_checks_for_gaussian_integers_only_at_p_1_and_2(monkeypatch):
+    f = cutoff.average(box_indicator((1, 1), (16, 128)), OperatorParams.sharp(2, 8))
+    g = 3 * delta((0, 0)) - 4 * delta((1, 2)) + 2 * delta((5, 5))
+    want = {p: lp_norm(h, p) for h in (f, g) for p in (1.8, 1.5)}
+
+    def refuse(self):
+        raise AssertionError("is_integer_valued runs off p = 1 and p = 2")
+
+    monkeypatch.setattr(LatticeFunction, "is_integer_valued", refuse)
+    assert {p: lp_norm(h, p) for h in (f, g) for p in (1.8, 1.5)} == want
+    monkeypatch.undo()
+    calls, real = [], LatticeFunction.is_integer_valued
+    monkeypatch.setattr(LatticeFunction, "is_integer_valued", lambda self: calls.append(1) or real(self))
+    # the exact integer branch: 9 + 16 + 4 = 29 and 3 + 4 + 2
+    assert lp_norm(g, 2) == math.sqrt(29) and lp_norm(g, 1) == 9.0 and lp_norm(g, 2.0) == math.sqrt(29)
+    assert len(calls) == 3
+
+
 def test_convolve_delta_shifts():
     rng = np.random.default_rng(0)
     g = random_sparse(rng, count=30)
