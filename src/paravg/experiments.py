@@ -15,19 +15,22 @@ range boundary.
 
 Count arithmetic is exact: the averaged box is evaluated by interval and
 histogram counting in integers (never by floating kernel sums), and floats
-enter only at the final root.
+enter only at the final power sum, rounded once, and its root.
 
 Costs.  Every engine covers every n >= 2.  The box counts read one interval
 engine: x_i enters only through its clipped k-interval, 2N - 1 of them per
-side, and the count is symmetric in the intervals, so one row over x_n
-serves each multiset of n - 1 intervals: O(N^(2n-2)) time, the rows built
-in blocks of at most _BLOCK_CELLS cells, one block alive at a time.  n = 2
-power sums also use the square window of x_2, constant on O(N) runs:
-O(N^2).  The wave-packet certificate of the 2 -> 2 norm is the packet's Gram
-sum, which factors over the coordinates into one histogram of O(N^2) pairs,
-n - 2 convolutions in a fixed elementwise order and one weighted sum, for
-both cutoffs.  The max Rayleigh quotient of a batch of B test functions of
-m points screens every member in Gram form, m^2 lookups of the kernel's
+side, and the count is symmetric in the intervals, so one cumulative
+histogram of square sums serves each multiset of n - 1 intervals:
+O(N^(2n-2)) time, in blocks of at most _BLOCK_CELLS cells, one block alive
+at a time.  A box power sum reads only the count histogram h[c], the number
+of cells whose count is c (at n = 2 built from the 2N - 1 square windows of
+x_2, which are the intervals again: O(N^2)), and sums h[c] c^e as one
+math.fsum of exact terms, so its float depends on libm pow alone.  The
+wave-packet certificate of the 2 -> 2 norm is the packet's Gram sum, which
+factors over the coordinates into one histogram of O(N^2) pairs, n - 2
+convolutions in a fixed elementwise order and one weighted sum, for both
+cutoffs.  The max Rayleigh quotient of a batch of B test functions of m
+points screens every member in Gram form, m^2 lookups of the kernel's
 autocorrelation (O(S^(n-2)) each, S = |supp sigma|, closed form at n = 2),
 into an interval of proven width around its exact quotient, and averages
 only the members that can reach the max.  The ascent keeps each start as
@@ -41,11 +44,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .cutoff import OperatorParams, _kernel, average, paraboloid_kernel
-from .lattice import LatticeFunction, _canonical, _from_sorted, _power_sum, check_alloc, lp_norm, shift
+from .lattice import LatticeFunction, _canonical, _from_sorted, _power_sum, _power_terms, check_alloc, lp_norm, shift
 from .reports import ExperimentReport, substream_seed
 
 __all__ = [
@@ -105,52 +109,26 @@ class ScalingFit:
 # prod K(x_i) with 1 <= x_n + |k|^2 <= nN^2, K(x_i) = [max(1, 1 - x_i), min(N, 2N - x_i)]:
 # x_i enters only through its clipped k-interval (_intervals), and the count is
 # symmetric in the intervals, so one row over x_n serves every order of a multiset
-# of them (_count_blocks builds the box's rows a block at a time, _multiset_row one
-# row at any x_n).  n = 2 box power sums also resolve the square window by exact
-# integer square roots (_square_runs).
-
-
-def _square_runs(x_lo: int, x_hi: int, top: int):
-    """Split [x_lo, x_hi) into runs of x sharing every square-window key.
-
-    The keys are kmax = isqrt(max(top - x, 0)), the largest k with
-    x + k^2 <= top; kmin, the least k >= 1 with x + k^2 >= 1; and the signs
-    of x - 1 and top - x.  kmax steps where top - x crosses a square and
-    kmin where -x does, so there are O(sqrt(x_hi - x_lo)) runs, found
-    without touching each x.  Returns (starts, lengths, kmin, kmax) as int64
-    arrays, one entry per run.  The starts are deduplicated by a sort and one
-    comparison of neighbours, not np.unique, whose first plain call imports
-    numpy.ma.
-    """
-    js = np.arange(math.isqrt(max(top - x_lo, 0)) + 2, dtype=np.int64)
-    jm = np.arange(math.isqrt(max(1 - x_lo, 0)) + 2, dtype=np.int64)
-    cuts = np.concatenate([top + 1 - js * js, 1 - jm * jm])
-    cuts = cuts[(cuts > x_lo) & (cuts < x_hi)]
-    starts = np.sort(np.concatenate([[x_lo], cuts]))
-    starts = starts[np.concatenate([[True], starts[1:] != starts[:-1]])]
-    lengths = np.diff(np.append(starts, x_hi))
-    kmax = np.array([math.isqrt(max(top - x, 0)) for x in starts.tolist()], dtype=np.int64)
-    kmin = np.array([1 if x >= 0 else math.isqrt(-x) + 1 for x in starts.tolist()], dtype=np.int64)
-    return starts, lengths, kmin, kmax
+# of them, read off the cumulative histogram of its square sums (_count_blocks builds
+# them a block at a time, _multiset_row one row at any x_n).
 
 
 def _intervals(N: int):
     """Distinct clipped k-intervals [max(1, 1 - x), min(N, 2N - x)] of one box side.
 
     x runs over [1 - N, 2N - 1], where no interval is empty.  Returns
-    (intervals, inverse, mult), the intervals in sorted order: coordinate
-    x = 1 - N + j has the interval intervals[inverse[j]], and mult counts
-    the coordinates of each.  Both ends fall as x rises, so x ascending meets
-    the intervals in reverse sorted order.
+    (intervals, inverse, mult), the 2N - 1 intervals in sorted order, [1, B]
+    for B = 1..N and then [A, N] for A = 2..N: coordinate x = 1 - N + j has
+    the interval intervals[inverse[j]], and mult counts the coordinates of
+    each, N + 1 for [1, N] (x in [0, N]) and 1 for every other.  Both ends
+    fall as x rises, so x ascending meets the intervals in reverse sorted
+    order.
     """
+    j = np.arange(2 * N - 1, dtype=np.int64)
+    intervals = np.stack([np.maximum(1, j - N + 2), np.minimum(N, j + 1)], axis=1)
     x = np.arange(1 - N, 2 * N, dtype=np.int64)
-    intervals, inverse, mult = np.unique(
-        np.stack([np.maximum(1, 1 - x), np.minimum(N, 2 * N - x)], axis=1),
-        axis=0,
-        return_inverse=True,
-        return_counts=True,
-    )
-    return intervals, inverse.reshape(-1), mult
+    inverse = N - 1 - np.minimum(x, 0) - np.maximum(x - N, 0)
+    return intervals, inverse, np.bincount(inverse)
 
 
 def _multiset_row(multiset, x_n: np.ndarray, M_n: int) -> np.ndarray:
@@ -170,24 +148,24 @@ def _multiset_row(multiset, x_n: np.ndarray, M_n: int) -> np.ndarray:
     return cum[top] - cum[bot]
 
 
-# A block of box rows holds at most _BLOCK_CELLS cells of counts and of square sums, or one row.
+# A block of multisets holds at most _BLOCK_CELLS cells of count rows and of square sums, or one multiset.
 _BLOCK_CELLS = 1 << 15
 
 
 def _count_blocks(n: int, N: int, intervals: np.ndarray):
-    """The multiset rows of the box in blocks: yields (idx, counts) per block.
+    """The cumulative square-sum histograms of the box's multisets in blocks: yields (idx, cum).
 
     idx is an (r, n-1) array of interval multisets in
-    itertools.combinations_with_replacement order, counts the (r, W) int64
-    rows over x_n in [1 - S, n N^2 - n + 1], S = (n-1) N^2 the largest square
-    sum.  The square sums of the whole block go into one bincount, each
-    multiset's keys offset by its row, whose cumulative sum along the row
-    holds c[s], the number of square sums <= s, padded with their total T up
-    to s = S.  A row is then T - c[-x_n] for x_n <= 0, T for x_n in
-    [1, N^2] and c[M_n - x_n] after, two reversed slices and no clipping.
-    r is fixed by _BLOCK_CELLS against the larger of W and the N^(n-1) square
-    sums of the biggest multiset, and every block's square sums are checked
-    against the allocation budget before they are built.
+    itertools.combinations_with_replacement order, cum the (r, S + 1) int64
+    array whose row holds c[s], the number of the multiset's square sums
+    <= s, for s in [0, S], S = (n-1) N^2 the largest square sum, so
+    cum[:, S] is their total T.  The square sums of the whole block go into
+    one bincount, each multiset's keys offset by its row.  The multiset's
+    raw count over x_n in [1 - S, n N^2 - n + 1], W values, is T - c[-x_n]
+    for x_n <= 0, T for x_n in [1, N^2] and c[M_n - x_n] after.  r is fixed
+    by _BLOCK_CELLS against the larger of W and the N^(n-1) square sums of
+    the biggest multiset, and every block's square sums are checked against
+    the allocation budget before they are built.
     """
     S = (n - 1) * N * N
     W = (2 * n - 1) * N * N - n + 1
@@ -204,32 +182,7 @@ def _count_blocks(n: int, N: int, intervals: np.ndarray):
             ends = np.cumsum(reps)
             k = np.arange(ends[-1]) + np.repeat(intervals[idx[owner, c], 0] - (ends - reps), reps)
             sums, owner = np.repeat(sums, reps) + k * k, np.repeat(owner, reps)
-        cum = np.cumsum(np.bincount(sums, minlength=r * (S + 1)).reshape(r, S + 1), axis=1)
-        counts = np.empty((r, W), dtype=np.int64)
-        total = cum[:, S:]
-        np.subtract(total, cum[:, S - 1 :: -1], out=counts[:, :S])
-        counts[:, S : S + N * N] = total
-        counts[:, S + N * N :] = cum[:, S - 1 : n - 2 : -1]
-        yield idx, counts
-
-
-def _multiset_rows(n: int, N: int):
-    """The box on the interval engine: (inverse, mult, a pass over the multisets).
-
-    The pass yields (idx, row) once per multiset idx of n - 1 interval
-    indices (a tuple, ascending, itertools.combinations_with_replacement),
-    row being its int64 count over x_n in [1 - (n-1) N^2, n N^2 - n + 1].
-    The rows are views into the blocks of _count_blocks, built when their
-    block is reached, so one block (at most _BLOCK_CELLS cells) is alive at
-    a time.
-    """
-    intervals, inverse, mult = _intervals(N)
-    rows = (
-        (tuple(idx), row)
-        for block, counts in _count_blocks(n, N, intervals)
-        for idx, row in zip(block.tolist(), counts)
-    )
-    return inverse, mult, rows
+        yield idx, np.cumsum(np.bincount(sums, minlength=r * (S + 1)).reshape(r, S + 1), axis=1)
 
 
 def box_average_counts(n: int, N: int):
@@ -240,17 +193,23 @@ def box_average_counts(n: int, N: int):
     [1 - N, 2N - 1] and x_n in [1 - (n-1) N^2, n N^2 - n + 1], so it has
     (3N-1)^(n-1) ((2n-1) N^2 - n + 1) entries (~45 N^4 for n = 3), checked
     against the allocation budget first; the slope fits go through
-    box_power_sum, which never builds it.  The row of each interval
-    multiset is scattered into the cells of each of its distinct orders.
+    box_power_sum, which never builds it.  Each block of _count_blocks is
+    sliced into the count rows of its multisets, two reversed slices and no
+    clipping, and each row is scattered into the cells of each distinct
+    order of its multiset.
     """
     shape = (3 * N - 1,) * (n - 1) + ((2 * n - 1) * N * N - n + 1,)
     check_alloc(shape, np.int64, f"averaged box counts n={n} N={N}")
-    inverse, mult, rows = _multiset_rows(n, N)
+    intervals, inverse, mult = _intervals(N)
+    S = (n - 1) * N * N
     xs = [np.flatnonzero(inverse == i) for i in range(len(mult))]
     counts = np.zeros(shape, dtype=np.int64)
-    for idx, row in rows:
-        for order in set(itertools.permutations(idx)):
-            counts[np.ix_(*(xs[i] for i in order))] = row
+    for block, cum in _count_blocks(n, N, intervals):
+        total = cum[:, S:]
+        rows = np.hstack([total - cum[:, S - 1 :: -1], np.repeat(total, N * N, axis=1), cum[:, S - 1 : n - 2 : -1]])
+        for idx, row in zip(block.tolist(), rows):
+            for order in set(itertools.permutations(idx)):
+                counts[np.ix_(*(xs[i] for i in order))] = row
     return counts, (1 - N,) * (n - 1) + (1 - (n - 1) * N * N,)
 
 
@@ -266,62 +225,94 @@ def box_core_is_one(n: int, N: int) -> bool:
     return bool(np.all(_multiset_row([(1, N)] * (n - 1), x_n, n * N * N) == N ** (n - 1)))
 
 
-def box_power_sum(n: int, N: int, exponent: float) -> float:
-    """sum over x of cnt(x)^exponent for the extremizer box.
+def _count_histogram(n: int, N: int) -> np.ndarray:
+    """h[c], the number of cells of the box_average_counts array whose raw count is c.
 
-    n = 2 is run-length counting, O(N^2) time and O(N) memory: the count at
-    (x1, x2) depends on x1 only through its k-interval [A, B] (one interval
-    serves the whole bulk x1 in [0, N]) and on x2 only through its square
-    window (kmin, kmax), which is constant on O(N) runs of x2 (_square_runs).
-    So the sum runs over distinct intervals x runs, weighted by multiplicity
-    x run length, in sorted interval order; the intervals go in chunks, one
-    broadcast (intervals x runs) count block each, at most _BLOCK_CELLS cells.
-    n >= 3 streams the interval multisets in the row blocks of _count_blocks,
-    O(N^(2n-2)) time and O(N^(n-1) + _BLOCK_CELLS) memory: each block is
-    powered by one gather from a table of c^exponent, c <= N^(n-1), and its
-    rows summed to one float per multiset, added with weight
-    m_i1 ... m_i(n-1) for each tuple of intervals in first-appearance order
-    (itertools.product).  Each block is C-contiguous and reduced by one
-    np.sum along its rows, which runs the pairwise sum of a 1-D np.sum on
-    each whole row, so the row sums are those of the row-at-a-time engine
-    and no reduction order depends on the block.
-
-    Partial sums are exact for integer exponents at desk scale (counts are
-    <= N^(n-1) and every partial sum stays below 2^53 up to N ~ 200).
+    Exact int64 over c in [0, N^(n-1)], without the dense array.  At n = 2
+    the count at (x_1, x_2) is |K(x_1) cap [kmin, kmax]|, x_2's square
+    window clipped to [1, N], and those windows are the intervals again:
+    [A, N] for the 2A - 1 values of x_2 with isqrt(-x_2) = A - 1 >= 1,
+    [1, B] for the 2B + 1 with isqrt(2N^2 - x_2) = B < N, and [1, N] for
+    the other N^2 + 1.  So h sweeps intervals x windows, O(N^2), in chunks
+    of intervals of at most _BLOCK_CELLS cells, a cell weighted by its
+    interval's multiplicity x its window's length.  n >= 3 reads the blocks
+    of _count_blocks without building rows: T - c[s] for s in [0, S), T
+    N^2 times and c[s] for s in [n - 1, S), weighted by the multiset's
+    distinct orders x m_i1 ... m_i(n-1).  np.bincount sums the weights in
+    float64, exactly: every weight and bin is an integer at most the number
+    of cells, checked below 2^53 first.  The mass identity
+    sum_c c h[c] = 2^(n-1) n N^(2n) is checked last; an AssertionError says
+    it failed.
     """
-    M_n = n * N * N
-    total = 0.0
+    C = N ** (n - 1)
+    cells = (3 * N - 1) ** (n - 1) * ((2 * n - 1) * N * N - n + 1)
+    if cells >= 1 << 53:
+        raise ValueError(f"the n={n} N={N} box has {cells} cells, too many to count exactly in float64")
+    check_alloc((C + 1,), np.float64, f"count histogram n={n} N={N}")
     intervals, _, mult = _intervals(N)
-    check_alloc((N ** (n - 1) + 1,), np.float64, f"count powers n={n} N={N}")
-    powers = np.arange(N ** (n - 1) + 1, dtype=float) ** exponent
+    h = np.zeros(C + 1)
     if n == 2:
-        _, lengths, kmin, kmax = _square_runs(1 - N * N, M_n, M_n)
-        step = max(1, _BLOCK_CELLS // len(lengths))
+        lo, hi = intervals.T
+        lengths = np.where(hi < N, 2 * hi + 1, 2 * lo - 1) + N * N * (lo == 1) * (hi == N)
+        step = max(1, _BLOCK_CELLS // len(intervals))
         for start in range(0, len(intervals), step):
             A, B = intervals[start : start + step].T[:, :, None]
-            counts = np.maximum(np.minimum(B, kmax) - np.maximum(A, kmin) + 1, 0)
-            row_sums = np.sum(lengths * powers[counts], axis=1)
-            for m, row_sum in zip(mult[start : start + step].tolist(), row_sums.tolist()):
-                total += m * row_sum
-        return total
-    sums = {}
-    for idx, counts in _count_blocks(n, N, intervals):
-        sums.update(zip(map(tuple, idx.tolist()), np.sum(powers[counts], axis=1).tolist()))
-    m, first_seen = mult.tolist(), range(len(mult) - 1, -1, -1)  # reverse sorted order (_intervals)
-    for idx in itertools.product(first_seen, repeat=n - 1):
-        total += math.prod(m[i] for i in idx) * sums[tuple(sorted(idx))]
-    return total
+            counts = np.maximum(np.minimum(B, hi) - np.maximum(A, lo) + 1, 0)
+            h += np.bincount(counts.ravel(), (mult[start : start + step, None] * lengths).ravel(), C + 1)
+    else:
+        S = (n - 1) * N * N
+        for idx, cum in _count_blocks(n, N, intervals):
+            orders, run = np.full(len(idx), math.factorial(n - 1)), np.ones(len(idx), dtype=np.int64)
+            for j in range(1, n - 1):  # a multiset ascends: divide by the factorial of each run of equal intervals
+                run = np.where(idx[:, j] == idx[:, j - 1], run + 1, 1)
+                orders //= run
+            w = (orders * np.prod(mult[idx], axis=1)).astype(float)
+            total = cum[:, S:]
+            h += np.bincount((total - cum[:, :S]).ravel(), np.repeat(w, S), C + 1)
+            h += np.bincount(total.ravel(), w * (N * N), C + 1)
+            h += np.bincount(cum[:, n - 1 : S].ravel(), np.repeat(w, S - n + 1), C + 1)
+    h = h.astype(np.int64)
+    mass = sum(c * k for c, k in enumerate(h.tolist()))
+    if mass != 2 ** (n - 1) * n * N ** (2 * n):
+        raise AssertionError(f"n={n} N={N}: the count histogram has mass {mass}, not 2^(n-1) n N^(2n)")
+    return h
+
+
+def box_power_sum(n: int, N: int, exponent: float) -> float:
+    """sum over x of cnt(x)^exponent for the extremizer box, correctly rounded.
+
+    The counts are integers c in [0, N^(n-1)], so the sum is sum_c h[c] c^e
+    over the count histogram (_count_histogram): one math.fsum of the exact
+    terms of lattice._power_terms, one math.pow per distinct count.  The
+    result is the exact sum of those libm powers, rounded once, so no block
+    size, summation order or NumPy build moves it.  n = 2 costs O(N^2) time
+    and O(N + _BLOCK_CELLS) memory, n >= 3 O(N^(2n-2)) time and
+    O(N^(n-1) + _BLOCK_CELLS) memory.  A power or a sum beyond the float64
+    range raises OverflowError.
+    """
+    h = _count_histogram(n, N)
+    c = np.flatnonzero(h[1:]) + 1
+    return math.fsum(chain.from_iterable(_power_terms(c.astype(float), h[c], exponent)))
+
+
+def _power_overflow(p: float, N: int) -> ValueError:
+    """The error for a p' = p / (p - 1) power sum beyond the float64 range, which p near 1 gives."""
+    return ValueError(f"p = {p}, N = {N}: a power sum at p' = {p / (p - 1.0):.6g} overflows float64")
 
 
 def box_extremizer_ratio(params: OperatorParams, p: float) -> float:
-    """Exact ratio |A(box)|_p' / |box|_p for the sharp average."""
+    """Exact ratio |A(box)|_p' / |box|_p for the sharp average; ValueError where its power sum overflows."""
     if params.cutoff.kind != "sharp":
         raise ValueError("the box extremizer ratio is defined for the sharp average")
     if not 1.0 < p <= 2.0:
         raise ValueError("p must lie in (1, 2]")
     n, N = params.n, params.N
     pp = p / (p - 1.0)
-    numerator = box_power_sum(n, N, pp) ** (1.0 / pp) / N ** (n - 1)
+    try:
+        total = box_power_sum(n, N, pp)
+    except OverflowError as exc:
+        raise _power_overflow(p, N) from exc
+    numerator = total ** (1.0 / pp) / N ** (n - 1)
     denominator = (2 ** (n - 1) * n * N ** (n + 1)) ** (1.0 / p)
     return float(numerator / denominator)
 
@@ -641,16 +632,19 @@ def norm_l2_l2(params: OperatorParams) -> ExperimentReport:
 # -- seeded coordinate ascent ----------------------------------------------------------
 
 
-def random_ascent_lower_bound(
-    params: OperatorParams, p: float, seed: int = 0, iters: int = 200
-) -> ExperimentReport:
+# Proposals per ascent start.
+_ASCENT_ITERS = 60
+
+
+def random_ascent_lower_bound(params: OperatorParams, p: float, seed: int = 0) -> ExperimentReport:
     """Certified lower bound on the p -> p' ratio by multiplicative ascent, p in (1, 2].
 
     Starts from the box and delta extremizers plus a seeded random cloud in
-    the window [-2N, 2N)^(n-1) x [-4N^2, 4N^2); each proposal scales one
-    support coordinate up or down and is kept when the ratio improves.
-    Deterministic for a fixed seed, monotone within each start, and never
-    reported as the norm.
+    the window [-2N, 2N)^(n-1) x [-4N^2, 4N^2); each of _ASCENT_ITERS
+    proposals per start scales one support coordinate up or down and is kept
+    when the ratio improves.  Deterministic for a fixed seed and never
+    reported as the norm: the constant is the best start's ratio evaluated
+    afresh from its final values.
 
     Each start is a lexicographically sorted point array with one float64
     value array, which the accepted proposals update in place.  Its
@@ -662,15 +656,15 @@ def random_ascent_lower_bound(
     updates its N^(n-1) cells in a scalar loop, on Python floats.  The full
     power sums go through lattice._power_sum, math.fsum of math.pow with one
     pow per distinct value (the float ** of finite positive operands is the
-    same libm pow).  The window and the box are checked against the allocation
-    budget before any start is built.
+    same libm pow).  Near p = 1 the incremental sums can cancel: a proposal
+    whose updated sum is not positive is rejected.  The window and the box
+    are checked against the allocation budget before any start is built, and
+    a power sum beyond the float64 range raises ValueError.
     """
     if params.cutoff.kind != "sharp":
         raise ValueError("ascent drives the sharp average")
     if not 1.0 < p <= 2.0:
         raise ValueError(f"p must lie in (1, 2] (got {p})")
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
     n, N = params.n, params.N
     pp = p / (p - 1.0)
     scale = float(N ** (n - 1))
@@ -711,13 +705,12 @@ def random_ascent_lower_bound(
     def power_sum(grid: np.ndarray) -> float:
         return _power_sum(grid[grid != 0], pp)
 
-    def ascend(points: np.ndarray, values: np.ndarray) -> tuple[float, int, list]:
+    def ascend(points: np.ndarray, values: np.ndarray) -> float:
         grid, base, steps = convolution(points, values)
         s_p = _power_sum(values.copy(), p)
         s_pp = power_sum(grid)
         cur = (s_pp ** (1.0 / pp) / scale) / s_p ** (1.0 / p)
-        history = [cur]
-        for _ in range(iters):
+        for _ in range(_ASCENT_ITERS):
             i = int(rng.integers(0, len(values)))
             factor = 1.5 if rng.random() < 0.5 else 1 / 1.5
             old = float(values[i])  # a Python float, so ** below is libm pow
@@ -730,15 +723,15 @@ def random_ascent_lower_bound(
                 after = before + delta
                 new_spp += after**pp - before**pp
                 touched.append(after)
+            if new_sp <= 0 or new_spp <= 0:  # cancelled below zero, whose ** 1/p would be complex
+                continue
             val = (new_spp ** (1.0 / pp) / scale) / new_sp ** (1.0 / p)
             if val > cur:
                 values[i] = old * factor
                 s_p, s_pp, cur = new_sp, new_spp, val
                 grid[cells] = touched
-            history.append(cur)
         final = power_sum(convolution(points, values)[0])
-        ratio = (final ** (1.0 / pp) / scale) / _power_sum(values.copy(), p) ** (1.0 / p)
-        return ratio, len(values), history
+        return (final ** (1.0 / pp) / scale) / _power_sum(values.copy(), p) ** (1.0 / p)
 
     box = np.indices(box_hi, dtype=np.int64).reshape(n, -1).T + 1
     cloud_pts = rng.integers(low=window_lo, high=window_hi, size=(max(8, 4 * N), n))
@@ -753,24 +746,26 @@ def random_ascent_lower_bound(
         (np.array([x for x, _ in cloud_items], dtype=np.int64), np.array([v for _, v in cloud_items])),
     )
 
-    best_ratio, best_size, monotone = -1.0, 0, True
+    best_ratio, best_size = -1.0, 0
     for points, values in starts:
-        ratio, size, history = ascend(points, values)
-        monotone &= all(b >= a - 1e-12 for a, b in zip(history, history[1:]))
+        try:
+            ratio = ascend(points, values)
+        except OverflowError as exc:
+            raise _power_overflow(p, N) from exc
         if ratio > best_ratio:
-            best_ratio, best_size = ratio, size
+            best_ratio, best_size = ratio, len(values)
     return ExperimentReport(
         name="ascent_lower_bound",
         params={
             "n": n,
             "N": N,
             "p": p,
-            "iters": iters,
+            "iters": _ASCENT_ITERS,
             "window": [list(window_lo), list(window_hi)],
         },
         constant=best_ratio,
         seed=seed,
-        values={"support_size": float(best_size), "monotone": float(monotone)},
+        values={"support_size": float(best_size)},
         notes="certified lower bound on the p -> p' ratio; not a norm estimate",
     )
 
@@ -791,10 +786,6 @@ def target_slope(n: int, p: float, source: str) -> float:
     return -(n + 1) * (2.0 / p - 1.0)
 
 
-# Proposals per ascent start in a scaling fit over the ascent lower bounds.
-_ASCENT_ITERS = 60
-
-
 def scaling_fit(Ns, n: int, p: float, source: str, seed: int = 0) -> ScalingFit:
     """Fit the log-log slope of a ratio family against its predicted exponent.
 
@@ -813,7 +804,7 @@ def scaling_fit(Ns, n: int, p: float, source: str, seed: int = 0) -> ScalingFit:
         elif source == "delta":
             values.append(delta_extremizer_ratio(params, p))
         elif source == "ascent":
-            values.append(random_ascent_lower_bound(params, p, seed, _ASCENT_ITERS).constant)
+            values.append(random_ascent_lower_bound(params, p, seed).constant)
         elif source == "l2":
             values.append(norm_l2_l2(params).constant)
         else:

@@ -17,7 +17,10 @@ sums for p in {1, 2, inf} accumulate in Python integers when every stored
 amplitude is a Gaussian integer, and the direct convolution multiplies and
 adds integer-valued doubles without rounding (products stay below 2^53 at
 desk scale).  Any other power sum is math.fsum of math.pow(|v|, p), rounded
-once from the exact sum, with one math.pow per distinct modulus.
+once from the exact sum, with one math.pow per distinct modulus.  Those
+grouped exact terms (_power_terms) have two callers: _power_sum, behind
+lp_norm and the ascent, and experiments.box_power_sum, which sums the count
+histogram of the averaged box.
 """
 
 from __future__ import annotations

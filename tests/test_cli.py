@@ -778,3 +778,92 @@ def test_box_fit_and_norm_scan_leave_numpy_ma_unimported(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300, check=True)
     assert out.stdout.splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("source, Ns", [("box", "8,16,32,64"), ("ascent", "4,6,8,10")])
+def test_a_power_sum_overflow_near_p_1_is_a_bad_parameter(tmp_path, capsys, source, Ns):
+    # p' = 1001: 3^1001 overflows float64, where np.power once gave inf and a nan slope
+    out = tmp_path / "o"
+    assert run(["scaling-fit", "--source", source, "--p", "1.001", "--N", Ns, "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: p = 1.001, N = {Ns.split(',')[0]}: a power sum at p' = 1001 overflows float64" in captured.err
+    assert "[PASS]" not in captured.out and not out.exists()
+
+
+def test_ascent_near_p_1_rejects_cancelled_proposals(tmp_path, capsys):
+    # p' = 101: the incremental p'-power sums cancel below zero, whose float ** once returned a complex
+    out = tmp_path / "o"
+    assert run(["scaling-fit", "--source", "ascent", "--p", "1.01", "--N", "4,6,8,10", "--out-dir", str(out)]) in (0, 1)
+    capsys.readouterr()
+    values = json.loads((out / "scaling-fit.json").read_text())["results"]["1.01"]["values"]
+    assert len(values) == 4 and all(isinstance(v, float) and 0 < v < math.inf for v in values)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_moved_box_count_fails_the_mass_identity(tmp_path, capsys, monkeypatch, n):
+    # n = 3: the first multiset's count at x_n = 0, T - c[0], rises by one; n = 2: the first
+    # interval and square window [1, 1] widen to [1, 2], moving the counts that read it
+    import paravg.experiments as exp_mod
+
+    if n == 3:
+        real = exp_mod._count_blocks
+
+        def moved(*args):
+            for block, (idx, cum) in enumerate(real(*args)):
+                if block == 0:
+                    cum[0, 0] -= 1
+                yield idx, cum
+
+        monkeypatch.setattr(exp_mod, "_count_blocks", moved)
+    else:
+        real = exp_mod._intervals
+
+        def moved(N):
+            intervals, inverse, mult = real(N)
+            intervals[0, 1] += 1
+            return intervals, inverse, mult
+
+        monkeypatch.setattr(exp_mod, "_intervals", moved)
+    out = tmp_path / "o"
+    assert run(["scaling-fit", "--source", "box", "--n", str(n), "--N", "4,5,6,7", "--out-dir", str(out)]) == 1
+    assert f"invariant failure: n={n} N=4: the count histogram has mass" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _float64_power_targets() -> set:
+    from numpy.lib.introspect import opt_func_info
+
+    return {t["current"] for t in opt_func_info(func_name="^power$", signature="float64").get("power", {}).values()}
+
+
+# box power sums over these (n, N) and p, and the benchmark's box fits, under two SIMD targets
+PORTABLE_GRID = [(2, N) for N in (8, 64, 320)] + [(3, N) for N in (4, 8, 16, 24)] + [(4, 3)]
+PORTABLE_P = (1.5, 1.6, 5 / 3, 1.8, 2.0)
+PORTABLE_ARGV = [["scaling-fit", "--source", "box", "--N", "64,128,256,320"],
+                 ["scaling-fit", "--source", "box", "--n", "3", "--N", "4,8,12,16"]]
+
+
+@pytest.mark.skipif(not _float64_power_targets() & {"X86_V4", "X86_V3"},
+                    reason="float64 power has no X86_V4 or X86_V3 target to narrow")
+def test_box_power_sums_keep_their_bits_under_narrowed_simd_dispatch(tmp_path):
+    code = (
+        "from pathlib import Path\nfrom paravg import cli\nfrom paravg.experiments import box_power_sum\n"
+        f"for n, N in {PORTABLE_GRID!r}:\n"
+        f"    for p in {PORTABLE_P!r}:\n"
+        "        print(n, N, p, repr(box_power_sum(n, N, p / (p - 1.0))))\n"
+        f"for i, argv in enumerate({PORTABLE_ARGV!r}):\n"
+        "    print(cli.main([*argv, '--out-dir', str(i)]))\n"
+        "    for path in sorted(Path(str(i)).iterdir()):\n"
+        "        print(path.name, path.read_text())\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    outputs = []
+    for name, extra in (("default", {}), ("narrowed", {"NPY_DISABLE_CPU_FEATURES": "X86_V4 X86_V3"})):
+        (tmp_path / name).mkdir()
+        outputs.append(subprocess.run([sys.executable, "-c", code], env={**env, **extra}, cwd=tmp_path / name,
+                                      capture_output=True, text=True, timeout=300, check=True).stdout)
+    default, narrowed = (text.splitlines() for text in outputs)
+    assert len(default) > len(PORTABLE_GRID) * len(PORTABLE_P)
+    assert [a for a, b in zip(default, narrowed) if a != b] == [] and len(default) == len(narrowed)

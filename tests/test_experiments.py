@@ -142,23 +142,22 @@ def _convolved_cum(multiset) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(hist)])
 
 
-def _cum_row(cum: np.ndarray, x_n: np.ndarray, M_n: int) -> np.ndarray:
-    """Oracle: the count over x_n read off a cumulative histogram, 1 <= x_n + |k|^2 <= M_n."""
-    top = np.clip(M_n - x_n + 1, 0, len(cum) - 1)
-    bot = np.clip(1 - x_n, 0, len(cum) - 1)
-    return cum[top] - cum[bot]
+def _multisets(n: int, N: int) -> list:
+    """(multiset, cumulative square-sum row) of every block of _count_blocks, in order."""
+    blocks = experiments._count_blocks(n, N, experiments._intervals(N)[0])
+    return [(tuple(idx), row) for block, cum in blocks for idx, row in zip(block.tolist(), cum)]
 
 
 @pytest.mark.parametrize("n, N", [(2, 8), (3, 4), (3, 8), (3, 16), (3, 24), (4, 3), (4, 5)])
-def test_multiset_rows_match_convolved_histograms(n, N):
-    # every multiset of the box's intervals, exact integers, and the rows come in
-    # combinations_with_replacement order
-    inverse, mult, rows = experiments._multiset_rows(n, N)
-    intervals = experiments._intervals(N)[0].tolist()
-    x_n = np.arange(1 - (n - 1) * N * N, n * N * N - n + 2, dtype=np.int64)
+def test_count_blocks_match_convolved_histograms(n, N):
+    # every multiset of the box's intervals, exact integers, in combinations_with_replacement
+    # order; c[s] counts the square sums <= s up to S = (n-1) N^2, padded with their total
+    intervals, inverse, mult = experiments._intervals(N)
+    S = (n - 1) * N * N
     seen = []
-    for idx, row in rows:
-        want = _cum_row(_convolved_cum([intervals[i] for i in idx]), x_n, n * N * N)
+    for idx, row in _multisets(n, N):
+        want = _convolved_cum([intervals[i] for i in idx])[1:]
+        want = np.concatenate([want, np.full(S + 1 - len(want), want[-1])])
         assert row.dtype == np.int64 and np.array_equal(row, want), idx
         seen.append(idx)
     assert seen == list(itertools.combinations_with_replacement(range(2 * N - 1), n - 1))
@@ -206,30 +205,6 @@ def test_box_power_sum_runs_match_streamed_rows(N, p):
         assert abs(fast - slow) <= 1e-12 * slow
 
 
-def _box_power_sum_3d_full_axis(N: int, exponent: float) -> float:
-    """Oracle: the n = 3 power sum over x3 in [1 - 2N^2, 3N^2], with the all-zero last slice.
-
-    One histogram per ordered pair of k-intervals, in first-appearance order of x1 and x2.
-    """
-    mult = {}
-    for x in range(1 - N, 2 * N):
-        key = (max(1, 1 - x), min(N, 2 * N - x))
-        mult[key] = mult.get(key, 0) + 1
-    x3 = np.arange(1 - 2 * N * N, 3 * N * N, dtype=np.int64)
-    total = 0.0
-    for k1, m1 in mult.items():
-        for k2, m2 in mult.items():
-            row = _cum_row(_convolved_cum([k1, k2]), x3, 3 * N * N).astype(float)
-            total += m1 * m2 * float(np.sum(row**exponent))
-    return total
-
-
-@pytest.mark.parametrize("N", [2, 4, 8, 12, 16])
-def test_box_power_sum_n3_keeps_its_bits_without_the_zero_slice(N):
-    for exponent in (2.25, 2.0, 3.0, 8 / 3):
-        assert box_power_sum(3, N, exponent) == _box_power_sum_3d_full_axis(N, exponent), exponent
-
-
 @pytest.mark.parametrize("n, N", [(3, 1), (3, 5), (4, 1), (4, 2), (4, 4)])
 def test_box_power_sum_matches_dense_counts(n, N):
     counts = box_average_counts(n, N)[0].astype(float)
@@ -240,8 +215,8 @@ def test_box_power_sum_matches_dense_counts(n, N):
 
 
 def test_box_power_sum_n3_streams_the_pairs():
-    # one multiset histogram alive at a time: holding all of them at once peaks at
-    # 34.0 MB under tracemalloc at N=32, streaming them at 0.34 MB
+    # one block of multiset histograms alive at a time: holding all of them at once
+    # peaks at 34.0 MB under tracemalloc at N=32, streaming them at 0.47 MB
     box_power_sum(3, 2, 2.25)
     tracemalloc.start()
     try:
@@ -252,55 +227,44 @@ def test_box_power_sum_n3_streams_the_pairs():
     assert peak < 4 << 20, peak
 
 
-def _box_power_sum_rowwise(n: int, N: int, exponent: float) -> float:
-    """Oracle: box_power_sum one row at a time, the engine before the row blocks.
-
-    n = 2 makes one count row per interval over the square-window runs; n >= 3
-    builds one histogram per multiset through _multiset_row and powers the row
-    itself, then weights the multisets in first-appearance order.
-    """
-    M_n = n * N * N
-    total = 0.0
-    intervals, _, mult = experiments._intervals(N)
-    if n == 2:
-        _, lengths, kmin, kmax = experiments._square_runs(1 - N * N, M_n, M_n)
-        powers = np.arange(N + 1, dtype=float) ** exponent
-        for (A, B), m in zip(intervals.tolist(), mult.tolist()):
-            counts = np.clip(np.minimum(B, kmax) - np.maximum(A, kmin) + 1, 0, None)
-            total += m * float(np.sum(lengths * powers[counts]))
-        return total
-    keys = intervals.tolist()
-    x_n = np.arange(1 - (n - 1) * N * N, M_n - n + 2, dtype=np.int64)
-    sums = {
-        idx: float(np.sum(experiments._multiset_row([keys[i] for i in idx], x_n, M_n).astype(float) ** exponent))
-        for idx in itertools.combinations_with_replacement(range(len(keys)), n - 1)
-    }
-    m, first_seen = mult.tolist(), range(len(mult) - 1, -1, -1)
-    for idx in itertools.product(first_seen, repeat=n - 1):
-        total += math.prod(m[i] for i in idx) * sums[tuple(sorted(idx))]
-    return total
+def _dense_cells(n: int, N: int) -> list:
+    """Every cell of the dense counts, as Python ints."""
+    return box_average_counts(n, N)[0].ravel().tolist()
 
 
-_ROWWISE_EXPONENTS = (2.25, 2.0, 3.0, 8 / 3, 1.0, 5)
+def _fsum_of_powers(cells: list, exponent: float) -> float:
+    """Oracle: math.fsum of math.pow over every cell, the exact sum of the libm powers rounded once."""
+    return math.fsum(map(math.pow, cells, itertools.repeat(exponent)))
+
+
+_EXPONENTS = (2.25, 2.0, 3.0, 8 / 3, 1.0, 5)
 
 
 @pytest.mark.parametrize(
     "n, N",
-    [(2, N) for N in (1, 2, 3, 5, 64, 320, 2048)]
-    + [(3, N) for N in (1, 2, 4, 5, 8, 16, 24)]
-    + [(4, N) for N in (1, 2, 3, 5)],
+    [(2, N) for N in (1, 2, 3, 5, 16, 64)]
+    + [(3, N) for N in (1, 2, 4, 5, 8, 12, 16)]
+    + [(4, N) for N in (1, 2, 3, 4, 5)],
 )
-def test_box_power_sum_blocks_keep_the_rowwise_bits(n, N):
-    for exponent in _ROWWISE_EXPONENTS:
-        assert box_power_sum(n, N, exponent) == _box_power_sum_rowwise(n, N, exponent), exponent
+def test_box_power_sum_is_the_per_cell_fsum(n, N):
+    cells = _dense_cells(n, N)
+    assert np.array_equal(experiments._count_histogram(n, N), np.bincount(cells, minlength=N ** (n - 1) + 1))
+    for exponent in _EXPONENTS:
+        assert box_power_sum(n, N, exponent) == _fsum_of_powers(cells, exponent), exponent
+
+
+@pytest.mark.parametrize("n, N", [(2, 3), (2, 8), (3, 2), (3, 4), (4, 2)])
+def test_box_power_sum_is_the_exact_sum_of_libm_powers_rounded_once(n, N):
+    # Fraction sums the libm powers with no rounding; float() of a Fraction rounds once, to nearest
+    counts = collections.Counter(_dense_cells(n, N))
+    for exponent in (2.25, 8 / 3, 1.8 / 0.8, 5.5, 1.5 / 0.5):
+        exact = sum(Fraction(math.pow(c, exponent)) * k for c, k in counts.items())
+        assert box_power_sum(n, N, exponent) == float(exact), exponent
 
 
 def _block_cells(n: int, N: int, rows: int) -> int:
-    """The _BLOCK_CELLS that makes box_power_sum take `rows` intervals (n = 2) or multisets per block."""
-    if n == 2:
-        width = len(experiments._square_runs(1 - N * N, 2 * N * N, 2 * N * N)[1])
-    else:
-        width = max((2 * n - 1) * N * N - n + 1, N ** (n - 1))
+    """The _BLOCK_CELLS that gives a block of `rows` intervals (n = 2) or multisets."""
+    width = 2 * N - 1 if n == 2 else max((2 * n - 1) * N * N - n + 1, N ** (n - 1))
     return rows * width
 
 
@@ -313,19 +277,22 @@ _SPLIT_BLOCKS = [(2, 5, 4), (2, 64, 5), (3, 2, 4), (3, 5, 7), (3, 8, 7), (4, 3, 
 def test_box_power_sum_keeps_its_bits_across_block_edges(n, N, rows, one_row, monkeypatch):
     sweep = 2 * N - 1 if n == 2 else math.comb(2 * N - 2 + n - 1, n - 1)  # intervals or multisets
     assert sweep % rows and sweep > rows
+    cells = _dense_cells(n, N)
     monkeypatch.setattr(experiments, "_BLOCK_CELLS", 1 if one_row else _block_cells(n, N, rows))
-    for exponent in _ROWWISE_EXPONENTS:
-        assert box_power_sum(n, N, exponent) == _box_power_sum_rowwise(n, N, exponent), exponent
+    assert np.array_equal(experiments._count_histogram(n, N), np.bincount(cells, minlength=N ** (n - 1) + 1))
+    for exponent in _EXPONENTS:
+        assert box_power_sum(n, N, exponent) == _fsum_of_powers(cells, exponent), exponent
 
 
 @pytest.mark.parametrize("n, N, rows", [case for case in _SPLIT_BLOCKS if case[0] > 2])
 @pytest.mark.parametrize("one_row", [True, False])
-def test_multiset_rows_are_the_same_across_block_edges(n, N, rows, one_row, monkeypatch):
-    want = list(experiments._multiset_rows(n, N)[2])
+def test_count_blocks_are_the_same_across_block_edges(n, N, rows, one_row, monkeypatch):
+    want, counts = _multisets(n, N), box_average_counts(n, N)[0]
     monkeypatch.setattr(experiments, "_BLOCK_CELLS", 1 if one_row else _block_cells(n, N, rows))
-    got = list(experiments._multiset_rows(n, N)[2])
+    got = _multisets(n, N)
     assert [idx for idx, _ in got] == [idx for idx, _ in want]
     assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(got, want))
+    assert np.array_equal(box_average_counts(n, N)[0], counts)
 
 
 def test_count_blocks_check_the_square_sums_before_building_them(monkeypatch):
@@ -333,15 +300,15 @@ def test_count_blocks_check_the_square_sums_before_building_them(monkeypatch):
     # than the budget allows, and is refused when its block is reached
     monkeypatch.setattr(experiments, "_BLOCK_CELLS", 1)
     monkeypatch.setattr(lattice, "ALLOC_BUDGET_BYTES", 63 * 8)
-    rows = experiments._multiset_rows(3, 8)[2]
-    assert next(rows)[0] == (0, 0)
+    blocks = experiments._count_blocks(3, 8, experiments._intervals(8)[0])
+    assert next(blocks)[0].tolist() == [[0, 0]]
     with pytest.raises(ValueError, match="square sums of an interval multiset.*allocation budget"):
-        list(rows)
+        list(blocks)
 
 
 def test_box_power_sum_n2_streams_the_intervals():
-    # 4095 intervals x 5594 runs at N=2048: every count row at once is 183 MB of
-    # int64; blocks of _BLOCK_CELLS cells peak at 1.4 MB under tracemalloc
+    # 4095 intervals x 4095 square windows at N=2048: every count row at once is 134 MB
+    # of int64; blocks of _BLOCK_CELLS cells peak at 1.2 MB under tracemalloc
     box_power_sum(2, 2, 2.25)
     tracemalloc.start()
     try:
@@ -529,6 +496,25 @@ def test_packet_quotient_runs_match_streamed_rows(kind, N):
     _assert_matches_oracle(params, _streamed_packet_quotient_2d(params))
 
 
+def _square_runs(x_lo: int, x_hi: int, top: int):
+    """Split [x_lo, x_hi) into runs of x sharing every square-window key.
+
+    The keys are kmax = isqrt(max(top - x, 0)), the largest k with
+    x + k^2 <= top; kmin, the least k >= 1 with x + k^2 >= 1; and the signs
+    of x - 1 and top - x.  kmax steps where top - x crosses a square and
+    kmin where -x does, so there are O(sqrt(x_hi - x_lo)) runs.  Returns
+    (starts, lengths, kmin, kmax) as int64 arrays, one entry per run.
+    """
+    js = np.arange(math.isqrt(max(top - x_lo, 0)) + 2, dtype=np.int64)
+    jm = np.arange(math.isqrt(max(1 - x_lo, 0)) + 2, dtype=np.int64)
+    cuts = np.concatenate([top + 1 - js * js, 1 - jm * jm])
+    starts = np.unique(np.concatenate([[x_lo], cuts[(cuts > x_lo) & (cuts < x_hi)]]))
+    lengths = np.diff(np.append(starts, x_hi))
+    kmax = np.array([math.isqrt(max(top - x, 0)) for x in starts.tolist()], dtype=np.int64)
+    kmin = np.array([1 if x >= 0 else math.isqrt(-x) + 1 for x in starts.tolist()], dtype=np.int64)
+    return starts, lengths, kmin, kmax
+
+
 def _run_rows_packet_quotient_2d(params: OperatorParams, width: int = 8) -> float:
     """Oracle: the n = 2 wave-packet quotient over the square-window runs, every x1 row in x1 order."""
     N, cutoff = params.N, params.cutoff
@@ -541,7 +527,7 @@ def _run_rows_packet_quotient_2d(params: OperatorParams, width: int = 8) -> floa
         ia = np.clip(a - k_lo, 0, len(ws))
         return prefix[np.maximum(np.clip(b - k_lo + 1, 0, len(ws)), ia)] - prefix[ia]
 
-    starts, lengths, rmin, rmax = experiments._square_runs(1 - 4 * N * N, M_n + 4 * N * N, M_n)
+    starts, lengths, rmin, rmax = _square_runs(1 - 4 * N * N, M_n + 4 * N * N, M_n)
     neg_ok = starts <= M_n
     total_sq = 0.0
     for x1 in range(1 - k_hi, M - k_lo + 1):
@@ -907,14 +893,13 @@ def test_rayleigh_never_exceeds_norm():
 def test_ascent_properties():
     params = OperatorParams.sharp(2, 8)
     p = 1.8
-    rep = random_ascent_lower_bound(params, p, seed=3, iters=80)
+    rep = random_ascent_lower_bound(params, p, seed=3)
     box_r = box_extremizer_ratio(params, p)
     delta_r = delta_extremizer_ratio(params, p)
     assert rep.constant >= max(box_r, delta_r) - 1e-12
-    assert rep.values["monotone"] == 1.0
-    rep2 = random_ascent_lower_bound(params, p, seed=3, iters=80)
+    rep2 = random_ascent_lower_bound(params, p, seed=3)
     assert rep2.constant == rep.constant
-    rep3 = random_ascent_lower_bound(params, p, seed=4, iters=80)
+    rep3 = random_ascent_lower_bound(params, p, seed=4)
     assert rep3.constant >= max(box_r, delta_r) - 1e-12
 
 
@@ -939,10 +924,10 @@ def _dict_box_convolution(params: OperatorParams) -> dict:
     return _dict_convolve(_dict_box(params), kernel_offsets)
 
 
-def _dict_ascent(params: OperatorParams, p: float, seed: int, iters: int) -> tuple[float, int, bool]:
+def _dict_ascent(params: OperatorParams, p: float, seed: int) -> tuple[float, int]:
     """Oracle: the ascent on dicts of tuples, every kernel offset scattered in Python.
 
-    Returns (constant, support size, monotone) as random_ascent_lower_bound reports them.
+    Returns (constant, support size) as random_ascent_lower_bound reports them.
     """
     n, N = params.n, params.N
     pp = p / (p - 1.0)
@@ -959,8 +944,7 @@ def _dict_ascent(params: OperatorParams, p: float, seed: int, iters: int) -> tup
         s_pp = math.fsum(v**pp for v in conv.values())
         cur = (s_pp ** (1.0 / pp) / scale) / s_p ** (1.0 / p)
         keys = sorted(f)
-        history = [cur]
-        for _ in range(iters):
+        for _ in range(experiments._ASCENT_ITERS):
             x = keys[int(rng.integers(0, len(keys)))]
             factor = 1.5 if rng.random() < 0.5 else 1 / 1.5
             old = f[x]
@@ -973,46 +957,43 @@ def _dict_ascent(params: OperatorParams, p: float, seed: int, iters: int) -> tup
                 after = conv[y] + delta
                 new_spp += after**pp - conv[y] ** pp
                 touched.append((y, after))
+            if new_sp <= 0 or new_spp <= 0:
+                continue
             val = (new_spp ** (1.0 / pp) / scale) / new_sp ** (1.0 / p)
             if val > cur:
                 f[x] = old * factor
                 s_p, s_pp, cur = new_sp, new_spp, val
                 conv.update(touched)
-            history.append(cur)
         num = math.fsum(v**pp for v in convolve(f).values()) ** (1.0 / pp) / scale
         den = math.fsum(v**p for v in f.values()) ** (1.0 / p)
-        return num / den, len(f), history
+        return num / den, len(f)
 
     box = _dict_box(params)
     window_lo = (-2 * N,) * (n - 1) + (-4 * N * N,)
     window_hi = (2 * N,) * (n - 1) + (4 * N * N,)
     cloud_pts = rng.integers(low=window_lo, high=window_hi, size=(max(8, 4 * N), n))
     cloud = {tuple(int(c) for c in row): float(w) for row, w in zip(cloud_pts, 1.0 + rng.random(len(cloud_pts)))}
-    best_ratio, best_size, monotone = -1.0, 0, True
+    best_ratio, best_size = -1.0, 0
     delta_start = {(0,) * n: 1.0}
     box_conv = dict(_dict_box_convolution(params))  # a copy, since conv.update mutates it
     for start, conv in ((box, box_conv), (delta_start, convolve(delta_start)), (cloud, convolve(cloud))):
-        ratio, size, history = ascend(start, conv)
-        monotone &= all(b >= a - 1e-12 for a, b in zip(history, history[1:]))
+        ratio, size = ascend(start, conv)
         if ratio > best_ratio:
             best_ratio, best_size = ratio, size
-    return best_ratio, best_size, monotone
+    return best_ratio, best_size
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 @pytest.mark.parametrize("n, N", [(2, 4), (2, 8), (2, 16), (2, 24), (3, 3), (3, 4), (3, 6)])
 def test_ascent_dense_window_matches_dict_ascent(n, N, seed):
     params = OperatorParams.sharp(n, N)
-    rep = random_ascent_lower_bound(params, 1.8, seed=seed, iters=60)
-    constant, size, monotone = _dict_ascent(params, 1.8, seed, 60)
-    assert rep.constant == constant
-    assert rep.values["support_size"] == size
-    assert rep.values["monotone"] == float(monotone)
+    rep = random_ascent_lower_bound(params, 1.8, seed=seed)
+    assert (rep.constant, rep.values["support_size"]) == _dict_ascent(params, 1.8, seed)
 
 
 def test_ascent_rejects_oversized_window_before_allocating():
     with pytest.raises(ValueError, match=r"shape \(.*\) needs \d+ bytes"):
-        random_ascent_lower_bound(OperatorParams.sharp(3, 128), 1.8, iters=60)
+        random_ascent_lower_bound(OperatorParams.sharp(3, 128), 1.8)
 
 
 def test_box_average_counts_rejects_oversized_array():
@@ -1050,7 +1031,7 @@ def test_scaling_fit_refuses_repeated_scales_before_any_ratio(monkeypatch):
 @pytest.mark.parametrize("p", [0.5, 1.0, 2.5, math.inf, math.nan])
 def test_ascent_takes_p_in_one_to_two(p):
     with pytest.raises(ValueError, match=r"p must lie in \(1, 2\]"):
-        random_ascent_lower_bound(OperatorParams.sharp(2, 4), p, iters=1)
+        random_ascent_lower_bound(OperatorParams.sharp(2, 4), p)
 
 
 def test_scaling_fit_box_and_delta():
