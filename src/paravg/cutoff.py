@@ -197,7 +197,8 @@ def average(f: LatticeFunction, params: OperatorParams) -> LatticeFunction:
     """A f(x) = N^{1-n} sum_k w(k) f(x + (k, |k|^2)), exact on every input.
 
     The sum runs directly over every pair of a kernel point and a point of
-    f, 24 bytes per pair; there is no FFT fallback, so no roundoff entries
+    f: on a dense output box one block of pairs at a time, else 24 bytes per
+    pair, all at once.  There is no FFT fallback, so no roundoff entries
     appear.  Each output point accumulates its terms in ascending k, and the
     real and imaginary parts are then divided by N^(n-1) once each, so the
     result is correctly rounded from the exact sum on integer-valued f with

@@ -777,13 +777,12 @@ def target_slope(n: int, p: float, source: str) -> float:
     """Predicted log-log slope of a ratio family against N.
 
     -(n-1)/p for delta; 0 for l2, since the 2 -> 2 norm is p-free and
-    bounded in N; -(n+1)(2/p - 1) for the box family and its ascent bounds.
+    bounded in N; -(n+1)(2/p - 1) for the box family.  The ascent keeps the
+    better of its box and delta starts, so its bounds follow the larger of
+    the two exponents: the delta one below p* = (n+3)/(n+1), the box one above.
     """
-    if source == "delta":
-        return -(n - 1) / p
-    if source == "l2":
-        return 0.0
-    return -(n + 1) * (2.0 / p - 1.0)
+    box, delta = -(n + 1) * (2.0 / p - 1.0), -(n - 1) / p
+    return {"delta": delta, "l2": 0.0, "ascent": max(box, delta)}.get(source, box)
 
 
 def scaling_fit(Ns, n: int, p: float, source: str, seed: int = 0) -> ScalingFit:

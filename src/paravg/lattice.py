@@ -3,14 +3,18 @@
 This is the function space everything else acts on: kernels, test functions,
 and averages are all LatticeFunction values.  A function is stored as two
 read-only arrays: its distinct support points in lexicographic order and
-their nonzero complex values.  One canonicalizer builds every function.  It
-keys each point by its row-major index in the bounding box of its input, an
-int64 whose order is the lexicographic order, and sums the values per key:
-by np.bincount of the real and imaginary parts when the box has at most 2
-cells per term and fits the budget, else by one stable argsort and
-np.add.at.  Both add each point's terms in input order from +0.0, as a
-stable sort of the points does, so the bits do not depend on the branch;
-exact zeros are dropped.  Functions are immutable, so safe to share.
+their nonzero complex values.  One canonicalizer builds every function
+whose points may repeat or come unsorted (box_indicator and from_dense
+produce theirs distinct and sorted, and skip it).  It keys each point by
+its row-major index in the bounding box of its input, an int64 whose order
+is the lexicographic order, and sums the values per key.  The terms arrive
+in blocks.  When the box has at most 2 cells per term and fits the budget,
+np.add.at adds each block's real and imaginary parts into two float64
+histograms, so only one block of terms is alive at a time; else the blocks
+are joined and summed by one stable argsort and np.add.at.  Both add each
+point's terms in input order from +0.0, as a stable sort of the points
+does, so the bits do not depend on the branch or the blocks; exact zeros
+are dropped.  Functions are immutable, so safe to share.
 
 Norm and convolution arithmetic is exact on integer-valued inputs: power
 sums for p in {1, 2, inf} accumulate in Python integers when every stored
@@ -77,19 +81,36 @@ def _canonical(dim: int, points: np.ndarray, values: np.ndarray) -> "LatticeFunc
     """The function with amplitude sum(values[i] : points[i] = x) at each x; points are (m, dim) int64."""
     lo, hi = _bounds(points)
     extents, strides = _row_major(lo, hi)
-    return _reduce(dim, lo, extents, (points - lo) @ strides, values)
+    return _reduce(dim, lo, extents, len(points), [((points - lo) @ strides, values)])
 
 
-def _reduce(dim: int, lo: list, extents: list, keys: np.ndarray, values: np.ndarray) -> "LatticeFunction":
-    """Sum values[i] into cell keys[i] of the box at lo, in input order from +0.0; drop exact zeros."""
+def _reduce(dim: int, lo: list, extents: list, terms: int, blocks: Iterable) -> "LatticeFunction":
+    """Sum values[i] into cell keys[i] of the box at lo, in input order from +0.0; drop exact zeros.
+
+    `blocks` yields (keys, values) arrays in input order, `terms` terms in all.
+    """
     cells = math.prod(extents)
     # <= 2 cells per term keeps the two histograms (16 B/cell) within the sort's ~40 B/term
-    if cells <= 2 * len(keys) and 8 * cells <= ALLOC_BUDGET_BYTES:
-        re, im = np.bincount(keys, values.real, cells), np.bincount(keys, values.imag, cells)
+    if cells <= 2 * terms and 8 * cells <= ALLOC_BUDGET_BYTES:
+        re, im = np.zeros(cells), np.zeros(cells)
+        for keys, values in blocks:
+            np.add.at(re, keys, values.real)
+            np.add.at(im, keys, values.imag)
         keys = np.flatnonzero((re != 0) | (im != 0))
         sums = re[keys].astype(np.complex128)
         sums.imag = im[keys]
     else:
+        blocks = iter(blocks)
+        keys, values = next(blocks, (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.complex128)))
+        if len(keys) < terms:  # join the blocks, checked against the budget first
+            check_alloc((terms,), np.int64, "reduction keys")
+            check_alloc((terms,), np.complex128, "reduction values")
+            joined, at = (np.empty(terms, dtype=np.int64), np.empty(terms, dtype=np.complex128)), 0
+            for block in chain([(keys, values)], blocks):
+                for whole, part in zip(joined, block):
+                    whole[at : at + len(part)] = part
+                at += len(block[0])
+            keys, values = joined
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
         new = np.ones(len(keys), dtype=bool)
@@ -222,9 +243,11 @@ class LatticeFunction:
 
     @staticmethod
     def from_dense(array: np.ndarray, offset) -> "LatticeFunction":
+        # np.argwhere lists the nonzero cells once each, in lexicographic order; + 0.0
+        # turns a -0.0 part into +0.0, as a sum from +0.0 would
         nonzero = array != 0
         points = np.argwhere(nonzero) + np.array([int(c) for c in offset], dtype=np.int64)
-        return _canonical(array.ndim, points, array[nonzero].astype(np.complex128))
+        return _from_sorted(array.ndim, points, array[nonzero].astype(np.complex128) + 0.0)
 
 
 # -- constructors -------------------------------------------------------------
@@ -246,8 +269,8 @@ def box_indicator(lo, hi) -> LatticeFunction:
         if a > b:
             raise ValueError(f"empty range: lo {a} > hi {b}")
     grids = np.meshgrid(*[np.arange(a, b + 1, dtype=np.int64) for a, b in zip(lo, hi)], indexing="ij")
-    points = np.stack([g.ravel() for g in grids], axis=1)
-    return _canonical(len(lo), points, np.ones(len(points), dtype=np.complex128))
+    points = np.array([g.ravel() for g in grids]).T  # distinct, in lexicographic order
+    return _from_sorted(len(lo), points, np.ones(len(points), dtype=np.complex128))
 
 
 # -- norms --------------------------------------------------------------------
@@ -363,19 +386,28 @@ def lp_norm(f: LatticeFunction, p) -> float:
 # -- convolution ---------------------------------------------------------------
 
 
+# The direct sum hands the reduction this many pairs at a time (one row of f at least).
+_PAIR_BLOCK = 1 << 16
+
+
 def _convolve_direct(dim: int, pf, vf, pg, vg) -> LatticeFunction:
     """Sum of vf[i] vg[j] at pf[i] + pg[j]; pairs are laid out f-major.
 
-    So each output point accumulates its products in the order of f.  Exact
-    on integer-valued inputs.
+    So each output point accumulates its products in the order of f.  The
+    pairs go to the reduction in blocks of whole rows of f, at most
+    _PAIR_BLOCK pairs each unless one row is longer.  Exact on integer-valued
+    inputs.
     """
     (lo_f, hi_f), (lo_g, hi_g) = _bounds(pf), _bounds(pg)
     lo, hi = [a + b for a, b in zip(lo_f, lo_g)], [a + b for a, b in zip(hi_f, hi_g)]
     extents, strides = _row_major(lo, hi)
-    check_alloc((len(pf) * len(pg),), np.int64, "direct convolution keys")
-    check_alloc((len(pf) * len(pg),), np.complex128, "direct convolution values")
-    keys = (((pf - lo_f) @ strides)[:, None] + ((pg - lo_g) @ strides)[None, :]).ravel()
-    return _reduce(dim, lo, extents, keys, (vf[:, None] * vg[None, :]).ravel())
+    kf, kg = (pf - lo_f) @ strides, (pg - lo_g) @ strides
+    rows = max(1, _PAIR_BLOCK // max(1, len(pg)))
+    blocks = (
+        ((kf[i : i + rows, None] + kg[None, :]).ravel(), (vf[i : i + rows, None] * vg[None, :]).ravel())
+        for i in range(0, len(pf), rows)
+    )
+    return _reduce(dim, lo, extents, len(pf) * len(pg), blocks)
 
 
 def _next_pow2(n: int) -> int:
@@ -410,10 +442,12 @@ def _convolve_fft(f: LatticeFunction, g: LatticeFunction) -> LatticeFunction:
 def convolve(f: LatticeFunction, g: LatticeFunction, method: str = "direct") -> LatticeFunction:
     """(f*g)(x) = sum_y f(y) g(x-y), by direct summation or padded FFT.
 
-    `method` is "direct" (exact on integer-valued inputs; 24 bytes per pair,
-    an int64 key in the Minkowski box, which must have < 2^63 cells, and a
-    complex product, checked against the budget first) or "fft" (rounding
-    leaves ~1e-15 entries where the exact result is 0).
+    `method` is "direct" (exact on integer-valued inputs; each pair is an
+    int64 key in the Minkowski box, which must have < 2^63 cells, and a
+    complex product, 24 bytes; a dense box sums one block of pairs at a time
+    into its histograms, a sparse one holds all the pairs, checked against
+    the budget first) or "fft" (rounding leaves ~1e-15 entries where the
+    exact result is 0).
     """
     if f.dim != g.dim:
         raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")

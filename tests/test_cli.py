@@ -111,6 +111,15 @@ def test_scaling_fit_n4_box_ends_by_its_check(tmp_path, capsys):
     assert f"{'[PASS]' if status == 0 else '[FAIL]'} p=1.8: slope deviation from target -0.5556: " in out
 
 
+def test_scaling_fit_ascent_below_p_star_follows_the_delta_start(tmp_path, capsys):
+    # below p* = 5/3 the delta start's N^(-1/p) beats the box's N^(-3(2/p-1)), and the ascent keeps it
+    argv = ["scaling-fit", "--source", "ascent", "--p", "1.5", "--N", "4,8,16,24"]
+    status = run(argv + ["--out-dir", str(tmp_path / "o")])
+    out = capsys.readouterr().out
+    assert status == 0
+    assert "[PASS] p=1.5: slope deviation from target -0.6667: " in out
+
+
 def test_coeff_check_refuses_a_block_past_q_limit(tmp_path, capsys):
     assert run(["coeff-check", "--N", "8", "--Q", "64", "--out-dir", str(tmp_path / "o")]) == 2
     assert "error: block Q=64 has no denominator q <= q_limit = 7 at N=8" in capsys.readouterr().err

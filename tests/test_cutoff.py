@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -262,7 +263,8 @@ def test_average_dimension_mismatch():
 
 @pytest.mark.skipif(sys.platform != "linux", reason="VmHWM and ru_maxrss are in KiB on Linux only")
 def test_smooth_n3_average_peak_memory():
-    # 8.2M pairs: a key and a product per pair, not a point row and a lexsort order.
+    # 8.2M pairs, streamed into two histograms a block at a time: holding a key and a
+    # product per pair peaked at 293 MB, one block at a time at ~65 MB.
     # The child's own VmHWM starts afresh at exec; its ru_maxrss starts at the peak of
     # the forking test process, so it is only the fallback where /proc is absent.
     code = (
@@ -278,4 +280,19 @@ def test_smooth_n3_average_peak_memory():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300, check=True)
     support, peak_kib = map(int, out.stdout.split())
     assert support == 298_384
-    assert peak_kib <= 450 * 1024
+    assert peak_kib <= 128 * 1024
+
+
+def test_average_holds_one_block_of_pairs():
+    # the averaging benchmark's n=2, N=24 box: 1,327,104 pairs held at once peaked at
+    # 42.4 MB under tracemalloc, one block of pairs next to the histograms at ~9 MB
+    params = OperatorParams.sharp(2, 24)
+    box = box_indicator((1, 1), (48, 1152))
+    cutoff._kernel(params)  # the cached kernel is not part of the peak
+    tracemalloc.start()
+    try:
+        average(box, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 << 20, peak

@@ -38,6 +38,15 @@ def test_sharp_threshold():
     assert sharp_threshold(3) == 1.5
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_ascent_target_is_the_larger_of_box_and_delta(n):
+    p_star = sharp_threshold(n)
+    for p in (1.01, 1.5, p_star, 1.8, 2.0):
+        box, delta = target_slope(n, p, "box"), target_slope(n, p, "delta")
+        assert target_slope(n, p, "ascent") == max(box, delta)
+        assert (delta >= box) == (p <= p_star) or math.isclose(box, delta)
+
+
 def test_box_counts_match_direct_average():
     for n, N in ((2, 3), (2, 5), (2, 8), (2, 24), (3, 2), (3, 3), (3, 4), (3, 6), (3, 8), (4, 1), (4, 2), (4, 3), (4, 4)):
         f = box_indicator((1,) * n, (2 * N,) * (n - 1) + (n * N * N,))

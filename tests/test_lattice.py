@@ -255,30 +255,97 @@ def test_row_major_keys_match_lexsort(dim, span):
         _assert_canonical_matches(dim, points, values.real.astype(np.complex128))
 
 
+_ADD = np.add
+
+
+class _AddSpy:
+    """np.add, logging the dtype of each np.add.at target: float64 for the histograms, complex128 for the sort."""
+
+    def __init__(self, calls):
+        self.calls = calls
+
+    def at(self, target, *args):
+        self.calls.append(f"add.at {target.dtype}")
+        return _ADD.at(target, *args)
+
+    def __call__(self, *args, **kwargs):
+        return _ADD(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(_ADD, name)
+
+
 def test_both_reductions_are_used(monkeypatch):
     calls = []
-    for name in ("bincount", "argsort"):
-        real = getattr(np, name)
-        monkeypatch.setattr(np, name, lambda *a, _real=real, _name=name, **k: calls.append(_name) or _real(*a, **k))
-    box = box_indicator((0, 0, 0), (4, 5, 6))
-    assert set(calls) == {"bincount"} and len(box) == 210
+    monkeypatch.setattr(np, "add", _AddSpy(calls))
+    real_argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **k: calls.append("argsort") or real_argsort(*a, **k))
+    points = np.argwhere(np.ones((5, 6, 7), dtype=bool))[np.random.default_rng(3).permutation(210)]
+    box = LatticeFunction(3, [(tuple(p), 1.0) for p in points.tolist()])
+    assert calls == ["add.at float64"] * 2 and box == box_indicator((0, 0, 0), (4, 5, 6))
     calls.clear()
     far = LatticeFunction(2, [((10**9, 3), 1.0), ((0, -1), 2.0), ((10**9, 3), 0.5)])
-    assert calls == ["argsort"] and far.items() == [((0, -1), 2 + 0j), ((10**9, 3), 1.5 + 0j)]
+    assert calls == ["argsort", "add.at complex128"] and far.items() == [((0, -1), 2 + 0j), ((10**9, 3), 1.5 + 0j)]
     calls.clear()
     assert convolve(far, far).items() == [((0, -2), 4 + 0j), ((10**9, 2), 6 + 0j), ((2 * 10**9, 6), 2.25 + 0j)]
-    assert calls == ["argsort"]
+    assert calls == ["argsort", "add.at complex128"]
 
 
-def test_dense_and_sparse_convolution_match_pair_oracle():
+def _assert_direct_matches_pair_oracle(pf, vf, pg, vg):
+    points = (pf[:, None, :] + pg[None, :, :]).reshape(-1, pf.shape[1])
+    values = (vf[:, None] * vg[None, :]).ravel()
+    want_points, want_values = _lexsort_canonical(pf.shape[1], points, values)
+    h = lattice._convolve_direct(pf.shape[1], pf, vf, pg, vg)
+    assert np.array_equal(h._points, want_points) and h._values.tobytes() == want_values.tobytes()
+
+
+def test_dense_and_sparse_convolution_match_pair_oracle(monkeypatch):
     rng = np.random.default_rng(7)
-    for span in (3, 10**4):
-        f, g = random_sparse(rng, 3, 60, span, True), random_sparse(rng, 3, 40, span, True)
-        points = (f._points[:, None, :] + g._points[None, :, :]).reshape(-1, 3)
-        values = (f._values[:, None] * g._values[None, :]).ravel()
-        want_points, want_values = _lexsort_canonical(3, points, values)
-        h = convolve(f, g)
-        assert np.array_equal(h._points, want_points) and h._values.tobytes() == want_values.tobytes()
+    dense, sparse = (random_sparse(rng, 3, 60, span, True) for span in (3, 10**4))
+    # a dense box with repeated points and parts whose sums depend on the order of their terms
+    parts = [1e16, -1e16, 1.0, -1.0, 0.0, -0.0]
+    pf, pg = rng.integers(-3, 4, size=(40, 2)), rng.integers(-3, 4, size=(50, 2))
+    vf = rng.choice(parts, 40) + 1j * rng.choice(parts, 40)
+    vg = rng.choice(parts, 50) + 1j * rng.choice(parts, 50)
+    vf[:8] = rng.standard_normal(8)
+    # one block, blocks of 2 rows of f, then of 1 row, as g is longer than a block
+    for block in (lattice._PAIR_BLOCK, 128, 16):
+        monkeypatch.setattr(lattice, "_PAIR_BLOCK", block)
+        for f in (dense, sparse):
+            g = f * 0.5 + random_sparse(rng, 3, 40, 3, True)
+            _assert_direct_matches_pair_oracle(f._points, f._values, g._points, g._values)
+        _assert_direct_matches_pair_oracle(pf, vf, pg, vg)
+        _assert_direct_matches_pair_oracle(pg, vg, pf, vf)
+
+
+def test_sort_branch_checks_the_joined_pairs_against_the_budget(monkeypatch):
+    f = LatticeFunction(1, [((0,), 1.0), ((10**9,), 2.0)])
+    g = LatticeFunction(1, [((k * 10**6,), 1.0) for k in range(50)])
+    monkeypatch.setattr(lattice, "ALLOC_BUDGET_BYTES", 100 * 16 - 1)
+    assert len(convolve(f, g)) == 100  # one block: its pairs exist already
+    monkeypatch.setattr(lattice, "_PAIR_BLOCK", 50)
+    with pytest.raises(ValueError, match="reduction values"):
+        convolve(f, g)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_sorted_constructors_match_the_reduction(dim):
+    rng = np.random.default_rng(dim)
+    lo = rng.integers(-5, 5, size=dim)
+    box = box_indicator(tuple(lo), tuple(lo + rng.integers(0, 6, size=dim)))
+    _assert_same_function(box, lattice._canonical(dim, np.array(box._points), box._values.copy()))
+    # zeros, signed zeros in a nonzero value's parts, and nan
+    shape = (4,) * dim
+    array = rng.choice([0.0, -0.0, 1.0, -2.5, np.nan], size=shape) + 1j * rng.choice([0.0, -0.0, 3.0], size=shape)
+    offset = tuple(rng.integers(-9, 9, size=dim).tolist())
+    nonzero = array != 0
+    want = lattice._canonical(dim, np.argwhere(nonzero) + np.array(offset), array[nonzero])
+    _assert_same_function(LatticeFunction.from_dense(array, offset), want)
+
+
+def _assert_same_function(f, g):
+    assert f.dim == g.dim and f._points.tobytes() == g._points.tobytes() and f._points.shape == g._points.shape
+    assert f._values.tobytes() == g._values.tobytes()
 
 
 def test_boxes_beyond_int64_keys_are_refused():
@@ -297,12 +364,10 @@ def test_histogram_over_budget_takes_the_sort_branch(monkeypatch):
     points = np.argwhere(np.ones((20, 20), dtype=bool))[rng.permutation(800) % 400]
     values = rng.standard_normal(800) + 1j * rng.standard_normal(800)
     monkeypatch.setattr(lattice, "ALLOC_BUDGET_BYTES", 8 * 400 - 1)
-
-    def no_bincount(*args, **kwargs):
-        raise AssertionError("histogram allocated")
-
-    monkeypatch.setattr(np, "bincount", no_bincount)
+    calls = []
+    monkeypatch.setattr(np, "add", _AddSpy(calls))
     _assert_canonical_matches(2, points, values)
+    assert "add.at float64" not in calls, "histogram used"
 
 
 def _generator_lp_norm(values, p):
