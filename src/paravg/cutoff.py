@@ -184,7 +184,7 @@ def paraboloid_kernel(params: OperatorParams) -> LatticeFunction:
     for axis in combos[1:]:  # left to right, as a product over the coordinates
         weights = weights * ws[axis]
     points = np.concatenate([kp, (kp * kp).sum(axis=0, keepdims=True)]).T
-    return _canonical(n, points, weights.astype(np.complex128))
+    return _canonical(n, points, weights)
 
 
 @lru_cache(maxsize=32)
@@ -197,27 +197,23 @@ def average(f: LatticeFunction, params: OperatorParams) -> LatticeFunction:
     """A f(x) = N^{1-n} sum_k w(k) f(x + (k, |k|^2)), exact on every input.
 
     The sum runs directly over every pair of a kernel point and a point of
-    f: on a dense output box one block of pairs at a time, else 24 bytes per
+    f: on a dense output box one block of pairs at a time, else 16 bytes per
     pair, all at once.  There is no FFT fallback, so no roundoff entries
-    appear.  Each output point accumulates its terms in ascending k, and the
-    real and imaginary parts are then divided by N^(n-1) once each, so the
-    result is correctly rounded from the exact sum on integer-valued f with
-    the sharp cutoff.  The kernel is cached per OperatorParams
-    (LatticeFunction values are immutable, so every call shares it), and
-    points whose average cancels to exactly 0 are dropped from the support.
+    appear.  Each output point accumulates its terms in ascending k and is
+    then divided by N^(n-1) once, so the result is correctly rounded from
+    the exact sum on integer-valued f with the sharp cutoff.  The kernel is
+    cached per OperatorParams (LatticeFunction values are immutable, so
+    every call shares it), and points whose average cancels to exactly 0 are
+    dropped from the support.
     """
     if f.dim != params.n:
         raise ValueError(f"function dim {f.dim} != operator dim {params.n}")
     kernel = _kernel(params)
     raw = _convolve_direct(params.n, -kernel._points, kernel._values, f._points, f._values)
-    scale = float(params.N ** (params.n - 1))
-    values = np.empty_like(raw._values)
-    values.real = raw._values.real / scale  # complex / float in NumPy would multiply by 1/scale
-    values.imag = raw._values.imag / scale
-    # the points are distinct and sorted already: drop what underflowed to 0
-    # (indexing the column-major points only then), and + 0.0 turns a -0.0
-    # part into +0.0, as a sum from +0.0 would
+    values = raw._values / float(params.N ** (params.n - 1))
+    # the points are distinct and sorted already: drop what underflowed to
+    # +-0 (indexing the column-major points only then)
     points, keep = raw._points, values != 0
     if not keep.all():
         points, values = points[keep], values[keep]
-    return _from_sorted(raw.dim, points, values + 0.0)
+    return _from_sorted(raw.dim, points, values)

@@ -49,7 +49,7 @@ from itertools import chain
 import numpy as np
 
 from .cutoff import OperatorParams, _kernel, average, paraboloid_kernel
-from .lattice import LatticeFunction, _canonical, _from_sorted, _power_sum, _power_terms, check_alloc, lp_norm, shift
+from .lattice import LatticeFunction, _canonical, _from_sorted, _power_sum, _power_terms, _real, check_alloc, lp_norm, shift
 from .reports import ExperimentReport, substream_seed
 
 __all__ = [
@@ -372,36 +372,33 @@ def max_rayleigh_quotient(points, values, params: OperatorParams) -> float:
 
     Gram form.  For f = sum_i f_i delta_(y_i) on distinct points,
 
-        N^(2(n-1)) |A f|_2^2 = G = sum over i, j of Re(f_i conj(f_j)) K(y_i - y_j),
+        N^(2(n-1)) |A f|_2^2 = G = sum over i, j of f_i f_j K(y_i - y_j),
 
     K(d) = N^(2(n-1)) <A delta_0, A delta_d> the kernel's autocorrelation
     (_autocorrelation).  So a member costs m^2 lookups of K and no average.
 
     Error.  Let u = 2^-53, m the points per function of the batch, s =
-    sum |f_i|^2, T = sum over i, j of |f_i| |f_j| K(y_i - y_j) >= |G|, r =
+    sum f_i^2, T = sum over i, j of |f_i| |f_j| K(y_i - y_j) >= |G|, r =
     sqrt(G / s) / N^(n-1) the quotient of the stored values and R =
     sqrt(T / s) / N^(n-1) >= r.  kappa bounds the relative error of one
     computed K: 0 for the sharp cutoff, whose K are integer counts, and
     (S^(n-2) + 5n) u for the smooth one (_autocorrelation).  To first order
     in u:
 
-    * The computed G~ is within (m^2 + 2) u T + kappa T of G: Re(f_i conj(f_j))
-      is two products and an add, within 2u |f_i| |f_j|, the product with K
-      adds u + kappa, and a sum of m^2 terms in any order (m^2 - 1) u of the
-      sum of their moduli.  The computed T~ (hypot, two products, K, a sum of
-      nonnegative terms) is within (m^2 + 5) u + kappa of T, and s~ (two
-      squares and an add per point, a sum of m terms) within (m + 1) u of s,
-      both relative.
+    * The computed G~ is within (m^2 + 1) u T + kappa T of G: f_i f_j is one
+      product, the product with K adds u + kappa, and a sum of m^2 terms in
+      any order (m^2 - 1) u of the sum of their moduli.  The computed T~
+      (|f_i| exact, two products, K, a sum of nonnegative terms) is within
+      (m^2 + 1) u + kappa of T, and s~ (a square per point, a sum of m
+      terms) within m u of s, both relative.
     * The exact quotient e = lp_norm(average(f), 2) / lp_norm(f, 2) is within
-      (m + 14) u R of r.  A point of the average adds at most m products of
-      a weight and a value and divides once by N^(n-1), so its real part is
-      within (m + 1) u A|Re f| of the exact one, its imaginary part within
-      (m + 1) u A|Im f|, the point within (m + 1) u A|f| (Minkowski), and
-      the average within (m + 1) u |A |f||_2 = (m + 1) u R |f|_2 of A f in
-      l^2.  An lp_norm is within 6u (hypot and pow, <= 1 ulp each, on each
-      square; fsum u; halved by the root; the final power <= 1 ulp), or
-      1.5u on its exact integer branch, and the division adds u: 13u of
-      r <= R.
+      (m + 9) u R of r.  A point of the average adds at most m products of
+      a weight and a value and divides once by N^(n-1), so it is within
+      (m + 1) u A|f| of the exact one, and the average within (m + 1) u
+      |A |f||_2 = (m + 1) u R |f|_2 of A f in l^2.  An lp_norm is within
+      3.5u (pow, <= 1 ulp, on each square; fsum u; halved by the root; the
+      final power <= 1 ulp), or 1.5u on its exact integer branch, and the
+      division adds u: 8u of r <= R.
     * As G <= T, sqrt(G + g T) >= sqrt(G) + (g / 2)(1 - g / 2) sqrt(T) and,
       where G >= g T, sqrt(G - g T) <= sqrt(G) - (g / 2) sqrt(T): g T under
       the root moves the quotient by at least (g / 2) R.
@@ -410,23 +407,24 @@ def max_rayleigh_quotient(points, values, params: OperatorParams) -> float:
 
         q_lo = sqrt(max(G~ - gamma T~, 0) / s~ / N^(2(n-1))),  q_hi = sqrt((G~ + gamma T~) / s~ / N^(2(n-1)))
 
-    holds e when gamma = (m^2 + 2) u + kappa + g and g / 2 covers e's
-    (m + 14) u R, s~'s (m + 1) u R / 2 and 3u R for evaluating the bounds
-    (an add, two divisions, the root): g = (3m + 35) u.  The code takes
-    gamma = 1.01 ((m^2 + 3m + 40) u + kappa).  The allocation budget on the
-    pair arrays keeps m^2 below 2^27, and the kernel's size limit S^(n-1)
-    below 2 10^7, so gamma < 10^-7, and its extra 1% covers every
-    second-order term.  Inside _SCREEN_RANGE (s~ and T~ in [2^-960,
-    2^960]; T >= K(0) s >= s, and T <= m K(0) s) no term overflows, and an
-    underflow costs at most 2^-1075 per operation, far below u T.  A member
-    outside it (extreme magnitudes, a nan or inf value) gets q_lo = q_hi =
-    nan.
+    holds e when gamma = (m^2 + 1) u + kappa + g and g / 2 covers e's
+    (m + 9) u R, s~'s m u R / 2 and 3u R for evaluating the bounds (an add,
+    two divisions, the root): g = (3m + 24) u.  The code takes gamma =
+    1.01 ((m^2 + 3m + 25) u + kappa).  The allocation budget on the pair
+    arrays keeps m^2 below 2^27, and the kernel's size limit S^(n-1) below
+    2 10^7, so gamma < 10^-7, and its extra 1% covers every second-order
+    term.  Inside _SCREEN_RANGE (s~ and T~ in [2^-960, 2^960]; T >= K(0) s
+    >= s, and T <= m K(0) s) no term overflows, and an underflow costs at
+    most 2^-1075 per operation, far below u T.  A member outside it
+    (extreme magnitudes, a nan or inf value) gets q_lo = q_hi = nan.
 
     Candidates.  Every member whose q_hi reaches the largest q_lo, and every
     nan one, goes through the exact quotient e; every other member lies
     below the member with the largest q_lo.  The result is the max of the
-    exact candidates.  Raises ValueError for an empty batch and naming a
-    member that is zero after its repeated points are summed.
+    exact candidates.  Raises ValueError for an empty batch, naming a
+    member that is zero after its repeated points are summed, and naming a
+    complex value: test functions are real, as |f| reaches every quotient
+    that a complex f does.
     """
     f, cuts, q_lo, q_hi = _rayleigh_intervals(points, values, params)
     floor = float(np.fmax.reduce(q_lo, initial=-math.inf))  # fmax skips the nan bounds
@@ -448,7 +446,7 @@ def _rayleigh_intervals(points, values, params: OperatorParams):
     point with value 0, and its m^2 pairs enter G~ and T~ in blocks of at
     most _PAIR_CELLS pairs.  max_rayleigh_quotient derives the bounds.
     """
-    points, values = np.asarray(points, dtype=np.int64), np.asarray(values, dtype=np.complex128)
+    points, values = np.asarray(points, dtype=np.int64), _real(values)
     B, m, n = points.shape
     if n != params.n:
         raise ValueError(f"function dim {n} != operator dim {params.n}")
@@ -465,7 +463,7 @@ def _rayleigh_intervals(points, values, params: OperatorParams):
     slot = np.arange(len(f)) - cuts[owner]
     y = np.repeat(f._points[cuts[:-1], 1:].T[:, :, None], m, axis=2)  # (n, B, m)
     y[:, owner, slot] = f._points[:, 1:].T
-    v = np.zeros((B, m), dtype=np.complex128)
+    v = np.zeros((B, m))
     v[owner, slot] = f._values
 
     gram, total = np.empty(B), np.empty(B)
@@ -476,12 +474,11 @@ def _rayleigh_intervals(points, values, params: OperatorParams):
             check_alloc((n, c * m * m), np.int64, "Rayleigh screen pairs")
             pairs = (y[:, lo : lo + c, :, None] - y[:, lo : lo + c, None, :]).reshape(n, -1)
             K = _autocorrelation(params, pairs).reshape(c, m, m)
-            re, im, mod = v[lo : lo + c].real, v[lo : lo + c].imag, np.abs(v[lo : lo + c])
-            products = re[:, :, None] * re[:, None, :] + im[:, :, None] * im[:, None, :]
-            gram[lo : lo + c] = np.sum(products * K, axis=(1, 2))
+            x, mod = v[lo : lo + c], np.abs(v[lo : lo + c])
+            gram[lo : lo + c] = np.sum(x[:, :, None] * x[:, None, :] * K, axis=(1, 2))
             total[lo : lo + c] = np.sum(mod[:, :, None] * mod[:, None, :] * K, axis=(1, 2))
-        s_f = np.sum(v.real * v.real + v.imag * v.imag, axis=1)
-        gamma = 1.01 * ((m * m + 3 * m + 40) * 2.0**-53 + _kappa(params))
+        s_f = np.sum(v * v, axis=1)
+        gamma = 1.01 * ((m * m + 3 * m + 25) * 2.0**-53 + _kappa(params))
         scale = float(params.N ** (2 * (n - 1)))
         q_lo = np.sqrt(np.maximum(gram - gamma * total, 0.0) / s_f / scale)
         q_hi = np.sqrt((gram + gamma * total) / s_f / scale)

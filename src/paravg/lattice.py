@@ -1,30 +1,33 @@
-"""Finitely supported complex functions on Z^n.
+"""Finitely supported real functions on Z^n.
 
 This is the function space everything else acts on: kernels, test functions,
-and averages are all LatticeFunction values.  A function is stored as two
-read-only arrays: its distinct support points in lexicographic order and
-their nonzero complex values.  One canonicalizer builds every function
-whose points may repeat or come unsorted (box_indicator and from_dense
-produce theirs distinct and sorted, and skip it).  It keys each point by
-its row-major index in the bounding box of its input, an int64 whose order
-is the lexicographic order, and sums the values per key.  The terms arrive
-in blocks.  When the box has at most 2 cells per term and fits the budget,
-np.add.at adds each block's real and imaginary parts into two float64
-histograms, so only one block of terms is alive at a time; else the blocks
-are joined and summed by one stable argsort and np.add.at.  Both add each
-point's terms in input order from +0.0, as a stable sort of the points
-does, so the bits do not depend on the branch or the blocks; exact zeros
-are dropped.  Functions are immutable, so safe to share.
+and averages are all LatticeFunction values.  They are real: the averaging
+kernels are nonnegative, so |A f| <= A |f| pointwise and every norm ratio a
+complex f reaches, |f| reaches too.  A complex amplitude is refused with a
+ValueError.  A function is stored as two read-only arrays: its distinct
+support points in lexicographic order and their nonzero float64 values.
+One canonicalizer builds every function whose points may repeat or come
+unsorted (box_indicator and from_dense produce theirs distinct and sorted,
+and skip it).  It keys each point by its row-major index in the bounding
+box of its input, an int64 whose order is the lexicographic order, and
+sums the values per key.  The terms arrive in blocks.  When the box has at
+most 2 cells per term and fits the budget, np.add.at adds each block into
+one float64 histogram, so only one block of terms is alive at a time; else
+the blocks are joined and summed by one stable argsort and np.add.at.  Both
+add each point's terms in input order from +0.0, as a stable sort of the
+points does, so the bits do not depend on the branch or the blocks; exact
+zeros are dropped.  Functions are immutable, so safe to share.
 
-Norm and convolution arithmetic is exact on integer-valued inputs: power
-sums for p in {1, 2, inf} accumulate in Python integers when every stored
-amplitude is a Gaussian integer, and the direct convolution multiplies and
-adds integer-valued doubles without rounding (products stay below 2^53 at
-desk scale).  Any other power sum is math.fsum of math.pow(|v|, p), rounded
-once from the exact sum, with one math.pow per distinct modulus.  Those
-grouped exact terms (_power_terms) have two callers: _power_sum, behind
-lp_norm and the ascent, and experiments.box_power_sum, which sums the count
-histogram of the averaged box.
+Norm and convolution arithmetic is exact on integer-valued inputs: the
+p = 2 power sum accumulates in Python integers when every stored amplitude
+is an integer, and the direct convolution multiplies and adds
+integer-valued doubles without rounding (products stay below 2^53 at desk
+scale).  Any other power sum is math.fsum of math.pow(|v|, p), rounded
+once from the exact sum (so exact too at p = 1), with one math.pow per
+distinct modulus.  Those grouped exact terms (_power_terms) have two
+callers: _power_sum, behind lp_norm and the ascent, and
+experiments.box_power_sum, which sums the count histogram of the averaged
+box.
 """
 
 from __future__ import annotations
@@ -90,22 +93,19 @@ def _reduce(dim: int, lo: list, extents: list, terms: int, blocks: Iterable) -> 
     `blocks` yields (keys, values) arrays in input order, `terms` terms in all.
     """
     cells = math.prod(extents)
-    # <= 2 cells per term keeps the two histograms (16 B/cell) within the sort's ~40 B/term
+    # <= 2 cells per term keeps the histogram (8 B/cell) within the sort's ~60 B/term
     if cells <= 2 * terms and 8 * cells <= ALLOC_BUDGET_BYTES:
-        re, im = np.zeros(cells), np.zeros(cells)
+        sums = np.zeros(cells)
         for keys, values in blocks:
-            np.add.at(re, keys, values.real)
-            np.add.at(im, keys, values.imag)
-        keys = np.flatnonzero((re != 0) | (im != 0))
-        sums = re[keys].astype(np.complex128)
-        sums.imag = im[keys]
+            np.add.at(sums, keys, values)
+        keys = np.flatnonzero(sums)
+        sums = sums[keys]
     else:
         blocks = iter(blocks)
-        keys, values = next(blocks, (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.complex128)))
+        keys, values = next(blocks, (np.empty(0, dtype=np.int64), np.empty(0)))
         if len(keys) < terms:  # join the blocks, checked against the budget first
-            check_alloc((terms,), np.int64, "reduction keys")
-            check_alloc((terms,), np.complex128, "reduction values")
-            joined, at = (np.empty(terms, dtype=np.int64), np.empty(terms, dtype=np.complex128)), 0
+            check_alloc((terms,), np.int64, "reduction keys")  # the float64 values are as large
+            joined, at = (np.empty(terms, dtype=np.int64), np.empty(terms)), 0
             for block in chain([(keys, values)], blocks):
                 for whole, part in zip(joined, block):
                     whole[at : at + len(part)] = part
@@ -115,10 +115,22 @@ def _reduce(dim: int, lo: list, extents: list, terms: int, blocks: Iterable) -> 
         keys = keys[order]
         new = np.ones(len(keys), dtype=bool)
         new[1:] = keys[1:] != keys[:-1]
-        sums = np.zeros(int(np.count_nonzero(new)), dtype=np.complex128)
+        sums = np.zeros(int(np.count_nonzero(new)))
         np.add.at(sums, np.cumsum(new) - 1, values[order])
         keys, sums = keys[new][sums != 0], sums[sums != 0]
     return _from_sorted(dim, np.array(np.unravel_index(keys, extents)).T + np.array(lo, dtype=np.int64), sums)
+
+
+def _real(values) -> np.ndarray:
+    """values as a float64 array; a complex one raises ValueError naming an amplitude.
+
+    The amplitude named is the first with an imaginary part, else the first.
+    """
+    values = np.asarray(values)
+    if np.iscomplexobj(values):
+        named = next(chain(values[values.imag != 0], values.flat), 0j)
+        raise ValueError(f"lattice functions are real: got the complex amplitude {complex(named)!r}")
+    return values.astype(np.float64, copy=False)
 
 
 def _from_sorted(dim: int, points: np.ndarray, values: np.ndarray) -> "LatticeFunction":
@@ -131,13 +143,14 @@ def _from_sorted(dim: int, points: np.ndarray, values: np.ndarray) -> "LatticeFu
 
 
 class LatticeFunction:
-    """A finitely supported function Z^n -> C, stored sparsely.
+    """A finitely supported function Z^n -> R, stored sparsely.
 
     `data` is a dict or an iterable of (point, value) pairs; a repeated point
-    gets the sum of its values.  Only nonzero amplitudes are stored, so the
-    stored support is the true support and evaluation anywhere else returns
-    exactly 0.  Points whose bounding box has 2^63 or more cells raise a
-    ValueError: their row-major keys would not fit in int64.
+    gets the sum of its values, and a complex value raises a ValueError.
+    Only nonzero amplitudes are stored, so the stored support is the true
+    support and evaluation anywhere else returns exactly 0.  Points whose
+    bounding box has 2^63 or more cells raise a ValueError: their row-major
+    keys would not fit in int64.
     """
 
     __slots__ = ("dim", "_points", "_values")
@@ -150,21 +163,21 @@ class LatticeFunction:
             if len(point) != dim:
                 raise ValueError(f"point {tuple(point)} has length {len(point)}, expected {dim}")
         points = np.array([[int(c) for c in p] for p, _ in items], dtype=np.int64).reshape(-1, dim)
-        values = np.array([complex(v) for _, v in items], dtype=np.complex128)
+        values = _real([v for _, v in items])
         f = _canonical(dim, points, values)
         self.dim, self._points, self._values = dim, f._points, f._values
 
     # -- basic queries ------------------------------------------------------
 
-    def __call__(self, point) -> complex:
+    def __call__(self, point) -> float:
         point = [int(c) for c in point]
         if len(point) != self.dim:
-            return 0j
+            return 0.0
         lo, hi = 0, len(self._values)
         for axis, c in enumerate(point):  # narrow the lexicographic range one axis at a time
             column = self._points[lo:hi, axis]
             lo, hi = lo + int(np.searchsorted(column, c, "left")), lo + int(np.searchsorted(column, c, "right"))
-        return complex(self._values[lo]) if lo < hi else 0j
+        return float(self._values[lo]) if lo < hi else 0.0
 
     def __len__(self) -> int:
         return len(self._values)
@@ -172,7 +185,7 @@ class LatticeFunction:
     def __iter__(self) -> Iterator[tuple]:
         return iter(self.support())
 
-    def items(self) -> list[tuple[tuple, complex]]:
+    def items(self) -> list[tuple[tuple, float]]:
         """(point, value) pairs in lexicographic order of the points."""
         return list(zip(self.support(), self._values.tolist()))
 
@@ -186,9 +199,8 @@ class LatticeFunction:
         return tuple((int(lo), int(hi)) for lo, hi in zip(self._points.min(0), self._points.max(0)))
 
     def is_integer_valued(self) -> bool:
-        """True when every amplitude is a Gaussian integer (exact check)."""
-        parts = np.concatenate([self._values.real, self._values.imag])
-        return bool(np.all(parts == np.trunc(parts)))
+        """True when every amplitude is a finite integer (exact check)."""
+        return bool(np.all(np.isfinite(self._values) & (self._values == np.trunc(self._values))))
 
     # -- algebra ------------------------------------------------------------
 
@@ -205,7 +217,7 @@ class LatticeFunction:
         return self + (-1) * other
 
     def __mul__(self, scalar) -> "LatticeFunction":
-        return _canonical(self.dim, self._points, self._values * complex(scalar))
+        return _canonical(self.dim, self._points, self._values * _real(scalar))
 
     __rmul__ = __mul__
 
@@ -223,7 +235,7 @@ class LatticeFunction:
     # -- dense interchange ---------------------------------------------------
 
     def to_dense(self, box=None):
-        """Dense complex array over `box` (defaults to the support box).
+        """Dense float64 array over `box` (defaults to the support box).
 
         Returns (array, offset): array[idx] = f(idx + offset).  Dense and
         sparse views evaluate identically at every lattice point inside the
@@ -237,17 +249,17 @@ class LatticeFunction:
         outside = np.any((idx < 0) | (idx >= np.array(shape, dtype=np.int64)), axis=1)
         if outside.any():
             raise ValueError(f"support point {tuple(self._points[np.argmax(outside)].tolist())} outside box {box}")
-        out = np.zeros(shape, dtype=np.complex128)
+        out = np.zeros(shape)
         out[tuple(idx.T)] = self._values
         return out, tuple(int(x) for x in lo)
 
     @staticmethod
     def from_dense(array: np.ndarray, offset) -> "LatticeFunction":
-        # np.argwhere lists the nonzero cells once each, in lexicographic order; + 0.0
-        # turns a -0.0 part into +0.0, as a sum from +0.0 would
+        array = _real(array)
         nonzero = array != 0
+        # np.argwhere lists the nonzero cells once each, in lexicographic order
         points = np.argwhere(nonzero) + np.array([int(c) for c in offset], dtype=np.int64)
-        return _from_sorted(array.ndim, points, array[nonzero].astype(np.complex128) + 0.0)
+        return _from_sorted(array.ndim, points, array[nonzero])
 
 
 # -- constructors -------------------------------------------------------------
@@ -270,31 +282,24 @@ def box_indicator(lo, hi) -> LatticeFunction:
             raise ValueError(f"empty range: lo {a} > hi {b}")
     grids = np.meshgrid(*[np.arange(a, b + 1, dtype=np.int64) for a, b in zip(lo, hi)], indexing="ij")
     points = np.array([g.ravel() for g in grids]).T  # distinct, in lexicographic order
-    return _from_sorted(len(lo), points, np.ones(len(points), dtype=np.complex128))
+    return _from_sorted(len(lo), points, np.ones(len(points)))
 
 
 # -- norms --------------------------------------------------------------------
 
 
-def _norm_exponent(re: np.ndarray, im: np.ndarray, power: float) -> int:
-    """0 when sum |v|^power can be summed as stored, else e with max(|re|, |im|) in [2^(e-1), 2^e).
+def _norm_exponent(moduli: np.ndarray, power: float) -> int:
+    """0 when sum moduli^power can be summed as stored, else e with max(moduli) in [2^(e-1), 2^e).
 
-    Inside, the largest term lies in [2^-1000, 2^1023 / len(re)] (|v| < 2^(e + 1/2)),
-    so the sum cannot overflow, and a term rounded below 2^-1022 errs by at
-    most 2^-1075, so n terms lose less than n 2^-75 of the sum.  An inf
-    amplitude gives 0; a nan one makes the norm nan either way.
+    Inside, the largest term lies in [2^-1000, 2^1023 / len(moduli)], so the
+    sum cannot overflow, and a term rounded below 2^-1022 errs by at most
+    2^-1075, so n terms lose less than n 2^-75 of the sum.  An inf modulus
+    gives 0; a nan one makes the norm nan either way.
     """
-    amax = max(abs(float(x)) for part in (re, im) for x in (part.min(), part.max()))
-    e = math.frexp(amax)[1]
-    if power * (e - 1) >= -1000 and power * (e + 0.5) + len(re).bit_length() <= 1023:
+    e = math.frexp(float(moduli.max()))[1]
+    if power * (e - 1) >= -1000 and power * e + len(moduli).bit_length() <= 1023:
         return 0
     return e
-
-
-def _times_pow2(x: float, e: int) -> float:
-    """x 2^e, inf where that overflows."""
-    with np.errstate(over="ignore"):
-        return float(np.ldexp(x, e))
 
 
 # Sorted values are grouped into runs, and their terms handed to math.fsum, this many at a time.
@@ -346,41 +351,33 @@ def _power_sum(x: np.ndarray, p: float) -> float:
 
 
 def lp_norm(f: LatticeFunction, p) -> float:
-    """(sum |f|^p)^(1/p), or sup |f| for p = inf.
+    """(sum |f|^p)^(1/p), or max |f| for p = inf.
 
-    Exact integer accumulation is used for p in {1, 2, inf} whenever all
-    amplitudes are Gaussian integers (real amplitudes for p = 1), so counting
-    arguments in the tests are free of rounding; the Gaussian-integer check
-    runs only for p = 1 and p = 2, the two exponents whose sums use it.
-    Amplitudes so small that |v|^p underflows, or so large that the sum
-    overflows (_norm_exponent; |v|^2 for p = inf), are scaled by a power of
+    For p = 2 the squares of integer amplitudes accumulate exactly in Python
+    integers, so counting arguments in the tests are free of rounding; the
+    integer check runs only at p = 2.  Any other finite p sums by
+    _power_sum, math.fsum of math.pow(|v|, p) with one pow per distinct
+    modulus, rounded once from the exact sum (at p = 1 that is the integer
+    sum, rounded once).  Amplitudes so small that |v|^p underflows, or so
+    large that the sum overflows (_norm_exponent), are scaled by a power of
     two 2^-e first and the norm by 2^e after (inf where that overflows);
-    inside that range the values are summed as they are.  Off the integer
-    branch the sum is _power_sum of the moduli: math.fsum of math.pow(|v|,
-    p), one pow per distinct modulus.
+    inside that range the values are summed as they are.
     """
     if not p >= 1:  # nan too; inf passes
         raise ValueError(f"p must be >= 1 or inf, got {p}")
     if not len(f):
         return 0.0
-    re, im = f._values.real, f._values.imag
-    e = _norm_exponent(re, im, 2.0 if p == math.inf else p)
-    if e:
-        re, im = np.ldexp(re, -e), np.ldexp(im, -e)
-
+    moduli = np.abs(f._values)
     if p == math.inf:
-        return _times_pow2(math.sqrt(float(np.max(re * re + im * im))), e)
-
-    if not e and p in (1, 2) and f.is_integer_valued():
-        values = f._values.tolist()
-        if p == 2:
-            total = sum(int(v.real) ** 2 + int(v.imag) ** 2 for v in values)
-            return math.sqrt(total)
-        if p == 1 and all(v.imag == 0 for v in values):
-            return float(sum(abs(int(v.real)) for v in values))
-
-    # np.hypot is Python's abs of a complex number and math.pow its float **
-    return _times_pow2(float(np.power(_power_sum(np.hypot(re, im), p), 1.0 / p)), e)
+        return float(moduli.max())
+    e = _norm_exponent(moduli, p)
+    if not e and p == 2 and f.is_integer_valued():
+        return math.sqrt(sum(int(v) ** 2 for v in f._values.tolist()))
+    if e:
+        moduli = np.ldexp(moduli, -e)
+    norm = float(np.power(_power_sum(moduli, p), 1.0 / p))
+    with np.errstate(over="ignore"):  # inf where the scaled norm overflows
+        return float(np.ldexp(norm, e))
 
 
 # -- convolution ---------------------------------------------------------------
@@ -427,15 +424,10 @@ def _convolve_fft(f: LatticeFunction, g: LatticeFunction) -> LatticeFunction:
         (a[1] - a[0] + 1) + (b[1] - b[0] + 1) - 1 for a, b in zip(bf, bg)
     ]
     shape = tuple(_next_pow2(e) for e in extents)
-    check_alloc(shape, np.complex128, "padded FFT buffer")
-    df, off_f = f.to_dense(bf)
-    dg, off_g = g.to_dense(bg)
-    buf_f = np.zeros(shape, dtype=np.complex128)
-    buf_f[tuple(slice(0, s) for s in df.shape)] = df
-    buf_g = np.zeros(shape, dtype=np.complex128)
-    buf_g[tuple(slice(0, s) for s in dg.shape)] = dg
-    conv = np.fft.ifftn(np.fft.fftn(buf_f) * np.fft.fftn(buf_g))
-    conv = conv[tuple(slice(0, e) for e in extents)]
+    check_alloc(shape, np.complex128, "padded FFT buffer")  # covers each half spectrum and the real output
+    axes = tuple(range(len(shape)))
+    spectrum = np.fft.rfftn(f.to_dense(bf)[0], shape, axes) * np.fft.rfftn(g.to_dense(bg)[0], shape, axes)
+    conv = np.fft.irfftn(spectrum, shape, axes)[tuple(slice(0, e) for e in extents)]
     return LatticeFunction.from_dense(conv, tuple(lo))
 
 
@@ -444,10 +436,10 @@ def convolve(f: LatticeFunction, g: LatticeFunction, method: str = "direct") -> 
 
     `method` is "direct" (exact on integer-valued inputs; each pair is an
     int64 key in the Minkowski box, which must have < 2^63 cells, and a
-    complex product, 24 bytes; a dense box sums one block of pairs at a time
-    into its histograms, a sparse one holds all the pairs, checked against
-    the budget first) or "fft" (rounding leaves ~1e-15 entries where the
-    exact result is 0).
+    float64 product, 16 bytes; a dense box sums one block of pairs at a time
+    into its histogram, a sparse one holds all the pairs, checked against
+    the budget first) or "fft" (real transforms; rounding leaves ~1e-15
+    entries where the exact result is 0).
     """
     if f.dim != g.dim:
         raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")

@@ -227,7 +227,7 @@ def _nan_rayleigh():
     real = exp_mod.max_rayleigh_quotient
 
     def patched(points, values, params):
-        values = np.array(values, dtype=complex)
+        values = np.array(values, dtype=float)
         values[1, 3] = math.nan  # the second draw: the screen must not drop it
         return real(points, values, params)
 

@@ -1,6 +1,7 @@
 """Function-space basics: storage, norms, convolution, reflection."""
 
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 from itertools import chain, repeat
@@ -21,13 +22,10 @@ from paravg.lattice import (
 )
 
 
-def random_sparse(rng, dim=2, count=100, span=20, complex_vals=False):
+def random_sparse(rng, dim=2, count=100, span=20):
     pts = rng.integers(-span, span + 1, size=(count, dim))
-    if complex_vals:
-        vals = rng.standard_normal(count) + 1j * rng.standard_normal(count)
-    else:
-        vals = rng.standard_normal(count)
-    return LatticeFunction(dim, {tuple(map(int, p)): complex(v) for p, v in zip(pts, vals)})
+    vals = rng.standard_normal(count)
+    return LatticeFunction(dim, {tuple(map(int, p)): float(v) for p, v in zip(pts, vals)})
 
 
 def test_delta_point_evaluation():
@@ -62,22 +60,24 @@ def test_lp_norm_examples_and_errors():
             lp_norm(b, p)
 
 
-def test_lp_norm_checks_for_gaussian_integers_only_at_p_1_and_2(monkeypatch):
+def test_lp_norm_checks_for_integers_only_at_p_2(monkeypatch):
     f = cutoff.average(box_indicator((1, 1), (16, 128)), OperatorParams.sharp(2, 8))
     g = 3 * delta((0, 0)) - 4 * delta((1, 2)) + 2 * delta((5, 5))
-    want = {p: lp_norm(h, p) for h in (f, g) for p in (1.8, 1.5)}
+    ps = (1, 1.5, 1.8, math.inf)
+    want = {p: lp_norm(h, p) for h in (f, g) for p in ps}
 
     def refuse(self):
-        raise AssertionError("is_integer_valued runs off p = 1 and p = 2")
+        raise AssertionError("is_integer_valued runs off p = 2")
 
     monkeypatch.setattr(LatticeFunction, "is_integer_valued", refuse)
-    assert {p: lp_norm(h, p) for h in (f, g) for p in (1.8, 1.5)} == want
+    assert {p: lp_norm(h, p) for h in (f, g) for p in ps} == want
+    assert lp_norm(g, 1) == 9.0  # 3 + 4 + 2, by the correctly rounded fsum
     monkeypatch.undo()
     calls, real = [], LatticeFunction.is_integer_valued
     monkeypatch.setattr(LatticeFunction, "is_integer_valued", lambda self: calls.append(1) or real(self))
-    # the exact integer branch: 9 + 16 + 4 = 29 and 3 + 4 + 2
-    assert lp_norm(g, 2) == math.sqrt(29) and lp_norm(g, 1) == 9.0 and lp_norm(g, 2.0) == math.sqrt(29)
-    assert len(calls) == 3
+    # the exact integer branch: 9 + 16 + 4 = 29
+    assert lp_norm(g, 2) == math.sqrt(29) and lp_norm(g, 2.0) == math.sqrt(29)
+    assert len(calls) == 2
 
 
 def test_convolve_delta_shifts():
@@ -96,8 +96,8 @@ def test_convolve_binomial():
 
 def test_convolve_direct_vs_fft():
     rng = np.random.default_rng(1)
-    f = random_sparse(rng, complex_vals=True)
-    g = random_sparse(rng, complex_vals=True)
+    f = random_sparse(rng)
+    g = random_sparse(rng)
     cd = convolve(f, g, "direct")
     cf = convolve(f, g, "fft")
     pts = set(cd.support()) | set(cf.support())
@@ -126,8 +126,8 @@ def test_convolve_bilinear_commutative_exact():
 def test_convolve_young_inequalities():
     rng = np.random.default_rng(3)
     for _ in range(5):
-        f = random_sparse(rng, count=40, complex_vals=True)
-        g = random_sparse(rng, count=40, complex_vals=True)
+        f = random_sparse(rng, count=40)
+        g = random_sparse(rng, count=40)
         c = convolve(f, g, "direct")
         assert lp_norm(c, math.inf) <= lp_norm(f, math.inf) * lp_norm(g, 1) * (1 + 1e-12)
         assert lp_norm(c, 2) <= lp_norm(f, 1) * lp_norm(g, 2) * (1 + 1e-12)
@@ -140,7 +140,7 @@ def test_convolve_dimension_mismatch():
 
 def test_reflect_involution_and_isometry():
     rng = np.random.default_rng(4)
-    f = random_sparse(rng, complex_vals=True, count=25)
+    f = random_sparse(rng, count=25)
     assert reflect(delta((1, 2))) == delta((-1, -2))
     assert reflect(reflect(f)) == f
     for p in (1, 1.3, 2, math.inf):
@@ -149,7 +149,7 @@ def test_reflect_involution_and_isometry():
 
 def test_dense_sparse_equivalence():
     rng = np.random.default_rng(5)
-    f = random_sparse(rng, count=40, complex_vals=True)
+    f = random_sparse(rng, count=40)
     arr, off = f.to_dense()
     for p, v in f.items():
         idx = tuple(c - o for c, o in zip(p, off))
@@ -185,15 +185,15 @@ def test_zero_amplitudes_dropped():
 def test_repeated_points_sum_in_input_order():
     # 1e16 + 1 rounds back to 1e16, so the order of the three terms decides the sum
     big = [((0, 0), 1e16), ((0, 0), -1e16), ((0, 0), 1.0), ((2, 1), 5.0)]
-    assert LatticeFunction(2, big).items() == [((0, 0), 1 + 0j), ((2, 1), 5 + 0j)]
+    assert LatticeFunction(2, big).items() == [((0, 0), 1.0), ((2, 1), 5.0)]
     cancels = [((0, 0), 1e16), ((0, 0), 1.0), ((0, 0), -1e16), ((2, 1), 5.0)]
-    assert LatticeFunction(2, cancels).items() == [((2, 1), 5 + 0j)]
+    assert LatticeFunction(2, cancels).items() == [((2, 1), 5.0)]
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_support_and_items_match_row_wise_tuples(dim):
     rng = np.random.default_rng(dim)
-    for f in (LatticeFunction(dim), random_sparse(rng, dim, 60), random_sparse(rng, dim, 1, complex_vals=True)):
+    for f in (LatticeFunction(dim), random_sparse(rng, dim, 60), random_sparse(rng, dim, 1)):
         rows = [tuple(row) for row in f._points.tolist()]
         assert f.support() == rows and all(type(c) is int for p in f.support() for c in p)
         assert f.items() == list(zip(rows, f._values.tolist()))
@@ -204,8 +204,11 @@ def test_storage_is_sorted_and_read_only():
     assert f.support() == [(-4, 7), (3, -2), (3, -1)]
     assert f.items() == sorted(f.items())
     assert list(f) == f.support()
-    for g in (f, f + f, 2 * f, reflect(f), shift(f, (1, 1)), convolve(f, f), box_indicator((0, 0), (2, 2))):
-        assert g.items() == sorted(g.items())
+    built = (f, f + f, 2 * f, reflect(f), shift(f, (1, 1)), convolve(f, f), box_indicator((0, 0), (2, 2)),
+             convolve(f, f, "fft"), LatticeFunction.from_dense(np.arange(4).reshape(2, 2), (0, 0)),
+             cutoff.average(f, OperatorParams.smooth(2, 4)), cutoff.paraboloid_kernel(OperatorParams.sharp(2, 3)))
+    for g in built:
+        assert g.items() == sorted(g.items()) and g._values.dtype == np.float64
         for array in (g._points, g._values):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
@@ -227,7 +230,7 @@ def _lexsort_canonical(dim, points, values):
     points = points[order]
     new = np.ones(len(points), dtype=bool)
     new[1:] = np.any(points[1:] != points[:-1], axis=1)
-    sums = np.zeros(int(np.count_nonzero(new)), dtype=np.complex128)
+    sums = np.zeros(int(np.count_nonzero(new)))
     np.add.at(sums, np.cumsum(new) - 1, values[order])
     keep = sums != 0
     return points[new][keep], sums[keep]
@@ -238,7 +241,7 @@ def _assert_canonical_matches(dim, points, values):
     want_points, want_values = _lexsort_canonical(dim, points, values)
     assert f._points.dtype == np.int64 and f._points.shape == (len(want_values), dim)
     assert np.array_equal(f._points, want_points)
-    assert f._values.tobytes() == want_values.tobytes()  # signed zeros in a part count too
+    assert f._values.dtype == np.float64 and f._values.tobytes() == want_values.tobytes()
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
@@ -247,19 +250,18 @@ def test_row_major_keys_match_lexsort(dim, span):
     rng = np.random.default_rng(dim * 31 + span % 97)
     for count in (0, 1, 7, 200, 3000):
         points = rng.integers(-span, span + 1, size=(count, dim))
-        values = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+        values = rng.standard_normal(count)
         # sums that cancel to exactly 0, signed zeros and terms whose order decides the sum
         values[: count // 4] = rng.choice([1e16, -1e16, 1.0, -1.0, 0.0, -0.0], size=count // 4)
-        values[count // 4 : count // 3] = complex(-0.0, -0.0)
+        values[count // 4 : count // 3] = -0.0
         _assert_canonical_matches(dim, points, values)
-        _assert_canonical_matches(dim, points, values.real.astype(np.complex128))
 
 
 _ADD = np.add
 
 
 class _AddSpy:
-    """np.add, logging the dtype of each np.add.at target: float64 for the histograms, complex128 for the sort."""
+    """np.add, logging the dtype of each np.add.at target."""
 
     def __init__(self, calls):
         self.calls = calls
@@ -282,13 +284,13 @@ def test_both_reductions_are_used(monkeypatch):
     monkeypatch.setattr(np, "argsort", lambda *a, **k: calls.append("argsort") or real_argsort(*a, **k))
     points = np.argwhere(np.ones((5, 6, 7), dtype=bool))[np.random.default_rng(3).permutation(210)]
     box = LatticeFunction(3, [(tuple(p), 1.0) for p in points.tolist()])
-    assert calls == ["add.at float64"] * 2 and box == box_indicator((0, 0, 0), (4, 5, 6))
+    assert calls == ["add.at float64"] and box == box_indicator((0, 0, 0), (4, 5, 6))
     calls.clear()
     far = LatticeFunction(2, [((10**9, 3), 1.0), ((0, -1), 2.0), ((10**9, 3), 0.5)])
-    assert calls == ["argsort", "add.at complex128"] and far.items() == [((0, -1), 2 + 0j), ((10**9, 3), 1.5 + 0j)]
+    assert calls == ["argsort", "add.at float64"] and far.items() == [((0, -1), 2.0), ((10**9, 3), 1.5)]
     calls.clear()
-    assert convolve(far, far).items() == [((0, -2), 4 + 0j), ((10**9, 2), 6 + 0j), ((2 * 10**9, 6), 2.25 + 0j)]
-    assert calls == ["argsort", "add.at complex128"]
+    assert convolve(far, far).items() == [((0, -2), 4.0), ((10**9, 2), 6.0), ((2 * 10**9, 6), 2.25)]
+    assert calls == ["argsort", "add.at float64"]
 
 
 def _assert_direct_matches_pair_oracle(pf, vf, pg, vg):
@@ -301,18 +303,17 @@ def _assert_direct_matches_pair_oracle(pf, vf, pg, vg):
 
 def test_dense_and_sparse_convolution_match_pair_oracle(monkeypatch):
     rng = np.random.default_rng(7)
-    dense, sparse = (random_sparse(rng, 3, 60, span, True) for span in (3, 10**4))
-    # a dense box with repeated points and parts whose sums depend on the order of their terms
+    dense, sparse = (random_sparse(rng, 3, 60, span) for span in (3, 10**4))
+    # a dense box with repeated points and values whose sums depend on the order of their terms
     parts = [1e16, -1e16, 1.0, -1.0, 0.0, -0.0]
     pf, pg = rng.integers(-3, 4, size=(40, 2)), rng.integers(-3, 4, size=(50, 2))
-    vf = rng.choice(parts, 40) + 1j * rng.choice(parts, 40)
-    vg = rng.choice(parts, 50) + 1j * rng.choice(parts, 50)
+    vf, vg = rng.choice(parts, 40), rng.choice(parts, 50)
     vf[:8] = rng.standard_normal(8)
     # one block, blocks of 2 rows of f, then of 1 row, as g is longer than a block
     for block in (lattice._PAIR_BLOCK, 128, 16):
         monkeypatch.setattr(lattice, "_PAIR_BLOCK", block)
         for f in (dense, sparse):
-            g = f * 0.5 + random_sparse(rng, 3, 40, 3, True)
+            g = f * 0.5 + random_sparse(rng, 3, 40, 3)
             _assert_direct_matches_pair_oracle(f._points, f._values, g._points, g._values)
         _assert_direct_matches_pair_oracle(pf, vf, pg, vg)
         _assert_direct_matches_pair_oracle(pg, vg, pf, vf)
@@ -321,10 +322,10 @@ def test_dense_and_sparse_convolution_match_pair_oracle(monkeypatch):
 def test_sort_branch_checks_the_joined_pairs_against_the_budget(monkeypatch):
     f = LatticeFunction(1, [((0,), 1.0), ((10**9,), 2.0)])
     g = LatticeFunction(1, [((k * 10**6,), 1.0) for k in range(50)])
-    monkeypatch.setattr(lattice, "ALLOC_BUDGET_BYTES", 100 * 16 - 1)
+    monkeypatch.setattr(lattice, "ALLOC_BUDGET_BYTES", 100 * 8 - 1)
     assert len(convolve(f, g)) == 100  # one block: its pairs exist already
     monkeypatch.setattr(lattice, "_PAIR_BLOCK", 50)
-    with pytest.raises(ValueError, match="reduction values"):
+    with pytest.raises(ValueError, match="reduction keys"):
         convolve(f, g)
 
 
@@ -334,9 +335,9 @@ def test_sorted_constructors_match_the_reduction(dim):
     lo = rng.integers(-5, 5, size=dim)
     box = box_indicator(tuple(lo), tuple(lo + rng.integers(0, 6, size=dim)))
     _assert_same_function(box, lattice._canonical(dim, np.array(box._points), box._values.copy()))
-    # zeros, signed zeros in a nonzero value's parts, and nan
+    # zeros, signed zeros and nan
     shape = (4,) * dim
-    array = rng.choice([0.0, -0.0, 1.0, -2.5, np.nan], size=shape) + 1j * rng.choice([0.0, -0.0, 3.0], size=shape)
+    array = rng.choice([0.0, -0.0, 1.0, -2.5, np.nan], size=shape)
     offset = tuple(rng.integers(-9, 9, size=dim).tolist())
     nonzero = array != 0
     want = lattice._canonical(dim, np.argwhere(nonzero) + np.array(offset), array[nonzero])
@@ -355,26 +356,27 @@ def test_boxes_beyond_int64_keys_are_refused():
         with pytest.raises(ValueError, match="support box"):
             convolve(delta((h,)), delta((h,)))
     far = LatticeFunction(1, [((2**61,), 1.0), ((-(2**61),), 2.0)])
-    assert far.items() == [((-(2**61),), 2 + 0j), ((2**61,), 1 + 0j)]
-    assert reflect(far).items() == [((-(2**61),), 1 + 0j), ((2**61,), 2 + 0j)]
+    assert far.items() == [((-(2**61),), 2.0), ((2**61,), 1.0)]
+    assert reflect(far).items() == [((-(2**61),), 1.0), ((2**61,), 2.0)]
 
 
 def test_histogram_over_budget_takes_the_sort_branch(monkeypatch):
     rng = np.random.default_rng(8)
     points = np.argwhere(np.ones((20, 20), dtype=bool))[rng.permutation(800) % 400]
-    values = rng.standard_normal(800) + 1j * rng.standard_normal(800)
+    values = rng.standard_normal(800)
     monkeypatch.setattr(lattice, "ALLOC_BUDGET_BYTES", 8 * 400 - 1)
     calls = []
-    monkeypatch.setattr(np, "add", _AddSpy(calls))
-    _assert_canonical_matches(2, points, values)
-    assert "add.at float64" not in calls, "histogram used"
+    real_argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **k: calls.append("argsort") or real_argsort(*a, **k))
+    _assert_canonical_matches(2, points, values)  # the oracle sorts by np.lexsort
+    assert calls == ["argsort"], "histogram used"
 
 
 def _generator_lp_norm(values, p):
     """The previous general lp_norm path: Python abs and ** per value, then fsum."""
     values = values.tolist()
     if p == math.inf:
-        return math.sqrt(max((v.real * v.real + v.imag * v.imag) for v in values))
+        return max(abs(v) for v in values)
     return float(np.power(math.fsum(abs(v) ** p for v in values), 1.0 / p))
 
 
@@ -391,7 +393,7 @@ def _averaged_boxes():
     rng = np.random.default_rng(5)
     # at 1e-200 only |v|^1.5 stays normal; the other p are test_lp_norm_scales_extreme_magnitudes'
     for scale, ps in ((1e-200, (1.5,)), (1.0, _NORM_PS), (1e100, _NORM_PS)):
-        values = scale * (rng.standard_normal(5000) + 1j * rng.standard_normal(5000))
+        values = scale * rng.standard_normal(5000)
         yield LatticeFunction(1, zip(((i,) for i in range(5000)), values)), ps
 
 
@@ -401,7 +403,7 @@ def test_lp_norm_matches_generator_bitwise():
             assert lp_norm(f, p) == _generator_lp_norm(f._values, p)
     # one point each, so a modulus one ulp off is not averaged away by the sum
     rng = np.random.default_rng(6)
-    values = (rng.standard_normal(400) + 1j * rng.standard_normal(400)) * 10.0 ** rng.uniform(-80, 80, 400)
+    values = rng.standard_normal(400) * 10.0 ** rng.uniform(-80, 80, 400)
     for v in values.tolist():
         f = LatticeFunction(1, [((0,), v)])
         for p in _NORM_PS:
@@ -414,9 +416,9 @@ def test_lp_norm_scales_extreme_magnitudes(scale):
     # above ~1.3e154 (the exact integer branch too: 1e160 times an integer is one)
     rng = np.random.default_rng(7)
     points = [(i, -i) for i in range(300)]
-    gaussian = rng.standard_normal(300) + 1j * rng.standard_normal(300)
-    integers = rng.integers(-3, 4, 300) + 1j * rng.integers(-3, 4, 300)
-    for values in (gaussian, gaussian.real, integers, integers.real):
+    gaussian = rng.standard_normal(300)
+    integers = rng.integers(-3, 4, 300).astype(float)
+    for values in (gaussian, integers):
         f, g = LatticeFunction(2, zip(points, values)), LatticeFunction(2, zip(points, scale * values))
         for p in (1, 1.8, 2, math.inf):
             assert lp_norm(g, p) == pytest.approx(scale * lp_norm(f, p), rel=1e-13, abs=0.0), p
@@ -492,17 +494,90 @@ def test_lp_norm_on_distinct_amplitudes_peaks_below_the_expanded_path():
     # Python floats (40 MB); the grouped sum holds one chunk's temporaries next to the array
     values = 1.0 + np.random.default_rng(13).random(10**6)
     assert len(np.unique(values)) == len(values)
-    f = LatticeFunction.from_dense(values.astype(np.complex128), (0,))
-    re, im = f._values.real, f._values.imag
-    expanded = _traced_peak(lambda: _expanded_power_sum(np.hypot(re, im), 1.8))
+    f = LatticeFunction.from_dense(values, (0,))
+    expanded = _traced_peak(lambda: _expanded_power_sum(np.abs(f._values), 1.8))
     assert _traced_peak(lambda: lp_norm(f, 1.8)) <= expanded
-    moduli = np.hypot(re, im)
+    moduli = np.abs(f._values)
     assert _traced_peak(lambda: lattice._power_sum(moduli, 1.8)) <= expanded / 4
 
 
 def test_lp_norm_is_inf_where_the_scaled_norm_overflows():
     # each amplitude is finite, but the norm lies above the largest double
-    f = LatticeFunction(2, [((0, 0), 1.5e308 + 1.5e308j), ((1, 0), 1e308)])
-    for p in (1, 1.8, 2, math.inf):
+    f = LatticeFunction(2, [((0, 0), 1.5e308), ((0, 1), -1.5e308), ((1, 0), 1e308)])
+    for p in (1, 1.8, 2):
         assert lp_norm(f, p) == math.inf, p
-    assert lp_norm(LatticeFunction(2, [((0, 0), 1.5e308)]), math.inf) == 1.5e308
+    assert lp_norm(f, math.inf) == 1.5e308
+    # an inf amplitude is no integer, so p = 2 sums by fsum (inf) and never calls int(inf)
+    g = LatticeFunction(1, [((0,), -math.inf), ((1,), 2.0)])
+    assert not g.is_integer_valued()
+    for p in (1, 1.8, 2, math.inf):
+        assert lp_norm(g, p) == math.inf, p
+
+
+def test_constructor_refuses_a_complex_amplitude():
+    # the message names the first amplitude with an imaginary part, else the first amplitude
+    for bad in (1 + 2j, np.complex128(-0.5j), np.complex64(3 + 1j)):
+        with pytest.raises(ValueError, match=re.escape(f"complex amplitude {complex(bad)!r}")):
+            LatticeFunction(2, [((0, 0), 2.0), ((1, 1), bad)])
+    with pytest.raises(ValueError, match=re.escape("complex amplitude (2+0j)")):
+        LatticeFunction(2, [((0, 0), 2.0), ((1, 1), 1 + 0j)])
+    assert LatticeFunction(2, [((0, 0), np.float32(0.5)), ((1, 1), 2)]).items() == [((0, 0), 0.5), ((1, 1), 2.0)]
+
+
+def test_from_dense_refuses_a_complex_array():
+    with pytest.raises(ValueError, match=re.escape("complex amplitude (2+3j)")):
+        LatticeFunction.from_dense(np.array([[0, 1], [2 + 3j, 4j]]), (0, 0))
+    with pytest.raises(ValueError, match=re.escape("complex amplitude 0j")):
+        LatticeFunction.from_dense(np.array([0, 1, 5], dtype=np.complex64), (0,))
+    f = LatticeFunction.from_dense(np.array([0, 1, -3]), (4,))
+    assert f._values.dtype == np.float64 and f.items() == [((5,), 1.0), ((6,), -3.0)]
+
+
+def test_scaling_by_a_complex_scalar_is_refused():
+    f = LatticeFunction(2, [((0, 0), 1.0), ((1, 1), -2.0)])
+    for scale in (lambda: f * 1j, lambda: (2 + 0j) * f, lambda: f * np.complex128(1)):
+        with pytest.raises(ValueError, match="complex amplitude"):
+            scale()
+    assert (f * np.float32(0.5)).items() == [((0, 0), 0.5), ((1, 1), -1.0)]
+
+
+def test_lp_norm_at_p_1_is_the_exact_integer_sum_rounded_once():
+    # the removed p = 1 branch returned float(sum |v|) over Python integers; the fsum path
+    # rounds the same exact sum once, so it keeps those bits, past 2^53 too
+    rng = np.random.default_rng(14)
+    cases = [[2.0**53, 1.0], [2.0**53, 1.0, 1.0], [2.0**53 + 2, -1.0], [-(2.0**60), 3.0, -5.0, 7.0]]
+    for _ in range(300):
+        top = 2 ** int(rng.integers(1, 63))
+        cases.append(rng.integers(-top, top, size=int(rng.integers(1, 300))).astype(float))
+    rounded = 0
+    for values in cases:
+        f = LatticeFunction(1, zip(((i,) for i in range(len(values))), values))
+        exact = sum(abs(int(v)) for v in f._values.tolist())
+        assert f.is_integer_valued() and lp_norm(f, 1) == float(exact), values[:4]
+        rounded += float(exact) != exact
+    assert rounded >= 50  # 65 of these sums are not doubles
+
+
+def _complex_era_sup_norm(values):
+    """The removed p = inf path on real values: the root of the largest square, scaled by 2^-e if needed."""
+    re, im = values, np.zeros_like(values)
+    e = math.frexp(float(np.max(np.abs(re))))[1]
+    if 2.0 * (e - 1) >= -1000 and 2.0 * (e + 0.5) + len(re).bit_length() <= 1023:
+        e = 0
+    else:
+        re, im = np.ldexp(re, -e), np.ldexp(im, -e)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(math.sqrt(float(np.max(re * re + im * im))), e))
+
+
+def test_lp_norm_at_inf_is_the_old_root_of_the_largest_square():
+    rng = np.random.default_rng(15)
+    tiny, huge = 5e-324, 1.7976931348623157e308
+    cases = [[1e308], [-1e308], [1e308, -huge], [tiny], [-tiny], [-tiny, 1e-310, 2.2250738585072014e-308],
+             [tiny, 1.0], [-1e308, 2.0, -tiny]]
+    for scale in (1e-320, 1e-310, 1e-160, 1.0, 1e160, 1e300):
+        cases.append(scale * rng.standard_normal(50))
+    cases += [rng.standard_normal(20) * 10.0 ** rng.uniform(-323, 308, 20) for _ in range(200)]
+    for values in cases:
+        f = LatticeFunction(1, zip(((i,) for i in range(len(values))), values))
+        assert lp_norm(f, math.inf) == _complex_era_sup_norm(f._values), values[:3]
