@@ -30,13 +30,15 @@ wave-packet certificate of the 2 -> 2 norm is the packet's Gram sum, which
 factors over the coordinates into one histogram of O(N^2) pairs, n - 2
 convolutions in a fixed elementwise order and one weighted sum, for both
 cutoffs.  The max Rayleigh quotient of a batch of B test functions of m
-points screens every member in Gram form, m^2 lookups of the kernel's
-autocorrelation (O(S^(n-2)) each, S = |supp sigma|, closed form at n = 2),
-into an interval of proven width around its exact quotient, and averages
-only the members that can reach the max.  The ascent keeps each start as
-sorted point and value arrays and its convolution on a dense window, and
-every dense array is checked against lattice.ALLOC_BUDGET_BYTES before it
-is allocated.
+points screens every member in Gram form, m(m - 1)/2 lookups of the
+kernel's autocorrelation (O(S^(n-2)) each, S = |supp sigma|, closed form at
+n = 2) plus its diagonal, into an interval of proven width around its exact
+quotient, and averages only the members that can reach the max.  The ascent
+keeps each start as sorted point and value arrays, and applies the kernel by
+slices on a dense window where the start fills its bounding box and on its
+distinct cells where it does not.  Every dense array, and every ascent start
+as a whole, is checked against lattice.ALLOC_BUDGET_BYTES before it is
+allocated.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from itertools import chain
 import numpy as np
 
 from .cutoff import OperatorParams, _kernel, average, paraboloid_kernel
-from .lattice import LatticeFunction, _canonical, _from_sorted, _power_sum, _power_terms, _real, check_alloc, lp_norm, shift
+from .lattice import LatticeFunction, _canonical, _check_bytes, _from_sorted, _power_sum, _power_terms, _real, check_alloc, lp_norm, shift
 from .reports import ExperimentReport, substream_seed
 
 __all__ = [
@@ -372,25 +374,31 @@ def max_rayleigh_quotient(points, values, params: OperatorParams) -> float:
 
     Gram form.  For f = sum_i f_i delta_(y_i) on distinct points,
 
-        N^(2(n-1)) |A f|_2^2 = G = sum over i, j of f_i f_j K(y_i - y_j),
+        N^(2(n-1)) |A f|_2^2 = G = sum over i, j of f_i f_j K(y_i - y_j)
+                                 = s K(0) + 2 sum over i < j of f_i f_j K(y_i - y_j),
 
     K(d) = N^(2(n-1)) <A delta_0, A delta_d> the kernel's autocorrelation
-    (_autocorrelation).  So a member costs m^2 lookups of K and no average.
+    (_autocorrelation), which is even, and s = sum f_i^2.  So a member costs
+    m(m - 1)/2 lookups of K and no average.
 
-    Error.  Let u = 2^-53, m the points per function of the batch, s =
-    sum f_i^2, T = sum over i, j of |f_i| |f_j| K(y_i - y_j) >= |G|, r =
+    Error.  Let u = 2^-53, m the points per function of the batch, M =
+    m(m - 1)/2, T = sum over i, j of |f_i| |f_j| K(y_i - y_j) >= |G|, r =
     sqrt(G / s) / N^(n-1) the quotient of the stored values and R =
     sqrt(T / s) / N^(n-1) >= r.  kappa bounds the relative error of one
     computed K: 0 for the sharp cutoff, whose K are integer counts, and
     (S^(n-2) + 5n) u for the smooth one (_autocorrelation).  To first order
     in u:
 
-    * The computed G~ is within (m^2 + 1) u T + kappa T of G: f_i f_j is one
-      product, the product with K adds u + kappa, and a sum of m^2 terms in
-      any order (m^2 - 1) u of the sum of their moduli.  The computed T~
-      (|f_i| exact, two products, K, a sum of nonnegative terms) is within
-      (m^2 + 1) u + kappa of T, and s~ (a square per point, a sum of m
-      terms) within m u of s, both relative.
+    * The computed s~ (a square per point, a sum of m terms) is within m u
+      of s, relative.  G~ is the sum of the diagonal s~ K(0), within (m +
+      1) u + kappa of s K(0), and twice the sum of the M pair terms f_i f_j
+      K, each two products, 2u + kappa, summed in any order, which adds
+      (M - 1) u of the sum of their moduli; doubling is exact, and the final
+      add costs u.  So each part is within (M + m + 2) u + kappa of its
+      moduli, which sum to T: G~ is within ((m(m + 1)/2 + 2) u + kappa) T
+      of G.  The computed T~ (|f_i| exact, the same operations on
+      nonnegative terms) is within (m(m + 1)/2 + 2) u + kappa of T,
+      relative.
     * The exact quotient e = lp_norm(average(f), 2) / lp_norm(f, 2) is within
       (m + 9) u R of r.  A point of the average adds at most m products of
       a weight and a value and divides once by N^(n-1), so it is within
@@ -407,11 +415,12 @@ def max_rayleigh_quotient(points, values, params: OperatorParams) -> float:
 
         q_lo = sqrt(max(G~ - gamma T~, 0) / s~ / N^(2(n-1))),  q_hi = sqrt((G~ + gamma T~) / s~ / N^(2(n-1)))
 
-    holds e when gamma = (m^2 + 1) u + kappa + g and g / 2 covers e's
-    (m + 9) u R, s~'s m u R / 2 and 3u R for evaluating the bounds (an add,
-    two divisions, the root): g = (3m + 24) u.  The code takes gamma =
-    1.01 ((m^2 + 3m + 25) u + kappa).  The allocation budget on the pair
-    arrays keeps m^2 below 2^27, and the kernel's size limit S^(n-1) below
+    holds e when gamma = (m(m + 1)/2 + 2) u + kappa + g and g / 2 covers
+    e's (m + 9) u R, s~'s m u R / 2 and 3u R for evaluating the bounds (an
+    add, two divisions, the root): g = (3m + 24) u.  The code takes gamma =
+    1.01 ((m(m + 7)/2 + 26) u + kappa), m(m + 7) being even.  The
+    allocation budget on the pair arrays keeps M below 2^27, and the
+    kernel's size limit S^(n-1) below
     2 10^7, so gamma < 10^-7, and its extra 1% covers every second-order
     term.  Inside _SCREEN_RANGE (s~ and T~ in [2^-960, 2^960]; T >= K(0) s
     >= s, and T <= m K(0) s) no term overflows, and an underflow costs at
@@ -443,8 +452,9 @@ def _rayleigh_intervals(points, values, params: OperatorParams):
     The batch is canonicalized as one function on Z^(n+1) whose leading
     coordinate is the member; member b is rows cuts[b]:cuts[b + 1] of f.  Its
     points are laid out on m slots, the unused slots repeating its first
-    point with value 0, and its m^2 pairs enter G~ and T~ in blocks of at
-    most _PAIR_CELLS pairs.  max_rayleigh_quotient derives the bounds.
+    point with value 0.  Its m(m - 1)/2 pairs i < j enter G~ and T~ twice,
+    in blocks of at most _PAIR_CELLS pairs, and its diagonal as s_f K(0).
+    max_rayleigh_quotient derives the bounds.
     """
     points, values = np.asarray(points, dtype=np.int64), _real(values)
     B, m, n = points.shape
@@ -466,19 +476,21 @@ def _rayleigh_intervals(points, values, params: OperatorParams):
     v = np.zeros((B, m))
     v[owner, slot] = f._values
 
+    i, j = np.triu_indices(m, 1)
     gram, total = np.empty(B), np.empty(B)
-    step = max(1, _PAIR_CELLS // max(1, m * m))
+    step = max(1, _PAIR_CELLS // max(1, len(i)))
     with np.errstate(all="ignore"):  # a nan or inf value leaves the screen range below
+        s_f = np.sum(v * v, axis=1)
+        diagonal = s_f * _autocorrelation(params, np.zeros((n, 1), dtype=np.int64))[0]
         for lo in range(0, B, step):
             c = min(step, B - lo)
-            check_alloc((n, c * m * m), np.int64, "Rayleigh screen pairs")
-            pairs = (y[:, lo : lo + c, :, None] - y[:, lo : lo + c, None, :]).reshape(n, -1)
-            K = _autocorrelation(params, pairs).reshape(c, m, m)
+            check_alloc((n, c * len(i)), np.int64, "Rayleigh screen pairs")
+            pairs = (y[:, lo : lo + c, i] - y[:, lo : lo + c, j]).reshape(n, -1)
+            K = _autocorrelation(params, pairs).reshape(c, len(i))
             x, mod = v[lo : lo + c], np.abs(v[lo : lo + c])
-            gram[lo : lo + c] = np.sum(x[:, :, None] * x[:, None, :] * K, axis=(1, 2))
-            total[lo : lo + c] = np.sum(mod[:, :, None] * mod[:, None, :] * K, axis=(1, 2))
-        s_f = np.sum(v * v, axis=1)
-        gamma = 1.01 * ((m * m + 3 * m + 25) * 2.0**-53 + _kappa(params))
+            gram[lo : lo + c] = diagonal[lo : lo + c] + 2 * np.sum(x[:, i] * x[:, j] * K, axis=1)
+            total[lo : lo + c] = diagonal[lo : lo + c] + 2 * np.sum(mod[:, i] * mod[:, j] * K, axis=1)
+        gamma = 1.01 * ((m * (m + 7) // 2 + 26) * 2.0**-53 + _kappa(params))
         scale = float(params.N ** (2 * (n - 1)))
         q_lo = np.sqrt(np.maximum(gram - gamma * total, 0.0) / s_f / scale)
         q_hi = np.sqrt((gram + gamma * total) / s_f / scale)
@@ -633,6 +645,51 @@ def norm_l2_l2(params: OperatorParams) -> ExperimentReport:
 _ASCENT_ITERS = 60
 
 
+def _apply_offsets(points: np.ndarray, values: np.ndarray, offsets: np.ndarray):
+    """The sums of values[i] at points[i] + o over the offsets o, and cells(i), the cells point i adds into.
+
+    points are distinct and lexicographically sorted, offsets a (K, n)
+    array.  The sums cover every cell that some point reaches, as one flat
+    float64 array, cells(i) lists point i's K cells in offset order, and
+    each cell takes its terms in offset order from +0.0, so either apply
+    gives the same floats.  Points that fill their bounding box add their
+    value block into the window (the box widened by the offsets) once per
+    offset, by strided slices, with no index array.  Other points number
+    their distinct cells once, from their K |points| keys by an argsort and
+    a compare of neighbours (so in the window's row-major order), and add
+    into that compact array one offset at a time.
+    """
+    n = points.shape[1]
+    corners = offsets - offsets.min(0)  # each offset's cell from the window corner of the lowest point
+    lo = points.min(0)
+    extent = points.max(0) - lo + 1
+    shape = (extent + corners.max(0)).tolist()
+    strides = np.array([math.prod(shape[i + 1 :]) for i in range(n)], dtype=np.int64)
+    steps = corners @ strides
+    if len(points) == math.prod(extent.tolist()):
+        grid = np.zeros(shape)
+        block = values.reshape(extent)
+        for corner in corners.tolist():
+            grid[tuple(slice(c, c + e) for c, e in zip(corner, extent.tolist()))] += block
+        return grid.reshape(-1), lambda i: int((points[i] - lo) @ strides) + steps
+    keys = (steps[:, None] + (points - lo) @ strides).reshape(-1)  # offset-major: row j holds offset j's cells
+    order = np.argsort(keys)
+    keys = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    del keys
+    ids = np.cumsum(first)
+    ids -= 1
+    number = np.empty_like(ids)
+    number[order] = ids
+    del order, ids
+    number = number.reshape(len(steps), len(points))
+    grid = np.zeros(int(np.count_nonzero(first)))
+    for row in number:  # a row holds distinct cells, so one add per cell and offset
+        grid[row] += values
+    return grid, lambda i: number[:, i]
+
+
 def random_ascent_lower_bound(params: OperatorParams, p: float, seed: int = 0) -> ExperimentReport:
     """Certified lower bound on the p -> p' ratio by multiplicative ascent, p in (1, 2].
 
@@ -643,20 +700,21 @@ def random_ascent_lower_bound(params: OperatorParams, p: float, seed: int = 0) -
     reported as the norm: the constant is the best start's ratio evaluated
     afresh from its final values.
 
-    Each start is a lexicographically sorted point array with one float64
-    value array, which the accepted proposals update in place.  Its
-    convolution with the kernel lives on a dense window (the start's
-    bounding box widened by the kernel offsets) and is built by one fancy-index
-    add per offset, grid[cells] += values, whose cells are distinct, so each
-    cell takes one add per offset in kernel order: O(|start| N^(n-1)) numpy
-    work, where the box start has 2^(n-1) n N^(n+1) points.  A proposal
-    updates its N^(n-1) cells in a scalar loop, on Python floats.  The full
-    power sums go through lattice._power_sum, math.fsum of math.pow with one
-    pow per distinct value (the float ** of finite positive operands is the
-    same libm pow).  Near p = 1 the incremental sums can cancel: a proposal
-    whose updated sum is not positive is rejected.  The window and the box
-    are checked against the allocation budget before any start is built, and
-    a power sum beyond the float64 range raises ValueError.
+    Each start is a lexicographically sorted array of distinct points with
+    one float64 value array, which the accepted proposals update in place.
+    Its convolution with the kernel is _apply_offsets: by slices for the box
+    and the delta, which fill their bounding boxes, and on the distinct
+    cells for the cloud, O(|start| N^(n-1)) numpy work either way, where the
+    box start has 2^(n-1) n N^(n+1) points.  A proposal updates its N^(n-1)
+    cells in a scalar loop, on Python floats.  The full power sums go
+    through lattice._power_sum, math.fsum of math.pow with one pow per
+    distinct value (the float ** of finite positive operands is the same
+    libm pow).  Near p = 1 the incremental sums can cancel: a proposal whose
+    updated sum is not positive is rejected.  The final evaluation runs
+    after the loop's sums and cell numbers are dropped.  Before any start is
+    built, the bytes that each start holds at once are checked against the
+    allocation budget, and a power sum beyond the float64 range raises
+    ValueError.
     """
     if params.cutoff.kind != "sharp":
         raise ValueError("ascent drives the sharp average")
@@ -669,41 +727,30 @@ def random_ascent_lower_bound(params: OperatorParams, p: float, seed: int = 0) -
     window_lo = (-2 * N,) * (n - 1) + (-4 * N * N,)
     window_hi = (2 * N,) * (n - 1) + (4 * N * N,)
     box_hi = (2 * N,) * (n - 1) + (n * N * N,)
+    cloud_size = max(8, 4 * N)
+    cloud_keys = cloud_size * N ** (n - 1)
     # kernel offsets -(k, |k|^2) span [-N, -1]^(n-1) x [-(n-1) N^2, -(n-1)]
     reach = (N - 1,) * (n - 1) + ((n - 1) * (N * N - 1),)
-    check_alloc((math.prod(box_hi), n), np.int64, f"ascent box start n={n} N={N}")
-    for grid in (
-        tuple(h + r for h, r in zip(box_hi, reach)),
-        tuple(h - l + r for l, h, r in zip(window_lo, window_hi, reach)),
-    ):
-        check_alloc(grid, np.float64, f"ascent convolution window n={n} N={N}")
+    box_window = tuple(h + r for h, r in zip(box_hi, reach))
+    # Bytes a start holds at once: 8 (n + 2) a point for its points, its values and
+    # their power-sum copy; 17 a window cell for the sums, their nonzero mask and
+    # the nonzero sums' copy; 25 a cell key for the numbering at its peak (the
+    # argsort, the neighbour flags, the running count and the numbers), which
+    # covers the numbers, the compact sums and their power-sum mask and copy.  The
+    # delta's window, N^(n-1) cells, lies inside the box's.
+    _check_bytes(8 * (n + 2) * math.prod(box_hi) + 17 * math.prod(box_window),
+                 f"ascent n={n} N={N}: a dense start of shape {box_hi} with its window of shape {box_window}")
+    _check_bytes(8 * (n + 2) * cloud_size + 25 * cloud_keys,
+                 f"ascent n={n} N={N}: a sparse start of {cloud_size} points with {cloud_keys} cell keys")
 
     rng = np.random.default_rng(substream_seed(seed, f"ascent:{n}:{N}:{p}"))
     offsets = -_kernel(params)._points
-    off_lo, off_hi = offsets.min(0), offsets.max(0)
-
-    def convolution(points: np.ndarray, values: np.ndarray):
-        """Dense f * kernel over the window, flattened.
-
-        Returns the grid, the flat index of each point and the flat step of
-        each offset.  A cell collects its terms in kernel order, which is
-        ascending lexicographic order of the source points.
-        """
-        lo = points.min(0) + off_lo
-        shape = (points.max(0) + off_hi - lo + 1).tolist()
-        strides = np.array([math.prod(shape[i + 1 :]) for i in range(n)], dtype=np.int64)
-        grid = np.zeros(math.prod(shape))
-        base = (points - lo) @ strides
-        steps = offsets @ strides
-        for step in steps.tolist():  # base holds distinct cells, so one add per cell and offset
-            grid[base + step] += values
-        return grid, base, steps
 
     def power_sum(grid: np.ndarray) -> float:
         return _power_sum(grid[grid != 0], pp)
 
     def ascend(points: np.ndarray, values: np.ndarray) -> float:
-        grid, base, steps = convolution(points, values)
+        grid, cells_of = _apply_offsets(points, values, offsets)
         s_p = _power_sum(values.copy(), p)
         s_pp = power_sum(grid)
         cur = (s_pp ** (1.0 / pp) / scale) / s_p ** (1.0 / p)
@@ -714,7 +761,7 @@ def random_ascent_lower_bound(params: OperatorParams, p: float, seed: int = 0) -
             delta = old * (factor - 1.0)
             new_sp = s_p - old**p + (old * factor) ** p
             new_spp = s_pp
-            cells = base[i] + steps
+            cells = cells_of(i)
             touched = []
             for before in grid[cells].tolist():
                 after = before + delta
@@ -727,11 +774,13 @@ def random_ascent_lower_bound(params: OperatorParams, p: float, seed: int = 0) -
                 values[i] = old * factor
                 s_p, s_pp, cur = new_sp, new_spp, val
                 grid[cells] = touched
-        final = power_sum(convolution(points, values)[0])
+        del grid, cells_of  # the final evaluation builds its own
+        final = power_sum(_apply_offsets(points, values, offsets)[0])
         return (final ** (1.0 / pp) / scale) / _power_sum(values.copy(), p) ** (1.0 / p)
 
-    box = np.indices(box_hi, dtype=np.int64).reshape(n, -1).T + 1
-    cloud_pts = rng.integers(low=window_lo, high=window_hi, size=(max(8, 4 * N), n))
+    box = np.indices(box_hi, dtype=np.int64).reshape(n, -1).T
+    box += 1
+    cloud_pts = rng.integers(low=window_lo, high=window_hi, size=(cloud_size, n))
     cloud = {
         tuple(int(c) for c in row): float(w)
         for row, w in zip(cloud_pts, 1.0 + rng.random(len(cloud_pts)))

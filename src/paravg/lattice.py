@@ -59,12 +59,13 @@ ALLOC_BUDGET_BYTES = 1 << 30
 def check_alloc(shape, dtype, what: str) -> None:
     """Raise ValueError when an array of `shape` and `dtype` would exceed the budget."""
     shape = tuple(int(s) for s in shape)
-    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    _check_bytes(math.prod(shape) * np.dtype(dtype).itemsize, f"{what}: array of shape {shape}")
+
+
+def _check_bytes(nbytes: int, what: str) -> None:
+    """Raise ValueError when `what`, which holds nbytes at once, would exceed the budget."""
     if nbytes > ALLOC_BUDGET_BYTES:
-        raise ValueError(
-            f"{what}: array of shape {shape} needs {nbytes} bytes, "
-            f"over the {ALLOC_BUDGET_BYTES}-byte allocation budget"
-        )
+        raise ValueError(f"{what} needs {nbytes} bytes, over the {ALLOC_BUDGET_BYTES}-byte allocation budget")
 
 
 def _bounds(points: np.ndarray) -> tuple[list, list]:

@@ -782,13 +782,13 @@ def test_rayleigh_quotients_chunk_boundaries(B, monkeypatch):
     # screen blocks of 5 functions: one short block, one full, one full and one function, two full and one
     params, m = OperatorParams.sharp(2, 8), 6
     points, values = _falsification_batch(params, B, m, seed=B)
-    monkeypatch.setattr(experiments, "_PAIR_CELLS", 5 * m * m)
+    monkeypatch.setattr(experiments, "_PAIR_CELLS", 5 * m * (m - 1) // 2)  # a member screens its pairs i < j
     calls = []
     lookup = experiments._autocorrelation
     monkeypatch.setattr(experiments, "_autocorrelation", lambda *a: calls.append(1) or lookup(*a))
     oracle = _batch_oracle(points, values, params)
     assert max_rayleigh_quotient(points, values, params) == max(oracle)
-    assert len(calls) == -(-B // 5)
+    assert len(calls) == 1 + -(-B // 5)  # K(0) for the diagonal, then one lookup per block
     top = int(np.argmax(oracle))
     for b in range(B):  # the max in every position, across every block boundary
         moved = np.roll(points, b - top, axis=0), np.roll(values, b - top, axis=0)
@@ -874,7 +874,7 @@ def test_the_modulus_reaches_every_complex_quotient(params):
 def test_a_nan_member_makes_the_max_nan(monkeypatch):
     params = OperatorParams.sharp(2, 8)
     points, values = _falsification_batch(params, 11, 6, seed=3)
-    monkeypatch.setattr(experiments, "_PAIR_CELLS", 5 * 6 * 6)
+    monkeypatch.setattr(experiments, "_PAIR_CELLS", 5 * 6 * 5 // 2)  # blocks of 5 members of 6 points
     low = int(np.argmin(_batch_oracle(points, values, params)[5:])) + 5  # past the first block, never the max
     for bad in (math.nan, math.inf, -math.inf):
         values_bad = values.copy()
@@ -924,6 +924,18 @@ def test_rayleigh_quotient_of_zero_is_an_error():
         max_rayleigh_quotient(points[:, :, :1], values, params)
     with pytest.raises(ValueError, match="empty batch"):
         max_rayleigh_quotient(points[:0], values[:0], params)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("params", _BATCH_SHAPES, ids=lambda p: f"{p.cutoff.kind}-n{p.n}-N{p.N}")
+def test_rayleigh_screen_holds_with_one_or_two_points(params, m):
+    # one point has no pair i < j: the diagonal s_f K(0) is the whole Gram sum
+    rng = np.random.default_rng(m)
+    points, values = rng.integers(-6, 6, size=(20, m, params.n)), rng.standard_normal((20, m))
+    oracle = np.array(_batch_oracle(points, values, params))
+    q_lo, q_hi = _screened(points, values, params)
+    assert np.all((q_lo <= oracle) & (oracle <= q_hi))
+    assert max_rayleigh_quotient(points, values, params) == np.max(oracle)
 
 
 def test_rayleigh_quotients_memory_is_bounded():
@@ -1060,6 +1072,85 @@ def test_ascent_dense_window_matches_dict_ascent(n, N, seed):
 def test_ascent_rejects_oversized_window_before_allocating():
     with pytest.raises(ValueError, match=r"shape \(.*\) needs \d+ bytes"):
         random_ascent_lower_bound(OperatorParams.sharp(3, 128), 1.8)
+
+
+def _window_apply(points: np.ndarray, values: np.ndarray, offsets: np.ndarray):
+    """Oracle: the fancy-index window, grid[cells] += values once per offset over the start's whole window.
+
+    Returns the flat window and each point's flat cells in offset order.
+    """
+    lo = points.min(0) + offsets.min(0)
+    shape = (points.max(0) + offsets.max(0) - lo + 1).tolist()
+    strides = np.array([math.prod(shape[i + 1 :]) for i in range(len(shape))], dtype=np.int64)
+    grid = np.zeros(math.prod(shape))
+    base, steps = (points - lo) @ strides, offsets @ strides
+    for step in steps.tolist():  # base holds distinct cells, so one add per cell and offset
+        grid[base + step] += values
+    return grid, base[:, None] + steps
+
+
+def _ascent_starts(n: int, N: int) -> dict:
+    """The ascent's box, delta and cloud starts, and the box less one point, as sorted distinct points."""
+    box = np.indices((2 * N,) * (n - 1) + (n * N * N,), dtype=np.int64).reshape(n, -1).T + 1
+    rng = np.random.default_rng(n * 100 + N)
+    cloud = rng.integers((-2 * N,) * (n - 1) + (-4 * N * N,), (2 * N,) * (n - 1) + (4 * N * N,), size=(4 * N, n))
+    return {"box": box, "delta": np.zeros((1, n), dtype=np.int64), "cloud": np.unique(cloud, axis=0),
+            "holed box": np.delete(box, len(box) // 3, axis=0)}
+
+
+@pytest.mark.parametrize("n, N", [(2, 4), (2, 8), (2, 16), (2, 24), (3, 3), (3, 4), (3, 6)])
+def test_apply_offsets_matches_the_fancy_index_window(n, N, monkeypatch):
+    offsets = -paraboloid_kernel(OperatorParams.sharp(n, N))._points
+    sorts, argsort = [], np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **k: sorts.append(1) or argsort(*a, **k))
+    for name, points in _ascent_starts(n, N).items():
+        values = 1.0 + np.random.default_rng(len(points)).random(len(points))  # not integers: the add order shows
+        window, cells = _window_apply(points, values, offsets)
+        sorts.clear()
+        sums, cells_of = experiments._apply_offsets(points, values, offsets)
+        if name in ("box", "delta"):  # they fill their bounding boxes: slices on the whole window, no sort
+            assert not sorts and len(sums) == len(window)
+            assert (sums == window).all(), name
+        else:  # the distinct cells, numbered in the window's order
+            reached = np.flatnonzero(window)
+            assert sorts and len(sums) == len(reached), name
+            assert (sums == window[reached]).all(), name
+            cells = np.searchsorted(reached, cells)
+        for i in np.unique(np.linspace(0, len(points) - 1, 300).astype(int)).tolist():
+            assert (cells_of(i) == cells[i]).all(), (name, i)
+
+
+def test_ascent_peak_memory_is_bounded():
+    # the fancy-index window zeroed the cloud's 611,779-cell window and built a second window for
+    # the final evaluation while the first was alive: 11.2 MiB under tracemalloc; 3.2 MiB measured here
+    params = OperatorParams.sharp(2, 24)
+    random_ascent_lower_bound(params, 1.8)  # the cached kernel is not part of the peak
+    tracemalloc.start()
+    try:
+        random_ascent_lower_bound(params, 1.8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 << 20, peak
+
+
+def test_ascent_checks_what_a_start_holds_at_once(monkeypatch):
+    # the n = 2, N = 8 box start: 2048 points, values and their power-sum copy at 8 (n + 2) bytes a
+    # point, and a 23 x 191 window with its nonzero mask and copy at 17 bytes a cell; each array
+    # alone is far below that sum
+    need = 8 * 4 * 16 * 128 + 17 * 23 * 191
+    monkeypatch.setattr(lattice, "ALLOC_BUDGET_BYTES", need - 1)
+    with pytest.raises(ValueError, match=rf"dense start of shape \(16, 128\) with its window of shape \(23, 191\) needs {need} bytes"):
+        random_ascent_lower_bound(OperatorParams.sharp(2, 8), 1.8)
+    monkeypatch.setattr(lattice, "ALLOC_BUDGET_BYTES", need)
+    assert random_ascent_lower_bound(OperatorParams.sharp(2, 8), 1.8).constant > 0
+    # at N = 1 the cloud's 8 points and 8 cell keys outweigh the 2 x 2 box: 8 (n + 2) bytes a point, 25 a key
+    need = 8 * 4 * 8 + 25 * 8
+    monkeypatch.setattr(lattice, "ALLOC_BUDGET_BYTES", need - 1)
+    with pytest.raises(ValueError, match=rf"sparse start of 8 points with 8 cell keys needs {need} bytes"):
+        random_ascent_lower_bound(OperatorParams.sharp(2, 1), 1.8)
+    monkeypatch.setattr(lattice, "ALLOC_BUDGET_BYTES", need)
+    assert random_ascent_lower_bound(OperatorParams.sharp(2, 1), 1.8).constant == 1.0
 
 
 def test_box_average_counts_rejects_oversized_array():
