@@ -56,7 +56,7 @@ __all__ = [
 # The epsilon of the (QN)^eps and N^eps losses the coefficient and sup
 # reports normalize by; each report records it in its params.
 EPS = 0.2
-# The oracle's first grid size; each refinement doubles it.
+# The oracle's first grid size, a power of two; each refinement doubles it.
 _ORACLE_GRID = 4096
 # Two successive oracle grids must agree to this absolute tolerance.
 _ORACLE_TOL = 1e-9
@@ -139,6 +139,9 @@ def piece_coefficient_oracle(query: CoefficientQuery) -> complex:
     converge within 4 refinements is an error.
     Each grid of size M reads its weights and its M-th roots of unity from
     two small caches, so a query evaluates no exponential of its own.
+    Every M is _ORACLE_GRID 2^i, a power of two, so the root index
+    (t j) mod M is (j (t mod M)) & (M - 1): the same index for any int t,
+    negative or |t| >= M included, with no product beyond M^2.
     """
     sig = _sigma_product(query.params, query.r[:-1])
     t = query.residual
@@ -147,7 +150,7 @@ def piece_coefficient_oracle(query: CoefficientQuery) -> complex:
     def rect(M: int) -> complex:
         j = np.arange(M, dtype=np.int64)
         w = _oracle_weights(query.params.N, system.q_limit, query.spec, M)
-        return complex(np.sum(w * _roots_of_unity(M)[(t * j) % M]) / M)
+        return complex(np.sum(w * _roots_of_unity(M)[np.multiply(j, t % M, out=j) & (M - 1)]) / M)
 
     M = _ORACLE_GRID
     prev = rect(M)

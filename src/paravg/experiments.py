@@ -34,11 +34,11 @@ points screens every member in Gram form, m(m - 1)/2 lookups of the
 kernel's autocorrelation (O(S^(n-2)) each, S = |supp sigma|, closed form at
 n = 2) plus its diagonal, into an interval of proven width around its exact
 quotient, and averages only the members that can reach the max.  The ascent
-keeps each start as sorted point and value arrays, and applies the kernel by
-slices on a dense window where the start fills its bounding box and on its
-distinct cells where it does not.  Every dense array, and every ascent start
-as a whole, is checked against lattice.ALLOC_BUDGET_BYTES before it is
-allocated.
+keeps a start that fills its box as the box's extent and a value array, and
+applies the kernel to it by slices on a dense window; a start that does not
+is a sorted point array, and the kernel goes to its distinct cells.  Every
+dense array, and every ascent start as a whole, is checked against
+lattice.ALLOC_BUDGET_BYTES before it is allocated.
 """
 
 from __future__ import annotations
@@ -645,34 +645,39 @@ def norm_l2_l2(params: OperatorParams) -> ExperimentReport:
 _ASCENT_ITERS = 60
 
 
-def _apply_offsets(points: np.ndarray, values: np.ndarray, offsets: np.ndarray):
-    """The sums of values[i] at points[i] + o over the offsets o, and cells(i), the cells point i adds into.
+def _apply_offsets(start, values: np.ndarray, offsets: np.ndarray):
+    """The sums of values[i] at point i + o over the offsets o, and cells(i), the cells point i adds into.
 
-    points are distinct and lexicographically sorted, offsets a (K, n)
+    A dense start is the extent of the box its points fill, a tuple of ints,
+    with values in the box's row-major order; a sparse one is an (m, n)
+    array of distinct lexicographically sorted points.  offsets is a (K, n)
     array.  The sums cover every cell that some point reaches, as one flat
     float64 array, cells(i) lists point i's K cells in offset order, and
     each cell takes its terms in offset order from +0.0, so either apply
-    gives the same floats.  Points that fill their bounding box add their
-    value block into the window (the box widened by the offsets) once per
-    offset, by strided slices, with no index array.  Other points number
-    their distinct cells once, from their K |points| keys by an argsort and
-    a compare of neighbours (so in the window's row-major order), and add
+    gives the same floats.  A dense start adds its value block into the
+    window (the box widened by the offsets) once per offset, by strided
+    slices, with no index or point array.  A sparse one numbers its
+    distinct cells once, from their K |points| keys by an argsort and a
+    compare of neighbours (so in the window's row-major order), and adds
     into that compact array one offset at a time.
     """
-    n = points.shape[1]
+    n = offsets.shape[1]
     corners = offsets - offsets.min(0)  # each offset's cell from the window corner of the lowest point
-    lo = points.min(0)
-    extent = points.max(0) - lo + 1
-    shape = (extent + corners.max(0)).tolist()
+    dense = isinstance(start, tuple)
+    lo = None if dense else start.min(0)
+    extent = list(start) if dense else (start.max(0) - lo + 1).tolist()
+    shape = [e + c for e, c in zip(extent, corners.max(0).tolist())]
     strides = np.array([math.prod(shape[i + 1 :]) for i in range(n)], dtype=np.int64)
     steps = corners @ strides
-    if len(points) == math.prod(extent.tolist()):
+    if dense:
         grid = np.zeros(shape)
         block = values.reshape(extent)
         for corner in corners.tolist():
-            grid[tuple(slice(c, c + e) for c, e in zip(corner, extent.tolist()))] += block
-        return grid.reshape(-1), lambda i: int((points[i] - lo) @ strides) + steps
-    keys = (steps[:, None] + (points - lo) @ strides).reshape(-1)  # offset-major: row j holds offset j's cells
+            grid[tuple(slice(c, c + e) for c, e in zip(corner, extent))] += block
+        # point i of the box sits at (i // inner) % extent, in Python ints (np.unravel_index costs 3x)
+        inner = [(math.prod(extent[d + 1 :]), e, s) for d, (e, s) in enumerate(zip(extent, strides.tolist()))]
+        return grid.reshape(-1), lambda i: sum(i // a % e * s for a, e, s in inner) + steps
+    keys = (steps[:, None] + (start - lo) @ strides).reshape(-1)  # offset-major: row j holds offset j's cells
     order = np.argsort(keys)
     keys = keys[order]
     first = np.ones(len(keys), dtype=bool)
@@ -683,7 +688,7 @@ def _apply_offsets(points: np.ndarray, values: np.ndarray, offsets: np.ndarray):
     number = np.empty_like(ids)
     number[order] = ids
     del order, ids
-    number = number.reshape(len(steps), len(points))
+    number = number.reshape(len(steps), len(start))
     grid = np.zeros(int(np.count_nonzero(first)))
     for row in number:  # a row holds distinct cells, so one add per cell and offset
         grid[row] += values
@@ -700,13 +705,14 @@ def random_ascent_lower_bound(params: OperatorParams, p: float, seed: int = 0) -
     reported as the norm: the constant is the best start's ratio evaluated
     afresh from its final values.
 
-    Each start is a lexicographically sorted array of distinct points with
-    one float64 value array, which the accepted proposals update in place.
-    Its convolution with the kernel is _apply_offsets: by slices for the box
-    and the delta, which fill their bounding boxes, and on the distinct
-    cells for the cloud, O(|start| N^(n-1)) numpy work either way, where the
-    box start has 2^(n-1) n N^(n+1) points.  A proposal updates its N^(n-1)
-    cells in a scalar loop, on Python floats.  The full power sums go
+    Each start has one float64 value array, which the accepted proposals
+    update in place.  The box and the delta fill their bounding boxes and
+    are given by their extents alone, with no point array; the cloud is a
+    lexicographically sorted array of distinct points.  Its convolution with
+    the kernel is _apply_offsets: by slices for the box and the delta, and
+    on the distinct cells for the cloud, O(|start| N^(n-1)) numpy work
+    either way, where the box start has 2^(n-1) n N^(n+1) points.  A
+    proposal updates its N^(n-1) cells in a scalar loop, on Python floats.  The full power sums go
     through lattice._power_sum, math.fsum of math.pow with one pow per
     distinct value (the float ** of finite positive operands is the same
     libm pow).  Near p = 1 the incremental sums can cancel: a proposal whose
@@ -732,13 +738,13 @@ def random_ascent_lower_bound(params: OperatorParams, p: float, seed: int = 0) -
     # kernel offsets -(k, |k|^2) span [-N, -1]^(n-1) x [-(n-1) N^2, -(n-1)]
     reach = (N - 1,) * (n - 1) + ((n - 1) * (N * N - 1),)
     box_window = tuple(h + r for h, r in zip(box_hi, reach))
-    # Bytes a start holds at once: 8 (n + 2) a point for its points, its values and
-    # their power-sum copy; 17 a window cell for the sums, their nonzero mask and
-    # the nonzero sums' copy; 25 a cell key for the numbering at its peak (the
-    # argsort, the neighbour flags, the running count and the numbers), which
-    # covers the numbers, the compact sums and their power-sum mask and copy.  The
-    # delta's window, N^(n-1) cells, lies inside the box's.
-    _check_bytes(8 * (n + 2) * math.prod(box_hi) + 17 * math.prod(box_window),
+    # Bytes a start holds at once: 16 a point for its values and their power-sum
+    # copy, and 8n more a sparse point for the point itself; 17 a window cell for
+    # the sums, their nonzero mask and the nonzero sums' copy; 25 a cell key for
+    # the numbering at its peak (the argsort, the neighbour flags, the running
+    # count and the numbers), which covers the numbers, the compact sums and their
+    # power-sum mask and copy.  The delta's window, N^(n-1) cells, lies inside the box's.
+    _check_bytes(16 * math.prod(box_hi) + 17 * math.prod(box_window),
                  f"ascent n={n} N={N}: a dense start of shape {box_hi} with its window of shape {box_window}")
     _check_bytes(8 * (n + 2) * cloud_size + 25 * cloud_keys,
                  f"ascent n={n} N={N}: a sparse start of {cloud_size} points with {cloud_keys} cell keys")
@@ -749,8 +755,8 @@ def random_ascent_lower_bound(params: OperatorParams, p: float, seed: int = 0) -
     def power_sum(grid: np.ndarray) -> float:
         return _power_sum(grid[grid != 0], pp)
 
-    def ascend(points: np.ndarray, values: np.ndarray) -> float:
-        grid, cells_of = _apply_offsets(points, values, offsets)
+    def ascend(start, values: np.ndarray) -> float:
+        grid, cells_of = _apply_offsets(start, values, offsets)
         s_p = _power_sum(values.copy(), p)
         s_pp = power_sum(grid)
         cur = (s_pp ** (1.0 / pp) / scale) / s_p ** (1.0 / p)
@@ -775,11 +781,9 @@ def random_ascent_lower_bound(params: OperatorParams, p: float, seed: int = 0) -
                 s_p, s_pp, cur = new_sp, new_spp, val
                 grid[cells] = touched
         del grid, cells_of  # the final evaluation builds its own
-        final = power_sum(_apply_offsets(points, values, offsets)[0])
+        final = power_sum(_apply_offsets(start, values, offsets)[0])
         return (final ** (1.0 / pp) / scale) / _power_sum(values.copy(), p) ** (1.0 / p)
 
-    box = np.indices(box_hi, dtype=np.int64).reshape(n, -1).T
-    box += 1
     cloud_pts = rng.integers(low=window_lo, high=window_hi, size=(cloud_size, n))
     cloud = {
         tuple(int(c) for c in row): float(w)
@@ -787,15 +791,15 @@ def random_ascent_lower_bound(params: OperatorParams, p: float, seed: int = 0) -
     }
     cloud_items = sorted(cloud.items())
     starts = (
-        (box, np.ones(len(box))),
-        (np.zeros((1, n), dtype=np.int64), np.ones(1)),
+        (box_hi, np.ones(math.prod(box_hi))),
+        ((1,) * n, np.ones(1)),
         (np.array([x for x, _ in cloud_items], dtype=np.int64), np.array([v for _, v in cloud_items])),
     )
 
     best_ratio, best_size = -1.0, 0
-    for points, values in starts:
+    for start, values in starts:
         try:
-            ratio = ascend(points, values)
+            ratio = ascend(start, values)
         except OverflowError as exc:
             raise _power_overflow(p, N) from exc
         if ratio > best_ratio:

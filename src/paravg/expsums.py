@@ -29,11 +29,13 @@ with out=: y k, (t k) k, the add, the remainder, the cast to complex,
 C-contiguous out computes what it would write to a fresh array, so every
 value keeps the bits of the expression form (kept in the tests as the
 oracle).  gauss_row_max writes its zero-padded FFT input once and refills
-only the support columns per chunk.  It computes the phase t k^2 mod 1 and
-its exponential once per distinct |k| and gathers them to the support
-columns: negation is exact and rounding is sign-symmetric, so (t (-k)) (-k)
-has the bits of (t k) k.  It keeps that order, since t (k^2) rounds once
-instead of twice and gives other bits once |k| >= 2^11.
+only the support columns per chunk; screen_row_max fills its recurrence
+table in the FFT output buffer, free until the FFT writes it, so the table
+takes no buffer of its own.  gauss_row_max computes the phase
+t k^2 mod 1 and its exponential once per distinct |k| and gathers them to
+the support columns: negation is exact and rounding is sign-symmetric, so
+(t (-k)) (-k) has the bits of (t k) k.  It keeps that order, since t (k^2)
+rounds once instead of twice and gives other bits once |k| >= 2^11.
 
 Screening.  gauss_bound_report and piece_sup_report report one max over
 10^4 samples or more, and only the argmax sample's bits reach the report.
@@ -42,13 +44,17 @@ the long-double kernels above, unchanged, on the candidates only.
 _quadratic_exps fills e(t j^2 + y j), j = 0..m, by the recurrence
 z_{j+1} = z_j r_j, r_{j+1} = r_j e(2t), r_0 = e(t + y): two complex
 products per column and no exponential past the first column.
+Both screens run it on contiguous columns, one sample a column entry.
 screen_gauss_abs sums it over both sides of the support (y for k >= 0, -y
-for k < 0); screen_row_max takes it at y = 0 for the distinct |k|, puts
-it in the same FFT rows as gauss_row_max and takes the row max of
-re^2 + im^2 before one sqrt.  screen_row_max also folds the torus: for
-real weights G(1 - t, y) = conj G(t, -y) and the y grid is closed under
-negation, so the row max at 1 - t is the row max at t.  Each t is folded
-to f = 1 - t when t > 1/2 (exact on [1/2, 1), by Sterbenz), and each
+for k < 0); screen_row_max takes it at y = 0 for the distinct |k|, weights
+it into the same FFT rows as gauss_row_max and takes the row max of
+re^2 + im^2 before one sqrt.  A contiguous column may take a SIMD complex
+product with FMA where a strided one would not, which moves the screen's
+bits but not beyond beta: its per-product bound sqrt(5) u (no FMA) is
+above the 2u of a product with FMA.  screen_row_max also folds the torus:
+for real weights G(1 - t, y) = conj G(t, -y) and the y grid is closed
+under negation, so the row max at 1 - t is the row max at t.  Each t is
+folded to f = 1 - t when t > 1/2 (exact on [1/2, 1), by Sterbenz), and each
 distinct f is screened once; the ~4 N^2 scan grid of piece_sup_report is
 mirrored exactly at N a power of two, so about half its rows reach the
 FFT.  Each screen returns beta with |screen - kernel| <= beta for every
@@ -249,7 +255,10 @@ def _screen_error(cutoff: CutoffProfile, y_grid: int | None = None) -> float:
 
     - e1 of an argument |x| < 2 errs by eps0 <= 8 pi u + sqrt(2) u < 27 u:
       2u in x mod 1, 2 pi u each from the rounded 2 pi and the product,
-      u each from cos and sin.  A complex product rounds by <= sqrt(5) u.
+      u each from cos and sin.  A complex product rounds by <= sqrt(5) u
+      without FMA (Brent, Percival and Zimmermann 2007) and by <= 2u with
+      it (Jeannerod, Kornerup, Louvet and Muller 2017), so sqrt(5) u holds
+      whichever loop numpy picks for a row or a column.
       So r_j errs by <= (j + 1)(eps0 + sqrt(5) u), and column j of
       _quadratic_exps by <= (eps0 + sqrt(5) u) j (j + 1) / 2 <= 22 u (1 + j^2),
       as j (j + 1) / 2 <= (3/4)(1 + j^2).  c = 24 covers the higher orders.
@@ -348,12 +357,14 @@ def screen_row_max(ts: np.ndarray, cutoff: CutoffProfile, y_grid: int) -> tuple[
 def _square_row_max(rs: np.ndarray, cutoff: CutoffProfile, y_grid: int) -> None:
     """Overwrite each r of rs with the max over the y grid of |G(r, y)|^2, screened.
 
-    _quadratic_exps at y = 0 writes e(r j^2), j = 0..max |k|, straight into
-    the head columns of the FFT rows; column y_grid + k of each k < 0 is
-    then read from column -k, and the head is weighted in place.  The row
-    max is taken of re^2 + im^2, squared in place in the FFT output.  The
-    support is a contiguous range, so the head and the columns of k < 0 fit
-    side by side once y_grid > max |k| + max(-k_min, 0).
+    _quadratic_exps at y = 0 writes e(r j^2), j = 0..max |k|, in contiguous
+    columns (as screen_gauss_abs does) into the FFT output buffer, which
+    holds nothing until the FFT writes it.  The head of each FFT row is that
+    table times the weights of k >= 0, and column y_grid + k of each k < 0
+    is column -k times its weight.  The row max is taken of re^2 + im^2,
+    squared in place in the FFT output.  The support is a contiguous range,
+    so the head and the columns of k < 0 fit side by side once
+    y_grid > max |k| + max(-k_min, 0).
     """
     k, w = cutoff.support(), cutoff.weights()
     m, lo = int(np.max(np.abs(k))), int(k[0])
@@ -368,10 +379,11 @@ def _square_row_max(rs: np.ndarray, cutoff: CutoffProfile, y_grid: int) -> None:
     for start in range(0, len(rs), chunk):
         rr = rs[start : start + chunk]  # read before the chunk's maxima overwrite it
         n = len(rr)
-        z = _quadratic_exps(rr, 0.0, buf[:n, : m + 1])
+        # the FFT output buffer is free until the FFT writes it: the table's columns are contiguous there
+        z = _quadratic_exps(rr, 0.0, vals.reshape(-1)[: (m + 1) * n].reshape(m + 1, n).T)
         if lo < 0:
             np.multiply(w[k < 0], z[:, -lo:0:-1], out=buf[:n, y_grid + lo :])
-        np.multiply(head, z, out=z)
+        np.multiply(head, z, out=buf[:n, : m + 1])
         parts = np.fft.fft(buf[:n], axis=1, out=vals[:n]).view(float)
         np.square(parts, out=parts)
         np.add(parts[:, ::2], parts[:, 1::2], out=mags[:n])

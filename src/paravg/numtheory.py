@@ -15,12 +15,12 @@ Conventions
 * A_1 = {0}, so c_1(k) = 1 for every k.
 
 Costs.  A level count #{k <= N : d(k, Q) > D} reads one truncated sieve
-(min(Q, N) strided passes over N + 1 int64 cells) through one histogram of
-its values, which are at most Q, so every further D costs one lookup in the
-histogram's suffix sums: divisor_level_counts serves a whole D sweep from
-one sieve.  The Ramanujan table evaluates each q once per residue k mod q
-that its k values reach (_ramanujan_rows), so ramanujan_sum evaluates the
-one residue k mod q.
+(min(Q, N) strided passes over N + 1 cells, one byte each for Q <= 255)
+through one blockwise histogram of its values, so every further D costs
+one lookup in the histogram's suffix sums: divisor_level_counts serves a
+whole D sweep from one sieve.  The Ramanujan table evaluates each q once
+per residue k mod q that its k values reach, from one table of the q roots
+(_ramanujan_rows), so ramanujan_sum evaluates the one residue k mod q.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ __all__ = [
 DEFAULT_SIEVE_CAP = 10**7
 # The level-set ratio count * D^B / (Q^tau N) that divisor_level_counts reports.
 _LEVEL_B, _LEVEL_TAU = 2.0, 0.5
+_HIST_BLOCK = 1 << 16  # sieve cells per np.bincount in divisor_level_counts
 
 
 def truncated_divisor_count(k: int, Q: int) -> int:
@@ -69,10 +70,10 @@ def truncated_divisor_count(k: int, Q: int) -> int:
 
 
 def truncated_divisor_sieve(limit: int, Q: int) -> np.ndarray:
-    """d(k, Q) for 0 <= k <= limit (entry 0 unused)."""
+    """d(k, Q) for 0 <= k <= limit (entry 0 unused), in the narrowest unsigned dtype holding min(Q, limit)."""
     if limit > DEFAULT_SIEVE_CAP:
         raise ValueError(f"sieve limit {limit} exceeds the cap {DEFAULT_SIEVE_CAP}")
-    counts = np.zeros(limit + 1, dtype=np.int64)
+    counts = np.zeros(limit + 1, dtype=np.min_scalar_type(min(Q, limit)))
     for q in range(1, min(Q, limit) + 1):
         counts[q::q] += 1
     return counts
@@ -114,18 +115,24 @@ def _ramanujan_rows(q: int, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Both depend on k only through k mod q (the phases ((a k) mod q)/q, and
     gcd(q, k)), so each is evaluated once per residue that ks reaches and
-    gathered by ks % q.  The direct sums add the phases in totative order
+    gathered by ks % q.  e(i/q) is read from one table of the q roots, the
+    same float expression.  The direct sums add the phases in totative order
     (the last row of a cumulative sum), so a residue's sum has the same bits
     whichever other residues ks reaches.
     """
     tots = np.array(totatives(q), dtype=np.int64)
-    residues, idx = np.unique(ks % q, return_inverse=True)
-    phases = ((tots[:, None] * residues[None, :]) % q) / q
+    rs = ks % q
+    present = np.zeros(q, dtype=bool)
+    present[rs] = True
+    residues = np.flatnonzero(present)
+    idx = (np.cumsum(present) - 1)[rs]
+    roots = np.exp(2j * np.pi * (np.arange(q) / q))
     by_gcd = np.zeros(q + 1, dtype=np.int64)
     for g in range(1, q + 1):
         if q % g == 0:
             by_gcd[g] = _ramanujan_arith(q, g)
-    return np.cumsum(np.exp(2j * np.pi * phases), axis=0)[-1][idx], by_gcd[np.gcd(q, residues)][idx]
+    direct = np.cumsum(roots[(tots[:, None] * residues[None, :]) % q], axis=0)[-1]
+    return direct[idx], by_gcd[np.gcd(q, residues)][idx]
 
 
 def ramanujan_sum(q: int, k: int) -> int:
@@ -190,11 +197,12 @@ def ramanujan_block_report(Q: int, k: int, eps: float) -> ExperimentReport:
 def divisor_level_counts(N: int, Q: int, Ds) -> list[tuple[int, ExperimentReport]]:
     """Exact #{1 <= k <= N : d(k, Q) > D} for every D in Ds, each with its normalized-ratio report.
 
-    One truncated sieve and one np.bincount histogram of its values serve
-    every D: the level is the suffix sum of the histogram from the first
-    value v > D, found by searchsorted over the values 0..max, so a D past
-    every value (D >= Q) reads the empty suffix 0, as the comparison
-    sieve > D does.  Each report carries the ratio count * D^B / (Q^tau N)
+    One truncated sieve and one histogram of its values, added up by
+    np.bincount over blocks of _HIST_BLOCK cells, serve every D: the level
+    is the suffix sum of the histogram from the first value v > D, found by
+    searchsorted over the values 0..min(Q, N), so a D past every value
+    (D >= Q) reads the empty suffix 0, as the comparison sieve > D does.
+    Each report carries the ratio count * D^B / (Q^tau N)
     with B = _LEVEL_B = 2 and tau = _LEVEL_TAU = 0.5; monotonicity in D and
     the D >= Q vanishing are structural and tested.  A ratio needs a finite D
     (an inf D would read 0 inf = nan) and a float-sized D^B: anything else
@@ -205,7 +213,10 @@ def divisor_level_counts(N: int, Q: int, Ds) -> list[tuple[int, ExperimentReport
     if not all(math.isfinite(D) for D in Ds):
         raise ValueError(f"need a finite D for the ratio (got {[D for D in Ds if not math.isfinite(D)]})")
     B, tau = _LEVEL_B, _LEVEL_TAU
-    hist = np.bincount(truncated_divisor_sieve(N, Q)[1:])
+    sieve = truncated_divisor_sieve(N, Q)
+    hist = np.zeros(min(Q, N) + 1, dtype=np.int64)
+    for start in range(1, N + 1, _HIST_BLOCK):
+        hist += np.bincount(sieve[start : start + _HIST_BLOCK], minlength=len(hist))
     above = np.append(np.cumsum(hist[::-1])[::-1], 0)  # above[v] = #{k : d(k, Q) >= v}
     firsts = np.searchsorted(np.arange(len(hist)), np.asarray(Ds, dtype=float), side="right")
     out = []

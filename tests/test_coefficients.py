@@ -633,7 +633,7 @@ def test_oracle_root_table_matches_e1_rectangle_rule(monkeypatch):
     params = OperatorParams.smooth(2, 16)
     refined = set()
     for spec in (PieceSpec("core", 1), PieceSpec("dyadic", 2, 1)):
-        for residual in (0, 5, -300, 3000, 5000, 20000):
+        for residual in (0, 5, -300, 3000, 5000, 20000, -9000, -40000):
             query = CoefficientQuery(spec, (0, -residual), params)
             grids.clear()
             assert piece_coefficient_oracle(query) == _uncached_oracle(query)
@@ -643,6 +643,34 @@ def test_oracle_root_table_matches_e1_rectangle_rule(monkeypatch):
             refined.add(len(grids))
     assert refined == {2, 3}
     assert not table(4096).flags.writeable and table(4096) is table(4096)
+
+
+def test_oracle_masked_index_is_the_remainder_at_every_grid(monkeypatch):
+    # the oracle reads root (t j) mod M as (j (t mod M)) & (M - 1); never converging, it visits
+    # all five grids 4096..65536, and each index it reads is the % rectangle rule's
+    from paravg import coefficients
+
+    table = coefficients._roots_of_unity
+    reads = []
+
+    class Spy:
+        def __init__(self, M):
+            self.M = M
+
+        def __getitem__(self, i):
+            reads.append((self.M, i.copy()))
+            return table(self.M)[i]
+
+    monkeypatch.setattr(coefficients, "_roots_of_unity", Spy)
+    monkeypatch.setattr(coefficients, "_ORACLE_TOL", -1.0)
+    params = OperatorParams.smooth(2, 16)
+    for residual in (0, 1, 5, -1, -300, 4095, -4096, 4097, 70001, -65537, 3 * 2**40 + 7, -(2**40) - 3):
+        reads.clear()
+        with pytest.raises(RuntimeError, match="did not converge"):
+            piece_coefficient_oracle(CoefficientQuery(PieceSpec("core", 1), (0, -residual), params))
+        assert [M for M, _ in reads] == [4096 << i for i in range(5)]
+        for M, i in reads:
+            assert (i == (residual * np.arange(M, dtype=np.int64)) % M).all(), (residual, M)
 
 
 def test_cached_oracle_grid_is_read_only_and_shared():

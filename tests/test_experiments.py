@@ -1107,8 +1107,10 @@ def test_apply_offsets_matches_the_fancy_index_window(n, N, monkeypatch):
         values = 1.0 + np.random.default_rng(len(points)).random(len(points))  # not integers: the add order shows
         window, cells = _window_apply(points, values, offsets)
         sorts.clear()
-        sums, cells_of = experiments._apply_offsets(points, values, offsets)
-        if name in ("box", "delta"):  # they fill their bounding boxes: slices on the whole window, no sort
+        dense = name in ("box", "delta")  # they fill their bounding boxes and go in as their extents
+        start = tuple((points.max(0) - points.min(0) + 1).tolist()) if dense else points
+        sums, cells_of = experiments._apply_offsets(start, values, offsets)
+        if dense:  # slices on the whole window, no sort
             assert not sorts and len(sums) == len(window)
             assert (sums == window).all(), name
         else:  # the distinct cells, numbered in the window's order
@@ -1122,7 +1124,8 @@ def test_apply_offsets_matches_the_fancy_index_window(n, N, monkeypatch):
 
 def test_ascent_peak_memory_is_bounded():
     # the fancy-index window zeroed the cloud's 611,779-cell window and built a second window for
-    # the final evaluation while the first was alive: 11.2 MiB under tracemalloc; 3.2 MiB measured here
+    # the final evaluation while the first was alive: 11.2 MiB under tracemalloc; then 3.2 MiB with the
+    # box start's 884,736-byte point array, and 2.3 MiB measured here as its extent
     params = OperatorParams.sharp(2, 24)
     random_ascent_lower_bound(params, 1.8)  # the cached kernel is not part of the peak
     tracemalloc.start()
@@ -1131,20 +1134,21 @@ def test_ascent_peak_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6 << 20, peak
+    assert peak <= 11 << 18, peak  # 2.75 MiB
 
 
 def test_ascent_checks_what_a_start_holds_at_once(monkeypatch):
-    # the n = 2, N = 8 box start: 2048 points, values and their power-sum copy at 8 (n + 2) bytes a
-    # point, and a 23 x 191 window with its nonzero mask and copy at 17 bytes a cell; each array
-    # alone is far below that sum
-    need = 8 * 4 * 16 * 128 + 17 * 23 * 191
+    # the n = 2, N = 8 box start: 2048 points given by their extent, values and their power-sum copy
+    # at 16 bytes a point, and a 23 x 191 window with its nonzero mask and copy at 17 bytes a cell;
+    # each array alone is far below that sum
+    need = 16 * 16 * 128 + 17 * 23 * 191
     monkeypatch.setattr(lattice, "ALLOC_BUDGET_BYTES", need - 1)
     with pytest.raises(ValueError, match=rf"dense start of shape \(16, 128\) with its window of shape \(23, 191\) needs {need} bytes"):
         random_ascent_lower_bound(OperatorParams.sharp(2, 8), 1.8)
     monkeypatch.setattr(lattice, "ALLOC_BUDGET_BYTES", need)
     assert random_ascent_lower_bound(OperatorParams.sharp(2, 8), 1.8).constant > 0
-    # at N = 1 the cloud's 8 points and 8 cell keys outweigh the 2 x 2 box: 8 (n + 2) bytes a point, 25 a key
+    # at N = 1 the cloud's 8 points and 8 cell keys outweigh the 2 x 2 box: 8 (n + 2) bytes a sparse
+    # point, 25 a key
     need = 8 * 4 * 8 + 25 * 8
     monkeypatch.setattr(lattice, "ALLOC_BUDGET_BYTES", need - 1)
     with pytest.raises(ValueError, match=rf"sparse start of 8 points with 8 cell keys needs {need} bytes"):

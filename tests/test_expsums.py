@@ -348,6 +348,20 @@ def test_kernels_work_in_a_fixed_number_of_chunks():
     assert _peak_beyond_result(lambda: expsums.screen_row_max(ts, cutoff, 8 * 16)[0]) <= 2.75 * chunk
 
 
+def test_row_max_screen_builds_its_table_in_the_fft_output(monkeypatch):
+    # the recurrence table lives in the FFT output buffer, in contiguous columns, so the
+    # screen allocates no buffer of its own for it
+    tables, outs = [], []
+    exps, fft = expsums._quadratic_exps, np.fft.fft
+    monkeypatch.setattr(expsums, "_quadratic_exps", lambda t, y, out: tables.append(out) or exps(t, y, out))
+    monkeypatch.setattr(np.fft, "fft", lambda a, *args, out=None, **kw: outs.append(out) or fft(a, *args, out=out, **kw))
+    monkeypatch.setattr(expsums, "_CHUNK_CELLS", 37 * 192)  # several chunks, the last one partial
+    expsums.screen_row_max(np.random.default_rng(3).random(200), CutoffProfile("smooth", 24), 192)
+    assert len(tables) == len(outs) > 1
+    for table, out in zip(tables, outs):
+        assert np.shares_memory(table, out) and table.T.flags.c_contiguous
+
+
 def _scalar_torus_signed(x: float) -> float:
     r = x % 1.0
     return r - 1.0 if r >= 0.5 else r

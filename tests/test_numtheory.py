@@ -1,6 +1,7 @@
 """Divisor statistics and complete exponential sums."""
 
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -219,6 +220,44 @@ def test_divisor_level_counts():
         if prev is not None:
             assert c <= prev
         prev = c
+
+
+def _reference_sieve(limit, Q):
+    """d(k, Q) for 0 <= k <= limit in int64, the sieve before its counts were narrowed."""
+    counts = np.zeros(limit + 1, dtype=np.int64)
+    for q in range(1, min(Q, limit) + 1):
+        counts[q::q] += 1
+    return counts
+
+
+@pytest.mark.parametrize("limit, Q, dtype", [(1000, 1, np.uint8), (1000, 255, np.uint8), (1000, 256, np.uint16),
+                                             (200, 256, np.uint8), (255, 10**6, np.uint8), (256, 10**6, np.uint16)])
+def test_sieve_takes_the_narrowest_dtype_that_holds_min_q_limit(limit, Q, dtype):
+    # min(Q, limit) bounds every count; it crosses the uint8 edge at 256
+    sieve = truncated_divisor_sieve(limit, Q)
+    assert sieve.dtype == dtype
+    assert (sieve == _reference_sieve(limit, Q)).all()
+
+
+@pytest.mark.parametrize("N", [2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5])
+def test_level_histogram_across_block_edges(N):
+    # the histogram is added up over blocks of 2^16 cells; the counts read its suffix sums
+    hist = np.bincount(_reference_sieve(N, 16)[1:])
+    Ds = [0.5 + v for v in range(len(hist) + 1)]
+    above = [int(hist[v:].sum()) for v in range(1, len(hist) + 1)] + [0]
+    assert [count for count, _ in divisor_level_counts(N, 16, Ds)] == above
+
+
+def test_level_counts_hold_no_wide_sieve():
+    # the int64 sieve alone was 8 MB at N = 10^6; the byte-wide one is 1 MB, plus one block cast to intp
+    divisor_level_counts(10**4, 64, [2.0])
+    tracemalloc.start()
+    try:
+        divisor_level_counts(10**6, 64, [2.0, 8.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 10**6, peak
 
 
 def _edge_ds(Q):
