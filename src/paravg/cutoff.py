@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import LatticeFunction, _canonical, _convolve_direct, _from_sorted
+from .lattice import LatticeFunction, _canonical, _from_sorted, _offset_sum
 from .reports import ExperimentReport
 
 __all__ = [
@@ -197,19 +197,19 @@ def average(f: LatticeFunction, params: OperatorParams) -> LatticeFunction:
     """A f(x) = N^{1-n} sum_k w(k) f(x + (k, |k|^2)), exact on every input.
 
     The sum runs directly over every pair of a kernel point and a point of
-    f: on a dense output box one block of pairs at a time, else 16 bytes per
-    pair, all at once.  There is no FFT fallback, so no roundoff entries
-    appear.  Each output point accumulates its terms in ascending k and is
-    then divided by N^(n-1) once, so the result is correctly rounded from
-    the exact sum on integer-valued f with the sharp cutoff.  The kernel is
-    cached per OperatorParams (LatticeFunction values are immutable, so
-    every call shares it), and points whose average cancels to exactly 0 are
-    dropped from the support.
+    f, by lattice._apply_offsets with f as the start and the reflected
+    kernel as the weighted offsets.  There is no FFT fallback, so no
+    roundoff entries appear.  Each output point accumulates its terms in
+    ascending k and is then divided by N^(n-1) once, so the result is
+    correctly rounded from the exact sum on integer-valued f with the sharp
+    cutoff.  The kernel is cached per OperatorParams (LatticeFunction values
+    are immutable, so every call shares it), and points whose average
+    cancels to exactly 0 are dropped from the support.
     """
     if f.dim != params.n:
         raise ValueError(f"function dim {f.dim} != operator dim {params.n}")
     kernel = _kernel(params)
-    raw = _convolve_direct(params.n, -kernel._points, kernel._values, f._points, f._values)
+    raw = _offset_sum(f, -kernel._points, kernel._values)
     values = raw._values / float(params.N ** (params.n - 1))
     # the points are distinct and sorted already: drop what underflowed to
     # +-0 (indexing the column-major points only then)

@@ -34,9 +34,9 @@ points screens every member in Gram form, m(m - 1)/2 lookups of the
 kernel's autocorrelation (O(S^(n-2)) each, S = |supp sigma|, closed form at
 n = 2) plus its diagonal, into an interval of proven width around its exact
 quotient, and averages only the members that can reach the max.  The ascent
-keeps a start that fills its box as the box's extent and a value array, and
-applies the kernel to it by slices on a dense window; a start that does not
-is a sorted point array, and the kernel goes to its distinct cells.  Every
+keeps the box and the delta as their extents and a value array, and the
+cloud as a sorted point array; lattice._apply_offsets applies the kernel by
+slices to the box and on numbered distinct cells to the others.  Every
 dense array, and every ascent start as a whole, is checked against
 lattice.ALLOC_BUDGET_BYTES before it is allocated.
 """
@@ -51,7 +51,7 @@ from itertools import chain
 import numpy as np
 
 from .cutoff import OperatorParams, _kernel, average, paraboloid_kernel
-from .lattice import LatticeFunction, _canonical, _check_bytes, _from_sorted, _power_sum, _power_terms, _real, check_alloc, lp_norm, shift
+from .lattice import LatticeFunction, _apply_offsets, _canonical, _check_bytes, _from_sorted, _power_sum, _power_terms, _real, check_alloc, lp_norm, shift
 from .reports import ExperimentReport, substream_seed
 
 __all__ = [
@@ -645,56 +645,6 @@ def norm_l2_l2(params: OperatorParams) -> ExperimentReport:
 _ASCENT_ITERS = 60
 
 
-def _apply_offsets(start, values: np.ndarray, offsets: np.ndarray):
-    """The sums of values[i] at point i + o over the offsets o, and cells(i), the cells point i adds into.
-
-    A dense start is the extent of the box its points fill, a tuple of ints,
-    with values in the box's row-major order; a sparse one is an (m, n)
-    array of distinct lexicographically sorted points.  offsets is a (K, n)
-    array.  The sums cover every cell that some point reaches, as one flat
-    float64 array, cells(i) lists point i's K cells in offset order, and
-    each cell takes its terms in offset order from +0.0, so either apply
-    gives the same floats.  A dense start adds its value block into the
-    window (the box widened by the offsets) once per offset, by strided
-    slices, with no index or point array.  A sparse one numbers its
-    distinct cells once, from their K |points| keys by an argsort and a
-    compare of neighbours (so in the window's row-major order), and adds
-    into that compact array one offset at a time.
-    """
-    n = offsets.shape[1]
-    corners = offsets - offsets.min(0)  # each offset's cell from the window corner of the lowest point
-    dense = isinstance(start, tuple)
-    lo = None if dense else start.min(0)
-    extent = list(start) if dense else (start.max(0) - lo + 1).tolist()
-    shape = [e + c for e, c in zip(extent, corners.max(0).tolist())]
-    strides = np.array([math.prod(shape[i + 1 :]) for i in range(n)], dtype=np.int64)
-    steps = corners @ strides
-    if dense:
-        grid = np.zeros(shape)
-        block = values.reshape(extent)
-        for corner in corners.tolist():
-            grid[tuple(slice(c, c + e) for c, e in zip(corner, extent))] += block
-        # point i of the box sits at (i // inner) % extent, in Python ints (np.unravel_index costs 3x)
-        inner = [(math.prod(extent[d + 1 :]), e, s) for d, (e, s) in enumerate(zip(extent, strides.tolist()))]
-        return grid.reshape(-1), lambda i: sum(i // a % e * s for a, e, s in inner) + steps
-    keys = (steps[:, None] + (start - lo) @ strides).reshape(-1)  # offset-major: row j holds offset j's cells
-    order = np.argsort(keys)
-    keys = keys[order]
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    del keys
-    ids = np.cumsum(first)
-    ids -= 1
-    number = np.empty_like(ids)
-    number[order] = ids
-    del order, ids
-    number = number.reshape(len(steps), len(start))
-    grid = np.zeros(int(np.count_nonzero(first)))
-    for row in number:  # a row holds distinct cells, so one add per cell and offset
-        grid[row] += values
-    return grid, lambda i: number[:, i]
-
-
 def random_ascent_lower_bound(params: OperatorParams, p: float, seed: int = 0) -> ExperimentReport:
     """Certified lower bound on the p -> p' ratio by multiplicative ascent, p in (1, 2].
 
@@ -709,18 +659,19 @@ def random_ascent_lower_bound(params: OperatorParams, p: float, seed: int = 0) -
     update in place.  The box and the delta fill their bounding boxes and
     are given by their extents alone, with no point array; the cloud is a
     lexicographically sorted array of distinct points.  Its convolution with
-    the kernel is _apply_offsets: by slices for the box and the delta, and
-    on the distinct cells for the cloud, O(|start| N^(n-1)) numpy work
+    the kernel is lattice._apply_offsets with the kernel's weights, all 1.0:
+    by slices for the box, and on the numbered distinct cells for the delta
+    and the cloud, whose windows are sparse, O(|start| N^(n-1)) numpy work
     either way, where the box start has 2^(n-1) n N^(n+1) points.  A
-    proposal updates its N^(n-1) cells in a scalar loop, on Python floats.  The full power sums go
-    through lattice._power_sum, math.fsum of math.pow with one pow per
-    distinct value (the float ** of finite positive operands is the same
-    libm pow).  Near p = 1 the incremental sums can cancel: a proposal whose
-    updated sum is not positive is rejected.  The final evaluation runs
-    after the loop's sums and cell numbers are dropped.  Before any start is
-    built, the bytes that each start holds at once are checked against the
-    allocation budget, and a power sum beyond the float64 range raises
-    ValueError.
+    proposal updates its N^(n-1) cells in a scalar loop, on Python floats.
+    The full power sums go through lattice._power_sum, math.fsum of
+    math.pow with one pow per distinct value (the float ** of finite
+    positive operands is the same libm pow).  Near p = 1 the incremental
+    sums can cancel: a proposal whose updated sum is not positive is
+    rejected.  The final evaluation runs after the loop's sums and cell
+    numbers are dropped.  Before any start is built, the bytes that each
+    start holds at once are checked against the allocation budget, and a
+    power sum beyond the float64 range raises ValueError.
     """
     if params.cutoff.kind != "sharp":
         raise ValueError("ascent drives the sharp average")
@@ -743,20 +694,22 @@ def random_ascent_lower_bound(params: OperatorParams, p: float, seed: int = 0) -
     # the sums, their nonzero mask and the nonzero sums' copy; 25 a cell key for
     # the numbering at its peak (the argsort, the neighbour flags, the running
     # count and the numbers), which covers the numbers, the compact sums and their
-    # power-sum mask and copy.  The delta's window, N^(n-1) cells, lies inside the box's.
+    # power-sum mask and copy.  The delta, one point against N^(n-1) offsets, takes
+    # numbered cells too, and its N^(n-1) cell keys are fewer than the cloud's.
     _check_bytes(16 * math.prod(box_hi) + 17 * math.prod(box_window),
                  f"ascent n={n} N={N}: a dense start of shape {box_hi} with its window of shape {box_window}")
     _check_bytes(8 * (n + 2) * cloud_size + 25 * cloud_keys,
                  f"ascent n={n} N={N}: a sparse start of {cloud_size} points with {cloud_keys} cell keys")
 
     rng = np.random.default_rng(substream_seed(seed, f"ascent:{n}:{N}:{p}"))
-    offsets = -_kernel(params)._points
+    kernel = _kernel(params)
+    offsets, weights = -kernel._points, kernel._values  # the weights are all 1.0, and 1.0 v = v exactly
 
     def power_sum(grid: np.ndarray) -> float:
         return _power_sum(grid[grid != 0], pp)
 
     def ascend(start, values: np.ndarray) -> float:
-        grid, cells_of = _apply_offsets(start, values, offsets)
+        grid, cells_of, points_of = _apply_offsets(start, values, offsets, weights)
         s_p = _power_sum(values.copy(), p)
         s_pp = power_sum(grid)
         cur = (s_pp ** (1.0 / pp) / scale) / s_p ** (1.0 / p)
@@ -780,8 +733,8 @@ def random_ascent_lower_bound(params: OperatorParams, p: float, seed: int = 0) -
                 values[i] = old * factor
                 s_p, s_pp, cur = new_sp, new_spp, val
                 grid[cells] = touched
-        del grid, cells_of  # the final evaluation builds its own
-        final = power_sum(_apply_offsets(start, values, offsets)[0])
+        del grid, cells_of, points_of  # the final evaluation builds its own
+        final = power_sum(_apply_offsets(start, values, offsets, weights)[0])
         return (final ** (1.0 / pp) / scale) / _power_sum(values.copy(), p) ** (1.0 / p)
 
     cloud_pts = rng.integers(low=window_lo, high=window_hi, size=(cloud_size, n))

@@ -10,13 +10,15 @@ One canonicalizer builds every function whose points may repeat or come
 unsorted (box_indicator and from_dense produce theirs distinct and sorted,
 and skip it).  It keys each point by its row-major index in the bounding
 box of its input, an int64 whose order is the lexicographic order, and
-sums the values per key.  The terms arrive in blocks.  When the box has at
-most 2 cells per term and fits the budget, np.add.at adds each block into
-one float64 histogram, so only one block of terms is alive at a time; else
-the blocks are joined and summed by one stable argsort and np.add.at.  Both
-add each point's terms in input order from +0.0, as a stable sort of the
-points does, so the bits do not depend on the branch or the blocks; exact
-zeros are dropped.  Functions are immutable, so safe to share.
+sums the values per key: into one float64 histogram by np.add.at when the
+box has at most 2 cells per term and fits the budget, else by one stable
+argsort and np.add.at.  Both add each point's terms in input order from
++0.0, so the bits do not depend on the branch; exact zeros are dropped.
+Functions are immutable, so safe to share.  The direct convolution, the
+average and the ascent add their weighted terms by one apply,
+_apply_offsets, which sums a window with the same histogram rule whole (by
+slices or np.add.at) and numbers the distinct cells of a sparser one by an
+argsort, each cell's terms in offset order either way.
 
 Norm and convolution arithmetic is exact on integer-valued inputs: the
 p = 2 power sum accumulates in Python integers when every stored amplitude
@@ -85,33 +87,15 @@ def _canonical(dim: int, points: np.ndarray, values: np.ndarray) -> "LatticeFunc
     """The function with amplitude sum(values[i] : points[i] = x) at each x; points are (m, dim) int64."""
     lo, hi = _bounds(points)
     extents, strides = _row_major(lo, hi)
-    return _reduce(dim, lo, extents, len(points), [((points - lo) @ strides, values)])
-
-
-def _reduce(dim: int, lo: list, extents: list, terms: int, blocks: Iterable) -> "LatticeFunction":
-    """Sum values[i] into cell keys[i] of the box at lo, in input order from +0.0; drop exact zeros.
-
-    `blocks` yields (keys, values) arrays in input order, `terms` terms in all.
-    """
+    keys = (points - lo) @ strides
     cells = math.prod(extents)
     # <= 2 cells per term keeps the histogram (8 B/cell) within the sort's ~60 B/term
-    if cells <= 2 * terms and 8 * cells <= ALLOC_BUDGET_BYTES:
+    if cells <= 2 * len(keys) and 8 * cells <= ALLOC_BUDGET_BYTES:
         sums = np.zeros(cells)
-        for keys, values in blocks:
-            np.add.at(sums, keys, values)
+        np.add.at(sums, keys, values)
         keys = np.flatnonzero(sums)
         sums = sums[keys]
     else:
-        blocks = iter(blocks)
-        keys, values = next(blocks, (np.empty(0, dtype=np.int64), np.empty(0)))
-        if len(keys) < terms:  # join the blocks, checked against the budget first
-            check_alloc((terms,), np.int64, "reduction keys")  # the float64 values are as large
-            joined, at = (np.empty(terms, dtype=np.int64), np.empty(terms)), 0
-            for block in chain([(keys, values)], blocks):
-                for whole, part in zip(joined, block):
-                    whole[at : at + len(part)] = part
-                at += len(block[0])
-            keys, values = joined
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
         new = np.ones(len(keys), dtype=bool)
@@ -119,7 +103,17 @@ def _reduce(dim: int, lo: list, extents: list, terms: int, blocks: Iterable) -> 
         sums = np.zeros(int(np.count_nonzero(new)))
         np.add.at(sums, np.cumsum(new) - 1, values[order])
         keys, sums = keys[new][sums != 0], sums[sums != 0]
-    return _from_sorted(dim, np.array(np.unravel_index(keys, extents)).T + np.array(lo, dtype=np.int64), sums)
+    return _from_sorted(dim, _points(keys, extents, lo), sums)
+
+
+def _points(keys: np.ndarray, extents: list, lo: list) -> np.ndarray:
+    """The (m, n) int64 points of row-major keys in the box of `extents` at lo, built column by column."""
+    points = np.empty((len(keys), len(extents)), dtype=np.int64, order="F")
+    for d, column in enumerate(points.T):
+        np.floor_divide(keys, math.prod(extents[d + 1 :]), out=column)
+        np.remainder(column, extents[d], out=column)
+        column += lo[d]
+    return points
 
 
 def _real(values) -> np.ndarray:
@@ -384,28 +378,98 @@ def lp_norm(f: LatticeFunction, p) -> float:
 # -- convolution ---------------------------------------------------------------
 
 
-# The direct sum hands the reduction this many pairs at a time (one row of f at least).
+# The apply's np.add.at adds this many terms at a time (one offset row at least).
 _PAIR_BLOCK = 1 << 16
 
 
-def _convolve_direct(dim: int, pf, vf, pg, vg) -> LatticeFunction:
-    """Sum of vf[i] vg[j] at pf[i] + pg[j]; pairs are laid out f-major.
+def _apply_offsets(start, values: np.ndarray, offsets: np.ndarray, weights: np.ndarray):
+    """The sums of weights[j] values[i] at point i + offsets[j]: returns (sums, cells_of, points_of).
 
-    So each output point accumulates its products in the order of f.  The
-    pairs go to the reduction in blocks of whole rows of f, at most
-    _PAIR_BLOCK pairs each unless one row is longer.  Exact on integer-valued
-    inputs.
+    start is an (m, n) array of distinct sorted points, or the extent (a
+    tuple) of a box at the origin with values in row-major order; offsets
+    is (K, n) int64.  Each cell takes its terms in offset order from +0.0,
+    so no branch moves a bit.  cells_of(i) indexes point i's K cells in
+    sums, in offset order; points_of(idx) gives the cells' points.  A window
+    (the start's box widened by the offsets) of at most 2 cells per term
+    that fits the budget, _canonical's histogram rule, is summed whole: by
+    slices, one per offset, when the start fills its box and has at least
+    as many points as there are offsets, else by np.add.at over blocks of
+    _PAIR_BLOCK terms.  On a sparser window an argsort numbers the K m cell
+    keys, and np.add.at adds into the distinct cells over the same blocks;
+    its peak, 25 bytes a key and 16 a block term, is checked first.
     """
-    (lo_f, hi_f), (lo_g, hi_g) = _bounds(pf), _bounds(pg)
-    lo, hi = [a + b for a, b in zip(lo_f, lo_g)], [a + b for a, b in zip(hi_f, hi_g)]
-    extents, strides = _row_major(lo, hi)
-    kf, kg = (pf - lo_f) @ strides, (pg - lo_g) @ strides
-    rows = max(1, _PAIR_BLOCK // max(1, len(pg)))
-    blocks = (
-        ((kf[i : i + rows, None] + kg[None, :]).ravel(), (vf[i : i + rows, None] * vg[None, :]).ravel())
-        for i in range(0, len(pf), rows)
-    )
-    return _reduce(dim, lo, extents, len(pf) * len(pg), blocks)
+    n = offsets.shape[1]
+    m, K = len(values), len(offsets)
+    as_extent = isinstance(start, tuple)
+    lo_o, hi_o = _bounds(offsets)
+    lo_p, hi_p = ([0] * n, [e - 1 for e in start]) if as_extent else _bounds(start)
+    lo = [a + b for a, b in zip(lo_p, lo_o)]
+    shape, strides = _row_major(lo, [a + b for a, b in zip(hi_p, hi_o)])
+    extent = [b - a + 1 for a, b in zip(lo_p, hi_p)]
+    corners = offsets - np.array(lo_o, dtype=np.int64)  # each offset's cell from the window corner of the lowest point
+    steps = corners @ strides
+    window = math.prod(shape)
+    dense = window <= 2 * K * m and 8 * window <= ALLOC_BUDGET_BYTES
+    if dense and m == math.prod(extent) and m >= K:
+        sums, block, term, last = np.zeros(shape), values.reshape(extent), np.empty(extent), None
+        for corner, w in zip(corners.tolist(), weights.tolist()):
+            if w != last:  # a run of equal weights, a sharp kernel's all 1.0, shares one product block
+                np.multiply(block, w, out=term)
+                last = w
+            cells = sums[tuple(slice(c, c + e) for c, e in zip(corner, extent))]
+            cells += term
+        # point i of the box sits at (i // inner) % extent, in Python ints (np.unravel_index costs 3x)
+        inner = [(math.prod(extent[d + 1 :]), e, s) for d, (e, s) in enumerate(zip(extent, strides))]
+        return (sums.reshape(-1), lambda i: sum(i // a % e * s for a, e, s in inner) + steps,
+                lambda idx: _points(idx, shape, lo))
+    rows = max(1, _PAIR_BLOCK // max(1, m))
+    points = np.indices(start).reshape(n, -1).T if as_extent else start
+    base = (points - np.array(lo_p, dtype=np.int64)) @ strides
+
+    def keys(j: int) -> np.ndarray:  # the window keys of offset rows j .. j + rows, offset-major
+        return (steps[j : j + rows, None] + base).reshape(-1)
+
+    if dense:  # a cell's number is its window key
+        sums, number, cells_of = np.zeros(window), keys, lambda i: steps + base[i]
+        points_of = lambda idx: _points(idx, shape, lo)
+    else:
+        _check_bytes(25 * K * m + 16 * min(K, rows) * m, f"the kernel apply of {K} offsets to {m} points")
+        every = (steps[:, None] + base).reshape(-1)
+        order = np.argsort(every)
+        every = every[order]
+        first = np.ones(len(every), dtype=bool)
+        first[1:] = every[1:] != every[:-1]
+        del every
+        ids = np.cumsum(first)
+        ids -= 1
+        numbers = np.empty_like(ids)
+        numbers[order] = ids
+        del order, ids
+        numbers = numbers.reshape(K, m)
+        sums = np.zeros(int(np.count_nonzero(first)))
+        del first
+        number, cells_of = (lambda j: numbers[j : j + rows].reshape(-1)), (lambda i: numbers[:, i])
+        distinct = len(sums)
+
+        def points_of(idx: np.ndarray) -> np.ndarray:  # the numbered cells' window keys, built only when asked for
+            cells = np.empty(distinct, dtype=np.int64)
+            for j in range(0, K, rows):
+                cells[number(j)] = keys(j)
+            cells = cells[idx]
+            return _points(cells, shape, lo)
+
+    for j in range(0, K, rows):
+        np.add.at(sums, number(j), (weights[j : j + rows, None] * values).reshape(-1))
+    return sums, cells_of, points_of
+
+
+def _offset_sum(f: "LatticeFunction", offsets: np.ndarray, weights: np.ndarray) -> "LatticeFunction":
+    """x -> sum_j weights[j] f(x - offsets[j]), each point's terms in offset order; exact zeros dropped."""
+    sums, _, points_of = _apply_offsets(f._points, f._values, offsets, weights)
+    keep = np.flatnonzero(sums)
+    values = sums[keep]
+    del sums  # before points_of builds its cell keys
+    return _from_sorted(f.dim, points_of(keep), values)
 
 
 def _next_pow2(n: int) -> int:
@@ -435,12 +499,11 @@ def _convolve_fft(f: LatticeFunction, g: LatticeFunction) -> LatticeFunction:
 def convolve(f: LatticeFunction, g: LatticeFunction, method: str = "direct") -> LatticeFunction:
     """(f*g)(x) = sum_y f(y) g(x-y), by direct summation or padded FFT.
 
-    `method` is "direct" (exact on integer-valued inputs; each pair is an
-    int64 key in the Minkowski box, which must have < 2^63 cells, and a
-    float64 product, 16 bytes; a dense box sums one block of pairs at a time
-    into its histogram, a sparse one holds all the pairs, checked against
-    the budget first) or "fft" (real transforms; rounding leaves ~1e-15
-    entries where the exact result is 0).
+    `method` is "direct" (exact on integer-valued inputs: _apply_offsets
+    with g as the start and f as the weighted offsets, so each point takes
+    its products in the order of f; the Minkowski box must have < 2^63
+    cells) or "fft" (real transforms; rounding leaves ~1e-15 entries where
+    the exact result is 0).
     """
     if f.dim != g.dim:
         raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
@@ -450,7 +513,7 @@ def convolve(f: LatticeFunction, g: LatticeFunction, method: str = "direct") -> 
         return LatticeFunction(f.dim)
     if method == "fft":
         return _convolve_fft(f, g)
-    return _convolve_direct(f.dim, f._points, f._values, g._points, g._values)
+    return _offset_sum(g, f._points, f._values)
 
 
 # -- symmetries ----------------------------------------------------------------

@@ -258,8 +258,9 @@ def paraboloid_divisor_count(N: int, K: int, Q: int, D: float, n: int) -> int:
     hist = square_histogram(N, n - 1)
     s_max = len(hist) - 1
     v_max = K + s_max
-    flags = (truncated_divisor_sieve(v_max, Q) > D).astype(np.int64)
-    prefix = np.concatenate([[0], np.cumsum(flags[1:])])  # prefix[x] = #{1<=v<=x}
+    prefix = np.zeros(v_max + 1, dtype=np.int64)  # prefix[x] = #{1<=v<=x}
+    np.greater(truncated_divisor_sieve(v_max, Q)[1:], D, out=prefix[1:])
+    np.cumsum(prefix[1:], out=prefix[1:])  # in place: a bool input would be cast to a second int64 array first
 
     def P(x: int) -> int:
         return int(prefix[min(max(x, 0), v_max)])

@@ -201,9 +201,13 @@ def test_average_matches_public_constructor_path(kind, n, N):
 
 
 def _double_canonical_average(f, params):
-    """The average with its divided values canonicalized a second time, as built before the mask."""
+    """The average with its divided values canonicalized a second time, as built before the mask.
+
+    The raw sum is the former direct one: every (kernel point, point of f) pair, kernel-major, canonicalized at once.
+    """
     kernel = cutoff._kernel(params)
-    raw = lattice._convolve_direct(params.n, -kernel._points, kernel._values, f._points, f._values)
+    pairs = (-kernel._points[:, None, :] + f._points[None, :, :]).reshape(-1, params.n)
+    raw = lattice._canonical(params.n, pairs, (kernel._values[:, None] * f._values[None, :]).ravel())
     scale = float(params.N ** (params.n - 1))
     return lattice._canonical(params.n, raw._points, raw._values / scale)
 
@@ -259,8 +263,8 @@ def test_average_dimension_mismatch():
 
 @pytest.mark.skipif(sys.platform != "linux", reason="VmHWM and ru_maxrss are in KiB on Linux only")
 def test_smooth_n3_average_peak_memory():
-    # 8.2M pairs, streamed into two histograms a block at a time: holding a key and a
-    # product per pair peaked at 293 MB, one block at a time at ~65 MB.
+    # 8.2M terms, added by slices into one window of 404,600 cells (3.2 MB): holding a
+    # key and a product per term peaked at 293 MB, a block of them at a time at ~65 MB.
     # The child's own VmHWM starts afresh at exec; its ru_maxrss starts at the peak of
     # the forking test process, so it is only the fallback where /proc is absent.
     code = (
@@ -279,9 +283,9 @@ def test_smooth_n3_average_peak_memory():
     assert peak_kib <= 128 * 1024
 
 
-def test_average_holds_one_block_of_pairs():
-    # the averaging benchmark's n=2, N=24 box: 1,327,104 pairs held at once peaked at
-    # 42.4 MB under tracemalloc, one block of pairs next to the histograms at ~9 MB
+def test_average_of_a_full_box_holds_its_window():
+    # the averaging benchmark's n=2, N=24 box: 1,327,104 terms held at once peaked at
+    # 42.4 MB under tracemalloc; by slices it holds the 122,617-cell window and the result
     params = OperatorParams.sharp(2, 24)
     box = box_indicator((1, 1), (48, 1152))
     cutoff._kernel(params)  # the cached kernel is not part of the peak

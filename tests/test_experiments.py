@@ -1074,54 +1074,6 @@ def test_ascent_rejects_oversized_window_before_allocating():
         random_ascent_lower_bound(OperatorParams.sharp(3, 128), 1.8)
 
 
-def _window_apply(points: np.ndarray, values: np.ndarray, offsets: np.ndarray):
-    """Oracle: the fancy-index window, grid[cells] += values once per offset over the start's whole window.
-
-    Returns the flat window and each point's flat cells in offset order.
-    """
-    lo = points.min(0) + offsets.min(0)
-    shape = (points.max(0) + offsets.max(0) - lo + 1).tolist()
-    strides = np.array([math.prod(shape[i + 1 :]) for i in range(len(shape))], dtype=np.int64)
-    grid = np.zeros(math.prod(shape))
-    base, steps = (points - lo) @ strides, offsets @ strides
-    for step in steps.tolist():  # base holds distinct cells, so one add per cell and offset
-        grid[base + step] += values
-    return grid, base[:, None] + steps
-
-
-def _ascent_starts(n: int, N: int) -> dict:
-    """The ascent's box, delta and cloud starts, and the box less one point, as sorted distinct points."""
-    box = np.indices((2 * N,) * (n - 1) + (n * N * N,), dtype=np.int64).reshape(n, -1).T + 1
-    rng = np.random.default_rng(n * 100 + N)
-    cloud = rng.integers((-2 * N,) * (n - 1) + (-4 * N * N,), (2 * N,) * (n - 1) + (4 * N * N,), size=(4 * N, n))
-    return {"box": box, "delta": np.zeros((1, n), dtype=np.int64), "cloud": np.unique(cloud, axis=0),
-            "holed box": np.delete(box, len(box) // 3, axis=0)}
-
-
-@pytest.mark.parametrize("n, N", [(2, 4), (2, 8), (2, 16), (2, 24), (3, 3), (3, 4), (3, 6)])
-def test_apply_offsets_matches_the_fancy_index_window(n, N, monkeypatch):
-    offsets = -paraboloid_kernel(OperatorParams.sharp(n, N))._points
-    sorts, argsort = [], np.argsort
-    monkeypatch.setattr(np, "argsort", lambda *a, **k: sorts.append(1) or argsort(*a, **k))
-    for name, points in _ascent_starts(n, N).items():
-        values = 1.0 + np.random.default_rng(len(points)).random(len(points))  # not integers: the add order shows
-        window, cells = _window_apply(points, values, offsets)
-        sorts.clear()
-        dense = name in ("box", "delta")  # they fill their bounding boxes and go in as their extents
-        start = tuple((points.max(0) - points.min(0) + 1).tolist()) if dense else points
-        sums, cells_of = experiments._apply_offsets(start, values, offsets)
-        if dense:  # slices on the whole window, no sort
-            assert not sorts and len(sums) == len(window)
-            assert (sums == window).all(), name
-        else:  # the distinct cells, numbered in the window's order
-            reached = np.flatnonzero(window)
-            assert sorts and len(sums) == len(reached), name
-            assert (sums == window[reached]).all(), name
-            cells = np.searchsorted(reached, cells)
-        for i in np.unique(np.linspace(0, len(points) - 1, 300).astype(int)).tolist():
-            assert (cells_of(i) == cells[i]).all(), (name, i)
-
-
 def test_ascent_peak_memory_is_bounded():
     # the fancy-index window zeroed the cloud's 611,779-cell window and built a second window for
     # the final evaluation while the first was alive: 11.2 MiB under tracemalloc; then 3.2 MiB with the

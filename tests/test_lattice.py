@@ -293,11 +293,18 @@ def test_both_reductions_are_used(monkeypatch):
     assert calls == ["argsort", "add.at float64"]
 
 
-def _assert_direct_matches_pair_oracle(pf, vf, pg, vg):
-    points = (pf[:, None, :] + pg[None, :, :]).reshape(-1, pf.shape[1])
-    values = (vf[:, None] * vg[None, :]).ravel()
-    want_points, want_values = _lexsort_canonical(pf.shape[1], points, values)
-    h = lattice._convolve_direct(pf.shape[1], pf, vf, pg, vg)
+def _convolve_direct(dim, pf, vf, pg, vg):
+    """The former direct sum, kept as the oracle: vf[i] vg[j] at pf[i] + pg[j], the pairs f-major, all at once."""
+    points = (pf[:, None, :] + pg[None, :, :]).reshape(-1, dim)
+    return lattice._canonical(dim, points, (vf[:, None] * vg[None, :]).ravel())
+
+
+def _assert_direct_matches_pair_oracle(pf, vf, g):
+    """The apply with g as the start and (pf, vf) as the weighted offsets, against both pair oracles."""
+    h = lattice._offset_sum(g, pf, vf)
+    _assert_same_function(h, _convolve_direct(g.dim, pf, vf, g._points, g._values))
+    points = (pf[:, None, :] + g._points[None, :, :]).reshape(-1, g.dim)
+    want_points, want_values = _lexsort_canonical(g.dim, points, (vf[:, None] * g._values[None, :]).ravel())
     assert np.array_equal(h._points, want_points) and h._values.tobytes() == want_values.tobytes()
 
 
@@ -309,24 +316,135 @@ def test_dense_and_sparse_convolution_match_pair_oracle(monkeypatch):
     pf, pg = rng.integers(-3, 4, size=(40, 2)), rng.integers(-3, 4, size=(50, 2))
     vf, vg = rng.choice(parts, 40), rng.choice(parts, 50)
     vf[:8] = rng.standard_normal(8)
-    # one block, blocks of 2 rows of f, then of 1 row, as g is longer than a block
+    # a start that fills its box and outnumbers the offsets goes by slices on a dense window; the sparse
+    # offsets widen it to ~8e12 cells, so the filled start goes by numbered cells there, as the other starts do
+    filled = LatticeFunction.from_dense(rng.standard_normal((6, 7, 5)), (-2, 1, 0))
+    # one block, blocks of a few offset rows, then of one row, as g is longer than a block
     for block in (lattice._PAIR_BLOCK, 128, 16):
         monkeypatch.setattr(lattice, "_PAIR_BLOCK", block)
         for f in (dense, sparse):
             g = f * 0.5 + random_sparse(rng, 3, 40, 3)
-            _assert_direct_matches_pair_oracle(f._points, f._values, g._points, g._values)
-        _assert_direct_matches_pair_oracle(pf, vf, pg, vg)
-        _assert_direct_matches_pair_oracle(pg, vg, pf, vf)
+            _assert_direct_matches_pair_oracle(f._points, f._values, g)
+            assert convolve(f, g) == _convolve_direct(3, f._points, f._values, g._points, g._values)
+            _assert_direct_matches_pair_oracle(f._points, f._values, filled)
+        # the offsets keep their repeated points; the start is a function, so its repeats are summed
+        _assert_direct_matches_pair_oracle(pf, vf, LatticeFunction(2, zip(map(tuple, pg.tolist()), vg)))
+        _assert_direct_matches_pair_oracle(pg, vg, LatticeFunction(2, zip(map(tuple, pf.tolist()), vf)))
 
 
-def test_sort_branch_checks_the_joined_pairs_against_the_budget(monkeypatch):
+def test_numbered_apply_checks_its_peak_against_the_budget(monkeypatch):
     f = LatticeFunction(1, [((0,), 1.0), ((10**9,), 2.0)])
     g = LatticeFunction(1, [((k * 10**6,), 1.0) for k in range(50)])
-    monkeypatch.setattr(lattice, "ALLOC_BUDGET_BYTES", 100 * 8 - 1)
-    assert len(convolve(f, g)) == 100  # one block: its pairs exist already
-    monkeypatch.setattr(lattice, "_PAIR_BLOCK", 50)
-    with pytest.raises(ValueError, match="reduction keys"):
-        convolve(f, g)
+    # 2 x 50 cell keys at 25 bytes, and one block of products and their keys at 16 bytes a term:
+    # both offset rows, then one row once the block is cut to 50 terms
+    for block, need in ((lattice._PAIR_BLOCK, 25 * 100 + 16 * 100), (50, 25 * 100 + 16 * 50)):
+        monkeypatch.setattr(lattice, "_PAIR_BLOCK", block)
+        monkeypatch.setattr(lattice, "ALLOC_BUDGET_BYTES", need)
+        assert len(convolve(f, g)) == 100
+        monkeypatch.setattr(lattice, "ALLOC_BUDGET_BYTES", need - 1)
+        with pytest.raises(ValueError, match=rf"kernel apply of 2 offsets to 50 points needs {need} bytes"):
+            convolve(f, g)
+
+
+def test_dense_window_is_added_whole_and_a_sparse_one_is_numbered(monkeypatch):
+    sorts, real_argsort = [], np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **k: sorts.append(1) or real_argsort(*a, **k))
+    adds = []
+    monkeypatch.setattr(np, "add", _AddSpy(adds))
+    # 10^4 offsets on a start of 9801 points: a 198^2-cell window, too few points for slices, added by
+    # np.add.at without a sort; numbering its 9.8e7 cell keys would need 2.45 GB
+    h = convolve(box_indicator((0, 0), (99, 99)), box_indicator((0, 0), (98, 98)))
+    side = np.convolve(np.ones(100), np.ones(99))
+    assert not sorts and adds and h == LatticeFunction.from_dense(np.outer(side, side), (0, 0))
+    adds.clear()
+    assert convolve(box_indicator((0, 0), (98, 98)), box_indicator((0, 0), (99, 99))) == h  # by slices
+    assert not sorts and not adds
+    # a full 10 x 10 start outnumbers its 100 spread offsets, but their window of ~10^7 cells is sparse
+    f = LatticeFunction(2, [((0, k * 10**4), 1.0 + k) for k in range(100)])
+    g = LatticeFunction.from_dense(np.random.default_rng(5).standard_normal((10, 10)), (0, 0))
+    sorts.clear()  # f's own points were sorted as it was built
+    h = convolve(f, g)
+    assert sorts == [1] and len(h) == 10_000
+    _assert_same_function(h, _convolve_direct(2, f._points, f._values, g._points, g._values))
+
+
+def _window_apply(points: np.ndarray, values: np.ndarray, offsets: np.ndarray, weights: np.ndarray):
+    """Oracle: the fancy-index window, grid[cells] += weight * values once per offset over the start's whole window.
+
+    Returns the flat window, each point's flat cells in offset order, and the window's corner and shape.
+    """
+    lo = points.min(0) + offsets.min(0)
+    shape = (points.max(0) + offsets.max(0) - lo + 1).tolist()
+    strides = np.array([math.prod(shape[i + 1 :]) for i in range(len(shape))], dtype=np.int64)
+    grid = np.zeros(math.prod(shape))
+    base, steps = (points - lo) @ strides, offsets @ strides
+    for step, w in zip(steps.tolist(), weights.tolist()):  # base holds distinct cells, so one add per cell and offset
+        grid[base + step] += w * values
+    return grid, base[:, None] + steps, lo, shape
+
+
+def _ascent_starts(n: int, N: int) -> dict:
+    """The ascent's box, delta and cloud starts, and the box less one point, as sorted distinct points."""
+    box = np.indices((2 * N,) * (n - 1) + (n * N * N,), dtype=np.int64).reshape(n, -1).T + 1
+    rng = np.random.default_rng(n * 100 + N)
+    cloud = rng.integers((-2 * N,) * (n - 1) + (-4 * N * N,), (2 * N,) * (n - 1) + (4 * N * N,), size=(4 * N, n))
+    return {"box": box, "delta": np.zeros((1, n), dtype=np.int64), "cloud": np.unique(cloud, axis=0),
+            "holed box": np.delete(box, len(box) // 3, axis=0)}
+
+
+@pytest.mark.parametrize("kind, n, N", [("sharp", 2, 4), ("sharp", 2, 8), ("sharp", 2, 16), ("sharp", 2, 24),
+                                        ("sharp", 3, 3), ("sharp", 3, 4), ("sharp", 3, 6),
+                                        ("smooth", 2, 4), ("smooth", 2, 8), ("smooth", 3, 4)])
+def test_apply_offsets_matches_the_fancy_index_window(kind, n, N, monkeypatch):
+    kernel = cutoff.paraboloid_kernel(OperatorParams(n, N, cutoff.CutoffProfile(kind, N)))
+    offsets, weights = -kernel._points, kernel._values
+    sorts, argsort = [], np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **k: sorts.append(1) or argsort(*a, **k))
+    for name, points in _ascent_starts(n, N).items():
+        values = 1.0 + np.random.default_rng(len(points)).random(len(points))  # not integers: the add order shows
+        window, cells, lo, shape = _window_apply(points, values, offsets, weights)
+        sorts.clear()
+        # the box and the delta fill their bounding boxes and may go in as their extents
+        start = tuple((points.max(0) - points.min(0) + 1).tolist()) if name in ("box", "delta") else points
+        sums, cells_of, points_of = lattice._apply_offsets(start, values, offsets, weights)
+        if name in ("box", "holed box"):  # a dense window, whole: by slices, or by np.add.at once a point is missing
+            assert not sorts and len(sums) == len(window)
+            assert sums.tobytes() == window.tobytes(), name
+            reached = np.arange(len(window))
+        else:  # one point against N^(n-1) offsets, a cloud: a sparse window, its distinct cells numbered in its order
+            reached = np.flatnonzero(window)
+            assert sorts and len(sums) == len(reached), name
+            assert sums.tobytes() == window[reached].tobytes(), name
+            cells = np.searchsorted(reached, cells)
+        for i in np.unique(np.linspace(0, len(points) - 1, 300).astype(int)).tolist():
+            assert (cells_of(i) == cells[i]).all(), (name, i)
+        corner = points.min(0) if isinstance(start, tuple) else 0  # an extent is a box at the origin
+        assert np.array_equal(points_of(np.arange(len(sums))) + corner, np.argwhere(np.ones(shape, dtype=bool))[reached] + lo)
+
+
+def test_average_takes_slices_on_the_box_and_numbered_cells_on_the_delta(monkeypatch):
+    # one point against 256 offsets by slices would add 256 windows of the kernel's span; numbered, it sorts 256 keys.
+    # The box's window, 23 x 23 x 574 cells, has fewer than 2 cells per term.
+    params = OperatorParams.sharp(3, 16)
+    box, point = box_indicator((1, 1, 1), (8, 8, 64)), delta((0, 0, 0))
+    # the oracles build and cache the kernel, which sorts its own points
+    want_point, want_box = _averaged_by_pairs(point, params), _averaged_by_pairs(box, params)
+    calls, real_argsort = [], np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **k: calls.append(1) or real_argsort(*a, **k))
+    point_average = cutoff.average(point, params)
+    assert calls == [1] and len(point_average) == 256
+    calls.clear()
+    box_average = cutoff.average(box, params)
+    assert not calls
+    _assert_same_function(point_average, want_point)
+    _assert_same_function(box_average, want_box)
+
+
+def _averaged_by_pairs(f, params):
+    """The average from the pair oracle, divided once."""
+    kernel = cutoff._kernel(params)
+    raw = _convolve_direct(params.n, -kernel._points, kernel._values, f._points, f._values)
+    return lattice._canonical(params.n, raw._points, raw._values / float(params.N ** (params.n - 1)))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])

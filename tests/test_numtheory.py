@@ -336,6 +336,20 @@ def test_paraboloid_divisor_count_bounds():
     assert paraboloid_divisor_count(N, K, Q, float(Q), n) == 0
 
 
+def test_paraboloid_divisor_count_holds_one_wide_prefix():
+    # v_max = 10^6 + 10^4: the int64 prefix is 8 bytes a residual and the uint8 sieve one; the flags, their
+    # cumsum and a concatenated copy held 24 bytes a residual (24.3 MB)
+    N, K, Q, D = 100, 10**6, 16, 3.0
+    paraboloid_divisor_count(N, 100, Q, D, 2)
+    tracemalloc.start()
+    try:
+        count = paraboloid_divisor_count(N, K, Q, D, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 156435280 and peak <= 10 * (K + N * N + 1), peak
+
+
 def test_square_histogram():
     h = square_histogram(3, 1)
     assert h[0] == 1 and h[1] == 2 and h[4] == 2 and h[9] == 2
