@@ -20,6 +20,17 @@ _apply_offsets, which sums a window with the same histogram rule whole (by
 slices or np.add.at) and numbers the distinct cells of a sparser one by an
 argsort, each cell's terms in offset order either way.
 
+Reading a function out (support, items, iteration) builds Python tuples.
+Each coordinate column is gathered from one shared int per value of its
+range when that range is no longer than the column (an averaged box's
+column spans a few hundred values over 10^5 points), else it is the
+column's own tolist().  The tuples are built with the cyclic collector
+paused (_collector_paused): tuples of ints and floats hold no cycle, so a
+collection during the build frees nothing, and the collections it would
+set off cost more than the shared ints save.  Each call returns a fresh
+list, with no cache: a held list would sit beside the next caller's
+allocations and raise its peak.
+
 Norm and convolution arithmetic is exact on integer-valued inputs: the
 p = 2 power sum accumulates in Python integers when every stored amplitude
 is an integer, and the direct convolution multiplies and adds
@@ -34,7 +45,9 @@ box.
 
 from __future__ import annotations
 
+import gc
 import math
+from contextlib import contextmanager
 from itertools import chain, repeat
 from typing import Iterable, Iterator
 
@@ -116,6 +129,29 @@ def _points(keys: np.ndarray, extents: list, lo: list) -> np.ndarray:
     return points
 
 
+def _column(column: np.ndarray) -> list:
+    """column.tolist(), its equal values one shared int when its range is no longer than the column."""
+    if len(column):
+        lo, hi = int(column.min()), int(column.max())
+        if hi - lo < len(column):
+            # lo + arange, not arange(lo, hi + 1): the latter goes to float64 at 2^63 - 1
+            atoms = (lo + np.arange(hi - lo + 1, dtype=np.int64)).astype(object)
+            return atoms[column - lo].tolist()
+    return column.tolist()
+
+
+@contextmanager
+def _collector_paused():
+    """Run the block with the cyclic collector off, then restore the caller's state, also on an exception."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _real(values) -> np.ndarray:
     """values as a float64 array; a complex one raises ValueError naming an amplitude.
 
@@ -181,11 +217,24 @@ class LatticeFunction:
         return iter(self.support())
 
     def items(self) -> list[tuple[tuple, float]]:
-        """(point, value) pairs in lexicographic order of the points."""
-        return list(zip(self.support(), self._values.tolist()))
+        """(point, value) pairs in lexicographic order of the points, a fresh list each call.
+
+        The points come from support(); the pairs are built with the
+        collector paused, as there.
+        """
+        with _collector_paused():
+            return list(zip(self.support(), self._values.tolist()))
 
     def support(self) -> list[tuple]:
-        return list(zip(*self._points.T.tolist()))  # column by column: one list per axis, not per point
+        """The support points as int tuples in lexicographic order, a fresh list each call.
+
+        Built column by column (_column: one shared int per value of a
+        column's range when that range is no longer than the column) and
+        zipped with the cyclic collector paused.  Nothing is cached, so
+        the list lives only as long as the caller holds it.
+        """
+        with _collector_paused():
+            return list(zip(*map(_column, self._points.T)))
 
     def support_box(self) -> tuple[tuple[int, int], ...]:
         """Per-axis inclusive ranges covering the support; errors if empty."""

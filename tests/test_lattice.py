@@ -1,5 +1,6 @@
 """Function-space basics: storage, norms, convolution, reflection."""
 
+import gc
 import math
 import re
 import tracemalloc
@@ -190,13 +191,82 @@ def test_repeated_points_sum_in_input_order():
     assert LatticeFunction(2, cancels).items() == [((2, 1), 5.0)]
 
 
+def _old_items(f):
+    """The readout before shared ints: one int per coordinate per point."""
+    return list(zip(list(zip(*f._points.T.tolist())), f._values.tolist()))
+
+
+def _assert_readout_matches_the_old_expression(*functions):
+    for f in functions:
+        old, items, support = _old_items(f), f.items(), f.support()
+        assert items == old and support == [p for p, _ in old] and list(f) == support
+        assert all(type(c) is int for p, _ in items for c in p) and all(type(v) is float for _, v in items)
+        assert f.support() is not support  # a fresh list each call
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_support_and_items_match_row_wise_tuples(dim):
     rng = np.random.default_rng(dim)
-    for f in (LatticeFunction(dim), random_sparse(rng, dim, 60), random_sparse(rng, dim, 1)):
-        rows = [tuple(row) for row in f._points.tolist()]
-        assert f.support() == rows and all(type(c) is int for p in f.support() for c in p)
-        assert f.items() == list(zip(rows, f._values.tolist()))
+    _assert_readout_matches_the_old_expression(LatticeFunction(dim), random_sparse(rng, dim, 60),
+                                               random_sparse(rng, dim, 1))
+
+
+def test_averaged_boxes_read_out_as_the_old_expression():
+    for n, N in ((2, 8), (3, 4), (4, 3), (5, 2)):
+        sharp = cutoff.average(box_indicator((1,) * n, (2 * N,) * (n - 1) + (n * N**2,)), OperatorParams.sharp(n, N))
+        # the smooth cutoff needs N >= 4, where its n = 5 kernel alone has ~5 * 10^4 points: a 2-point box
+        smooth = cutoff.average(box_indicator((1,) * n, (1,) * (n - 1) + (2,)), OperatorParams.smooth(n, 4))
+        _assert_readout_matches_the_old_expression(sharp, smooth)
+    # column 0 spans 3 values over 3 points (shared ints); column 1 spans 10^12 + 6 (its own tolist)
+    _assert_readout_matches_the_old_expression(LatticeFunction(2, {(0, 0): 1.0, (1, 10**12): -2.5, (2, -5): 0.25}))
+
+
+def test_readout_shares_one_int_per_value_of_a_dense_column():
+    f = shift(cutoff.average(box_indicator((1, 1), (16, 128)), OperatorParams.sharp(2, 8)), (-1000, -1000))
+    for column, (lo, hi) in zip(zip(*f.support()), f.support_box()):
+        assert hi - lo < len(column) and len({id(c) for c in column}) == hi - lo + 1
+
+
+@pytest.mark.parametrize("c", [-(1 << 63), (1 << 63) - 1])
+def test_readout_is_exact_at_the_int64_edges(c):
+    for points in ([(c, c)], [(c, c), (c, c + 1 if c < 0 else c - 1)]):
+        f = LatticeFunction(2, [(p, 1.5) for p in points])
+        assert f.support() == sorted(points) and f.items() == [(p, 1.5) for p in sorted(points)]
+        assert all(type(x) is int for p in f.support() for x in p)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_readout_restores_the_collector_state(enabled, monkeypatch):
+    f = random_sparse(np.random.default_rng(3), 2, 40)
+    seen = []
+    column = lattice._column
+
+    def watched(values):
+        seen.append(gc.isenabled())
+        return column(values)
+
+    def failing(values):
+        raise RuntimeError("column")
+
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        monkeypatch.setattr(lattice, "_column", watched)
+        f.items(), f.support(), list(f)
+        assert gc.isenabled() is enabled and seen and not any(seen)  # paused while the tuples are built
+        monkeypatch.setattr(lattice, "_column", failing)
+        for read in (f.items, f.support):
+            with pytest.raises(RuntimeError, match="column"):
+                read()
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_readout_peaks_below_the_row_wise_expression():
+    f = cutoff.average(box_indicator((1, 1), (48, 1152)), OperatorParams.sharp(2, 24))
+    assert f.items() == _old_items(f)
+    assert _traced_peak(f.items) <= 0.85 * _traced_peak(lambda: _old_items(f))
 
 
 def test_storage_is_sorted_and_read_only():
