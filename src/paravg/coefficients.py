@@ -319,12 +319,12 @@ def piece_sup_report(spec: PieceSpec, params: OperatorParams) -> ExperimentRepor
     of |G(t, .)|, so the scan is one-dimensional in t = xi_n.  The row
     maximum is taken only where the piece weight is nonzero; elsewhere g
     stays 0, and 0 * g^(n-1) is +0.0 either way.  screen_row_max screens
-    those rows, and gauss_row_max re-evaluates only the candidates
-    (sup_candidates, with beta carried through weight * g^(n-1)); every
-    other row keeps g = 0 and lies strictly below the max, so the sup and
-    its first argmax have the bits of the scan with every row through
-    gauss_row_max.  The row maxima are taken on the y grid j / max(8N, 64).
-    Bounds: (N 2^l)^((n-1)/2) dyadic, (N^2/Q)^((n-1)/2) core,
+    those rows by real matmuls, with no FFT, and gauss_row_max's FFT
+    re-evaluates only the candidates (sup_candidates, with beta carried
+    through weight * g^(n-1)); every other row keeps g = 0 and lies
+    strictly below the max, so the sup and its first argmax have the bits
+    of the scan with every row through gauss_row_max.  The row maxima are
+    taken on the y grid j / max(8N, 64).  Bounds: (N 2^l)^((n-1)/2) dyadic, (N^2/Q)^((n-1)/2) core,
     N^((n-1)/2 + EPS) minor, N^(n-1) maj and whole.
     """
     N, n = params.N, params.n

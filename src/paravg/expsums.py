@@ -18,9 +18,9 @@ Batched evaluation.  Every Gauss sum goes through one evaluator over paired
 arrays of (t, y), _gauss_sums: gauss_sum is a one-element call, multiplier
 one call per coordinate over its rows, gauss_bound_report one call over its
 samples.  It forms the rows in chunks of at most _CHUNK_CELLS phases
-(gauss_row_max chunks its FFT rows the same way), which bounds the peak
-memory, and np.sum(axis=1) reproduces the one-row sum exactly, so a value
-does not depend on its batch.
+(gauss_row_max and screen_row_max chunk their rows of y_grid cells the
+same way), which bounds the peak memory, and np.sum(axis=1) reproduces
+the one-row sum exactly, so a value does not depend on its batch.
 
 Workspace.  Each call allocates its chunk buffers once, sized to the first
 chunk, and each chunk runs the same ufunc sequence in their leading rows
@@ -29,9 +29,7 @@ with out=: y k, (t k) k, the add, the remainder, the cast to complex,
 C-contiguous out computes what it would write to a fresh array, so every
 value keeps the bits of the expression form (kept in the tests as the
 oracle).  gauss_row_max writes its zero-padded FFT input once and refills
-only the support columns per chunk; screen_row_max fills its recurrence
-table in the FFT output buffer, free until the FFT writes it, so the table
-takes no buffer of its own.  gauss_row_max computes the phase
+only the support columns per chunk.  gauss_row_max computes the phase
 t k^2 mod 1 and its exponential once per distinct |k| and gathers them to
 the support columns: negation is exact and rounding is sign-symmetric, so
 (t (-k)) (-k) has the bits of (t k) k.  It keeps that order, since t (k^2)
@@ -46,18 +44,16 @@ z_{j+1} = z_j r_j, r_{j+1} = r_j e(2t), r_0 = e(t + y): two complex
 products per column and no exponential past the first column.
 Both screens run it on contiguous columns, one sample a column entry.
 screen_gauss_abs sums it over both sides of the support (y for k >= 0, -y
-for k < 0); screen_row_max takes it at y = 0 for the distinct |k|, weights
-it into the same FFT rows as gauss_row_max and takes the row max of
-re^2 + im^2 before one sqrt.  A contiguous column may take a SIMD complex
-product with FMA where a strided one would not, which moves the screen's
-bits but not beyond beta: its per-product bound sqrt(5) u (no FMA) is
-above the 2u of a product with FMA.  screen_row_max also folds the torus:
-for real weights G(1 - t, y) = conj G(t, -y) and the y grid is closed
-under negation, so the row max at 1 - t is the row max at t.  Each t is
-folded to f = 1 - t when t > 1/2 (exact on [1/2, 1), by Sterbenz), and each
-distinct f is screened once; the ~4 N^2 scan grid of piece_sup_report is
-mirrored exactly at N a power of two, so about half its rows reach the
-FFT.  Each screen returns beta with |screen - kernel| <= beta for every
+for k < 0); screen_row_max takes it at y = 0 for the distinct |k|, sums
+it against a table of cosines and sines by one real matmul per parity of
+j, with no FFT (_square_row_max), and takes the row max of re^2 + im^2
+before one sqrt.  It also folds the torus: for real weights
+G(1 - t, y) = conj G(t, -y) and the y grid is closed under negation, so
+the row max at 1 - t is the row max at t.  Each t is folded to f = 1 - t
+when t > 1/2 (exact on [1/2, 1), by Sterbenz), and each distinct f is
+screened once; the ~4 N^2 scan grid of piece_sup_report is mirrored
+exactly at N a power of two, so about half its rows reach the matmuls.
+Each screen returns beta with |screen - kernel| <= beta for every
 sample, derived in _screen_error; the fold leaves it as it is, since a
 row's kernel value is that of its f.  A sample is a candidate
 when its screened value + beta, carried through the report's arithmetic,
@@ -107,10 +103,9 @@ __all__ = [
 ]
 
 _LONG = np.longdouble
-# cells per chunk of a batched Gauss-sum evaluation (4 MiB of long-double phases,
-# or 4 MiB of complex FFT input in gauss_row_max and the screens); the kernels'
-# rows are independent, so the chunking changes no kernel value, only the peak
-# memory (a screen's bits may move with it, within its beta)
+# cells per chunk of a batched Gauss-sum evaluation (4 MiB of long-double phases, or of complex
+# FFT input in gauss_row_max, or of y grid in screen_row_max); the kernels' rows are independent,
+# so the chunking changes no kernel value, only the peak memory (and a screen's bits, within beta)
 _CHUNK_CELLS = 1 << 18
 _U = 2.0**-53  # unit roundoff of float64
 # relative room for the few roundings of the float expressions that carry beta
@@ -268,18 +263,24 @@ def _screen_error(cutoff: CutoffProfile, y_grid: int | None = None) -> float:
       each of its terms errs by <= 10 pi eps_L (1 + k^2) + 18 u.
     - A sum of l unit-modulus terms errs by <= 1.5 l u S0: np.sum over the
       support in the kernel, one matmul of length m + 1 per side in the
-      screen.  The weights, the sum of the two sides, hypot and the
-      magnitudes of the FFT outputs add <= 6 u S0.
+      screen.  The weights, the sum of the two sides and hypot add <= 6 u S0.
 
     So beta = (24 u + 10 pi eps_L) S2 + (2m + 2 len(k) + 24) u S0 for the
-    sums.  The row maxima have FFTs in place of the sums: one FFT of length
-    M errs in each entry by at most its normwise error
-    eta(M) sqrt(M) ||sigma||_2, where a radix-p pass adds
+    sums.  The row maxima keep it, which covers their columns and terms and
+    the 20 u S0 of gauss_row_max's weights and magnitudes, and add the
+    errors of their sums on the M = y_grid points.  gauss_row_max's FFT
+    errs in each entry by <= eta(M) sqrt(M) ||sigma||_2: a radix-p pass adds
     ((p + 3) sqrt(p) + 4) u <= 8 p^(3/2) u (Higham's radix-2 bound for
-    p = 2); pocketfft turns to Bluestein's algorithm only for prime factors
-    near 100 and up, where 8 p^(3/2) u is far above its error.  Both row
-    maxima take an FFT, and two maxima differ by at most the largest
-    entrywise gap.
+    p = 2; pocketfft takes Bluestein only for prime factors near 100 and
+    up, far above its error).  A table entry of _square_row_max errs by
+    <= 30 u |a_j| or |b_j|: 19 u from 2 pi (j l mod M) / M, 8 u from cos or
+    sin (4 ulp, numpy's SIMD loops included), u from a_j, u from the
+    product.  As sum |a_j|, sum |b_j| <= S0, a real part of A_l or B_l errs
+    by <= (m + 33) u S0: gamma_h for h <= m/2 + 1 terms in any order, BLAS
+    blocking, FMA or thread count, 2u from joining the parities, and the
+    table.  A +- i B, |.| (sqrt 2 times the worst part), the squares, their
+    sum and the sqrt make it (2 sqrt(2) (m + 34) + 2) u S0 <= (3m + 99) u S0.
+    The row maxima add both: two maxima differ by <= the largest entrywise gap.
     """
     k, w = cutoff.support(), np.abs(cutoff.weights())
     s0 = float(np.sum(w))
@@ -287,7 +288,7 @@ def _screen_error(cutoff: CutoffProfile, y_grid: int | None = None) -> float:
     beta = (24 * _U + 10 * np.pi * float(np.finfo(_LONG).eps)) * float(np.sum(w * (1.0 + k * k)))
     beta += (2 * m + 2 * len(k) + 24) * _U * s0
     if y_grid is not None:
-        beta += 2 * _fft_roundoff(y_grid) * math.sqrt(y_grid * float(np.sum(w * w)))
+        beta += (3 * m + 99) * _U * s0 + _fft_roundoff(y_grid) * math.sqrt(y_grid * float(np.sum(w * w)))
     return beta
 
 
@@ -333,13 +334,9 @@ def _fold_runs(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def screen_row_max(ts: np.ndarray, cutoff: CutoffProfile, y_grid: int) -> tuple[np.ndarray, float]:
     """gauss_row_max screened, and beta >= its distance to gauss_row_max at every t.
 
-    beta holds for ts in [0, 1).  For real weights G(1 - t, y) = conj G(t, -y)
-    and the y grid j / y_grid is closed under negation, so the row max at
-    1 - t is the row max at t.  The rows are folded (_fold_runs), each
-    distinct f is screened once, and every row gets the value of its f.  The
-    distinct f are screened in sorted order in the prefix of the result, and
-    the rows are mapped to them again once the FFT buffers are freed, so
-    that no array the size of ts lives beside them.
+    beta holds for ts in [0, 1).  Each distinct folded f (_fold_runs) is
+    screened once, sorted, in the prefix of the result, and the rows map to
+    them once the screen's buffers are freed: no ts-sized array beside them.
     """
     ts = np.asarray(ts, dtype=float)
     out = np.empty(len(ts))
@@ -357,37 +354,45 @@ def screen_row_max(ts: np.ndarray, cutoff: CutoffProfile, y_grid: int) -> tuple[
 def _square_row_max(rs: np.ndarray, cutoff: CutoffProfile, y_grid: int) -> None:
     """Overwrite each r of rs with the max over the y grid of |G(r, y)|^2, screened.
 
-    _quadratic_exps at y = 0 writes e(r j^2), j = 0..max |k|, in contiguous
-    columns (as screen_gauss_abs does) into the FFT output buffer, which
-    holds nothing until the FFT writes it.  The head of each FFT row is that
-    table times the weights of k >= 0, and column y_grid + k of each k < 0
-    is column -k times its weight.  The row max is taken of re^2 + im^2,
-    squared in place in the FFT output.  The support is a contiguous range,
-    so the head and the columns of k < 0 fit side by side once
-    y_grid > max |k| + max(-k_min, 0).
+    With E_j = e(r j^2), M = y_grid, a_j = sigma(j) + sigma(-j) and
+    b_j = sigma(j) - sigma(-j) for j > 0 (a_0 = sigma(0), b_0 = 0),
+    G(r, +-l/M) = A_l +- i B_l for A_l = sum_j a_j E_j cos(2 pi j l/M) and
+    B_l = sum_j b_j E_j sin(2 pi j l/M), l <= M/2.  For even M, cos and sin
+    at M/2 - l are +-(-1)^j times their values at l, so the sums X_e over
+    even j and X_o over odd j at l <= M/4 give those at l (X_e + X_o) and
+    M/2 - l (2 X_e - (X_e + X_o), B up to a sign).  One real matmul per
+    parity applies the (a cos; b sin) table, j l mod M an exact integer, to
+    _quadratic_exps's contiguous columns; b = 0 (even weights) has no sines.
     """
     k, w = cutoff.support(), cutoff.weights()
-    m, lo = int(np.max(np.abs(k))), int(k[0])
-    if y_grid <= m - min(lo, 0):
+    if y_grid < len(k):
         raise ValueError("y grid too coarse for the coefficient support")
-    head = np.zeros(m + 1)
-    head[k[k >= 0]] = w[k >= 0]
+    m, odd = int(np.max(np.abs(k))), y_grid % 2
+    a, b = (np.bincount(np.abs(k), v, minlength=m + 1) for v in (w, np.sign(k) * w))
+    L = y_grid // (4 - 2 * odd) + 1  # rows l = 0..L-1, and M/2 - l when M is even
+    s = L if b.any() else 0
+    j, h = np.r_[0 : m + 1 : 2, 1 : m + 1 : 2], m // 2 + 1  # the h even j first
+    angles = (2 * np.pi / y_grid) * (np.arange(L)[:, None] * j % y_grid)
+    table = np.concatenate([a[j] * np.cos(angles), b[j] * np.sin(angles[:s])])
     chunk = max(1, _CHUNK_CELLS // y_grid)
     rows = min(chunk, len(rs))
-    buf = np.zeros((rows, y_grid), complex)  # columns between the head and the k < 0 block stay zero
-    vals, mags = np.empty((rows, y_grid), complex), np.empty((rows, y_grid))
+    cells, work = np.empty((m + 1) * rows, complex), np.empty(4 * (L + s) * rows)
     for start in range(0, len(rs), chunk):
         rr = rs[start : start + chunk]  # read before the chunk's maxima overwrite it
         n = len(rr)
-        # the FFT output buffer is free until the FFT writes it: the table's columns are contiguous there
-        z = _quadratic_exps(rr, 0.0, vals.reshape(-1)[: (m + 1) * n].reshape(m + 1, n).T)
-        if lo < 0:
-            np.multiply(w[k < 0], z[:, -lo:0:-1], out=buf[:n, y_grid + lo :])
-        np.multiply(head, z, out=buf[:n, : m + 1])
-        parts = np.fft.fft(buf[:n], axis=1, out=vals[:n]).view(float)
-        np.square(parts, out=parts)
-        np.add(parts[:, ::2], parts[:, 1::2], out=mags[:n])
-        np.max(mags[:n], axis=1, out=rr)
+        z = _quadratic_exps(rr, 0.0, cells[: (m + 1) * n].reshape(m + 1, n).T).T.view(float)
+        x = work[: 4 * (L + s) * n].reshape(2, L + s, 2 * n)
+        np.matmul(table[:, :h], z[0::2], out=x[0])
+        np.matmul(table[:, h:], z[1::2], out=x[1])
+        np.add(x[0], x[1], out=x[1])  # the sums at l
+        np.subtract(np.add(x[0], x[0], out=x[0]), x[1], out=x[0])  # at M/2 - l, unused for odd M
+        g = x[odd:].view(complex)
+        ib = 1j * g[:, L:]
+        np.subtract(g[:, :s], ib, out=g[:, L:])
+        np.add(g[:, :s], ib, out=g[:, :s])
+        parts = np.square(x[odd:], out=x[odd:])
+        squares = np.add(parts[..., ::2], parts[..., 1::2], out=parts[..., ::2])
+        np.max(squares.reshape(-1, n), axis=0, out=rr)
 
 
 def sup_candidates(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

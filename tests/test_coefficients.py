@@ -447,13 +447,18 @@ def test_piece_sup_report_keeps_its_bits_at_n_not_a_power_of_two(kind, N):
     assert (rep.constant, rep.values, rep.params["t_points"]) == _full_grid_sup_report(spec, params)
 
 
-def test_piece_sup_report_sends_about_half_its_live_rows_to_the_fft(monkeypatch):
-    # 24,236 live rows at smooth N = 64; the fold screens 13,027 of them, and gauss_row_max
-    # re-evaluates a few candidates
-    rows, fft = [], np.fft.fft
-    monkeypatch.setattr(np.fft, "fft", lambda a, *args, **kw: rows.append(a.shape[0]) or fft(a, *args, **kw))
+def test_piece_sup_report_screens_about_half_its_live_rows(monkeypatch):
+    # 24,236 live rows at smooth N = 64; the fold screens 13,027 of them through the
+    # screen's table of e(t j^2), and gauss_row_max's FFT re-evaluates a few candidates
+    from paravg import expsums
+
+    tables, ffts = [], []
+    exps, fft = expsums._quadratic_exps, np.fft.fft
+    monkeypatch.setattr(expsums, "_quadratic_exps", lambda t, y, out: tables.append(len(t)) or exps(t, y, out))
+    monkeypatch.setattr(np.fft, "fft", lambda a, *args, **kw: ffts.append(a.shape[0]) or fft(a, *args, **kw))
     piece_sup_report(PieceSpec("min"), OperatorParams.smooth(2, 64))
-    assert 13_027 < sum(rows) <= 13_100
+    assert 1 <= sum(ffts) <= 64
+    assert 13_027 < sum(tables) + sum(ffts) <= 13_100
 
 
 @pytest.mark.parametrize("shift, changed", [(0.9, False), (2.0, True)])

@@ -348,18 +348,21 @@ def test_kernels_work_in_a_fixed_number_of_chunks():
     assert _peak_beyond_result(lambda: expsums.screen_row_max(ts, cutoff, 8 * 16)[0]) <= 2.75 * chunk
 
 
-def test_row_max_screen_builds_its_table_in_the_fft_output(monkeypatch):
-    # the recurrence table lives in the FFT output buffer, in contiguous columns, so the
-    # screen allocates no buffer of its own for it
-    tables, outs = [], []
-    exps, fft = expsums._quadratic_exps, np.fft.fft
-    monkeypatch.setattr(expsums, "_quadratic_exps", lambda t, y, out: tables.append(out) or exps(t, y, out))
-    monkeypatch.setattr(np.fft, "fft", lambda a, *args, out=None, **kw: outs.append(out) or fft(a, *args, out=out, **kw))
-    monkeypatch.setattr(expsums, "_CHUNK_CELLS", 37 * 192)  # several chunks, the last one partial
-    expsums.screen_row_max(np.random.default_rng(3).random(200), CutoffProfile("smooth", 24), 192)
-    assert len(tables) == len(outs) > 1
-    for table, out in zip(tables, outs):
-        assert np.shares_memory(table, out) and table.T.flags.c_contiguous
+def test_row_max_screen_allocates_no_rows_by_y_grid_array(monkeypatch):
+    # one chunk of rows: the FFT screen held its input, output and squares, 2.5 complex
+    # (rows x y_grid) arrays; the matmul screen holds the table of e(t j^2) and the real
+    # sums at l <= y_grid / 2, about 0.8 of one (even weights; the sharp cutoff's sine rows
+    # double the sums), so one more (rows x y_grid) array, float or complex,
+    # breaks the bound; and it runs no FFT
+    ffts = []
+    fft = np.fft.fft
+    monkeypatch.setattr(np.fft, "fft", lambda *args, **kw: ffts.append(1) or fft(*args, **kw))
+    for N in (24, 64):
+        y_grid = 8 * N
+        ts = np.random.default_rng(3).random(expsums._CHUNK_CELLS // y_grid)
+        peak = _peak_beyond_result(lambda: expsums.screen_row_max(ts, CutoffProfile("smooth", N), y_grid)[0])
+        assert peak < 16 * len(ts) * y_grid
+    assert not ffts
 
 
 def _scalar_torus_signed(x: float) -> float:
@@ -575,8 +578,9 @@ def test_screens_stay_within_beta(kind, N):
     assert beta <= row_beta <= 1e-6 * mass
 
 
-def test_screens_cross_chunk_boundaries(monkeypatch):
-    cutoff = CutoffProfile("smooth", 24)
+@pytest.mark.parametrize("kind", ["sharp", "smooth"])
+def test_screens_cross_chunk_boundaries(kind, monkeypatch):
+    cutoff = CutoffProfile(kind, 24)
     ts, ys = np.random.default_rng(12).random((2, 1000))
     monkeypatch.setattr(expsums, "_CHUNK_CELLS", 37 * 192)  # 37 rows a chunk, the last one partial
     # a screen's bits may depend on the chunk's shape (the SIMD loops and the
@@ -586,17 +590,163 @@ def test_screens_cross_chunk_boundaries(monkeypatch):
     assert np.max(np.abs(sums - np.hypot(exact.real, exact.imag))) <= beta
     rows, row_beta = expsums.screen_row_max(ts, cutoff, 192)
     assert np.max(np.abs(rows - gauss_row_max(ts, cutoff, 192))) <= row_beta
+    assert _matmul_screen_within_beta(ts, cutoff, 192)  # unfolded rows, and the FFT screen's
     assert expsums.screen_gauss_abs(ts[:0], ys[:0], cutoff)[0].shape == (0,)
     assert expsums.screen_row_max(ts[:0], cutoff, 192)[0].shape == (0,)
 
 
 def test_screen_row_max_grid_guard():
-    # the head columns 0..N of the sharp cutoff need y_grid > N
-    with pytest.raises(ValueError):
-        expsums.screen_row_max(np.array([0.1]), CutoffProfile("sharp", 8), 8)
-    with pytest.raises(ValueError):
-        expsums.screen_row_max(np.array([0.1]), CutoffProfile("smooth", 8), 30)
-    assert expsums.screen_row_max(np.array([0.1]), CutoffProfile("smooth", 8), 31)[0].shape == (1,)
+    # the screen and gauss_row_max refuse exactly the grids coarser than the support
+    for cutoff in (CutoffProfile("sharp", 8), CutoffProfile("smooth", 8)):
+        size = len(cutoff.support())
+        for row_max in (gauss_row_max, lambda *args: expsums.screen_row_max(*args)[0]):
+            with pytest.raises(ValueError):
+                row_max(np.array([0.1]), cutoff, size - 1)
+            assert row_max(np.array([0.1]), cutoff, size).shape == (1,)
+
+
+def _fft_square_row_max(rs: np.ndarray, cutoff: CutoffProfile, y_grid: int) -> None:
+    """Overwrite each r of rs with the max over the y grid of |G(r, y)|^2, screened.
+
+    _quadratic_exps at y = 0 writes e(r j^2), j = 0..max |k|, in contiguous
+    columns (as screen_gauss_abs does) into the FFT output buffer, which
+    holds nothing until the FFT writes it.  The head of each FFT row is that
+    table times the weights of k >= 0, and column y_grid + k of each k < 0
+    is column -k times its weight.  The row max is taken of re^2 + im^2,
+    squared in place in the FFT output.  The support is a contiguous range,
+    so the head and the columns of k < 0 fit side by side once
+    y_grid > max |k| + max(-k_min, 0).
+    """
+    k, w = cutoff.support(), cutoff.weights()
+    m, lo = int(np.max(np.abs(k))), int(k[0])
+    if y_grid <= m - min(lo, 0):
+        raise ValueError("y grid too coarse for the coefficient support")
+    head = np.zeros(m + 1)
+    head[k[k >= 0]] = w[k >= 0]
+    chunk = max(1, expsums._CHUNK_CELLS // y_grid)
+    rows = min(chunk, len(rs))
+    buf = np.zeros((rows, y_grid), complex)  # columns between the head and the k < 0 block stay zero
+    vals, mags = np.empty((rows, y_grid), complex), np.empty((rows, y_grid))
+    for start in range(0, len(rs), chunk):
+        rr = rs[start : start + chunk]  # read before the chunk's maxima overwrite it
+        n = len(rr)
+        # the FFT output buffer is free until the FFT writes it: the table's columns are contiguous there
+        z = expsums._quadratic_exps(rr, 0.0, vals.reshape(-1)[: (m + 1) * n].reshape(m + 1, n).T)
+        if lo < 0:
+            np.multiply(w[k < 0], z[:, -lo:0:-1], out=buf[:n, y_grid + lo :])
+        np.multiply(head, z, out=buf[:n, : m + 1])
+        parts = np.fft.fft(buf[:n], axis=1, out=vals[:n]).view(float)
+        np.square(parts, out=parts)
+        np.add(parts[:, ::2], parts[:, 1::2], out=mags[:n])
+        np.max(mags[:n], axis=1, out=rr)
+
+
+def _matmul_screen_within_beta(ts, cutoff, y_grid) -> bool:
+    """Whether the matmul screen lies within beta of gauss_row_max and, on a grid it takes, of the FFT screen."""
+    squares, beta = ts.copy(), expsums._screen_error(cutoff, y_grid)
+    expsums._square_row_max(squares, cutoff, y_grid)
+    screen = np.sqrt(squares)
+    ok = np.max(np.abs(screen - gauss_row_max(ts, cutoff, y_grid))) <= beta
+    if y_grid > np.max(np.abs(cutoff.support())) - min(cutoff.support()[0], 0):  # every grid but sharp len(k)
+        fft_squares = ts.copy()
+        _fft_square_row_max(fft_squares, cutoff, y_grid)
+        ok &= np.max(np.abs(screen - np.sqrt(fft_squares))) <= beta
+    return bool(ok)
+
+
+def _screen_ts(N: int) -> np.ndarray:
+    return np.concatenate([[0.0, 0.25, 0.5, 1.0 - 2.0**-53, 2.0**-40], np.random.default_rng(N).random(60)])
+
+
+@pytest.mark.parametrize("kind", ["sharp", "smooth"])
+@pytest.mark.parametrize("N", [8, 16, 24, 64, 100, 128, 512])
+def test_matmul_screen_stays_within_beta_of_the_fft_screen(kind, N):
+    cutoff = CutoffProfile(kind, N)
+    size = len(cutoff.support())
+    grids = sorted({y for y in (size, 4 * N + 1, 192, 8 * N) if y >= size})
+    assert size in grids and 8 * N in grids
+    for y_grid in grids:
+        assert _matmul_screen_within_beta(_screen_ts(N), cutoff, y_grid), y_grid
+
+
+def _cos_with_one_wrong_entry(delta: float):
+    """np.cos with the screen's table entry (l = 0, j = 2) moved by delta: t = 0 has its row max at l = 0."""
+    cos = np.cos
+
+    def wrong(x):
+        out = cos(x)
+        out[0, 1] += delta
+        return out
+
+    return wrong
+
+
+def _screen_gap_to_its_columns(ts, cutoff, y_grid, monkeypatch, cos=np.cos) -> tuple[float, float, float]:
+    """The screen's largest distance to the exact row maxima of the very columns it summed.
+
+    _quadratic_exps's columns E_j = e(t j^2) are recorded as the screen
+    summed them (with np.cos replaced by cos in the screen), and
+    G(t, l/M) = sum_k sigma(k) E_|k| e(k l/M) is summed in long double at
+    every l, so the gap holds the table, the matmul and the magnitudes, not
+    the recurrence or an FFT.  Returns the gap, the part of the row beta
+    that _screen_error adds for them (beside the sums' beta and the FFT
+    term), and a bound on the reference's own error: each term rounds
+    <= 17 times, np.sum adds a row pairwise in <= 24 levels for
+    len(k) < 1024, and hypot adds sqrt 2, so it errs by < 128 eps_L S0.
+    """
+    columns, exps = [], expsums._quadratic_exps
+
+    def record(t, y, out):
+        columns.append(exps(t, y, out).copy())
+        return out
+
+    squares = ts.copy()
+    with monkeypatch.context() as patch:
+        patch.setattr(expsums, "_quadratic_exps", record)
+        patch.setattr(np, "cos", cos)
+        expsums._square_row_max(squares, cutoff, y_grid)
+    L, k, w = np.longdouble, cutoff.support(), cutoff.weights()
+    assert len(k) < 1024
+    angles = (2 * np.arccos(L(-1)) / y_grid) * ((np.arange(y_grid)[:, None] * k) % y_grid)
+    wcos, wsin = np.cos(angles) * w.astype(L), np.sin(angles) * w.astype(L)  # (M, len(k))
+    gap = L(0)
+    for row, screen in zip(np.concatenate(columns)[:, np.abs(k)], np.sqrt(squares)):
+        re, im = row.real.astype(L), row.imag.astype(L)
+        parts = np.sum(wcos * re - wsin * im, axis=1), np.sum(wsin * re + wcos * im, axis=1)
+        gap = max(gap, abs(L(screen) - np.max(np.hypot(*parts))))
+    fft_term = expsums._fft_roundoff(y_grid) * math.sqrt(y_grid * float(np.sum(w * w)))
+    term = expsums._screen_error(cutoff, y_grid) - expsums._screen_error(cutoff) - fft_term
+    return float(gap), term, 128 * float(np.finfo(L).eps) * float(np.sum(np.abs(w)))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 2.0**-60, reason="long double is float64: no exact reference")
+@pytest.mark.parametrize("kind", ["sharp", "smooth"])
+@pytest.mark.parametrize("N, y_grid", [(16, 128), (16, 65), (64, 512)])
+def test_screen_table_and_matmul_stay_within_their_beta_term(kind, N, y_grid, monkeypatch):
+    # the row beta's own term for them holds them alone, with no S2 or FFT term beside it,
+    # and the reference's slack alone does not, so deleting the term fails here; a table
+    # entry wrong by twice the term, far below the whole beta, breaks it
+    cutoff, ts = CutoffProfile(kind, N), _screen_ts(N)[:20]
+    gap, term, slack = _screen_gap_to_its_columns(ts, cutoff, y_grid, monkeypatch)
+    assert slack < gap <= term + slack
+    wrong_cos = _cos_with_one_wrong_entry(2 * term)
+    assert _screen_gap_to_its_columns(ts, cutoff, y_grid, monkeypatch, wrong_cos)[0] > term + slack
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "cos", wrong_cos)
+        assert _matmul_screen_within_beta(ts, cutoff, y_grid)
+
+
+def test_matmul_screen_beta_catches_a_wrong_table(monkeypatch):
+    # dropping the sharp cutoff's sine block leaves only the cosine half of each sum
+    sin = np.sin
+    for cutoff in (CutoffProfile("sharp", 16), CutoffProfile("smooth", 16)):
+        assert _matmul_screen_within_beta(_screen_ts(16), cutoff, 128)
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "cos", _cos_with_one_wrong_entry(1e-6))
+            assert not _matmul_screen_within_beta(_screen_ts(16), cutoff, 128)
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "sin", lambda x: np.zeros_like(sin(x)))
+        assert not _matmul_screen_within_beta(_screen_ts(16), CutoffProfile("sharp", 16), 128)
 
 
 def _folded_rows(ts):
