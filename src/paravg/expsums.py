@@ -22,18 +22,14 @@ samples.  It forms the rows in chunks of at most _CHUNK_CELLS phases
 same way), which bounds the peak memory, and np.sum(axis=1) reproduces
 the one-row sum exactly, so a value does not depend on its batch.
 
-Workspace.  Each call allocates its chunk buffers once, sized to the first
-chunk, and each chunk runs the same ufunc sequence in their leading rows
-with out=: y k, (t k) k, the add, the remainder, the cast to complex,
-2 pi i *, exp, the weights, the row sum.  A ufunc writing into a
-C-contiguous out computes what it would write to a fresh array, so every
-value keeps the bits of the expression form (kept in the tests as the
-oracle).  gauss_row_max writes its zero-padded FFT input once and refills
-only the support columns per chunk.  gauss_row_max computes the phase
-t k^2 mod 1 and its exponential once per distinct |k| and gathers them to
-the support columns: negation is exact and rounding is sign-symmetric, so
-(t (-k)) (-k) has the bits of (t k) k.  It keeps that order, since t (k^2)
-rounds once instead of twice and gives other bits once |k| >= 2^11.
+Expression form.  Each chunk is one plain expression over fresh arrays, as
+the tests' oracles are: y k + (t k) k in long double, e1, the weights, the
+row sum or the FFT.  The screens below leave these kernels only candidate
+rows (a spectral benchmark pass makes 8 _gauss_sums calls of at most 400
+rows and one gauss_row_max call of 5), one chunk each, so a per-call
+workspace would never be reused.  Both kernels keep the order (t k) k,
+since t (k^2) rounds once instead of twice and gives other bits once
+|k| >= 2^11.
 
 Screening.  gauss_bound_report and piece_sup_report report one max over
 10^4 samples or more, and only the argmax sample's bits reach the report.
@@ -114,44 +110,21 @@ _SLACK = 1e-12
 
 
 def e1(x) -> complex | np.ndarray:
-    """e(x) = exp(2 pi i x) with the argument reduced mod 1 first."""
-    frac = np.asarray(x) % 1.0
-    out = np.exp(2j * np.pi * np.asarray(frac, dtype=float))
+    """e(x) = exp(2 pi i x), x reduced mod 1 in its own precision (a long double's) before the float cast."""
+    out = np.exp(2j * np.pi * np.asarray(np.asarray(x) % 1.0, dtype=float))
     return out if out.ndim else complex(out)
-
-
-def _exp_phases(ph: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """e(ph) for long-double phases ph in [0, 1), computed in the complex buffer out.
-
-    The cast gives float(ph) + 0j, the operand 2 pi i * float(ph) promotes
-    the float to, so the product and the exp are the ones a float
-    intermediate would give.
-    """
-    np.copyto(out, ph, casting="same_kind")
-    np.multiply(2j * np.pi, out, out=out)
-    return np.exp(out, out=out)
 
 
 def _gauss_sums(ts: np.ndarray, ys: np.ndarray, cutoff: CutoffProfile) -> np.ndarray:
     """G(ts[i], ys[i]) for paired 1-D arrays, in row chunks of at most _CHUNK_CELLS phases."""
     k = cutoff.support()
     w = cutoff.weights()
-    kl = k.astype(_LONG)
     out = np.empty(len(ts), dtype=complex)
     rows = max(1, _CHUNK_CELLS // len(k))
-    shape = (min(rows, len(ts)), len(k))
-    lin, quad, terms = np.empty(shape, _LONG), np.empty(shape, _LONG), np.empty(shape, complex)
     for start in range(0, len(ts), rows):
-        tt = ts[start : start + rows, None].astype(_LONG)
-        yy = ys[start : start + rows, None].astype(_LONG)
-        m = len(tt)
-        ph = np.multiply(yy, kl, out=lin[:m])
-        np.multiply(tt, kl, out=quad[:m])
-        np.multiply(quad[:m], kl, out=quad[:m])  # (t k) k, as t * k * k rounds it
-        np.add(ph, quad[:m], out=ph)
-        np.remainder(ph, _LONG(1.0), out=ph)
-        e = _exp_phases(ph, terms[:m])
-        np.sum(np.multiply(w, e, out=e), axis=1, out=out[start : start + m])
+        ph = ys[start : start + rows, None].astype(_LONG) * k
+        ph += (ts[start : start + rows, None].astype(_LONG) * k) * k  # (t k) k, as t * k * k rounds it
+        out[start : start + rows] = np.sum(w * e1(ph), axis=1)
     return out
 
 
@@ -183,7 +156,8 @@ def gauss_row_max(ts: np.ndarray, cutoff: CutoffProfile, y_grid: int) -> np.ndar
     For each t the sum over k is a trigonometric polynomial in y with
     coefficients sigma(k) e(t k^2); evaluating it on y_j = j / y_grid is one
     FFT of length y_grid.  Used by the multiplier sup scans, where the sup
-    over the first n-1 coordinates factorizes into this row maximum.
+    over the first n-1 coordinates factorizes into this row maximum, on the
+    few candidate rows that screen_row_max leaves (sup_candidates).
     """
     k = cutoff.support()
     w = cutoff.weights()
@@ -192,25 +166,12 @@ def gauss_row_max(ts: np.ndarray, cutoff: CutoffProfile, y_grid: int) -> np.ndar
         raise ValueError("y grid too coarse for the coefficient support")
     out = np.empty(len(ts))
     kmod = np.mod(k, y_grid)  # k spans a contiguous range < y_grid, so no clashes
-    # (t k) k has the bits of (t |k|) |k|: one phase per distinct |k|, gathered by `back`
-    ku, back = np.unique(np.abs(k), return_inverse=True)
     chunk = max(1, _CHUNK_CELLS // y_grid)
-    rows = min(chunk, len(ts))
-    phases, unit = np.empty((rows, len(ku)), _LONG), np.empty((rows, len(ku)), complex)
-    terms = np.empty((rows, len(k)), complex)
-    buf = np.zeros((rows, y_grid), complex)  # the zero padding is written once
-    vals, mags = np.empty((rows, y_grid), complex), np.empty((rows, y_grid))
     for start in range(0, len(ts), chunk):
         tt = ts[start : start + chunk, None].astype(_LONG)
-        m = len(tt)
-        ph = np.multiply(tt, ku, out=phases[:m])
-        np.multiply(ph, ku, out=ph)
-        np.remainder(ph, _LONG(1.0), out=ph)
-        # back is in range, and mode='clip' lets take write to out without a buffer
-        np.take(_exp_phases(ph, unit[:m]), back, axis=1, out=terms[:m], mode="clip")
-        buf[:m, kmod] = np.multiply(w, terms[:m], out=terms[:m])
-        np.fft.fft(buf[:m], axis=1, out=vals[:m])
-        np.max(np.abs(vals[:m], out=mags[:m]), axis=1, out=out[start : start + m])
+        buf = np.zeros((len(tt), y_grid), complex)
+        buf[:, kmod] = w * e1((tt * k) * k)
+        out[start : start + len(tt)] = np.max(np.abs(np.fft.fft(buf, axis=1)), axis=1)
     return out
 
 

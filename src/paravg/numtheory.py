@@ -29,6 +29,7 @@ import math
 import numpy as np
 
 from .arcs import totatives
+from .expsums import e1
 from .reports import ExperimentReport
 
 __all__ = [
@@ -115,10 +116,10 @@ def _ramanujan_rows(q: int, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Both depend on k only through k mod q (the phases ((a k) mod q)/q, and
     gcd(q, k)), so each is evaluated once per residue that ks reaches and
-    gathered by ks % q.  e(i/q) is read from one table of the q roots, the
-    same float expression.  The direct sums add the phases in totative order
-    (the last row of a cumulative sum), so a residue's sum has the same bits
-    whichever other residues ks reaches.
+    gathered by ks % q.  e(i/q) is read from one table of the q roots, e1(i/q)
+    (i/q < 1 passes its reduction mod 1 unchanged).  The direct sums add the
+    phases in totative order (the last row of a cumulative sum), so a
+    residue's sum has the same bits whichever other residues ks reaches.
     """
     tots = np.array(totatives(q), dtype=np.int64)
     rs = ks % q
@@ -126,7 +127,7 @@ def _ramanujan_rows(q: int, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     present[rs] = True
     residues = np.flatnonzero(present)
     idx = (np.cumsum(present) - 1)[rs]
-    roots = np.exp(2j * np.pi * (np.arange(q) / q))
+    roots = e1(np.arange(q) / q)
     by_gcd = np.zeros(q + 1, dtype=np.int64)
     for g in range(1, q + 1):
         if q % g == 0:

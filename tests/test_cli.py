@@ -845,16 +845,21 @@ def _float64_power_targets() -> set:
     return {t["current"] for t in opt_func_info(func_name="^power$", signature="float64").get("power", {}).values()}
 
 
-# box power sums over these (n, N) and p, and the benchmark's box fits, under two SIMD targets
+# box power sums over these (n, N) and p, the benchmark's box fits and the spectral reports
+# (Gauss sums, ladders, coefficients, Ramanujan tables), under two SIMD targets
 PORTABLE_GRID = [(2, N) for N in (8, 64, 320)] + [(3, N) for N in (4, 8, 16, 24)] + [(4, 3)]
 PORTABLE_P = (1.5, 1.6, 5 / 3, 1.8, 2.0)
 PORTABLE_ARGV = [["scaling-fit", "--source", "box", "--N", "64,128,256,320"],
-                 ["scaling-fit", "--source", "box", "--n", "3", "--N", "4,8,12,16"]]
+                 ["scaling-fit", "--source", "box", "--n", "3", "--N", "4,8,12,16"],
+                 ["gauss-check", "--N", "16,32"],
+                 ["arcs-check", "--N", "16,64"],
+                 ["coeff-check", "--N", "8", "--count", "20"],
+                 ["ramanujan-check"]]
 
 
 @pytest.mark.skipif(not _float64_power_targets() & {"X86_V4", "X86_V3"},
                     reason="float64 power has no X86_V4 or X86_V3 target to narrow")
-def test_box_power_sums_keep_their_bits_under_narrowed_simd_dispatch(tmp_path):
+def test_reports_keep_their_bits_under_narrowed_simd_dispatch(tmp_path):
     code = (
         "from pathlib import Path\nfrom paravg import cli\nfrom paravg.experiments import box_power_sum\n"
         f"for n, N in {PORTABLE_GRID!r}:\n"
